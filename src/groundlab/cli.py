@@ -19,9 +19,9 @@ from typing import Callable, List, Optional
 from .gibbs import (Potential, adjacency_potential, metropolis, trace_csv)
 from .layers import constant_schedule, default_schedule, freq_table_float
 from .machines import (NonConformingError, corpus, machine_enumeration,
-                       machine_from_json, word_measure)
+                       machine_from_json)
 from .markers import MarkerSet, robinson_marker_set, verify_nonoverlap
-from .measures import (conditional_grid_measure, weak_star_distance)
+from .measures import conditional_rows, weak_star_distance
 from .perturbation import perturbed_flow, selector_flow
 from .render import render_patch_svg
 from .robinson import build_macro_tile, build_tileset
@@ -268,12 +268,11 @@ def _run_measure_flow(cfg):
     flow = selector_flow(machine, depth)
     target = flow(kmax)
     lines = ["k,blocked_mass,residual,dist_to_target"]
-    for k in range(depth, kmax + 1):
-        cond = conditional_grid_measure(flow, depth, k, schedule)
+    for cond in conditional_rows(flow, depth, schedule, kmax):
         mass, res = cond.blocked_mass(), cond.residual
         dist = (weak_star_distance(cond.renormalized(), target)
                 if mass > 0 else "")
-        lines.append(f"{k},{mass.numerator}/{mass.denominator},"
+        lines.append(f"{cond.k},{mass.numerator}/{mass.denominator},"
                      f"{res.numerator}/{res.denominator},"
                      + (f"{dist.numerator}/{dist.denominator}"
                         if mass > 0 else ""))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .tiles import InputError
 
@@ -170,20 +170,21 @@ class ConditionalGridMeasure:
         return WordMeasure(self.depth, [w / mass for w in self.raw])
 
 
-def conditional_grid_measure(flow: Callable[[int], WordMeasure], depth: int,
-                             k: int, schedule,
-                             j_start: Optional[int] = None) -> ConditionalGridMeasure:
-    """Mix flow measures over scales j0..k with per-scale blocking rate 1/(4 t_j).
+def conditional_rows(flow: Callable[[int], WordMeasure], depth: int, schedule,
+                     kmax: int, j_start: Optional[int] = None
+                     ) -> Iterator[ConditionalGridMeasure]:
+    """Yield the conditional measure of every k in j0..kmax in one forward pass.
 
-    Scale j contributes weight (1/(4 t_j)) * prod_{i=j+1..k} (1 - 1/(4 t_i));
-    the residual prod_{i=j0..k} (1 - 1/(4 t_i)) is the mass never blocked.
+    Row k mixes flow(j) over j0 <= j <= k: scale j carries weight
+    (1/(4 t_j)) * prod_{i=j+1..k} (1 - 1/(4 t_i)), and the residual
+    prod_{i=j0..k} (1 - 1/(4 t_i)) is the mass never blocked.  flow(j) is
+    evaluated exactly once per scale.
     """
     j0 = max(depth, j_start if j_start is not None else depth)
     raw = [Fraction(0)] * (2 ** depth)
     residual = Fraction(1)
-    for j in range(j0, k + 1):
-        t = schedule.t(j)
-        c = Fraction(1, 4 * t)
+    for j in range(j0, kmax + 1):
+        c = Fraction(1, 4 * schedule.t(j))
         m = flow(j)
         if m.depth < depth:
             raise InputError(f"flow at scale {j} has depth {m.depth} < {depth}")
@@ -191,36 +192,28 @@ def conditional_grid_measure(flow: Callable[[int], WordMeasure], depth: int,
         keep = 1 - c
         raw = [r * keep + c * w for r, w in zip(raw, mw)]
         residual *= keep
-    return ConditionalGridMeasure(depth, tuple(raw), residual, k, j0)
+        yield ConditionalGridMeasure(depth, tuple(raw), residual, j, j0)
 
 
-def flow_distance_table(flow, target: WordMeasure, depth: int, ks: Iterable[int],
-                        schedule, j_start=None) -> list:
-    """(k, weak-* distance of the renormalized conditional measure to target)."""
-    out = []
-    for k in ks:
-        cond = conditional_grid_measure(flow, depth, k, schedule, j_start)
-        out.append((k, weak_star_distance(cond.renormalized(), target)))
-    return out
+def conditional_grid_measure(flow: Callable[[int], WordMeasure], depth: int,
+                             k: int, schedule,
+                             j_start: Optional[int] = None) -> ConditionalGridMeasure:
+    """Row k of conditional_rows; the empty measure (residual 1) when k < j0."""
+    j0 = max(depth, j_start if j_start is not None else depth)
+    row = ConditionalGridMeasure(depth, (Fraction(0),) * (2 ** depth),
+                                 Fraction(1), k, j0)
+    for row in conditional_rows(flow, depth, schedule, k, j_start):
+        pass
+    return row
 
 
 def flow_horizon(flow, target: WordMeasure, depth: int, tol: Fraction,
                  schedule, kmax: int, j_start=None) -> Optional[int]:
     """First k <= kmax whose renormalized conditional is within tol of target."""
-    j0 = max(depth, j_start if j_start is not None else depth)
-    raw = [Fraction(0)] * (2 ** depth)
-    for k in range(j0, kmax + 1):
-        t = schedule.t(k)
-        c = Fraction(1, 4 * t)
-        mw = flow(k).marginal(depth).weights
-        keep = 1 - c
-        raw = [r * keep + c * w for r, w in zip(raw, mw)]
-        mass = sum(raw, Fraction(0))
-        if mass == 0:
-            continue
-        mu = WordMeasure(depth, [w / mass for w in raw])
-        if weak_star_distance(mu, target) < tol:
-            return k
+    for row in conditional_rows(flow, depth, schedule, kmax, j_start):
+        if (row.blocked_mass() > 0
+                and weak_star_distance(row.renormalized(), target) < tol):
+            return row.k
     return None
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -23,9 +24,8 @@ from .gibbs import Potential
 from .layers import OdometerSchedule, default_schedule
 from .machines import (Machine, machine_to_json, selector_weights,
                        word_measure)
-from .measures import (ConditionalGridMeasure, WordMeasure,
-                       conditional_grid_measure, greedy_net, mix,
-                       weak_star_distance)
+from .measures import (ConditionalGridMeasure, WordMeasure, conditional_rows,
+                       greedy_net, mix, weak_star_distance)
 from .tiles import InputError
 
 # scanning the routing word and switching to the chosen program must not
@@ -134,39 +134,43 @@ class PerturbedPotential:
 
 # ------------------------------------------------------------ flow report ---
 
-def _scale_for(j: int, depth: int, cap: int) -> int:
-    return min(max(j, depth), cap)
+def _scale_memo(depth: int, cap: int) -> Callable[[Machine, int], WordMeasure]:
+    """measure(machine, j): the word measure at scale min(max(j, depth), cap).
+
+    word_measure depends on j only through that clamped scale, so each
+    (machine, scale) pair is evaluated once for the memo's lifetime.
+    """
+    if not 1 <= depth <= cap:
+        raise InputError(f"depth {depth} is outside 1..{cap}: word measures "
+                         f"are evaluated at scales <= {cap}")
+    table = {}
+
+    def measure(machine: Machine, j: int) -> WordMeasure:
+        key = (machine, min(max(j, depth), cap))
+        if key not in table:
+            table[key] = word_measure(machine, key[1], depth)
+        return table[key]
+
+    return measure
+
+
+def _routed(measure: Callable[[Machine, int], WordMeasure], base: Machine,
+            enumeration: Sequence[Machine], j: int) -> WordMeasure:
+    machines = (base, *enumeration)
+    return mix([(weight, measure(machines[idx], j))
+                for idx, weight in selector_weights(j, len(enumeration))])
 
 
 def mixture_flow(base: Machine, enumeration: Sequence[Machine], depth: int,
                  cap: int = SCALE_CAP) -> Callable[[int], WordMeasure]:
     """Routing-weighted mixture: default machine except on the 1^i words."""
-    cache = {}
-
-    def flow(j: int) -> WordMeasure:
-        if j not in cache:
-            kj = _scale_for(j, depth, cap)
-            parts = []
-            for idx, weight in selector_weights(j, len(enumeration)):
-                mach = base if idx == 0 else enumeration[idx - 1]
-                parts.append((weight, word_measure(mach, kj, depth)))
-            cache[j] = mix(parts)
-        return cache[j]
-
-    return flow
+    return partial(_routed, _scale_memo(depth, cap), base, enumeration)
 
 
 def selector_flow(target: Machine, depth: int,
                   cap: int = SCALE_CAP) -> Callable[[int], WordMeasure]:
     """Selector-forced flow: the target machine owns every admissible seed."""
-    cache = {}
-
-    def flow(j: int) -> WordMeasure:
-        if j not in cache:
-            cache[j] = word_measure(target, _scale_for(j, depth, cap), depth)
-        return cache[j]
-
-    return flow
+    return partial(_scale_memo(depth, cap), target)
 
 
 @dataclass
@@ -241,34 +245,30 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
         index = 1
     rule = make_selector(index, enumeration)
 
+    measure = _scale_memo(depth, cap)
     if eps == 0:
         mode = "mixture"
-        flow = mixture_flow(base_machine, enumeration, depth, cap)
+        flow = partial(_routed, measure, base_machine, enumeration)
         j_start = depth
         threshold = 0
     else:
         mode = "selector"
-        flow = selector_flow(target_machine, depth, cap)
+        flow = partial(measure, target_machine)
         j_start = max(depth, rule.threshold)
         threshold = rule.threshold
     schedule = schedule or default_schedule()
 
-    base_target = word_measure(base_machine, _scale_for(horizon, depth, cap),
-                               depth)
-    target_target = word_measure(target_machine,
-                                 _scale_for(horizon, depth, cap), depth)
+    base_target = measure(base_machine, horizon)
+    target_target = measure(target_machine, horizon)
 
-    rows = []
+    rows = list(conditional_rows(flow, depth, schedule, horizon, j_start))
     to_base = []
     to_target = []
-    for k in range(j_start, horizon + 1):
-        cond = conditional_grid_measure(flow, depth, k, schedule,
-                                        j_start=j_start)
-        rows.append(cond)
-        if cond.blocked_mass() > 0:
-            mu = cond.renormalized()
-            to_base.append((k, weak_star_distance(mu, base_target)))
-            to_target.append((k, weak_star_distance(mu, target_target)))
+    for row in rows:
+        if row.blocked_mass() > 0:
+            mu = row.renormalized()
+            to_base.append((row.k, weak_star_distance(mu, base_target)))
+            to_target.append((row.k, weak_star_distance(mu, target_target)))
     return PerturbationReport(mode, depth, horizon, index, threshold,
                               rule.diameter, rows, to_base, to_target,
                               base_target, target_target)
@@ -286,6 +286,14 @@ class AccumulationReport:
     verdict: str              # "stable" or "oscillating"
 
 
+def _accumulation(points: List[WordMeasure], horizon: int, window: int,
+                  radius: Fraction) -> AccumulationReport:
+    reps, _, worst = greedy_net(points, radius)
+    verdict = "stable" if len(reps) == 1 else "oscillating"
+    return AccumulationReport(horizon, window, Fraction(radius),
+                              [points[i] for i in reps], worst, verdict)
+
+
 def accumulation_report(flow: Callable[[int], WordMeasure], depth: int,
                         horizon: int, window: int,
                         radius: Fraction = Fraction(1, 256)) -> AccumulationReport:
@@ -294,10 +302,7 @@ def accumulation_report(flow: Callable[[int], WordMeasure], depth: int,
         raise InputError("need 0 <= window <= horizon")
     points = [flow(k).marginal(depth) for k in
               range(horizon - window, horizon + 1)]
-    reps, _, worst = greedy_net(points, radius)
-    verdict = "stable" if len(reps) == 1 else "oscillating"
-    return AccumulationReport(horizon, window, Fraction(radius),
-                              [points[i] for i in reps], worst, verdict)
+    return _accumulation(points, horizon, window, radius)
 
 
 def report_accumulation(report: PerturbationReport, window: int,
@@ -308,8 +313,5 @@ def report_accumulation(report: PerturbationReport, window: int,
         raise InputError("report has no renormalizable rows")
     if window >= len(measures):
         window = len(measures) - 1
-    tail = measures[len(measures) - 1 - window:]
-    reps, _, worst = greedy_net(tail, radius)
-    verdict = "stable" if len(reps) == 1 else "oscillating"
-    return AccumulationReport(report.horizon, window, Fraction(radius),
-                              [tail[i] for i in reps], worst, verdict)
+    return _accumulation(measures[len(measures) - 1 - window:],
+                         report.horizon, window, radius)

@@ -129,6 +129,28 @@ def test_measure_flow_columns(tmp_path):
                "--csv", str(out)) == 2
 
 
+def test_measure_flow_word_measure_once_per_scale(tmp_path,
+                                                  word_measure_calls):
+    assert run("measure-flow", "--machine", "parity", "--depth", "2",
+               "--kmax", "32", "--csv", str(tmp_path / "mf.csv")) == 0
+    # 31 rows, but scales clamp to min(max(k, depth), 12): 11 distinct
+    assert sorted(k for _, k, _ in word_measure_calls) == list(range(2, 13))
+
+
+def test_depth_above_scale_cap_is_usage_error(tmp_path, capsys):
+    assert run("measure-flow", "--machine", "parity", "--depth", "13",
+               "--kmax", "14", "--csv", str(tmp_path / "mf.csv")) == 2
+    err = capsys.readouterr().err
+    assert "depth 13" in err and "12" in err
+    assert run("perturb", "--base", "constant-u", "--target", "parity",
+               "--epsilon", "1", "--depth", "13", "--horizon", "14",
+               "--out", str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert "depth 13" in err and "12" in err
+    assert run("measure-flow", "--machine", "parity", "--depth", "-1",
+               "--kmax", "3", "--csv", str(tmp_path / "mf.csv")) == 2
+
+
 def test_thermo_csv_plumbing(tmp_path):
     out = tmp_path / "t.csv"
     assert run("thermo", "--kmin", "1", "--kmax", "3", "--csv", str(out)) == 0

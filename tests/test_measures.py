@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flow_oracle import closed_form_row
 from groundlab.layers import OdometerSchedule, constant_schedule, default_schedule
 from groundlab.measures import (
     WordMeasure,
     all_words,
     conditional_grid_measure,
+    conditional_rows,
     constant_flow,
-    flow_distance_table,
     flow_horizon,
     greedy_net,
     index_word,
@@ -171,8 +174,8 @@ def test_flow_horizon_and_table():
     # flow that starts uniform and locks to the target at scale 6
     def delayed(j):
         return target if j >= 6 else WordMeasure.uniform(1)
-    table = flow_distance_table(delayed, target, 1, range(1, 40), sch)
-    dists = dict(table)
+    dists = {row.k: weak_star_distance(row.renormalized(), target)
+             for row in conditional_rows(delayed, 1, sch, 39)}
     assert dists[5] > dists[10] > dists[20]
     h = flow_horizon(delayed, target, 1, Fraction(1, 128), sch, 200)
     assert h is not None
@@ -182,6 +185,55 @@ def test_flow_horizon_and_table():
     before = weak_star_distance(
         conditional_grid_measure(delayed, 1, h - 1, sch).renormalized(), target)
     assert before >= Fraction(1, 128)
+
+
+@st.composite
+def flow_cases(draw):
+    """Random schedule, flow of depth 1-2, conditional depth, j_start, k."""
+    flow_depth = draw(st.integers(1, 2))
+    depth = draw(st.integers(1, flow_depth))
+    kmax = draw(st.integers(0, 9))
+    ts = draw(st.lists(st.integers(2, 7), min_size=kmax + 1,
+                       max_size=kmax + 1))
+    counts = draw(st.lists(
+        st.lists(st.integers(0, 5), min_size=2 ** flow_depth,
+                 max_size=2 ** flow_depth).filter(any),
+        min_size=kmax + 1, max_size=kmax + 1))
+    measures = [WordMeasure(flow_depth, [Fraction(c, sum(cs)) for c in cs])
+                for cs in counts]
+    j_start = draw(st.none() | st.integers(0, kmax + 1))
+    k = draw(st.integers(0, kmax))
+    sch = OdometerSchedule(lambda j, ts=ts: ts[j])
+    return measures.__getitem__, depth, sch, kmax, j_start, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(flow_cases())
+def test_rows_match_closed_form(case):
+    flow, depth, sch, kmax, j_start, k = case
+    j0 = max(depth, j_start if j_start is not None else depth)
+    rows = list(conditional_rows(flow, depth, sch, kmax, j_start))
+    assert [row.k for row in rows] == list(range(j0, kmax + 1))
+    for row in rows:
+        assert (row.raw, row.residual) == closed_form_row(flow, depth, row.k,
+                                                          sch, j_start)
+        assert row.j_start == j0
+    cond = conditional_grid_measure(flow, depth, k, sch, j_start)
+    assert (cond.raw, cond.residual) == closed_form_row(flow, depth, k, sch,
+                                                        j_start)
+    assert (cond.k, cond.j_start) == (k, j0)
+
+
+def test_rows_evaluate_flow_once_per_scale():
+    calls = []
+
+    def counting(j):
+        calls.append(j)
+        return WordMeasure.uniform(2)
+
+    rows = list(conditional_rows(counting, 2, default_schedule(), 30))
+    assert len(rows) == 29
+    assert calls == list(range(2, 31))
 
 
 def test_repetition_flow_indices():

@@ -1,14 +1,16 @@
 import json
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from flow_oracle import closed_form_row
 from groundlab.gibbs import pattern_potential
 from groundlab.machines import (NonConformingError, constant_writer, copier,
                                 fair_coin, incrementer, machine_enumeration,
                                 parity_machine, selector_weights, word_measure)
-from groundlab.measures import (WordMeasure, conditional_grid_measure, mix,
-                                weak_star_distance)
+from groundlab.measures import WordMeasure, mix, weak_star_distance
 from groundlab.perturbation import (DISPATCH_OVERHEAD_CAP, PerturbedPotential,
                                     SelectorRule, accumulation_report,
                                     dispatch_overhead, make_selector,
@@ -147,8 +149,43 @@ def test_zero_epsilon_matches_unperturbed_pipeline():
     assert rep.mode == "mixture" and rep.threshold == 0
     flow = mixture_flow(constant_writer("u"), ENUM, 1)
     for row in rep.rows:
-        again = conditional_grid_measure(flow, 1, row.k, sched, j_start=1)
-        assert row.raw == again.raw and row.residual == again.residual
+        assert (row.raw, row.residual) == closed_form_row(flow, 1, row.k,
+                                                          sched, j_start=1)
+
+
+@pytest.mark.parametrize("epsilon", [0, 1])
+def test_word_measure_once_per_machine_and_scale(word_measure_calls,
+                                                 epsilon):
+    base, target = constant_writer("u"), parity_machine()
+    perturbed_flow(base, target, epsilon, 2, 16, index=1, enumeration=ENUM)
+    scale = {j: min(max(j, 2), 12) for j in range(2, 17)}
+    if epsilon:
+        flow_pairs = {(target, s) for s in scale.values()}
+    else:
+        flow_pairs = {(base if i == 0 else ENUM[i - 1], scale[j])
+                      for j in scale for i, _ in selector_weights(j, len(ENUM))}
+    expected = flow_pairs | {(base, 12), (target, 12)}
+    calls = word_measure_calls
+    assert len(calls) == len(expected) == (41 if epsilon == 0 else 12)
+    assert {(m, k) for m, k, _ in calls} == expected
+    assert {d for _, _, d in calls} == {2}
+
+
+def test_depth_above_scale_cap_refused():
+    with pytest.raises(InputError, match="depth 13 .*12"):
+        perturbed_flow(constant_writer("u"), parity_machine(), 1, 13, 14)
+    with pytest.raises(InputError, match="depth 3 .*2"):
+        selector_flow(parity_machine(), 3, cap=2)
+    with pytest.raises(InputError):
+        mixture_flow(constant_writer("u"), ENUM, 0)
+
+
+def test_perturb_switch_demo_runs(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "perturb_switch.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "3 strengths, 1 distinct report body" in out
+    assert "verdict over last 4 scales: stable" in out
 
 
 def test_mixture_flow_is_explicit_convex_combination():

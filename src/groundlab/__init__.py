@@ -1,7 +1,7 @@
 """groundlab: lattice models with programmable zero-temperature behaviour.
 
 Submodules:
-  tiles        Wang tiles, patches, local rules, exact patch counting
+  tiles        Wang tiles, patches, local rules, pattern kernel, patch counting
   robinson     hierarchical aperiodic tileset and its macro-tiles
   render       deterministic SVG pictures of patches
   markers      marker process: covering search, exact grid measures

@@ -89,10 +89,7 @@ def _command(name, params):
 def _load_config(path: str, command: str, params: List[Param]) -> dict:
     known = {p.name for p in params}
     found = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise UsageError(f"{command}: cannot read config {path!r}: {exc}")
+    lines = Path(path).read_text().splitlines()
     for ln, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -141,6 +138,14 @@ def _emit(primary_path: str, text: str, command: str, resolved: dict):
 
 # -------------------------------------------------------------- resolvers ---
 
+def _spec_int(field: str, spec: str) -> int:
+    """The integer after the colon of a 'kind:N' spec."""
+    try:
+        return int(spec.partition(":")[2])
+    except ValueError:
+        raise UsageError(f"invalid value for {field}: {spec!r}") from None
+
+
 def _resolve_machine(name: str):
     table = corpus()
     if name in table:
@@ -156,7 +161,7 @@ def _resolve_tileset(name: str) -> Tileset:
     if name == "robinson":
         return build_tileset()
     if name.startswith("free:"):
-        count = int(name[5:])
+        count = _spec_int("tileset", name)
         if not 1 <= count <= 26:
             raise UsageError("free tilesets support 1..26 tiles")
         lab = EdgeLabel(None, None, None, None, None)
@@ -173,7 +178,7 @@ def _resolve_schedule(name):
     if name == "default":
         return default_schedule()
     if name.startswith("const:"):
-        return constant_schedule(int(name[6:]))
+        return constant_schedule(_spec_int("schedule", name))
     raise UsageError(f"unknown schedule {name!r}: use default or const:C")
 
 
@@ -407,6 +412,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except InputError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {args.command}: cannot access {exc.filename!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, NonConformingError) as exc:
         print(f"budget exceeded: {args.command}: {exc}", file=sys.stderr)

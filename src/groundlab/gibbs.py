@@ -1,9 +1,10 @@
 """Finite-volume Gibbs machinery on the torus.
 
-A potential is a weighted list of forbidden rectangular patterns.  The local
-energy of a site counts every occurrence covering it, so one occurrence of a
-size-s pattern contributes s times to the total; that convention is fixed,
-stated, and exactly testable.  Energies are exact rationals throughout.
+A potential is a weighted list of forbidden rectangular patterns, matched by
+the shape-hashed kernel `tiles.PatternIndex`.  The local energy of a site
+counts every occurrence covering it, so one occurrence of a size-s pattern
+contributes s times to the total.  Energies are kept as integers in units of
+1/D (D the lcm of the weight denominators) and read out as exact rationals.
 
 Exact Boltzmann enumeration works on tiny tori; Metropolis sampling covers
 moderate ones.  The acceptance rule is built from y = Fraction(exp(-beta/D))
@@ -26,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .markers import MarkerSet
-from .tiles import BudgetExceeded, InputError, Tileset
+from .tiles import BudgetExceeded, InputError, PatternIndex, Tileset
 
 _Q = Union[int, Fraction]
 
@@ -99,31 +100,6 @@ def adjacency_potential(tileset: Tileset, weight: _Q = 1) -> Potential:
     return pattern_potential([(rows, weight) for rows in pairs])
 
 
-class _CompiledPattern:
-    __slots__ = ("grid", "weight", "support", "cells", "matchable")
-
-    def __init__(self, rows, weight, index):
-        h, w = len(rows), len(rows[0])
-        self.grid = np.empty((h, w), dtype=np.int64)
-        self.matchable = True
-        for j in range(h):
-            for i in range(w):
-                code = index.get(rows[j][i])
-                if code is None:
-                    self.matchable = False
-                    code = -1
-                self.grid[j, i] = code
-        self.weight = weight
-        self.support = h * w
-        self.cells = [(j, i, int(self.grid[j, i]))
-                      for j in range(h) for i in range(w)]
-
-
-def _compile(potential: Potential, tileset: Tileset) -> List[_CompiledPattern]:
-    index = {t.id: i for i, t in enumerate(tileset.tiles)}
-    return [_CompiledPattern(rows, w, index) for rows, w in potential.forbidden]
-
-
 class TorusConfig:
     """Tile assignment on an N x N torus with a maintained exact energy."""
 
@@ -142,59 +118,36 @@ class TorusConfig:
         self.tileset = tileset
         self.potential = potential
         self.cells = cells
-        self._compiled = _compile(potential, tileset)
-        self._energy = self.recompute_energy()
+        # each pattern is worth weight * support, in units of 1/D
+        self._denominator = d = _energy_denominator(potential)
+        patterns = [[(j, i, tileset.index.get(tid)) for j, row in enumerate(rows)
+                     for i, tid in enumerate(row)] for rows, _ in potential.forbidden]
+        self._index = PatternIndex(patterns, [
+            w.numerator * (d // w.denominator) * len(pattern)
+            for (_, w), pattern in zip(potential.forbidden, patterns)])
+        self._units = int(self.recompute_energy() * d)
 
     @property
     def energy(self) -> Fraction:
-        return self._energy
+        return Fraction(self._units, self._denominator)
 
     def recompute_energy(self) -> Fraction:
-        """Full from-scratch scan (numpy roll per pattern cell)."""
-        total = Fraction(0)
-        for pat in self._compiled:
-            if not pat.matchable or pat.weight == 0:
-                continue
-            match = np.ones((self.side, self.side), dtype=bool)
-            for j, i, code in pat.cells:
-                match &= np.roll(self.cells, (-j, -i), (0, 1)) == code
-            count = int(match.sum())
-            if count:
-                total += pat.weight * pat.support * count
-        return total
+        """Full from-scratch scan of the current cells."""
+        return Fraction(self._index.total(self.cells, wrap=True), self._denominator)
 
-    def _occurrences_at(self, x: int, y: int) -> Fraction:
-        """Energy carried by occurrences whose support covers cell (x, y)."""
-        s = self.side
-        cells = self.cells
-        total = Fraction(0)
-        for pat in self._compiled:
-            if not pat.matchable or pat.weight == 0:
-                continue
-            hits = 0
-            for j0, i0, _ in pat.cells:
-                ay, ax = (y - j0) % s, (x - i0) % s
-                ok = True
-                for j, i, code in pat.cells:
-                    if cells[(ay + j) % s, (ax + i) % s] != code:
-                        ok = False
-                        break
-                if ok:
-                    hits += 1
-            if hits:
-                total += pat.weight * pat.support * hits
-        return total
+    def _local_units(self, x: int, y: int) -> int:
+        """Energy, in units of 1/D, of the occurrences covering cell (x, y)."""
+        return sum(self._index.covering(self.cells, y % self.side, x % self.side, wrap=True))
 
     def update(self, x: int, y: int, tile_index: int) -> Fraction:
         """Set one cell, returning the exact energy change."""
         if not 0 <= tile_index < len(self.tileset.tiles):
             raise InputError("tile index out of range")
-        before = self._occurrences_at(x, y)
+        before = self._local_units(x, y)
         self.cells[y % self.side, x % self.side] = tile_index
-        after = self._occurrences_at(x, y)
-        delta = after - before
-        self._energy += delta
-        return delta
+        delta = self._local_units(x, y) - before
+        self._units += delta
+        return Fraction(delta, self._denominator)
 
 
 def total_energy(config: TorusConfig, potential: Optional[Potential] = None) -> Fraction:
@@ -215,8 +168,8 @@ def _energy_denominator(potential: Potential) -> int:
 def boltzmann_base(beta: float, denominator: int) -> Fraction:
     """y with probabilities proportional to y^(energy * denominator)."""
     beta = float(beta)
-    if beta < 0:
-        raise InputError("beta must be >= 0")
+    if not math.isfinite(beta) or beta < 0:
+        raise InputError(f"beta must be finite and >= 0, got {beta}")
     return Fraction(math.exp(-beta / denominator))
 
 
@@ -249,11 +202,8 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     scratch = TorusConfig(tileset, potential, np.zeros((side, side), np.int64))
     for assignment in iter_product(range(ntiles), repeat=side * side):
         scratch.cells = np.array(assignment, np.int64).reshape(side, side)
-        e = scratch.recompute_energy()
-        energies[assignment] = e
-        exponent = e * d
-        assert exponent.denominator == 1
-        weights[assignment] = y ** exponent.numerator
+        energies[assignment] = e = scratch.recompute_energy()
+        weights[assignment] = y ** int(e * d)  # e is a whole number of 1/D
     z = sum(weights.values())
     probabilities = {k: v / z for k, v in weights.items()}
     return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
@@ -273,23 +223,8 @@ def acceptance_probability(base: Fraction, denominator: int,
 
 def torus_coverage(config: TorusConfig, markers: MarkerSet) -> Fraction:
     """Fraction of torus cells inside some marker occurrence (wrap-aware)."""
-    index = {t.id: i for i, t in enumerate(config.tileset.tiles)}
-    s = config.side
-    covered = np.zeros((s, s), dtype=bool)
-    for p in markers.patterns:
-        match = np.ones((s, s), dtype=bool)
-        ok = True
-        for x, y, tid in p.cells():
-            code = index.get(tid)
-            if code is None:
-                ok = False
-                break
-            match &= np.roll(config.cells, (-y, -x), (0, 1)) == code
-        if not ok or not match.any():
-            continue
-        for x, y, _ in p.cells():
-            covered |= np.roll(match, (y, x), (0, 1))
-    return Fraction(int(covered.sum()), s * s)
+    covered = markers.index(config.tileset.index).covered(config.cells, wrap=True)
+    return Fraction(int(covered.sum()), config.side ** 2)
 
 
 @dataclass
@@ -315,6 +250,8 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     """
     if steps < 1:
         raise InputError("steps must be >= 1")
+    if side < 1:
+        raise InputError("torus side must be >= 1")
     rng = np.random.Generator(np.random.Philox(rng_seed))
     ntiles = len(tileset.tiles)
     if initial is None:
@@ -347,23 +284,23 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
                 config.cells[yy, x] = t
                 accepted += 1
             else:
-                delta = config._occurrences_at(int(x), int(yy))
+                delta = config._local_units(int(x), int(yy))
                 old = int(config.cells[yy, x])
                 config.cells[yy, x] = t
-                delta = config._occurrences_at(int(x), int(yy)) - delta
-                if delta <= 0 or u < float(acceptance_probability(y, d, delta)):
-                    config._energy += delta
+                delta = config._local_units(int(x), int(yy)) - delta
+                if delta <= 0 or u < float(acceptance_probability(y, d, Fraction(delta, d))):
+                    config._units += delta
                     accepted += 1
                 else:
                     config.cells[yy, x] = old
             if cadence and done % cadence == 0:
                 if free_run:
-                    config._energy = config.recompute_energy()
+                    config._units = int(config.recompute_energy() * d)
                 observe(done)
             if sample_cadence and done % sample_cadence == 0:
                 samples.append(tuple(int(v) for v in config.cells.ravel()))
     if free_run:
-        config._energy = config.recompute_energy()
+        config._units = int(config.recompute_energy() * d)
     if not cadence or steps % cadence != 0:
         observe(steps)
     return MetropolisResult(seed=rng_seed, beta=beta, steps=steps,

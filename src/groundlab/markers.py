@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .robinson import ORIENTATIONS, build_macro_tile
-from .tiles import HOLE, InputError, Patch, Tileset
+from .tiles import InputError, Patch, PatternIndex, Tileset
 
 
 class MarkerSet:
@@ -80,6 +80,12 @@ class MarkerSet:
                 g[y, x] = code
             grids.append(g)
         return grids, tuple(legend)
+
+    def index(self, code) -> PatternIndex:
+        """The patterns as a pattern-occurrence kernel over the codes that
+        `code` (a tile id -> code mapping) assigns; unknown ids never match."""
+        return PatternIndex([[(y, x, code.get(tid)) for x, y, tid in p.cells()]
+                             for p in self.patterns])
 
     def to_json(self) -> str:
         doc = {
@@ -183,42 +189,17 @@ def search_covering_counterexample(tileset: Tileset, markers: MarkerSet,
     """
     m = markers.m
     T = len(tileset)
-    w, h = markers.width, markers.height
-    pat_codes = []
-    for p in markers.patterns:
-        pat_codes.append(
-            [[tileset.index[p.id_at(x, y)] for x in range(w)] for y in range(h)]
-        )
+    index = markers.index(tileset.index)
 
     full = np.ones(T, dtype=bool)
-    if w == 1 and h == 1:
-        full = full.copy()
-        for codes in pat_codes:
-            full[codes[0][0]] = False
+    if markers.width == 1 and markers.height == 1:
+        for p in markers.patterns:
+            full[tileset.index[p.id_at(0, 0)]] = False
         if not full.any():
             return CoveringResult("none", None, 0)
 
     grid = np.full((m, m), -1, dtype=np.int64)
     nodes = 0
-
-    def forbidden_block_completed(x, y):
-        # assigning (x, y) in row-major order can only complete blocks whose
-        # top-right... top row ends at y and right column ends at x
-        if x < w - 1 or y < h - 1:
-            return False
-        ax, ay = x - w + 1, y - h + 1
-        for codes in pat_codes:
-            match = True
-            for yy in range(h):
-                for xx in range(w):
-                    if grid[ay + yy, ax + xx] != codes[yy][xx]:
-                        match = False
-                        break
-                if not match:
-                    break
-            if match:
-                return True
-        return False
 
     def solve(cell, domains):
         nonlocal nodes
@@ -231,7 +212,9 @@ def search_covering_counterexample(tileset: Tileset, markers: MarkerSet,
             if nodes > budget:
                 raise _BudgetStop
             grid[y, x] = t
-            if forbidden_block_completed(x, y):
+            # cells after (x, y) are unassigned (-1), so the only block that
+            # can match is the one whose last cell (x, y) completes
+            if index.covering(grid, y, x):
                 grid[y, x] = -1
                 continue
             trial = [row[:] for row in domains]
@@ -261,23 +244,8 @@ def search_covering_counterexample(tileset: Tileset, markers: MarkerSet,
 
 def occurrence_map(config: Patch, markers: MarkerSet) -> np.ndarray:
     """Boolean cell map: cells lying inside at least one marker occurrence."""
-    covered = np.zeros((config.height, config.width), dtype=bool)
-    w, h = markers.width, markers.height
-    for ay in range(config.height - h + 1):
-        for ax in range(config.width - w + 1):
-            for p in markers.patterns:
-                ok = True
-                for yy in range(h):
-                    for xx in range(w):
-                        if config.id_at(ax + xx, ay + yy) != p.id_at(xx, yy):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    covered[ay:ay + h, ax:ax + w] = True
-                    break
-    return covered
+    code = {tid: i for i, tid in enumerate(config.legend)}
+    return markers.index(code).covered(config.grid)
 
 
 def marker_coverage(config: Patch, markers: MarkerSet) -> Fraction:

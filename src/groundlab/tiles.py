@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -172,11 +173,6 @@ class ForbiddenPattern:
     """Finite pattern banned at every position: cells are (dx, dy, tile_id)."""
 
     cells: tuple
-
-    def bounds(self) -> tuple:
-        xs = [c[0] for c in self.cells]
-        ys = [c[1] for c in self.cells]
-        return (min(xs), min(ys), max(xs), max(ys))
 
 
 class Tileset:
@@ -373,6 +369,94 @@ class Patch:
             raise InputError(f"malformed patch json: {exc}") from exc
 
 
+class PatternIndex:
+    """The one pattern-occurrence kernel: patterns hashed by cell-offset shape.
+
+    A pattern is a list of (dy, dx, code) cells matched against a grid of
+    integer codes indexed [y, x]; a None code (a tile the grid cannot hold)
+    drops it.  Each shape (offset tuple) maps the codes read at its offsets to
+    the summed integer weight of its patterns when `weights` are given, else
+    to the tuple of their indices; zero-weight keys are dropped.  An anchor is
+    thus one dict lookup per shape, however many patterns there are.
+
+    With `wrap` the grid is a torus; without it an anchor counts only where its
+    whole shape lies inside the grid.  Negative codes never match.  Index
+    arrays are cached per grid shape; the grid is read on every call.
+    """
+
+    def __init__(self, patterns, weights=None):
+        shapes = {}
+        for n, cells in enumerate(patterns):
+            if not cells:
+                raise InputError("empty pattern")
+            if any(code is None for _, _, code in cells):
+                continue
+            offsets, key = zip(*(((dy, dx), code) for dy, dx, code in sorted(cells)))
+            table = shapes.setdefault(offsets, {})
+            value = (n,) if weights is None else weights[n]
+            table[key] = table[key] + value if key in table else value
+        self._shapes = [(offsets, {k: v for k, v in table.items() if v})
+                        for offsets, table in shapes.items()]
+        self._plans = {}
+        self._cell_plans = {}
+
+    def _plan(self, shape: tuple, wrap: bool) -> list:
+        """(table, anchor ys, anchor xs, flat cell indices per anchor) per shape."""
+        if (shape, wrap) not in self._plans:
+            h, w = shape
+            plan = self._plans[shape, wrap] = []
+            for offsets, table in self._shapes:
+                dy, dx = np.array(offsets).T
+                ys = np.arange(h) if wrap else np.arange(-dy.min(), h - dy.max())
+                xs = np.arange(w) if wrap else np.arange(-dx.min(), w - dx.max())
+                ay, ax = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))
+                cy, cx = ay[:, None] + dy, ax[:, None] + dx
+                if wrap:
+                    cy, cx = cy % h, cx % w
+                plan.append((table, ay, ax, cy * w + cx))
+        return self._plans[shape, wrap]
+
+    def _lookup(self, grid: np.ndarray, wrap: bool):
+        for table, ay, ax, cells in self._plan(grid.shape, wrap):
+            yield ay, ax, cells, [table.get(k) for k in map(tuple, grid.ravel()[cells].tolist())]
+
+    def total(self, grid: np.ndarray, wrap: bool = False) -> int:
+        """Summed value of every occurrence in the grid."""
+        return sum(sum(map(table.get, map(tuple, grid.ravel()[cells].tolist()), repeat(0)))
+                   for table, _, _, cells in self._plan(grid.shape, wrap))
+
+    def occurrences(self, grid: np.ndarray, wrap: bool = False) -> list:
+        """(y, x, value) of every occurrence, by anchor."""
+        return [(int(y), int(x), v) for ay, ax, _, values in self._lookup(grid, wrap)
+                for y, x, v in zip(ay, ax, values) if v is not None]
+
+    def covered(self, grid: np.ndarray, wrap: bool = False) -> np.ndarray:
+        """Boolean map of the cells inside at least one occurrence."""
+        mask = np.zeros(grid.size, dtype=bool)
+        for _, _, cells, values in self._lookup(grid, wrap):
+            mask[cells[np.array([v is not None for v in values], dtype=bool)]] = True
+        return mask.reshape(grid.shape)
+
+    def covering(self, grid: np.ndarray, y: int, x: int, wrap: bool = False) -> list:
+        """Values of the occurrences that cover cell (y, x), once per pattern
+        cell landing there (a shape wider than a torus can land twice)."""
+        if (grid.shape, wrap) not in self._cell_plans:
+            # per cell: the flat indices of every anchor covering it, and the
+            # (lookup, start, stop) that reads each anchor's key from them
+            plans = [([], []) for _ in range(grid.size)]
+            for table, _, _, cells in self._plan(grid.shape, wrap):
+                for row in cells.tolist():
+                    for p in row:
+                        index, parts = plans[p]
+                        parts.append((table.get, len(index), len(index) + len(row)))
+                        index.extend(row)
+            self._cell_plans[grid.shape, wrap] = [
+                (np.array(index, dtype=np.intp), parts) for index, parts in plans]
+        index, parts = self._cell_plans[grid.shape, wrap][y * grid.shape[1] + x]
+        codes = grid.ravel()[index].tolist()
+        return [v for get, a, b in parts if (v := get(tuple(codes[a:b]))) is not None]
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str          # 'h', 'v' or 'forbidden'
@@ -406,12 +490,10 @@ def check_patch(tileset: Tileset, patch: Patch) -> list:
         for y, x in np.argwhere(bad):
             out.append(Violation("v", (int(x), int(y)),
                                  f"{patch.id_at(x, y)} / {patch.id_at(x, y + 1)}"))
-    for pi, pat in enumerate(tileset.extra_forbidden):
-        x0, y0, x1, y1 = pat.bounds()
-        for ay in range(-y0, patch.height - y1):
-            for ax in range(-x0, patch.width - x1):
-                if all(patch.id_at(ax + dx, ay + dy) == tid for dx, dy, tid in pat.cells):
-                    out.append(Violation("forbidden", (ax, ay), f"pattern {pi}"))
+    forbidden = PatternIndex([[(dy, dx, tileset.index.get(tid)) for dx, dy, tid in pat.cells]
+                              for pat in tileset.extra_forbidden])
+    found = sorted((y, x, pi) for y, x, hits in forbidden.occurrences(idx) for pi in hits)
+    out.extend(Violation("forbidden", (x, y), f"pattern {pi}") for y, x, pi in found)
     out.sort(key=lambda v: (v.position[1], v.position[0], v.kind))
     return out
 

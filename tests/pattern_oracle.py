@@ -1,0 +1,161 @@
+"""The straight-line pattern matches that `tiles.PatternIndex` replaces.
+
+Each function below is the loop one library call site ran before every
+pattern match went through the shape-hashed kernel, kept verbatim apart from
+taking its inputs as arguments.  They share nothing with the kernel: every
+pattern is compared cell by cell at every anchor, so they serve as the
+reference in the differential tests.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+
+class _CompiledPattern:
+    __slots__ = ("grid", "weight", "support", "cells", "matchable")
+
+    def __init__(self, rows, weight, index):
+        h, w = len(rows), len(rows[0])
+        self.grid = np.empty((h, w), dtype=np.int64)
+        self.matchable = True
+        for j in range(h):
+            for i in range(w):
+                code = index.get(rows[j][i])
+                if code is None:
+                    self.matchable = False
+                    code = -1
+                self.grid[j, i] = code
+        self.weight = weight
+        self.support = h * w
+        self.cells = [(j, i, int(self.grid[j, i]))
+                      for j in range(h) for i in range(w)]
+
+
+def compile_potential(potential, tileset) -> list:
+    """The former `gibbs._compile`: the input of the two torus energy loops."""
+    index = {t.id: i for i, t in enumerate(tileset.tiles)}
+    return [_CompiledPattern(rows, w, index) for rows, w in potential.forbidden]
+
+
+def recompute_energy(compiled, cells) -> Fraction:
+    """Full from-scratch torus energy (numpy roll per pattern cell)."""
+    cells = np.asarray(cells)
+    side = cells.shape[0]
+    total = Fraction(0)
+    for pat in compiled:
+        if not pat.matchable or pat.weight == 0:
+            continue
+        match = np.ones((side, side), dtype=bool)
+        for j, i, code in pat.cells:
+            match &= np.roll(cells, (-j, -i), (0, 1)) == code
+        count = int(match.sum())
+        if count:
+            total += pat.weight * pat.support * count
+    return total
+
+
+def occurrences_at(compiled, cells, x: int, y: int) -> Fraction:
+    """Energy carried by occurrences whose support covers torus cell (x, y)."""
+    s = len(cells)
+    total = Fraction(0)
+    for pat in compiled:
+        if not pat.matchable or pat.weight == 0:
+            continue
+        hits = 0
+        for j0, i0, _ in pat.cells:
+            ay, ax = (y - j0) % s, (x - i0) % s
+            ok = True
+            for j, i, code in pat.cells:
+                if cells[(ay + j) % s, (ax + i) % s] != code:
+                    ok = False
+                    break
+            if ok:
+                hits += 1
+        if hits:
+            total += pat.weight * pat.support * hits
+    return total
+
+
+def torus_coverage(tileset, cells, markers) -> Fraction:
+    """Fraction of torus cells inside some marker occurrence (wrap-aware)."""
+    index = {t.id: i for i, t in enumerate(tileset.tiles)}
+    cells = np.asarray(cells)
+    s = cells.shape[0]
+    covered = np.zeros((s, s), dtype=bool)
+    for p in markers.patterns:
+        match = np.ones((s, s), dtype=bool)
+        ok = True
+        for x, y, tid in p.cells():
+            code = index.get(tid)
+            if code is None:
+                ok = False
+                break
+            match &= np.roll(cells, (-y, -x), (0, 1)) == code
+        if not ok or not match.any():
+            continue
+        for x, y, _ in p.cells():
+            covered |= np.roll(match, (y, x), (0, 1))
+    return Fraction(int(covered.sum()), s * s)
+
+
+def occurrence_map(config, markers) -> np.ndarray:
+    """Boolean cell map: cells lying inside at least one marker occurrence."""
+    covered = np.zeros((config.height, config.width), dtype=bool)
+    w, h = markers.width, markers.height
+    for ay in range(config.height - h + 1):
+        for ax in range(config.width - w + 1):
+            for p in markers.patterns:
+                ok = True
+                for yy in range(h):
+                    for xx in range(w):
+                        if config.id_at(ax + xx, ay + yy) != p.id_at(xx, yy):
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if ok:
+                    covered[ay:ay + h, ax:ax + w] = True
+                    break
+    return covered
+
+
+def _bounds(pat) -> tuple:
+    """The former `ForbiddenPattern.bounds`."""
+    xs = [c[0] for c in pat.cells]
+    ys = [c[1] for c in pat.cells]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def forbidden_violations(tileset, patch) -> list:
+    """(anchor, pattern index) of every extra-forbidden occurrence in a patch,
+    in the order `check_patch` appended them."""
+    out = []
+    for pi, pat in enumerate(tileset.extra_forbidden):
+        x0, y0, x1, y1 = _bounds(pat)
+        for ay in range(-y0, patch.height - y1):
+            for ax in range(-x0, patch.width - x1):
+                if all(patch.id_at(ax + dx, ay + dy) == tid for dx, dy, tid in pat.cells):
+                    out.append(((ax, ay), pi))
+    return out
+
+
+def forbidden_block_completed(grid, pat_codes, w, h, x, y) -> bool:
+    """Does assigning (x, y) in row-major order complete a marker block?"""
+    # assigning (x, y) in row-major order can only complete blocks whose
+    # top-right... top row ends at y and right column ends at x
+    if x < w - 1 or y < h - 1:
+        return False
+    ax, ay = x - w + 1, y - h + 1
+    for codes in pat_codes:
+        match = True
+        for yy in range(h):
+            for xx in range(w):
+                if grid[ay + yy, ax + xx] != codes[yy][xx]:
+                    match = False
+                    break
+            if not match:
+                break
+        if match:
+            return True
+    return False

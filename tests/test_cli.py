@@ -187,6 +187,32 @@ def test_gibbs_usage_errors(tmp_path, capsys):
     assert "potential" in capsys.readouterr().err
 
 
+def _gibbs_toy(side="2", beta="1", tileset="free:2"):
+    return ("gibbs", "--tileset", tileset, "--side", side, "--beta", beta,
+            "--steps", "10", "--csv", "{tmp}/g.csv")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (_gibbs_toy(side="-3"), "side"),
+    (_gibbs_toy(beta="nan"), "beta"),
+    (_gibbs_toy(beta="inf"), "beta"),
+    (_gibbs_toy(tileset="free:x"), "tileset"),
+    (("freq", "--kmax", "5", "--schedule", "const:x", "--csv", "{tmp}/f.csv"),
+     "schedule"),
+    (("verify-markers", "--markers", "{tmp}/missing.json", "--out",
+      "{tmp}/v.json"), "missing.json"),
+    (("freq", "--kmax", "5", "--csv", "{tmp}/no-such-dir/f.csv"),
+     "no-such-dir"),
+    (("render", "--scale", "1", "--out", "{tmp}/no-such-dir/m.svg"),
+     "no-such-dir"),
+])
+def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
+    assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
 def test_perturb_epsilon_independent_bodies(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     base = ["perturb", "--base", "constant-u", "--target", "fair-coin",

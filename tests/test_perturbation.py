@@ -1,5 +1,6 @@
 import json
 import runpy
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,12 +181,25 @@ def test_depth_above_scale_cap_refused():
         mixture_flow(constant_writer("u"), ENUM, 0)
 
 
-def test_perturb_switch_demo_runs(capsys):
-    demo = Path(__file__).resolve().parents[1] / "demos" / "perturb_switch.py"
-    runpy.run_path(str(demo), run_name="__main__")
+@pytest.mark.parametrize("demo, expected", [
+    pytest.param("perturb_switch", ["3 strengths, 1 distinct report body",
+                                    "verdict over last 4 scales: stable"],
+                 id="perturb_switch"),
+    pytest.param("gibbs_annealing", ["rank correlation beta vs coverage: 1.0"],
+                 id="gibbs_annealing"),
+    pytest.param("hierarchy_render", [f"side {2 ** n - 1:3d}, violations 0"
+                                      for n in range(1, 6)],
+                 id="hierarchy_render"),
+])
+def test_demo_runs(demo, expected, tmp_path, capsys):
+    # run a copy, so demos that write next to themselves write into tmp_path
+    source = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
+    copy = tmp_path / source.name
+    shutil.copyfile(source, copy)
+    runpy.run_path(str(copy), run_name="__main__")
     out = capsys.readouterr().out
-    assert "3 strengths, 1 distinct report body" in out
-    assert "verdict over last 4 scales: stable" in out
+    for line in expected:
+        assert line in out
 
 
 def test_mixture_flow_is_explicit_convex_combination():

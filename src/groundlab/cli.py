@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from .gibbs import (Potential, adjacency_potential, metropolis, trace_csv)
-from .layers import constant_schedule, default_schedule, freq_table_float
+from .layers import (constant_schedule, default_schedule, freq_rows,
+                     freq_table_float)
 from .machines import (NonConformingError, corpus, machine_enumeration,
                        machine_from_json)
 from .markers import MarkerSet, robinson_marker_set, verify_nonoverlap
@@ -242,10 +243,7 @@ def _run_freq(cfg):
     schedule = _resolve_schedule(cfg["schedule"])
     lines = ["k,freq"]
     if mode == "exact":
-        f = Fraction(0)
-        lines.append(f"0,{f.numerator}/{f.denominator}")
-        for k in range(1, kmax + 1):
-            f = f + (1 - f) * Fraction(1, 4 * schedule.t(k - 1))
+        for k, f in enumerate(freq_rows(kmax, schedule)):
             lines.append(f"{k},{f.numerator}/{f.denominator}")
     else:
         table = freq_table_float(kmax, schedule)

@@ -6,11 +6,11 @@ counts every occurrence covering it, so one occurrence of a size-s pattern
 contributes s times to the total.  Energies are kept as integers in units of
 1/D (D the lcm of the weight denominators) and read out as exact rationals.
 
-Exact Boltzmann enumeration works on tiny tori; Metropolis sampling covers
-moderate ones.  The acceptance rule is built from y = Fraction(exp(-beta/D))
-with D the energy denominator lcm, so acceptance probabilities are exact
-rationals of integer powers of y and detailed balance is an identity, not an
-approximation.
+Weights are formed per integer level n (energy n/D).  With
+y = Fraction(exp(-beta/D)) a level weighs y^n: exact Boltzmann enumeration on
+tiny tori forms one weight per level, and a Metropolis chain forms the exact
+acceptance y^n of a rise n once.  Acceptance probabilities are thus exact
+rationals and detailed balance is an identity; beta = 0 is simply y = 1.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,14 +151,6 @@ class TorusConfig:
         return Fraction(delta, self._denominator)
 
 
-def total_energy(config: TorusConfig, potential: Optional[Potential] = None) -> Fraction:
-    """Exact total energy; defaults to the config's own potential."""
-    if potential is None or potential is config.potential:
-        return config.recompute_energy()
-    probe = TorusConfig(config.tileset, potential, config.cells)
-    return probe.energy
-
-
 def _energy_denominator(potential: Potential) -> int:
     d = 1
     for rows, w in potential.forbidden:
@@ -189,25 +182,26 @@ class BoltzmannTable:
 
 def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
                     beta: float, budget: int = ENUMERATION_BUDGET) -> BoltzmannTable:
-    """Exact Boltzmann distribution over every tile assignment of the torus."""
+    """Exact Boltzmann distribution over every tile assignment of the torus;
+    weight, probability and energy are formed once per integer level."""
     ntiles = len(tileset.tiles)
     count = ntiles ** (side * side)
     if count > budget:
         raise BudgetExceeded(
             f"{count} configurations exceed the enumeration budget {budget}")
-    d = _energy_denominator(potential)
-    y = boltzmann_base(beta, d)
-    energies: Dict[tuple, Fraction] = {}
-    weights: Dict[tuple, Fraction] = {}
     scratch = TorusConfig(tileset, potential, np.zeros((side, side), np.int64))
-    for assignment in iter_product(range(ntiles), repeat=side * side):
-        scratch.cells = np.array(assignment, np.int64).reshape(side, side)
-        energies[assignment] = e = scratch.recompute_energy()
-        weights[assignment] = y ** int(e * d)  # e is a whole number of 1/D
-    z = sum(weights.values())
-    probabilities = {k: v / z for k, v in weights.items()}
+    d, index = scratch._denominator, scratch._index
+    y = boltzmann_base(beta, d)
+    assignments = iter_product(range(ntiles), repeat=side * side)
+    levels = {a: index.total(np.reshape(a, (side, side)), wrap=True) for a in assignments}
+    counts = Counter(levels.values())
+    weights = {n: y ** n for n in counts}
+    z = sum(c * weights[n] for n, c in counts.items())
+    energy = {n: Fraction(n, d) for n in weights}
+    probability = {n: w / z for n, w in weights.items()}
     return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
-                          energies=energies, probabilities=probabilities)
+                          energies={a: energy[n] for a, n in levels.items()},
+                          probabilities={a: probability[n] for a, n in levels.items()})
 
 
 def acceptance_probability(base: Fraction, denominator: int,
@@ -259,9 +253,9 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     else:
         cells = np.array(initial, np.int64)
     config = TorusConfig(tileset, potential, cells)
-    d = _energy_denominator(potential)
+    d = config._denominator
     y = boltzmann_base(beta, d)
-    free_run = beta == 0
+    accept: Dict[int, float] = {}  # rise n > 0 -> float(y^n)
 
     def observe(step):
         cov = float(torus_coverage(config, markers)) if markers is not None else None
@@ -280,27 +274,21 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
         us = rng.random(size=block)
         for x, yy, t, u in zip(xs, ys, ts, us):
             done += 1
-            if free_run:
-                config.cells[yy, x] = t
+            delta = config._local_units(int(x), int(yy))
+            old = int(config.cells[yy, x])
+            config.cells[yy, x] = t
+            delta = config._local_units(int(x), int(yy)) - delta
+            if delta > 0 and delta not in accept:
+                accept[delta] = float(acceptance_probability(y, d, Fraction(delta, d)))
+            if delta <= 0 or u < accept[delta]:
+                config._units += delta
                 accepted += 1
             else:
-                delta = config._local_units(int(x), int(yy))
-                old = int(config.cells[yy, x])
-                config.cells[yy, x] = t
-                delta = config._local_units(int(x), int(yy)) - delta
-                if delta <= 0 or u < float(acceptance_probability(y, d, Fraction(delta, d))):
-                    config._units += delta
-                    accepted += 1
-                else:
-                    config.cells[yy, x] = old
+                config.cells[yy, x] = old
             if cadence and done % cadence == 0:
-                if free_run:
-                    config._units = int(config.recompute_energy() * d)
                 observe(done)
             if sample_cadence and done % sample_cadence == 0:
                 samples.append(tuple(int(v) for v in config.cells.ravel()))
-    if free_run:
-        config._units = int(config.recompute_energy() * d)
     if not cadence or steps % cadence != 0:
         observe(steps)
     return MetropolisResult(seed=rng_seed, beta=beta, steps=steps,
@@ -317,10 +305,11 @@ def _sweep_cell(args):
 
 
 def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GROUNDLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
+    """Worker processes for the sweep helpers: GROUNDLAB_WORKERS, default 1."""
+    text = os.environ.get("GROUNDLAB_WORKERS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise InputError(f"GROUNDLAB_WORKERS must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def coverage_sweep(tileset: Tileset, potential: Potential, markers: MarkerSet,

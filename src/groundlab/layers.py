@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -104,12 +104,22 @@ def decompose(marker: PhasedMarker, schedule: OdometerSchedule) -> dict:
     return {"B": Fraction(1, t), "H": Fraction(t - 1, t)}
 
 
+def freq_rows(kmax: int, schedule: OdometerSchedule,
+              freq0: Fraction = Fraction(0)) -> Iterator[Fraction]:
+    """Exact frozen fractions f_0 = freq0, f_1, ..., f_kmax of the recursion
+    1 - f_{j+1} = (1 - 1/(4 t_j)) (1 - f_j)."""
+    f = Fraction(freq0)
+    yield f
+    for j in range(kmax):
+        f = f + (1 - f) * Fraction(1, 4 * schedule.t(j))
+        yield f
+
+
 def freq_frozen(k: int, schedule: OdometerSchedule,
                 freq0: Fraction = Fraction(0)) -> Fraction:
     """Exact frozen fraction after blocking scales 0..k-1."""
-    f = Fraction(freq0)
-    for j in range(k):
-        f = f + (1 - f) * Fraction(1, 4 * schedule.t(j))
+    for f in freq_rows(k, schedule, freq0):
+        pass
     return f
 
 
@@ -141,13 +151,9 @@ def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> 
 
 def freq_crossing(threshold: Fraction, schedule: OdometerSchedule,
                   kmax: int = 100_000) -> Optional[int]:
-    """Smallest k with freq_frozen(k) >= threshold, by exact iteration."""
-    f = Fraction(0)
-    for j in range(kmax):
-        if f >= threshold:
-            return j
-        f = f + (1 - f) * Fraction(1, 4 * schedule.t(j))
-    return kmax if f >= threshold else None
+    """Smallest k <= kmax with freq_frozen(k) >= threshold, by exact iteration."""
+    return next((k for k, f in enumerate(freq_rows(kmax, schedule)) if f >= threshold),
+                None)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from groundlab.gibbs import (BoltzmannTable, Potential, TorusConfig,
                              acceptance_probability, adjacency_potential,
                              boltzmann_base, boltzmann_exact, coverage_csv,
                              coverage_sweep, metropolis, pattern_potential,
-                             spearman_rank, torus_coverage, total_energy,
-                             trace_csv)
+                             spearman_rank, torus_coverage, trace_csv,
+                             worker_count)
 from groundlab.markers import MarkerSet, robinson_marker_set
 from groundlab.robinson import build_tileset
 from groundlab.tiles import (BudgetExceeded, EdgeLabel, InputError, Patch,
@@ -80,7 +81,7 @@ def test_energy_matches_naive_scan():
         cells = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
         cfg = TorusConfig(TS2, AB_POT, cells)
         assert cfg.energy == naive_energy(cells, AB_POT)
-        assert total_energy(cfg) == cfg.energy
+        assert cfg.recompute_energy() == cfg.energy
 
 
 def test_range_precondition():
@@ -255,6 +256,20 @@ def test_coverage_increases_with_beta_on_toy_model():
     text = coverage_csv(rows)
     assert text.splitlines()[0] == "beta,mean_coverage,stderr"
     assert len(text.strip().splitlines()) == 6
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-2", "1.5", ""])
+def test_worker_count_refuses_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("GROUNDLAB_WORKERS", value)
+    with pytest.raises(InputError, match=f"GROUNDLAB_WORKERS.*{re.escape(repr(value))}"):
+        worker_count()
+
+
+def test_worker_count_reads_a_positive_integer(monkeypatch):
+    monkeypatch.delenv("GROUNDLAB_WORKERS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("GROUNDLAB_WORKERS", "3")
+    assert worker_count() == 3
 
 
 def test_coverage_sweep_validation():

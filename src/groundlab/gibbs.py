@@ -215,9 +215,16 @@ def acceptance_probability(base: Fraction, denominator: int,
     return base ** exponent.numerator
 
 
-def torus_coverage(config: TorusConfig, markers: MarkerSet) -> Fraction:
-    """Fraction of torus cells inside some marker occurrence (wrap-aware)."""
-    covered = markers.index(config.tileset.index).covered(config.cells, wrap=True)
+def torus_coverage(config: TorusConfig,
+                   markers: Union[MarkerSet, PatternIndex]) -> Fraction:
+    """Fraction of torus cells inside some marker occurrence (wrap-aware).
+
+    `markers` is a marker set or its kernel over the config's tile codes,
+    `markers.index(config.tileset.index)`, which a chain builds once.
+    """
+    if isinstance(markers, MarkerSet):
+        markers = markers.index(config.tileset.index)
+    covered = markers.covered(config.cells, wrap=True)
     return Fraction(int(covered.sum()), config.side ** 2)
 
 
@@ -256,9 +263,10 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     d = config._denominator
     y = boltzmann_base(beta, d)
     accept: Dict[int, float] = {}  # rise n > 0 -> float(y^n)
+    cover = markers.index(tileset.index) if markers is not None else None
 
     def observe(step):
-        cov = float(torus_coverage(config, markers)) if markers is not None else None
+        cov = float(torus_coverage(config, cover)) if cover is not None else None
         trace.append((step, config.energy, cov))
 
     trace: List[tuple] = []

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .measures import WordMeasure
 from .tiles import InputError
 
@@ -131,15 +133,21 @@ class RunResult:
         return max(self.tape) + 1 if self.tape else 0
 
 
-def run(machine: Machine, word: str, budget: int = DESK_BUDGET_CAP) -> RunResult:
-    """Execute until halt or budget; the head clamps at the left edge."""
+def _check_input(machine: Machine, word: str):
     for ch in word:
         if ch not in machine.input_alphabet:
             raise InputError(f"input symbol {ch!r} outside the input alphabet")
-    tape = {i: ch for i, ch in enumerate(word)}
-    state = machine.initial
-    head = 0
-    steps = 0
+
+
+def run(machine: Machine, word: str, budget: int = DESK_BUDGET_CAP) -> RunResult:
+    """Execute until halt or budget; the head clamps at the left edge."""
+    _check_input(machine, word)
+    return _resume(machine, machine.initial, 0, dict(enumerate(word)), 0, budget)
+
+
+def _resume(machine: Machine, state: str, head: int, tape: dict, steps: int,
+            budget: int) -> RunResult:
+    """Continue a run from (state, head, tape, steps) until halt or budget."""
     finals = machine.finals
     delta = machine.delta
     blank = machine.blank
@@ -167,29 +175,140 @@ def seed_budget(k: int) -> int:
     return min(2 ** e, DESK_BUDGET_CAP)
 
 
+# Seeds run as numpy lanes in blocks of at most _BLOCK_LANES, which bounds the
+# tape array's memory, for at most _LOCKSTEP_STEPS steps; a lane still running
+# then continues alone on `_resume`, so a machine that never halts costs one
+# interpreted run to its budget, not that many numpy steps.
+_BLOCK_LANES = 1 << 12
+_LOCKSTEP_STEPS = 1 << 12
+
+
+class _Delta:
+    """The delta as flat tables indexed by state row (state index * |tape
+    alphabet|) + symbol code: next state row, written code, move, and
+    whether the row's state is final."""
+
+    def __init__(self, machine: Machine):
+        self.symbols = machine.tape_alphabet
+        self.code = {a: i for i, a in enumerate(self.symbols)}
+        g = len(self.symbols)
+        self.dtype = np.min_scalar_type(g - 1)
+        row = {q: i * g for i, q in enumerate(machine.states)}
+        size = len(machine.states) * g
+        self.initial = row[machine.initial]
+        self.next = np.zeros(size, np.intp)
+        self.write = np.zeros(size, self.dtype)
+        self.move = np.zeros(size, np.intp)
+        for (q, a), (q2, b, mv) in machine.delta.items():
+            i = row[q] + self.code[a]
+            self.next[i], self.write[i], self.move[i] = row[q2], self.code[b], mv
+        self.final = np.zeros(size, bool)
+        self.final[[row[q] for q in machine.finals]] = True
+        # a code is a letter when its symbol spells only 'u'/'d' characters
+        self.letter = np.array([set(a) <= {"u", "d"} for a in self.symbols])
+
+
+def _lockstep(machine: Machine, delta: _Delta, k: int, depth: int, budget: int,
+              lo: int, hi: int):
+    """Yield (word, count) over seeds lo..hi-1, run together as lanes.
+
+    Raises at the lowest failing seed of the block, as `run` seed by seed
+    would: a run past the budget, or a depth-prefix that is not a word.
+    """
+    symbols, blank = delta.symbols, delta.code[machine.blank]
+    g = len(symbols)
+    n = hi - lo
+    d = max(depth, 0)
+    width = max(k, d) + 1
+    tape = np.full((n, width), blank, delta.dtype)
+    # without '1' in the input alphabet the block is seed 0 alone: no 1 bits
+    bit = np.array([delta.code["0"], delta.code.get("1", 0)], delta.dtype)
+    seeds = np.arange(lo, hi)
+    for j in range(k):               # column by column: no n x k temporaries
+        tape[:, j] = bit[(seeds >> (k - 1 - j)) & 1]
+    lanes = np.arange(n)             # seed - lo of each live lane
+    state = np.full(n, delta.initial, np.intp)
+    head = np.zeros(n, np.intp)
+    base = lanes * width             # flat index of each live lane's cell 0
+    flat = tape.reshape(-1)
+    prefix = np.zeros((n, d), delta.dtype)  # depth-prefix, once halted
+    steps = 0
+    limit = min(budget, _LOCKSTEP_STEPS)
+    while True:
+        stop = delta.final.take(state)
+        if stop.any():
+            prefix[lanes[stop]] = tape[stop, :d]
+            live = ~stop
+            lanes, state, head, tape = lanes[live], state[live], head[live], tape[live]
+            base, flat = np.arange(len(lanes)) * width, tape.reshape(-1)
+        if not len(lanes) or steps >= limit:
+            break
+        at = base + head
+        i = state + flat.take(at)
+        flat[at] = delta.write.take(i)
+        state = delta.next.take(i)
+        head = np.maximum(head + delta.move.take(i), 0)
+        steps += 1
+        if steps >= width and head.max() >= width:
+            tape = np.concatenate([tape, np.full_like(tape, blank)], axis=1)
+            width *= 2
+            base, flat = np.arange(len(lanes)) * width, tape.reshape(-1)
+    halted = np.ones(n, bool)
+    halted[lanes] = False
+    bad = np.flatnonzero(halted & ~delta.letter[prefix].all(axis=1))
+    first_bad = int(bad[0]) if len(bad) else n
+    for j, lane in enumerate(lanes.tolist()):
+        if lane > first_bad:
+            break
+        bits = format(lo + lane, f"0{k}b")
+        res = _resume(machine, machine.states[state[j] // g], int(head[j]),
+                      dict(enumerate(symbols[c] for c in tape[j].tolist())),
+                      steps, budget)
+        if not res.halted:
+            raise NonConformingError(
+                f"machine {machine.name or '?'} exceeded {budget} steps", seed=bits)
+        prefix[lane] = [delta.code[res.tape.get(c, machine.blank)] for c in range(d)]
+        if not delta.letter[prefix[lane]].all():
+            first_bad = lane
+    if first_bad < n:
+        w = "".join(symbols[c] for c in prefix[first_bad].tolist())
+        raise NonConformingError(
+            f"machine {machine.name or '?'} left a non-word output {w!r}",
+            seed=format(lo + first_bad, f"0{k}b"))
+    # equal prefixes side by side (lexsort needs a key: with d = 0 every
+    # prefix is the empty word already)
+    prefix = prefix[np.lexsort(prefix.T)] if d else prefix
+    starts = np.flatnonzero(np.r_[True, (prefix[1:] != prefix[:-1]).any(axis=1)])
+    for row, count in zip(prefix[starts].tolist(), np.diff(np.r_[starts, n]).tolist()):
+        yield "".join(symbols[c] for c in row), count
+
+
 def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
                  budget: Optional[int] = None) -> WordMeasure:
-    """Average the output word over all 2^k seeds, exact rational weights."""
+    """Average the output word over all 2^k seeds, exact rational weights.
+
+    Seeds advance in lockstep, as numpy lanes over the compiled delta; the
+    measure, and the error raised at the lowest failing seed, are those of
+    running each seed through `run` in order.
+    """
     if k < 1:
         raise InputError("scale k must be >= 1")
     if depth is None:
         depth = b_read(k)
     if budget is None:
         budget = seed_budget(k)
-    counts = {}
-    for seed in range(2 ** k):
-        bits = format(seed, f"0{k}b")
-        res = run(machine, bits, budget)
-        if not res.halted:
-            raise NonConformingError(
-                f"machine {machine.name or '?'} exceeded {budget} steps", seed=bits)
-        w = res.tape_word(depth)
-        if any(c not in ("u", "d") for c in w):
-            raise NonConformingError(
-                f"machine {machine.name or '?'} left a non-word output {w!r}",
-                seed=bits)
-        counts[w] = counts.get(w, 0) + 1
     total = 2 ** k
+    alphabet = set(machine.input_alphabet)
+    # the seeds before the first one holding a symbol outside the alphabet
+    valid = total if {"0", "1"} <= alphabet else int("0" in alphabet)
+    delta = _Delta(machine)
+    counts = {}
+    for lo in range(0, valid, _BLOCK_LANES):
+        for w, c in _lockstep(machine, delta, k, depth, budget, lo,
+                              min(valid, lo + _BLOCK_LANES)):
+            counts[w] = counts.get(w, 0) + c
+    if valid < total:
+        _check_input(machine, format(valid, f"0{k}b"))
     return WordMeasure.from_dict(depth, {w: Fraction(c, total)
                                          for w, c in counts.items()})
 
@@ -322,9 +441,7 @@ def simulate_universal(encoded: str, word: str,
     machine exactly.
     """
     machine = machine_from_json(encoded)
-    for ch in word:
-        if ch not in machine.input_alphabet:
-            raise InputError(f"input symbol {ch!r} outside the input alphabet")
+    _check_input(machine, word)
     overhead = len(machine.delta)
     tape = {i: ch for i, ch in enumerate(word)}
     extent = len(word)

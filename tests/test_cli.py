@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundlab.cli import main
 from groundlab.gibbs import pattern_potential
@@ -247,3 +251,58 @@ def test_acc_report(tmp_path):
 def test_console_entry_point_exists():
     import groundlab.cli as cli
     assert callable(cli.main)
+
+
+# Token pools for the flow commands, (valid, invalid) per flag.  left-mover
+# is left out: it runs 10^7 steps by design (~6 s).  Valid depths stop at 3:
+# a depth d carries 2^d exact weights through every row (seconds at d = 12
+# and kmax 40), which is work, not a fault; the cap itself (13) stays in.
+FLOW_MACHINES = (["parity", "copier", "constant-u", "incrementer", "fair-coin"],
+                 ["no-such-machine"])
+FLOW_DEPTHS = (["1", "2", "3"], ["-2", "-1", "0", "13", "40", "x"])
+FLOW_SCALES = (["1", "2", "3", "12", "16", "40"], ["-2", "-1", "0", "1.5"])
+FLOW_FLAGS = {
+    "measure-flow": {"--machine": FLOW_MACHINES, "--depth": FLOW_DEPTHS,
+                     "--kmax": FLOW_SCALES,
+                     "--schedule": (["default", "const:2"], ["const:x", "const:0", "x"])},
+    "perturb": {"--base": FLOW_MACHINES, "--target": FLOW_MACHINES,
+                "--epsilon": (["0", "1/3"], ["-1", "x", "1/0"]),
+                "--depth": FLOW_DEPTHS, "--horizon": FLOW_SCALES,
+                "--index": (["1", "2"], ["0", "5", "-1"])},
+}
+
+
+@st.composite
+def flow_argv(draw):
+    """A measure-flow or perturb argv: each flag with a valid or an invalid
+    value, bare (its value missing) or absent, in any order, now and then
+    with an unknown flag."""
+    command = draw(st.sampled_from(sorted(FLOW_FLAGS)))
+    parts = []
+    for flag, (valid, invalid) in FLOW_FLAGS[command].items():
+        form = draw(st.sampled_from(["valid"] * 12 + ["invalid", "bare", "absent"]))
+        if form != "absent":
+            pool = {"valid": valid, "invalid": invalid, "bare": [None]}[form]
+            value = draw(st.sampled_from(pool))
+            parts.append([flag] if value is None else [flag, value])
+    if draw(st.integers(0, 9)) == 0:
+        parts.append(["--no-such-flag", "1"])
+    return command, [token for part in draw(st.permutations(parts)) for token in part]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("flow-fuzz")
+
+
+@given(flow_argv())
+@settings(max_examples=60, deadline=None)
+def test_flow_commands_exit_contract(fuzz_dir, case):
+    command, argv = case
+    out = "--csv" if command == "measure-flow" else "--out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, *argv, out, str(fuzz_dir / "artifact")])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

@@ -1,9 +1,14 @@
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import groundlab.machines as machines
+import machines_oracle as oracle
 from groundlab.machines import (
     DESK_BUDGET_CAP,
     Machine,
@@ -134,8 +139,156 @@ def test_word_measure_budget_breach():
     with pytest.raises(NonConformingError) as info:
         word_measure(left_mover(), 2)
     assert info.value.seed == "00"
-    with pytest.raises(NonConformingError):
+    with pytest.raises(NonConformingError) as info:
         word_measure(copier(), 3, budget=1)
+    assert info.value.seed == "000"
+    assert str(info.value) == "machine copier exceeded 1 steps"
+
+
+def test_word_measure_budget_past_lockstep_phase():
+    # 20 000 steps outlast the lanes' lockstep phase: seed 0 finishes on the
+    # interpreter and is the one reported
+    with pytest.raises(NonConformingError) as info:
+        word_measure(left_mover(), 6, budget=20_000)
+    assert info.value.seed == "000000"
+    assert str(info.value) == "machine left-mover exceeded 20000 steps"
+
+
+def _outcome(measure, machine, k, depth, budget):
+    try:
+        return measure(machine, k, depth, budget)
+    except (InputError, NonConformingError) as exc:
+        return type(exc), str(exc), getattr(exc, "seed", None)
+
+
+def _longest_run(machine, k, cap=64):
+    """Steps of the longest seed run, or None unless every seed halts by cap."""
+    if not {"0", "1"} <= set(machine.input_alphabet):
+        return None
+    runs = [run(machine, format(s, f"0{k}b"), cap) for s in range(2 ** k)]
+    return max(r.steps for r in runs) if all(r.halted for r in runs) else None
+
+
+SYMBOLS = ("0", "1", "u", "d", "#", "x")
+
+
+@st.composite
+def total_machines(draw):
+    """2-5 states, 3-5 tape symbols, every non-final rule present; the blank
+    may be a letter and the input alphabet may lack 0/1.
+
+    Loose machines draw every rule (finals may be absent); they mostly run
+    out of budget or leave non-words.  A sweep writes letters left to right
+    and stops at the blank.  A bounce runs right over the seed, writes
+    letters back to the left edge and stops on the letter its head reads
+    there once clamped at cell 0.  Both end in words."""
+    kind = draw(st.sampled_from(["loose", "sweep", "bounce"]))
+    states = [f"q{i}" for i in range(draw(st.integers(2 + (kind == "bounce"), 5)))]
+    if kind == "loose":
+        finals = draw(st.sets(st.sampled_from(states), max_size=2))
+    else:
+        finals = {states[-1]}
+    running = [q for q in states if q not in finals]
+    right = running[:draw(st.integers(1, len(running) - 1))] if kind == "bounce" else []
+    left = [q for q in running if q not in right]
+    blank = draw(st.sampled_from(["#", "#", "u"]))
+    inputs = draw(st.sampled_from([("0", "1")] * 12 + [("0",), ("1",), ("1", "x"), ()]))
+    if kind == "loose":
+        others = [a for a in SYMBOLS if a != blank and a not in inputs]
+        size = draw(st.integers(max(3, len(inputs) + 1), 5))
+        extra = draw(st.permutations(others))[:size - len(inputs) - 1]
+    else:
+        extra = [a for a in ("u", "d", "x") if a != blank and a not in inputs][:2]
+    tape = (*inputs, blank, *extra)
+    # now and then a rule reading 1 writes a non-letter, so that seed 0 ends
+    # in a word and a later seed may not
+    spoil = tuple(a for a in tape if a not in ("u", "d"))[:1]
+
+    def rule(q, a):
+        letter = draw(st.sampled_from(("u", "d") + (spoil if a == "1" else ())))
+        move = draw(st.sampled_from((-1, 1)))
+        if kind == "loose":
+            return draw(st.sampled_from(states)), draw(st.sampled_from(tape)), move
+        if kind == "sweep":
+            if a == blank:
+                return states[-1], letter, move
+            return draw(st.sampled_from(running)), letter, 1
+        if q in right:
+            if a in inputs:
+                return draw(st.sampled_from(right)), a, 1
+            return draw(st.sampled_from(left)), a, -1
+        if a in ("u", "d"):
+            return states[-1], a, 1
+        return draw(st.sampled_from(left)), letter, -1
+
+    delta = {(q, a): rule(q, a) for q in running for a in tape}
+    initial = draw(st.sampled_from((right or running) if kind != "loose" else states))
+    return Machine(tuple(states), initial, frozenset(finals), inputs, tape, blank,
+                   delta, name=draw(st.sampled_from(["", "m"])))
+
+
+@given(total_machines(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_word_measure_matches_serial_oracle(machine, data):
+    k = data.draw(st.sampled_from([*range(1, 9), 13]), "k")
+    depth = data.draw(st.sampled_from([None, None, 0, 1, 2, 3, 5]), "depth")
+    budgets = [*range(40, -1, -1), *([None] if k <= 2 else [])]
+    budget = data.draw(st.sampled_from(budgets), "budget")
+    # a budget one step either side of the longest run is where a lost step
+    # (an unclamped head, an off-by-one cap) changes the outcome
+    longest = _longest_run(machine, k)
+    if longest is not None and data.draw(st.booleans(), "tight"):
+        budget = longest + data.draw(st.sampled_from([-1, 0]), "slack")
+    # small blocks and a short lockstep phase put block offsets and the
+    # hand-off to the interpreter within reach of small k; k = 13 runs two
+    # blocks as they are
+    lanes = data.draw(st.sampled_from([1, 3, machines._BLOCK_LANES] if k <= 8
+                                      else [machines._BLOCK_LANES]), "lanes")
+    phase = data.draw(st.sampled_from([0, 2, 7] + [machines._LOCKSTEP_STEPS] * 3), "phase")
+    want = _outcome(oracle.word_measure, machine, k, depth, budget)
+    with mock.patch.object(machines, "_BLOCK_LANES", lanes), \
+            mock.patch.object(machines, "_LOCKSTEP_STEPS", phase):
+        assert _outcome(word_measure, machine, k, depth, budget) == want
+
+
+def test_word_measure_clamps_at_cell_zero():
+    # parity stops on the letter it reads at cell 0 after its head clamped
+    # there; its longest run, to the step, is the budget
+    m = parity_machine()
+    need = max(run(m, format(s, "04b")).steps for s in range(16))
+    assert word_measure(m, 4, budget=need) == oracle.word_measure(m, 4, budget=need)
+    assert (_outcome(word_measure, m, 4, None, need - 1)
+            == _outcome(oracle.word_measure, m, 4, None, need - 1))
+
+
+def test_word_measure_heads_run_past_the_seed():
+    # the head writes three cells past the seed before it stops, so the lanes'
+    # tape widens under it; a write past a lane's row would put '#' into the
+    # next lane's word
+    tape = ("0", "1", "u", "d", "#")
+    trail = ["s", "t1", "t2", "t3", "h"]
+    delta = {("s", "0"): ("s", "u", 1), ("s", "1"): ("s", "d", 1)}
+    for q, after in zip(trail, trail[1:]):
+        for a in tape:
+            delta.setdefault((q, a), (after, "u", 1) if a == "#" else ("h", "#", 1))
+    m = Machine(tuple(trail), "s", frozenset(["h"]), ("0", "1"), tape, "#", delta)
+    for k in range(1, 9):
+        assert word_measure(m, k) == oracle.word_measure(m, k)
+
+
+def test_word_measure_fails_in_a_later_block():
+    # the lowest failing seed is 2^12, the first seed of the second block
+    tape = ("0", "1", "u", "d", "x", "#")
+    delta = {("s", a): ("s", a, 1) for a in tape}
+    delta.update({("w", a): ("w", "u", 1) for a in tape})
+    delta.update({("s", "0"): ("w", "u", 1), ("s", "1"): ("w", "x", 1),
+                  ("w", "#"): ("h", "#", 1)})
+    m = Machine(("s", "w", "h"), "s", frozenset(["h"]), ("0", "1"), tape, "#",
+                delta, name="first-bit")
+    with pytest.raises(NonConformingError) as info:
+        word_measure(m, 13, depth=2)
+    assert info.value.seed == "1" + "0" * 12
+    assert str(info.value) == "machine first-bit left a non-word output 'xu'"
 
 
 def test_word_measure_non_word_output():

@@ -16,6 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from .gibbs import (Potential, adjacency_potential, metropolis, trace_csv)
 from .layers import (constant_schedule, default_schedule, freq_rows,
                      freq_table_float)
@@ -241,18 +243,30 @@ def _run_freq(cfg):
     if mode not in ("exact", "float"):
         raise UsageError(f"freq: unknown mode {cfg['mode']!r}")
     schedule = _resolve_schedule(cfg["schedule"])
-    lines = ["k,freq"]
     if mode == "exact":
-        for k, f in enumerate(freq_rows(kmax, schedule)):
-            lines.append(f"{k},{f.numerator}/{f.denominator}")
+        rows = [f"{k},{f.numerator}/{f.denominator}\n"
+                for k, f in enumerate(freq_rows(kmax, schedule))]
     else:
-        table = freq_table_float(kmax, schedule)
-        for k, v in enumerate(table):
-            lines.append(f"{k},{v!r}")
+        rows = _float_rows(freq_table_float(kmax, schedule))
     resolved = dict(cfg)
     resolved["mode"] = mode
-    _emit(cfg["csv"], "\n".join(lines) + "\n", "freq", resolved)
+    _emit(cfg["csv"], "k,freq\n" + "".join(rows), "freq", resolved)
     return 0
+
+
+def _float_rows(table: np.ndarray) -> List[str]:
+    """The "k,repr(table[k])" lines, one string per run of equal values.
+
+    Runs are cut where the int64 bit patterns differ, so 0.0 and -0.0 stay
+    apart; each run's value is formatted once, from the table's own element.
+    """
+    bits = table.view(np.int64)
+    cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(table)]
+    rows = []
+    for a, b in zip(cuts, cuts[1:]):
+        sep = f",{table[a]!r}\n"
+        rows.append(sep.join(map(str, range(a, b))) + sep)
+    return rows
 
 
 @_command("measure-flow", [

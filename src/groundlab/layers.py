@@ -11,6 +11,7 @@ frozen direction bits to a word.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -50,9 +51,15 @@ class OdometerSchedule:
         return v
 
 
+_DEFAULT = OdometerSchedule(lambda k: max(2, (k + 1).bit_length()), name="default")
+
+
 def default_schedule() -> OdometerSchedule:
-    """t_k = max(2, ceil(log2(k + 2))): slowly growing, always >= 2."""
-    return OdometerSchedule(lambda k: max(2, (k + 1).bit_length()), name="default")
+    """t_k = max(2, ceil(log2(k + 2))): slowly growing, always >= 2.
+
+    Always the same instance, so that the kernels below can recognise it and
+    walk its runs without evaluating t."""
+    return _DEFAULT
 
 
 def constant_schedule(c: int) -> OdometerSchedule:
@@ -123,24 +130,37 @@ def freq_frozen(k: int, schedule: OdometerSchedule,
     return f
 
 
-def _default_t_array(kmax: int) -> np.ndarray:
-    """t_j for j = 0..kmax-1 under the default schedule, exact integer blocks."""
-    t = np.empty(kmax, dtype=np.float64)
-    j = 0
-    while j < kmax:
-        b = (j + 1).bit_length()
-        hi = min(kmax, 2 ** b - 1)  # j+1 < 2^b  <=>  j <= 2^b - 2
-        t[j:hi] = max(2, b)
-        j = hi
-    return t
+def schedule_runs(kmax: int, schedule: Optional[OdometerSchedule] = None
+                  ) -> Iterator[tuple]:
+    """Runs (t, start, stop) of constant t_j covering j = 0..kmax-1 in order.
+
+    The default schedule (None or `default_schedule()`) is walked by its
+    bit-length blocks; any other schedule is evaluated at every j.
+    """
+    if schedule is None or schedule is _DEFAULT:
+        j = 0
+        while j < kmax:
+            b = (j + 1).bit_length()
+            stop = min(kmax, 2 ** b - 1)  # j+1 < 2^b  <=>  j <= 2^b - 2
+            yield max(2, b), j, stop
+            j = stop
+        return
+    start, t = 0, None
+    for j in range(kmax):
+        v = schedule.t(j)
+        if v != t:
+            if j:
+                yield t, start, j
+            start, t = j, v
+    if kmax:
+        yield t, start, kmax
 
 
 def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> np.ndarray:
-    """freq_frozen(k) for k = 0..kmax as float64, vectorized for the default."""
-    if schedule is None or schedule.name == "default":
-        t = _default_t_array(kmax)
-    else:
-        t = np.array([schedule.t(j) for j in range(kmax)], dtype=np.float64)
+    """freq_frozen(k) for k = 0..kmax as float64, one cumulative log sum."""
+    runs = list(schedule_runs(kmax, schedule))
+    t = np.repeat(np.array([t for t, _, _ in runs], dtype=np.float64),
+                  [stop - start for _, start, stop in runs])
     out = np.empty(kmax + 1, dtype=np.float64)
     out[0] = 0.0
     if kmax:
@@ -174,12 +194,16 @@ def freq_bounds_scan(kmax: int, schedule: Optional[OdometerSchedule] = None,
     The residual 1 - freq is tracked as an integer interval [lo, hi] / 2^B
     with floor/ceil rounding, so monotonicity and boundedness are exact
     integer comparisons at every step, at any kmax, with no float involved.
+    A step is a function of (lo, hi) and d = 4 t alone, so once a step leaves
+    (lo, hi) unchanged every later step of the same run of t does too: the
+    scan records the checkpoints that run still holds and moves to the next.
     """
     one = 1 << scale_bits
     lo = hi = one
     monotone = True
     bounded = True
-    cps = set(checkpoints)
+    marks = sorted(set(checkpoints))
+    cps = set(marks)
     taken = {}
 
     def record(k):
@@ -187,21 +211,22 @@ def freq_bounds_scan(kmax: int, schedule: Optional[OdometerSchedule] = None,
 
     if 0 in cps:
         record(0)
-    for j in range(kmax):
-        if schedule is None:
-            t = max(2, (j + 1).bit_length())
-        else:
-            t = schedule.t(j)
+    for t, start, stop in schedule_runs(kmax, schedule):
         d = 4 * t
-        new_lo = lo * (d - 1) // d
-        new_hi = -((-hi * (d - 1)) // d)
-        if new_hi > hi:
-            monotone = False
-        if new_lo < 0:
-            bounded = False
-        lo, hi = new_lo, new_hi
-        if (j + 1) in cps:
-            record(j + 1)
+        for j in range(start, stop):
+            new_lo = lo * (d - 1) // d
+            new_hi = -((-hi * (d - 1)) // d)
+            if new_hi > hi:
+                monotone = False
+            if new_lo < 0:
+                bounded = False
+            if new_lo == lo and new_hi == hi:
+                for k in marks[bisect_right(marks, j):bisect_right(marks, stop)]:
+                    record(k)
+                break
+            lo, hi = new_lo, new_hi
+            if (j + 1) in cps:
+                record(j + 1)
     return FreqScan(kmax, monotone, bounded,
                     Fraction(one - hi, one), Fraction(one - lo, one), taken)
 

@@ -39,6 +39,14 @@ def index_word(i: int, depth: int) -> str:
     return "".join("d" if (i >> (depth - 1 - j)) & 1 else "u" for j in range(depth))
 
 
+def _check_depth(depth: int) -> int:
+    """depth itself, once it is in 1..DEPTH_CAP; checked before 2^depth
+    weights are allocated."""
+    if not (1 <= depth <= DEPTH_CAP):
+        raise InputError(f"depth must be in 1..{DEPTH_CAP}")
+    return depth
+
+
 def all_words(depth: int):
     return (index_word(i, depth) for i in range(2 ** depth))
 
@@ -47,8 +55,7 @@ class WordMeasure:
     """Probability vector over words of a fixed depth, exact rationals."""
 
     def __init__(self, depth: int, weights: Sequence[Fraction]):
-        if not (1 <= depth <= DEPTH_CAP):
-            raise InputError(f"depth must be in 1..{DEPTH_CAP}")
+        _check_depth(depth)
         ws = tuple(Fraction(w) for w in weights)
         if len(ws) != 2 ** depth:
             raise InputError("need one weight per word")
@@ -61,18 +68,19 @@ class WordMeasure:
 
     @classmethod
     def point_mass(cls, word: str) -> "WordMeasure":
-        depth = len(word)
+        depth = _check_depth(len(word))
         ws = [Fraction(0)] * (2 ** depth)
         ws[word_index(word)] = Fraction(1)
         return cls(depth, ws)
 
     @classmethod
     def uniform(cls, depth: int) -> "WordMeasure":
+        _check_depth(depth)
         return cls(depth, [Fraction(1, 2 ** depth)] * (2 ** depth))
 
     @classmethod
     def from_dict(cls, depth: int, table: dict) -> "WordMeasure":
-        ws = [Fraction(0)] * (2 ** depth)
+        ws = [Fraction(0)] * (2 ** _check_depth(depth))
         for word, w in table.items():
             if len(word) != depth:
                 raise InputError("word depth mismatch")

@@ -3,13 +3,15 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundlab.cli import main
+import layers_oracle
+from groundlab.cli import _float_rows, main
 from groundlab.gibbs import pattern_potential
-from groundlab.layers import default_schedule, freq_frozen
+from groundlab.layers import constant_schedule, default_schedule, freq_frozen
 from groundlab.markers import MarkerSet
 from groundlab.tiles import Patch
 
@@ -74,6 +76,25 @@ def test_freq_schedule_and_bad_values(tmp_path, capsys):
     assert run("freq", "--kmax", "5", "--schedule", "weird",
                "--csv", str(out)) == 2
     assert run("freq", "--kmax", "5", "--mode", "odd", "--csv", str(out)) == 2
+
+
+@pytest.mark.parametrize("schedule", ["default", "const:3"])
+def test_freq_float_bytes_match_per_row_oracle(tmp_path, schedule):
+    # the all-1.0 run starts at k = 1346 under the default schedule
+    sched = None if schedule == "default" else constant_schedule(3)
+    for kmax in (0, 1, 2, 1345, 1346, 1347, 5000):
+        out = tmp_path / f"f{kmax}.csv"
+        assert run("freq", "--kmax", str(kmax), "--mode", "float",
+                   "--schedule", schedule, "--csv", str(out)) == 0
+        want = layers_oracle.freq_float_csv(layers_oracle.freq_table_float(kmax, sched))
+        assert out.read_bytes() == want.encode()
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, float("nan")]), min_size=1,
+                max_size=40))
+def test_float_rows_match_per_row_oracle(values):
+    table = np.array(values, dtype=np.float64)
+    assert "k,freq\n" + "".join(_float_rows(table)) == layers_oracle.freq_float_csv(table)
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -306,3 +327,31 @@ def test_flow_commands_exit_contract(fuzz_dir, case):
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+FREQ_FLAGS = {"--kmax": ["-1", "0", "1", "1024", "1025", "3000", "x"],
+              "--mode": ["auto", "exact", "float", "odd"],
+              "--schedule": ["default", "const:2", "const:1", "const:x", "weird"]}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_freq_exit_contract(fuzz_dir, data):
+    argv = []
+    for flag, pool in FREQ_FLAGS.items():
+        if data.draw(st.integers(0, 5), flag) > 0:
+            argv += [flag, data.draw(st.sampled_from(pool), flag + " value")]
+    csv = fuzz_dir / "freq.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["freq", *argv, "--csv", str(csv)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    if code:
+        return
+    kmax = int(argv[argv.index("--kmax") + 1])
+    assert len(csv.read_text().splitlines()) - 1 == kmax + 1
+    replay = fuzz_dir / "freq-replay.csv"
+    assert main(["freq", "--config", f"{csv}.config", "--csv", str(replay)]) == 0
+    assert replay.read_bytes() == csv.read_bytes()

@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import layers_oracle as oracle
 
 from groundlab.layers import (
     FROZEN_SHARE,
@@ -146,6 +151,39 @@ def test_freq_bounds_scan_contains_exact():
         exact = freq_frozen(k, sch)
         assert lo <= exact <= hi
         assert hi - lo < Fraction(1, 2 ** 64)
+
+
+# A schedule that steps down: a state fixed under d = 160 moves again under
+# d = 8, so a fixed point holds only to the end of its run of t.
+STEP_DOWN = OdometerSchedule(lambda j: 40 if j < 700 else 2)
+CYCLE = OdometerSchedule(lambda j: 2 + j % 3)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_freq_bounds_scan_matches_stepwise_oracle(data):
+    kmax = data.draw(st.integers(0, 5000), "kmax")
+    schedule = data.draw(st.one_of(
+        st.sampled_from([None, default_schedule(), CYCLE, STEP_DOWN]),
+        st.integers(2, 50).map(constant_schedule)), "schedule")
+    # small widths reach their fixed point within a few dozen steps, so most
+    # of the range is skipped and random checkpoints fall inside it
+    bits = data.draw(st.sampled_from([4, 8, 16, 64, 96]), "scale_bits")
+    marks = st.one_of(st.sampled_from([0, kmax, kmax + 1, kmax + 700, -1]),
+                      st.integers(0, kmax))
+    cps = data.draw(st.lists(marks, max_size=12), "checkpoints")
+    assert (freq_bounds_scan(kmax, schedule, bits, cps)
+            == oracle.freq_bounds_scan(kmax, schedule, bits, cps))
+
+
+def test_custom_schedule_named_default_keeps_its_values():
+    seven = OdometerSchedule(lambda k: 7, name="default")
+    tab = freq_table_float(40, seven)
+    assert np.array_equal(tab, oracle.freq_table_float(40, seven))
+    assert abs(tab[1] - 1 / 28) < 1e-15
+    assert freq_bounds_scan(40, seven, checkpoints=(1,)) == oracle.freq_bounds_scan(
+        40, seven, checkpoints=(1,))
+    assert default_schedule() is default_schedule()
 
 
 def test_freq_crossing_golden():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import groundlab.machines as machines
 import machines_oracle as oracle
+from groundlab.measures import DEPTH_CAP
 from groundlab.machines import (
     DESK_BUDGET_CAP,
     Machine,
@@ -231,7 +232,8 @@ def total_machines(draw):
 @settings(max_examples=100, deadline=None)
 def test_word_measure_matches_serial_oracle(machine, data):
     k = data.draw(st.sampled_from([*range(1, 9), 13]), "k")
-    depth = data.draw(st.sampled_from([None, None, 0, 1, 2, 3, 5]), "depth")
+    depth = data.draw(st.sampled_from([None, None, -1, 0, 1, 2, 3, 5, DEPTH_CAP + 1]),
+                      "depth")
     budgets = [*range(40, -1, -1), *([None] if k <= 2 else [])]
     budget = data.draw(st.sampled_from(budgets), "budget")
     # a budget one step either side of the longest run is where a lost step

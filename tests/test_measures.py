@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flow_oracle import closed_form_row
 from groundlab.layers import OdometerSchedule, constant_schedule, default_schedule
 from groundlab.measures import (
+    DEPTH_CAP,
     WordMeasure,
     all_words,
     conditional_grid_measure,
@@ -60,6 +61,15 @@ def test_measure_validation():
         WordMeasure(17, [Fraction(1)] + [Fraction(0)] * (2 ** 17 - 1))
     with pytest.raises(InputError):
         WordMeasure(2, [Fraction(1)])
+    # the constructors refuse a depth outside 1..DEPTH_CAP before they
+    # allocate 2^depth weights (a negative one raised TypeError)
+    for depth in (-1, 0, DEPTH_CAP + 1, 10 ** 6):
+        with pytest.raises(InputError, match="depth must be"):
+            WordMeasure.from_dict(depth, {})
+        with pytest.raises(InputError, match="depth must be"):
+            WordMeasure.uniform(depth)
+    with pytest.raises(InputError, match="depth must be"):
+        WordMeasure.point_mass("u" * 10 ** 6)
 
 
 def test_point_mass_and_uniform():

@@ -89,10 +89,19 @@ def _command(name, params):
     return wrap
 
 
+def _read_text(path) -> str:
+    """A user-named file's text; bytes that are not UTF-8 are a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{str(path)!r} is not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from None
+
+
 def _load_config(path: str, command: str, params: List[Param]) -> dict:
     known = {p.name for p in params}
     found = {}
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     for ln, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -155,7 +164,7 @@ def _resolve_machine(name: str):
         return table[name]
     path = Path(name)
     if path.exists():
-        return machine_from_json(path.read_text(), name=path.stem)
+        return machine_from_json(_read_text(path), name=path.stem)
     raise UsageError(f"unknown machine {name!r}: not a corpus name "
                      f"({', '.join(sorted(table))}) or a file")
 
@@ -172,7 +181,7 @@ def _resolve_tileset(name: str) -> Tileset:
                         for i in range(count)])
     path = Path(name)
     if path.exists():
-        return Tileset.from_json(path.read_text())
+        return Tileset.from_json(_read_text(path))
     raise UsageError(f"unknown tileset {name!r}: use robinson, free:K, "
                      f"or a file")
 
@@ -209,7 +218,7 @@ def _run_render(cfg):
 ])
 def _run_verify_markers(cfg):
     if cfg["markers"]:
-        markers = MarkerSet.from_json(Path(cfg["markers"]).read_text())
+        markers = MarkerSet.from_json(_read_text(cfg["markers"]))
     else:
         markers = robinson_marker_set(cfg["scale"])
     bad = verify_nonoverlap(markers)
@@ -334,7 +343,7 @@ def _run_gibbs(cfg):
     if cfg["potential"] == "adjacency":
         potential = adjacency_potential(tileset)
     elif Path(cfg["potential"]).exists():
-        potential = Potential.from_json(Path(cfg["potential"]).read_text())
+        potential = Potential.from_json(_read_text(cfg["potential"]))
     else:
         raise UsageError(f"unknown potential {cfg['potential']!r}")
     markers = robinson_marker_set(cfg["markers"]) if cfg["markers"] else None

@@ -11,6 +11,11 @@ y = Fraction(exp(-beta/D)) a level weighs y^n: exact Boltzmann enumeration on
 tiny tori forms one weight per level, and a Metropolis chain forms the exact
 acceptance y^n of a rise n once.  Acceptance probabilities are thus exact
 rationals and detailed balance is an identity; beta = 0 is simply y = 1.
+
+The enumeration scores configurations in blocks of numpy digit rows: the
+kernel counts each block's occurrences per distinct pattern value, and each
+distinct count vector's level is summed once in Python ints, so levels stay
+exact for weights of any size.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +37,7 @@ from .tiles import BudgetExceeded, InputError, PatternIndex, Tileset
 _Q = Union[int, Fraction]
 
 ENUMERATION_BUDGET = 1 << 20
+ENUMERATION_BLOCK = 4096  # configurations per numpy batch: bounds its arrays
 
 
 @dataclass(frozen=True)
@@ -45,13 +50,14 @@ class Potential:
     def __post_init__(self):
         clean = []
         for rows, weight in self.forbidden:
-            rows = tuple(tuple(r) for r in rows)
+            rows = tuple(map(tuple, rows))
             if not rows or not rows[0]:
                 raise InputError("empty forbidden pattern")
-            if any(len(r) != len(rows[0]) for r in rows):
+            if len(set(map(len, rows))) != 1:
                 raise InputError("ragged forbidden pattern")
-            weight = Fraction(weight)
-            if weight < 0:
+            if type(weight) is not Fraction:
+                weight = Fraction(weight)
+            if weight.numerator < 0:
                 raise InputError("pattern weights must be >= 0")
             clean.append((rows, weight))
         object.__setattr__(self, "forbidden", tuple(clean))
@@ -77,28 +83,30 @@ class Potential:
                 (tuple(tuple(r) for r in entry["rows"]),
                  Fraction(entry["weight"][0], entry["weight"][1]))
                 for entry in doc["patterns"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
             raise InputError(f"malformed potential json: {exc}") from exc
+        if not all(isinstance(c, str) for rows, _ in pairs for r in rows for c in r):
+            raise InputError("malformed potential json: pattern cells must be tile ids")
         return cls(pairs)
 
 
 def pattern_potential(pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> Potential:
-    return Potential(tuple((tuple(tuple(r) for r in rows), Fraction(w))
-                           for rows, w in pairs))
+    return Potential(tuple(pairs))
 
 
 def adjacency_potential(tileset: Tileset, weight: _Q = 1) -> Potential:
     """One forbidden domino per incompatible adjacent pair of the tileset."""
     ids = [t.id for t in tileset.tiles]
+    weight = Fraction(weight)
     pairs = []
-    for i, a in enumerate(ids):
-        for j, b in enumerate(ids):
-            if not tileset.h_compat[i, j]:
-                pairs.append(((a, b),))
-            if not tileset.v_compat[i, j]:
+    for a, h_row, v_row in zip(ids, tileset.h_compat.tolist(), tileset.v_compat.tolist()):
+        for b, h_ok, v_ok in zip(ids, h_row, v_row):
+            if not h_ok:
+                pairs.append((((a, b),), weight))
+            if not v_ok:
                 # b sits on the row above a: rows are (lower, upper)
-                pairs.append(((a,), (b,)))
-    return pattern_potential([(rows, weight) for rows in pairs])
+                pairs.append((((a,), (b,)), weight))
+    return Potential(tuple(pairs))
 
 
 class TorusConfig:
@@ -163,7 +171,9 @@ def boltzmann_base(beta: float, denominator: int) -> Fraction:
     beta = float(beta)
     if not math.isfinite(beta) or beta < 0:
         raise InputError(f"beta must be finite and >= 0, got {beta}")
-    return Fraction(math.exp(-beta / denominator))
+    # the exact quotient rounded once: a denominator past the float range
+    # cannot overflow
+    return Fraction(math.exp(-float(Fraction(beta) / denominator)))
 
 
 @dataclass
@@ -192,16 +202,35 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     scratch = TorusConfig(tileset, potential, np.zeros((side, side), np.int64))
     d, index = scratch._denominator, scratch._index
     y = boltzmann_base(beta, d)
-    assignments = iter_product(range(ntiles), repeat=side * side)
-    levels = {a: index.total(np.reshape(a, (side, side)), wrap=True) for a in assignments}
-    counts = Counter(levels.values())
-    weights = {n: y ** n for n in counts}
-    z = sum(c * weights[n] for n, c in counts.items())
-    energy = {n: Fraction(n, d) for n in weights}
-    probability = {n: w / z for n, w in weights.items()}
-    return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
-                          energies={a: energy[n] for a, n in levels.items()},
-                          probabilities={a: probability[n] for a, n in levels.items()})
+    # configuration i is the base-ntiles digit row of i, most significant
+    # digit first: the iter_product order of the table's keys
+    radix = ntiles ** np.arange(side * side - 1, -1, -1, dtype=np.int64)
+    level_ids = np.empty(count, dtype=np.int32)
+    position: Dict[int, int] = {}  # distinct level n -> its id
+    for start in range(0, count, ENUMERATION_BLOCK):
+        digits = np.arange(start, min(start + ENUMERATION_BLOCK, count))[:, None] // radix % ntiles
+        values, counts = index.value_counts(digits.reshape(-1, side, side), ntiles)
+        # group the configurations by count vector, one column at a time
+        group = np.zeros(len(counts), dtype=np.int64)
+        for column in counts.T:
+            group = np.unique(group * (int(column.max()) + 1) + column, return_inverse=True)[1]
+        rows = np.empty((int(group.max()) + 1, counts.shape[1]), dtype=np.int32)
+        rows[group] = counts
+        # each group's level, summed in Python ints
+        ids = [position.setdefault(sum(c * v for c, v in zip(row, values)), len(position))
+               for row in rows.tolist()]
+        level_ids[start:start + len(digits)] = np.array(ids)[group]
+    tally = np.bincount(level_ids, minlength=len(position)).tolist()
+    weights = [y ** n for n in position]
+    z = sum(c * w for c, w in zip(tally, weights))
+    energy = [Fraction(n, d) for n in position]
+    probability = [w / z for w in weights]
+    per_config = level_ids.tolist()
+    energies = dict(zip(iter_product(range(ntiles), repeat=side * side),
+                        map(energy.__getitem__, per_config)))
+    return BoltzmannTable(side=side, beta=beta, denominator=d, base=y, energies=energies,
+                          probabilities=dict(zip(energies, map(probability.__getitem__,
+                                                               per_config))))
 
 
 def acceptance_probability(base: Fraction, denominator: int,
@@ -253,6 +282,10 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
         raise InputError("steps must be >= 1")
     if side < 1:
         raise InputError("torus side must be >= 1")
+    if rng_seed < 0:
+        raise InputError(f"rng_seed must be >= 0, got {rng_seed}")
+    if cadence < 0 or sample_cadence < 0:
+        raise InputError("cadence and sample_cadence must be >= 0")
     rng = np.random.Generator(np.random.Philox(rng_seed))
     ntiles = len(tileset.tiles)
     if initial is None:

@@ -399,6 +399,7 @@ class PatternIndex:
                         for offsets, table in shapes.items()]
         self._plans = {}
         self._cell_plans = {}
+        self._dense = {}
 
     def _plan(self, shape: tuple, wrap: bool) -> list:
         """(table, anchor ys, anchor xs, flat cell indices per anchor) per shape."""
@@ -424,6 +425,35 @@ class PatternIndex:
         """Summed value of every occurrence in the grid."""
         return sum(sum(map(table.get, map(tuple, grid.ravel()[cells].tolist()), repeat(0)))
                    for table, _, _, cells in self._plan(grid.shape, wrap))
+
+    def value_counts(self, grids: np.ndarray, ncodes: int):
+        """(values, counts) for a (B, h, w) stack of tori with codes in
+        range(ncodes): counts[b, j] is how many occurrences of value values[j]
+        torus b holds, so its wrapped `total` is sum(counts[b] * values).
+
+        A shape of k cells reads each anchor's codes as one base-ncodes key
+        and looks it up in a table of ncodes**k value ids (0: no value),
+        built once per ncodes; it suits small alphabets and shapes only.
+        """
+        if ncodes not in self._dense:
+            ids, luts = {}, []
+            for offsets, table in self._shapes:
+                radix = ncodes ** np.arange(len(offsets) - 1, -1, -1, dtype=np.int64)
+                lut = np.zeros(ncodes ** len(offsets), dtype=np.int32)
+                for key, value in table.items():
+                    if all(0 <= c < ncodes for c in key):
+                        lut[int(np.dot(key, radix))] = ids.setdefault(value, len(ids) + 1)
+                luts.append((radix, lut))
+            self._dense[ncodes] = tuple(ids), luts
+        values, luts = self._dense[ncodes]
+        flat = grids.reshape(len(grids), -1)
+        # value id j of grid b lands in bin b * (len(values) + 1) + j
+        bins = np.arange(len(grids))[:, None] * (len(values) + 1)
+        counts = np.zeros(bins.size * (len(values) + 1), dtype=np.int64)
+        for (_, _, _, cells), (radix, lut) in zip(self._plan(grids.shape[1:], True), luts):
+            counts += np.bincount((bins + lut[flat[:, cells] @ radix]).ravel(),
+                                  minlength=counts.size)
+        return values, counts.reshape(len(grids), -1)[:, 1:].astype(np.int32)
 
     def occurrences(self, grid: np.ndarray, wrap: bool = False) -> list:
         """(y, x, value) of every occurrence, by anchor."""

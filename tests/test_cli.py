@@ -210,6 +210,14 @@ def test_gibbs_usage_errors(tmp_path, capsys):
                "--potential", "missing.json",
                "--csv", str(tmp_path / "g.csv")) == 2
     assert "potential" in capsys.readouterr().err
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"patterns": [{"rows": [["A", "B"]], "weight": [1, 0]}]}')
+    assert run("gibbs", "--tileset", "free:2", "--side", "2", "--beta", "1",
+               "--steps", "10", "--potential", str(zero),
+               "--csv", str(tmp_path / "g.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: gibbs: malformed potential json")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def _gibbs_toy(side="2", beta="1", tileset="free:2"):
@@ -230,12 +238,14 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
      "no-such-dir"),
     (("render", "--scale", "1", "--out", "{tmp}/no-such-dir/m.svg"),
      "no-such-dir"),
+    ((*_gibbs_toy(), "--seed", "-1"), "rng_seed"),
+    ((*_gibbs_toy(), "--cadence", "-3"), "cadence"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_perturb_epsilon_independent_bodies(tmp_path):
@@ -354,4 +364,60 @@ def test_freq_exit_contract(fuzz_dir, data):
     assert len(csv.read_text().splitlines()) - 1 == kmax + 1
     replay = fuzz_dir / "freq-replay.csv"
     assert main(["freq", "--config", f"{csv}.config", "--csv", str(replay)]) == 0
+    assert replay.read_bytes() == csv.read_bytes()
+
+
+GIBBS_FLAGS = {"--seed": ["0", "7", "-1", str(2 ** 64), "x"],
+               "--cadence": ["0", "1", "7", "-3"],
+               "--side": ["0", "1", "2", "3", "-1"],
+               "--steps": ["0", "1", "40", "-5"],
+               "--beta": ["0", "1.5", "nan", "-1", "inf"],
+               "--tileset": ["free:2", "free:3", "robinson"],
+               "--potential": ["adjacency", "ab.json", "zero-den.json",
+                               "list-cells.json", "huge-den.json", "missing.json"],
+               "--config": ["freq.csv.config", "no-equals.config", "binary.config"]}
+
+
+@pytest.fixture(scope="module")
+def gibbs_inputs(fuzz_dir):
+    """Potential files (valid, zero denominator, non-id cells, a denominator
+    past the float range) and configs that gibbs must refuse: one written by
+    freq, one with a line that is not key=value, one that is not UTF-8."""
+    def potential(weight, rows=(("A", "B"),)):
+        return json.dumps({"patterns": [{"rows": rows, "weight": weight}]})
+
+    (fuzz_dir / "ab.json").write_text(potential([1, 1]))
+    (fuzz_dir / "zero-den.json").write_text(potential([1, 0]))
+    (fuzz_dir / "list-cells.json").write_text(potential([1, 1], [[["A"], "B"]]))
+    (fuzz_dir / "huge-den.json").write_text(potential([1, 10 ** 400]))
+    (fuzz_dir / "no-equals.config").write_text("command=gibbs\nside\n")
+    (fuzz_dir / "binary.config").write_bytes(b"\xff\xfe\x00command=gibbs\n")
+    assert main(["freq", "--kmax", "2", "--csv", str(fuzz_dir / "freq.csv")]) == 0
+    return fuzz_dir
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_gibbs_exit_contract(gibbs_inputs, data):
+    argv = []
+    for flag, pool in GIBBS_FLAGS.items():
+        # each flag is absent one time in six, --config present one time in six
+        roll = data.draw(st.integers(0, 5), flag)
+        if roll != 0 if flag == "--config" else roll == 0:
+            continue
+        value = data.draw(st.sampled_from(pool), flag + " value")
+        if flag in ("--potential", "--config") and value != "adjacency":
+            value = str(gibbs_inputs / value)
+        argv += [flag, value]
+    csv = gibbs_inputs / "gibbs.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["gibbs", *argv, "--csv", str(csv)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    if code:
+        return
+    replay = gibbs_inputs / "gibbs-replay.csv"
+    assert main(["gibbs", "--config", f"{csv}.config", "--csv", str(replay)]) == 0
     assert replay.read_bytes() == csv.read_bytes()

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -62,6 +63,34 @@ def test_potential_json_roundtrip():
     assert again == pot
     with pytest.raises(InputError):
         Potential.from_json("{}")
+    for bad in ([1, 0], [1.5, 1]):
+        doc = {"patterns": [{"rows": [["A", "B"]], "weight": bad}]}
+        with pytest.raises(InputError, match="malformed potential json"):
+            Potential.from_json(json.dumps(doc))
+    with pytest.raises(InputError, match="tile ids"):
+        Potential.from_json(json.dumps({"patterns": [{"rows": [[["A"]]], "weight": [1, 1]}]}))
+
+
+def test_adjacency_potential_matches_per_pair_wrapping():
+    tileset = build_tileset()
+    pairs = []
+    for i, a in enumerate(tileset.tiles):
+        for j, b in enumerate(tileset.tiles):
+            if not tileset.h_compat[i, j]:
+                pairs.append(((a.id, b.id),))
+            if not tileset.v_compat[i, j]:
+                pairs.append(((a.id,), (b.id,)))
+    for weight in (1, Fraction(2, 3)):
+        want = Potential(tuple((rows, Fraction(weight)) for rows in pairs))
+        got = adjacency_potential(tileset, weight)
+        assert got == want and got.to_json() == want.to_json()
+    with pytest.raises(InputError):
+        adjacency_potential(tileset, -1)
+
+
+def test_boltzmann_base_past_float_range():
+    assert boltzmann_base(1.0, 10 ** 400) == 1
+    assert 0 < boltzmann_base(1e308, 10 ** 309) < 1
 
 
 def test_domino_counted_from_both_sites():
@@ -191,6 +220,11 @@ def test_metropolis_deterministic_and_coherent():
 def test_metropolis_validation():
     with pytest.raises(InputError):
         metropolis(TS2, AB_POT, 2, 1.0, 0, rng_seed=1)
+    with pytest.raises(InputError, match="rng_seed"):
+        metropolis(TS2, AB_POT, 2, 1.0, 10, rng_seed=-1)
+    for cadences in ({"cadence": -3}, {"sample_cadence": -1}):
+        with pytest.raises(InputError, match="cadence"):
+            metropolis(TS2, AB_POT, 2, 1.0, 10, rng_seed=1, **cadences)
 
 
 def test_metropolis_beta_zero_marginals_uniform():

@@ -3,6 +3,7 @@
 (tests/gibbs_oracle.py)."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbs_oracle as oracle
+import groundlab.gibbs as gibbs
 from groundlab.gibbs import boltzmann_exact, metropolis, pattern_potential
 from groundlab.markers import MarkerSet
 from groundlab.tiles import BudgetExceeded, EdgeLabel, Patch, Tile, Tileset
 
 IDS = "ABC"
+BIG = 10 ** 30 + Fraction(1, 7)  # its levels pass any fixed-width integer
 WEIGHTS = [0, 1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6)]
 BETAS = [0.0, 1 / 3, 1.0, 3.0]
 BUDGET = 600  # enumerations past this raise BudgetExceeded on both sides
+BLOCKS = [1, 3, 7, gibbs.ENUMERATION_BLOCK]  # small blocks cross block edges
 
 
 def free_tileset(n):
@@ -31,30 +35,36 @@ def id_rows(draw, h, w, ids):
 
 
 @st.composite
-def gibbs_case(draw):
+def gibbs_case(draw, weights=tuple(WEIGHTS)):
     """A free tileset of 1-3 tiles, a side 1-3 torus, and a potential with
-    mixed weight denominators and zero weights that fits that torus."""
+    mixed weight denominators and zero weights, drawn from `weights`, that
+    fits that torus.
+
+    A potential holding BIG runs at beta = 0: there y = 1, while any y < 1
+    raised to a level near 10**31 has no exact value of feasible size."""
     n = draw(st.integers(1, 3))
     side = draw(st.integers(1, 3))
     reach = side // 2 + 1
     ids = list(IDS[:n])
     pairs = [(draw(id_rows(draw(st.integers(1, reach)), draw(st.integers(1, reach)), ids)),
-              draw(st.sampled_from(WEIGHTS)))
+              draw(st.sampled_from(weights)))
              for _ in range(draw(st.integers(0, 4)))]
-    return free_tileset(n), pattern_potential(pairs), side, draw(st.sampled_from(BETAS))
+    beta = 0.0 if any(w == BIG for _, w in pairs) else draw(st.sampled_from(BETAS))
+    return free_tileset(n), pattern_potential(pairs), side, beta
 
 
-@given(gibbs_case())
+@given(gibbs_case(weights=WEIGHTS + [BIG]), st.sampled_from(BLOCKS))
 @settings(max_examples=100, deadline=None)
-def test_boltzmann_exact_matches_oracle(case):
+def test_boltzmann_exact_matches_oracle(case, block):
     tileset, potential, side, beta = case
-    try:
-        want = oracle.boltzmann_exact(tileset, potential, side, beta, BUDGET)
-    except BudgetExceeded:
-        with pytest.raises(BudgetExceeded):
-            boltzmann_exact(tileset, potential, side, beta, budget=BUDGET)
-        return
-    assert boltzmann_exact(tileset, potential, side, beta, budget=BUDGET) == want
+    with mock.patch.object(gibbs, "ENUMERATION_BLOCK", block):
+        try:
+            want = oracle.boltzmann_exact(tileset, potential, side, beta, BUDGET)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                boltzmann_exact(tileset, potential, side, beta, budget=BUDGET)
+            return
+        assert boltzmann_exact(tileset, potential, side, beta, budget=BUDGET) == want
 
 
 @given(gibbs_case(), st.data())

@@ -75,6 +75,9 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
                      - oracle.occurrences_at(compiled, cells, x, y))
     assert config.energy == config.recompute_energy() \
         == oracle.recompute_energy(compiled, after)
+    values, counts = config._index.value_counts(np.stack([cells, after]), len(tileset))
+    assert [Fraction(sum(c * v for c, v in zip(row, values)), d) for row in counts.tolist()] \
+        == [oracle.recompute_energy(compiled, cells), oracle.recompute_energy(compiled, after)]
 
 
 @st.composite

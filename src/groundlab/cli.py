@@ -14,7 +14,8 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, List, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -140,12 +141,20 @@ def _resolve(command: str, params: List[Param], cli_values: dict,
     return resolved
 
 
-def _emit(primary_path: str, text: str, command: str, resolved: dict):
-    Path(primary_path).write_text(text)
+def _emit(primary_path: str, chunks: Iterable[bytes], command: str,
+          resolved: dict):
+    """Write the artifact from its bytes chunks, then its .config sidecar.
+
+    Text artifacts are passed as one chunk of UTF-8, and the sidecar is
+    UTF-8 too, which is how `_read_text` reads it back.
+    """
+    with open(primary_path, "wb") as out:
+        out.writelines(chunks)
     lines = [f"command={command}", f"format={FORMAT_VERSION}"]
     for key in sorted(resolved):
         lines.append(f"{key}={_serialize(resolved[key])}")
-    Path(primary_path + ".config").write_text("\n".join(lines) + "\n")
+    Path(primary_path + ".config").write_text("\n".join(lines) + "\n",
+                                              encoding="utf-8")
 
 
 # -------------------------------------------------------------- resolvers ---
@@ -206,7 +215,7 @@ def _run_render(cfg):
     patch = build_macro_tile(cfg["scale"])
     svg = render_patch_svg(build_tileset(), patch, cell=cfg["cell"],
                            show_arrows=cfg["arrows"])
-    _emit(cfg["out"], svg, "render", cfg)
+    _emit(cfg["out"], [svg.encode()], "render", cfg)
     return 0
 
 
@@ -232,7 +241,7 @@ def _run_verify_markers(cfg):
     if bad is not None:
         doc["violation"] = [int(bad[0]), int(bad[1]),
                             [int(bad[2][0]), int(bad[2][1])]]
-    _emit(cfg["out"], json.dumps(doc, indent=1), "verify-markers", cfg)
+    _emit(cfg["out"], [json.dumps(doc, indent=1).encode()], "verify-markers", cfg)
     return 0 if bad is None else 1
 
 
@@ -255,27 +264,44 @@ def _run_freq(cfg):
     if mode == "exact":
         rows = [f"{k},{f.numerator}/{f.denominator}\n"
                 for k, f in enumerate(freq_rows(kmax, schedule))]
+        chunks = ["".join(rows).encode()]
     else:
-        rows = _float_rows(freq_table_float(kmax, schedule))
+        chunks = _float_chunks(freq_table_float(kmax, schedule))
     resolved = dict(cfg)
     resolved["mode"] = mode
-    _emit(cfg["csv"], "k,freq\n" + "".join(rows), "freq", resolved)
+    _emit(cfg["csv"], chain([b"k,freq\n"], chunks), "freq", resolved)
     return 0
 
 
-def _float_rows(table: np.ndarray) -> List[str]:
-    """The "k,repr(table[k])" lines, one string per run of equal values.
+_BLOCK_ROWS = 1 << 16
 
-    Runs are cut where the int64 bit patterns differ, so 0.0 and -0.0 stay
-    apart; each run's value is formatted once, from the table's own element.
+
+def _float_chunks(table: np.ndarray) -> Iterator[bytes]:
+    """The "k,repr(table[k])" lines as bytes, one chunk per block of rows.
+
+    Runs of equal values are cut where the int64 bit patterns differ, so 0.0
+    and -0.0 stay apart; each run's separator is formatted once, from the
+    table's own element.  A block holds at most `_BLOCK_ROWS` keys of one run
+    and one decimal digit count: one uint8 matrix whose digit columns come
+    from repeated division by 10 and whose remaining columns repeat the
+    separator.
     """
     bits = table.view(np.int64)
     cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(table)]
-    rows = []
     for a, b in zip(cuts, cuts[1:]):
-        sep = f",{table[a]!r}\n"
-        rows.append(sep.join(map(str, range(a, b))) + sep)
-    return rows
+        sep = np.frombuffer(f",{table[a]!r}\n".encode(), dtype=np.uint8)
+        while a < b:
+            digits = len(str(a))
+            end = min(b, 10 ** digits, a + _BLOCK_ROWS)
+            block = np.empty((end - a, digits + len(sep)), dtype=np.uint8)
+            block[:, digits:] = sep
+            keys = np.arange(a, end, dtype=np.uint32 if digits < 10 else np.uint64)
+            for col in range(digits - 1, 0, -1):
+                keys, block[:, col] = np.divmod(keys, 10)
+            block[:, 0] = keys
+            block[:, :digits] += ord("0")
+            yield block.tobytes()
+            a = end
 
 
 @_command("measure-flow", [
@@ -302,7 +328,7 @@ def _run_measure_flow(cfg):
                      f"{res.numerator}/{res.denominator},"
                      + (f"{dist.numerator}/{dist.denominator}"
                         if mass > 0 else ""))
-    _emit(cfg["csv"], "\n".join(lines) + "\n", "measure-flow", cfg)
+    _emit(cfg["csv"], [("\n".join(lines) + "\n").encode()], "measure-flow", cfg)
     return 0
 
 
@@ -322,7 +348,7 @@ def _run_thermo(cfg):
     rows = thermo_table(cfg["kmin"], cfg["kmax"], C=cfg["C"],
                         C_prime=cfg["Cprime"], r=cfg["r"], c=cfg["c"],
                         schedule=_resolve_schedule(cfg["schedule"]))
-    _emit(cfg["csv"], thermo_csv(rows), "thermo", cfg)
+    _emit(cfg["csv"], [thermo_csv(rows).encode()], "thermo", cfg)
     return 0 if all(row["entropy_pass"] != "fail" for row in rows) else 1
 
 
@@ -353,7 +379,7 @@ def _run_gibbs(cfg):
                         cadence=cadence)
     resolved = dict(cfg)
     resolved["cadence"] = cadence
-    _emit(cfg["csv"], trace_csv(result), "gibbs", resolved)
+    _emit(cfg["csv"], [trace_csv(result).encode()], "gibbs", resolved)
     return 0
 
 
@@ -373,7 +399,7 @@ def _run_perturb(cfg):
                             _resolve_machine(cfg["target"]),
                             cfg["epsilon"], cfg["depth"], cfg["horizon"],
                             index=cfg["index"], enumeration=enumeration)
-    _emit(cfg["out"], report.to_json(), "perturb", cfg)
+    _emit(cfg["out"], [report.to_json().encode()], "perturb", cfg)
     return 0
 
 
@@ -393,7 +419,7 @@ def _run_acc(cfg):
     if cfg["connect"]:
         seq = connectify(seq)
     acc = finite_accumulation(seq, cfg["horizon"], cfg["resolution"])
-    _emit(cfg["out"], acc.to_json(), "acc", cfg)
+    _emit(cfg["out"], [acc.to_json().encode()], "acc", cfg)
     return 0
 
 

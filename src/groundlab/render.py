@@ -10,7 +10,7 @@ input: no timestamps, no randomness, fixed decimal formatting.
 
 from __future__ import annotations
 
-from .tiles import InputError, Patch, Tileset
+from .tiles import HOLE, InputError, Patch, Tileset
 
 _LINE_COLOURS = {"r": "#c0392b", "b": "#2c3e50"}
 _ARROW_TICK = 0.12
@@ -65,8 +65,42 @@ def _arrow_tick(edge: str, arrow: str):
     return (mx - step[0] * t, my - step[1] * t), (mx + step[0] * t, my + step[1] * t)
 
 
+_TICK = 'stroke="#b8b8b8" stroke-width="0.7" marker-end="url(#tip)"'
+
+
+def _tile_plan(tile, cell: int, show_arrows: bool):
+    """What one tile draws at any position: its fill, whether it carries the
+    bumpy-cross circle, and its lines as (x1, y1, x2, y2, attributes) with
+    the tile-local endpoints already multiplied by `cell`."""
+    bumpy = tile.template == "bumpy-cross"
+    lines = []
+    if show_arrows:
+        for edge, lab in zip("nesw", tile.edges()):
+            if lab.arrow is not None:
+                (ax, ay), (bx, by) = _arrow_tick(edge, lab.arrow)
+                lines.append((ax * cell, ay * cell, bx * cell, by * cell, _TICK))
+    for colour, (ax, ay), (bx, by) in _tile_segments(tile):
+        lines.append((ax * cell, ay * cell, bx * cell, by * cell,
+                      f'stroke="{_LINE_COLOURS[colour]}" stroke-width="1.6" '
+                      f'stroke-linecap="square"'))
+    return ("#e2e2e2" if bumpy else "#f4f4f4"), bumpy, lines
+
+
+class _Formatted(dict):
+    """`_fmt` of each distinct coordinate, formatted on first use."""
+
+    def __missing__(self, v):
+        text = self[v] = _fmt(v)
+        return text
+
+
 def render_patch_svg(tileset: Tileset, patch: Patch, cell: int = 24,
                      show_arrows: bool = True) -> str:
+    """The patch as SVG, `cell` pixels per tile.  Each tile id is planned
+    once; a point is `x * cell + lx * cell`, `(height - y) * cell - ly * cell`
+    for cell (x, y) and plan offsets (lx * cell, ly * cell)."""
+    if cell < 1:
+        raise InputError(f"cell must be >= 1 pixel, got {cell}")
     W = patch.width * cell
     H = patch.height * cell
     out = [
@@ -74,46 +108,35 @@ def render_patch_svg(tileset: Tileset, patch: Patch, cell: int = 24,
         f'viewBox="0 0 {W} {H}">',
         f'<rect width="{W}" height="{H}" fill="#ffffff"/>',
     ]
-
-    def to_svg(x, y, lx, ly):
-        return (x * cell + lx * cell, (patch.height - y) * cell - ly * cell)
-
-    for x, y, tid in patch.cells():
-        tile = tileset.tile(tid)
-        x0, y0 = to_svg(x, y, 0.0, 1.0)
-        fill = "#f4f4f4"
-        if tile.template == "bumpy-cross":
-            fill = "#e2e2e2"
-        out.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{cell}" height="{cell}" '
-            f'fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
-        )
-        if show_arrows:
-            for edge, lab in zip("nesw", tile.edges()):
-                if lab.arrow is None:
-                    continue
-                (ax, ay), (bx, by) = _arrow_tick(edge, lab.arrow)
-                sx, sy = to_svg(x, y, ax, ay)
-                ex, ey = to_svg(x, y, bx, by)
+    f = _Formatted()
+    plans = {}
+    left, top, mid = 0.0 * cell, 1.0 * cell, 0.5 * cell
+    radius = _fmt(cell * 0.08)
+    for y, row in enumerate(patch.grid.tolist()):
+        cy = (patch.height - y) * cell
+        for x, code in enumerate(row):
+            if code == HOLE:
+                continue
+            plan = plans.get(code)
+            if plan is None:
+                tile = tileset.tile(patch.legend[code])
+                plan = plans[code] = _tile_plan(tile, cell, show_arrows)
+            fill, bumpy, lines = plan
+            cx = x * cell
+            out.append(
+                f'<rect x="{f[cx + left]}" y="{f[cy - top]}" width="{cell}" '
+                f'height="{cell}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
+            )
+            for x1, y1, x2, y2, attributes in lines:
                 out.append(
-                    f'<line x1="{_fmt(sx)}" y1="{_fmt(sy)}" x2="{_fmt(ex)}" y2="{_fmt(ey)}" '
-                    f'stroke="#b8b8b8" stroke-width="0.7" marker-end="url(#tip)"/>'
+                    f'<line x1="{f[cx + x1]}" y1="{f[cy - y1]}" x2="{f[cx + x2]}" '
+                    f'y2="{f[cy - y2]}" {attributes}/>'
                 )
-        for colour, (ax, ay), (bx, by) in _tile_segments(tile):
-            sx, sy = to_svg(x, y, ax, ay)
-            ex, ey = to_svg(x, y, bx, by)
-            out.append(
-                f'<line x1="{_fmt(sx)}" y1="{_fmt(sy)}" x2="{_fmt(ex)}" y2="{_fmt(ey)}" '
-                f'stroke="{_LINE_COLOURS[colour]}" stroke-width="1.6" '
-                f'stroke-linecap="square"/>'
-            )
-        if tile.template == "bumpy-cross":
-            cxl, cyl = 0.5, 0.5
-            cxs, cys = to_svg(x, y, cxl, cyl)
-            out.append(
-                f'<circle cx="{_fmt(cxs)}" cy="{_fmt(cys)}" r="{_fmt(cell * 0.08)}" '
-                f'fill="#2c3e50"/>'
-            )
+            if bumpy:
+                out.append(
+                    f'<circle cx="{f[cx + mid]}" cy="{f[cy - mid]}" r="{radius}" '
+                    f'fill="#2c3e50"/>'
+                )
 
     defs = (
         '<defs><marker id="tip" viewBox="0 0 4 4" refX="3" refY="2" markerWidth="3" '

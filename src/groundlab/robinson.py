@@ -19,6 +19,7 @@ the opposite colour crosses them halfway.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .tiles import (
@@ -212,8 +213,17 @@ def build_state_grid(n: int, q: str = "ne") -> list:
             for xx in range(half - 1):
                 row[ox + xx] = srow[xx]
 
+    for dx, dy, state in _centre_cells(n, q):
+        grid[c + dy][c + dx] = state
+    _grid_cache[(n, q)] = grid
+    return grid
+
+
+def _centre_cells(n: int, q: str):
+    """(dx, dy, state) of the order-n macro-tile's centre cross and its arms,
+    as offsets from the centre (n >= 2)."""
     colour = colour_of_scale(n)
-    grid[c][c] = CrossState(q, colour, False)
+    yield 0, 0, CrossState(q, colour, False)
     cross_at = 2 ** (n - 2)
     for d, (dx, dy) in _STEP.items():
         principal = None
@@ -221,15 +231,13 @@ def build_state_grid(n: int, q: str = "ne") -> list:
             other = q[0] if q[1] == d else q[1]
             left = rotate_direction(d) == other
             principal = (colour, left)
-        for j in range(1, half):
-            grid[c + j * dy][c + j * dx] = ArmState(
+        for j in range(1, 2 ** (n - 1)):
+            yield j * dx, j * dy, ArmState(
                 away=d,
                 par=(j + 1) % 2,
                 principal=principal,
                 crossing=colour_of_scale(n - 1) if j == cross_at else None,
             )
-    _grid_cache[(n, q)] = grid
-    return grid
 
 
 def build_macro_tile(n: int, q: str = "ne") -> Patch:
@@ -237,13 +245,20 @@ def build_macro_tile(n: int, q: str = "ne") -> Patch:
     return Patch.from_ids([[state_tile_id(st) for st in row] for row in grid])
 
 
+@lru_cache(maxsize=None)
+def _macro_states(n: int, q: str) -> frozenset:
+    """The states of the order-n macro-tile: those of its four order-(n-1)
+    quadrants plus its centre cross and arms, without building its grid."""
+    if n == 1:
+        return frozenset([CrossState(q, "b", True)])
+    return frozenset().union(
+        *(_macro_states(n - 1, sub) for sub in _QUADRANT_Q.values()),
+        (state for _, _, state in _centre_cells(n, q)))
+
+
 def collect_states(max_order: int = 7) -> set:
-    states = set()
-    for n in range(1, max_order + 1):
-        for q in ORIENTATIONS:
-            for row in build_state_grid(n, q):
-                states.update(row)
-    return states
+    return set().union(*(_macro_states(n, q) for n in range(1, max_order + 1)
+                         for q in ORIENTATIONS))
 
 
 def build_tileset(max_order: int = 7) -> Tileset:

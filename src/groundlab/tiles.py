@@ -272,6 +272,12 @@ class Tileset:
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed tileset json: {exc}") from exc
+        if not all(isinstance(t.id, str) for t in tiles):
+            raise InputError("malformed tileset json: tile ids must be strings")
+        if not all(isinstance(tid, str) and type(dx) is int and type(dy) is int
+                   for p in forbidden for dx, dy, tid in p.cells):
+            raise InputError("malformed tileset json: forbidden cells need "
+                             "integer dx, dy and a tile id string")
         return cls(tiles, forbidden)
 
     def adjacency_table(self) -> str:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import layers_oracle
-from groundlab.cli import _float_rows, main
+from groundlab.cli import _float_chunks, main
 from groundlab.gibbs import pattern_potential
 from groundlab.layers import constant_schedule, default_schedule, freq_frozen
 from groundlab.markers import MarkerSet
@@ -80,9 +80,11 @@ def test_freq_schedule_and_bad_values(tmp_path, capsys):
 
 @pytest.mark.parametrize("schedule", ["default", "const:3"])
 def test_freq_float_bytes_match_per_row_oracle(tmp_path, schedule):
-    # the all-1.0 run starts at k = 1346 under the default schedule
+    # the all-1.0 run starts at k = 1346 under the default schedule; rows are
+    # written in blocks of one run, one digit count and at most 65 536 keys
     sched = None if schedule == "default" else constant_schedule(3)
-    for kmax in (0, 1, 2, 1345, 1346, 1347, 5000):
+    for kmax in (0, 1, 2, 9, 10, 99, 100, 1345, 1346, 1347, 5000, 65535,
+                 65536, 65537, 100000, 10 ** 6):
         out = tmp_path / f"f{kmax}.csv"
         assert run("freq", "--kmax", str(kmax), "--mode", "float",
                    "--schedule", schedule, "--csv", str(out)) == 0
@@ -91,10 +93,11 @@ def test_freq_float_bytes_match_per_row_oracle(tmp_path, schedule):
 
 
 @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, float("nan")]), min_size=1,
-                max_size=40))
+                max_size=120))
 def test_float_rows_match_per_row_oracle(values):
     table = np.array(values, dtype=np.float64)
-    assert "k,freq\n" + "".join(_float_rows(table)) == layers_oracle.freq_float_csv(table)
+    got = b"k,freq\n" + b"".join(_float_chunks(table))
+    assert got == layers_oracle.freq_float_csv(table).encode()
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -220,6 +223,20 @@ def test_gibbs_usage_errors(tmp_path, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+_BLANK = "....."
+_TILE_A = {"id": "A", "north": _BLANK, "east": _BLANK, "south": _BLANK,
+           "west": _BLANK}
+# a tile id that is a list, and forbidden cells whose tile is a list or
+# whose offset is a string
+BAD_TILESETS = {
+    "list-id.json": {"tiles": [{**_TILE_A, "id": ["A"]}]},
+    "list-cell.json": {"tiles": [_TILE_A],
+                       "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": ["A"]}]}]},
+    "text-dx.json": {"tiles": [_TILE_A],
+                     "forbidden": [{"cells": [{"dx": "1", "dy": 0, "tile": "A"}]}]},
+}
+
+
 def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     return ("gibbs", "--tileset", tileset, "--side", side, "--beta", beta,
             "--steps", "10", "--csv", "{tmp}/g.csv")
@@ -240,8 +257,15 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
      "no-such-dir"),
     ((*_gibbs_toy(), "--seed", "-1"), "rng_seed"),
     ((*_gibbs_toy(), "--cadence", "-3"), "cadence"),
+    (_gibbs_toy(tileset="{tmp}/list-id.json"), "tileset"),
+    (_gibbs_toy(tileset="{tmp}/list-cell.json"), "tileset"),
+    (_gibbs_toy(tileset="{tmp}/text-dx.json"), "tileset"),
+    (("render", "--scale", "2", "--cell", "0", "--out", "{tmp}/m.svg"), "cell"),
+    (("render", "--scale", "2", "--cell", "-4", "--out", "{tmp}/m.svg"), "cell"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
+    for name, doc in BAD_TILESETS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
@@ -421,3 +445,45 @@ def test_gibbs_exit_contract(gibbs_inputs, data):
     replay = gibbs_inputs / "gibbs-replay.csv"
     assert main(["gibbs", "--config", f"{csv}.config", "--csv", str(replay)]) == 0
     assert replay.read_bytes() == csv.read_bytes()
+
+
+RENDER_FLAGS = {"--scale": ["-1", "0", "1", "2", "3", "4", "5", "x"],
+                "--cell": ["-4", "0", "1", "24", "x"],
+                "--arrows": ["true", "false", "maybe"],
+                "--config": ["freq.csv.config", "render-no-equals.config",
+                             "binary.config"]}
+
+
+@pytest.fixture(scope="module")
+def render_inputs(gibbs_inputs):
+    """The gibbs configs (one written by freq, one that is not UTF-8) plus a
+    render config with a line that is not key=value."""
+    (gibbs_inputs / "render-no-equals.config").write_text("command=render\nscale\n")
+    return gibbs_inputs
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_render_exit_contract(render_inputs, data):
+    argv = []
+    for flag, pool in RENDER_FLAGS.items():
+        # each flag is absent one time in six, --config present one time in six
+        roll = data.draw(st.integers(0, 5), flag)
+        if roll != 0 if flag == "--config" else roll == 0:
+            continue
+        value = data.draw(st.sampled_from(pool), flag + " value")
+        if flag == "--config":
+            value = str(render_inputs / value)
+        argv += [flag, value]
+    svg = render_inputs / "render.svg"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["render", *argv, "--out", str(svg)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    if code:
+        return
+    replay = render_inputs / "render-replay.svg"
+    assert main(["render", "--config", f"{svg}.config", "--out", str(replay)]) == 0
+    assert replay.read_bytes() == svg.read_bytes()

@@ -127,6 +127,21 @@ def test_state_collection_stabilizes():
     assert collect_states(6) == collect_states(7)
 
 
+def _states_by_grid_scan(max_order):
+    """The former `collect_states`: every cell of every state grid."""
+    states = set()
+    for n in range(1, max_order + 1):
+        for q in ORIENTATIONS:
+            for row in build_state_grid(n, q):
+                states.update(row)
+    return states
+
+
+@pytest.mark.parametrize("max_order", range(1, 8))
+def test_collected_states_match_grid_scan(max_order):
+    assert collect_states(max_order) == _states_by_grid_scan(max_order)
+
+
 def test_rotation_closure_is_trivial():
     states = collect_states(6)
     for st in states:

@@ -242,7 +242,12 @@ def _run_verify_markers(cfg):
         doc["violation"] = [int(bad[0]), int(bad[1]),
                             [int(bad[2][0]), int(bad[2][1])]]
     _emit(cfg["out"], [json.dumps(doc, indent=1).encode()], "verify-markers", cfg)
-    return 0 if bad is None else 1
+    if bad is None:
+        return 0
+    i, j, (dx, dy) = doc["violation"]
+    print(f"violation: verify-markers: pattern {j} shifted by ({dx}, {dy}) "
+          f"overlaps pattern {i}", file=sys.stderr)
+    return 1
 
 
 @_command("freq", [
@@ -349,7 +354,12 @@ def _run_thermo(cfg):
                         C_prime=cfg["Cprime"], r=cfg["r"], c=cfg["c"],
                         schedule=_resolve_schedule(cfg["schedule"]))
     _emit(cfg["csv"], [thermo_csv(rows).encode()], "thermo", cfg)
-    return 0 if all(row["entropy_pass"] != "fail" for row in rows) else 1
+    failed = [str(row["k"]) for row in rows if row["entropy_pass"] == "fail"]
+    if not failed:
+        return 0
+    print(f"violation: thermo: entropy criterion fails at k = "
+          f"{', '.join(failed)}", file=sys.stderr)
+    return 1
 
 
 @_command("gibbs", [

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -337,22 +335,6 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
                             config=config)
 
 
-def _sweep_cell(args):
-    tileset, potential, markers, side, beta, steps, seed, cadence = args
-    res = metropolis(tileset, potential, side, beta, steps, seed,
-                     markers=markers, cadence=cadence)
-    samples = [cov for step, _, cov in res.trace if step > steps // 2]
-    return sum(samples) / len(samples)
-
-
-def worker_count() -> int:
-    """Worker processes for the sweep helpers: GROUNDLAB_WORKERS, default 1."""
-    text = os.environ.get("GROUNDLAB_WORKERS", "1")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise InputError(f"GROUNDLAB_WORKERS must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def coverage_sweep(tileset: Tileset, potential: Potential, markers: MarkerSet,
                    side: int, beta_list: Sequence[float], steps: int,
                    seeds: Sequence[int],
@@ -361,18 +343,15 @@ def coverage_sweep(tileset: Tileset, potential: Potential, markers: MarkerSet,
     if not beta_list or not seeds:
         raise InputError("coverage sweep needs at least one beta and one seed")
     cadence = cadence or max(1, steps // 10)
-    jobs = [(tileset, potential, markers, side, float(beta), steps, int(seed), cadence)
-            for beta in beta_list for seed in seeds]
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_sweep_cell, jobs))
-    else:
-        values = [_sweep_cell(job) for job in jobs]
     rows = []
     n = len(seeds)
-    for bi, beta in enumerate(beta_list):
-        vals = values[bi * n:(bi + 1) * n]
+    for beta in beta_list:
+        vals = []
+        for seed in seeds:
+            res = metropolis(tileset, potential, side, float(beta), steps, int(seed),
+                             markers=markers, cadence=cadence)
+            samples = [cov for step, _, cov in res.trace if step > steps // 2]
+            vals.append(sum(samples) / len(samples))
         mean = sum(vals) / n
         var = sum((v - mean) ** 2 for v in vals) / n
         rows.append({"beta": float(beta), "mean_coverage": mean,

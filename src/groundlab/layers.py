@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .machines import routing_index
 from .measures import ALPHABET, WordMeasure, word_index
 from .tiles import InputError
 
@@ -92,7 +93,7 @@ class PhasedMarker:
             x, y = self.seed
             if len(x) != self.k or any(c not in "01" for c in x):
                 raise InputError("seed x must be a k-bit word")
-            if y.lstrip("1").strip("#") != "":
+            if routing_index(y) is None:
                 raise InputError("seed y must be of the form 1^i #^j")
             if len(y) > self.k:
                 raise InputError("seed y longer than k")

@@ -433,33 +433,18 @@ def machine_enumeration() -> tuple:
 
 def simulate_universal(encoded: str, word: str,
                        budget: int = DESK_BUDGET_CAP) -> tuple:
-    """Interpret an encoded machine, charging interpreter overhead per step.
+    """Run an encoded machine, charging interpreter overhead per step.
 
-    Each simulated step costs 1 + (number of rules) + (current tape extent),
-    which models scanning the program and shuttling to the work zone.  Returns
-    (RunResult, universal_steps); the result matches run() on the decoded
-    machine exactly.
+    The run is `run` on the decoded machine; each of its steps costs
+    1 + (number of rules) + (tape extent), which models scanning the program
+    and shuttling to the work zone.  The extent is the run's final one, at
+    most max(len(word), steps + 1), so the cost stays quadratic in the steps.
+    Returns (RunResult, universal_steps).
     """
     machine = machine_from_json(encoded)
-    _check_input(machine, word)
-    overhead = len(machine.delta)
-    tape = {i: ch for i, ch in enumerate(word)}
-    extent = len(word)
-    state = machine.initial
-    head = 0
-    steps = 0
-    cost = 0
-    while state not in machine.finals:
-        if steps >= budget:
-            return RunResult(state, head, steps, False, tape, machine.blank), cost
-        sym = tape.get(head, machine.blank)
-        state, write, move = machine.delta[(state, sym)]
-        tape[head] = write
-        head = max(0, head + move)
-        extent = max(extent, head + 1)
-        steps += 1
-        cost += 1 + overhead + extent
-    return RunResult(state, head, steps, True, tape, machine.blank), cost
+    res = run(machine, word, budget)
+    extent = max(len(word), res.head + 1, res.extent())
+    return res, res.steps * (1 + len(machine.delta) + extent)
 
 
 def universal_cost_constant(machines: Sequence[Machine], inputs: Sequence[str],
@@ -470,14 +455,17 @@ def universal_cost_constant(machines: Sequence[Machine], inputs: Sequence[str],
         enc = machine_to_json(m)
         for w in inputs:
             res, cost = simulate_universal(enc, w, budget)
-            direct = run(m, w, budget)
-            if res.halted != direct.halted or res.steps != direct.steps:
-                raise InputError("universal simulation diverged from direct run")
-            worst = max(worst, Fraction(cost, direct.steps ** 2 + 1))
+            worst = max(worst, Fraction(cost, res.steps ** 2 + 1))
     return worst
 
 
 # ----------------------------------------------------------- seed selector ---
+
+def routing_index(y: str) -> Optional[int]:
+    """The i of a routing word y = 1^i #^j, or None for any other word."""
+    rest = y.lstrip("1")
+    return len(y) - len(rest) if rest.strip("#") == "" else None
+
 
 @dataclass(frozen=True)
 class DispatchOutcome:
@@ -493,11 +481,9 @@ def selector_dispatch(default_machine: Machine, enumeration: Sequence[Machine],
     Malformed y (anything not of the form 1^i #^j) is forbidden.  An index
     beyond the registered enumeration falls back to the default machine.
     """
-    if any(c not in "01" for c in x):
+    i = routing_index(y)
+    if any(c not in "01" for c in x) or i is None or len(y) > len(x):
         return DispatchOutcome("forbidden", -1, None)
-    if y.lstrip("1").strip("#") != "" or len(y) > len(x):
-        return DispatchOutcome("forbidden", -1, None)
-    i = len(y) - len(y.lstrip("1"))
     if i == 0:
         return DispatchOutcome("default", 0, default_machine)
     if i <= len(enumeration):

@@ -312,7 +312,3 @@ class StationaryGridMeasure:
             if w > 0:
                 h -= float(w) * math.log2(float(w))
         return h / (self.ell ** 2)
-
-
-def grid_measure(markers: MarkerSet, weights=None) -> StationaryGridMeasure:
-    return StationaryGridMeasure(markers, weights)

@@ -22,8 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .gibbs import Potential
 from .layers import OdometerSchedule, default_schedule
-from .machines import (Machine, machine_to_json, selector_weights,
-                       word_measure)
+from .machines import (Machine, machine_to_json, routing_index,
+                       selector_weights, word_measure)
 from .measures import (ConditionalGridMeasure, WordMeasure, conditional_rows,
                        greedy_net, mix, weak_star_distance)
 from .tiles import InputError
@@ -61,11 +61,8 @@ class SelectorRule:
         return self.index
 
     def admits(self, x: str, y: str) -> bool:
-        k = len(x)
-        if len(y) != k or k < self.index:
-            return False
-        want = "1" * self.index + "#" * (k - self.index)
-        return all(c in "01" for c in x) and y == want
+        return (len(y) == len(x) and routing_index(y) == self.index
+                and all(c in "01" for c in x))
 
     def domain_size(self, k: int) -> int:
         return 2 ** k if k >= self.index else 0

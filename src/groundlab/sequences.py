@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from .measures import WordMeasure, greedy_net, weak_star_distance
+from .measures import WordMeasure, _check_depth, greedy_net, weak_star_distance
 from .tiles import InputError
 
 
@@ -47,7 +47,7 @@ def bernoulli(p, depth: int = 1) -> DyadicMeasure:
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0, 1]")
     ws = []
-    for i in range(2 ** depth):
+    for i in range(2 ** _check_depth(depth)):
         w = Fraction(1)
         for j in range(depth):
             w *= p if (i >> j) & 1 else 1 - p

@@ -3,6 +3,10 @@ through the `run` interpreter, in seed order.
 
 `machines.word_measure` advances all seeds together as numpy lanes;
 tests/test_machines.py checks its measures and its errors against this loop.
+
+Below it, the routing-word checks as each caller wrote them out before they
+shared `machines.routing_index`: selector dispatch, the selector rule's
+admission test and the blocked marker's seed check.
 """
 
 from fractions import Fraction
@@ -35,3 +39,34 @@ def word_measure(machine, k, depth=None, budget=None):
     total = 2 ** k
     return WordMeasure.from_dict(depth, {w: Fraction(c, total)
                                          for w, c in counts.items()})
+
+
+def selector_dispatch(x, y, n_machines):
+    """(kind, index) of a seed pair routed over n_machines registered ones."""
+    if any(c not in "01" for c in x):
+        return "forbidden", -1
+    if y.lstrip("1").strip("#") != "" or len(y) > len(x):
+        return "forbidden", -1
+    i = len(y) - len(y.lstrip("1"))
+    if i == 0 or i > n_machines:
+        return "default", 0
+    return "selected", i
+
+
+def selector_admits(index, x, y):
+    k = len(x)
+    if len(y) != k or k < index:
+        return False
+    want = "1" * index + "#" * (k - index)
+    return all(c in "01" for c in x) and y == want
+
+
+def blocked_seed_error(k, x, y):
+    """The message a blocked marker at scale k refuses seed (x, y) with."""
+    if len(x) != k or any(c not in "01" for c in x):
+        return "seed x must be a k-bit word"
+    if y.lstrip("1").strip("#") != "":
+        return "seed y must be of the form 1^i #^j"
+    if len(y) > k:
+        return "seed y longer than k"
+    return None

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import layers_oracle
+import groundlab.thermo as thermo
 from groundlab.cli import _float_chunks, main
 from groundlab.gibbs import pattern_potential
 from groundlab.layers import constant_schedule, default_schedule, freq_frozen
@@ -128,7 +129,7 @@ def test_config_diagnostics(tmp_path, capsys):
                "--kmax", "2", "--csv", str(tmp_path / "f.csv")) == 2
 
 
-def test_verify_markers_ok_and_violation(tmp_path):
+def test_verify_markers_ok_and_violation(tmp_path, capsys):
     out = tmp_path / "v.json"
     assert run("verify-markers", "--scale", "1", "--out", str(out)) == 0
     assert json.loads(out.read_text())["nonoverlap"] == "ok"
@@ -136,11 +137,14 @@ def test_verify_markers_ok_and_violation(tmp_path):
     p = Patch.from_ids([["A", "A"], ["A", "A"]])
     bad = tmp_path / "bad-markers.json"
     bad.write_text(MarkerSet([p]).to_json())
+    capsys.readouterr()
     assert run("verify-markers", "--markers", str(bad),
                "--out", str(out)) == 1
     doc = json.loads(out.read_text())
     assert doc["nonoverlap"] == "violation"
     assert len(doc["violation"]) == 3
+    assert capsys.readouterr().err == (
+        "violation: verify-markers: pattern 0 shifted by (-1, -1) overlaps pattern 0\n")
 
 
 def test_measure_flow_columns(tmp_path):
@@ -262,6 +266,8 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     (_gibbs_toy(tileset="{tmp}/text-dx.json"), "tileset"),
     (("render", "--scale", "2", "--cell", "0", "--out", "{tmp}/m.svg"), "cell"),
     (("render", "--scale", "2", "--cell", "-4", "--out", "{tmp}/m.svg"), "cell"),
+    (("acc", "--sequence", "sweep", "--depth", "-1", "--out", "{tmp}/a.json"),
+     "depth must be in 1..16"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     for name, doc in BAD_TILESETS.items():
@@ -287,6 +293,16 @@ def test_perturb_budget_breach_exit(tmp_path):
     assert run("perturb", "--base", "constant-u", "--target", "incrementer",
                "--epsilon", "1", "--horizon", "6",
                "--out", str(tmp_path / "r.json")) == 3
+
+
+def test_thermo_failed_criterion_names_its_scales(tmp_path, capsys, monkeypatch):
+    # no thermo argv fails the criterion today, so force one row to fail
+    monkeypatch.setattr(thermo, "entropy_criterion",
+                        lambda k, bounds, kappa: "fail" if k == 2 else "pass")
+    assert run("thermo", "--kmin", "1", "--kmax", "3",
+               "--csv", str(tmp_path / "t.csv")) == 1
+    assert capsys.readouterr().err == (
+        "violation: thermo: entropy criterion fails at k = 2\n")
 
 
 def test_acc_report(tmp_path):
@@ -487,3 +503,77 @@ def test_render_exit_contract(render_inputs, data):
     replay = render_inputs / "render-replay.svg"
     assert main(["render", "--config", f"{svg}.config", "--out", str(replay)]) == 0
     assert replay.read_bytes() == svg.read_bytes()
+
+
+# Token pools of the verdict and accumulation commands, (valid, invalid) per
+# flag.  Valid acc depths stop at 3: from depth 12 on an acc run takes over
+# 60 s (2^d exact weights per term and per net point), which is work, not a
+# fault.  verify-markers scales stop at 4 (scale 6 takes ~2 s) for the same
+# reason.
+VERDICT_FLAGS = {
+    "verify-markers": {"--scale": (["1", "2", "4"], ["-1", "0", "x"]),
+                       "--markers": (["overlapping-markers.json"],
+                                     ["missing.json", "truncated.json",
+                                      "binary.config"])},
+    "thermo": {"--kmin": (["0", "1", "3"], ["-1", "x"]),
+               "--kmax": (["2", "5", "12"], ["-1", "0", "13", "x"]),
+               "--C": (["1", "1/2", "3"], ["0", "-1", "1/0", "x"]),
+               "--Cprime": (["1", "1/1000"], ["0", "x"]),
+               "--r": (["1", "2", "7"], ["-1", "0", "x"]),
+               "--c": (["0", "1/3", "1", "2"], ["5", "-1", "x"]),
+               "--schedule": (["default", "const:2"], ["const:1", "x"])},
+    "acc": {"--sequence": (["constant-u", "constant-d", "uniform", "alternating",
+                            "sweep"], ["nope"]),
+            "--depth": (["1", "2", "3"], ["-1", "0", "17", "x"]),
+            "--connect": (["true", "false"], ["maybe"]),
+            "--horizon": (["1", "8", "64"], ["-1", "0", "x"]),
+            "--resolution": (["1/16", "1/4", "2"], ["0", "-1", "1/0", "x"])},
+}
+# configs the commands must refuse: one written by freq, one that is not
+# UTF-8, one with a line that is not key=value
+VERDICT_CONFIGS = ["freq.csv.config", "binary.config", "verdict-no-equals.config"]
+VERDICT_OUT = {"verify-markers": "--out", "thermo": "--csv", "acc": "--out"}
+
+
+@pytest.fixture(scope="module")
+def verdict_inputs(gibbs_inputs):
+    """The gibbs configs (one written by freq, one that is not UTF-8), a
+    config with a line that is not key=value, and marker files: one that
+    violates non-overlap, one cut short."""
+    (gibbs_inputs / "verdict-no-equals.config").write_text("command=acc\ndepth\n")
+    square = MarkerSet([Patch.from_ids([["A", "A"], ["A", "A"]])]).to_json()
+    (gibbs_inputs / "overlapping-markers.json").write_text(square)
+    (gibbs_inputs / "truncated.json").write_text(square[:len(square) // 2])
+    return gibbs_inputs
+
+
+@pytest.mark.parametrize("command", sorted(VERDICT_FLAGS))
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_verdict_and_acc_exit_contract(verdict_inputs, command, data):
+    argv = []
+    for flag, (valid, invalid) in VERDICT_FLAGS[command].items():
+        # each flag is absent one time in six, invalid one time in eight
+        if data.draw(st.integers(0, 5), flag) == 0:
+            continue
+        pool = invalid if data.draw(st.integers(0, 7), flag + " form") == 0 else valid
+        argv += [flag, data.draw(st.sampled_from(pool), flag + " value")]
+    if data.draw(st.integers(0, 5), "--config") == 0:
+        argv += ["--config", data.draw(st.sampled_from(VERDICT_CONFIGS), "config")]
+    argv = [str(verdict_inputs / a) if a.endswith((".json", ".config")) else a
+            for a in argv]
+    out = verdict_inputs / f"{command}.out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, *argv, VERDICT_OUT[command], str(out)])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert code != 1 or command in ("verify-markers", "thermo")
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    if code not in (0, 1):
+        return
+    replay = verdict_inputs / f"{command}-replay.out"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--config", f"{out}.config",
+                     VERDICT_OUT[command], str(replay)]) == code
+    assert replay.read_bytes() == out.read_bytes()

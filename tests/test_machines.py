@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +27,7 @@ from groundlab.machines import (
     machine_from_json,
     machine_to_json,
     parity_machine,
+    routing_index,
     run,
     seed_budget,
     selector_dispatch,
@@ -34,7 +36,9 @@ from groundlab.machines import (
     universal_cost_constant,
     word_measure,
 )
+from groundlab.layers import PhasedMarker
 from groundlab.measures import WordMeasure
+from groundlab.perturbation import make_selector
 from groundlab.tiles import InputError
 
 
@@ -325,6 +329,66 @@ def test_selector_dispatch():
     assert deep.kind == "default" and deep.machine is mx
 
 
+@given(st.text("01#x", max_size=10))
+@settings(max_examples=300)
+def test_routing_index_matches_the_word_pattern(y):
+    m = re.fullmatch(r"(1*)#*", y)
+    assert routing_index(y) == (len(m.group(1)) if m else None)
+
+
+@st.composite
+def seed_pairs(draw):
+    """(k, x, y): x mostly binary, k mostly len(x), y often a routing word,
+    sometimes of length len(x)."""
+    x = draw(st.one_of(st.text("01", max_size=6), st.text("01x", max_size=6)))
+    k = draw(st.one_of(st.just(len(x)), st.integers(0, 6)))
+    y = draw(st.one_of(
+        st.text("01#x", max_size=8),
+        st.builds(lambda i, j: "1" * i + "#" * j, st.integers(0, 6), st.integers(0, 3)),
+        st.integers(0, len(x)).map(lambda i: "1" * i + "#" * (len(x) - i))))
+    return k, x, y
+
+
+_ENUM = machine_enumeration()[0]
+_RULES = [make_selector(i, _ENUM) for i in range(1, len(_ENUM) + 1)]
+
+
+def _dispatch(k, x, y):
+    got = selector_dispatch(copier(), _ENUM, x, y)
+    return got.kind, got.index
+
+
+def _admits(k, x, y):
+    return [rule.admits(x, y) for rule in _RULES]
+
+
+def _blocked_seed_error(k, x, y):
+    try:
+        PhasedMarker(k=k, phase="B", seed=(x, y))
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+# each caller of routing_index against its former inline check
+ROUTING_CALLERS = {
+    "selector_dispatch": (
+        _dispatch, lambda k, x, y: oracle.selector_dispatch(x, y, len(_ENUM))),
+    "SelectorRule.admits": (
+        _admits, lambda k, x, y: [oracle.selector_admits(rule.index, x, y)
+                                  for rule in _RULES]),
+    "PhasedMarker": (_blocked_seed_error, oracle.blocked_seed_error),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(ROUTING_CALLERS))
+@given(seed_pairs())
+@settings(max_examples=300)
+def test_routing_callers_accept_what_their_own_checks_did(caller, case):
+    new, old = ROUTING_CALLERS[caller]
+    assert new(*case) == old(*case)
+
+
 def test_selector_weights():
     rows = selector_weights(3, 4)
     assert rows[0] == (0, Fraction(12, 15))
@@ -361,6 +425,14 @@ def test_universal_quadratic_overhead():
         for w in inputs:
             res, cost = simulate_universal(enc, w)
             assert Fraction(cost) <= c * res.steps ** 2 + c
+
+
+def test_universal_cost_charges_the_final_extent():
+    # incrementer on 011: 7 steps, 6 rules, the head reaches cell 3, so every
+    # step costs 1 + 6 + 4
+    res, cost = simulate_universal(machine_to_json(incrementer()), "011")
+    assert res.halted and res.steps == 7 and res.tape_word(4) == "100#"
+    assert cost == 7 * (1 + 6 + 4)
 
 
 def test_universal_budget():

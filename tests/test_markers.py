@@ -6,7 +6,7 @@ import pytest
 from groundlab.markers import (
     CoveringResult,
     MarkerSet,
-    grid_measure,
+    StationaryGridMeasure,
     marker_coverage,
     nonoverlap_violations,
     occurrence_map,
@@ -207,7 +207,7 @@ def test_coverage_needs_room():
 def toy_measure():
     p1 = patch_of([["A", "A"], ["A", "A"]])
     p2 = patch_of([["B", "B"], ["B", "B"]])
-    return grid_measure(MarkerSet([p1, p2]))
+    return StationaryGridMeasure(MarkerSet([p1, p2]))
 
 
 def test_grid_measure_single_cell_marginal():
@@ -249,22 +249,22 @@ def test_grid_measure_normalization():
 def test_grid_measure_weight_validation():
     ms = MarkerSet([patch_of([["A"]]), patch_of([["B"]])])
     with pytest.raises(InputError):
-        grid_measure(ms, [Fraction(1, 3), Fraction(1, 3)])
+        StationaryGridMeasure(ms, [Fraction(1, 3), Fraction(1, 3)])
     with pytest.raises(InputError):
-        grid_measure(ms, [Fraction(3, 2), Fraction(-1, 2)])
+        StationaryGridMeasure(ms, [Fraction(3, 2), Fraction(-1, 2)])
     with pytest.raises(InputError):
-        grid_measure(ms, [Fraction(1)])
+        StationaryGridMeasure(ms, [Fraction(1)])
 
 
 def test_grid_measure_entropy_uniform():
     mu = toy_measure()
     assert mu.entropy_per_site() == pytest.approx(1 / 4)
-    rob = grid_measure(robinson_marker_set(1))
+    rob = StationaryGridMeasure(robinson_marker_set(1))
     assert rob.entropy_per_site() == pytest.approx(2.0)
 
 
 def test_robinson_grid_measure_cells():
-    rob = grid_measure(robinson_marker_set(1))
+    rob = StationaryGridMeasure(robinson_marker_set(1))
     one = build_macro_tile(1, "ne")
     assert rob.probability(one) == Fraction(1, 4)
     two = Patch.from_ids([[one.id_at(0, 0), build_macro_tile(1, "sw").id_at(0, 0)]])

@@ -5,7 +5,7 @@ Submodules:
   robinson     hierarchical aperiodic tileset and its macro-tiles
   render       deterministic SVG pictures of patches
   markers      marker process: covering search, exact grid measures
-  layers       layered construction: blocking frequencies, depth assignments
+  layers       layered construction: schedules, frozen fractions, interval scans
   machines     Turing machines, canonical codes, embedded word generators
   measures     exact measures on binary words and their weak-star calculus
   logdomain    exact interval arithmetic for base-2 logarithms

@@ -359,13 +359,6 @@ def coverage_sweep(tileset: Tileset, potential: Potential, markers: MarkerSet,
     return rows
 
 
-def coverage_csv(rows: List[dict]) -> str:
-    lines = ["beta,mean_coverage,stderr"]
-    for row in rows:
-        lines.append(f"{row['beta']!r},{row['mean_coverage']!r},{row['stderr']!r}")
-    return "\n".join(lines) + "\n"
-
-
 def trace_csv(result: MetropolisResult) -> str:
     lines = ["step,energy,coverage"]
     for step, energy, cov in result.trace:

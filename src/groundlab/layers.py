@@ -1,12 +1,11 @@
-"""Layered blocking bookkeeping: schedules, phase decomposition, frozen mass.
+"""Layered blocking bookkeeping: schedules, frozen mass, interval scans.
 
 Blocking happens only at scales of the form 3^k.  At each such scale a
 hierarchical marker either hosts a blocked computation (phase B, one chance in
 t_k) or passes through (phase H).  Inside a B marker a quarter of the area is
 frozen for good and three quarters keep recursing.  Iterating this gives the
 frozen-fraction recursion 1 - f_{k+1} = (1 - 1/(4 t_k)) (1 - f_k), whose exact
-and float evaluations both live here, together with the map sending a chain of
-frozen direction bits to a word.
+and float evaluations both live here.
 """
 
 from __future__ import annotations
@@ -18,24 +17,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .machines import routing_index
-from .measures import ALPHABET, WordMeasure, word_index
 from .tiles import InputError
-
-FROZEN_SHARE = Fraction(1, 4)     # of a B marker, frozen immediately
-RECURSE_SHARE = Fraction(3, 4)    # of a B marker, kept for deeper scales
-
-
-def blockable(n: int) -> tuple:
-    """(True, k) when n == 3^k, else (False, None)."""
-    if n < 1:
-        raise InputError("scale must be positive")
-    k = 0
-    m = n
-    while m % 3 == 0:
-        m //= 3
-        k += 1
-    return (True, k) if m == 1 else (False, None)
 
 
 class OdometerSchedule:
@@ -67,49 +49,6 @@ def constant_schedule(c: int) -> OdometerSchedule:
     if c < 2:
         raise InputError("constant schedule needs c >= 2")
     return OdometerSchedule(lambda k: c, name=f"const{c}")
-
-
-@dataclass(frozen=True)
-class PhasedMarker:
-    """A hierarchical marker with its blocking phase at one scale."""
-    k: int
-    phase: str                      # 'H' passthrough, 'B' blocked, 'F' frozen
-    frozen_bits: tuple = ()         # ((scale, 'u'|'d'), ...) sorted by scale
-    seed: Optional[tuple] = None    # (x, y) seed words, only for phase 'B'
-
-    def __post_init__(self):
-        if self.phase not in ("H", "B", "F"):
-            raise InputError(f"unknown phase {self.phase!r}")
-        seen = set()
-        for scale, bit in self.frozen_bits:
-            if bit not in ALPHABET:
-                raise InputError(f"frozen bit {bit!r} not in {ALPHABET}")
-            if scale in seen:
-                raise InputError(f"two frozen bits at scale {scale}")
-            seen.add(scale)
-        if self.phase == "B":
-            if self.seed is None:
-                raise InputError("blocked marker needs a seed")
-            x, y = self.seed
-            if len(x) != self.k or any(c not in "01" for c in x):
-                raise InputError("seed x must be a k-bit word")
-            if routing_index(y) is None:
-                raise InputError("seed y must be of the form 1^i #^j")
-            if len(y) > self.k:
-                raise InputError("seed y longer than k")
-        elif self.seed is not None:
-            raise InputError("only blocked markers carry seeds")
-
-
-def decompose(marker: PhasedMarker, schedule: OdometerSchedule) -> dict:
-    """Children of an H marker one scale up: B with rate 1/t_k, H with the rest."""
-    if marker.phase != "H":
-        raise InputError("only passthrough markers decompose")
-    k = marker.k
-    if k < 0:
-        raise InputError("negative scale")
-    t = schedule.t(k)
-    return {"B": Fraction(1, t), "H": Fraction(t - 1, t)}
 
 
 def freq_rows(kmax: int, schedule: OdometerSchedule,
@@ -231,49 +170,3 @@ def freq_bounds_scan(kmax: int, schedule: Optional[OdometerSchedule] = None,
     return FreqScan(kmax, monotone, bounded,
                     Fraction(one - hi, one), Fraction(one - lo, one), taken)
 
-
-def gamma_word(chain) -> str:
-    """Word spelled by the frozen bits of a marker chain; scale j -> letter j.
-
-    The chain's frozen bits must agree wherever scales repeat and must cover
-    the scales 1..l for some l with no gaps.
-    """
-    bits = {}
-    for marker in chain:
-        for scale, bit in marker.frozen_bits:
-            if scale in bits and bits[scale] != bit:
-                raise InputError(f"conflicting frozen bits at scale {scale}")
-            bits[scale] = bit
-    if not bits:
-        return ""
-    scales = sorted(bits)
-    if scales != list(range(1, len(scales) + 1)):
-        raise InputError(f"frozen scales {scales} do not form 1..l")
-    return "".join(bits[s] for s in scales)
-
-
-def gamma_pushforward(dist: dict, depth: int) -> WordMeasure:
-    """Push a distribution on depth-l frozen-bit assignments to words.
-
-    An assignment is the tuple (b_1, ..., b_l) of per-scale bits; its image is
-    the word b_1 ... b_l, so the map is an affine bijection on measures.
-    """
-    ws = [Fraction(0)] * (2 ** depth)
-    total = Fraction(0)
-    for bits, p in dist.items():
-        if len(bits) != depth:
-            raise InputError("assignment depth mismatch")
-        word = "".join(bits)
-        ws[word_index(word)] += Fraction(p)
-        total += Fraction(p)
-    if total != 1:
-        raise InputError("assignment weights must sum to 1")
-    return WordMeasure(depth, ws)
-
-
-def gamma_pullback(measure: WordMeasure) -> dict:
-    """Inverse of gamma_pushforward: word weights back to bit assignments."""
-    out = {}
-    for word, w in measure.as_dict().items():
-        out[tuple(word)] = w
-    return out

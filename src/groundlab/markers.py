@@ -248,18 +248,6 @@ def occurrence_map(config: Patch, markers: MarkerSet) -> np.ndarray:
     return markers.index(code).covered(config.grid)
 
 
-def marker_coverage(config: Patch, markers: MarkerSet) -> Fraction:
-    """Fraction of interior cells (margin >= ell from the boundary) covered."""
-    ell = markers.ell
-    x0, x1 = ell, config.width - ell
-    y0, y1 = ell, config.height - ell
-    if x0 >= x1 or y0 >= y1:
-        raise InputError("configuration too small for interior coverage")
-    covered = occurrence_map(config, markers)
-    interior = covered[y0:y1, x0:x1]
-    return Fraction(int(interior.sum()), interior.size)
-
-
 class StationaryGridMeasure:
     """Shift-invariant law of an abutting iid marker grid with uniform offset."""
 

@@ -47,8 +47,12 @@ def _check_depth(depth: int) -> int:
     return depth
 
 
-def all_words(depth: int):
-    return (index_word(i, depth) for i in range(2 ** depth))
+def _fold(ws: Sequence, times: int) -> Sequence:
+    """Sum adjacent pairs `times` times.  Words 2i and 2i + 1 differ only in
+    their last letter, so each fold is the marginal one letter shorter."""
+    for _ in range(times):
+        ws = [a + b for a, b in zip(ws[::2], ws[1::2])]
+    return ws
 
 
 class WordMeasure:
@@ -93,15 +97,12 @@ class WordMeasure:
         return self.weights[word_index(word)]
 
     def marginal(self, depth: int) -> "WordMeasure":
-        """Project onto the first `depth` letters by exact block sums."""
+        """Project onto the first `depth` letters by exact pairwise folds."""
         if depth == self.depth:
             return self
         if not (1 <= depth < self.depth):
             raise InputError("marginal depth out of range")
-        block = 2 ** (self.depth - depth)
-        ws = [sum(self.weights[i * block:(i + 1) * block], Fraction(0))
-              for i in range(2 ** depth)]
-        return WordMeasure(depth, ws)
+        return WordMeasure(depth, _fold(self.weights, self.depth - depth))
 
     def as_dict(self) -> dict:
         return {index_word(i, self.depth): w
@@ -141,18 +142,22 @@ def mix(parts: Iterable[tuple]) -> WordMeasure:
 
 def weak_star_distance(mu: WordMeasure, nu: WordMeasure,
                        max_depth: Optional[int] = None) -> Fraction:
-    """Sum over depths l of 2^-l times the sup difference of depth-l marginals."""
+    """Sum over depths l of 2^-l times the sup difference of depth-l marginals.
+
+    The difference vector is formed once at the common depth and folded one
+    level at a time, so no marginal measure is built.
+    """
     L = min(mu.depth, nu.depth)
     if max_depth is not None:
         L = min(L, max_depth)
     if L < 1:
         raise InputError("no common depth")
+    diff = [a - b for a, b in zip(_fold(mu.weights, mu.depth - L),
+                                  _fold(nu.weights, nu.depth - L))]
     total = Fraction(0)
-    for l in range(1, L + 1):
-        a = mu.marginal(l)
-        b = nu.marginal(l)
-        sup = max(abs(x - y) for x, y in zip(a.weights, b.weights))
-        total += Fraction(1, 2 ** l) * sup
+    for l in range(L, 0, -1):
+        total += max(map(abs, diff)) / 2 ** l
+        diff = _fold(diff, 1)
     return total
 
 

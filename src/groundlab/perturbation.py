@@ -22,15 +22,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .gibbs import Potential
 from .layers import OdometerSchedule, default_schedule
-from .machines import (Machine, machine_to_json, routing_index,
-                       selector_weights, word_measure)
+from .machines import Machine, routing_index, selector_weights, word_measure
 from .measures import (ConditionalGridMeasure, WordMeasure, conditional_rows,
                        greedy_net, mix, weak_star_distance)
 from .tiles import InputError
-
-# scanning the routing word and switching to the chosen program must not
-# depend on the seed, only on the (finite) enumeration entry
-DISPATCH_OVERHEAD_CAP = 4096
 
 # word_measure enumerates all 2^k seeds; flows clamp the evaluation scale
 SCALE_CAP = 12
@@ -64,23 +59,6 @@ class SelectorRule:
         return (len(y) == len(x) and routing_index(y) == self.index
                 and all(c in "01" for c in x))
 
-    def domain_size(self, k: int) -> int:
-        return 2 ** k if k >= self.index else 0
-
-    def seed_domain(self, k: int, budget: int = 1 << 16) -> list:
-        if 2 ** k > budget:
-            raise InputError(f"2^{k} seeds exceed the materialization budget")
-        if k < self.index:
-            return []
-        y = "1" * self.index + "#" * (k - self.index)
-        return [(format(v, f"0{k}b"), y) for v in range(2 ** k)]
-
-
-def unrestricted_domain_size(k: int) -> int:
-    """Seed pairs (x, y) with x binary of length k and y any word of length <= k."""
-    if k < 1:
-        raise InputError("scale k must be >= 1")
-    return 2 ** k * (2 ** (k + 1) - 1)
 
 
 def make_selector(i: int, enumeration: Sequence[Machine]) -> SelectorRule:
@@ -93,14 +71,6 @@ def make_selector(i: int, enumeration: Sequence[Machine]) -> SelectorRule:
         cells += [(j, "0"), (j, "#")]   # routing cells 0..i-1 must hold 1
     cells += [(i, "0"), (i, "1")]       # cell i must hold #
     return SelectorRule(i, tuple(cells), i + 1)
-
-
-def dispatch_overhead(enumeration: Sequence[Machine]) -> tuple:
-    """Additive cost of swapping in each registered program; bounded."""
-    costs = tuple(1 + len(machine_to_json(m)) for m in enumeration)
-    if any(c > DISPATCH_OVERHEAD_CAP for c in costs):
-        raise InputError("enumeration entry exceeds the dispatch overhead cap")
-    return costs
 
 
 @dataclass(frozen=True)

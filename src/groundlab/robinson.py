@@ -184,11 +184,15 @@ _QUADRANT_Q = {"bl": "ne", "br": "nw", "tr": "sw", "tl": "se"}
 
 _grid_cache = {}
 
+# an order-n macro-tile has side 2^n - 1: order 10 already holds ~10^6 cells,
+# and each further order quadruples the allocation
+MACRO_ORDER_CAP = 10
+
 
 def build_state_grid(n: int, q: str = "ne") -> list:
     """State grid of the order-n macro-tile, rows bottom-up, side 2^n - 1."""
-    if n < 1:
-        raise InputError("macro-tile order must be >= 1")
+    if not 1 <= n <= MACRO_ORDER_CAP:
+        raise InputError(f"macro-tile order must be in 1..{MACRO_ORDER_CAP}")
     if q not in ORIENTATIONS:
         raise InputError(f"bad orientation {q!r}")
     got = _grid_cache.get((n, q))

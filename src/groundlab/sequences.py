@@ -16,9 +16,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
-from .measures import WordMeasure, _check_depth, greedy_net, weak_star_distance
+from .measures import WordMeasure, _check_depth, greedy_net
 from .tiles import InputError
 
 
@@ -164,10 +164,6 @@ class AccumulationSet:
     indices: List[int]
     hausdorff: Fraction
 
-    def covers(self, point: WordMeasure, slack: Fraction = Fraction(0)) -> bool:
-        return any(weak_star_distance(point, r) <= self.resolution + slack
-                   for r in self.representatives)
-
     def to_json(self) -> str:
         doc = {
             "start": self.start,
@@ -220,14 +216,3 @@ def named_sequence(name: str, depth: int = 1) -> ComputableSequence:
                          f"choices: {sorted(table)}")
     return table[name]()
 
-
-def sequence_from_json(text: str) -> ComputableSequence:
-    """{"builtin": name, "depth": l, "connectify": bool} descriptor."""
-    try:
-        doc = json.loads(text)
-        seq = named_sequence(doc["builtin"], int(doc.get("depth", 1)))
-        if doc.get("connectify", False):
-            seq = connectify(seq)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed sequence descriptor: {exc}") from exc
-    return seq

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from .layers import OdometerSchedule, default_schedule
 from .logdomain import LogInterval, log2_of_fraction, log2_of_int, log2_pow2_minus
@@ -60,11 +60,6 @@ class CardinalityBound:
     log2_QB: LogInterval
     log2_area: LogInterval
 
-    def log2_growth_rate(self) -> Tuple[Fraction, Fraction]:
-        """Bounds on log2(C) where hot count = C^(16^(3^k))."""
-        total = Fraction(1 << (4 * 3 ** self.k))
-        return (self.log2_QH.lo / total, self.log2_QH.hi / total)
-
 
 def pair_seed_shift(k: int) -> LogInterval:
     """Additive log2 term the pair-seed mode contributes to the blocking count:
@@ -96,16 +91,6 @@ def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
         qb = qb + pair_seed_shift(k)
     return CardinalityBound(k=k, seed_mode=seed_mode, log2_QH=qh,
                             log2_QB=qb, log2_area=window_area_log2(k))
-
-
-def normalized_entropy(bound: CardinalityBound) -> Tuple[Fraction, Fraction]:
-    """Exact bounds on the per-side entropy log2(QH) / l(k).
-
-    Reducing the Fractions costs a bigint gcd, so this is meant for small k;
-    entropy_criterion never calls it and stays fast at every scale.
-    """
-    side = (1 << scale_index(bound.k)) - 1
-    return (bound.log2_QH.lo / side, bound.log2_QH.hi / side)
 
 
 def kappa_for(k: int, schedule: Optional[OdometerSchedule] = None,
@@ -171,8 +156,6 @@ class TemperatureWindow:
     def nonempty(self) -> bool:
         return self.log2_beta_lo.definitely_less(self.log2_beta_hi)
 
-    def log2_width(self) -> LogInterval:
-        return self.log2_beta_hi - self.log2_beta_lo
 
 
 def temperature_window(k: int, C: _Q = 1, C_prime: _Q = 1,

@@ -21,7 +21,6 @@ across a vertical edge, py flips across a horizontal edge.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional
@@ -36,8 +35,6 @@ class InputError(ValueError):
 class BudgetExceeded(RuntimeError):
     """An exact search or count ran out of its node budget."""
 
-
-EDGE_NAMES = ("north", "east", "south", "west")
 
 _CCW = {"n": "w", "w": "s", "s": "e", "e": "n"}
 _OPP = {"n": "s", "s": "n", "e": "w", "w": "e"}
@@ -141,15 +138,8 @@ class Tile:
     template: str = ""
     rotation: int = 0
 
-    @property
-    def rotation_class(self) -> tuple:
-        return (self.template, self.rotation)
-
     def edges(self) -> tuple:
         return (self.north, self.east, self.south, self.west)
-
-    def label_key(self) -> tuple:
-        return tuple(lab.encode() for lab in self.edges())
 
     def rotated(self, quarter_turns: int = 1, new_id: Optional[str] = None) -> "Tile":
         t = self
@@ -200,32 +190,6 @@ class Tileset:
             return self.tiles[self.index[tile_id]]
         except KeyError:
             raise InputError(f"unknown tile id: {tile_id!r}") from None
-
-    def templates(self) -> tuple:
-        seen = []
-        for t in self.tiles:
-            if t.template not in seen:
-                seen.append(t.template)
-        return tuple(seen)
-
-    def rotation_classes(self) -> tuple:
-        seen = []
-        for t in self.tiles:
-            rc = t.rotation_class
-            if rc not in seen:
-                seen.append(rc)
-        return tuple(seen)
-
-    def dedup(self) -> "Tileset":
-        """Merge tiles whose four edge labels coincide exactly."""
-        seen = set()
-        kept = []
-        for t in self.tiles:
-            key = t.label_key()
-            if key not in seen:
-                seen.add(key)
-                kept.append(t)
-        return Tileset(kept, self.extra_forbidden)
 
     # ---- serialization ----
 
@@ -279,15 +243,6 @@ class Tileset:
             raise InputError("malformed tileset json: forbidden cells need "
                              "integer dx, dy and a tile id string")
         return cls(tiles, forbidden)
-
-    def adjacency_table(self) -> str:
-        """Adjacency artifact: one 'dir,a,b' line per allowed neighbour pair."""
-        lines = []
-        for d, mat in (("h", self.h_compat), ("v", self.v_compat)):
-            for i, j in np.argwhere(mat):
-                lines.append(f"{d},{self.tiles[i].id},{self.tiles[j].id}")
-        return "\n".join(lines) + "\n"
-
 
 HOLE = -1
 
@@ -635,8 +590,3 @@ def _count_exhaustive(tileset: Tileset, n: int, budget: int) -> CountResult:
         return CountResult(None, False, nodes, True)
     return CountResult(count, True, nodes, False)
 
-
-def log2_count_per_site(result: CountResult, n: int) -> float:
-    if result.count is None or result.count <= 0:
-        raise InputError("no exact positive count available")
-    return math.log2(result.count) / (n * n)

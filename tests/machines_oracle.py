@@ -5,8 +5,8 @@ through the `run` interpreter, in seed order.
 tests/test_machines.py checks its measures and its errors against this loop.
 
 Below it, the routing-word checks as each caller wrote them out before they
-shared `machines.routing_index`: selector dispatch, the selector rule's
-admission test and the blocked marker's seed check.
+shared `machines.routing_index`: selector dispatch and the selector rule's
+admission test.
 """
 
 from fractions import Fraction
@@ -60,13 +60,3 @@ def selector_admits(index, x, y):
     want = "1" * index + "#" * (k - index)
     return all(c in "01" for c in x) and y == want
 
-
-def blocked_seed_error(k, x, y):
-    """The message a blocked marker at scale k refuses seed (x, y) with."""
-    if len(x) != k or any(c not in "01" for c in x):
-        return "seed x must be a k-bit word"
-    if y.lstrip("1").strip("#") != "":
-        return "seed y must be of the form 1^i #^j"
-    if len(y) > k:
-        return "seed y longer than k"
-    return None

@@ -268,6 +268,11 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     (("render", "--scale", "2", "--cell", "-4", "--out", "{tmp}/m.svg"), "cell"),
     (("acc", "--sequence", "sweep", "--depth", "-1", "--out", "{tmp}/a.json"),
      "depth must be in 1..16"),
+    (("render", "--scale", "11", "--out", "{tmp}/m.svg"),
+     "macro-tile order must be in 1..10"),
+    (("verify-markers", "--scale", "11", "--out", "{tmp}/v.json"),
+     "macro-tile order must be in 1..10"),
+    ((*_gibbs_toy(), "--markers", "11"), "macro-tile order must be in 1..10"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     for name, doc in BAD_TILESETS.items():
@@ -463,7 +468,7 @@ def test_gibbs_exit_contract(gibbs_inputs, data):
     assert replay.read_bytes() == csv.read_bytes()
 
 
-RENDER_FLAGS = {"--scale": ["-1", "0", "1", "2", "3", "4", "5", "x"],
+RENDER_FLAGS = {"--scale": ["-1", "0", "1", "2", "3", "4", "5", "11", "x"],
                 "--cell": ["-4", "0", "1", "24", "x"],
                 "--arrows": ["true", "false", "maybe"],
                 "--config": ["freq.csv.config", "render-no-equals.config",

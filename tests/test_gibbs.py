@@ -9,7 +9,7 @@ import pytest
 
 from groundlab.gibbs import (BoltzmannTable, Potential, TorusConfig,
                              acceptance_probability, adjacency_potential,
-                             boltzmann_base, boltzmann_exact, coverage_csv,
+                             boltzmann_base, boltzmann_exact,
                              coverage_sweep, metropolis, pattern_potential,
                              spearman_rank, torus_coverage, trace_csv)
 from groundlab.markers import MarkerSet, robinson_marker_set
@@ -285,9 +285,6 @@ def test_coverage_increases_with_beta_on_toy_model():
     rows = coverage_sweep(TS2, B_POT, mk, 6, betas, 4000, seeds=[1, 2, 3])
     assert spearman_rank(betas, [r["mean_coverage"] for r in rows]) > 0.9
     assert rows[-1]["mean_coverage"] > 0.95
-    text = coverage_csv(rows)
-    assert text.splitlines()[0] == "beta,mean_coverage,stderr"
-    assert len(text.strip().splitlines()) == 6
 
 
 def test_coverage_sweep_validation():

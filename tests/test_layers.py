@@ -9,35 +9,15 @@ from hypothesis import strategies as st
 import layers_oracle as oracle
 
 from groundlab.layers import (
-    FROZEN_SHARE,
-    RECURSE_SHARE,
     OdometerSchedule,
-    PhasedMarker,
-    blockable,
     constant_schedule,
-    decompose,
     default_schedule,
     freq_bounds_scan,
     freq_crossing,
     freq_frozen,
     freq_table_float,
-    gamma_pullback,
-    gamma_pushforward,
-    gamma_word,
 )
-from groundlab.measures import WordMeasure
 from groundlab.tiles import InputError
-
-
-def test_blockable():
-    assert blockable(1) == (True, 0)
-    assert blockable(3) == (True, 1)
-    assert blockable(9) == (True, 2)
-    assert blockable(27) == (True, 3)
-    for n in (2, 4, 6, 12, 18, 30):
-        assert blockable(n) == (False, None)
-    with pytest.raises(InputError):
-        blockable(0)
 
 
 def test_default_schedule_values():
@@ -57,54 +37,14 @@ def test_schedule_validation():
         frac.t(3)
 
 
-def test_decompose_profile():
-    sch = constant_schedule(2)
-    marker = PhasedMarker(k=0, phase="H")
-    prof = decompose(marker, sch)
-    assert prof == {"B": Fraction(1, 2), "H": Fraction(1, 2)}
-    assert sum(prof.values()) == 1
-    with pytest.raises(InputError):
-        decompose(PhasedMarker(k=0, phase="F"), sch)
-    rng = random.Random(3)
-    for _ in range(20):
-        t = rng.randint(2, 9)
-        prof = decompose(PhasedMarker(k=rng.randint(0, 5), phase="H"),
-                         constant_schedule(t))
-        assert sum(prof.values()) == 1
-        assert prof["B"] == Fraction(1, t)
-    assert FROZEN_SHARE + RECURSE_SHARE == 1
-
-
 def test_two_level_tree_expansion():
     # schedule t0=2, t1=3 unrolled by hand: blocked mass freezes a quarter
     sch = OdometerSchedule(lambda k: (2, 3)[k])
-    frozen_scale0 = Fraction(1, 2) * FROZEN_SHARE
+    frozen_scale0 = Fraction(1, 2) * Fraction(1, 4)
     unfrozen = 1 - frozen_scale0
-    frozen_scale1 = unfrozen * Fraction(1, 3) * FROZEN_SHARE
+    frozen_scale1 = unfrozen * Fraction(1, 3) * Fraction(1, 4)
     assert frozen_scale0 + frozen_scale1 == freq_frozen(2, sch)
     assert freq_frozen(2, sch) == Fraction(19, 96)
-
-
-def test_phased_marker_validation():
-    PhasedMarker(k=4, phase="B", seed=("0110", "111"))
-    PhasedMarker(k=4, phase="B", seed=("0110", "11##"))
-    PhasedMarker(k=2, phase="F", frozen_bits=((1, "u"), (2, "d")))
-    with pytest.raises(InputError):
-        PhasedMarker(k=1, phase="X")
-    with pytest.raises(InputError):
-        PhasedMarker(k=1, phase="F", frozen_bits=((1, "x"),))
-    with pytest.raises(InputError):
-        PhasedMarker(k=1, phase="F", frozen_bits=((1, "u"), (1, "d")))
-    with pytest.raises(InputError):
-        PhasedMarker(k=2, phase="B")
-    with pytest.raises(InputError):
-        PhasedMarker(k=4, phase="B", seed=("01", "1"))
-    with pytest.raises(InputError):
-        PhasedMarker(k=4, phase="B", seed=("0110", "1#1"))
-    with pytest.raises(InputError):
-        PhasedMarker(k=2, phase="B", seed=("01", "111"))
-    with pytest.raises(InputError):
-        PhasedMarker(k=2, phase="H", seed=("01", "1"))
 
 
 def test_freq_first_step_and_product_identity():
@@ -191,94 +131,3 @@ def test_freq_crossing_golden():
     assert freq_crossing(Fraction(99, 100), sch) == 95
     assert freq_crossing(Fraction(0), sch) == 0
     assert freq_crossing(Fraction(1), sch, kmax=50) is None
-
-
-def test_gamma_word_readout():
-    ch = [PhasedMarker(k=5, phase="F",
-                       frozen_bits=tuple((j, "u") for j in range(1, 6)))]
-    assert gamma_word(ch) == "uuuuu"
-    alt = [PhasedMarker(k=4, phase="F",
-                        frozen_bits=tuple((j, "ud"[j % 2]) for j in range(1, 5)))]
-    assert gamma_word(alt) == "dudu"
-    assert gamma_word([]) == ""
-    split = [
-        PhasedMarker(k=1, phase="F", frozen_bits=((1, "d"), (3, "u"))),
-        PhasedMarker(k=2, phase="F", frozen_bits=((2, "u"), (3, "u"))),
-    ]
-    assert gamma_word(split) == "duu"
-
-
-def test_gamma_word_conflict_and_gap():
-    a = PhasedMarker(k=1, phase="F", frozen_bits=((1, "u"),))
-    b = PhasedMarker(k=1, phase="F", frozen_bits=((1, "d"),))
-    with pytest.raises(InputError):
-        gamma_word([a, b])
-    gap = PhasedMarker(k=1, phase="F", frozen_bits=((1, "u"), (3, "u")))
-    with pytest.raises(InputError):
-        gamma_word([gap])
-
-
-def test_gamma_word_random_consistent_readout():
-    rng = random.Random(5)
-    for _ in range(20):
-        l = rng.randint(1, 8)
-        bits = {j: rng.choice("ud") for j in range(1, l + 1)}
-        markers = []
-        for j, bit in bits.items():
-            markers.append(PhasedMarker(k=j, phase="F", frozen_bits=((j, bit),)))
-        rng.shuffle(markers)
-        assert gamma_word(markers) == "".join(bits[j] for j in range(1, l + 1))
-
-
-def test_gamma_pushforward_bijection():
-    point = {("u", "u", "u"): Fraction(1)}
-    assert gamma_pushforward(point, 3) == WordMeasure.point_mass("uuu")
-    uni = {}
-    for i in range(8):
-        bits = tuple("d" if (i >> (2 - j)) & 1 else "u" for j in range(3))
-        uni[bits] = Fraction(1, 8)
-    assert gamma_pushforward(uni, 3) == WordMeasure.uniform(3)
-
-    rng = random.Random(17)
-    for _ in range(10):
-        l = rng.randint(1, 4)
-        keys = [tuple(rng.choice("ud") for _ in range(l)) for _ in range(2 ** l)]
-        raw = {k: rng.randint(0, 5) for k in set(keys)}
-        tot = sum(raw.values()) or 1
-        d1 = {k: Fraction(v, tot) for k, v in raw.items()}
-        if sum(d1.values()) != 1:
-            d1[next(iter(d1))] += 1 - sum(d1.values())
-        mu = gamma_pushforward(d1, l)
-        back = gamma_pullback(mu)
-        assert gamma_pushforward(back, l) == mu
-
-    with pytest.raises(InputError):
-        gamma_pushforward({("u",): Fraction(1, 2)}, 1)
-    with pytest.raises(InputError):
-        gamma_pushforward({("u", "u"): Fraction(1)}, 3)
-
-
-def test_gamma_pushforward_affine():
-    rng = random.Random(23)
-    for _ in range(10):
-        l = 3
-        def rand_dist():
-            vals = [rng.randint(0, 6) for _ in range(2 ** l)]
-            if sum(vals) == 0:
-                vals[0] = 1
-            tot = sum(vals)
-            out = {}
-            for i, v in enumerate(vals):
-                bits = tuple("d" if (i >> (l - 1 - j)) & 1 else "u" for j in range(l))
-                out[bits] = Fraction(v, tot)
-            return out
-        d1, d2 = rand_dist(), rand_dist()
-        p = Fraction(rng.randint(0, 8), 8)
-        mixed = {}
-        for k in set(d1) | set(d2):
-            mixed[k] = p * d1.get(k, 0) + (1 - p) * d2.get(k, 0)
-        lhs = gamma_pushforward(mixed, l)
-        a = gamma_pushforward(d1, l)
-        b = gamma_pushforward(d2, l)
-        rhs = [p * x + (1 - p) * y for x, y in zip(a.weights, b.weights)]
-        assert list(lhs.weights) == rhs

@@ -36,7 +36,6 @@ from groundlab.machines import (
     universal_cost_constant,
     word_measure,
 )
-from groundlab.layers import PhasedMarker
 from groundlab.measures import WordMeasure
 from groundlab.perturbation import make_selector
 from groundlab.tiles import InputError
@@ -362,14 +361,6 @@ def _admits(k, x, y):
     return [rule.admits(x, y) for rule in _RULES]
 
 
-def _blocked_seed_error(k, x, y):
-    try:
-        PhasedMarker(k=k, phase="B", seed=(x, y))
-    except InputError as exc:
-        return str(exc)
-    return None
-
-
 # each caller of routing_index against its former inline check
 ROUTING_CALLERS = {
     "selector_dispatch": (
@@ -377,7 +368,6 @@ ROUTING_CALLERS = {
     "SelectorRule.admits": (
         _admits, lambda k, x, y: [oracle.selector_admits(rule.index, x, y)
                                   for rule in _RULES]),
-    "PhasedMarker": (_blocked_seed_error, oracle.blocked_seed_error),
 }
 
 

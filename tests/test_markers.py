@@ -7,7 +7,6 @@ from groundlab.markers import (
     CoveringResult,
     MarkerSet,
     StationaryGridMeasure,
-    marker_coverage,
     nonoverlap_violations,
     occurrence_map,
     robinson_marker_set,
@@ -185,23 +184,15 @@ def test_covering_holds_for_bumpy_cross_markers():
 def test_coverage_full_on_abutting_grid():
     ms = MarkerSet([patch_of([["A", "A"], ["A", "A"]])])
     config = patch_of([["A"] * 6] * 6)
-    assert marker_coverage(config, ms) == 1
+    assert occurrence_map(config, ms).all()
 
 
 def test_coverage_with_gutters():
     ms = MarkerSet([patch_of([["A", "A"], ["A", "A"]])])
-    rows = []
-    for y in range(9):
-        rows.append([("A" if (x % 3 < 2 and y % 3 < 2) else "B") for x in range(9)])
-    config = patch_of(rows)
-    # interior = [2,7) x [2,7); covered cells are those inside an A-block
-    assert marker_coverage(config, ms) == Fraction(9, 25)
-
-
-def test_coverage_needs_room():
-    ms = MarkerSet([patch_of([["A", "A"], ["A", "A"]])])
-    with pytest.raises(InputError):
-        marker_coverage(patch_of([["A"] * 4] * 4), ms)
+    inside = [[x % 3 < 2 and y % 3 < 2 for x in range(9)] for y in range(9)]
+    config = patch_of([["A" if c else "B" for c in row] for row in inside])
+    # covered cells are exactly those inside an A-block
+    assert occurrence_map(config, ms).tolist() == inside
 
 
 def toy_measure():

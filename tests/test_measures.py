@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import measures_oracle as oracle
 from flow_oracle import closed_form_row
 from groundlab.layers import OdometerSchedule, constant_schedule, default_schedule
 from groundlab.measures import (
     DEPTH_CAP,
     WordMeasure,
-    all_words,
     conditional_grid_measure,
     conditional_rows,
     constant_flow,
@@ -47,7 +47,6 @@ def test_word_indexing_roundtrip():
         word_index("ux")
     with pytest.raises(InputError):
         index_word(8, 3)
-    assert list(all_words(2)) == ["uu", "ud", "du", "dd"]
 
 
 def test_measure_validation():
@@ -131,6 +130,51 @@ def test_weak_star_metric_properties():
         assert weak_star_distance(a, c) <= dab + weak_star_distance(b, c)
         if a != b:
             assert dab > 0
+
+
+@st.composite
+def word_measures(draw, depth):
+    """Measure of the given depth: dense, sparse or a point mass."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    shape = draw(st.sampled_from(["dense", "sparse", "point"]))
+    n = 2 ** depth
+    if shape == "point":
+        counts = [0] * n
+        counts[rng.randrange(n)] = 1
+    else:
+        hi = 1000 if shape == "dense" else 3
+        counts = [rng.randint(0, hi) if shape == "dense" or rng.random() < 0.1
+                  else 0 for _ in range(n)]
+        counts[rng.randrange(n)] += 1
+    total = sum(counts)
+    return WordMeasure(depth, [Fraction(c, total) for c in counts])
+
+
+@st.composite
+def measure_pairs(draw):
+    """Two measures of depth 1-10, of equal depth or not."""
+    d1 = draw(st.integers(1, 10))
+    d2 = draw(st.one_of(st.just(d1), st.integers(1, 10)))
+    return draw(word_measures(d1)), draw(word_measures(d2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(measure_pairs())
+def test_folded_marginal_and_distance_match_block_sums(pair):
+    mu, nu = pair
+    for m in pair:
+        for l in range(1, m.depth + 1):
+            assert m.marginal(l) == oracle.marginal(m, l)
+        for bad in (0, m.depth + 1):
+            with pytest.raises(InputError) as got:
+                m.marginal(bad)
+            with pytest.raises(InputError) as want:
+                oracle.marginal(m, bad)
+            assert str(got.value) == str(want.value)
+    L = min(mu.depth, nu.depth)
+    for max_depth in [None, *range(1, L + 1)]:
+        assert (weak_star_distance(mu, nu, max_depth)
+                == oracle.weak_star_distance(mu, nu, max_depth))
 
 
 def test_conditional_constant_two_schedule():

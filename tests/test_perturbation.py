@@ -12,12 +12,10 @@ from groundlab.machines import (NonConformingError, constant_writer, copier,
                                 fair_coin, incrementer, machine_enumeration,
                                 parity_machine, selector_weights, word_measure)
 from groundlab.measures import WordMeasure, mix, weak_star_distance
-from groundlab.perturbation import (DISPATCH_OVERHEAD_CAP, PerturbedPotential,
-                                    SelectorRule, accumulation_report,
-                                    dispatch_overhead, make_selector,
+from groundlab.perturbation import (PerturbedPotential, SelectorRule,
+                                    accumulation_report, make_selector,
                                     mixture_flow, perturbed_flow,
-                                    report_accumulation, selector_flow,
-                                    unrestricted_domain_size)
+                                    report_accumulation, selector_flow)
 from groundlab.tiles import InputError
 
 ENUM, _VERSION = machine_enumeration()
@@ -26,22 +24,14 @@ UNIFORM = WordMeasure(1, [Fraction(1, 2), Fraction(1, 2)])
 
 
 def test_selector_domain_sizes():
+    # at scale k >= index the rule admits every binary x with y pinned
     rule = make_selector(1, ENUM)
-    assert rule.domain_size(3) == 8
-    assert len(rule.seed_domain(3)) == 8
-    assert all(y == "1##" for _, y in rule.seed_domain(3))
+    assert all(rule.admits(format(v, "03b"), "1##") for v in range(8))
+    # below its threshold it admits no seed at all
     rule3 = make_selector(3, ENUM)
-    assert rule3.domain_size(2) == 0
-    assert rule3.seed_domain(2) == []
+    assert not any(rule3.admits(format(v, "02b"), y)
+                   for v in range(4) for y in ("11", "1#", "##"))
     assert rule3.threshold == 3
-
-
-def test_unrestricted_domain_size():
-    # 2^k binary words x, 2^(k+1) - 1 routing words of length <= k
-    assert unrestricted_domain_size(3) == 8 * 15
-    assert unrestricted_domain_size(1) == 2 * 3
-    with pytest.raises(InputError):
-        unrestricted_domain_size(0)
 
 
 def test_selector_weights_match_domain_counting():
@@ -67,19 +57,11 @@ def test_selector_validation():
         make_selector(len(ENUM) + 1, ENUM)
     with pytest.raises(InputError):
         SelectorRule(1, ((5, "#"),), 2)   # diameter too small for offsets
-    with pytest.raises(InputError):
-        make_selector(1, ENUM).seed_domain(40)
 
 
 def test_selector_rule_diameter_grows_linearly():
     for i in range(1, len(ENUM) + 1):
         assert make_selector(i, ENUM).diameter == i + 1
-
-
-def test_dispatch_overhead_is_bounded():
-    costs = dispatch_overhead(ENUM)
-    assert len(costs) == len(ENUM)
-    assert all(0 < c <= DISPATCH_OVERHEAD_CAP for c in costs)
 
 
 def test_perturbed_potential_epsilon_independence():
@@ -181,17 +163,24 @@ def test_depth_above_scale_cap_refused():
         mixture_flow(constant_writer("u"), ENUM, 0)
 
 
-@pytest.mark.parametrize("demo, expected", [
+@pytest.mark.parametrize("demo, expected, svgs", [
     pytest.param("perturb_switch", ["3 strengths, 1 distinct report body",
-                                    "verdict over last 4 scales: stable"],
+                                    "verdict over last 4 scales: stable"], [],
                  id="perturb_switch"),
-    pytest.param("gibbs_annealing", ["rank correlation beta vs coverage: 1.0"],
+    pytest.param("gibbs_annealing", ["rank correlation beta vs coverage: 1.0"], [],
                  id="gibbs_annealing"),
     pytest.param("hierarchy_render", [f"side {2 ** n - 1:3d}, violations 0"
                                       for n in range(1, 6)],
+                 [f"m{n}.svg" for n in range(1, 6)],
                  id="hierarchy_render"),
+    pytest.param("frozen_frequency",
+                 ["first scale with frozen fraction >= 0.99: k = 95",
+                  "monotone=True, bounded=True"], [],
+                 id="frozen_frequency"),
+    pytest.param("thermo_windows", ["entropy criterion: all pass"], [],
+                 id="thermo_windows"),
 ])
-def test_demo_runs(demo, expected, tmp_path, capsys):
+def test_demo_runs(demo, expected, svgs, tmp_path, capsys):
     # run a copy, so demos that write next to themselves write into tmp_path
     source = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
     copy = tmp_path / source.name
@@ -200,6 +189,10 @@ def test_demo_runs(demo, expected, tmp_path, capsys):
     out = capsys.readouterr().out
     for line in expected:
         assert line in out
+    # the committed pictures are the demo's output, byte for byte
+    for name in svgs:
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (source.parent / "out" / name).read_bytes())
 
 
 def test_mixture_flow_is_explicit_convex_combination():

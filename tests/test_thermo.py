@@ -7,7 +7,7 @@ from groundlab.layers import constant_schedule
 from groundlab.logdomain import LogInterval, log2_of_fraction, log2_of_int
 from groundlab.thermo import (CardinalityBound, cardinality_bounds,
                               entropy_criterion, first_overlap_scale,
-                              kappa_for, normalized_entropy, overlap_check,
+                              kappa_for, overlap_check,
                               pair_seed_shift, scale_index,
                               temperature_window, thermo_csv, thermo_table,
                               window_area_log2, window_side_log2)
@@ -32,7 +32,6 @@ def test_cardinality_exponent_k1():
     b = cardinality_bounds(1)
     assert b.log2_QH.hi == 4096
     assert b.log2_QH.lo == 1024
-    assert b.log2_growth_rate() == (Fraction(1, 4), Fraction(1))
 
 
 def test_blocking_is_three_quarters():
@@ -69,15 +68,6 @@ def test_cardinality_validation():
         cardinality_bounds(-1)
     with pytest.raises(InputError):
         cardinality_bounds(15)
-
-
-def test_normalized_entropy_small_scale():
-    b = cardinality_bounds(0)
-    lo, hi = normalized_entropy(b)
-    assert lo == Fraction(16, 7) and hi == Fraction(16, 7)
-    b1 = cardinality_bounds(1)
-    lo1, hi1 = normalized_entropy(b1)
-    assert (lo1, hi1) == (Fraction(1024, 127), Fraction(4096, 127))
 
 
 def test_entropy_criterion_kappa_one_trivially_passes():

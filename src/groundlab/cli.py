@@ -231,13 +231,11 @@ def _run_verify_markers(cfg):
     else:
         markers = robinson_marker_set(cfg["scale"])
     bad = verify_nonoverlap(markers)
-    doc = {
-        "scale": cfg["scale"],
-        "patterns": len(markers.patterns),
-        "side": markers.ell,
-        "window": markers.m,
-        "nonoverlap": "ok" if bad is None else "violation",
-    }
+    doc = {"scale": cfg["scale"], "patterns": len(markers.patterns)}
+    if markers.width == markers.height:  # side and window need square markers
+        doc["side"] = markers.ell
+        doc["window"] = markers.m
+    doc["nonoverlap"] = "ok" if bad is None else "violation"
     if bad is not None:
         doc["violation"] = [int(bad[0]), int(bad[1]),
                             [int(bad[2][0]), int(bad[2][1])]]

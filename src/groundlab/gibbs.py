@@ -268,8 +268,7 @@ class MetropolisResult:
 
 def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
                steps: int, rng_seed: int, markers: Optional[MarkerSet] = None,
-               cadence: int = 0, sample_cadence: int = 0,
-               initial: Optional[np.ndarray] = None) -> MetropolisResult:
+               cadence: int = 0, sample_cadence: int = 0) -> MetropolisResult:
     """Single-site Metropolis chain with uniform site/tile proposals.
 
     Fully deterministic given rng_seed (counter-based Philox stream); the
@@ -286,10 +285,7 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
         raise InputError("cadence and sample_cadence must be >= 0")
     rng = np.random.Generator(np.random.Philox(rng_seed))
     ntiles = len(tileset.tiles)
-    if initial is None:
-        cells = rng.integers(0, ntiles, size=(side, side))
-    else:
-        cells = np.array(initial, np.int64)
+    cells = rng.integers(0, ntiles, size=(side, side))
     config = TorusConfig(tileset, potential, cells)
     d = config._denominator
     y = boltzmann_base(beta, d)

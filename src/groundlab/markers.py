@@ -28,28 +28,35 @@ from .tiles import InputError, Patch, PatternIndex, Tileset
 
 
 class MarkerSet:
-    """Same-shape rectangular patterns with a margin factor tau."""
+    """Same-shape rectangular patterns with a margin factor tau.
+
+    `codes` stacks the patterns as one read-only (P, h, w) array over the
+    shared `legend` of tile ids, so shifted comparisons are array equality."""
 
     def __init__(self, patterns: Iterable[Patch], tau: Fraction = Fraction(0)):
         self.patterns = tuple(patterns)
         if not self.patterns:
             raise InputError("marker set needs at least one pattern")
-        w = self.patterns[0].width
-        h = self.patterns[0].height
+        shape = self.patterns[0].grid.shape
         for p in self.patterns:
-            if p.width != w or p.height != h:
+            if p.grid.shape != shape:
                 raise InputError("marker patterns must share one shape")
             if not p.filled():
                 raise InputError("marker patterns must be total (no holes)")
-        self.width = w
-        self.height = h
+        self.height, self.width = shape
         self.tau = Fraction(tau)
-        seen = set()
+        lut = {}
+        codes = []
         for p in self.patterns:
-            key = tuple(p.id_at(x, y) for y in range(h) for x in range(w))
-            if key in seen:
-                raise InputError("duplicate marker pattern")
-            seen.add(key)
+            remap = np.array([lut.setdefault(tid, len(lut)) for tid in p.legend],
+                             dtype=np.int32)
+            codes.append(remap[p.grid])
+        self.legend = tuple(lut)
+        self.codes = np.stack(codes)
+        self.codes.setflags(write=False)
+        # a set of byte strings, not np.unique(axis=0): that imports numpy.ma
+        if len({g.tobytes() for g in self.codes}) < len(codes):
+            raise InputError("duplicate marker pattern")
 
     @property
     def ell(self) -> int:
@@ -65,27 +72,12 @@ class MarkerSet:
     def __len__(self) -> int:
         return len(self.patterns)
 
-    # shared integer encoding so shifted comparisons are plain array equality
-    def _encoded(self):
-        legend = []
-        lut = {}
-        grids = []
-        for p in self.patterns:
-            g = np.empty((self.height, self.width), dtype=np.int32)
-            for x, y, tid in p.cells():
-                code = lut.get(tid)
-                if code is None:
-                    code = lut[tid] = len(legend)
-                    legend.append(tid)
-                g[y, x] = code
-            grids.append(g)
-        return grids, tuple(legend)
-
     def index(self, code) -> PatternIndex:
         """The patterns as a pattern-occurrence kernel over the codes that
         `code` (a tile id -> code mapping) assigns; unknown ids never match."""
-        return PatternIndex([[(y, x, code.get(tid)) for x, y, tid in p.cells()]
-                             for p in self.patterns])
+        lut = [code.get(tid) for tid in self.legend]
+        return PatternIndex([[(y, x, lut[c]) for y, row in enumerate(g.tolist())
+                              for x, c in enumerate(row)] for g in self.codes])
 
     def to_json(self) -> str:
         doc = {
@@ -112,34 +104,31 @@ def robinson_marker_set(n: int) -> MarkerSet:
                      tau=Fraction(6, ell))
 
 
-def nonoverlap_violations(markers: MarkerSet, stop_after: Optional[int] = None) -> list:
+def nonoverlap_violations(markers: MarkerSet) -> list:
     """All (i, j, (dx, dy)) where pattern j shifted by (dx, dy) agrees with
-    pattern i on a nonempty proper overlap (i == j with zero shift excluded)."""
-    grids, _ = markers._encoded()
-    w, h = markers.width, markers.height
-    out = []
-    for i, u in enumerate(grids):
-        for j, v in enumerate(grids):
-            for dy in range(-(h - 1), h):
-                for dx in range(-(w - 1), w):
-                    if i == j and dx == 0 and dy == 0:
-                        continue
-                    x0, x1 = max(0, dx), min(w, w + dx)
-                    y0, y1 = max(0, dy), min(h, h + dy)
-                    if x0 >= x1 or y0 >= y1:
-                        continue
-                    a = u[y0:y1, x0:x1]
-                    b = v[y0 - dy:y1 - dy, x0 - dx:x1 - dx]
-                    if (a == b).all():
-                        out.append((i, j, (dx, dy)))
-                        if stop_after is not None and len(out) >= stop_after:
-                            return out
-    return out
+    pattern i on a nonempty proper overlap (i == j with zero shift excluded),
+    sorted by (i, j, dy, dx).  Each shift compares all pattern pairs at once."""
+    codes = markers.codes
+    h, w = markers.height, markers.width
+    hits = []
+    for dy in range(-(h - 1), h):
+        y0, y1 = max(0, dy), min(h, h + dy)
+        for dx in range(-(w - 1), w):
+            x0, x1 = max(0, dx), min(w, w + dx)
+            a = codes[:, y0:y1, x0:x1]
+            b = codes[:, y0 - dy:y1 - dy, x0 - dx:x1 - dx]
+            agree = (a[:, None] == b[None]).all(axis=(2, 3))
+            if dx == 0 and dy == 0:
+                np.fill_diagonal(agree, False)
+            hits.extend((int(i), int(j), dy, dx) for i, j in zip(*np.nonzero(agree)))
+    hits.sort()
+    return [(i, j, (dx, dy)) for i, j, dy, dx in hits]
 
 
 def verify_nonoverlap(markers: MarkerSet):
-    """None when the non-overlap axiom holds, else the first violating triple."""
-    bad = nonoverlap_violations(markers, stop_after=1)
+    """None when the non-overlap axiom holds, else the first violating triple
+    in (i, j, dy, dx) order."""
+    bad = nonoverlap_violations(markers)
     return bad[0] if bad else None
 
 

@@ -24,7 +24,8 @@ from .gibbs import Potential
 from .layers import OdometerSchedule, default_schedule
 from .machines import Machine, routing_index, selector_weights, word_measure
 from .measures import (ConditionalGridMeasure, WordMeasure, conditional_rows,
-                       greedy_net, mix, weak_star_distance)
+                       mix, weak_star_distance)
+from .sequences import AccumulationSet, tail_net
 from .tiles import InputError
 
 # word_measure enumerates all 2^k seeds; flows clamp the evaluation scale
@@ -154,9 +155,6 @@ class PerturbationReport:
     base_target: WordMeasure
     target_target: WordMeasure
 
-    def flow_measures(self) -> List[WordMeasure]:
-        return [r.renormalized() for r in self.rows if r.blocked_mass() > 0]
-
     def to_json(self) -> str:
         def frac(q):
             return [q.numerator, q.denominator]
@@ -243,42 +241,24 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
 
 # ------------------------------------------------------ accumulation view ---
 
-@dataclass
-class AccumulationReport:
-    horizon: int
-    window: int
-    radius: Fraction
-    representatives: List[WordMeasure]
-    hausdorff: Fraction
-    verdict: str              # "stable" or "oscillating"
-
-
-def _accumulation(points: List[WordMeasure], horizon: int, window: int,
-                  radius: Fraction) -> AccumulationReport:
-    reps, _, worst = greedy_net(points, radius)
-    verdict = "stable" if len(reps) == 1 else "oscillating"
-    return AccumulationReport(horizon, window, Fraction(radius),
-                              [points[i] for i in reps], worst, verdict)
-
-
 def accumulation_report(flow: Callable[[int], WordMeasure], depth: int,
                         horizon: int, window: int,
-                        radius: Fraction = Fraction(1, 256)) -> AccumulationReport:
+                        radius: Fraction = Fraction(1, 256)) -> AccumulationSet:
     """Cluster the tail of a flow; one cluster means the limit stabilized."""
     if window < 0 or horizon < window:
         raise InputError("need 0 <= window <= horizon")
-    points = [flow(k).marginal(depth) for k in
-              range(horizon - window, horizon + 1)]
-    return _accumulation(points, horizon, window, radius)
+    return tail_net(lambda k: flow(k).marginal(depth),
+                    range(horizon - window, horizon + 1), radius)
 
 
 def report_accumulation(report: PerturbationReport, window: int,
-                        radius: Fraction = Fraction(1, 256)) -> AccumulationReport:
-    """Accumulation view of a perturbation report's renormalized tail."""
-    measures = report.flow_measures()
-    if not measures:
+                        radius: Fraction = Fraction(1, 256)) -> AccumulationSet:
+    """Accumulation view of a perturbation report's renormalized tail, indexed
+    by blocking scale."""
+    if window < 0:
+        raise InputError("need window >= 0")
+    rows = {r.k: r for r in report.rows if r.blocked_mass() > 0}
+    if not rows:
         raise InputError("report has no renormalizable rows")
-    if window >= len(measures):
-        window = len(measures) - 1
-    return _accumulation(measures[len(measures) - 1 - window:],
-                         report.horizon, window, radius)
+    scales = list(rows)[-1 - min(window, len(rows) - 1):]
+    return tail_net(lambda k: rows[k].renormalized(), scales, radius)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .tiles import (
     EdgeLabel,
     InputError,
@@ -182,87 +184,82 @@ def tile_from_state(state) -> Tile:
 # sub-macros sit in the four corners and always open toward the centre
 _QUADRANT_Q = {"bl": "ne", "br": "nw", "tr": "sw", "tl": "se"}
 
-_grid_cache = {}
-
 # an order-n macro-tile has side 2^n - 1: order 10 already holds ~10^6 cells,
 # and each further order quadruples the allocation
 MACRO_ORDER_CAP = 10
 
 
-def build_state_grid(n: int, q: str = "ne") -> list:
-    """State grid of the order-n macro-tile, rows bottom-up, side 2^n - 1."""
-    if not 1 <= n <= MACRO_ORDER_CAP:
-        raise InputError(f"macro-tile order must be in 1..{MACRO_ORDER_CAP}")
-    if q not in ORIENTATIONS:
-        raise InputError(f"bad orientation {q!r}")
-    got = _grid_cache.get((n, q))
-    if got is not None:
-        return got
-
-    size = 2 ** n - 1
-    if n == 1:
-        grid = [[CrossState(q, "b", True)]]
-        _grid_cache[(n, q)] = grid
-        return grid
-
-    half = 2 ** (n - 1)
-    c = half - 1
-    grid = [[None] * size for _ in range(size)]
-    for corner, (ox, oy) in (("bl", (0, 0)), ("br", (half, 0)),
-                             ("tl", (0, half)), ("tr", (half, half))):
-        sub = build_state_grid(n - 1, _QUADRANT_Q[corner])
-        for yy in range(half - 1):
-            row = grid[oy + yy]
-            srow = sub[yy]
-            for xx in range(half - 1):
-                row[ox + xx] = srow[xx]
-
-    for dx, dy, state in _centre_cells(n, q):
-        grid[c + dy][c + dx] = state
-    _grid_cache[(n, q)] = grid
-    return grid
-
-
 def _centre_cells(n: int, q: str):
-    """(dx, dy, state) of the order-n macro-tile's centre cross and its arms,
-    as offsets from the centre (n >= 2)."""
+    """(dx, dy, js, state) runs of the order-n macro-tile's centre cross and
+    its arms: `state` sits at j * (dx, dy) from the centre for each j in the
+    range js (n >= 2).  No run is empty."""
     colour = colour_of_scale(n)
-    yield 0, 0, CrossState(q, colour, False)
+    yield 0, 0, range(1), CrossState(q, colour, False)
     cross_at = 2 ** (n - 2)
     for d, (dx, dy) in _STEP.items():
         principal = None
         if d in q:
             other = q[0] if q[1] == d else q[1]
-            left = rotate_direction(d) == other
-            principal = (colour, left)
-        for j in range(1, 2 ** (n - 1)):
-            yield j * dx, j * dy, ArmState(
-                away=d,
-                par=(j + 1) % 2,
-                principal=principal,
-                crossing=colour_of_scale(n - 1) if j == cross_at else None,
-            )
-
-
-def build_macro_tile(n: int, q: str = "ne") -> Patch:
-    grid = build_state_grid(n, q)
-    return Patch.from_ids([[state_tile_id(st) for st in row] for row in grid])
-
-
-@lru_cache(maxsize=None)
-def _macro_states(n: int, q: str) -> frozenset:
-    """The states of the order-n macro-tile: those of its four order-(n-1)
-    quadrants plus its centre cross and arms, without building its grid."""
-    if n == 1:
-        return frozenset([CrossState(q, "b", True)])
-    return frozenset().union(
-        *(_macro_states(n - 1, sub) for sub in _QUADRANT_Q.values()),
-        (state for _, _, state in _centre_cells(n, q)))
+            principal = (colour, rotate_direction(d) == other)
+        # the arm cell at distance j has parity (j + 1) % 2
+        yield dx, dy, range(cross_at, cross_at + 1), ArmState(
+            d, (cross_at + 1) % 2, principal, colour_of_scale(n - 1))
+        for lo, hi in ((1, cross_at), (cross_at + 1, 2 ** (n - 1))):
+            for par in (0, 1):
+                js = range(lo + (lo + par + 1) % 2, hi, 2)
+                if js:
+                    yield dx, dy, js, ArmState(d, par, principal)
 
 
 def collect_states(max_order: int = 7) -> set:
-    return set().union(*(_macro_states(n, q) for n in range(1, max_order + 1)
-                         for q in ORIENTATIONS))
+    """The states of the macro-tiles up to max_order, without building their
+    grids: each order-n tile holds its centre cross and arms plus the states
+    of order-(n-1) tiles of all four orientations."""
+    states = {CrossState(q, "b", True) for q in ORIENTATIONS}
+    for n in range(2, max_order + 1):
+        for q in ORIENTATIONS:
+            states.update(state for *_, state in _centre_cells(n, q))
+    return states
+
+
+# every state a macro-tile of legal order holds; a state grid stores its
+# index here, and a macro-tile's legend is the matching tile ids
+STATES = tuple(sorted(collect_states(MACRO_ORDER_CAP), key=state_tile_id))
+LEGEND = tuple(state_tile_id(st) for st in STATES)
+_CODE = {st: k for k, st in enumerate(STATES)}
+
+
+def build_state_grid(n: int, q: str = "ne") -> np.ndarray:
+    """Read-only `STATES` codes of the order-n macro-tile, rows bottom-up,
+    side 2^n - 1."""
+    if not 1 <= n <= MACRO_ORDER_CAP:
+        raise InputError(f"macro-tile order must be in 1..{MACRO_ORDER_CAP}")
+    if q not in ORIENTATIONS:
+        raise InputError(f"bad orientation {q!r}")
+    return _state_grid(n, q)
+
+
+@lru_cache(maxsize=None)
+def _state_grid(n: int, q: str) -> np.ndarray:
+    if n == 1:
+        grid = np.array([[_CODE[CrossState(q, "b", True)]]], dtype=np.int32)
+    else:
+        half = 2 ** (n - 1)
+        grid = np.empty((2 * half - 1, 2 * half - 1), dtype=np.int32)
+        for corner, (ox, oy) in (("bl", (0, 0)), ("br", (half, 0)),
+                                 ("tl", (0, half)), ("tr", (half, half))):
+            grid[oy:oy + half - 1, ox:ox + half - 1] = \
+                _state_grid(n - 1, _QUADRANT_Q[corner])
+        c = half - 1
+        for dx, dy, js, state in _centre_cells(n, q):
+            j = np.arange(js.start, js.stop, js.step)
+            grid[c + j * dy, c + j * dx] = _CODE[state]
+    grid.setflags(write=False)
+    return grid
+
+
+def build_macro_tile(n: int, q: str = "ne") -> Patch:
+    return Patch(build_state_grid(n, q), LEGEND)
 
 
 def build_tileset(max_order: int = 7) -> Tileset:

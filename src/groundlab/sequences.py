@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
 from .measures import WordMeasure, _check_depth, greedy_net
 from .tiles import InputError
@@ -160,9 +160,14 @@ class AccumulationSet:
     start: int
     stop: int
     resolution: Fraction
-    representatives: List[DyadicMeasure]
+    representatives: List[WordMeasure]
     indices: List[int]
     hausdorff: Fraction
+
+    @property
+    def verdict(self) -> str:
+        """"stable" when one representative covers the tail, else "oscillating"."""
+        return "stable" if len(self.representatives) == 1 else "oscillating"
 
     def to_json(self) -> str:
         doc = {
@@ -186,15 +191,20 @@ def finite_accumulation(seq: ComputableSequence, N: int,
     """Epsilon-net of the tail {term(n) : ceil(N/2) <= n <= N}."""
     if N < 1:
         raise InputError("horizon N must be >= 1")
+    return tail_net(seq.term, range((N + 1) // 2, N + 1), resolution)
+
+
+def tail_net(term: Callable[[int], WordMeasure], indices: Sequence[int],
+             resolution) -> AccumulationSet:
+    """Greedy epsilon-net of the tail {term(n) : n in indices}."""
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise InputError("resolution must be > 0")
-    start = (N + 1) // 2
-    points = [seq.term(n) for n in range(start, N + 1)]
+    points = [term(n) for n in indices]
     reps, _, worst = greedy_net(points, resolution)
-    return AccumulationSet(start, N, resolution,
+    return AccumulationSet(indices[0], indices[-1], resolution,
                            [points[i] for i in reps],
-                           [start + i for i in reps], worst)
+                           [indices[i] for i in reps], worst)
 
 
 # ----------------------------------------------------------- built-ins ----

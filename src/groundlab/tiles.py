@@ -457,13 +457,16 @@ class Violation:
 
 def check_patch(tileset: Tileset, patch: Patch) -> list:
     """All local-rule violations inside the patch (edge rules + forbidden patterns)."""
+    g = patch.grid
+    filled = g != HOLE
     tile_of = np.full(max(len(patch.legend), 1), -1, dtype=np.int64)
-    for i, tid in enumerate(patch.legend):
+    # only the ids the grid holds: a legend may list more (a subpatch keeps
+    # its parent's, and every macro-tile has the full `robinson.LEGEND`)
+    for i in np.flatnonzero(np.bincount(g[filled], minlength=len(tile_of))):
+        tid = patch.legend[i]
         if tid not in tileset.index:
             raise InputError(f"patch uses unknown tile id {tid!r}")
         tile_of[i] = tileset.index[tid]
-    g = patch.grid
-    filled = g != HOLE
     idx = np.where(filled, tile_of[np.where(filled, g, 0)], -1)
 
     out = []

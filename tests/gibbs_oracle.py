@@ -41,17 +41,14 @@ def boltzmann_exact(tileset, potential, side, beta, budget):
 
 
 def metropolis(tileset, potential, side, beta, steps, rng_seed, markers=None,
-               cadence=0, sample_cadence=0, initial=None):
+               cadence=0, sample_cadence=0):
     if steps < 1:
         raise InputError("steps must be >= 1")
     if side < 1:
         raise InputError("torus side must be >= 1")
     rng = np.random.Generator(np.random.Philox(rng_seed))
     ntiles = len(tileset.tiles)
-    if initial is None:
-        cells = rng.integers(0, ntiles, size=(side, side))
-    else:
-        cells = np.array(initial, np.int64)
+    cells = rng.integers(0, ntiles, size=(side, side))
     config = TorusConfig(tileset, potential, cells)
     d = _energy_denominator(potential)
     y = boltzmann_base(beta, d)

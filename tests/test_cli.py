@@ -147,6 +147,25 @@ def test_verify_markers_ok_and_violation(tmp_path, capsys):
         "violation: verify-markers: pattern 0 shifted by (-1, -1) overlaps pattern 0\n")
 
 
+@pytest.mark.parametrize("rows, code", [
+    ([[["A", "B"]], [["C", "D"]]], 0),
+    ([[["A", "B"]], [["B", "B"]]], 1),
+    ([[["A"], ["B"]], [["B"], ["C"]]], 1),
+])
+def test_verify_markers_non_square(tmp_path, capsys, rows, code):
+    # a non-square set has no side or window, but its verdict still decides
+    path = tmp_path / "markers.json"
+    path.write_text(MarkerSet([Patch.from_ids(r) for r in rows]).to_json())
+    out = tmp_path / "v.json"
+    assert run("verify-markers", "--markers", str(path), "--out", str(out)) == code
+    doc = json.loads(out.read_text())
+    assert "side" not in doc and "window" not in doc
+    assert doc["nonoverlap"] == ("ok" if code == 0 else "violation")
+    err = capsys.readouterr().err
+    assert (err == "") == (code == 0)
+    assert "Traceback" not in err
+
+
 def test_measure_flow_columns(tmp_path):
     out = tmp_path / "mf.csv"
     assert run("measure-flow", "--machine", "parity", "--kmax", "6",
@@ -517,7 +536,8 @@ def test_render_exit_contract(render_inputs, data):
 # reason.
 VERDICT_FLAGS = {
     "verify-markers": {"--scale": (["1", "2", "4"], ["-1", "0", "x"]),
-                       "--markers": (["overlapping-markers.json"],
+                       "--markers": (["overlapping-markers.json",
+                                      "non-square-markers.json"],
                                      ["missing.json", "truncated.json",
                                       "binary.config"])},
     "thermo": {"--kmin": (["0", "1", "3"], ["-1", "x"]),
@@ -544,11 +564,13 @@ VERDICT_OUT = {"verify-markers": "--out", "thermo": "--csv", "acc": "--out"}
 def verdict_inputs(gibbs_inputs):
     """The gibbs configs (one written by freq, one that is not UTF-8), a
     config with a line that is not key=value, and marker files: one that
-    violates non-overlap, one cut short."""
+    violates non-overlap, one cut short, one of non-square patterns."""
     (gibbs_inputs / "verdict-no-equals.config").write_text("command=acc\ndepth\n")
     square = MarkerSet([Patch.from_ids([["A", "A"], ["A", "A"]])]).to_json()
     (gibbs_inputs / "overlapping-markers.json").write_text(square)
     (gibbs_inputs / "truncated.json").write_text(square[:len(square) // 2])
+    (gibbs_inputs / "non-square-markers.json").write_text(MarkerSet(
+        [Patch.from_ids([["A", "B"]]), Patch.from_ids([["B", "B"]])]).to_json())
     return gibbs_inputs
 
 

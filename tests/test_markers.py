@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import markers_oracle
 from groundlab.markers import (
     CoveringResult,
     MarkerSet,
@@ -129,6 +132,46 @@ def test_macro_markers_pass_nonoverlap():
         assert ms.m == 2 * ms.ell + 5
         assert verify_nonoverlap(ms) is None
         assert nonoverlap_violations(ms) == oracle_violations(ms)
+
+
+def _marker_set(grids):
+    return MarkerSet([patch_of([list(row) for row in g]) for g in grids])
+
+
+@st.composite
+def marker_sets(draw):
+    """1-3 distinct patterns of one shape up to 5x5 over 1-3 symbols."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.sampled_from("ABC"[:draw(st.integers(1, 3))])
+    row = st.tuples(*[cell] * w)
+    grids = draw(st.lists(st.tuples(*[row] * h), min_size=1, max_size=3,
+                          unique=True))
+    return _marker_set(grids)
+
+
+@given(marker_sets())
+@example(_marker_set([(("A",),), (("B",),)]))                # 1x1: never overlap
+@example(_marker_set([(("A", "B", "A"),), (("B", "A", "B"),)]))  # non-square
+@example(_marker_set([(("A", "A"), ("A", "A"))]))            # self-overlap
+@settings(max_examples=200, deadline=None)
+def test_all_pairs_scan_matches_pair_loop(ms):
+    want = markers_oracle.nonoverlap_violations(ms)
+    assert nonoverlap_violations(ms) == want
+    assert verify_nonoverlap(ms) == (want[0] if want else None)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_robinson_scan_matches_pair_loop(n):
+    ms = robinson_marker_set(n)
+    assert nonoverlap_violations(ms) == markers_oracle.nonoverlap_violations(ms) == []
+
+
+def test_codes_share_one_legend():
+    ms = MarkerSet([patch_of([["B", "A"]]), patch_of([["C", "B"]])])
+    assert ms.codes.shape == (2, 1, 2)
+    assert [[ms.legend[c] for c in g[0]] for g in ms.codes] == [["B", "A"], ["C", "B"]]
+    with pytest.raises(ValueError):
+        ms.codes[0, 0, 0] = 1
 
 
 def test_covering_witness_on_free_tileset():

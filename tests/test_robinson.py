@@ -5,7 +5,9 @@ import pytest
 
 from groundlab.robinson import (
     ARM_DIRECTIONS,
+    MACRO_ORDER_CAP,
     ORIENTATIONS,
+    STATES,
     ArmState,
     CrossState,
     build_macro_tile,
@@ -87,8 +89,8 @@ def test_recursion_matches_coordinate_oracle(q):
         x0, y0 = macro_origin(n, q)
         grid = build_state_grid(n, q)
         for yy, row in enumerate(grid):
-            for xx, st in enumerate(row):
-                assert st == oracle_state(x0 + xx, y0 + yy), (n, q, xx, yy)
+            for xx, code in enumerate(row):
+                assert STATES[code] == oracle_state(x0 + xx, y0 + yy), (n, q, xx, yy)
 
 
 # ---- golden facts about the collected tileset ------------------------------
@@ -134,7 +136,7 @@ def _states_by_grid_scan(max_order):
     for n in range(1, max_order + 1):
         for q in ORIENTATIONS:
             for row in build_state_grid(n, q):
-                states.update(row)
+                states.update(STATES[code] for code in row)
     return states
 
 
@@ -172,6 +174,15 @@ def test_macro_tiles_are_admissible():
             assert check_patch(ts, build_macro_tile(n, q)) == [], (n, q)
 
 
+def test_low_order_tileset_checks_low_order_macro_tiles():
+    # a macro-tile's legend lists every state's id, most of them unused here
+    for k in (1, 2, 3):
+        ts = build_tileset(k)
+        assert len(ts) < len(STATES)
+        for q in ORIENTATIONS:
+            assert check_patch(ts, build_macro_tile(k, q)) == [], (k, q)
+
+
 def test_macro_tile_shape_and_quadrants():
     for n in range(2, 6):
         p = build_macro_tile(n)
@@ -188,13 +199,33 @@ def test_macro_tile_shape_and_quadrants():
             build_macro_tile(n - 1, "se"))
 
 
+def test_top_order_macro_tile_holds_the_order_below():
+    top = build_macro_tile(MACRO_ORDER_CAP)
+    side, half = 2 ** MACRO_ORDER_CAP - 1, 2 ** (MACRO_ORDER_CAP - 1)
+    assert top.grid.shape == (side, side)
+    for q, x0, y0 in (("ne", 0, 0), ("nw", half, 0), ("sw", half, half),
+                      ("se", 0, half)):
+        quadrant = top.grid[y0:y0 + half - 1, x0:x0 + half - 1]
+        assert np.array_equal(quadrant, build_macro_tile(MACRO_ORDER_CAP - 1, q).grid), q
+
+
+def test_macro_tile_grid_is_read_only():
+    tile = build_macro_tile(3, "sw")
+    before = tile.grid.copy()
+    with pytest.raises(ValueError):
+        tile.grid[0, 0] = (tile.grid[0, 0] + 1) % len(STATES)
+    assert np.array_equal(build_macro_tile(3, "sw").grid, before)
+    # the order-4 tile's top-right quadrant is the order-3 "sw" tile
+    assert np.array_equal(build_macro_tile(4, "ne").grid[8:, 8:], before)
+
+
 def test_parity_bits_match_coordinates():
     # in the canonical placement the parity channel is just coordinate parity
     for n in (2, 3, 4, 5):
         grid = build_state_grid(n, "ne")
         for yy, row in enumerate(grid):
-            for xx, st in enumerate(row):
-                t = tile_from_state(st)
+            for xx, code in enumerate(row):
+                t = tile_from_state(STATES[code])
                 assert t.north.px == xx % 2, (n, xx, yy)
                 assert t.north.py == yy % 2, (n, xx, yy)
 
@@ -206,7 +237,7 @@ def test_crossings_sit_at_square_side_midpoints():
         c = 2 ** (n - 1) - 1
         for d, (dx, dy) in (("n", (0, 1)), ("e", (1, 0)), ("s", (0, -1)), ("w", (-1, 0))):
             for j in range(1, 2 ** (n - 1)):
-                st = grid[c + j * dy][c + j * dx]
+                st = STATES[grid[c + j * dy, c + j * dx]]
                 assert isinstance(st, ArmState)
                 assert (st.crossing is not None) == (j == 2 ** (n - 2))
                 if st.crossing:

@@ -1,16 +1,27 @@
 """Finite-volume Gibbs machinery on the torus.
 
-A potential is a weighted list of forbidden rectangular patterns, matched by
-the shape-hashed kernel `tiles.PatternIndex`.  The local energy of a site
-counts every occurrence covering it, so one occurrence of a size-s pattern
-contributes s times to the total.  Energies are kept as integers in units of
-1/D (D the lcm of the weight denominators) and read out as exact rationals.
+A potential is a weighted list of forbidden rectangular patterns.  A torus
+compiles it once into the tables of the shape-hashed kernel
+`tiles.PatternIndex`: per (h, w) rectangle, the tile codes of a pattern in
+row-major order map to its weight times h * w, summed over duplicates.  The
+local energy of a site counts every occurrence covering it, so one occurrence
+of a size-s pattern contributes s times to the total.  Energies are kept as
+integers in units of 1/D (D the lcm of the weight denominators) and read out
+as exact rationals.
+
+A Metropolis proposal (site p, tile t) is scored in one pass over a flat
+Python list of codes: the kernel's plan for p holds one (table lookup, key
+getter) pair per pattern cell landing on p, and the rise n is the sum of the
+lookups after the change minus the sum before it.  A proposal that keeps the
+tile is a zero rise.
 
 Weights are formed per integer level n (energy n/D).  With
 y = Fraction(exp(-beta/D)) a level weighs y^n: exact Boltzmann enumeration on
-tiny tori forms one weight per level, and a Metropolis chain forms the exact
-acceptance y^n of a rise n once.  Acceptance probabilities are thus exact
-rationals and detailed balance is an identity; beta = 0 is simply y = 1.
+tiny tori forms one weight per level, and a Metropolis chain compares its
+uniform draw with float(y^n), the correctly rounded acceptance of a rise n,
+computed once per n by `power_float` without forming y^n.  Acceptance
+probabilities are exact rationals and detailed balance is an identity;
+beta = 0 is simply y = 1.
 
 The enumeration scores configurations in blocks of numpy digit rows: the
 kernel counts each block's occurrences per distinct pattern value, and each
@@ -24,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iter_product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -125,13 +137,20 @@ class TorusConfig:
         self.tileset = tileset
         self.potential = potential
         self.cells = cells
-        # each pattern is worth weight * support, in units of 1/D
+        # each pattern is worth weight * support, in units of 1/D, keyed by
+        # its codes in row-major order under its (h, w) rectangle
         self._denominator = d = _energy_denominator(potential)
-        patterns = [[(j, i, tileset.index.get(tid)) for j, row in enumerate(rows)
-                     for i, tid in enumerate(row)] for rows, _ in potential.forbidden]
-        self._index = PatternIndex(patterns, [
-            w.numerator * (d // w.denominator) * len(pattern)
-            for (_, w), pattern in zip(potential.forbidden, patterns)])
+        code = tileset.index.get
+        tables: Dict[Tuple[int, int], Dict[tuple, int]] = {}
+        for rows, weight in potential.forbidden:
+            key = tuple(map(code, chain.from_iterable(rows)))
+            if None in key:
+                continue
+            h, w = len(rows), len(rows[0])
+            table = tables.setdefault((h, w), {})
+            table[key] = table.get(key, 0) + weight.numerator * (d // weight.denominator) * h * w
+        self._index = PatternIndex({tuple(iter_product(range(h), range(w))): table
+                                    for (h, w), table in tables.items()})
         self._units = int(self.recompute_energy() * d)
 
     @property
@@ -158,10 +177,7 @@ class TorusConfig:
 
 
 def _energy_denominator(potential: Potential) -> int:
-    d = 1
-    for rows, w in potential.forbidden:
-        d = d * w.denominator // math.gcd(d, w.denominator)
-    return d
+    return math.lcm(*{w.denominator for _, w in potential.forbidden})
 
 
 def boltzmann_base(beta: float, denominator: int) -> Fraction:
@@ -242,6 +258,54 @@ def acceptance_probability(base: Fraction, denominator: int,
     return base ** exponent.numerator
 
 
+def power_float(y: Fraction, n: int) -> float:
+    """float(y ** n), correctly rounded, for 0 <= y <= 1 and n >= 1, without
+    forming y ** n, whose numerator has ~53 n bits for a y read from a float.
+
+    Ziv's strategy: square and multiply on a dyadic interval [lo, hi] holding
+    y^n, each end kept to p bits and rounded down or up in integers.  Rounding
+    is monotone, so float(lo) == float(hi) is the answer; otherwise p doubles
+    (at p past the exact size the interval is a point).  The partial powers
+    never grow, so once hi falls below 2^-1075, half the least subnormal, the
+    answer is 0.0."""
+    num, den = y.numerator, y.denominator
+    if not 0 <= num <= den or n < 1:
+        raise InputError("power_float needs 0 <= y <= 1 and n >= 1")
+    if num == 0:
+        return 0.0
+    p = 64 + 2 * n.bit_length()
+    while True:
+        # (m, e) is m * 2^e: y's floor and ceiling to p bits
+        s = p - num.bit_length() + den.bit_length()
+        q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+        ylo, yhi = (q, -s), (q + (r > 0), -s)
+        lo, hi = ylo, yhi
+        for bit in bin(n)[3:]:
+            lo, hi = _mul(lo, lo, p, 0), _mul(hi, hi, p, 1)
+            if bit == "1":
+                lo, hi = _mul(lo, ylo, p, 0), _mul(hi, yhi, p, 1)
+            if hi[0].bit_length() + hi[1] <= -1075:
+                return 0.0
+        if _to_float(lo) == _to_float(hi):
+            return _to_float(lo)
+        p *= 2
+
+
+def _mul(a: Tuple[int, int], b: Tuple[int, int], p: int, up: int) -> Tuple[int, int]:
+    """a * b kept to p bits, rounded down (up = 0) or up (up = 1)."""
+    m, e = a[0] * b[0], a[1] + b[1]
+    extra = m.bit_length() - p
+    if extra <= 0:
+        return m, e
+    return -(-m >> extra) if up else m >> extra, e + extra
+
+
+def _to_float(v: Tuple[int, int]) -> float:
+    m, e = v
+    # int / int is correctly rounded, subnormals included
+    return float(m << e) if e >= 0 else m / (1 << -e)
+
+
 def torus_coverage(config: TorusConfig,
                    markers: Union[MarkerSet, PatternIndex]) -> Fraction:
     """Fraction of torus cells inside some marker occurrence (wrap-aware).
@@ -287,8 +351,7 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     ntiles = len(tileset.tiles)
     cells = rng.integers(0, ntiles, size=(side, side))
     config = TorusConfig(tileset, potential, cells)
-    d = config._denominator
-    y = boltzmann_base(beta, d)
+    y = boltzmann_base(beta, config._denominator)
     accept: Dict[int, float] = {}  # rise n > 0 -> float(y^n)
     cover = markers.index(tileset.index) if markers is not None else None
 
@@ -299,27 +362,40 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     trace: List[tuple] = []
     samples: List[tuple] = []
     observe(0)
+    # the chain reads the flat code list; config.cells follows each accepted move
+    plan = config._index.cell_plan(config.cells.shape, wrap=True)
+    codes = config.cells.ravel().tolist()
+    flat = config.cells.reshape(-1)
     accepted = 0
     done = 0
     while done < steps:
         block = min(steps - done, 1 << 14)
-        xs = rng.integers(0, side, size=block)
-        ys = rng.integers(0, side, size=block)
-        ts = rng.integers(0, ntiles, size=block)
-        us = rng.random(size=block)
+        xs = rng.integers(0, side, size=block).tolist()
+        ys = rng.integers(0, side, size=block).tolist()
+        ts = rng.integers(0, ntiles, size=block).tolist()
+        us = rng.random(size=block).tolist()
         for x, yy, t, u in zip(xs, ys, ts, us):
             done += 1
-            delta = config._local_units(int(x), int(yy))
-            old = int(config.cells[yy, x])
-            config.cells[yy, x] = t
-            delta = config._local_units(int(x), int(yy)) - delta
-            if delta > 0 and delta not in accept:
-                accept[delta] = float(acceptance_probability(y, d, Fraction(delta, d)))
-            if delta <= 0 or u < accept[delta]:
-                config._units += delta
+            p = yy * side + x
+            old = codes[p]
+            if t == old:  # nothing moves: a zero rise, always accepted
                 accepted += 1
             else:
-                config.cells[yy, x] = old
+                terms = plan[p]
+                delta = 0
+                for get, key in terms:
+                    delta -= get(key(codes), 0)
+                codes[p] = t
+                for get, key in terms:
+                    delta += get(key(codes), 0)
+                if delta > 0 and delta not in accept:
+                    accept[delta] = power_float(y, delta)
+                if delta <= 0 or u < accept[delta]:
+                    flat[p] = t
+                    config._units += delta
+                    accepted += 1
+                else:
+                    codes[p] = old
             if cadence and done % cadence == 0:
                 observe(done)
             if sample_cadence and done % sample_cadence == 0:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .robinson import ORIENTATIONS, build_macro_tile
-from .tiles import InputError, Patch, PatternIndex, Tileset
+from .tiles import InputError, Patch, PatternIndex, Tileset, pattern_tables
 
 
 class MarkerSet:
@@ -76,8 +76,9 @@ class MarkerSet:
         """The patterns as a pattern-occurrence kernel over the codes that
         `code` (a tile id -> code mapping) assigns; unknown ids never match."""
         lut = [code.get(tid) for tid in self.legend]
-        return PatternIndex([[(y, x, lut[c]) for y, row in enumerate(g.tolist())
-                              for x, c in enumerate(row)] for g in self.codes])
+        return PatternIndex(pattern_tables(
+            [[(y, x, lut[c]) for y, row in enumerate(g.tolist()) for x, c in enumerate(row)]
+             for g in self.codes]))
 
     def to_json(self) -> str:
         doc = {

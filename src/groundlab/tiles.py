@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -330,36 +331,44 @@ class Patch:
             raise InputError(f"malformed patch json: {exc}") from exc
 
 
+def pattern_tables(patterns) -> dict:
+    """Group (dy, dx, code) cell lists by cell-offset shape into `PatternIndex`
+    tables: {offsets: {codes: indices of the patterns}}, the codes read at
+    the sorted offsets.  A pattern holding a None code (a tile the grid
+    cannot hold) is left out."""
+    tables = {}
+    for n, cells in enumerate(patterns):
+        if not cells:
+            raise InputError("empty pattern")
+        if any(code is None for _, _, code in cells):
+            continue
+        offsets, key = zip(*(((dy, dx), code) for dy, dx, code in sorted(cells)))
+        table = tables.setdefault(offsets, {})
+        table[key] = table.get(key, ()) + (n,)
+    return tables
+
+
 class PatternIndex:
     """The one pattern-occurrence kernel: patterns hashed by cell-offset shape.
 
-    A pattern is a list of (dy, dx, code) cells matched against a grid of
-    integer codes indexed [y, x]; a None code (a tile the grid cannot hold)
-    drops it.  Each shape (offset tuple) maps the codes read at its offsets to
-    the summed integer weight of its patterns when `weights` are given, else
-    to the tuple of their indices; zero-weight keys are dropped.  An anchor is
-    thus one dict lookup per shape, however many patterns there are.
+    `tables` maps each shape (a tuple of (dy, dx) offsets) to a dict from the
+    codes read at those offsets, as a tuple, to a value: an integer weight or
+    the indices of the patterns (`pattern_tables`).  Falsy values are dropped.
+    An anchor is thus one dict lookup per shape, however many patterns there
+    are.  A 1-cell shape is keyed by its one code.
 
-    With `wrap` the grid is a torus; without it an anchor counts only where its
-    whole shape lies inside the grid.  Negative codes never match.  Index
-    arrays are cached per grid shape; the grid is read on every call.
+    Grids hold integer codes indexed [y, x].  With `wrap` the grid is a
+    torus; without it an anchor counts only where its whole shape lies inside
+    the grid.  Negative codes never match.  Plans are cached per grid shape;
+    the grid is read on every call.
     """
 
-    def __init__(self, patterns, weights=None):
-        shapes = {}
-        for n, cells in enumerate(patterns):
-            if not cells:
-                raise InputError("empty pattern")
-            if any(code is None for _, _, code in cells):
-                continue
-            offsets, key = zip(*(((dy, dx), code) for dy, dx, code in sorted(cells)))
-            table = shapes.setdefault(offsets, {})
-            value = (n,) if weights is None else weights[n]
-            table[key] = table[key] + value if key in table else value
-        self._shapes = [(offsets, {k: v for k, v in table.items() if v})
-                        for offsets, table in shapes.items()]
+    def __init__(self, tables: dict):
+        self._shapes = [(offsets, {(k[0] if len(offsets) == 1 else k): v
+                                   for k, v in table.items() if v})
+                        for offsets, table in tables.items()]
         self._plans = {}
-        self._cell_plans = {}
+        self._by_cell = {}
         self._dense = {}
 
     def _plan(self, shape: tuple, wrap: bool) -> list:
@@ -378,13 +387,35 @@ class PatternIndex:
                 plan.append((table, ay, ax, cy * w + cx))
         return self._plans[shape, wrap]
 
+    @staticmethod
+    def _keys(grid: np.ndarray, cells: np.ndarray) -> list:
+        """Each anchor's key: the codes at its cells (one code per 1-cell shape)."""
+        if cells.shape[1] == 1:
+            return grid.ravel()[cells[:, 0]].tolist()
+        return list(map(tuple, grid.ravel()[cells].tolist()))
+
     def _lookup(self, grid: np.ndarray, wrap: bool):
         for table, ay, ax, cells in self._plan(grid.shape, wrap):
-            yield ay, ax, cells, [table.get(k) for k in map(tuple, grid.ravel()[cells].tolist())]
+            yield ay, ax, cells, list(map(table.get, self._keys(grid, cells)))
+
+    def cell_plan(self, shape: tuple, wrap: bool) -> list:
+        """Per flat cell of a grid of `shape`: one (lookup, key) pair per
+        pattern cell landing there, so that lookup(key(codes), 0) is the value
+        of that cell's anchor in the flat code list `codes` (a shape wider
+        than a torus can land on a cell twice)."""
+        if (shape, wrap) not in self._by_cell:
+            terms = [[] for _ in range(shape[0] * shape[1])]
+            for table, _, _, cells in self._plan(shape, wrap):
+                for row in cells.tolist():
+                    term = (table.get, itemgetter(*row))
+                    for p in row:
+                        terms[p].append(term)
+            self._by_cell[shape, wrap] = list(map(tuple, terms))
+        return self._by_cell[shape, wrap]
 
     def total(self, grid: np.ndarray, wrap: bool = False) -> int:
         """Summed value of every occurrence in the grid."""
-        return sum(sum(map(table.get, map(tuple, grid.ravel()[cells].tolist()), repeat(0)))
+        return sum(sum(map(table.get, self._keys(grid, cells), repeat(0)))
                    for table, _, _, cells in self._plan(grid.shape, wrap))
 
     def value_counts(self, grids: np.ndarray, ncodes: int):
@@ -402,6 +433,7 @@ class PatternIndex:
                 radix = ncodes ** np.arange(len(offsets) - 1, -1, -1, dtype=np.int64)
                 lut = np.zeros(ncodes ** len(offsets), dtype=np.int32)
                 for key, value in table.items():
+                    key = key if len(offsets) > 1 else (key,)
                     if all(0 <= c < ncodes for c in key):
                         lut[int(np.dot(key, radix))] = ids.setdefault(value, len(ids) + 1)
                 luts.append((radix, lut))
@@ -430,22 +462,10 @@ class PatternIndex:
 
     def covering(self, grid: np.ndarray, y: int, x: int, wrap: bool = False) -> list:
         """Values of the occurrences that cover cell (y, x), once per pattern
-        cell landing there (a shape wider than a torus can land twice)."""
-        if (grid.shape, wrap) not in self._cell_plans:
-            # per cell: the flat indices of every anchor covering it, and the
-            # (lookup, start, stop) that reads each anchor's key from them
-            plans = [([], []) for _ in range(grid.size)]
-            for table, _, _, cells in self._plan(grid.shape, wrap):
-                for row in cells.tolist():
-                    for p in row:
-                        index, parts = plans[p]
-                        parts.append((table.get, len(index), len(index) + len(row)))
-                        index.extend(row)
-            self._cell_plans[grid.shape, wrap] = [
-                (np.array(index, dtype=np.intp), parts) for index, parts in plans]
-        index, parts = self._cell_plans[grid.shape, wrap][y * grid.shape[1] + x]
-        codes = grid.ravel()[index].tolist()
-        return [v for get, a, b in parts if (v := get(tuple(codes[a:b]))) is not None]
+        cell landing there."""
+        codes = grid.ravel().tolist()
+        return [v for get, key in self.cell_plan(grid.shape, wrap)[y * grid.shape[1] + x]
+                if (v := get(key(codes))) is not None]
 
 
 @dataclass(frozen=True)
@@ -484,8 +504,9 @@ def check_patch(tileset: Tileset, patch: Patch) -> list:
         for y, x in np.argwhere(bad):
             out.append(Violation("v", (int(x), int(y)),
                                  f"{patch.id_at(x, y)} / {patch.id_at(x, y + 1)}"))
-    forbidden = PatternIndex([[(dy, dx, tileset.index.get(tid)) for dx, dy, tid in pat.cells]
-                              for pat in tileset.extra_forbidden])
+    forbidden = PatternIndex(pattern_tables(
+        [[(dy, dx, tileset.index.get(tid)) for dx, dy, tid in pat.cells]
+         for pat in tileset.extra_forbidden]))
     found = sorted((y, x, pi) for y, x, hits in forbidden.occurrences(idx) for pi in hits)
     out.extend(Violation("forbidden", (x, y), f"pattern {pi}") for y, x, pi in found)
     out.sort(key=lambda v: (v.position[1], v.position[0], v.kind))

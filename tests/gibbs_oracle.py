@@ -1,6 +1,8 @@
 """Straight-line Gibbs references: one Boltzmann weight per configuration, and
 a Metropolis chain with a separate beta = 0 branch that skips the local
-energy and rescans the torus at every cadence and at the end.
+energy and rescans the torus at every cadence and at the end.  The chain
+takes its energies, deltas and coverage from the cell-by-cell loops of
+tests/pattern_oracle.py, not from the pattern kernel.
 
 `gibbs.boltzmann_exact` and `gibbs.metropolis` key on integer energy levels
 and keep one chain for every beta; tests/test_gibbs_oracle.py checks them
@@ -13,9 +15,10 @@ from typing import Dict, List
 
 import numpy as np
 
+import pattern_oracle
 from groundlab.gibbs import (BoltzmannTable, MetropolisResult, TorusConfig,
                              _energy_denominator, acceptance_probability,
-                             boltzmann_base, torus_coverage)
+                             boltzmann_base)
 from groundlab.tiles import BudgetExceeded, InputError
 
 
@@ -50,16 +53,22 @@ def metropolis(tileset, potential, side, beta, steps, rng_seed, markers=None,
     ntiles = len(tileset.tiles)
     cells = rng.integers(0, ntiles, size=(side, side))
     config = TorusConfig(tileset, potential, cells)
+    compiled = pattern_oracle.compile_potential(potential, tileset)
     d = _energy_denominator(potential)
     y = boltzmann_base(beta, d)
     free_run = beta == 0
 
+    def rescan():
+        config._units = int(pattern_oracle.recompute_energy(compiled, config.cells) * d)
+
     def observe(step):
-        cov = float(torus_coverage(config, markers)) if markers is not None else None
+        cov = (float(pattern_oracle.torus_coverage(tileset, config.cells, markers))
+               if markers is not None else None)
         trace.append((step, config.energy, cov))
 
     trace: List[tuple] = []
     samples: List[tuple] = []
+    rescan()
     observe(0)
     accepted = 0
     done = 0
@@ -75,23 +84,23 @@ def metropolis(tileset, potential, side, beta, steps, rng_seed, markers=None,
                 config.cells[yy, x] = t
                 accepted += 1
             else:
-                delta = config._local_units(int(x), int(yy))
+                delta = pattern_oracle.occurrences_at(compiled, config.cells, x, yy)
                 old = int(config.cells[yy, x])
                 config.cells[yy, x] = t
-                delta = config._local_units(int(x), int(yy)) - delta
-                if delta <= 0 or u < float(acceptance_probability(y, d, Fraction(delta, d))):
-                    config._units += delta
+                delta = pattern_oracle.occurrences_at(compiled, config.cells, x, yy) - delta
+                if delta <= 0 or u < float(acceptance_probability(y, d, delta)):
+                    config._units += int(delta * d)
                     accepted += 1
                 else:
                     config.cells[yy, x] = old
             if cadence and done % cadence == 0:
                 if free_run:
-                    config._units = int(config.recompute_energy() * d)
+                    rescan()
                 observe(done)
             if sample_cadence and done % sample_cadence == 0:
                 samples.append(tuple(int(v) for v in config.cells.ravel()))
     if free_run:
-        config._units = int(config.recompute_energy() * d)
+        rescan()
     if not cadence or steps % cadence != 0:
         observe(steps)
     return MetropolisResult(seed=rng_seed, beta=beta, steps=steps,

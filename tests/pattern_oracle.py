@@ -32,6 +32,31 @@ class _CompiledPattern:
                       for j in range(h) for i in range(w)]
 
 
+def weighted_tables(patterns, weights) -> dict:
+    """The former `PatternIndex(patterns, weights)` grouping: (dy, dx, code)
+    cell lists keyed by their sorted offsets, the weights of equal code
+    tuples summed, zero sums dropped and None-code patterns left out."""
+    shapes = {}
+    for n, cells in enumerate(patterns):
+        if any(code is None for _, _, code in cells):
+            continue
+        offsets, key = zip(*(((dy, dx), code) for dy, dx, code in sorted(cells)))
+        table = shapes.setdefault(offsets, {})
+        table[key] = table[key] + weights[n] if key in table else weights[n]
+    return {offsets: {k: v for k, v in table.items() if v}
+            for offsets, table in shapes.items()}
+
+
+def potential_tables(potential, tileset, denominator) -> dict:
+    """The former `TorusConfig` compile: each pattern as a cell list worth
+    weight * support in units of 1/denominator, grouped by `weighted_tables`."""
+    patterns = [[(j, i, tileset.index.get(tid)) for j, row in enumerate(rows)
+                 for i, tid in enumerate(row)] for rows, _ in potential.forbidden]
+    return weighted_tables(patterns, [
+        w.numerator * (denominator // w.denominator) * len(pattern)
+        for (_, w), pattern in zip(potential.forbidden, patterns)])
+
+
 def compile_potential(potential, tileset) -> list:
     """The former `gibbs._compile`: the input of the two torus energy loops."""
     index = {t.id: i for i, t in enumerate(tileset.tiles)}

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from groundlab.cli import _float_chunks, main
 from groundlab.gibbs import pattern_potential
 from groundlab.layers import constant_schedule, default_schedule, freq_frozen
 from groundlab.markers import MarkerSet
+from groundlab.render import render_patch_svg
+from groundlab.robinson import build_macro_tile, build_tileset
 from groundlab.tiles import Patch
 
 
@@ -30,7 +33,7 @@ def test_render_writes_svg_and_config(tmp_path):
     out = tmp_path / "m2.svg"
     assert run("render", "--scale", "2", "--out", str(out)) == 0
     text = out.read_text()
-    assert text.startswith("<svg") and "</svg>" in text
+    assert text == render_patch_svg(build_tileset(), build_macro_tile(2))
     cfg = (tmp_path / "m2.svg.config").read_text()
     assert "command=render" in cfg and "scale=2" in cfg
 
@@ -229,6 +232,24 @@ def test_gibbs_trace_and_replay(tmp_path):
     assert run("gibbs", "--tileset", "free:0", "--potential", str(pot),
                "--side", "3", "--beta", "1.0", "--steps", "10",
                "--csv", str(out)) == 2
+
+
+def test_gibbs_heavy_weight_chain_finishes(tmp_path):
+    # a weight-10^6 domino makes every rise 2 * 10^6 or more; forming y^n
+    # exactly for it took over a minute, its correctly rounded float is 0.0
+    pot = tmp_path / "heavy.json"
+    pot.write_text(json.dumps({"patterns": [{"rows": [["A", "B"]],
+                                             "weight": [10 ** 6, 1]}]}))
+    out = tmp_path / "g.csv"
+    start = time.perf_counter()
+    assert run("gibbs", "--tileset", "free:2", "--potential", str(pot),
+               "--side", "2", "--beta", "1", "--steps", "200",
+               "--csv", str(out)) == 0
+    assert time.perf_counter() - start < 5
+    energies = [Fraction(row.split(",")[1])
+                for row in out.read_text().splitlines()[1:]]
+    assert all(e % (2 * 10 ** 6) == 0 for e in energies)
+    assert energies == sorted(energies, reverse=True)  # no rise is accepted
 
 
 def test_gibbs_usage_errors(tmp_path, capsys):
@@ -437,20 +458,23 @@ GIBBS_FLAGS = {"--seed": ["0", "7", "-1", str(2 ** 64), "x"],
                "--steps": ["0", "1", "40", "-5"],
                "--beta": ["0", "1.5", "nan", "-1", "inf"],
                "--tileset": ["free:2", "free:3", "robinson"],
-               "--potential": ["adjacency", "ab.json", "zero-den.json",
-                               "list-cells.json", "huge-den.json", "missing.json"],
+               "--potential": ["adjacency", "ab.json", "heavy.json",
+                               "zero-den.json", "list-cells.json", "huge-den.json",
+                               "missing.json"],
                "--config": ["freq.csv.config", "no-equals.config", "binary.config"]}
 
 
 @pytest.fixture(scope="module")
 def gibbs_inputs(fuzz_dir):
-    """Potential files (valid, zero denominator, non-id cells, a denominator
-    past the float range) and configs that gibbs must refuse: one written by
-    freq, one with a line that is not key=value, one that is not UTF-8."""
+    """Potential files (valid, a weight-10^6 domino, zero denominator, non-id
+    cells, a denominator past the float range) and configs that gibbs must
+    refuse: one written by freq, one with a line that is not key=value, one
+    that is not UTF-8."""
     def potential(weight, rows=(("A", "B"),)):
         return json.dumps({"patterns": [{"rows": rows, "weight": weight}]})
 
     (fuzz_dir / "ab.json").write_text(potential([1, 1]))
+    (fuzz_dir / "heavy.json").write_text(potential([10 ** 6, 1]))
     (fuzz_dir / "zero-den.json").write_text(potential([1, 0]))
     (fuzz_dir / "list-cells.json").write_text(potential([1, 1], [[["A"], "B"]]))
     (fuzz_dir / "huge-den.json").write_text(potential([1, 10 ** 400]))

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groundlab.gibbs import (BoltzmannTable, Potential, TorusConfig,
                              acceptance_probability, adjacency_potential,
                              boltzmann_base, boltzmann_exact,
                              coverage_sweep, metropolis, pattern_potential,
+                             power_float,
                              spearman_rank, torus_coverage, trace_csv)
 from groundlab.markers import MarkerSet, robinson_marker_set
 from groundlab.robinson import build_tileset
@@ -188,6 +191,44 @@ def test_acceptance_probability_values():
     assert acceptance_probability(y, 1, Fraction(2)) == y ** 2
     with pytest.raises(InputError):
         acceptance_probability(y, 1, Fraction(1, 3))
+
+
+@st.composite
+def power_case(draw):
+    """(y, n) with 0 <= y <= 1: y read from a float, as the chain's base is,
+    one whose y^n lands near the subnormal range, or a small rational."""
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["float", "subnormal", "ratio"]))
+    if kind == "float":
+        return Fraction(draw(st.floats(0, 1))), n
+    if kind == "subnormal":
+        return Fraction(math.exp(-draw(st.floats(700, 760)) / n)), n
+    den = draw(st.integers(1, 64))
+    return Fraction(draw(st.integers(0, den)), den), n
+
+
+# 2^-100 above the tie 1/2 + 2^-54, so it rounds up; both ends of a
+# first-precision interval rounded down would sit on the tie and round down
+_ABOVE_TIE = Fraction(math.isqrt(((1 << 53) + 1) << 146) + 1, 1 << 100)
+
+
+@given(power_case())
+@example((_ABOVE_TIE, 2))
+@example((Fraction(2 ** 27 - 1, 2 ** 27), 2))  # y^n halfway between two floats
+@example((Fraction(1, 32), 215))  # 2^-1075: half the least subnormal, rounds to 0
+@example((Fraction(3, 4), 1 << 10))
+@example((Fraction(1, 2), 1074))  # the least subnormal itself
+@example((Fraction(1), 400))
+@settings(max_examples=300, deadline=None)
+def test_power_float_is_the_rounded_exact_power(case):
+    y, n = case
+    assert power_float(y, n) == float(y ** n)
+
+
+def test_power_float_domain():
+    for y, n in ((Fraction(3, 2), 2), (Fraction(-1, 2), 2), (Fraction(1, 2), 0)):
+        with pytest.raises(InputError):
+            power_float(y, n)
 
 
 def test_detailed_balance_is_exact():

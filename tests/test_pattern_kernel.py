@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gibbs_oracle
 import pattern_oracle as oracle
 from groundlab.gibbs import (TorusConfig, _energy_denominator,
                              adjacency_potential, metropolis,
@@ -16,7 +17,8 @@ from groundlab.markers import (MarkerSet, occurrence_map,
                                search_covering_counterexample)
 from groundlab.robinson import build_tileset
 from groundlab.tiles import (EdgeLabel, ForbiddenPattern, InputError, Patch,
-                             PatternIndex, Tile, Tileset, check_patch)
+                             PatternIndex, Tile, Tileset, check_patch,
+                             pattern_tables)
 
 IDS = "ABC"
 UNKNOWN = "Z"  # an id no generated tileset holds
@@ -66,6 +68,16 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
         for x in range(side):
             assert (Fraction(config._local_units(x, y), d)
                     == oracle.occurrences_at(compiled, cells, x, y))
+    # an open grid with unassigned (-1) cells, the covering search's path:
+    # the oracle sees it inside a torus padded with -1 wider than any pattern
+    grid = cells.copy()
+    grid.flat[data.draw(st.integers(0, side * side)):] = -1
+    padded = np.full((2 * side, 2 * side), -1)
+    padded[:side, :side] = grid
+    for y in range(side):
+        for x in range(side):
+            assert (Fraction(sum(config._index.covering(grid, y, x)), d)
+                    == oracle.occurrences_at(compiled, padded, x, y))
     x, y = data.draw(st.integers(0, side - 1)), data.draw(st.integers(0, side - 1))
     t = data.draw(st.integers(0, len(tileset) - 1))
     after = cells.copy()
@@ -78,6 +90,15 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
     values, counts = config._index.value_counts(np.stack([cells, after]), len(tileset))
     assert [Fraction(sum(c * v for c, v in zip(row, values)), d) for row in counts.tolist()] \
         == [oracle.recompute_energy(compiled, cells), oracle.recompute_energy(compiled, after)]
+
+
+@given(torus_case())
+@FAST
+def test_direct_compile_matches_cell_list_grouping(case):
+    tileset, potential, cells = case
+    config = TorusConfig(tileset, potential, cells)
+    want = PatternIndex(oracle.potential_tables(potential, tileset, config._denominator))
+    assert dict(config._index._shapes) == dict(want._shapes)
 
 
 @st.composite
@@ -175,29 +196,28 @@ def test_block_lookup_matches_oracle(data):
 
 
 def test_weighted_index_sums_duplicates_and_drops_zero_keys():
-    index = PatternIndex([[(0, 0, 1)], [(0, 0, 1)], [(0, 0, 0)], [(0, 0, None)]],
-                         weights=[2, 3, 0, 7])
+    index = PatternIndex(oracle.weighted_tables(
+        [[(0, 0, 1)], [(0, 0, 1)], [(0, 0, 0)], [(0, 0, None)]], [2, 3, 0, 7]))
     grid = np.array([[0, 1], [1, -1]])
     assert index.total(grid) == 10 and index.total(grid, wrap=True) == 10
     assert index.covering(grid, 0, 1) == [5] and index.covering(grid, 0, 0) == []
-    listed = PatternIndex([[(0, 0, 1)], [(0, 0, 1)]])
+    listed = PatternIndex(pattern_tables([[(0, 0, 1)], [(0, 0, 1)]]))
     assert listed.occurrences(grid) == [(0, 1, (0, 1)), (1, 0, (0, 1))]
 
 
-def test_robinson_chain_matches_oracle_local_energy(monkeypatch):
+def test_shape_wider_than_torus_lands_twice():
+    index = PatternIndex({((0, 0), (0, 1)): {(1, 1): 3}})
+    grid = np.array([[1]])
+    assert index.total(grid, wrap=True) == 3
+    assert index.covering(grid, 0, 0, wrap=True) == [3, 3]
+    assert index.covering(grid, 0, 0) == []
+
+
+def test_robinson_chain_matches_oracle_local_energy():
     tileset = build_tileset()
     potential = adjacency_potential(tileset)
     kernel = metropolis(tileset, potential, 8, 1.0, 20, rng_seed=0, cadence=5)
-    compiled = oracle.compile_potential(potential, tileset)
-    d = _energy_denominator(potential)
-
-    def oracle_units(config, x, y):
-        units = oracle.occurrences_at(compiled, config.cells, x, y) * d
-        assert units.denominator == 1
-        return int(units)
-
-    monkeypatch.setattr(TorusConfig, "_local_units", oracle_units)
-    slow = metropolis(tileset, potential, 8, 1.0, 20, rng_seed=0, cadence=5)
+    slow = gibbs_oracle.metropolis(tileset, potential, 8, 1.0, 20, rng_seed=0, cadence=5)
     assert slow.trace == kernel.trace
     assert slow.accepted == kernel.accepted
     assert 0 < kernel.accepted < kernel.steps
@@ -206,7 +226,7 @@ def test_robinson_chain_matches_oracle_local_energy(monkeypatch):
 
 def test_empty_pattern_is_refused():
     with pytest.raises(InputError):
-        PatternIndex([[]])
+        pattern_tables([[]])
 
 
 def test_covering_search_unchanged_on_block_markers():

@@ -27,7 +27,7 @@ from .machines import (NonConformingError, corpus, machine_enumeration,
 from .markers import MarkerSet, robinson_marker_set, verify_nonoverlap
 from .measures import conditional_rows, weak_star_distance
 from .perturbation import perturbed_flow, selector_flow
-from .render import svg_chunks
+from .render import render_patch_svg
 from .robinson import build_macro_tile, build_tileset
 from .sequences import connectify, finite_accumulation, named_sequence
 from .thermo import thermo_csv, thermo_table
@@ -145,8 +145,8 @@ def _emit(primary_path: str, chunks: Iterable[bytes], command: str,
           resolved: dict):
     """Write the artifact from its bytes chunks, then its .config sidecar.
 
-    Text artifacts come as chunks of UTF-8, written as they are made, and
-    the sidecar is UTF-8 too, which is how `_read_text` reads it back.
+    Text artifacts are passed as one chunk of UTF-8, and the sidecar is
+    UTF-8 too, which is how `_read_text` reads it back.
     """
     with open(primary_path, "wb") as out:
         out.writelines(chunks)
@@ -213,8 +213,9 @@ def _resolve_schedule(name):
 ])
 def _run_render(cfg):
     patch = build_macro_tile(cfg["scale"])
-    _emit(cfg["out"], svg_chunks(build_tileset(), patch, cell=cfg["cell"],
-                                 show_arrows=cfg["arrows"]), "render", cfg)
+    svg = render_patch_svg(build_tileset(), patch, cell=cfg["cell"],
+                           show_arrows=cfg["arrows"])
+    _emit(cfg["out"], [svg.encode()], "render", cfg)
     return 0
 
 

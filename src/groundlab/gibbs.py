@@ -12,8 +12,9 @@ as exact rationals.
 A Metropolis proposal (site p, tile t) is scored in one pass over a flat
 Python list of codes: the kernel's plan for p holds one (table lookup, key
 getter) pair per pattern cell landing on p, and the rise n is the sum of the
-lookups after the change minus the sum before it.  A proposal that keeps the
-tile is a zero rise.
+lookups after the change minus the sum before it (`TorusConfig._rise`, which
+`update` runs over a flat view of the cells).  A proposal that keeps the tile
+is a zero rise.
 
 Weights are formed per integer level n (energy n/D).  With
 y = Fraction(exp(-beta/D)) a level weighs y^n: exact Boltzmann enumeration on
@@ -151,6 +152,7 @@ class TorusConfig:
             table[key] = table.get(key, 0) + weight.numerator * (d // weight.denominator) * h * w
         self._index = PatternIndex({tuple(iter_product(range(h), range(w))): table
                                     for (h, w), table in tables.items()})
+        self._plan = self._index.cell_plan(cells.shape, wrap=True)
         self._units = int(self.recompute_energy() * d)
 
     @property
@@ -161,17 +163,26 @@ class TorusConfig:
         """Full from-scratch scan of the current cells."""
         return Fraction(self._index.total(self.cells, wrap=True), self._denominator)
 
-    def _local_units(self, x: int, y: int) -> int:
-        """Energy, in units of 1/D, of the occurrences covering cell (x, y)."""
-        return sum(self._index.covering(self.cells, y % self.side, x % self.side, wrap=True))
+    def _rise(self, codes, p: int, t: int) -> int:
+        """Units of 1/D the energy rises by when flat cell p of `codes` (a
+        flat list of the cells, or a flat view of them) takes tile t: the
+        plan's lookups at p after the change minus before it, in one pass.
+        Leaves codes[p] = t."""
+        terms = self._plan[p]
+        delta = 0
+        for get, key in terms:
+            delta -= get(key(codes), 0)
+        codes[p] = t
+        for get, key in terms:
+            delta += get(key(codes), 0)
+        return delta
 
     def update(self, x: int, y: int, tile_index: int) -> Fraction:
         """Set one cell, returning the exact energy change."""
         if not 0 <= tile_index < len(self.tileset.tiles):
             raise InputError("tile index out of range")
-        before = self._local_units(x, y)
-        self.cells[y % self.side, x % self.side] = tile_index
-        delta = self._local_units(x, y) - before
+        p = (y % self.side) * self.side + x % self.side
+        delta = self._rise(self.cells.reshape(-1), p, tile_index)
         self._units += delta
         return Fraction(delta, self._denominator)
 
@@ -277,7 +288,7 @@ def power_float(y: Fraction, n: int) -> float:
     while True:
         # (m, e) is m * 2^e: y's floor and ceiling to p bits
         s = p - num.bit_length() + den.bit_length()
-        q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+        q, r = divmod(num << s, den)  # s >= p, as y <= 1
         ylo, yhi = (q, -s), (q + (r > 0), -s)
         lo, hi = ylo, yhi
         for bit in bin(n)[3:]:
@@ -302,8 +313,8 @@ def _mul(a: Tuple[int, int], b: Tuple[int, int], p: int, up: int) -> Tuple[int, 
 
 def _to_float(v: Tuple[int, int]) -> float:
     m, e = v
-    # int / int is correctly rounded, subnormals included
-    return float(m << e) if e >= 0 else m / (1 << -e)
+    # e < 0, as v <= 1 has p bits; int / int is correctly rounded, subnormals included
+    return m / (1 << -e)
 
 
 def torus_coverage(config: TorusConfig,
@@ -362,8 +373,8 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     trace: List[tuple] = []
     samples: List[tuple] = []
     observe(0)
-    # the chain reads the flat code list; config.cells follows each accepted move
-    plan = config._index.cell_plan(config.cells.shape, wrap=True)
+    # the chain scores over a flat code list; config.cells follows each accepted move
+    rise = config._rise
     codes = config.cells.ravel().tolist()
     flat = config.cells.reshape(-1)
     accepted = 0
@@ -381,13 +392,7 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
             if t == old:  # nothing moves: a zero rise, always accepted
                 accepted += 1
             else:
-                terms = plan[p]
-                delta = 0
-                for get, key in terms:
-                    delta -= get(key(codes), 0)
-                codes[p] = t
-                for get, key in terms:
-                    delta += get(key(codes), 0)
+                delta = rise(codes, p, t)
                 if delta > 0 and delta not in accept:
                     accept[delta] = power_float(y, delta)
                 if delta <= 0 or u < accept[delta]:

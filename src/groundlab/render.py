@@ -5,16 +5,10 @@ shows exactly the information the matching rules see: line segments connect
 the decorated edge points (through the shared corner when the two decorated
 edges are perpendicular), arrows become small ticks on the edges, and parity
 bits shade the tile background.  Output strings are byte-stable for fixed
-input: no timestamps, no randomness, fixed decimal formatting.  The text
-comes as byte chunks, one per grid row, so a caller can write a picture of
-millions of tiles without holding it.
+input: no timestamps, no randomness, fixed decimal formatting.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
-
-import numpy as np
 
 from .tiles import HOLE, InputError, Patch, Tileset
 
@@ -102,63 +96,53 @@ class _Formatted(dict):
 
 def render_patch_svg(tileset: Tileset, patch: Patch, cell: int = 24,
                      show_arrows: bool = True) -> str:
-    """The patch as SVG text: the join of `svg_chunks`."""
-    return b"".join(svg_chunks(tileset, patch, cell, show_arrows)).decode()
-
-
-def svg_chunks(tileset: Tileset, patch: Patch, cell: int = 24,
-               show_arrows: bool = True) -> Iterator[bytes]:
-    """The patch as SVG, `cell` pixels per tile, in UTF-8 chunks: the header,
-    then one chunk per grid row, then the closing tag.  Every tile the patch
-    holds is planned before the first chunk, so a bad input raises here and
-    never part way through the output."""
+    """The patch as SVG, `cell` pixels per tile.  Each tile id is planned
+    once; a point is `x * cell + lx * cell`, `(height - y) * cell - ly * cell`
+    for cell (x, y) and plan offsets (lx * cell, ly * cell)."""
     if cell < 1:
         raise InputError(f"cell must be >= 1 pixel, got {cell}")
-    # the codes the grid holds: bin 0 counts the holes (-1)
-    held = np.flatnonzero(np.bincount(patch.grid.ravel() + 1)[1:])
-    plans = {code: _tile_plan(tileset.tile(patch.legend[code]), cell, show_arrows)
-             for code in held.tolist()}
-    return _svg_rows(patch, cell, plans)
-
-
-def _svg_rows(patch: Patch, cell: int, plans: dict) -> Iterator[bytes]:
-    """The chunks of `svg_chunks`.  A point is `x * cell + lx * cell`,
-    `(height - y) * cell - ly * cell` for cell (x, y) and plan offsets
-    (lx * cell, ly * cell)."""
     W = patch.width * cell
     H = patch.height * cell
-    yield (
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">\n'
-        '<defs><marker id="tip" viewBox="0 0 4 4" refX="3" refY="2" markerWidth="3" '
-        'markerHeight="3" orient="auto"><path d="M0,0 L4,2 L0,4 z" fill="#b8b8b8"/>'
-        "</marker></defs>\n"
-        f'<rect width="{W}" height="{H}" fill="#ffffff"/>\n'
-    ).encode()
+        f'viewBox="0 0 {W} {H}">',
+        f'<rect width="{W}" height="{H}" fill="#ffffff"/>',
+    ]
     f = _Formatted()
+    plans = {}
     left, top, mid = 0.0 * cell, 1.0 * cell, 0.5 * cell
     radius = _fmt(cell * 0.08)
-    for y, grid_row in enumerate(patch.grid):
+    for y, row in enumerate(patch.grid.tolist()):
         cy = (patch.height - y) * cell
-        out = []
-        for x, code in enumerate(grid_row.tolist()):
+        for x, code in enumerate(row):
             if code == HOLE:
                 continue
-            fill, bumpy, lines = plans[code]
+            plan = plans.get(code)
+            if plan is None:
+                tile = tileset.tile(patch.legend[code])
+                plan = plans[code] = _tile_plan(tile, cell, show_arrows)
+            fill, bumpy, lines = plan
             cx = x * cell
             out.append(
                 f'<rect x="{f[cx + left]}" y="{f[cy - top]}" width="{cell}" '
-                f'height="{cell}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>\n'
+                f'height="{cell}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
             )
             for x1, y1, x2, y2, attributes in lines:
                 out.append(
                     f'<line x1="{f[cx + x1]}" y1="{f[cy - y1]}" x2="{f[cx + x2]}" '
-                    f'y2="{f[cy - y2]}" {attributes}/>\n'
+                    f'y2="{f[cy - y2]}" {attributes}/>'
                 )
             if bumpy:
                 out.append(
                     f'<circle cx="{f[cx + mid]}" cy="{f[cy - mid]}" r="{radius}" '
-                    f'fill="#2c3e50"/>\n'
+                    f'fill="#2c3e50"/>'
                 )
-        yield "".join(out).encode()
-    yield b"</svg>\n"
+
+    defs = (
+        '<defs><marker id="tip" viewBox="0 0 4 4" refX="3" refY="2" markerWidth="3" '
+        'markerHeight="3" orient="auto"><path d="M0,0 L4,2 L0,4 z" fill="#b8b8b8"/>'
+        "</marker></defs>"
+    )
+    out.insert(1, defs)
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

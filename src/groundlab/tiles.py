@@ -463,7 +463,7 @@ class PatternIndex:
     def covering(self, grid: np.ndarray, y: int, x: int, wrap: bool = False) -> list:
         """Values of the occurrences that cover cell (y, x), once per pattern
         cell landing there."""
-        codes = grid.ravel().tolist()
+        codes = grid.ravel()  # numpy ints hash and compare like the table's keys
         return [v for get, key in self.cell_plan(grid.shape, wrap)[y * grid.shape[1] + x]
                 if (v := get(key(codes))) is not None]
 

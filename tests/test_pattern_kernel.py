@@ -66,7 +66,7 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
     side = len(cells)
     for y in range(side):
         for x in range(side):
-            assert (Fraction(config._local_units(x, y), d)
+            assert (Fraction(sum(config._index.covering(cells, y, x, wrap=True)), d)
                     == oracle.occurrences_at(compiled, cells, x, y))
     # an open grid with unassigned (-1) cells, the covering search's path:
     # the oracle sees it inside a torus padded with -1 wider than any pattern

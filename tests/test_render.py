@@ -1,7 +1,7 @@
 import pytest
 
 import render_oracle
-from groundlab.render import render_patch_svg, svg_chunks
+from groundlab.render import render_patch_svg
 from groundlab.robinson import ORIENTATIONS, build_macro_tile, build_tileset
 from groundlab.tiles import InputError, Patch
 
@@ -45,19 +45,3 @@ def test_cell_below_one_pixel_is_refused(robinson, cell):
 def test_unknown_tile_id_is_input_error(robinson):
     with pytest.raises(InputError, match="unknown tile id"):
         render_patch_svg(robinson, Patch.from_ids([["no-such-tile"]]))
-
-
-def test_chunks_are_rows_and_bad_input_raises_before_any(robinson):
-    ids = [t.id for t in robinson.tiles]
-    rows = [[ids[x + y] if x != y and y != 1 else None for x in range(5)]
-            for y in range(3)]
-    patch = Patch.from_ids(rows)
-    chunks = list(svg_chunks(robinson, patch, 9))
-    assert len(chunks) == patch.height + 2
-    assert [c.count(b"<rect x=") for c in chunks[1:-1]] == [4, 0, 4]
-    assert b"".join(chunks).decode() == render_patch_svg(robinson, patch, 9)
-    # raised by the call itself, so a writer never starts a partial file
-    with pytest.raises(InputError, match="cell"):
-        svg_chunks(robinson, patch, 0)
-    with pytest.raises(InputError, match="unknown tile id"):
-        svg_chunks(robinson, Patch.from_ids([[ids[0], None], [None, "no-such-tile"]]))

@@ -1,13 +1,15 @@
 """Finite-volume Gibbs machinery on the torus.
 
-A potential is a weighted list of forbidden rectangular patterns.  A torus
-compiles it once into the tables of the shape-hashed kernel
-`tiles.PatternIndex`: per (h, w) rectangle, the tile codes of a pattern in
-row-major order map to its weight times h * w, summed over duplicates.  The
-local energy of a site counts every occurrence covering it, so one occurrence
-of a size-s pattern contributes s times to the total.  Energies are kept as
-integers in units of 1/D (D the lcm of the weight denominators) and read out
-as exact rationals.
+A potential is its integer shape tables: per (h, w) rectangle, the tile ids
+of a forbidden pattern in row-major order map to its weight in units of 1/D
+(D the lcm of the weight denominators), summed over duplicates.  The
+adjacency potential is read straight off a tileset's compatibility matrices.
+A torus remaps each table's id keys to tile codes, column by column, and
+scales its units by the support h * w: these are the tables of the
+shape-hashed kernel `tiles.PatternIndex`.  The local energy of a site counts
+every occurrence covering it, so one occurrence of a size-s pattern
+contributes s times to the total.  Energies are kept as integers in units of
+1/D and read out as exact rationals.
 
 A Metropolis proposal (site p, tile t) is scored in one pass over a flat
 Python list of codes: the kernel's plan for p holds one (table lookup, key
@@ -36,9 +38,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
 from itertools import product as iter_product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import mul
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,31 +57,89 @@ ENUMERATION_BLOCK = 4096  # configurations per numpy batch: bounds its arrays
 
 @dataclass(frozen=True)
 class Potential:
-    """Weighted forbidden patterns; rows are indexed like the torus array,
-    rows[j][i] matching the cell (y + j, x + i) for an anchor at (y, x)."""
+    """Weighted forbidden patterns, held as integer shape tables.
 
-    forbidden: Tuple[Tuple[Tuple[Tuple[str, ...], ...], Fraction], ...]
+    `tables` maps each (h, w) rectangle to {ids: units}: `ids` is a pattern's
+    tile ids in row-major order, rows[j][i] at j * w + i, where rows are
+    indexed like the torus array (rows[j][i] matches the cell (y + j, x + i)
+    for an anchor at (y, x)), and `units` its weight in units of
+    1/`denominator`, summed over duplicate patterns.  Both fields are
+    read-only; two potentials are equal when their tables and denominators
+    are.  The constructor checks the tables one shape at a time.
+
+    `from_patterns` sets the denominator to the lcm of the weight
+    denominators as given, duplicates and unknown ids included.  `forbidden`
+    and `to_json` list one pattern per key, so a round trip keeps a potential
+    whenever no two of its patterns share a key; duplicates whose
+    denominators cancel (1/3 + 2/3 = 1) come back with a smaller denominator.
+    """
+
+    tables: Mapping[Tuple[int, int], Mapping[Tuple[str, ...], int]]
+    denominator: int
 
     def __post_init__(self):
-        clean = []
-        for rows, weight in self.forbidden:
-            rows = tuple(map(tuple, rows))
+        d = self.denominator
+        if type(d) is not int or d < 1:
+            raise InputError("potential denominator must be an int >= 1")
+        tables = {}
+        for shape, table in dict(self.tables).items():
+            if (type(shape) is not tuple or len(shape) != 2
+                    or {type(n) for n in shape} != {int} or min(shape) < 1):
+                raise InputError(f"pattern shape must be (h, w) with h, w >= 1, got {shape!r}")
+            table = dict(table)
+            if not table:
+                continue
+            if set(map(type, table)) != {tuple} or set(map(len, table)) != {shape[0] * shape[1]}:
+                raise InputError(f"{shape} pattern keys must be tuples of h * w tile ids")
+            if set(map(type, chain.from_iterable(table))) != {str}:
+                raise InputError("pattern cells must be tile ids")
+            if set(map(type, table.values())) != {int} or min(table.values()) < 0:
+                raise InputError("pattern weights must be integer units >= 0")
+            tables[shape] = MappingProxyType(table)
+        object.__setattr__(self, "tables", MappingProxyType(tables))
+
+    def __hash__(self):
+        return hash((self.denominator, frozenset(self.tables)))
+
+    @classmethod
+    def from_patterns(cls, pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> "Potential":
+        """The potential of (rows, weight) pairs, rows indexed like the torus."""
+        patterns = []
+        for rows, weight in pairs:
+            try:
+                rows = tuple(map(tuple, rows))
+                if type(weight) is not Fraction:
+                    weight = Fraction(weight)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"bad forbidden pattern: {exc}") from exc
             if not rows or not rows[0]:
                 raise InputError("empty forbidden pattern")
             if len(set(map(len, rows))) != 1:
                 raise InputError("ragged forbidden pattern")
-            if type(weight) is not Fraction:
-                weight = Fraction(weight)
             if weight.numerator < 0:
                 raise InputError("pattern weights must be >= 0")
-            clean.append((rows, weight))
-        object.__setattr__(self, "forbidden", tuple(clean))
+            ids = tuple(chain.from_iterable(rows))
+            if set(map(type, ids)) != {str}:
+                raise InputError("pattern cells must be tile ids")
+            patterns.append(((len(rows), len(rows[0])), ids, weight.numerator, weight.denominator))
+        d = math.lcm(*{den for *_, den in patterns})
+        tables: Dict[Tuple[int, int], Dict[tuple, int]] = {}
+        for shape, ids, num, den in patterns:
+            table = tables.setdefault(shape, {})
+            table[ids] = table.get(ids, 0) + num * (d // den)
+        return cls(tables, d)
+
+    @property
+    def forbidden(self) -> Tuple[Tuple[Tuple[Tuple[str, ...], ...], Fraction], ...]:
+        """(rows, weight) per key, duplicates summed."""
+        d = self.denominator
+        return tuple((tuple(ids[j * w:(j + 1) * w] for j in range(h)), Fraction(units, d))
+                     for (h, w), table in self.tables.items() for ids, units in table.items())
 
     @property
     def range(self) -> int:
         """Largest anchor-to-cell offset any pattern can reach."""
-        return max((max(len(rows) - 1, len(rows[0]) - 1)
-                    for rows, _ in self.forbidden), default=0)
+        return max((max(h, w) - 1 for h, w in self.tables), default=0)
 
     def to_json(self) -> str:
         doc = {"patterns": [
@@ -88,36 +150,33 @@ class Potential:
 
     @classmethod
     def from_json(cls, text: str) -> "Potential":
-        try:
+        try:  # InputError is a ValueError
             doc = json.loads(text)
-            pairs = tuple(
-                (tuple(tuple(r) for r in entry["rows"]),
-                 Fraction(entry["weight"][0], entry["weight"][1]))
-                for entry in doc["patterns"])
+            return cls.from_patterns(
+                [(entry["rows"], Fraction(entry["weight"][0], entry["weight"][1]))
+                 for entry in doc["patterns"]])
         except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
             raise InputError(f"malformed potential json: {exc}") from exc
-        if not all(isinstance(c, str) for rows, _ in pairs for r in rows for c in r):
-            raise InputError("malformed potential json: pattern cells must be tile ids")
-        return cls(pairs)
 
 
 def pattern_potential(pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> Potential:
-    return Potential(tuple(pairs))
+    return Potential.from_patterns(pairs)
 
 
 def adjacency_potential(tileset: Tileset, weight: _Q = 1) -> Potential:
-    """One forbidden domino per incompatible adjacent pair of the tileset."""
-    ids = [t.id for t in tileset.tiles]
+    """One forbidden domino per incompatible adjacent pair of the tileset,
+    read straight off the compatibility matrices."""
     weight = Fraction(weight)
-    pairs = []
-    for a, h_row, v_row in zip(ids, tileset.h_compat.tolist(), tileset.v_compat.tolist()):
-        for b, h_ok, v_ok in zip(ids, h_row, v_row):
-            if not h_ok:
-                pairs.append((((a, b),), weight))
-            if not v_ok:
-                # b sits on the row above a: rows are (lower, upper)
-                pairs.append((((a,), (b,)), weight))
-    return Potential(tuple(pairs))
+    ids = [t.id for t in tileset.tiles].__getitem__
+    tables = {}
+    # h_compat[a, b]: a sits west of b; v_compat[a, b]: a sits south of b,
+    # so its domino's rows are (a,), (b,): row-major ids (a, b) either way
+    for shape, compat in (((1, 2), tileset.h_compat), ((2, 1), tileset.v_compat)):
+        a, b = np.nonzero(~compat)
+        tables[shape] = dict.fromkeys(zip(map(ids, a.tolist()), map(ids, b.tolist())),
+                                      weight.numerator)
+    # no pattern at all leaves the lcm of no denominators: 1
+    return Potential(tables, weight.denominator if any(tables.values()) else 1)
 
 
 class TorusConfig:
@@ -138,22 +197,25 @@ class TorusConfig:
         self.tileset = tileset
         self.potential = potential
         self.cells = cells
-        # each pattern is worth weight * support, in units of 1/D, keyed by
-        # its codes in row-major order under its (h, w) rectangle
-        self._denominator = d = _energy_denominator(potential)
+        self._denominator = potential.denominator
+        # each table's id keys become code keys column by column, its units
+        # scaled by the support h * w; keys holding an id the tileset lacks,
+        # and zero units, are dropped
         code = tileset.index.get
-        tables: Dict[Tuple[int, int], Dict[tuple, int]] = {}
-        for rows, weight in potential.forbidden:
-            key = tuple(map(code, chain.from_iterable(rows)))
-            if None in key:
-                continue
-            h, w = len(rows), len(rows[0])
-            table = tables.setdefault((h, w), {})
-            table[key] = table.get(key, 0) + weight.numerator * (d // weight.denominator) * h * w
-        self._index = PatternIndex({tuple(iter_product(range(h), range(w))): table
-                                    for (h, w), table in tables.items()})
+        tables = {}
+        for (h, w), table in potential.tables.items():
+            cols = [list(map(code, col)) for col in zip(*table)]
+            pairs = zip(cols[0] if h * w == 1 else zip(*cols),
+                        map(mul, table.values(), repeat(h * w)))
+            if None in chain.from_iterable(cols) or 0 in table.values():
+                pairs = compress(pairs, [u and None not in c
+                                         for c, u in zip(zip(*cols), table.values())])
+            compiled = dict(pairs)
+            if compiled:
+                tables[tuple(iter_product(range(h), range(w)))] = compiled
+        self._index = PatternIndex(tables)
         self._plan = self._index.cell_plan(cells.shape, wrap=True)
-        self._units = int(self.recompute_energy() * d)
+        self._units = int(self.recompute_energy() * self._denominator)
 
     @property
     def energy(self) -> Fraction:
@@ -185,10 +247,6 @@ class TorusConfig:
         delta = self._rise(self.cells.reshape(-1), p, tile_index)
         self._units += delta
         return Fraction(delta, self._denominator)
-
-
-def _energy_denominator(potential: Potential) -> int:
-    return math.lcm(*{w.denominator for _, w in potential.forbidden})
 
 
 def boltzmann_base(beta: float, denominator: int) -> Fraction:

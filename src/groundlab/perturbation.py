@@ -89,10 +89,10 @@ class PerturbedPotential:
         object.__setattr__(self, "epsilon", eps)
 
     def combined(self) -> Potential:
-        pairs = [(rows, w) for rows, w in self.base.forbidden]
+        pairs = list(self.base.forbidden)
         pairs += [(rows, w * self.epsilon)
                   for rows, w in self.perturbation.forbidden]
-        return Potential(tuple(pairs))
+        return Potential.from_patterns(pairs)
 
     def zero_energy_signature(self) -> frozenset:
         """Patterns with positive weight; equal for every epsilon > 0."""

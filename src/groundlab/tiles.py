@@ -166,6 +166,20 @@ class ForbiddenPattern:
     cells: tuple
 
 
+def _compat(match, first: list, second: list) -> np.ndarray:
+    """[i, j] = match(first[i], second[j]), matched once per distinct label pair."""
+    (a, ia), (b, ib) = _distinct(first), _distinct(second)
+    small = np.array([[match(x, y) for y in b] for x in a], dtype=bool)
+    return small.reshape(len(a), len(b))[np.ix_(ia, ib)]
+
+
+def _distinct(labels: list) -> tuple:
+    """The distinct labels in first-seen order, and each label's position there."""
+    seen: dict = {}
+    positions = np.array([seen.setdefault(x, len(seen)) for x in labels], dtype=np.intp)
+    return list(seen), positions
+
+
 class Tileset:
     """A finite tile list plus adjacency relations generated from the labels."""
 
@@ -175,13 +189,11 @@ class Tileset:
             raise InputError("duplicate tile ids")
         self.index = {t.id: i for i, t in enumerate(self.tiles)}
         self.extra_forbidden = tuple(extra_forbidden)
-        n = len(self.tiles)
-        self.h_compat = np.zeros((n, n), dtype=bool)  # [a, b]: a sits west of b
-        self.v_compat = np.zeros((n, n), dtype=bool)  # [a, b]: a sits south of b
-        for i, a in enumerate(self.tiles):
-            for j, b in enumerate(self.tiles):
-                self.h_compat[i, j] = h_edges_match(a.east, b.west)
-                self.v_compat[i, j] = v_edges_match(a.north, b.south)
+        # h_compat[a, b]: a may sit west of b; v_compat[a, b]: a may sit south of b
+        self.h_compat = _compat(h_edges_match, [t.east for t in self.tiles],
+                                [t.west for t in self.tiles])
+        self.v_compat = _compat(v_edges_match, [t.north for t in self.tiles],
+                                [t.south for t in self.tiles])
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -334,8 +346,8 @@ class Patch:
 def pattern_tables(patterns) -> dict:
     """Group (dy, dx, code) cell lists by cell-offset shape into `PatternIndex`
     tables: {offsets: {codes: indices of the patterns}}, the codes read at
-    the sorted offsets.  A pattern holding a None code (a tile the grid
-    cannot hold) is left out."""
+    the sorted offsets (one code for a 1-cell shape).  A pattern holding a
+    None code (a tile the grid cannot hold) is left out."""
     tables = {}
     for n, cells in enumerate(patterns):
         if not cells:
@@ -343,6 +355,8 @@ def pattern_tables(patterns) -> dict:
         if any(code is None for _, _, code in cells):
             continue
         offsets, key = zip(*(((dy, dx), code) for dy, dx, code in sorted(cells)))
+        if len(key) == 1:
+            key = key[0]
         table = tables.setdefault(offsets, {})
         table[key] = table.get(key, ()) + (n,)
     return tables
@@ -353,9 +367,10 @@ class PatternIndex:
 
     `tables` maps each shape (a tuple of (dy, dx) offsets) to a dict from the
     codes read at those offsets, as a tuple, to a value: an integer weight or
-    the indices of the patterns (`pattern_tables`).  Falsy values are dropped.
-    An anchor is thus one dict lookup per shape, however many patterns there
-    are.  A 1-cell shape is keyed by its one code.
+    the indices of the patterns (`pattern_tables`).  A 1-cell shape is keyed
+    by its one code.  The tables come in this final form, with no falsy
+    value, and are kept as given: an anchor is one dict lookup per shape,
+    however many patterns there are.
 
     Grids hold integer codes indexed [y, x].  With `wrap` the grid is a
     torus; without it an anchor counts only where its whole shape lies inside
@@ -364,9 +379,7 @@ class PatternIndex:
     """
 
     def __init__(self, tables: dict):
-        self._shapes = [(offsets, {(k[0] if len(offsets) == 1 else k): v
-                                   for k, v in table.items() if v})
-                        for offsets, table in tables.items()]
+        self._shapes = list(tables.items())
         self._plans = {}
         self._by_cell = {}
         self._dense = {}

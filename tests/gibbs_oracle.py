@@ -6,7 +6,9 @@ tests/pattern_oracle.py, not from the pattern kernel.
 
 `gibbs.boltzmann_exact` and `gibbs.metropolis` key on integer energy levels
 and keep one chain for every beta; tests/test_gibbs_oracle.py checks them
-against these loops.
+against these loops.  Each loop takes the potential as its (rows, weight)
+list and reads the energy denominator off that list, not off the library's
+`Potential`.
 """
 
 from fractions import Fraction
@@ -17,22 +19,23 @@ import numpy as np
 
 import pattern_oracle
 from groundlab.gibbs import (BoltzmannTable, MetropolisResult, TorusConfig,
-                             _energy_denominator, acceptance_probability,
-                             boltzmann_base)
+                             acceptance_probability, boltzmann_base,
+                             pattern_potential)
 from groundlab.tiles import BudgetExceeded, InputError
 
 
-def boltzmann_exact(tileset, potential, side, beta, budget):
+def boltzmann_exact(tileset, pairs, side, beta, budget):
     ntiles = len(tileset.tiles)
     count = ntiles ** (side * side)
     if count > budget:
         raise BudgetExceeded(
             f"{count} configurations exceed the enumeration budget {budget}")
-    d = _energy_denominator(potential)
+    d = pattern_oracle.denominator(pairs)
     y = boltzmann_base(beta, d)
     energies: Dict[tuple, Fraction] = {}
     weights: Dict[tuple, Fraction] = {}
-    scratch = TorusConfig(tileset, potential, np.zeros((side, side), np.int64))
+    scratch = TorusConfig(tileset, pattern_potential(pairs),
+                          np.zeros((side, side), np.int64))
     for assignment in iter_product(range(ntiles), repeat=side * side):
         scratch.cells = np.array(assignment, np.int64).reshape(side, side)
         energies[assignment] = e = scratch.recompute_energy()
@@ -43,7 +46,7 @@ def boltzmann_exact(tileset, potential, side, beta, budget):
                           energies=energies, probabilities=probabilities)
 
 
-def metropolis(tileset, potential, side, beta, steps, rng_seed, markers=None,
+def metropolis(tileset, pairs, side, beta, steps, rng_seed, markers=None,
                cadence=0, sample_cadence=0):
     if steps < 1:
         raise InputError("steps must be >= 1")
@@ -52,9 +55,9 @@ def metropolis(tileset, potential, side, beta, steps, rng_seed, markers=None,
     rng = np.random.Generator(np.random.Philox(rng_seed))
     ntiles = len(tileset.tiles)
     cells = rng.integers(0, ntiles, size=(side, side))
-    config = TorusConfig(tileset, potential, cells)
-    compiled = pattern_oracle.compile_potential(potential, tileset)
-    d = _energy_denominator(potential)
+    config = TorusConfig(tileset, pattern_potential(pairs), cells)
+    compiled = pattern_oracle.compile_patterns(pairs, tileset)
+    d = pattern_oracle.denominator(pairs)
     y = boltzmann_base(beta, d)
     free_run = beta == 0
 

@@ -7,6 +7,7 @@ pattern is compared cell by cell at every anchor, so they serve as the
 reference in the differential tests.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,32 +36,59 @@ class _CompiledPattern:
 def weighted_tables(patterns, weights) -> dict:
     """The former `PatternIndex(patterns, weights)` grouping: (dy, dx, code)
     cell lists keyed by their sorted offsets, the weights of equal code
-    tuples summed, zero sums dropped and None-code patterns left out."""
+    tuples summed, zero sums dropped and None-code patterns left out; a
+    1-cell shape is keyed by its one code, as the kernel takes it."""
     shapes = {}
     for n, cells in enumerate(patterns):
         if any(code is None for _, _, code in cells):
             continue
         offsets, key = zip(*(((dy, dx), code) for dy, dx, code in sorted(cells)))
+        if len(key) == 1:
+            key = key[0]
         table = shapes.setdefault(offsets, {})
         table[key] = table[key] + weights[n] if key in table else weights[n]
     return {offsets: {k: v for k, v in table.items() if v}
             for offsets, table in shapes.items()}
 
 
-def potential_tables(potential, tileset, denominator) -> dict:
-    """The former `TorusConfig` compile: each pattern as a cell list worth
-    weight * support in units of 1/denominator, grouped by `weighted_tables`."""
+def denominator(pairs) -> int:
+    """The lcm of the weight denominators of a (rows, weight) list, as given:
+    duplicates, zero weights and unknown ids included; 1 for no pattern."""
+    d = 1
+    for _, w in pairs:
+        d = math.lcm(d, Fraction(w).denominator)
+    return d
+
+
+def potential_tables(pairs, tileset) -> dict:
+    """The former `TorusConfig` compile of a (rows, weight) list: each pattern
+    as a cell list worth weight * support in units of 1/`denominator(pairs)`,
+    grouped by `weighted_tables`."""
+    d = denominator(pairs)
     patterns = [[(j, i, tileset.index.get(tid)) for j, row in enumerate(rows)
-                 for i, tid in enumerate(row)] for rows, _ in potential.forbidden]
+                 for i, tid in enumerate(row)] for rows, _ in pairs]
     return weighted_tables(patterns, [
-        w.numerator * (denominator // w.denominator) * len(pattern)
-        for (_, w), pattern in zip(potential.forbidden, patterns)])
+        Fraction(w) * d * len(pattern) for (_, w), pattern in zip(pairs, patterns)])
 
 
-def compile_potential(potential, tileset) -> list:
-    """The former `gibbs._compile`: the input of the two torus energy loops."""
+def adjacency_pairs(tileset, weight=1) -> list:
+    """The former `adjacency_potential` loop: one forbidden domino per
+    incompatible pair, (a, b) in a row, or a below b."""
+    pairs = []
+    for i, a in enumerate(tileset.tiles):
+        for j, b in enumerate(tileset.tiles):
+            if not tileset.h_compat[i, j]:
+                pairs.append((((a.id, b.id),), weight))
+            if not tileset.v_compat[i, j]:
+                pairs.append((((a.id,), (b.id,)), weight))
+    return pairs
+
+
+def compile_patterns(pairs, tileset) -> list:
+    """The former `gibbs._compile` of a (rows, weight) list: the input of the
+    two torus energy loops."""
     index = {t.id: i for i, t in enumerate(tileset.tiles)}
-    return [_CompiledPattern(rows, w, index) for rows, w in potential.forbidden]
+    return [_CompiledPattern(rows, Fraction(w), index) for rows, w in pairs]
 
 
 def recompute_energy(compiled, cells) -> Fraction:

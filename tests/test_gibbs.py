@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pattern_oracle
 from groundlab.gibbs import (BoltzmannTable, Potential, TorusConfig,
                              acceptance_probability, adjacency_potential,
                              boltzmann_base, boltzmann_exact,
@@ -50,12 +51,51 @@ def test_potential_validation():
     with pytest.raises(InputError):
         pattern_potential([((("A", "B"),), -1)])
     with pytest.raises(InputError):
-        Potential((((), Fraction(1)),))
+        pattern_potential([((), 1)])
+    with pytest.raises(InputError):
+        pattern_potential([(((),), 1)])
     with pytest.raises(InputError):
         pattern_potential([((("A", "B"), ("A",)), 1)])
+    with pytest.raises(InputError):
+        pattern_potential([((("A", 1),), 1)])
+    with pytest.raises(InputError):
+        pattern_potential([((("A",),), None)])
     assert AB_POT.range == 1
     assert B_POT.range == 0
     assert pattern_potential([]).range == 0
+    assert pattern_potential([]) == Potential({}, 1)
+
+
+@pytest.mark.parametrize("tables, denominator", [
+    ({(1, 2): {("A", "B"): 1}}, 0),                 # denominator < 1
+    ({(1, 2): {("A", "B"): 1}}, 1.0),               # denominator not an int
+    ({(0, 2): {(): 1}}, 1),                         # h < 1
+    ({(1,): {("A",): 1}}, 1),                       # shape not (h, w)
+    ({(1, 2): {("A",): 1}}, 1),                     # key shorter than h * w
+    ({(1, 2): {"AB": 1}}, 1),                       # key not a tuple
+    ({(1, 2): {("A", 2): 1}}, 1),                   # cell not a tile id
+    ({(1, 2): {("A", "B"): -1}}, 1),                # units < 0
+    ({(1, 2): {("A", "B"): Fraction(1, 2)}}, 1),    # units not an int
+    ({(1, 2): {("A", "B"): True}}, 1),              # units a bool
+])
+def test_potential_table_checks(tables, denominator):
+    with pytest.raises(InputError):
+        Potential(tables, denominator)
+
+
+def test_potential_tables_are_read_only_and_summed():
+    pot = pattern_potential([((("A", "B"),), Fraction(1, 3)), ((("A", "B"),), Fraction(2, 3)),
+                             ((("B",), ("A",)), 0)])
+    assert pot == Potential({(1, 2): {("A", "B"): 3}, (2, 1): {("B", "A"): 0}}, 3)
+    assert hash(pot) == hash(Potential({(2, 1): {("B", "A"): 0}, (1, 2): {("A", "B"): 3}}, 3))
+    assert pot != Potential({(1, 2): {("A", "B"): 1}, (2, 1): {("B", "A"): 0}}, 1)
+    assert dict(pot.forbidden) == {(("A", "B"),): 1, (("B",), ("A",)): 0}
+    with pytest.raises(TypeError):
+        pot.tables[(1, 2)][("A", "B")] = 1
+    with pytest.raises(TypeError):
+        pot.tables[(1, 1)] = {}
+    # one pattern per key: the round trip of cancelling duplicates lowers D
+    assert Potential.from_json(pot.to_json()).denominator == 1
 
 
 def test_potential_json_roundtrip():
@@ -72,21 +112,37 @@ def test_potential_json_roundtrip():
         Potential.from_json(json.dumps({"patterns": [{"rows": [[["A"]]], "weight": [1, 1]}]}))
 
 
+@st.composite
+def distinct_patterns(draw):
+    """(rows, weight) pairs of mixed shapes, no two sharing a key."""
+    found = {}
+    for _ in range(draw(st.integers(0, 5))):
+        h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rows = tuple(tuple(draw(st.sampled_from("ABZ")) for _ in range(w)) for _ in range(h))
+        found[rows] = draw(st.sampled_from([0, 1, 3, Fraction(1, 2), Fraction(2, 3),
+                                            Fraction(5, 6)]))
+    return list(found.items())
+
+
+@given(distinct_patterns())
+@settings(max_examples=60, deadline=None)
+def test_json_roundtrip_without_shared_keys(pairs):
+    pot = pattern_potential(pairs)
+    assert pot.denominator == math.lcm(*(Fraction(w).denominator for _, w in pairs))
+    assert dict(pot.forbidden) == dict(pairs)
+    assert Potential.from_json(pot.to_json()) == pot
+
+
 def test_adjacency_potential_matches_per_pair_wrapping():
     tileset = build_tileset()
-    pairs = []
-    for i, a in enumerate(tileset.tiles):
-        for j, b in enumerate(tileset.tiles):
-            if not tileset.h_compat[i, j]:
-                pairs.append(((a.id, b.id),))
-            if not tileset.v_compat[i, j]:
-                pairs.append(((a.id,), (b.id,)))
-    for weight in (1, Fraction(2, 3)):
-        want = Potential(tuple((rows, Fraction(weight)) for rows in pairs))
+    for weight in (0, 1, Fraction(2, 3)):
+        want = pattern_potential(pattern_oracle.adjacency_pairs(tileset, weight))
         got = adjacency_potential(tileset, weight)
-        assert got == want and got.to_json() == want.to_json()
+        assert got == want and got.denominator == Fraction(weight).denominator
     with pytest.raises(InputError):
         adjacency_potential(tileset, -1)
+    # no incompatible pair: no pattern, and the lcm of no denominator is 1
+    assert adjacency_potential(TS2, Fraction(2, 3)) == pattern_potential([]) == Potential({}, 1)
 
 
 def test_boltzmann_base_past_float_range():

@@ -36,9 +36,9 @@ def id_rows(draw, h, w, ids):
 
 @st.composite
 def gibbs_case(draw, weights=tuple(WEIGHTS)):
-    """A free tileset of 1-3 tiles, a side 1-3 torus, and a potential with
-    mixed weight denominators and zero weights, drawn from `weights`, that
-    fits that torus.
+    """A free tileset of 1-3 tiles, a side 1-3 torus, and the (rows, weight)
+    list of a potential with mixed weight denominators and zero weights,
+    drawn from `weights`, that fits that torus.
 
     A potential holding BIG runs at beta = 0: there y = 1, while any y < 1
     raised to a level near 10**31 has no exact value of feasible size."""
@@ -50,16 +50,17 @@ def gibbs_case(draw, weights=tuple(WEIGHTS)):
               draw(st.sampled_from(weights)))
              for _ in range(draw(st.integers(0, 4)))]
     beta = 0.0 if any(w == BIG for _, w in pairs) else draw(st.sampled_from(BETAS))
-    return free_tileset(n), pattern_potential(pairs), side, beta
+    return free_tileset(n), pairs, side, beta
 
 
 @given(gibbs_case(weights=WEIGHTS + [BIG]), st.sampled_from(BLOCKS))
 @settings(max_examples=100, deadline=None)
 def test_boltzmann_exact_matches_oracle(case, block):
-    tileset, potential, side, beta = case
+    tileset, pairs, side, beta = case
+    potential = pattern_potential(pairs)
     with mock.patch.object(gibbs, "ENUMERATION_BLOCK", block):
         try:
-            want = oracle.boltzmann_exact(tileset, potential, side, beta, BUDGET)
+            want = oracle.boltzmann_exact(tileset, pairs, side, beta, BUDGET)
         except BudgetExceeded:
             with pytest.raises(BudgetExceeded):
                 boltzmann_exact(tileset, potential, side, beta, budget=BUDGET)
@@ -70,19 +71,20 @@ def test_boltzmann_exact_matches_oracle(case, block):
 @given(gibbs_case(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_metropolis_matches_oracle(case, data):
-    tileset, potential, side, beta = case
+    tileset, pairs, side, beta = case
     markers = None
     if data.draw(st.booleans(), label="markers"):
         rows = {str(r): r for r in data.draw(st.lists(
             id_rows(1, data.draw(st.integers(1, 2)), list(IDS[:len(tileset)])),
             min_size=1, max_size=2))}
         markers = MarkerSet([Patch.from_ids(r) for r in rows.values()])
-    args = (tileset, potential, side, beta, data.draw(st.integers(1, 300), label="steps"),
+    args = (side, beta, data.draw(st.integers(1, 300), label="steps"),
             data.draw(st.integers(0, 2 ** 32), label="seed"))
     kwargs = dict(markers=markers,
                   cadence=data.draw(st.integers(0, 40), label="cadence"),
                   sample_cadence=data.draw(st.integers(0, 40), label="sample_cadence"))
-    got, want = metropolis(*args, **kwargs), oracle.metropolis(*args, **kwargs)
+    got = metropolis(tileset, pattern_potential(pairs), *args, **kwargs)
+    want = oracle.metropolis(tileset, pairs, *args, **kwargs)
     assert got.trace == want.trace
     assert got.samples == want.samples
     assert got.accepted == want.accepted

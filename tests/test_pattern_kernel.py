@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import gibbs_oracle
 import pattern_oracle as oracle
-from groundlab.gibbs import (TorusConfig, _energy_denominator,
-                             adjacency_potential, metropolis,
+from groundlab.gibbs import (TorusConfig, adjacency_potential, metropolis,
                              pattern_potential, torus_coverage)
 from groundlab.markers import (MarkerSet, occurrence_map,
                                search_covering_counterexample)
@@ -38,8 +37,8 @@ def id_grid(draw, h, w, ids):
 
 @st.composite
 def torus_case(draw):
-    """A tileset, a potential with duplicates, zero weights and unknown ids,
-    and torus cells wide enough for its range."""
+    """A tileset, the (rows, weight) list of a potential with duplicates,
+    zero weights and unknown ids, and torus cells wide enough for its range."""
     n = draw(st.integers(1, 3))
     side = draw(st.integers(1, 5))
     reach = side // 2 + 1
@@ -50,18 +49,18 @@ def torus_case(draw):
                             draw(st.integers(1, reach)), ids))
         pairs.append((rows, draw(st.sampled_from(WEIGHTS))))
     if pairs and draw(st.booleans()):
-        pairs.append(pairs[0])
+        pairs.append((pairs[0][0], draw(st.sampled_from(WEIGHTS))))
     cells = np.array(draw(id_grid(side, side, list(range(n)))), dtype=np.int64)
-    return free_tileset(n), pattern_potential(pairs), cells
+    return free_tileset(n), pairs, cells
 
 
 @given(torus_case(), st.data())
 @FAST
 def test_torus_energy_and_local_lookup_match_oracle(case, data):
-    tileset, potential, cells = case
-    compiled = oracle.compile_potential(potential, tileset)
-    d = _energy_denominator(potential)
-    config = TorusConfig(tileset, potential, cells.copy())
+    tileset, pairs, cells = case
+    compiled = oracle.compile_patterns(pairs, tileset)
+    d = oracle.denominator(pairs)
+    config = TorusConfig(tileset, pattern_potential(pairs), cells.copy())
     assert config.energy == oracle.recompute_energy(compiled, cells)
     side = len(cells)
     for y in range(side):
@@ -95,10 +94,13 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
 @given(torus_case())
 @FAST
 def test_direct_compile_matches_cell_list_grouping(case):
-    tileset, potential, cells = case
-    config = TorusConfig(tileset, potential, cells)
-    want = PatternIndex(oracle.potential_tables(potential, tileset, config._denominator))
-    assert dict(config._index._shapes) == dict(want._shapes)
+    tileset, pairs, cells = case
+    config = TorusConfig(tileset, pattern_potential(pairs), cells)
+    assert config._denominator == oracle.denominator(pairs)
+    # a shape whose every pattern drops out has no table
+    want = {offsets: table for offsets, table in oracle.potential_tables(pairs, tileset).items()
+            if table}
+    assert dict(config._index._shapes) == want
 
 
 @st.composite
@@ -215,9 +217,10 @@ def test_shape_wider_than_torus_lands_twice():
 
 def test_robinson_chain_matches_oracle_local_energy():
     tileset = build_tileset()
-    potential = adjacency_potential(tileset)
-    kernel = metropolis(tileset, potential, 8, 1.0, 20, rng_seed=0, cadence=5)
-    slow = gibbs_oracle.metropolis(tileset, potential, 8, 1.0, 20, rng_seed=0, cadence=5)
+    kernel = metropolis(tileset, adjacency_potential(tileset), 8, 1.0, 20,
+                        rng_seed=0, cadence=5)
+    slow = gibbs_oracle.metropolis(tileset, oracle.adjacency_pairs(tileset), 8, 1.0, 20,
+                                   rng_seed=0, cadence=5)
     assert slow.trace == kernel.trace
     assert slow.accepted == kernel.accepted
     assert 0 < kernel.accepted < kernel.steps

@@ -3,7 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tiles_oracle
+from groundlab.robinson import build_tileset
 from groundlab.tiles import (
     EdgeLabel,
     ForbiddenPattern,
@@ -260,3 +264,27 @@ def test_tileset_rejects_bad_input():
         Tileset.from_json("{\"nope\": 1}")
     with pytest.raises(InputError):
         Tileset.from_json(json.dumps({"tiles": [{"id": "a"}]}))
+
+
+# few values per channel, so that labels repeat and pairs of them match
+edge_labels = st.builds(EdgeLabel, line=st.sampled_from([None, "r"]),
+                        pos=st.sampled_from([None, 0, 1]),
+                        arrow=st.sampled_from([None, "n", "e"]),
+                        px=st.sampled_from([None, 0, 1]), py=st.sampled_from([None, 0, 1]))
+
+
+@given(st.lists(st.tuples(edge_labels, edge_labels, edge_labels, edge_labels), max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_compat_matches_pair_by_pair_loop(edges):
+    tiles = [Tile(f"t{i}", *e) for i, e in enumerate(edges)]
+    ts = Tileset(tiles)
+    want_h, want_v = tiles_oracle.compat_matrices(tiles)
+    assert ts.h_compat.shape == ts.v_compat.shape == (len(tiles), len(tiles))
+    assert ts.h_compat.dtype == ts.v_compat.dtype == bool
+    assert np.array_equal(ts.h_compat, want_h) and np.array_equal(ts.v_compat, want_v)
+
+
+def test_robinson_compat_matches_pair_by_pair_loop():
+    ts = build_tileset()
+    want_h, want_v = tiles_oracle.compat_matrices(ts.tiles)
+    assert np.array_equal(ts.h_compat, want_h) and np.array_equal(ts.v_compat, want_v)

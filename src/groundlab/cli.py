@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .perturbation import perturbed_flow, selector_flow
 from .render import render_patch_svg
 from .robinson import build_macro_tile, build_tileset
 from .sequences import connectify, finite_accumulation, named_sequence
-from .thermo import thermo_csv, thermo_table
+from .thermo import PRECISION_MAX_K, thermo_csv, thermo_table
 from .tiles import BudgetExceeded, EdgeLabel, InputError, Tile, Tileset
 
 FORMAT_VERSION = "1"
@@ -348,6 +349,9 @@ def _run_measure_flow(cfg):
     Param("csv", str, required=True, help="output CSV path"),
 ])
 def _run_thermo(cfg):
+    # row k reads the cardinality bounds at k + 2, which stop at PRECISION_MAX_K
+    if cfg["kmax"] > PRECISION_MAX_K - 2:
+        raise UsageError(f"thermo: kmax must be <= {PRECISION_MAX_K - 2}")
     rows = thermo_table(cfg["kmin"], cfg["kmax"], C=cfg["C"],
                         C_prime=cfg["Cprime"], r=cfg["r"], c=cfg["c"],
                         schedule=_resolve_schedule(cfg["schedule"]))
@@ -433,7 +437,9 @@ def _run_acc(cfg):
 
 # ------------------------------------------------------------------ main ---
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand, built on first use."""
     parser = argparse.ArgumentParser(
         prog="groundlab",
         description="tiling, measure-flow and Gibbs experiment runner")
@@ -448,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -165,7 +165,11 @@ def pattern_potential(pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> Po
 
 def adjacency_potential(tileset: Tileset, weight: _Q = 1) -> Potential:
     """One forbidden domino per incompatible adjacent pair of the tileset,
-    read straight off the compatibility matrices."""
+    read straight off the compatibility matrices.  A potential holds only
+    rectangles, so a tileset with extra forbidden patterns is refused."""
+    if tileset.extra_forbidden:
+        raise InputError("adjacency potential cannot carry the tileset's "
+                         "forbidden patterns")
     weight = Fraction(weight)
     ids = [t.id for t in tileset.tiles].__getitem__
     tables = {}

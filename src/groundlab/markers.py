@@ -171,7 +171,8 @@ def _propagate(domains, h_compat, v_compat, queue, m):
 
 def search_covering_counterexample(tileset: Tileset, markers: MarkerSet,
                                    budget: int = 2_000_000) -> CoveringResult:
-    """Look for an admissible m x m patch containing no marker occurrence.
+    """Look for an admissible m x m patch (edge rules and the tileset's
+    forbidden patterns) containing no marker occurrence.
 
     Exhausting the space proves the covering axiom for window side m.  The
     solver assigns cells in row-major order over per-cell candidate domains
@@ -180,6 +181,7 @@ def search_covering_counterexample(tileset: Tileset, markers: MarkerSet,
     m = markers.m
     T = len(tileset)
     index = markers.index(tileset.index)
+    forbidden = tileset.forbidden_index
 
     full = np.ones(T, dtype=bool)
     if markers.width == 1 and markers.height == 1:
@@ -202,9 +204,9 @@ def search_covering_counterexample(tileset: Tileset, markers: MarkerSet,
             if nodes > budget:
                 raise _BudgetStop
             grid[y, x] = t
-            # cells after (x, y) are unassigned (-1), so the only block that
-            # can match is the one whose last cell (x, y) completes
-            if index.covering(grid, y, x):
+            # cells after (x, y) are unassigned (-1), so the only marker or
+            # forbidden occurrences that can match are those (x, y) completes
+            if index.covering(grid, y, x) or forbidden.covering(grid, y, x):
                 grid[y, x] = -1
                 continue
             trial = [row[:] for row in domains]

@@ -189,6 +189,13 @@ class Tileset:
             raise InputError("duplicate tile ids")
         self.index = {t.id: i for i, t in enumerate(self.tiles)}
         self.extra_forbidden = tuple(extra_forbidden)
+        if not all(p.cells for p in self.extra_forbidden):
+            raise InputError("forbidden pattern with no cells")
+        # the extra forbidden patterns as one kernel over the tile codes; a
+        # pattern naming an id the tileset lacks never matches
+        self.forbidden_index = PatternIndex(pattern_tables(
+            [[(dy, dx, self.index.get(tid)) for dx, dy, tid in p.cells]
+             for p in self.extra_forbidden]))
         # h_compat[a, b]: a may sit west of b; v_compat[a, b]: a may sit south of b
         self.h_compat = _compat(h_edges_match, [t.east for t in self.tiles],
                                 [t.west for t in self.tiles])
@@ -517,10 +524,8 @@ def check_patch(tileset: Tileset, patch: Patch) -> list:
         for y, x in np.argwhere(bad):
             out.append(Violation("v", (int(x), int(y)),
                                  f"{patch.id_at(x, y)} / {patch.id_at(x, y + 1)}"))
-    forbidden = PatternIndex(pattern_tables(
-        [[(dy, dx, tileset.index.get(tid)) for dx, dy, tid in pat.cells]
-         for pat in tileset.extra_forbidden]))
-    found = sorted((y, x, pi) for y, x, hits in forbidden.occurrences(idx) for pi in hits)
+    found = sorted((y, x, pi) for y, x, hits in tileset.forbidden_index.occurrences(idx)
+                   for pi in hits)
     out.extend(Violation("forbidden", (x, y), f"pattern {pi}") for y, x, pi in found)
     out.sort(key=lambda v: (v.position[1], v.position[0], v.kind))
     return out
@@ -537,93 +542,43 @@ class CountResult:
 def count_admissible(tileset: Tileset, n: int, budget: int = 10_000_000) -> CountResult:
     """Exact number of locally admissible n x n patches.
 
-    Sweeps cells in row-major order keeping the last n placed tiles as the
-    frontier (counts stay exact Python ints); node expansions are charged
-    against the budget and the count is abandoned, never approximated, when
-    the budget runs out.  Extra forbidden patterns force a slower exhaustive
-    walk and are only practical for tiny n.
+    One sweep over the cells in row-major order.  A state is the last
+    max(n, reach) placed tiles, reach being the widest span of a forbidden
+    pattern in row-major cell order, with its number of partial patches (an
+    exact Python int).  A candidate must fit the tiles west of it and below
+    it, and is dropped when it completes a forbidden occurrence, found by the
+    forbidden kernel's per-cell plan.  The budget counts one node per (state,
+    candidate) pair; when it runs out the count is abandoned, never
+    approximated.
     """
     if n < 1:
         raise InputError("n must be >= 1")
-    T = len(tileset)
-    if tileset.extra_forbidden:
-        return _count_exhaustive(tileset, n, budget)
-    if n == 1:
-        return CountResult(T, True, T, False)
-
-    h, v = tileset.h_compat, tileset.v_compat
-    h_lists = [np.nonzero(h[a])[0] for a in range(T)]
-    v_lists = [np.nonzero(v[a])[0] for a in range(T)]
-    pair_lists = {}
-    all_tiles = np.arange(T)
-
-    def candidates(up: int, left: int) -> np.ndarray:
-        if left < 0 and up < 0:
-            return all_tiles
-        if up < 0:
-            return h_lists[left]
-        if left < 0:
-            return v_lists[up]
-        key = (up, left)
-        got = pair_lists.get(key)
-        if got is None:
-            got = np.nonzero(v[up] & h[left])[0]
-            pair_lists[key] = got
-        return got
-
+    flat = [[dy * n + dx for dx, dy, _ in p.cells] for p in tileset.extra_forbidden]
+    keep = max([n] + [max(f) - min(f) for f in flat])
+    edge = np.ones((1, len(tileset)), dtype=bool)  # row -1: no neighbour
+    h = np.vstack([tileset.h_compat, edge])
+    v = np.vstack([tileset.v_compat, edge])
+    fits = {}
+    # cells past the one being placed stay -1, so a plan term matches only
+    # an occurrence that this cell completes
+    codes = [-1] * (n * n)
     states = {(): 1}
     nodes = 0
-    for cell in range(n * n):
-        col = cell % n
-        new_states = {}
-        for frontier, cnt in states.items():
-            up = frontier[0] if cell >= n else -1
-            left = frontier[-1] if col > 0 else -1
-            for t in candidates(up, left):
+    for c, terms in enumerate(tileset.forbidden_index.cell_plan((n, n), wrap=False)):
+        grown = {}
+        for frontier, ways in states.items():
+            pair = (frontier[-n] if c >= n else -1, frontier[-1] if c % n else -1)
+            if pair not in fits:
+                fits[pair] = np.flatnonzero(v[pair[0]] & h[pair[1]]).tolist()
+            codes[c - len(frontier):c] = frontier
+            for t in fits[pair]:
                 nodes += 1
                 if nodes > budget:
                     return CountResult(None, False, nodes, True)
-                nf = frontier[1:] + (int(t),) if cell >= n else frontier + (int(t),)
-                new_states[nf] = new_states.get(nf, 0) + cnt
-        states = new_states
-        if not states:
-            return CountResult(0, True, nodes, False)
+                codes[c] = t
+                if any(get(key(codes)) is not None for get, key in terms):
+                    continue
+                f = (frontier + (t,))[-keep:]
+                grown[f] = grown.get(f, 0) + ways
+        states = grown
     return CountResult(sum(states.values()), True, nodes, False)
-
-
-def _count_exhaustive(tileset: Tileset, n: int, budget: int) -> CountResult:
-    ids = [t.id for t in tileset.tiles]
-    h, v = tileset.h_compat, tileset.v_compat
-    grid = [[None] * n for _ in range(n)]
-    nodes = 0
-    count = 0
-    overran = False
-
-    def rec(cell):
-        nonlocal nodes, count, overran
-        if overran:
-            return
-        if cell == n * n:
-            patch = Patch.from_ids(grid)
-            if not check_patch(tileset, patch):
-                count += 1
-            return
-        y, x = divmod(cell, n)
-        for ti, tid in enumerate(ids):
-            nodes += 1
-            if nodes > budget:
-                overran = True
-                return
-            if x > 0 and not h[tileset.index[grid[y][x - 1]], ti]:
-                continue
-            if y > 0 and not v[tileset.index[grid[y - 1][x]], ti]:
-                continue
-            grid[y][x] = tid
-            rec(cell + 1)
-            grid[y][x] = None
-
-    rec(0)
-    if overran:
-        return CountResult(None, False, nodes, True)
-    return CountResult(count, True, nodes, False)
-

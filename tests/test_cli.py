@@ -268,14 +268,18 @@ def test_gibbs_usage_errors(tmp_path, capsys):
 _BLANK = "....."
 _TILE_A = {"id": "A", "north": _BLANK, "east": _BLANK, "south": _BLANK,
            "west": _BLANK}
-# a tile id that is a list, and forbidden cells whose tile is a list or
-# whose offset is a string
+# a tile id that is a list; forbidden cells whose tile is a list or whose
+# offset is a string; a forbidden pattern, which the adjacency potential
+# cannot carry; a forbidden pattern with no cells
 BAD_TILESETS = {
     "list-id.json": {"tiles": [{**_TILE_A, "id": ["A"]}]},
     "list-cell.json": {"tiles": [_TILE_A],
                        "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": ["A"]}]}]},
     "text-dx.json": {"tiles": [_TILE_A],
                      "forbidden": [{"cells": [{"dx": "1", "dy": 0, "tile": "A"}]}]},
+    "ban-a.json": {"tiles": [_TILE_A, {**_TILE_A, "id": "B"}],
+                   "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": "A"}]}]},
+    "no-cells.json": {"tiles": [_TILE_A], "forbidden": [{"cells": []}]},
 }
 
 
@@ -311,6 +315,9 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     (("verify-markers", "--scale", "11", "--out", "{tmp}/v.json"),
      "macro-tile order must be in 1..10"),
     ((*_gibbs_toy(), "--markers", "11"), "macro-tile order must be in 1..10"),
+    (_gibbs_toy(tileset="{tmp}/ban-a.json"), "forbidden"),
+    (_gibbs_toy(tileset="{tmp}/no-cells.json"), "forbidden"),
+    (("thermo", "--kmax", "13", "--csv", "{tmp}/t.csv"), "kmax must be <= 12"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     for name, doc in BAD_TILESETS.items():

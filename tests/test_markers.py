@@ -17,7 +17,8 @@ from groundlab.markers import (
     verify_nonoverlap,
 )
 from groundlab.robinson import build_macro_tile, build_tileset
-from groundlab.tiles import EdgeLabel, InputError, Patch, Tile, Tileset, check_patch
+from groundlab.tiles import (EdgeLabel, ForbiddenPattern, InputError, Patch, Tile,
+                             Tileset, check_patch)
 
 
 def free_label():
@@ -192,6 +193,24 @@ def test_covering_witness_avoids_block_pattern():
     assert res.witness.width == 3 and res.witness.height == 3
     assert not occurrence_map(res.witness, ms).any()
     assert check_patch(ts, res.witness) == []
+
+
+def test_covering_witness_obeys_forbidden_patterns():
+    # A is banned outright and C may not sit diagonally up-right of C, so
+    # the witness needs B and C, and no 2x2 block of B
+    lab = free_label()
+    ts = Tileset([Tile(i, lab, lab, lab, lab) for i in "ABC"], extra_forbidden=[
+        ForbiddenPattern(((0, 0, "A"),)),
+        ForbiddenPattern(((0, 0, "C"), (1, 1, "C")))])
+    ms = MarkerSet([patch_of([["B", "B"], ["B", "B"]])])
+    res = search_covering_counterexample(ts, ms)
+    assert res.status == "witness"
+    assert not occurrence_map(res.witness, ms).any()
+    assert check_patch(ts, res.witness) == []
+    # with C gone too, every admissible 3x3 patch is all B: no witness
+    only_b = Tileset(ts.tiles, extra_forbidden=[
+        ForbiddenPattern(((0, 0, "A"),)), ForbiddenPattern(((0, 0, "C"),))])
+    assert search_covering_counterexample(only_b, ms).status == "none"
 
 
 def test_covering_budget_exhaustion():

@@ -304,6 +304,8 @@ def test_counts_against_naive_oracle():
     assert r2.exact and r2.count == naive == 412
     r3 = count_admissible(ts, 3)
     assert r3.exact and r3.count == 1940
+    # one node per (state, candidate) pair of the sweep
+    assert (r2.nodes, r3.nodes) == (1303, 9014)
 
 
 def test_log_counts_subadditive():

@@ -1,9 +1,10 @@
 import json
 import random
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiles_oracle
@@ -169,24 +170,43 @@ def test_forbidden_pattern_count():
     assert count_admissible(ts, 2).count == 9
 
 
-def test_dp_matches_exhaustive():
-    rng = random.Random(7)
-    for trial in range(5):
-        tiles = []
-        for i in range(4):
-            labs = [
-                EdgeLabel(arrow=rng.choice([None, "n", "e"]))
-                for _ in range(4)
-            ]
-            tiles.append(Tile(f"t{i}", *labs))
-        dp = Tileset(tiles)
-        never = ForbiddenPattern(((0, 0, "no-such-tile"),))
-        slow = Tileset(tiles, extra_forbidden=[never])
-        for n in (2, 3):
-            a = count_admissible(dp, n)
-            b = count_admissible(slow, n, budget=2_000_000)
-            assert a.exact and b.exact
-            assert a.count == b.count
+@st.composite
+def forbidden_tilesets(draw):
+    """1-3 tiles with random arrow labels (uniform tiles often, so that many
+    frontier states survive), and 0-2 forbidden patterns of 1-3 cells at
+    offsets -1..1: holes, repeated offsets and unknown ids included."""
+    arrow = st.sampled_from([None, "n", "e"]).map(lambda a: EdgeLabel(arrow=a))
+    edges = st.one_of(arrow.map(lambda e: [e] * 4), st.lists(arrow, min_size=4, max_size=4))
+    tiles = [Tile(f"t{i}", *draw(edges)) for i in range(draw(st.integers(1, 3)))]
+    cell = st.tuples(st.integers(-1, 1), st.integers(-1, 1),
+                     st.sampled_from([t.id for t in tiles] + ["zz"]))
+    patterns = st.lists(st.lists(cell, min_size=1, max_size=3).map(
+        lambda cells: ForbiddenPattern(tuple(cells))), max_size=2)
+    return Tileset(tiles, draw(patterns))
+
+
+@settings(max_examples=250, deadline=None)
+@given(forbidden_tilesets(), st.integers(1, 3))
+# a diagonal reaches n + 1 cells back in row-major order, past a frontier
+# of the last n tiles
+@example(Tileset([uniform_tile("A"), uniform_tile("B")],
+                 extra_forbidden=[ForbiddenPattern(((0, 0, "A"), (1, 1, "B")))]), 3)
+def test_dp_matches_exhaustive(ts, n):
+    want = tiles_oracle.count_exhaustive(ts, n)
+    got = count_admissible(ts, n)
+    assert want.exact and got.exact
+    assert got.count == want.count
+
+
+def test_forbidden_toy_sweep_is_fast():
+    # three free tiles, A banned diagonally up-right of A: a walk over every
+    # patch tries all 3^9 of them at n = 3, which takes seconds
+    ts = Tileset([uniform_tile(c) for c in "ABC"],
+                 extra_forbidden=[ForbiddenPattern(((0, 0, "A"), (1, 1, "A")))])
+    start = time.perf_counter()
+    got = count_admissible(ts, 3)
+    assert time.perf_counter() - start < 0.1
+    assert got.count == 12672
 
 
 def test_patch_construction_and_holes():
@@ -264,6 +284,8 @@ def test_tileset_rejects_bad_input():
         Tileset.from_json("{\"nope\": 1}")
     with pytest.raises(InputError):
         Tileset.from_json(json.dumps({"tiles": [{"id": "a"}]}))
+    with pytest.raises(InputError, match="forbidden"):
+        Tileset([uniform_tile("A")], extra_forbidden=[ForbiddenPattern(())])
 
 
 # few values per channel, so that labels repeat and pairs of them match

@@ -1,10 +1,14 @@
-"""The pair-by-pair compatibility loop that `Tileset` replaced: every ordered
-tile pair is matched on its own, east against west and north against south,
-with no sharing between pairs of equal labels."""
+"""Straight-line references for `groundlab.tiles`.
+
+`compat_matrices` is the pair-by-pair compatibility loop that `Tileset`
+replaced: every ordered tile pair is matched on its own, east against west
+and north against south, with no sharing between pairs of equal labels.
+`count_exhaustive` is the leaf-checking walk that `count_admissible`'s one
+sweep replaced."""
 
 import numpy as np
 
-from groundlab.tiles import h_edges_match, v_edges_match
+from groundlab.tiles import CountResult, h_edges_match, v_edges_match
 
 
 def compat_matrices(tiles):
@@ -17,3 +21,53 @@ def compat_matrices(tiles):
             h_compat[i, j] = h_edges_match(a.east, b.west)
             v_compat[i, j] = v_edges_match(a.north, b.south)
     return h_compat, v_compat
+
+
+def count_exhaustive(tileset, n: int, budget: int = 2_000_000) -> CountResult:
+    """The walk `count_admissible` took for tilesets with extra forbidden
+    patterns: every n x n assignment in row-major order, the edge rules
+    checked as each tile is placed, and each full patch checked against
+    every placement of every forbidden pattern inside the grid, cell by
+    cell.  Its `nodes` count every tile tried, so they differ from the
+    sweep's."""
+    ids = [t.id for t in tileset.tiles]
+    h, v = tileset.h_compat, tileset.v_compat
+    placements = []
+    for pat in tileset.extra_forbidden:
+        xs = [dx for dx, _, _ in pat.cells]
+        ys = [dy for _, dy, _ in pat.cells]
+        for ay in range(-min(ys), n - max(ys)):
+            for ax in range(-min(xs), n - max(xs)):
+                placements.append([(ax + dx, ay + dy, tid) for dx, dy, tid in pat.cells])
+    grid = [[None] * n for _ in range(n)]
+    nodes = 0
+    count = 0
+    overran = False
+
+    def rec(cell):
+        nonlocal nodes, count, overran
+        if overran:
+            return
+        if cell == n * n:
+            if not any(all(grid[y][x] == tid for x, y, tid in cells)
+                       for cells in placements):
+                count += 1
+            return
+        y, x = divmod(cell, n)
+        for ti, tid in enumerate(ids):
+            nodes += 1
+            if nodes > budget:
+                overran = True
+                return
+            if x > 0 and not h[tileset.index[grid[y][x - 1]], ti]:
+                continue
+            if y > 0 and not v[tileset.index[grid[y - 1][x]], ti]:
+                continue
+            grid[y][x] = tid
+            rec(cell + 1)
+            grid[y][x] = None
+
+    rec(0)
+    if overran:
+        return CountResult(None, False, nodes, True)
+    return CountResult(count, True, nodes, False)

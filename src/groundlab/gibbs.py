@@ -165,11 +165,7 @@ def pattern_potential(pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> Po
 
 def adjacency_potential(tileset: Tileset, weight: _Q = 1) -> Potential:
     """One forbidden domino per incompatible adjacent pair of the tileset,
-    read straight off the compatibility matrices.  A potential holds only
-    rectangles, so a tileset with extra forbidden patterns is refused."""
-    if tileset.extra_forbidden:
-        raise InputError("adjacency potential cannot carry the tileset's "
-                         "forbidden patterns")
+    read straight off the compatibility matrices."""
     weight = Fraction(weight)
     ids = [t.id for t in tileset.tiles].__getitem__
     tables = {}
@@ -187,6 +183,11 @@ class TorusConfig:
     """Tile assignment on an N x N torus with a maintained exact energy."""
 
     def __init__(self, tileset: Tileset, potential: Potential, cells):
+        # a potential holds only weighted rectangles, so a chain would ignore
+        # the tileset's hard forbidden patterns
+        if tileset.extra_forbidden:
+            raise InputError("a torus potential cannot carry the tileset's "
+                             "forbidden patterns")
         cells = np.array(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
             raise InputError("torus cells must form a square array")

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .robinson import ORIENTATIONS, build_macro_tile
-from .tiles import InputError, Patch, PatternIndex, Tileset, pattern_tables
+from .tiles import HOLE, InputError, Patch, PatternIndex, Tileset, pattern_tables
 
 
 class MarkerSet:
@@ -45,17 +45,13 @@ class MarkerSet:
                 raise InputError("marker patterns must be total (no holes)")
         self.height, self.width = shape
         self.tau = Fraction(tau)
-        lut = {}
-        codes = []
-        for p in self.patterns:
-            remap = np.array([lut.setdefault(tid, len(lut)) for tid in p.legend],
-                             dtype=np.int32)
-            codes.append(remap[p.grid])
-        self.legend = tuple(lut)
-        self.codes = np.stack(codes)
+        # the patterns' legends merged in first-seen order
+        self.legend = tuple(dict.fromkeys(tid for p in self.patterns for tid in p.legend))
+        code = {tid: k for k, tid in enumerate(self.legend)}
+        self.codes = np.stack([p.codes_in(code) for p in self.patterns])
         self.codes.setflags(write=False)
         # a set of byte strings, not np.unique(axis=0): that imports numpy.ma
-        if len({g.tobytes() for g in self.codes}) < len(codes):
+        if len({g.tobytes() for g in self.codes}) < len(self.codes):
             raise InputError("duplicate marker pattern")
 
     @property
@@ -185,8 +181,9 @@ def search_covering_counterexample(tileset: Tileset, markers: MarkerSet,
 
     full = np.ones(T, dtype=bool)
     if markers.width == 1 and markers.height == 1:
-        for p in markers.patterns:
-            full[tileset.index[p.id_at(0, 0)]] = False
+        # a 1x1 marker bans its tile outright; one the tileset lacks bans none
+        banned = np.array([p.codes_in(tileset.index)[0, 0] for p in markers.patterns])
+        full[banned[banned != HOLE]] = False
         if not full.any():
             return CoveringResult("none", None, 0)
 
@@ -235,9 +232,13 @@ def search_covering_counterexample(tileset: Tileset, markers: MarkerSet,
 
 
 def occurrence_map(config: Patch, markers: MarkerSet) -> np.ndarray:
-    """Boolean cell map: cells lying inside at least one marker occurrence."""
+    """Boolean cell map: cells lying inside at least one marker occurrence.
+
+    Config and markers are read in one tile id -> code mapping, built from
+    the config's legend; a hole, or a marker naming an id that legend lacks,
+    never matches."""
     code = {tid: i for i, tid in enumerate(config.legend)}
-    return markers.index(code).covered(config.grid)
+    return markers.index(code).covered(config.codes_in(code))
 
 
 class StationaryGridMeasure:

@@ -101,32 +101,24 @@ class EdgeLabel:
         )
 
 
-def _parity_ok(a: Optional[int], b: Optional[int], flip: bool) -> bool:
-    if a is None or b is None:
-        return True
-    return (b == 1 - a) if flip else (b == a)
+def _edges_match(a: EdgeLabel, b: EdgeLabel, fx: int, fy: int) -> bool:
+    """May edge a abut edge b?  Line, pos and arrow agree, and a parity bit
+    set on both sides flips across the edge when its flag (fx for px, fy for
+    py) is 1 and agrees when it is 0; an unset bit matches anything."""
+    return (a.line, a.pos, a.arrow, a.px, a.py) == (
+        b.line, b.pos, b.arrow,
+        a.px if a.px is None or b.px is None else b.px ^ fx,
+        a.py if a.py is None or b.py is None else b.py ^ fy)
 
 
 def h_edges_match(east_of_a: EdgeLabel, west_of_b: EdgeLabel) -> bool:
-    """May tile A sit immediately west of tile B?"""
-    return (
-        east_of_a.line == west_of_b.line
-        and east_of_a.pos == west_of_b.pos
-        and east_of_a.arrow == west_of_b.arrow
-        and _parity_ok(east_of_a.px, west_of_b.px, flip=True)
-        and _parity_ok(east_of_a.py, west_of_b.py, flip=False)
-    )
+    """May tile A sit immediately west of tile B?  px flips across the edge."""
+    return _edges_match(east_of_a, west_of_b, 1, 0)
 
 
 def v_edges_match(north_of_a: EdgeLabel, south_of_b: EdgeLabel) -> bool:
-    """May tile A sit immediately south of tile B?"""
-    return (
-        north_of_a.line == south_of_b.line
-        and north_of_a.pos == south_of_b.pos
-        and north_of_a.arrow == south_of_b.arrow
-        and _parity_ok(north_of_a.px, south_of_b.px, flip=False)
-        and _parity_ok(north_of_a.py, south_of_b.py, flip=True)
-    )
+    """May tile A sit immediately south of tile B?  py flips across the edge."""
+    return _edges_match(north_of_a, south_of_b, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,11 @@ HOLE = -1
 
 
 class Patch:
-    """Rectangular fragment of a configuration.  grid[y, x], y grows upward."""
+    """Rectangular fragment of a configuration.  grid[y, x], y grows upward.
+
+    The grid holds positions in `legend`, or HOLE.  The legend may list ids
+    the grid does not hold, or one id twice; `codes_in` reads the grid in the
+    codes of any other tile id -> code mapping."""
 
     def __init__(self, grid: np.ndarray, legend: tuple, origin: tuple = (0, 0)):
         grid = np.asarray(grid, dtype=np.int32)
@@ -328,14 +324,16 @@ class Patch:
         return Patch(self.grid[y0:y0 + h, x0:x0 + w].copy(), self.legend,
                      (self.origin[0] + x0, self.origin[1] + y0))
 
+    def codes_in(self, code) -> np.ndarray:
+        """The grid in the codes that `code` (a tile id -> code mapping)
+        assigns; holes and ids the mapping lacks read HOLE."""
+        lut = np.array([code.get(tid, HOLE) for tid in self.legend] + [HOLE], dtype=np.int32)
+        return lut[self.grid]  # a hole indexes the trailing HOLE
+
     def same_cells(self, other: "Patch") -> bool:
-        if self.grid.shape != other.grid.shape:
-            return False
-        for y in range(self.height):
-            for x in range(self.width):
-                if self.id_at(x, y) != other.id_at(x, y):
-                    return False
-        return True
+        """Do both patches hold the same id, or a hole, at every cell?"""
+        code = {tid: k for k, tid in enumerate(self.legend + other.legend)}
+        return np.array_equal(self.codes_in(code), other.codes_in(code))
 
     def to_json(self) -> str:
         rows = [[self.id_at(x, y) for x in range(self.width)] for y in range(self.height)]
@@ -496,34 +494,26 @@ class Violation:
 
 
 def check_patch(tileset: Tileset, patch: Patch) -> list:
-    """All local-rule violations inside the patch (edge rules + forbidden patterns)."""
-    g = patch.grid
-    filled = g != HOLE
-    tile_of = np.full(max(len(patch.legend), 1), -1, dtype=np.int64)
-    # only the ids the grid holds: a legend may list more (a subpatch keeps
-    # its parent's, and every macro-tile has the full `robinson.LEGEND`)
-    for i in np.flatnonzero(np.bincount(g[filled], minlength=len(tile_of))):
-        tid = patch.legend[i]
-        if tid not in tileset.index:
-            raise InputError(f"patch uses unknown tile id {tid!r}")
-        tile_of[i] = tileset.index[tid]
-    idx = np.where(filled, tile_of[np.where(filled, g, 0)], -1)
-
+    """All local-rule violations inside the patch (edge rules + forbidden
+    patterns), read over the patch's `codes_in(tileset.index)`.  An id the
+    grid holds and the tileset lacks is an InputError naming the first such
+    id in legend order; ids the legend lists but the grid does not hold are
+    never looked at."""
+    idx = patch.codes_in(tileset.index)
+    unknown = patch.grid[(idx == HOLE) & (patch.grid != HOLE)]
+    if unknown.size:
+        raise InputError(f"patch uses unknown tile id {patch.legend[unknown.min()]!r}")
     out = []
-    if patch.width > 1:
-        a, b = idx[:, :-1], idx[:, 1:]
-        both = (a >= 0) & (b >= 0)
-        bad = both & ~tileset.h_compat[np.where(both, a, 0), np.where(both, b, 0)]
-        for y, x in np.argwhere(bad):
-            out.append(Violation("h", (int(x), int(y)),
-                                 f"{patch.id_at(x, y)} | {patch.id_at(x + 1, y)}"))
-    if patch.height > 1:
-        a, b = idx[:-1, :], idx[1:, :]
-        both = (a >= 0) & (b >= 0)
-        bad = both & ~tileset.v_compat[np.where(both, a, 0), np.where(both, b, 0)]
-        for y, x in np.argwhere(bad):
-            out.append(Violation("v", (int(x), int(y)),
-                                 f"{patch.id_at(x, y)} / {patch.id_at(x, y + 1)}"))
+    for kind, compat, dx, dy, sep in (("h", tileset.h_compat, 1, 0, "|"),
+                                      ("v", tileset.v_compat, 0, 1, "/")):
+        # each cell (x, y) against its neighbour (x + dx, y + dy); a HOLE
+        # reads the padded last row or column, where every pair fits
+        fits = np.pad(compat, (0, 1), constant_values=True)
+        a, b = idx[:patch.height - dy, :patch.width - dx], idx[dy:, dx:]
+        ys, xs = np.nonzero(~fits[a, b])
+        out.extend(Violation(kind, (x, y),
+                             f"{patch.id_at(x, y)} {sep} {patch.id_at(x + dx, y + dy)}")
+                   for y, x in zip(ys.tolist(), xs.tolist()))
     found = sorted((y, x, pi) for y, x, hits in tileset.forbidden_index.occurrences(idx)
                    for pi in hits)
     out.extend(Violation("forbidden", (x, y), f"pattern {pi}") for y, x, pi in found)

@@ -212,3 +212,31 @@ def forbidden_block_completed(grid, pat_codes, w, h, x, y) -> bool:
         if match:
             return True
     return False
+
+
+def edge_violations(tileset, patch) -> list:
+    """(kind, (x, y), detail) of every edge-rule violation in a patch: the
+    former `check_patch` id mapping and its two loops, horizontal pairs
+    first, each in row-major order."""
+    g = patch.grid
+    filled = g != -1
+    tile_of = np.full(max(len(patch.legend), 1), -1, dtype=np.int64)
+    for i in np.flatnonzero(np.bincount(g[filled], minlength=len(tile_of))):
+        tile_of[i] = tileset.index[patch.legend[i]]
+    idx = np.where(filled, tile_of[np.where(filled, g, 0)], -1)
+    out = []
+    if patch.width > 1:
+        a, b = idx[:, :-1], idx[:, 1:]
+        both = (a >= 0) & (b >= 0)
+        bad = both & ~tileset.h_compat[np.where(both, a, 0), np.where(both, b, 0)]
+        for y, x in np.argwhere(bad):
+            out.append(("h", (int(x), int(y)),
+                        f"{patch.id_at(x, y)} | {patch.id_at(x + 1, y)}"))
+    if patch.height > 1:
+        a, b = idx[:-1, :], idx[1:, :]
+        both = (a >= 0) & (b >= 0)
+        bad = both & ~tileset.v_compat[np.where(both, a, 0), np.where(both, b, 0)]
+        for y, x in np.argwhere(bad):
+            out.append(("v", (int(x), int(y)),
+                        f"{patch.id_at(x, y)} / {patch.id_at(x, y + 1)}"))
+    return out

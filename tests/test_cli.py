@@ -269,8 +269,9 @@ _BLANK = "....."
 _TILE_A = {"id": "A", "north": _BLANK, "east": _BLANK, "south": _BLANK,
            "west": _BLANK}
 # a tile id that is a list; forbidden cells whose tile is a list or whose
-# offset is a string; a forbidden pattern, which the adjacency potential
-# cannot carry; a forbidden pattern with no cells
+# offset is a string; a forbidden pattern, which no torus potential can
+# carry; a forbidden pattern with no cells; and the acceptance-7 toy
+# potential, to pair with the forbidden pattern
 BAD_TILESETS = {
     "list-id.json": {"tiles": [{**_TILE_A, "id": ["A"]}]},
     "list-cell.json": {"tiles": [_TILE_A],
@@ -280,6 +281,7 @@ BAD_TILESETS = {
     "ban-a.json": {"tiles": [_TILE_A, {**_TILE_A, "id": "B"}],
                    "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": "A"}]}]},
     "no-cells.json": {"tiles": [_TILE_A], "forbidden": [{"cells": []}]},
+    "toy-potential.json": {"patterns": [{"rows": [["A", "B"]], "weight": [1, 1]}]},
 }
 
 
@@ -318,6 +320,8 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     (_gibbs_toy(tileset="{tmp}/ban-a.json"), "forbidden"),
     (_gibbs_toy(tileset="{tmp}/no-cells.json"), "forbidden"),
     (("thermo", "--kmax", "13", "--csv", "{tmp}/t.csv"), "kmax must be <= 12"),
+    ((*_gibbs_toy(tileset="{tmp}/ban-a.json"), "--potential", "{tmp}/toy-potential.json"),
+     "forbidden"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     for name, doc in BAD_TILESETS.items():

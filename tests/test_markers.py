@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,29 @@ def test_covering_witness_obeys_forbidden_patterns():
     only_b = Tileset(ts.tiles, extra_forbidden=[
         ForbiddenPattern(((0, 0, "A"),)), ForbiddenPattern(((0, 0, "C"),))])
     assert search_covering_counterexample(only_b, ms).status == "none"
+
+
+@pytest.mark.parametrize("tau", [Fraction(0), Fraction(2), Fraction(3)])
+def test_covering_ignores_one_cell_marker_of_unknown_id(tau):
+    # a 1x1 marker naming an id the tileset lacks bans no tile, so the search
+    # runs as it does without that marker; B may not sit west of B, so a
+    # witness wider than 1 needs C, the last tile, as well
+    ts = Tileset(free_tileset(["A", "B", "C"]).tiles,
+                 extra_forbidden=[ForbiddenPattern(((0, 0, "B"), (1, 0, "B")))])
+    want = search_covering_counterexample(ts, MarkerSet([patch_of([["A"]])], tau))
+    assert want.status == "witness"
+    for rows in ([["A"]], [["Z"]]), ([["Z"]], [["A"]]):
+        got = search_covering_counterexample(ts, MarkerSet(map(patch_of, rows), tau))
+        assert (got.status, got.nodes) == (want.status, want.nodes)
+        assert got.witness.same_cells(want.witness)
+    alone = search_covering_counterexample(ts, MarkerSet([patch_of([["Z"]])], tau))
+    assert alone.status == "witness" and alone.witness.width == want.witness.width
+
+
+def test_occurrence_map_reads_a_legend_that_repeats_an_id():
+    config = Patch(np.array([[0, 1, -1]]), ("A", "A"))
+    ms = MarkerSet([patch_of([["A", "A"]])])
+    assert occurrence_map(config, ms).tolist() == [[True, True, False]]
 
 
 def test_covering_budget_exhaustion():

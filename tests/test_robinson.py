@@ -16,7 +16,6 @@ from groundlab.robinson import (
     collect_states,
     colour_of_scale,
     rotate_orientation,
-    rotate_state,
     state_tile_id,
     tile_from_state,
 )
@@ -145,19 +144,22 @@ def test_collected_states_match_grid_scan(max_order):
     assert collect_states(max_order) == _states_by_grid_scan(max_order)
 
 
-def test_rotation_closure_is_trivial():
-    states = collect_states(6)
+@pytest.mark.parametrize("max_order", range(1, 8))
+def test_rotation_closure_is_trivial(max_order):
+    # build_tileset adds no rotated states: every order holds all four
+    # orientations
+    states = collect_states(max_order)
     for st in states:
         for k in (1, 2, 3):
-            assert rotate_state(st, k) in states
+            assert st.rotated(k) in states
 
 
 def test_rotating_state_rotates_tile():
     for st in sorted(collect_states(5), key=state_tile_id):
         t = tile_from_state(st)
         for k in (1, 2, 3):
-            assert tile_from_state(rotate_state(st, k)).edges() == t.rotated(k).edges()
-        assert rotate_state(st, 4) == st
+            assert tile_from_state(st.rotated(k)).edges() == t.rotated(k).edges()
+        assert st.rotated(4) == st
 
 
 def test_orientation_rotation():

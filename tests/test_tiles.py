@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pattern_oracle
 import tiles_oracle
 from groundlab.robinson import build_tileset
 from groundlab.tiles import (
+    HOLE,
     EdgeLabel,
     ForbiddenPattern,
     InputError,
@@ -256,6 +258,12 @@ def test_check_patch_unknown_id():
     ts = Tileset([uniform_tile("A")])
     with pytest.raises(InputError):
         check_patch(ts, Patch.from_ids([["A", "zz"]]))
+    # the first unknown id the grid holds, in legend order, is named; an
+    # unknown id only the legend lists is never looked at
+    grid = np.array([[3, 0, 1]])
+    with pytest.raises(InputError, match="unknown tile id 'yy'"):
+        check_patch(ts, Patch(grid, ("A", "yy", "ww", "zz")))
+    assert check_patch(ts, Patch(grid[:, 1:], ("A", "A", "ww"))) == []
 
 
 def test_tileset_serialization_roundtrip():
@@ -310,3 +318,67 @@ def test_robinson_compat_matches_pair_by_pair_loop():
     ts = build_tileset()
     want_h, want_v = tiles_oracle.compat_matrices(ts.tiles)
     assert np.array_equal(ts.h_compat, want_h) and np.array_equal(ts.v_compat, want_v)
+
+
+# every value of every channel, None bits included
+any_edge_labels = st.builds(EdgeLabel, line=st.sampled_from([None, "r", "b"]),
+                            pos=st.sampled_from([None, 0, 1]),
+                            arrow=st.sampled_from([None, "n", "e", "s", "w"]),
+                            px=st.sampled_from([None, 0, 1]), py=st.sampled_from([None, 0, 1]))
+
+
+@given(st.one_of(edge_labels, any_edge_labels), st.one_of(edge_labels, any_edge_labels))
+@settings(max_examples=300, deadline=None)
+def test_edge_predicate_matches_per_axis_copies(a, b):
+    assert h_edges_match(a, b) == tiles_oracle.h_edges_match(a, b)
+    assert v_edges_match(a, b) == tiles_oracle.v_edges_match(a, b)
+
+
+@given(st.lists(st.tuples(edge_labels, edge_labels, edge_labels, edge_labels),
+                min_size=1, max_size=4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_check_patch_edges_match_per_axis_loops(edges, data):
+    ts = Tileset([Tile(f"t{i}", *e) for i, e in enumerate(edges)])
+    ids = [t.id for t in ts.tiles] + [None]
+    h, w = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    patch = Patch.from_ids([[data.draw(st.sampled_from(ids)) for _ in range(w)]
+                            for _ in range(h)])
+    if h and data.draw(st.booleans()):
+        # a subpatch keeps its parent's legend, unused entries included
+        x0, y0 = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+        patch = patch.subpatch(x0, y0, data.draw(st.integers(1, w - x0)),
+                               data.draw(st.integers(1, h - y0)))
+    got = [(v.kind, v.position, v.detail) for v in check_patch(ts, patch)]
+    want = sorted(pattern_oracle.edge_violations(ts, patch),
+                  key=lambda v: (v[1][1], v[1][0], v[0]))
+    assert got == want
+
+
+@st.composite
+def legend_patches(draw):
+    """A patch over a legend that may repeat an id or list ids the grid does
+    not hold, with holes, of side 0..3."""
+    legend = tuple(draw(st.lists(st.sampled_from("ABC"), max_size=4)))
+    h, w = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    codes = [draw(st.integers(HOLE, len(legend) - 1)) for _ in range(h * w)]
+    return Patch(np.array(codes, dtype=np.int32).reshape(h, w), legend)
+
+
+@given(legend_patches(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_same_cells_matches_id_by_id_loop(a, data):
+    if data.draw(st.booleans()):
+        b = data.draw(legend_patches())
+    else:
+        # a's cells over a shuffled legend with unused entries, one cell
+        # maybe changed
+        legend = data.draw(st.permutations(
+            sorted(set(a.legend)) + data.draw(st.lists(st.sampled_from("ABCD"), max_size=2))))
+        grid = np.array([HOLE if v == HOLE else legend.index(a.legend[v])
+                         for v in a.grid.ravel().tolist()], dtype=np.int32)
+        if grid.size and data.draw(st.booleans()):
+            grid[data.draw(st.integers(0, grid.size - 1))] = data.draw(
+                st.integers(HOLE, len(legend) - 1))
+        b = Patch(grid.reshape(a.grid.shape), tuple(legend))
+    want = tiles_oracle.same_cells(a, b)
+    assert a.same_cells(b) == b.same_cells(a) == want

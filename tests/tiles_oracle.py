@@ -1,14 +1,45 @@
 """Straight-line references for `groundlab.tiles`.
 
+`h_edges_match` and `v_edges_match` are the two edge predicates that the
+library's one parity-flag predicate replaced, a copy per axis.
 `compat_matrices` is the pair-by-pair compatibility loop that `Tileset`
-replaced: every ordered tile pair is matched on its own, east against west
-and north against south, with no sharing between pairs of equal labels.
-`count_exhaustive` is the leaf-checking walk that `count_admissible`'s one
-sweep replaced."""
+replaced: every ordered tile pair is matched on its own with those two
+predicates, east against west and north against south, with no sharing
+between pairs of equal labels.  `same_cells` is the id-by-id comparison that
+`Patch.same_cells` replaced.  `count_exhaustive` is the leaf-checking walk
+that `count_admissible`'s one sweep replaced."""
 
 import numpy as np
 
-from groundlab.tiles import CountResult, h_edges_match, v_edges_match
+from groundlab.tiles import CountResult
+
+
+def _parity_ok(a, b, flip: bool) -> bool:
+    if a is None or b is None:
+        return True
+    return (b == 1 - a) if flip else (b == a)
+
+
+def h_edges_match(east_of_a, west_of_b) -> bool:
+    """May tile A sit immediately west of tile B?"""
+    return (
+        east_of_a.line == west_of_b.line
+        and east_of_a.pos == west_of_b.pos
+        and east_of_a.arrow == west_of_b.arrow
+        and _parity_ok(east_of_a.px, west_of_b.px, flip=True)
+        and _parity_ok(east_of_a.py, west_of_b.py, flip=False)
+    )
+
+
+def v_edges_match(north_of_a, south_of_b) -> bool:
+    """May tile A sit immediately south of tile B?"""
+    return (
+        north_of_a.line == south_of_b.line
+        and north_of_a.pos == south_of_b.pos
+        and north_of_a.arrow == south_of_b.arrow
+        and _parity_ok(north_of_a.px, south_of_b.px, flip=False)
+        and _parity_ok(north_of_a.py, south_of_b.py, flip=True)
+    )
 
 
 def compat_matrices(tiles):
@@ -21,6 +52,17 @@ def compat_matrices(tiles):
             h_compat[i, j] = h_edges_match(a.east, b.west)
             v_compat[i, j] = v_edges_match(a.north, b.south)
     return h_compat, v_compat
+
+
+def same_cells(a, b) -> bool:
+    """Same shape, and the same id (or hole) at every cell, read one by one."""
+    if a.grid.shape != b.grid.shape:
+        return False
+    for y in range(a.height):
+        for x in range(a.width):
+            if a.id_at(x, y) != b.id_at(x, y):
+                return False
+    return True
 
 
 def count_exhaustive(tileset, n: int, budget: int = 2_000_000) -> CountResult:

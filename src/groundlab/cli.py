@@ -349,7 +349,8 @@ def _run_measure_flow(cfg):
     Param("csv", str, required=True, help="output CSV path"),
 ])
 def _run_thermo(cfg):
-    # row k reads the cardinality bounds at k + 2, which stop at PRECISION_MAX_K
+    # row k reads the cardinality bounds at k + 2, which stop at PRECISION_MAX_K:
+    # past that row the CSV's log2 beta_hi would overflow a float
     if cfg["kmax"] > PRECISION_MAX_K - 2:
         raise UsageError(f"thermo: kmax must be <= {PRECISION_MAX_K - 2}")
     rows = thermo_table(cfg["kmin"], cfg["kmax"], C=cfg["C"],

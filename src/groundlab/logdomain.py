@@ -4,7 +4,9 @@ Quantities like 16^(3^k) are far too large to hold as numbers, but their
 logarithms are exact rationals, and logarithms of awkward integers can be
 enclosed in rational intervals as tight as needed.  A LogInterval [lo, hi]
 always satisfies lo <= log2(value) <= hi with lo, hi exact Fractions, so
-every comparison made through it is a proof, not an approximation.
+every comparison made through it is a proof, not an approximation.  When
+the logarithm is itself huge, like 2^(4*3^k), a Dyadic holds it as m * 2^e
+and its own log2 is read from the exponent.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ class LogInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # endpoints are mostly Fractions already; re-wrapping them is a
+        # measurable share of a thermo row
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise InputError(f"inverted interval [{self.lo}, {self.hi}]")
 
@@ -76,6 +81,19 @@ class LogInterval:
 
     def __repr__(self):
         return f"LogInterval({float(self.lo):.6g}, {float(self.hi):.6g})"
+
+
+@dataclass(frozen=True)
+class Dyadic:
+    """The exact positive rational m * 2^e, held as (m, e) so that a huge
+    exponent e is never written out as 2^e."""
+
+    m: _Q
+    e: int
+
+    def log2(self) -> LogInterval:
+        """log2(m) + e: exact when m is a power of two."""
+        return log2_of_fraction(self.m).shift(self.e)
 
 
 def log2_of_int(n: int, bits: int = 48) -> LogInterval:

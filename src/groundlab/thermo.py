@@ -1,10 +1,12 @@
 """Marker cardinality growth, entropy criteria, and temperature windows.
 
 Everything here lives in the base-2 log domain: the marker counts at scale k
-have exponents like 16^(3^k), so the numbers themselves are untouchable but
-their logarithms are exact rationals (or tight rational intervals).  All
-comparisons go through LogInterval so that every pass/fail verdict is a
-rigorous statement about the extended-precision values, never about floats.
+have exponents like 16^(3^k), so the numbers themselves are untouchable.
+Their logarithms are exact dyadics m * 2^e, held by exponent, and the
+logarithms of those are exact rationals (or tight rational intervals).  All
+comparisons go through LogInterval or exact integers, so that every
+pass/fail verdict is a rigorous statement about the exact values, never
+about floats.
 
 Scale k uses squares of side l(k) = 2^(n(k)) - 1 with n(k) = 2*3^k + 1, the
 hierarchy level at which a fresh macro-tile row appears.
@@ -14,18 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .layers import OdometerSchedule, default_schedule
-from .logdomain import LogInterval, log2_of_fraction, log2_of_int, log2_pow2_minus
+from .logdomain import (Dyadic, LogInterval, log2_of_fraction, log2_of_int,
+                        log2_pow2_minus)
 from .tiles import InputError
 
 _Q = Union[int, Fraction]
 
-# exponents 4*3^k are materialized as exact integers; past this scale the
-# supporting bigints pass 20M bits and the caller must be told, not given
-# saturated garbage
-PRECISION_MAX_K = 14
+# largest scale whose bounds are given.  Only exponents such as 4*3^k are
+# formed (about 1 000 bits at this cap), never 2^(4*3^k).  The cap comes from
+# thermo_csv: table row j reads these bounds at j + 2, and its log2 beta_hi,
+# about 17*3^j, is a finite float up to j = 643 and overflows at j = 644.
+PRECISION_MAX_K = 645
 
 
 def scale_index(k: int) -> int:
@@ -49,15 +53,19 @@ def window_area_log2(k: int) -> LogInterval:
 class CardinalityBound:
     """Bounds on log2 of the marker counts at one scale.
 
-    log2_QH encloses log2 of the number of hot markers, log2_QB the blocking
-    ones; log2_area is the log2 area of the scale-k window.  Bounds are exact
-    Fractions, so the interval endpoints can be compared exactly.
+    log2 of the number of hot markers lies in [log2_QH[0], log2_QH[1]]; log2
+    of the number of blocking ones in [log2_QB[0], log2_QB[1]] plus
+    log2_selectors, the log2 count of selector words each blocking marker
+    carries (exact 0 in single-seed mode).  Endpoints are exact dyadics, so
+    they compare exactly without ever being written out.  log2_area is the
+    log2 area of the scale-k window.
     """
 
     k: int
     seed_mode: str
-    log2_QH: LogInterval
-    log2_QB: LogInterval
+    log2_QH: Tuple[Dyadic, Dyadic]
+    log2_QB: Tuple[Dyadic, Dyadic]
+    log2_selectors: LogInterval
     log2_area: LogInterval
 
 
@@ -70,11 +78,13 @@ def pair_seed_shift(k: int) -> LogInterval:
 
 
 def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
-    """Enclose log2 of the scale-k marker counts.
+    """Enclose log2 of the scale-k marker counts by exact dyadics.
 
-    Hot markers: 4^(-k) * 16^(3^k) <= log2 count <= 16^(3^k), both ends exact.
-    Blocking markers: 3/4 of the hot exponent; in pair-seed mode each blocking
-    marker additionally carries one of k+1 selector words, adding log2(k+1).
+    Hot markers: 4^(-k) * 16^(3^k) <= log2 count <= 16^(3^k), that is
+    2^(e - 2k) to 2^e with e = 4*3^k.  Blocking markers: 3/4 of the hot
+    exponent, 3 * 2^(e - 2k - 2) to 3 * 2^(e - 2); in pair-seed mode each
+    blocking marker additionally carries one of k+1 selector words, adding
+    log2(k+1).  Only the exponents are formed, never the powers of two.
     """
     if seed_mode not in ("single", "pair"):
         raise InputError(f"unknown seed mode {seed_mode!r}")
@@ -84,13 +94,14 @@ def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
         raise InputError(
             f"exponent 4*3^{k} exceeds the supported precision range "
             f"(k <= {PRECISION_MAX_K})")
-    hi = Fraction(1 << (4 * 3 ** k))
-    qh = LogInterval(hi / 4 ** k, hi)
-    qb = qh.scale(Fraction(3, 4))
-    if seed_mode == "pair":
-        qb = qb + pair_seed_shift(k)
-    return CardinalityBound(k=k, seed_mode=seed_mode, log2_QH=qh,
-                            log2_QB=qb, log2_area=window_area_log2(k))
+    e = 4 * 3 ** k
+    selectors = (pair_seed_shift(k) if seed_mode == "pair"
+                 else LogInterval.exact(0))
+    return CardinalityBound(
+        k=k, seed_mode=seed_mode,
+        log2_QH=(Dyadic(1, e - 2 * k), Dyadic(1, e)),
+        log2_QB=(Dyadic(3, e - 2 * k - 2), Dyadic(3, e - 2)),
+        log2_selectors=selectors, log2_area=window_area_log2(k))
 
 
 def kappa_for(k: int, schedule: Optional[OdometerSchedule] = None,
@@ -120,26 +131,34 @@ def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
     s0, s2 = scale_index(b0.k), scale_index(b2.k)
     side0, side2 = log2_pow2_minus(s0, 1), log2_pow2_minus(s2, 1)
     log_q = log2_of_fraction(q)
-    t_lo = log2_of_fraction(b2.log2_QH.lo) - side2
-    t_hi = log2_of_fraction(b2.log2_QH.hi) - side2
-    f_lo = log2_of_fraction(b0.log2_QH.lo) - side0
-    f_hi = log2_of_fraction(b0.log2_QH.hi) - side0
-    if t_lo.lo >= (log_q + f_hi).hi:
+    # log2 counts at scale k + 2 (t) and at scale k (f)
+    (t_lo, t_hi), (f_lo, f_hi) = b2.log2_QH, b0.log2_QH
+    if (t_lo.log2() - side2).lo >= (log_q + f_hi.log2() - side0).hi:
         return "pass"
-    if t_hi.hi < (log_q + f_lo).lo:
+    if (t_hi.log2() - side2).hi < (log_q + f_lo.log2() - side0).lo:
         return "fail"
 
-    # log enclosures straddle the inequality: settle it exactly.  Cross
-    # multiplication only (bigint division would be quadratic).
-    def h_ge(a: Fraction, b: Fraction) -> bool:
-        # a / (2^s2 - 1) >= q * b / (2^s0 - 1)
-        lhs = a.numerator * ((1 << s0) - 1) * q.denominator * b.denominator
-        rhs = q.numerator * b.numerator * a.denominator * ((1 << s2) - 1)
+    # log enclosures straddle the inequality: settle it exactly
+    def h_ge(a: Dyadic, b: Dyadic) -> bool:
+        # a / (2^s2 - 1) >= q * b / (2^s0 - 1), that is lhs >= rhs with
+        # lhs = x * (2^s0 - 1) * 2^a.e and rhs = y * (2^s2 - 1) * 2^b.e
+        x = a.m.numerator * b.m.denominator * q.denominator
+        y = q.numerator * b.m.numerator * a.m.denominator
+        # n * (2^s - 1) * 2^e lies in [2^(len(n) + s + e - 2), 2^(len(n) + s + e))
+        gap = (x.bit_length() + s0 + a.e) - (y.bit_length() + s2 + b.e)
+        if gap >= 2:
+            return True
+        if gap <= -2:
+            return False
+        # within two bits: cross multiplication (bigint division would be
+        # quadratic)
+        lhs = (x * ((1 << s0) - 1)) << max(a.e - b.e, 0)
+        rhs = (y * ((1 << s2) - 1)) << max(b.e - a.e, 0)
         return lhs >= rhs
 
-    if h_ge(b2.log2_QH.lo, b0.log2_QH.hi):
+    if h_ge(t_lo, f_hi):
         return "pass"
-    if not h_ge(b2.log2_QH.hi, b0.log2_QH.lo):
+    if not h_ge(t_hi, f_lo):
         return "fail"
     return "indeterminate"
 
@@ -175,8 +194,12 @@ def temperature_window(k: int, C: _Q = 1, C_prime: _Q = 1,
         raise InputError("interaction range r must be an integer >= 1")
     log_eps = window_side_log2(k).scale(Fraction(-1, 2))
     beta_lo = log2_of_fraction(C) - log_eps + window_area_log2(k)
-    # side at scale k+2 is 2^n - 1, so side - r = 2^n - (1 + r)
+    # side at scale k+2 is 2^n - 1, so side - r = 2^n - (1 + r), whose log
+    # bound needs 1 + r < 2^(n - 1)
     n2 = scale_index(k + 2)
+    if (1 + r).bit_length() > n2 - 1:
+        raise InputError(f"interaction range r must be <= 2^{n2 - 1} - 2 "
+                         f"at scale {k}")
     boundary = LogInterval.exact(2) + log2_of_int(r) \
         + log2_pow2_minus(n2, 1 + r)
     beta_hi = log2_of_fraction(Cp) + log_eps + window_area_log2(k + 2) \

@@ -319,9 +319,11 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     ((*_gibbs_toy(), "--markers", "11"), "macro-tile order must be in 1..10"),
     (_gibbs_toy(tileset="{tmp}/ban-a.json"), "forbidden"),
     (_gibbs_toy(tileset="{tmp}/no-cells.json"), "forbidden"),
-    (("thermo", "--kmax", "13", "--csv", "{tmp}/t.csv"), "kmax must be <= 12"),
+    (("thermo", "--kmax", "644", "--csv", "{tmp}/t.csv"), "kmax must be <= 643"),
     ((*_gibbs_toy(tileset="{tmp}/ban-a.json"), "--potential", "{tmp}/toy-potential.json"),
      "forbidden"),
+    (("thermo", "--r", "100000000000000000000", "--csv", "{tmp}/t.csv"),
+     "interaction range r must be <= 2^54 - 2 at scale 1"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     for name, doc in BAD_TILESETS.items():
@@ -574,10 +576,11 @@ VERDICT_FLAGS = {
                                      ["missing.json", "truncated.json",
                                       "binary.config"])},
     "thermo": {"--kmin": (["0", "1", "3"], ["-1", "x"]),
-               "--kmax": (["2", "5", "12"], ["-1", "0", "13", "x"]),
+               "--kmax": (["2", "5", "643"], ["-1", "0", "644", "x"]),
                "--C": (["1", "1/2", "3"], ["0", "-1", "1/0", "x"]),
                "--Cprime": (["1", "1/1000"], ["0", "x"]),
-               "--r": (["1", "2", "7"], ["-1", "0", "x"]),
+               # 10^20 is past the range limit 2^54 - 2 at scales <= 1
+               "--r": (["1", "2", "7"], ["-1", "0", "x", "100000000000000000000"]),
                "--c": (["0", "1/3", "1", "2"], ["5", "-1", "x"]),
                "--schedule": (["default", "const:2"], ["const:1", "x"])},
     "acc": {"--sequence": (["constant-u", "constant-d", "uniform", "alternating",

@@ -1,10 +1,14 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groundlab.layers import constant_schedule
-from groundlab.logdomain import LogInterval, log2_of_fraction, log2_of_int
+import thermo_oracle as oracle
+from groundlab.layers import constant_schedule, default_schedule
+from groundlab.logdomain import Dyadic, LogInterval, log2_of_fraction, log2_of_int
 from groundlab.thermo import (CardinalityBound, cardinality_bounds,
                               entropy_criterion, first_overlap_scale,
                               kappa_for, overlap_check,
@@ -28,17 +32,32 @@ def test_window_side_and_area():
     assert float(iv.lo) <= math.log2(127) <= float(iv.hi)
 
 
+def _value(d):
+    """The Fraction m * 2^e a Dyadic stands for, written out."""
+    return d.m * Fraction(2) ** d.e
+
+
+def _log2_QH(b):
+    """The hot log-count enclosure with its endpoints written out."""
+    return LogInterval(_value(b.log2_QH[0]), _value(b.log2_QH[1]))
+
+
+def _log2_QB(b):
+    """The blocking log-count enclosure, selector words included, written out."""
+    return LogInterval(_value(b.log2_QB[0]), _value(b.log2_QB[1])) + b.log2_selectors
+
+
 def test_cardinality_exponent_k1():
     b = cardinality_bounds(1)
-    assert b.log2_QH.hi == 4096
-    assert b.log2_QH.lo == 1024
+    assert b.log2_QH == (Dyadic(1, 10), Dyadic(1, 12))
+    assert _log2_QH(b) == LogInterval(1024, 4096)
 
 
 def test_blocking_is_three_quarters():
     for k in range(4):
         b = cardinality_bounds(k)
-        assert b.log2_QB.lo == b.log2_QH.lo * Fraction(3, 4)
-        assert b.log2_QB.hi == b.log2_QH.hi * Fraction(3, 4)
+        assert _log2_QB(b).lo == _log2_QH(b).lo * Fraction(3, 4)
+        assert _log2_QB(b).hi == _log2_QH(b).hi * Fraction(3, 4)
 
 
 def test_pair_seed_shift_is_additive():
@@ -46,8 +65,8 @@ def test_pair_seed_shift_is_additive():
         single = cardinality_bounds(k, "single")
         pair = cardinality_bounds(k, "pair")
         shift = pair_seed_shift(k)
-        assert pair.log2_QB.lo == single.log2_QB.lo + shift.lo
-        assert pair.log2_QB.hi == single.log2_QB.hi + shift.hi
+        assert _log2_QB(pair).lo == _log2_QB(single).lo + shift.lo
+        assert _log2_QB(pair).hi == _log2_QB(single).hi + shift.hi
         # the hot count is untouched
         assert pair.log2_QH == single.log2_QH
         # additive term <= log2(k+1) + k, checked on exact endpoints
@@ -56,7 +75,7 @@ def test_pair_seed_shift_is_additive():
 
 def test_pair_seed_shift_negligible_at_k5():
     shift = pair_seed_shift(5)
-    base = cardinality_bounds(5).log2_QH
+    base = _log2_QH(cardinality_bounds(5))
     assert shift.hi / base.lo < Fraction(1, 10 ** 250)
     assert float(shift.lo) <= math.log2(6) <= float(shift.hi)
 
@@ -66,8 +85,77 @@ def test_cardinality_validation():
         cardinality_bounds(1, "triple")
     with pytest.raises(InputError):
         cardinality_bounds(-1)
+    # the cap is set by the float columns of the thermo CSV, not by the
+    # bounds: the exponent 4*3^645 has about 1 000 bits
+    assert cardinality_bounds(645).log2_QH[1] == Dyadic(1, 4 * 3 ** 645)
     with pytest.raises(InputError):
-        cardinality_bounds(15)
+        cardinality_bounds(646)
+
+
+@lru_cache(maxsize=None)
+def _oracle_bounds(k, seed_mode):
+    return oracle.cardinality_bounds(k, seed_mode)
+
+
+@pytest.mark.parametrize("seed_mode", ["single", "pair"])
+def test_cardinality_endpoints_match_materialised_oracle(seed_mode):
+    for k in range(15):
+        want = _oracle_bounds(k, seed_mode)
+        got = cardinality_bounds(k, seed_mode)
+        assert (_log2_QH(got), _log2_QB(got)) == (want.log2_QH, want.log2_QB)
+        assert (got.k, got.seed_mode, got.log2_area) == (
+            want.k, want.seed_mode, want.log2_area)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_entropy_verdicts_match_oracle_on_real_bounds(data):
+    # the oracle stops at scale 14, and row k reads scale k + 2
+    k = data.draw(st.integers(0, 12), "k")
+    seed_mode = data.draw(st.sampled_from(["single", "pair"]), "seed mode")
+    sched = data.draw(st.sampled_from(
+        [default_schedule()] + [constant_schedule(c) for c in (2, 3, 7)]),
+        "schedule")
+    # kappa = c / t_k anywhere in [0, 1]
+    den = data.draw(st.integers(1, 10 ** 6), "den")
+    c = Fraction(data.draw(st.integers(0, den * sched.t(k)), "num"), den)
+    kappa = kappa_for(k, sched, c)
+    bounds = {j: cardinality_bounds(j, seed_mode) for j in (k, k + 2)}
+    want = {j: _oracle_bounds(j, seed_mode) for j in (k, k + 2)}
+    assert entropy_criterion(k, bounds, kappa) == oracle.entropy_criterion(
+        k, want, kappa)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_entropy_verdicts_match_oracle_on_synthetic_bounds(data):
+    k = data.draw(st.integers(0, 1), "k")
+    s0, s2 = scale_index(k), scale_index(k + 2)
+    small = st.fractions(Fraction(1, 50), 50, max_denominator=50)
+    m0, e0 = data.draw(small, "m0"), data.draw(st.integers(-60, 60), "e0")
+    if data.draw(st.booleans(), "near"):
+        # an entropy at scale k + 2 equal to the one at scale k up to a factor
+        # near 1, so that ties and near misses reach the exact comparison
+        factor = data.draw(st.sampled_from(
+            [1, Fraction(1, 2), Fraction(999, 1000), Fraction(1001, 1000),
+             1 - Fraction(1, 2 ** 70), 1 + Fraction(1, 2 ** 70)]), "factor")
+        m2, e2 = m0 * Fraction((1 << s2) - 1, (1 << s0) - 1) * factor, e0
+    else:
+        m2, e2 = data.draw(small, "m2"), data.draw(st.integers(-60, 60), "e2")
+    new, old = {}, {}
+    for j, m, e in ((k, m0, e0), (k + 2, m2, e2)):
+        qh = (Dyadic(m, e), Dyadic(m, e + data.draw(st.integers(0, 3), "width")))
+        new[j] = CardinalityBound(j, "single", qh, qh, LogInterval.exact(0),
+                                  window_area_log2(j))
+        exact = LogInterval(_value(qh[0]), _value(qh[1]))
+        old[j] = oracle.CardinalityBound(j, "single", exact, exact,
+                                         window_area_log2(j))
+    kappa = data.draw(st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 2),
+                         Fraction(1)]),
+        st.fractions(0, 1, max_denominator=10 ** 6)), "kappa")
+    assert entropy_criterion(k, new, kappa) == oracle.entropy_criterion(
+        k, old, kappa)
 
 
 def test_entropy_criterion_kappa_one_trivially_passes():
@@ -76,8 +164,9 @@ def test_entropy_criterion_kappa_one_trivially_passes():
 
 
 def _flat_bound(k, value):
-    return CardinalityBound(k, "single", LogInterval.exact(value),
-                            LogInterval.exact(value), window_area_log2(k))
+    d = Dyadic(value, 0)
+    return CardinalityBound(k, "single", (d, d), (d, d), LogInterval.exact(0),
+                            window_area_log2(k))
 
 
 def test_entropy_criterion_equality_passes_at_kappa_zero():
@@ -93,13 +182,32 @@ def test_entropy_criterion_equality_passes_at_kappa_zero():
     assert entropy_criterion(1, bounds, Fraction(1, 2)) == "pass"
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_entropy_criterion_settles_near_ties_exactly(k):
+    # entropies equal up to a factor 1 +- 2^-70: the log enclosures straddle,
+    # and the exact comparison's two sides are within a bit of each other
+    s0, s2 = scale_index(k), scale_index(k + 2)
+    verdicts = []
+    for m0 in {Fraction(i, j) for i in range(1, 11) for j in range(1, 11)}:
+        for factor in (1 - Fraction(1, 2 ** 70), 1, 1 + Fraction(1, 2 ** 70)):
+            m2 = m0 * Fraction((1 << s2) - 1, (1 << s0) - 1) * factor
+            bounds = {k: _flat_bound(k, m0), k + 2: _flat_bound(k + 2, m2)}
+            want = {j: oracle.CardinalityBound(
+                j, "single", LogInterval.exact(v), LogInterval.exact(v),
+                window_area_log2(j)) for j, v in ((k, m0), (k + 2, m2))}
+            verdicts.append(entropy_criterion(k, bounds, 0))
+            assert verdicts[-1] == oracle.entropy_criterion(k, want, 0)
+    assert set(verdicts) == {"pass", "fail"}
+
+
 def test_entropy_criterion_indeterminate_on_straddling_intervals():
     x = Fraction(7, 3)
     s1 = (1 << scale_index(1)) - 1
     s3 = (1 << scale_index(3)) - 1
     wide = CardinalityBound(3, "single",
-                            LogInterval(s3 * x / 2, s3 * x * 2),
-                            LogInterval.exact(1), window_area_log2(3))
+                            (Dyadic(s3 * x, -1), Dyadic(s3 * x, 1)),
+                            (Dyadic(1, 0), Dyadic(1, 0)), LogInterval.exact(0),
+                            window_area_log2(3))
     bounds = {1: _flat_bound(1, s1 * x), 3: wide}
     assert entropy_criterion(1, bounds, 0) == "indeterminate"
 
@@ -143,6 +251,10 @@ def test_temperature_window_validation():
         temperature_window(1, C_prime=-2)
     with pytest.raises(InputError):
         temperature_window(1, r=0)
+    # the rim term log2(2^55 - 1 - r) of scale 3 is bounded for r < 2^54 - 1
+    temperature_window(1, r=2 ** 54 - 2)
+    with pytest.raises(InputError, match=r"range r must be <= 2\^54 - 2 at scale 1"):
+        temperature_window(1, r=2 ** 54 - 1)
 
 
 def test_scaling_C_shifts_beta_lo_exactly():
@@ -225,3 +337,13 @@ def test_thermo_table_and_csv():
     assert abs(float(first[1]) - 2.5 * math.log2(127)) < 1e-9
     with pytest.raises(InputError):
         thermo_table(3, 1)
+
+
+def test_thermo_rows_reach_the_float_cap():
+    # row 643 reads the bounds at scale 645; its log2 beta_hi is ~1.05e308
+    rows = thermo_table(643, 643)
+    assert rows[0]["entropy_pass"] == "pass"
+    cells = thermo_csv(rows).splitlines()[1].split(",")
+    assert all(math.isfinite(float(v)) for v in cells[1:4])
+    with pytest.raises(InputError):
+        thermo_table(644, 644)

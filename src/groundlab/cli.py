@@ -31,7 +31,7 @@ from .perturbation import perturbed_flow, selector_flow
 from .render import render_patch_svg
 from .robinson import build_macro_tile, build_tileset
 from .sequences import connectify, finite_accumulation, named_sequence
-from .thermo import PRECISION_MAX_K, thermo_csv, thermo_table
+from .thermo import thermo_csv, thermo_table
 from .tiles import BudgetExceeded, EdgeLabel, InputError, Tile, Tileset
 
 FORMAT_VERSION = "1"
@@ -326,12 +326,10 @@ def _run_measure_flow(cfg):
     lines = ["k,blocked_mass,residual,dist_to_target"]
     for cond in conditional_rows(flow, depth, schedule, kmax):
         mass, res = cond.blocked_mass(), cond.residual
-        dist = (weak_star_distance(cond.renormalized(), target)
-                if mass > 0 else "")
+        dist = weak_star_distance(cond.renormalized(), target)
         lines.append(f"{cond.k},{mass.numerator}/{mass.denominator},"
                      f"{res.numerator}/{res.denominator},"
-                     + (f"{dist.numerator}/{dist.denominator}"
-                        if mass > 0 else ""))
+                     f"{dist.numerator}/{dist.denominator}")
     _emit(cfg["csv"], [("\n".join(lines) + "\n").encode()], "measure-flow", cfg)
     return 0
 
@@ -349,10 +347,6 @@ def _run_measure_flow(cfg):
     Param("csv", str, required=True, help="output CSV path"),
 ])
 def _run_thermo(cfg):
-    # row k reads the cardinality bounds at k + 2, which stop at PRECISION_MAX_K:
-    # past that row the CSV's log2 beta_hi would overflow a float
-    if cfg["kmax"] > PRECISION_MAX_K - 2:
-        raise UsageError(f"thermo: kmax must be <= {PRECISION_MAX_K - 2}")
     rows = thermo_table(cfg["kmin"], cfg["kmax"], C=cfg["C"],
                         C_prime=cfg["Cprime"], r=cfg["r"], c=cfg["c"],
                         schedule=_resolve_schedule(cfg["schedule"]))

@@ -141,19 +141,6 @@ def log2_of_fraction(q: Fraction, bits: int = 48) -> LogInterval:
     return log2_of_int(q.numerator, bits) - log2_of_int(q.denominator, bits)
 
 
-def log2_pow2_plus(n: int, c: int) -> LogInterval:
-    """Enclose log2(2^n + c) without ever materializing 2^n."""
-    if n < 0 or c < 0:
-        raise InputError("log2_pow2_plus needs n, c >= 0")
-    if c == 0:
-        return LogInterval.exact(n)
-    if n <= 64:
-        return log2_of_int((1 << n) + c)
-    # log2(1 + c 2^-n) <= 2 c 2^-n, with the denominator capped for sanity
-    slack = Fraction(2 * c, 1 << min(n, _CAP_BITS))
-    return LogInterval(Fraction(n), n + slack)
-
-
 def log2_pow2_minus(n: int, c: int) -> LogInterval:
     """Enclose log2(2^n - c); requires c < 2^(n-1) so the bound is valid."""
     if n < 1 or c < 0:

@@ -224,8 +224,7 @@ def flow_horizon(flow, target: WordMeasure, depth: int, tol: Fraction,
                  schedule, kmax: int, j_start=None) -> Optional[int]:
     """First k <= kmax whose renormalized conditional is within tol of target."""
     for row in conditional_rows(flow, depth, schedule, kmax, j_start):
-        if (row.blocked_mass() > 0
-                and weak_star_distance(row.renormalized(), target) < tol):
+        if weak_star_distance(row.renormalized(), target) < tol:
             return row.k
     return None
 

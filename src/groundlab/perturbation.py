@@ -170,8 +170,7 @@ class PerturbationReport:
                 "k": r.k,
                 "raw": [frac(w) for w in r.raw],
                 "residual": frac(r.residual),
-                "renormalized": ([frac(w) for w in r.renormalized().weights]
-                                 if r.blocked_mass() > 0 else None),
+                "renormalized": [frac(w) for w in r.renormalized().weights],
             } for r in self.rows],
             "distances": {
                 "to_base": [[k, frac(d)] for k, d in self.dist_to_base],
@@ -207,7 +206,6 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
         raise InputError("need depth >= 1 and horizon >= depth")
     if enumeration is None:
         enumeration = [target_machine]
-        index = 1
     rule = make_selector(index, enumeration)
 
     measure = _scale_memo(depth, cap)
@@ -230,10 +228,9 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
     to_base = []
     to_target = []
     for row in rows:
-        if row.blocked_mass() > 0:
-            mu = row.renormalized()
-            to_base.append((row.k, weak_star_distance(mu, base_target)))
-            to_target.append((row.k, weak_star_distance(mu, target_target)))
+        mu = row.renormalized()
+        to_base.append((row.k, weak_star_distance(mu, base_target)))
+        to_target.append((row.k, weak_star_distance(mu, target_target)))
     return PerturbationReport(mode, depth, horizon, index, threshold,
                               rule.diameter, rows, to_base, to_target,
                               base_target, target_target)
@@ -257,7 +254,7 @@ def report_accumulation(report: PerturbationReport, window: int,
     by blocking scale."""
     if window < 0:
         raise InputError("need window >= 0")
-    rows = {r.k: r for r in report.rows if r.blocked_mass() > 0}
+    rows = {r.k: r for r in report.rows}
     if not rows:
         raise InputError("report has no renormalizable rows")
     scales = list(rows)[-1 - min(window, len(rows) - 1):]

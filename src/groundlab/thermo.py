@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from .layers import OdometerSchedule, default_schedule
 from .logdomain import (Dyadic, LogInterval, log2_of_fraction, log2_of_int,
@@ -44,11 +44,6 @@ def window_side_log2(k: int) -> LogInterval:
     return log2_pow2_minus(scale_index(k), 1)
 
 
-def window_area_log2(k: int) -> LogInterval:
-    """log2 of the area of the scale-k square window, side l(k)."""
-    return window_side_log2(k).scale(2)
-
-
 @dataclass(frozen=True)
 class CardinalityBound:
     """Bounds on log2 of the marker counts at one scale.
@@ -57,8 +52,7 @@ class CardinalityBound:
     of the number of blocking ones in [log2_QB[0], log2_QB[1]] plus
     log2_selectors, the log2 count of selector words each blocking marker
     carries (exact 0 in single-seed mode).  Endpoints are exact dyadics, so
-    they compare exactly without ever being written out.  log2_area is the
-    log2 area of the scale-k window.
+    they compare exactly without ever being written out.
     """
 
     k: int
@@ -66,7 +60,6 @@ class CardinalityBound:
     log2_QH: Tuple[Dyadic, Dyadic]
     log2_QB: Tuple[Dyadic, Dyadic]
     log2_selectors: LogInterval
-    log2_area: LogInterval
 
 
 def pair_seed_shift(k: int) -> LogInterval:
@@ -101,7 +94,7 @@ def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
         k=k, seed_mode=seed_mode,
         log2_QH=(Dyadic(1, e - 2 * k), Dyadic(1, e)),
         log2_QB=(Dyadic(3, e - 2 * k - 2), Dyadic(3, e - 2)),
-        log2_selectors=selectors, log2_area=window_area_log2(k))
+        log2_selectors=selectors)
 
 
 def kappa_for(k: int, schedule: Optional[OdometerSchedule] = None,
@@ -129,7 +122,7 @@ def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
         return "pass"
     q = 1 - kappa
     s0, s2 = scale_index(b0.k), scale_index(b2.k)
-    side0, side2 = log2_pow2_minus(s0, 1), log2_pow2_minus(s2, 1)
+    side0, side2 = window_side_log2(b0.k), window_side_log2(b2.k)
     log_q = log2_of_fraction(q)
     # log2 counts at scale k + 2 (t) and at scale k (f)
     (t_lo, t_hi), (f_lo, f_hi) = b2.log2_QH, b0.log2_QH
@@ -176,36 +169,47 @@ class TemperatureWindow:
         return self.log2_beta_lo.definitely_less(self.log2_beta_hi)
 
 
-
-def temperature_window(k: int, C: _Q = 1, C_prime: _Q = 1,
-                       r: int = 2) -> TemperatureWindow:
-    """Inverse-temperature window for the scale-k marker set.
+def _window_ladder(k_min: int, k_max: int, C: _Q, C_prime: _Q,
+                   r: int) -> List[TemperatureWindow]:
+    """Inverse-temperature windows for the scales k_min..k_max, in order.
 
     With eps(k) = l(k)^(-1/2):
       beta_lo = (C / eps) * area(k)
       beta_hi = C' * eps * area(k+2) / boundary(k+2, r)
     where boundary(N, r) = |I_N| - |I_(N-2r)| = 4r(N - r) is the mass a range-r
-    interaction can place near the rim of the side-N square.
+    interaction can place near the rim of the side-N square.  The logs of C,
+    C' and 4r are formed once, the side log of each scale once.
     """
     C, Cp = Fraction(C), Fraction(C_prime)
     if C <= 0 or Cp <= 0:
         raise InputError("constants C, C' must be positive")
     if not isinstance(r, int) or r < 1:
         raise InputError("interaction range r must be an integer >= 1")
-    log_eps = window_side_log2(k).scale(Fraction(-1, 2))
-    beta_lo = log2_of_fraction(C) - log_eps + window_area_log2(k)
+    sides = [window_side_log2(j) for j in range(k_min, k_max + 3)]
     # side at scale k+2 is 2^n - 1, so side - r = 2^n - (1 + r), whose log
-    # bound needs 1 + r < 2^(n - 1)
-    n2 = scale_index(k + 2)
+    # bound needs 1 + r < 2^(n - 1); n grows with k, so k_min decides
+    n2 = scale_index(k_min + 2)
     if (1 + r).bit_length() > n2 - 1:
         raise InputError(f"interaction range r must be <= 2^{n2 - 1} - 2 "
-                         f"at scale {k}")
-    boundary = LogInterval.exact(2) + log2_of_int(r) \
-        + log2_pow2_minus(n2, 1 + r)
-    beta_hi = log2_of_fraction(Cp) + log_eps + window_area_log2(k + 2) \
-        - boundary
-    return TemperatureWindow(k=k, log2_beta_lo=beta_lo, log2_beta_hi=beta_hi,
-                             C=C, C_prime=Cp, r=r)
+                         f"at scale {k_min}")
+    log_C, log_Cp, log_4r = (log2_of_fraction(C), log2_of_fraction(Cp),
+                             log2_of_int(4 * r))
+    windows = []
+    for k, side, side2 in zip(range(k_min, k_max + 1), sides, sides[2:]):
+        # area(k) / eps = l(k)^(5/2); eps * area(k+2) = l(k)^(-1/2) l(k+2)^2
+        beta_lo = log_C + side.scale(Fraction(5, 2))
+        boundary = log_4r + log2_pow2_minus(scale_index(k + 2), 1 + r)
+        beta_hi = log_Cp + side.scale(Fraction(-1, 2)) + side2.scale(2) \
+            - boundary
+        windows.append(TemperatureWindow(k, beta_lo, beta_hi, C, Cp, r))
+    return windows
+
+
+def temperature_window(k: int, C: _Q = 1, C_prime: _Q = 1,
+                       r: int = 2) -> TemperatureWindow:
+    """Inverse-temperature window for the scale-k marker set (the formula is
+    at _window_ladder)."""
+    return _window_ladder(k, k, C, C_prime, r)[0]
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,7 @@ def overlap_check(k_range: Iterable[int], C: _Q = 1, C_prime: _Q = 1,
     ks = sorted(set(k_range))
     if not ks:
         raise InputError("empty scale range")
-    windows: Dict[int, TemperatureWindow] = {}
-    for k in set(ks) | {k + 1 for k in ks}:
-        windows[k] = temperature_window(k, C, C_prime, r)
+    windows = {w.k: w for w in _window_ladder(ks[0], ks[-1] + 1, C, C_prime, r)}
     return [OverlapRow(k, windows[k].log2_beta_hi - windows[k + 1].log2_beta_lo)
             for k in ks]
 
@@ -243,23 +245,22 @@ def thermo_table(k_min: int, k_max: int, C: _Q = 1, C_prime: _Q = 1,
                  r: int = 2, c: _Q = 1,
                  schedule: Optional[OdometerSchedule] = None) -> List[dict]:
     """Per-scale summary rows combining windows, overlaps, and entropy."""
+    # row k reads the cardinality bounds at k + 2, which stop at
+    # PRECISION_MAX_K: past that row the CSV's log2 beta_hi would overflow
+    if k_max > PRECISION_MAX_K - 2:
+        raise InputError(f"kmax must be <= {PRECISION_MAX_K - 2}")
     if k_min < 0 or k_max < k_min:
         raise InputError("need 0 <= k_min <= k_max")
-    bounds = {k: cardinality_bounds(k)
-              for k in range(k_min, k_max + 3)}
-    windows = {k: temperature_window(k, C, C_prime, r)
-               for k in range(k_min, k_max + 2)}
-    rows = []
-    for k in range(k_min, k_max + 1):
-        ratio = windows[k].log2_beta_hi - windows[k + 1].log2_beta_lo
-        rows.append({
-            "k": k,
-            "log2_beta_lo": windows[k].log2_beta_lo,
-            "log2_beta_hi": windows[k].log2_beta_hi,
-            "overlap_log_ratio": ratio,
-            "entropy_pass": entropy_criterion(k, bounds, kappa_for(k, schedule, c)),
-        })
-    return rows
+    bounds = {k: cardinality_bounds(k) for k in range(k_min, k_max + 3)}
+    windows = _window_ladder(k_min, k_max + 1, C, C_prime, r)
+    return [{
+        "k": w.k,
+        "log2_beta_lo": w.log2_beta_lo,
+        "log2_beta_hi": w.log2_beta_hi,
+        "overlap_log_ratio": w.log2_beta_hi - nxt.log2_beta_lo,
+        "entropy_pass": entropy_criterion(w.k, bounds,
+                                          kappa_for(w.k, schedule, c)),
+    } for w, nxt in zip(windows, windows[1:])]
 
 
 def thermo_csv(rows: List[dict]) -> str:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from groundlab.logdomain import (LogInterval, log2_of_fraction, log2_of_int,
-                                 log2_pow2_minus, log2_pow2_plus)
+                                 log2_pow2_minus)
 from groundlab.tiles import InputError
 
 
@@ -67,27 +67,6 @@ def test_log2_of_fraction():
     assert log2_of_fraction(Fraction(1, 4)) == LogInterval.exact(-2)
     with pytest.raises(InputError):
         log2_of_fraction(Fraction(0))
-
-
-def test_pow2_plus_small_matches_direct():
-    for n, c in [(3, 5), (10, 1), (64, 999)]:
-        assert log2_pow2_plus(n, c) == log2_of_int((1 << n) + c)
-    assert log2_pow2_plus(200, 0) == LogInterval.exact(200)
-
-
-def test_pow2_plus_large_brackets_true_value():
-    # for n just above the exact cutoff, both enclosures hold the true value,
-    # so they must intersect; the capped one keeps its structural shape
-    for n, c in [(65, 1), (70, 12345), (100, 7)]:
-        capped = log2_pow2_plus(n, c)
-        direct = log2_of_int((1 << n) + c)
-        assert capped.overlaps(direct)
-        assert capped.lo == n
-        assert capped.hi - n <= Fraction(2 * c, 1 << min(n, 120))
-    # far beyond any materializable power the width stays controlled
-    giant = log2_pow2_plus(10 ** 7, 5)
-    assert giant.lo == 10 ** 7
-    assert giant.width() == Fraction(10, 1 << 120)
 
 
 def test_pow2_minus_small_matches_direct():

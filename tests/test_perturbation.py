@@ -218,6 +218,14 @@ def test_default_enumeration_wraps_target():
     assert rep.rows[-1].renormalized() == UNIFORM
 
 
+def test_index_outside_default_enumeration_refused():
+    # with no enumeration the target is the only registered machine, so
+    # index 3 is refused rather than reported as index 1
+    with pytest.raises(InputError, match="selector index 3 outside "
+                                         "enumeration of 1"):
+        perturbed_flow(constant_writer("u"), fair_coin(), 1, 1, 6, index=3)
+
+
 def test_nonconforming_machine_refused():
     with pytest.raises(NonConformingError):
         perturbed_flow(constant_writer("u"), incrementer(), 1, 1, 6,

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import thermo_oracle as oracle
 from groundlab.layers import constant_schedule, default_schedule
 from groundlab.logdomain import Dyadic, LogInterval, log2_of_fraction, log2_of_int
-from groundlab.thermo import (CardinalityBound, cardinality_bounds,
-                              entropy_criterion, first_overlap_scale,
-                              kappa_for, overlap_check,
+from groundlab.thermo import (PRECISION_MAX_K, CardinalityBound,
+                              cardinality_bounds, entropy_criterion,
+                              first_overlap_scale, kappa_for, overlap_check,
                               pair_seed_shift, scale_index,
                               temperature_window, thermo_csv, thermo_table,
-                              window_area_log2, window_side_log2)
+                              window_side_log2)
 from groundlab.tiles import InputError
 
 
@@ -26,7 +26,9 @@ def test_scale_index_values():
 
 def test_window_side_and_area():
     assert window_side_log2(0) == log2_of_int(7)
-    assert window_area_log2(0) == log2_of_int(7).scale(2)
+    # with C = 1, beta_lo = area / eps = l^2 * l^(1/2) for the side l = 7
+    assert temperature_window(0).log2_beta_lo == \
+        log2_of_int(7).scale(Fraction(5, 2))
     # side 2^7 - 1 = 127
     iv = window_side_log2(1)
     assert float(iv.lo) <= math.log2(127) <= float(iv.hi)
@@ -103,8 +105,7 @@ def test_cardinality_endpoints_match_materialised_oracle(seed_mode):
         want = _oracle_bounds(k, seed_mode)
         got = cardinality_bounds(k, seed_mode)
         assert (_log2_QH(got), _log2_QB(got)) == (want.log2_QH, want.log2_QB)
-        assert (got.k, got.seed_mode, got.log2_area) == (
-            want.k, want.seed_mode, want.log2_area)
+        assert (got.k, got.seed_mode) == (want.k, want.seed_mode)
 
 
 @given(st.data())
@@ -145,11 +146,9 @@ def test_entropy_verdicts_match_oracle_on_synthetic_bounds(data):
     new, old = {}, {}
     for j, m, e in ((k, m0, e0), (k + 2, m2, e2)):
         qh = (Dyadic(m, e), Dyadic(m, e + data.draw(st.integers(0, 3), "width")))
-        new[j] = CardinalityBound(j, "single", qh, qh, LogInterval.exact(0),
-                                  window_area_log2(j))
+        new[j] = CardinalityBound(j, "single", qh, qh, LogInterval.exact(0))
         exact = LogInterval(_value(qh[0]), _value(qh[1]))
-        old[j] = oracle.CardinalityBound(j, "single", exact, exact,
-                                         window_area_log2(j))
+        old[j] = oracle.CardinalityBound(j, "single", exact, exact)
     kappa = data.draw(st.one_of(
         st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 2),
                          Fraction(1)]),
@@ -165,8 +164,7 @@ def test_entropy_criterion_kappa_one_trivially_passes():
 
 def _flat_bound(k, value):
     d = Dyadic(value, 0)
-    return CardinalityBound(k, "single", (d, d), (d, d), LogInterval.exact(0),
-                            window_area_log2(k))
+    return CardinalityBound(k, "single", (d, d), (d, d), LogInterval.exact(0))
 
 
 def test_entropy_criterion_equality_passes_at_kappa_zero():
@@ -193,8 +191,8 @@ def test_entropy_criterion_settles_near_ties_exactly(k):
             m2 = m0 * Fraction((1 << s2) - 1, (1 << s0) - 1) * factor
             bounds = {k: _flat_bound(k, m0), k + 2: _flat_bound(k + 2, m2)}
             want = {j: oracle.CardinalityBound(
-                j, "single", LogInterval.exact(v), LogInterval.exact(v),
-                window_area_log2(j)) for j, v in ((k, m0), (k + 2, m2))}
+                j, "single", LogInterval.exact(v), LogInterval.exact(v))
+                for j, v in ((k, m0), (k + 2, m2))}
             verdicts.append(entropy_criterion(k, bounds, 0))
             assert verdicts[-1] == oracle.entropy_criterion(k, want, 0)
     assert set(verdicts) == {"pass", "fail"}
@@ -206,8 +204,7 @@ def test_entropy_criterion_indeterminate_on_straddling_intervals():
     s3 = (1 << scale_index(3)) - 1
     wide = CardinalityBound(3, "single",
                             (Dyadic(s3 * x, -1), Dyadic(s3 * x, 1)),
-                            (Dyadic(1, 0), Dyadic(1, 0)), LogInterval.exact(0),
-                            window_area_log2(3))
+                            (Dyadic(1, 0), Dyadic(1, 0)), LogInterval.exact(0))
     bounds = {1: _flat_bound(1, s1 * x), 3: wide}
     assert entropy_criterion(1, bounds, 0) == "indeterminate"
 
@@ -345,5 +342,37 @@ def test_thermo_rows_reach_the_float_cap():
     assert rows[0]["entropy_pass"] == "pass"
     cells = thermo_csv(rows).splitlines()[1].split(",")
     assert all(math.isfinite(float(v)) for v in cells[1:4])
-    with pytest.raises(InputError):
+    # refused in the terms the CLI prints, not with the bound's exponent
+    with pytest.raises(InputError, match=r"^kmax must be <= 643$"):
         thermo_table(644, 644)
+
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 10 ** 30), st.integers(1, 10 ** 30))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_windows_and_ratios_match_the_per_scale_oracle(data):
+    k = data.draw(st.one_of(st.integers(0, 30), st.integers(636, 645)), "k")
+    span = data.draw(st.integers(0, 3), "span")
+    C, Cp = data.draw(_POSITIVE, "C"), data.draw(_POSITIVE, "C'")
+    # r reaches its limit 2^(n(k+2) - 1) - 2 only where that is writable
+    n2 = scale_index(k + 2)
+    limit = 2 ** (n2 - 1) - 2 if n2 < 200 else 2 ** 200
+    r = data.draw(st.one_of(st.integers(1, 64), st.integers(1, limit),
+                            st.just(limit)), "r")
+    ks = range(k, k + span + 1)
+    want = {j: oracle.temperature_window(j, C, Cp, r)
+            for j in range(k, k + span + 2)}
+    ratios = {j: want[j].log2_beta_hi - want[j + 1].log2_beta_lo for j in ks}
+    for j in ks:
+        assert temperature_window(j, C, Cp, r) == want[j]
+    subset = sorted(data.draw(st.sets(st.sampled_from(ks), min_size=1), "ks"))
+    assert [(row.k, row.log2_ratio) for row in overlap_check(subset, C, Cp, r)
+            ] == [(j, ratios[j]) for j in subset]
+    if ks[-1] <= PRECISION_MAX_K - 2:
+        rows = thermo_table(k, ks[-1], C, Cp, r)
+        assert [(row["k"], row["log2_beta_lo"], row["log2_beta_hi"],
+                 row["overlap_log_ratio"]) for row in rows] == [
+            (j, want[j].log2_beta_lo, want[j].log2_beta_hi, ratios[j])
+            for j in ks]

@@ -1,9 +1,12 @@
-"""Materialised cardinality bounds: every log-count endpoint written out as an
-exact Fraction, up to 2^(4*3^14).
+"""Straight-line references for the thermo module.
 
-`thermo.cardinality_bounds` holds each endpoint as a dyadic m * 2^e and
-`thermo.entropy_criterion` reads its logarithm from the exponent; the tests
-check their endpoints and verdicts against these straight-line versions.
+Materialised cardinality bounds write every log-count endpoint out as an
+exact Fraction, up to 2^(4*3^14).  `thermo.cardinality_bounds` holds each
+endpoint as a dyadic m * 2^e and `thermo.entropy_criterion` reads its
+logarithm from the exponent; the tests check their endpoints and verdicts
+against these versions.  `temperature_window` here builds one window from
+scratch, every log formed anew, and the tests check the windows and overlap
+ratios `thermo` reads from its shared per-scale ladder against it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from groundlab.logdomain import LogInterval, log2_of_fraction, log2_pow2_minus
-from groundlab.thermo import pair_seed_shift, scale_index, window_area_log2
+from groundlab.logdomain import (LogInterval, log2_of_fraction, log2_of_int,
+                                 log2_pow2_minus)
+from groundlab.thermo import (TemperatureWindow, pair_seed_shift, scale_index,
+                              window_side_log2)
 from groundlab.tiles import InputError
 
 _Q = Union[int, Fraction]
@@ -29,15 +34,14 @@ class CardinalityBound:
     """Bounds on log2 of the marker counts at one scale.
 
     log2_QH encloses log2 of the number of hot markers, log2_QB the blocking
-    ones; log2_area is the log2 area of the scale-k window.  Bounds are exact
-    Fractions, so the interval endpoints can be compared exactly.
+    ones.  Bounds are exact Fractions, so the interval endpoints can be
+    compared exactly.
     """
 
     k: int
     seed_mode: str
     log2_QH: LogInterval
     log2_QB: LogInterval
-    log2_area: LogInterval
 
 
 def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
@@ -60,8 +64,7 @@ def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
     qb = qh.scale(Fraction(3, 4))
     if seed_mode == "pair":
         qb = qb + pair_seed_shift(k)
-    return CardinalityBound(k=k, seed_mode=seed_mode, log2_QH=qh,
-                            log2_QB=qb, log2_area=window_area_log2(k))
+    return CardinalityBound(k=k, seed_mode=seed_mode, log2_QH=qh, log2_QB=qb)
 
 
 def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
@@ -106,3 +109,34 @@ def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
     if not h_ge(b2.log2_QH.hi, b0.log2_QH.lo):
         return "fail"
     return "indeterminate"
+
+
+def temperature_window(k: int, C: _Q = 1, C_prime: _Q = 1,
+                       r: int = 2) -> TemperatureWindow:
+    """Inverse-temperature window for the scale-k marker set.
+
+    With eps(k) = l(k)^(-1/2):
+      beta_lo = (C / eps) * area(k)
+      beta_hi = C' * eps * area(k+2) / boundary(k+2, r)
+    where boundary(N, r) = |I_N| - |I_(N-2r)| = 4r(N - r) is the mass a range-r
+    interaction can place near the rim of the side-N square.
+    """
+    C, Cp = Fraction(C), Fraction(C_prime)
+    if C <= 0 or Cp <= 0:
+        raise InputError("constants C, C' must be positive")
+    if not isinstance(r, int) or r < 1:
+        raise InputError("interaction range r must be an integer >= 1")
+    log_eps = window_side_log2(k).scale(Fraction(-1, 2))
+    beta_lo = log2_of_fraction(C) - log_eps + window_side_log2(k).scale(2)
+    # side at scale k+2 is 2^n - 1, so side - r = 2^n - (1 + r), whose log
+    # bound needs 1 + r < 2^(n - 1)
+    n2 = scale_index(k + 2)
+    if (1 + r).bit_length() > n2 - 1:
+        raise InputError(f"interaction range r must be <= 2^{n2 - 1} - 2 "
+                         f"at scale {k}")
+    boundary = LogInterval.exact(2) + log2_of_int(r) \
+        + log2_pow2_minus(n2, 1 + r)
+    beta_hi = log2_of_fraction(Cp) + log_eps \
+        + window_side_log2(k + 2).scale(2) - boundary
+    return TemperatureWindow(k=k, log2_beta_lo=beta_lo, log2_beta_hi=beta_hi,
+                             C=C, C_prime=Cp, r=r)

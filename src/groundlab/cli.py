@@ -266,7 +266,7 @@ def _run_freq(cfg):
         raise UsageError(f"freq: unknown mode {cfg['mode']!r}")
     schedule = _resolve_schedule(cfg["schedule"])
     if mode == "exact":
-        rows = [f"{k},{f.numerator}/{f.denominator}\n"
+        rows = [f"{k},{_serialize(f)}\n"
                 for k, f in enumerate(freq_rows(kmax, schedule))]
         chunks = ["".join(rows).encode()]
     else:
@@ -325,11 +325,9 @@ def _run_measure_flow(cfg):
     target = flow(kmax)
     lines = ["k,blocked_mass,residual,dist_to_target"]
     for cond in conditional_rows(flow, depth, schedule, kmax):
-        mass, res = cond.blocked_mass(), cond.residual
         dist = weak_star_distance(cond.renormalized(), target)
-        lines.append(f"{cond.k},{mass.numerator}/{mass.denominator},"
-                     f"{res.numerator}/{res.denominator},"
-                     f"{dist.numerator}/{dist.denominator}")
+        lines.append(",".join([str(cond.k), _serialize(cond.blocked_mass()),
+                               _serialize(cond.residual), _serialize(dist)]))
     _emit(cfg["csv"], [("\n".join(lines) + "\n").encode()], "measure-flow", cfg)
     return 0
 
@@ -462,7 +460,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         config_values = (_load_config(args.config, args.command, params)
                          if args.config else {})
         resolved = _resolve(args.command, params, vars(args), config_values)
-        return runner(resolved)
+        # exact results can pass Python's int-to-str digit limit; parsing
+        # above keeps it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return runner(resolved)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,9 +23,8 @@ from .tiles import InputError
 class OdometerSchedule:
     """Per-scale inverse blocking rates t_k >= 2."""
 
-    def __init__(self, t: Callable[[int], int], name: str = "custom"):
+    def __init__(self, t: Callable[[int], int]):
         self._t = t
-        self.name = name
 
     def t(self, k: int) -> int:
         v = self._t(k)
@@ -34,7 +33,7 @@ class OdometerSchedule:
         return v
 
 
-_DEFAULT = OdometerSchedule(lambda k: max(2, (k + 1).bit_length()), name="default")
+_DEFAULT = OdometerSchedule(lambda k: max(2, (k + 1).bit_length()))
 
 
 def default_schedule() -> OdometerSchedule:
@@ -48,7 +47,7 @@ def default_schedule() -> OdometerSchedule:
 def constant_schedule(c: int) -> OdometerSchedule:
     if c < 2:
         raise InputError("constant schedule needs c >= 2")
-    return OdometerSchedule(lambda k: c, name=f"const{c}")
+    return OdometerSchedule(lambda k: c)
 
 
 def freq_rows(kmax: int, schedule: OdometerSchedule,
@@ -57,9 +56,11 @@ def freq_rows(kmax: int, schedule: OdometerSchedule,
     1 - f_{j+1} = (1 - 1/(4 t_j)) (1 - f_j)."""
     f = Fraction(freq0)
     yield f
+    r = 1 - f
     for j in range(kmax):
-        f = f + (1 - f) * Fraction(1, 4 * schedule.t(j))
-        yield f
+        d = 4 * schedule.t(j)
+        r *= Fraction(d - 1, d)
+        yield 1 - r
 
 
 def freq_frozen(k: int, schedule: OdometerSchedule,

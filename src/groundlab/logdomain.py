@@ -5,8 +5,8 @@ logarithms are exact rationals, and logarithms of awkward integers can be
 enclosed in rational intervals as tight as needed.  A LogInterval [lo, hi]
 always satisfies lo <= log2(value) <= hi with lo, hi exact Fractions, so
 every comparison made through it is a proof, not an approximation.  When
-the logarithm is itself huge, like 2^(4*3^k), a Dyadic holds it as m * 2^e
-and its own log2 is read from the exponent.
+the logarithm is itself huge, like 2^(4*3^k), a Dyadic holds it exactly as
+m * 2^e; such values are compared as integers, never through a LogInterval.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class LogInterval:
             return LogInterval(c * self.lo, c * self.hi)
         return LogInterval(c * self.hi, c * self.lo)
 
-    def shift(self, c: _Q) -> "LogInterval":
-        c = Fraction(c)
-        return LogInterval(self.lo + c, self.hi + c)
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
@@ -90,10 +86,6 @@ class Dyadic:
 
     m: _Q
     e: int
-
-    def log2(self) -> LogInterval:
-        """log2(m) + e: exact when m is a power of two."""
-        return log2_of_fraction(self.m).shift(self.e)
 
 
 def log2_of_int(n: int, bits: int = 48) -> LogInterval:

@@ -1,12 +1,12 @@
 """Marker cardinality growth, entropy criteria, and temperature windows.
 
-Everything here lives in the base-2 log domain: the marker counts at scale k
-have exponents like 16^(3^k), so the numbers themselves are untouchable.
-Their logarithms are exact dyadics m * 2^e, held by exponent, and the
-logarithms of those are exact rationals (or tight rational intervals).  All
-comparisons go through LogInterval or exact integers, so that every
-pass/fail verdict is a rigorous statement about the exact values, never
-about floats.
+The marker counts at scale k have exponents like 16^(3^k), so the numbers
+themselves are untouchable.  Their base-2 logarithms are exact dyadics
+m * 2^e, held by exponent, and each entropy verdict is an exact integer
+comparison of those dyadics against the window sides 2^(n(k)) - 1, read off
+bit lengths and exponents.  Temperature windows and overlaps live in the
+log domain as LogInterval enclosures.  Every pass/fail verdict is thus a
+rigorous statement about the exact values, never about floats.
 
 Scale k uses squares of side l(k) = 2^(n(k)) - 1 with n(k) = 2*3^k + 1, the
 hierarchy level at which a fresh macro-tile row appears.
@@ -108,8 +108,9 @@ def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
                       kappa: _Q) -> str:
     """Check h(k+2) >= (1 - kappa) * h(k) for per-side entropies h.
 
-    Returns "pass" or "fail" when the interval bounds decide the inequality,
-    "indeterminate" when they straddle it.
+    Each side is compared exactly, from the bounds' dyadic endpoints and the
+    window sides 2^(n(k)) - 1.  Returns "pass" or "fail" when the bounds
+    decide the inequality, "indeterminate" when they straddle it.
     """
     kappa = Fraction(kappa)
     if not 0 <= kappa <= 1:
@@ -122,16 +123,7 @@ def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
         return "pass"
     q = 1 - kappa
     s0, s2 = scale_index(b0.k), scale_index(b2.k)
-    side0, side2 = window_side_log2(b0.k), window_side_log2(b2.k)
-    log_q = log2_of_fraction(q)
-    # log2 counts at scale k + 2 (t) and at scale k (f)
-    (t_lo, t_hi), (f_lo, f_hi) = b2.log2_QH, b0.log2_QH
-    if (t_lo.log2() - side2).lo >= (log_q + f_hi.log2() - side0).hi:
-        return "pass"
-    if (t_hi.log2() - side2).hi < (log_q + f_lo.log2() - side0).lo:
-        return "fail"
 
-    # log enclosures straddle the inequality: settle it exactly
     def h_ge(a: Dyadic, b: Dyadic) -> bool:
         # a / (2^s2 - 1) >= q * b / (2^s0 - 1), that is lhs >= rhs with
         # lhs = x * (2^s0 - 1) * 2^a.e and rhs = y * (2^s2 - 1) * 2^b.e
@@ -149,6 +141,8 @@ def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
         rhs = (y * ((1 << s2) - 1)) << max(b.e - a.e, 0)
         return lhs >= rhs
 
+    # log2 counts at scale k + 2 (t) and at scale k (f)
+    (t_lo, t_hi), (f_lo, f_hi) = b2.log2_QH, b0.log2_QH
     if h_ge(t_lo, f_hi):
         return "pass"
     if not h_ge(t_hi, f_lo):

@@ -134,7 +134,7 @@ class Tile:
     def edges(self) -> tuple:
         return (self.north, self.east, self.south, self.west)
 
-    def rotated(self, quarter_turns: int = 1, new_id: Optional[str] = None) -> "Tile":
+    def rotated(self, quarter_turns: int = 1) -> "Tile":
         t = self
         for _ in range(quarter_turns % 4):
             t = Tile(
@@ -146,8 +146,6 @@ class Tile:
                 template=t.template,
                 rotation=(t.rotation + 1) % 4,
             )
-        if new_id is not None:
-            t = Tile(new_id, t.north, t.east, t.south, t.west, t.template, t.rotation)
         return t
 
 

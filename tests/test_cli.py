@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -179,6 +180,28 @@ def test_measure_flow_columns(tmp_path):
                "--csv", str(out)) == 2
     assert run("measure-flow", "--machine", "parity", "--kmax", "0",
                "--csv", str(out)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("freq", "--kmax", "150"),
+    ("measure-flow", "--machine", "parity", "--depth", "1", "--kmax", "150"),
+], ids=["freq", "measure-flow"])
+def test_exact_cells_past_the_int_str_digit_limit(tmp_path, argv):
+    # at t = 10^30 the row-150 fractions have ~4 600 digits, past Python's
+    # default int-to-str limit of 4 300
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--schedule", f"const:{10 ** 30}", "--csv", str(out)) == 0
+    assert sys.get_int_max_str_digits() == limit
+    if argv[0] != "freq":
+        return
+    k, frac = out.read_text().splitlines()[-1].split(",")
+    want = freq_frozen(150, constant_schedule(10 ** 30))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert (k, frac) == ("150", f"{want.numerator}/{want.denominator}")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_measure_flow_word_measure_once_per_scale(tmp_path,

@@ -117,7 +117,7 @@ def test_freq_bounds_scan_matches_stepwise_oracle(data):
 
 
 def test_custom_schedule_named_default_keeps_its_values():
-    seven = OdometerSchedule(lambda k: 7, name="default")
+    seven = OdometerSchedule(lambda k: 7)
     tab = freq_table_float(40, seven)
     assert np.array_equal(tab, oracle.freq_table_float(40, seven))
     assert abs(tab[1] - 1 / 28) < 1e-15

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermo_oracle as oracle
+import groundlab.thermo as thermo
 from groundlab.layers import constant_schedule, default_schedule
 from groundlab.logdomain import Dyadic, LogInterval, log2_of_fraction, log2_of_int
 from groundlab.thermo import (PRECISION_MAX_K, CardinalityBound,
@@ -130,7 +131,7 @@ def test_entropy_verdicts_match_oracle_on_real_bounds(data):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_entropy_verdicts_match_oracle_on_synthetic_bounds(data):
-    k = data.draw(st.integers(0, 1), "k")
+    k = data.draw(st.integers(0, 3), "k")
     s0, s2 = scale_index(k), scale_index(k + 2)
     small = st.fractions(Fraction(1, 50), 50, max_denominator=50)
     m0, e0 = data.draw(small, "m0"), data.draw(st.integers(-60, 60), "e0")
@@ -139,6 +140,7 @@ def test_entropy_verdicts_match_oracle_on_synthetic_bounds(data):
         # near 1, so that ties and near misses reach the exact comparison
         factor = data.draw(st.sampled_from(
             [1, Fraction(1, 2), Fraction(999, 1000), Fraction(1001, 1000),
+             1 - Fraction(1, 2 ** 30), 1 + Fraction(1, 2 ** 30),
              1 - Fraction(1, 2 ** 70), 1 + Fraction(1, 2 ** 70)]), "factor")
         m2, e2 = m0 * Fraction((1 << s2) - 1, (1 << s0) - 1) * factor, e0
     else:
@@ -196,6 +198,27 @@ def test_entropy_criterion_settles_near_ties_exactly(k):
             verdicts.append(entropy_criterion(k, bounds, 0))
             assert verdicts[-1] == oracle.entropy_criterion(k, want, 0)
     assert set(verdicts) == {"pass", "fail"}
+
+
+def test_entropy_verdicts_need_no_log_enclosure(monkeypatch):
+    # real rows up to the float cap, and an exact near tie either side
+    cases = [(k, {j: cardinality_bounds(j) for j in (k, k + 2)}, kappa_for(k),
+              "pass") for k in (1, 300, 641)]
+    s1, s3 = (1 << scale_index(1)) - 1, (1 << scale_index(3)) - 1
+    for factor, want in ((1 - Fraction(1, 2 ** 70), "fail"),
+                         (1 + Fraction(1, 2 ** 70), "pass")):
+        cases.append((1, {1: _flat_bound(1, Fraction(7, 3)),
+                          3: _flat_bound(3, Fraction(7, 3) * s3 / s1 * factor)},
+                      0, want))
+
+    def refuse(*args):
+        raise AssertionError("entropy verdicts read no log enclosure")
+
+    for name in ("window_side_log2", "log2_of_fraction", "log2_of_int",
+                 "log2_pow2_minus"):
+        monkeypatch.setattr(thermo, name, refuse)
+    for k, bounds, kappa, want in cases:
+        assert entropy_criterion(k, bounds, kappa) == want
 
 
 def test_entropy_criterion_indeterminate_on_straddling_intervals():

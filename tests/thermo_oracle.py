@@ -2,11 +2,13 @@
 
 Materialised cardinality bounds write every log-count endpoint out as an
 exact Fraction, up to 2^(4*3^14).  `thermo.cardinality_bounds` holds each
-endpoint as a dyadic m * 2^e and `thermo.entropy_criterion` reads its
-logarithm from the exponent; the tests check their endpoints and verdicts
-against these versions.  `temperature_window` here builds one window from
-scratch, every log formed anew, and the tests check the windows and overlap
-ratios `thermo` reads from its shared per-scale ladder against it.
+endpoint as a dyadic m * 2^e and `thermo.entropy_criterion` compares those
+dyadics exactly, by bit lengths and exponents, where the version here
+prefilters with log enclosures; the tests check their endpoints and
+verdicts against these versions.  `temperature_window` here builds one
+window from scratch, every log formed anew, and the tests check the windows
+and overlap ratios `thermo` reads from its shared per-scale ladder against
+it.
 """
 
 from __future__ import annotations

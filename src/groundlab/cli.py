@@ -481,6 +481,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BudgetExceeded, NonConformingError) as exc:
         print(f"budget exceeded: {args.command}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"budget exceeded: {args.command}: out of memory "
+              f"({exc or 'allocation failed'})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

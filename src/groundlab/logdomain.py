@@ -48,9 +48,6 @@ class LogInterval:
     def __sub__(self, other: "LogInterval") -> "LogInterval":
         return LogInterval(self.lo - other.hi, self.hi - other.lo)
 
-    def __neg__(self) -> "LogInterval":
-        return LogInterval(-self.hi, -self.lo)
-
     def scale(self, c: _Q) -> "LogInterval":
         c = Fraction(c)
         if c >= 0:

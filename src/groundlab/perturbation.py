@@ -37,19 +37,19 @@ class SelectorRule:
     """Local rule forcing the routing word to 1^index #^*.
 
     patterns lists the forbidden (offset, symbol) cells on the routing word;
-    diameter bounds how far the rule looks, and is what a temperature-window
-    analysis needs to know about it.
+    the diameter they span is what a temperature-window analysis needs.
     """
 
     index: int
     patterns: Tuple[Tuple[int, str], ...]
-    diameter: int
 
     def __post_init__(self):
         if self.index < 1:
             raise InputError("selector index must be >= 1")
-        if self.diameter < max(o for o, _ in self.patterns) + 1:
-            raise InputError("diameter must cover every pattern offset")
+
+    @property
+    def diameter(self) -> int:
+        return max(o for o, _ in self.patterns) + 1
 
     @property
     def threshold(self) -> int:
@@ -71,7 +71,7 @@ def make_selector(i: int, enumeration: Sequence[Machine]) -> SelectorRule:
     for j in range(i):
         cells += [(j, "0"), (j, "#")]   # routing cells 0..i-1 must hold 1
     cells += [(i, "0"), (i, "1")]       # cell i must hold #
-    return SelectorRule(i, tuple(cells), i + 1)
+    return SelectorRule(i, tuple(cells))
 
 
 @dataclass(frozen=True)

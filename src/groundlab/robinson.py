@@ -207,7 +207,7 @@ def _centre_cells(n: int, q: str):
                     yield dx, dy, js, ArmState(d, par, principal)
 
 
-def collect_states(max_order: int = 7) -> set:
+def collect_states(max_order: int) -> set:
     """The states of the macro-tiles up to max_order, without building their
     grids: each order-n tile holds its centre cross and arms plus the states
     of order-(n-1) tiles of all four orientations."""
@@ -258,7 +258,7 @@ def build_macro_tile(n: int, q: str = "ne") -> Patch:
     return Patch(build_state_grid(n, q), LEGEND)
 
 
-def build_tileset(max_order: int = 7) -> Tileset:
-    """The finite tileset: all states of macro-tiles up to max_order.  Each
-    order holds all four orientations, so the states are rotation-closed."""
-    return Tileset(sorted(map(tile_from_state, collect_states(max_order)), key=lambda t: t.id))
+def build_tileset() -> Tileset:
+    """One tile per state in `STATES`, in that order: a macro-tile's cell
+    code is its tile's index.  The states are rotation-closed."""
+    return Tileset(map(tile_from_state, STATES))

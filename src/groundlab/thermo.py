@@ -46,41 +46,22 @@ def window_side_log2(k: int) -> LogInterval:
 
 @dataclass(frozen=True)
 class CardinalityBound:
-    """Bounds on log2 of the marker counts at one scale.
+    """Bounds on log2 of the number of hot markers at one scale.
 
-    log2 of the number of hot markers lies in [log2_QH[0], log2_QH[1]]; log2
-    of the number of blocking ones in [log2_QB[0], log2_QB[1]] plus
-    log2_selectors, the log2 count of selector words each blocking marker
-    carries (exact 0 in single-seed mode).  Endpoints are exact dyadics, so
-    they compare exactly without ever being written out.
+    log2 of the count lies in [log2_QH[0], log2_QH[1]].  Endpoints are exact
+    dyadics, so they compare exactly without ever being written out.
     """
 
     k: int
-    seed_mode: str
     log2_QH: Tuple[Dyadic, Dyadic]
-    log2_QB: Tuple[Dyadic, Dyadic]
-    log2_selectors: LogInterval
 
 
-def pair_seed_shift(k: int) -> LogInterval:
-    """Additive log2 term the pair-seed mode contributes to the blocking count:
-    each blocking marker carries one of the k+1 selector words."""
-    if k < 0:
-        raise InputError("pair seed shift needs k >= 0")
-    return log2_of_int(k + 1)
+def cardinality_bounds(k: int) -> CardinalityBound:
+    """Enclose log2 of the scale-k hot-marker count by exact dyadics.
 
-
-def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
-    """Enclose log2 of the scale-k marker counts by exact dyadics.
-
-    Hot markers: 4^(-k) * 16^(3^k) <= log2 count <= 16^(3^k), that is
-    2^(e - 2k) to 2^e with e = 4*3^k.  Blocking markers: 3/4 of the hot
-    exponent, 3 * 2^(e - 2k - 2) to 3 * 2^(e - 2); in pair-seed mode each
-    blocking marker additionally carries one of k+1 selector words, adding
-    log2(k+1).  Only the exponents are formed, never the powers of two.
+    4^(-k) * 16^(3^k) <= log2 count <= 16^(3^k), that is 2^(e - 2k) to 2^e
+    with e = 4*3^k.  Only the exponents are formed, never the powers of two.
     """
-    if seed_mode not in ("single", "pair"):
-        raise InputError(f"unknown seed mode {seed_mode!r}")
     if k < 0:
         raise InputError("cardinality bounds need k >= 0")
     if k > PRECISION_MAX_K:
@@ -88,13 +69,7 @@ def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
             f"exponent 4*3^{k} exceeds the supported precision range "
             f"(k <= {PRECISION_MAX_K})")
     e = 4 * 3 ** k
-    selectors = (pair_seed_shift(k) if seed_mode == "pair"
-                 else LogInterval.exact(0))
-    return CardinalityBound(
-        k=k, seed_mode=seed_mode,
-        log2_QH=(Dyadic(1, e - 2 * k), Dyadic(1, e)),
-        log2_QB=(Dyadic(3, e - 2 * k - 2), Dyadic(3, e - 2)),
-        log2_selectors=selectors)
+    return CardinalityBound(k, (Dyadic(1, e - 2 * k), Dyadic(1, e)))
 
 
 def kappa_for(k: int, schedule: Optional[OdometerSchedule] = None,
@@ -155,9 +130,6 @@ class TemperatureWindow:
     k: int
     log2_beta_lo: LogInterval
     log2_beta_hi: LogInterval
-    C: Fraction
-    C_prime: Fraction
-    r: int
 
     def nonempty(self) -> bool:
         return self.log2_beta_lo.definitely_less(self.log2_beta_hi)
@@ -195,7 +167,7 @@ def _window_ladder(k_min: int, k_max: int, C: _Q, C_prime: _Q,
         boundary = log_4r + log2_pow2_minus(scale_index(k + 2), 1 + r)
         beta_hi = log_Cp + side.scale(Fraction(-1, 2)) + side2.scale(2) \
             - boundary
-        windows.append(TemperatureWindow(k, beta_lo, beta_hi, C, Cp, r))
+        windows.append(TemperatureWindow(k, beta_lo, beta_hi))
     return windows
 
 

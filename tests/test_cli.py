@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import layers_oracle
+import groundlab.cli as cli
 import groundlab.thermo as thermo
 from groundlab.cli import _float_chunks, main
 from groundlab.gibbs import pattern_potential
@@ -372,6 +373,25 @@ def test_perturb_budget_breach_exit(tmp_path):
     assert run("perturb", "--base", "constant-u", "--target", "incrementer",
                "--epsilon", "1", "--horizon", "6",
                "--out", str(tmp_path / "r.json")) == 3
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("metropolis", ("gibbs", "--tileset", "free:2", "--side", "100000",
+                    "--beta", "1", "--steps", "1")),
+    ("freq_table_float", ("freq", "--kmax", "100000000000", "--mode", "float")),
+])
+def test_out_of_memory_is_budget_exit(tmp_path, capsys, monkeypatch, name,
+                                      argv):
+    # stand in for the allocation: CI hosts may overcommit and never fail it
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, name, refuse)
+    assert run(*argv, "--csv", str(tmp_path / "out.csv")) == 3
+    # one diagnostic line, no traceback
+    assert capsys.readouterr().err == (
+        f"budget exceeded: {argv[0]}: out of memory "
+        "(Unable to allocate 74.5 GiB)\n")
 
 
 def test_thermo_failed_criterion_names_its_scales(tmp_path, capsys, monkeypatch):

@@ -12,10 +12,10 @@ from groundlab.machines import (NonConformingError, constant_writer, copier,
                                 fair_coin, incrementer, machine_enumeration,
                                 parity_machine, selector_weights, word_measure)
 from groundlab.measures import WordMeasure, mix, weak_star_distance
-from groundlab.perturbation import (PerturbedPotential, SelectorRule,
-                                    accumulation_report, make_selector,
-                                    mixture_flow, perturbed_flow,
-                                    report_accumulation, selector_flow)
+from groundlab.perturbation import (PerturbedPotential, accumulation_report,
+                                    make_selector, mixture_flow,
+                                    perturbed_flow, report_accumulation,
+                                    selector_flow)
 from groundlab.tiles import InputError
 
 ENUM, _VERSION = machine_enumeration()
@@ -55,8 +55,6 @@ def test_selector_validation():
         make_selector(0, ENUM)
     with pytest.raises(InputError):
         make_selector(len(ENUM) + 1, ENUM)
-    with pytest.raises(InputError):
-        SelectorRule(1, ((5, "#"),), 2)   # diameter too small for offsets
 
 
 def test_selector_rule_diameter_grows_linearly():

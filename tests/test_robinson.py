@@ -5,6 +5,7 @@ import pytest
 
 from groundlab.robinson import (
     ARM_DIRECTIONS,
+    LEGEND,
     MACRO_ORDER_CAP,
     ORIENTATIONS,
     STATES,
@@ -19,7 +20,8 @@ from groundlab.robinson import (
     state_tile_id,
     tile_from_state,
 )
-from groundlab.tiles import InputError, Patch, check_patch, count_admissible
+from groundlab.tiles import (InputError, Patch, Tileset, check_patch,
+                             count_admissible)
 
 
 # ---- independent per-cell oracle -------------------------------------------
@@ -176,10 +178,16 @@ def test_macro_tiles_are_admissible():
             assert check_patch(ts, build_macro_tile(n, q)) == [], (n, q)
 
 
+def test_tile_index_is_macro_tile_code():
+    # a macro-tile's grid codes index its legend, and so the tileset
+    assert tuple(t.id for t in build_tileset().tiles) == LEGEND
+    assert build_macro_tile(4, "sw").legend == LEGEND
+
+
 def test_low_order_tileset_checks_low_order_macro_tiles():
     # a macro-tile's legend lists every state's id, most of them unused here
     for k in (1, 2, 3):
-        ts = build_tileset(k)
+        ts = Tileset(map(tile_from_state, collect_states(k)))
         assert len(ts) < len(STATES)
         for q in ORIENTATIONS:
             assert check_patch(ts, build_macro_tile(k, q)) == [], (k, q)

@@ -13,7 +13,7 @@ from groundlab.logdomain import Dyadic, LogInterval, log2_of_fraction, log2_of_i
 from groundlab.thermo import (PRECISION_MAX_K, CardinalityBound,
                               cardinality_bounds, entropy_criterion,
                               first_overlap_scale, kappa_for, overlap_check,
-                              pair_seed_shift, scale_index,
+                              scale_index,
                               temperature_window, thermo_csv, thermo_table,
                               window_side_log2)
 from groundlab.tiles import InputError
@@ -45,47 +45,13 @@ def _log2_QH(b):
     return LogInterval(_value(b.log2_QH[0]), _value(b.log2_QH[1]))
 
 
-def _log2_QB(b):
-    """The blocking log-count enclosure, selector words included, written out."""
-    return LogInterval(_value(b.log2_QB[0]), _value(b.log2_QB[1])) + b.log2_selectors
-
-
 def test_cardinality_exponent_k1():
     b = cardinality_bounds(1)
     assert b.log2_QH == (Dyadic(1, 10), Dyadic(1, 12))
     assert _log2_QH(b) == LogInterval(1024, 4096)
 
 
-def test_blocking_is_three_quarters():
-    for k in range(4):
-        b = cardinality_bounds(k)
-        assert _log2_QB(b).lo == _log2_QH(b).lo * Fraction(3, 4)
-        assert _log2_QB(b).hi == _log2_QH(b).hi * Fraction(3, 4)
-
-
-def test_pair_seed_shift_is_additive():
-    for k in [1, 3, 5]:
-        single = cardinality_bounds(k, "single")
-        pair = cardinality_bounds(k, "pair")
-        shift = pair_seed_shift(k)
-        assert _log2_QB(pair).lo == _log2_QB(single).lo + shift.lo
-        assert _log2_QB(pair).hi == _log2_QB(single).hi + shift.hi
-        # the hot count is untouched
-        assert pair.log2_QH == single.log2_QH
-        # additive term <= log2(k+1) + k, checked on exact endpoints
-        assert shift.hi <= Fraction(k) + log2_of_int(k + 1).hi
-
-
-def test_pair_seed_shift_negligible_at_k5():
-    shift = pair_seed_shift(5)
-    base = _log2_QH(cardinality_bounds(5))
-    assert shift.hi / base.lo < Fraction(1, 10 ** 250)
-    assert float(shift.lo) <= math.log2(6) <= float(shift.hi)
-
-
 def test_cardinality_validation():
-    with pytest.raises(InputError):
-        cardinality_bounds(1, "triple")
     with pytest.raises(InputError):
         cardinality_bounds(-1)
     # the cap is set by the float columns of the thermo CSV, not by the
@@ -95,18 +61,14 @@ def test_cardinality_validation():
         cardinality_bounds(646)
 
 
-@lru_cache(maxsize=None)
-def _oracle_bounds(k, seed_mode):
-    return oracle.cardinality_bounds(k, seed_mode)
+_oracle_bounds = lru_cache(maxsize=None)(oracle.cardinality_bounds)
 
 
-@pytest.mark.parametrize("seed_mode", ["single", "pair"])
-def test_cardinality_endpoints_match_materialised_oracle(seed_mode):
+def test_cardinality_endpoints_match_materialised_oracle():
     for k in range(15):
-        want = _oracle_bounds(k, seed_mode)
-        got = cardinality_bounds(k, seed_mode)
-        assert (_log2_QH(got), _log2_QB(got)) == (want.log2_QH, want.log2_QB)
-        assert (got.k, got.seed_mode) == (want.k, want.seed_mode)
+        want = _oracle_bounds(k)
+        got = cardinality_bounds(k)
+        assert (got.k, _log2_QH(got)) == (want.k, want.log2_QH)
 
 
 @given(st.data())
@@ -114,7 +76,6 @@ def test_cardinality_endpoints_match_materialised_oracle(seed_mode):
 def test_entropy_verdicts_match_oracle_on_real_bounds(data):
     # the oracle stops at scale 14, and row k reads scale k + 2
     k = data.draw(st.integers(0, 12), "k")
-    seed_mode = data.draw(st.sampled_from(["single", "pair"]), "seed mode")
     sched = data.draw(st.sampled_from(
         [default_schedule()] + [constant_schedule(c) for c in (2, 3, 7)]),
         "schedule")
@@ -122,8 +83,8 @@ def test_entropy_verdicts_match_oracle_on_real_bounds(data):
     den = data.draw(st.integers(1, 10 ** 6), "den")
     c = Fraction(data.draw(st.integers(0, den * sched.t(k)), "num"), den)
     kappa = kappa_for(k, sched, c)
-    bounds = {j: cardinality_bounds(j, seed_mode) for j in (k, k + 2)}
-    want = {j: _oracle_bounds(j, seed_mode) for j in (k, k + 2)}
+    bounds = {j: cardinality_bounds(j) for j in (k, k + 2)}
+    want = {j: _oracle_bounds(j) for j in (k, k + 2)}
     assert entropy_criterion(k, bounds, kappa) == oracle.entropy_criterion(
         k, want, kappa)
 
@@ -148,9 +109,9 @@ def test_entropy_verdicts_match_oracle_on_synthetic_bounds(data):
     new, old = {}, {}
     for j, m, e in ((k, m0, e0), (k + 2, m2, e2)):
         qh = (Dyadic(m, e), Dyadic(m, e + data.draw(st.integers(0, 3), "width")))
-        new[j] = CardinalityBound(j, "single", qh, qh, LogInterval.exact(0))
-        exact = LogInterval(_value(qh[0]), _value(qh[1]))
-        old[j] = oracle.CardinalityBound(j, "single", exact, exact)
+        new[j] = CardinalityBound(j, qh)
+        old[j] = oracle.CardinalityBound(
+            j, LogInterval(_value(qh[0]), _value(qh[1])))
     kappa = data.draw(st.one_of(
         st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 2),
                          Fraction(1)]),
@@ -166,7 +127,7 @@ def test_entropy_criterion_kappa_one_trivially_passes():
 
 def _flat_bound(k, value):
     d = Dyadic(value, 0)
-    return CardinalityBound(k, "single", (d, d), (d, d), LogInterval.exact(0))
+    return CardinalityBound(k, (d, d))
 
 
 def test_entropy_criterion_equality_passes_at_kappa_zero():
@@ -192,9 +153,8 @@ def test_entropy_criterion_settles_near_ties_exactly(k):
         for factor in (1 - Fraction(1, 2 ** 70), 1, 1 + Fraction(1, 2 ** 70)):
             m2 = m0 * Fraction((1 << s2) - 1, (1 << s0) - 1) * factor
             bounds = {k: _flat_bound(k, m0), k + 2: _flat_bound(k + 2, m2)}
-            want = {j: oracle.CardinalityBound(
-                j, "single", LogInterval.exact(v), LogInterval.exact(v))
-                for j, v in ((k, m0), (k + 2, m2))}
+            want = {j: oracle.CardinalityBound(j, LogInterval.exact(v))
+                    for j, v in ((k, m0), (k + 2, m2))}
             verdicts.append(entropy_criterion(k, bounds, 0))
             assert verdicts[-1] == oracle.entropy_criterion(k, want, 0)
     assert set(verdicts) == {"pass", "fail"}
@@ -225,9 +185,7 @@ def test_entropy_criterion_indeterminate_on_straddling_intervals():
     x = Fraction(7, 3)
     s1 = (1 << scale_index(1)) - 1
     s3 = (1 << scale_index(3)) - 1
-    wide = CardinalityBound(3, "single",
-                            (Dyadic(s3 * x, -1), Dyadic(s3 * x, 1)),
-                            (Dyadic(1, 0), Dyadic(1, 0)), LogInterval.exact(0))
+    wide = CardinalityBound(3, (Dyadic(s3 * x, -1), Dyadic(s3 * x, 1)))
     bounds = {1: _flat_bound(1, s1 * x), 3: wide}
     assert entropy_criterion(1, bounds, 0) == "indeterminate"
 
@@ -334,13 +292,14 @@ def test_overlap_check_validation():
 def test_displayed_approximation_consistency():
     # beta_lo tracks C * 16^(3^k) / eps up to a small additive log2 constant,
     # beta_hi tracks C' * 4^(3^(k+2)) * eps likewise
+    r = 2
     for k in range(1, 8):
-        w = temperature_window(k, r=2)
+        w = temperature_window(k, r=r)
         half_side = window_side_log2(k).scale(Fraction(1, 2))
         lo_simple = 4 * 3 ** k + half_side.midpoint_float()
         hi_simple = 2 * 3 ** (k + 2) - half_side.midpoint_float()
         assert abs(w.log2_beta_lo.midpoint_float() - lo_simple) <= 3
-        assert abs(w.log2_beta_hi.midpoint_float() - hi_simple) <= 2 + math.log2(4 * w.r)
+        assert abs(w.log2_beta_hi.midpoint_float() - hi_simple) <= 2 + math.log2(4 * r)
 
 
 def test_thermo_table_and_csv():

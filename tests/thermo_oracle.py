@@ -19,8 +19,7 @@ from typing import Mapping, Union
 
 from groundlab.logdomain import (LogInterval, log2_of_fraction, log2_of_int,
                                  log2_pow2_minus)
-from groundlab.thermo import (TemperatureWindow, pair_seed_shift, scale_index,
-                              window_side_log2)
+from groundlab.thermo import TemperatureWindow, scale_index, window_side_log2
 from groundlab.tiles import InputError
 
 _Q = Union[int, Fraction]
@@ -33,28 +32,21 @@ PRECISION_MAX_K = 14
 
 @dataclass(frozen=True)
 class CardinalityBound:
-    """Bounds on log2 of the marker counts at one scale.
+    """Bounds on log2 of the number of hot markers at one scale.
 
-    log2_QH encloses log2 of the number of hot markers, log2_QB the blocking
-    ones.  Bounds are exact Fractions, so the interval endpoints can be
-    compared exactly.
+    log2_QH encloses the log count.  Bounds are exact Fractions, so the
+    interval endpoints can be compared exactly.
     """
 
     k: int
-    seed_mode: str
     log2_QH: LogInterval
-    log2_QB: LogInterval
 
 
-def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
-    """Enclose log2 of the scale-k marker counts.
+def cardinality_bounds(k: int) -> CardinalityBound:
+    """Enclose log2 of the scale-k hot-marker count.
 
-    Hot markers: 4^(-k) * 16^(3^k) <= log2 count <= 16^(3^k), both ends exact.
-    Blocking markers: 3/4 of the hot exponent; in pair-seed mode each blocking
-    marker additionally carries one of k+1 selector words, adding log2(k+1).
+    4^(-k) * 16^(3^k) <= log2 count <= 16^(3^k), both ends exact.
     """
-    if seed_mode not in ("single", "pair"):
-        raise InputError(f"unknown seed mode {seed_mode!r}")
     if k < 0:
         raise InputError("cardinality bounds need k >= 0")
     if k > PRECISION_MAX_K:
@@ -62,11 +54,7 @@ def cardinality_bounds(k: int, seed_mode: str = "single") -> CardinalityBound:
             f"exponent 4*3^{k} exceeds the supported precision range "
             f"(k <= {PRECISION_MAX_K})")
     hi = Fraction(1 << (4 * 3 ** k))
-    qh = LogInterval(hi / 4 ** k, hi)
-    qb = qh.scale(Fraction(3, 4))
-    if seed_mode == "pair":
-        qb = qb + pair_seed_shift(k)
-    return CardinalityBound(k=k, seed_mode=seed_mode, log2_QH=qh, log2_QB=qb)
+    return CardinalityBound(k, LogInterval(hi / 4 ** k, hi))
 
 
 def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
@@ -140,5 +128,4 @@ def temperature_window(k: int, C: _Q = 1, C_prime: _Q = 1,
         + log2_pow2_minus(n2, 1 + r)
     beta_hi = log2_of_fraction(Cp) + log_eps \
         + window_side_log2(k + 2).scale(2) - boundary
-    return TemperatureWindow(k=k, log2_beta_lo=beta_lo, log2_beta_hi=beta_hi,
-                             C=C, C_prime=Cp, r=r)
+    return TemperatureWindow(k, beta_lo, beta_hi)

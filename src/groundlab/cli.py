@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
 from itertools import chain
@@ -280,32 +281,51 @@ def _run_freq(cfg):
 _BLOCK_ROWS = 1 << 16
 
 
-def _float_chunks(table: np.ndarray) -> Iterator[bytes]:
-    """The "k,repr(table[k])" lines as bytes, one chunk per block of rows.
+@functools.cache
+def _low_digits() -> np.ndarray:
+    """The keys 0000 to 9999 as rows of four ASCII digits."""
+    return np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + ord("0")
 
-    Runs of equal values are cut where the int64 bit patterns differ, so 0.0
-    and -0.0 stay apart; each run's separator is formatted once, from the
-    table's own element.  A block holds at most `_BLOCK_ROWS` keys of one run
-    and one decimal digit count: one uint8 matrix whose digit columns come
-    from repeated division by 10 and whose remaining columns repeat the
-    separator.
-    """
+
+def _float_chunks(table: np.ndarray) -> Iterator[bytes]:
+    """The "k,repr(table[k])" lines, one bytearray per block of at most
+    `_BLOCK_ROWS` keys of one digit count.  Runs of equal values are cut where
+    the int64 bit patterns differ, so 0.0 and -0.0 stay apart."""
     bits = table.view(np.int64)
     cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(table)]
-    for a, b in zip(cuts, cuts[1:]):
-        sep = np.frombuffer(f",{table[a]!r}\n".encode(), dtype=np.uint8)
-        while a < b:
-            digits = len(str(a))
-            end = min(b, 10 ** digits, a + _BLOCK_ROWS)
-            block = np.empty((end - a, digits + len(sep)), dtype=np.uint8)
-            block[:, digits:] = sep
-            keys = np.arange(a, end, dtype=np.uint32 if digits < 10 else np.uint64)
-            for col in range(digits - 1, 0, -1):
-                keys, block[:, col] = np.divmod(keys, 10)
-            block[:, 0] = keys
-            block[:, :digits] += ord("0")
-            yield block.tobytes()
-            a = end
+    a = 0
+    while a < len(table):
+        end = min(len(table), 10 ** len(str(a)), a + _BLOCK_ROWS)
+        yield _float_block(table, cuts, a, end)
+        a = end
+
+
+def _float_block(table: np.ndarray, cuts: list, a: int, end: int) -> bytearray:
+    """Lines a..end-1, keys of one digit count, in one buffer.  Each run is one
+    (rows, digits + separator) view of it.  Keys take no division: their last
+    four digits are a slice of `_low_digits()`, the rest hold for 10^4 keys, so
+    a full 10^4 after another copies its rows and rewrites only those."""
+    digits = len(str(a))
+    high = max(digits - 4, 0)
+    runs = [(max(cuts[i], a), min(cuts[i + 1], end),
+             f",{table[max(cuts[i], a)]!r}\n".encode())
+            for i in range(bisect_right(cuts, a) - 1, bisect_left(cuts, end))]
+    chunk = bytearray(sum((stop - start) * (digits + len(sep))
+                          for start, stop, sep in runs))
+    buf = np.frombuffer(chunk, np.uint8)
+    for start, stop, sep in runs:
+        rows = buf[:(stop - start) * (digits + len(sep))].reshape(stop - start, -1)
+        buf = buf[rows.size:]
+        edges = [start, *range(start - start % 10 ** 4 + 10 ** 4, stop, 10 ** 4), stop]
+        for s, e in zip(edges, edges[1:]):
+            seg = rows[s - start:e - start]
+            if e - s == 10 ** 4 <= s - start:
+                seg[:] = rows[s - start - 10 ** 4:s - start]
+            else:
+                seg[:, digits:] = np.frombuffer(sep, np.uint8)
+                seg[:, high:digits] = _low_digits()[s % 10 ** 4:][:e - s, high - digits:]
+            seg[:, :high] = np.frombuffer(str(s)[:high].encode(), np.uint8)
+    return chunk
 
 
 @_command("measure-flow", [

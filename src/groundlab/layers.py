@@ -98,15 +98,22 @@ def schedule_runs(kmax: int, schedule: Optional[OdometerSchedule] = None
 
 
 def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> np.ndarray:
-    """freq_frozen(k) for k = 0..kmax as float64, one cumulative log sum."""
-    runs = list(schedule_runs(kmax, schedule))
-    t = np.repeat(np.array([t for t, _, _ in runs], dtype=np.float64),
-                  [stop - start for _, start, stop in runs])
+    """freq_frozen(k) for k = 0..kmax as float64, one cumulative log sum
+    worked in place on rows 1..kmax, which first hold t_j."""
     out = np.empty(kmax + 1, dtype=np.float64)
     out[0] = 0.0
-    if kmax:
-        log_keep = np.log1p(-0.25 / t)
-        out[1:] = 1.0 - np.exp(np.cumsum(log_keep))
+    x = out[1:]
+    for t, start, stop in schedule_runs(kmax, schedule):
+        try:
+            x[start:stop] = t
+        except OverflowError:
+            raise InputError(f"schedule value t({start}) is past the float "
+                             "range: use --mode exact") from None
+    np.divide(-0.25, x, out=x)
+    np.log1p(x, out=x)
+    np.cumsum(x, out=x)
+    np.exp(x, out=x)
+    np.subtract(1.0, x, out=x)
     return out
 
 

@@ -104,6 +104,56 @@ def test_float_rows_match_per_row_oracle(values):
     assert got == layers_oracle.freq_float_csv(table).encode()
 
 
+def _runs_table(length, cuts):
+    """`length` values, one per run between `cuts`, cycling through 0.0,
+    -0.0, two NaN payloads, 0.25 and 1.0, so that some neighbouring runs
+    differ only in the sign of zero or in the NaN payload."""
+    nan_a, nan_b = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(np.float64)
+    cycle = [0.0, -0.0, nan_a, nan_b, 0.25, -0.0, 0.0, 1.0]
+    edges = [0, *sorted(c for c in set(cuts) if 0 < c < length), length]
+    return np.concatenate([np.full(b - a, cycle[i % len(cycle)])
+                           for i, (a, b) in enumerate(zip(edges, edges[1:]))])
+
+
+# digit-count edges 10^4 and 10^5, the block edges _BLOCK_ROWS keys after
+# them, and 65 536 itself; runs are cut at each, at each plus or minus one, or
+# straddle them all
+EDGES = (10 ** 4, 65_536, 75_536, 10 ** 5, 165_536)
+
+
+@pytest.mark.parametrize("length,cuts", [
+    (100_001, EDGES),
+    (131_073, [e + d for e in EDGES for d in (-1, 1)]),
+    (165_537, [e + d for e in EDGES for d in (-1, 0, 1)]),
+    (200_000, (3, 9_999, 100_001, 199_999)),
+])
+def test_float_rows_match_per_row_oracle_across_block_edges(length, cuts):
+    table = _runs_table(length, cuts)
+    got = b"k,freq\n" + b"".join(_float_chunks(table))
+    assert got == layers_oracle.freq_float_csv(table).encode()
+
+
+HUGE = "const:1" + "0" * 400
+
+
+@pytest.mark.parametrize("kmax,mode,code", [
+    ("5", "float", 2), ("1025", "auto", 2), ("3000", "float", 2),
+    ("0", "float", 0), ("5", "exact", 0), ("5", "auto", 0),
+])
+def test_freq_schedule_past_the_float_range(tmp_path, capsys, kmax, mode, code):
+    # not in FREQ_FLAGS: with its kmax of 1024 or 3000, exact rows of this t
+    # run to ~400 MB of decimal digits or more
+    out = tmp_path / "f.csv"
+    assert run("freq", "--kmax", kmax, "--mode", mode, "--schedule", HUGE,
+               "--csv", str(out)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: freq: schedule value t(0) is past the float "
+                       "range: use --mode exact\n")
+    else:
+        assert err == "" and len(out.read_text().splitlines()) == int(kmax) + 2
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("kmax=8\nschedule=default\n")

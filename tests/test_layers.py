@@ -1,4 +1,6 @@
+import collections
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import layers_oracle as oracle
 
+from groundlab.cli import _BLOCK_ROWS, _float_chunks
 from groundlab.layers import (
     OdometerSchedule,
     constant_schedule,
@@ -81,6 +84,42 @@ def test_freq_float_table_matches_exact():
     tab2 = freq_table_float(10, custom)
     for k in range(11):
         assert abs(tab2[k] - float(freq_frozen(k, custom))) < 1e-12
+
+
+def test_freq_table_float_past_the_float_range_is_input_error():
+    # t_j = 10^400 has no float64; exact mode still takes it
+    huge = 10 ** 400
+    late = OdometerSchedule(lambda k: 3 if k < 7 else huge)
+    for schedule, j in ((constant_schedule(huge), 0), (late, 7)):
+        with pytest.raises(InputError, match=rf"t\({j}\) .*--mode exact"):
+            freq_table_float(10, schedule)
+    # rows before the first such j do not read it
+    assert np.array_equal(freq_table_float(7, late),
+                          oracle.freq_table_float(7, constant_schedule(3)))
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_freq_table_float_peak_is_its_output():
+    # numpy reports its buffers to tracemalloc; rows 1..kmax are the scratch
+    kmax = 10 ** 6
+    assert _traced_peak(lambda: freq_table_float(kmax)) <= 8 * (kmax + 1) + 2 ** 20
+
+
+def test_float_writer_peak_is_one_block():
+    # one block's buffer at a time: at most _BLOCK_ROWS lines of
+    # "k,np.float64(1.0)" with keys below 10^7
+    table = freq_table_float(10 ** 6)
+    block = _BLOCK_ROWS * len(b"1234567,np.float64(1.0)\n")
+    assert _traced_peak(lambda: collections.deque(_float_chunks(table), maxlen=0)
+                        ) <= block + 2 ** 20
 
 
 def test_freq_bounds_scan_contains_exact():

@@ -29,20 +29,26 @@ beta = 0 is simply y = 1.
 The enumeration scores configurations in blocks of numpy digit rows: the
 kernel counts each block's occurrences per distinct pattern value, and each
 distinct count vector's level is summed once in Python ints, so levels stay
-exact for weights of any size.
+exact for weights of any size.  A block's rows share their high digits and
+take their low digits from one fixed table, so no row is formed by division.
+The table it returns is one int32 level id per configuration plus one energy
+and one probability per level: `energies` and `probabilities` are read-only
+`LevelView`s over them, where a lookup reads one level and a walk over every
+entry reads the ids once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from itertools import product as iter_product
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -264,14 +270,75 @@ def boltzmann_base(beta: float, denominator: int) -> Fraction:
     return Fraction(math.exp(-float(Fraction(beta) / denominator)))
 
 
+class LevelView(Mapping):
+    """Read-only map from each configuration of an enumerated torus to the
+    value of its level.
+
+    A configuration is a tuple of side * side codes in range(ntiles),
+    row-major.  Configuration i spells i in base ntiles, most significant
+    code first, so iteration follows `iter_product` and `level_ids[i]` names
+    its level in `levels`.  A key is found exactly when a dict over the
+    configurations would find it: a tuple of side * side entries, each
+    hashing and comparing like a code (numpy ints do); any other key raises
+    KeyError.  One lookup reads one level; `items()` and `values()` walk the
+    level ids once; the level law is `levels` against the bincount of
+    `level_ids`, read without a walk.
+    """
+
+    def __init__(self, level_ids: np.ndarray, levels: Sequence, ntiles: int, ncells: int):
+        self.level_ids = level_ids
+        self.levels = levels
+        self._ntiles = ntiles
+        self._codes = {c: c for c in range(ntiles)}
+        self._place = [ntiles ** k for k in range(ncells - 1, -1, -1)]
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple) or len(key) != len(self._place):
+            raise KeyError(key)
+        try:
+            i = sum(map(mul, map(self._codes.__getitem__, key), self._place))
+        except (KeyError, TypeError):  # an entry that is no code, or unhashable
+            raise KeyError(key) from None
+        return self.levels[self.level_ids[i]]
+
+    def __iter__(self):
+        return iter_product(range(self._ntiles), repeat=len(self._place))
+
+    def __len__(self):
+        return len(self.level_ids)
+
+    def _walk(self):
+        return map(self.levels.__getitem__, self.level_ids.tolist())
+
+    def values(self):
+        return _LevelValues(self)
+
+    def items(self):
+        return _LevelItems(self)
+
+
+class _LevelValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._walk()
+
+
+class _LevelItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._walk())
+
+
 @dataclass
 class BoltzmannTable:
+    """Exact energy and probability of every configuration of a side x side
+    torus, keyed by its tuple of codes.  `boltzmann_exact` fills both maps
+    with `LevelView`s over one level-id array; any two mappings with the
+    same items compare equal, so a table of dicts equals it too."""
     side: int
     beta: float
     denominator: int
     base: Fraction
-    energies: Dict[tuple, Fraction]
-    probabilities: Dict[tuple, Fraction]
+    energies: Mapping[tuple, Fraction]
+    probabilities: Mapping[tuple, Fraction]
 
     def probability(self, cells) -> Fraction:
         key = tuple(int(v) for v in np.asarray(cells).ravel())
@@ -283,7 +350,8 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     """Exact Boltzmann distribution over every tile assignment of the torus;
     weight, probability and energy are formed once per integer level."""
     ntiles = len(tileset.tiles)
-    count = ntiles ** (side * side)
+    ncells = side * side
+    count = ntiles ** ncells
     if count > budget:
         raise BudgetExceeded(
             f"{count} configurations exceed the enumeration budget {budget}")
@@ -291,34 +359,40 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     d, index = scratch._denominator, scratch._index
     y = boltzmann_base(beta, d)
     # configuration i is the base-ntiles digit row of i, most significant
-    # digit first: the iter_product order of the table's keys
-    radix = ntiles ** np.arange(side * side - 1, -1, -1, dtype=np.int64)
+    # digit first: the iter_product order of the table's keys.  A block of
+    # ntiles**low rows shares its high digits, and its low digits are one
+    # fixed table, written into the block's grid once.
+    low = 0
+    while low < ncells and ntiles ** (low + 1) <= ENUMERATION_BLOCK:
+        low += 1
+    rows = ntiles ** low
+    high = ncells - low
+    grid = np.empty((rows, ncells), dtype=np.int64)
+    grid[:, high:] = np.indices((ntiles,) * low).reshape(low, rows).T
     level_ids = np.empty(count, dtype=np.int32)
     position: Dict[int, int] = {}  # distinct level n -> its id
-    for start in range(0, count, ENUMERATION_BLOCK):
-        digits = np.arange(start, min(start + ENUMERATION_BLOCK, count))[:, None] // radix % ntiles
-        values, counts = index.value_counts(digits.reshape(-1, side, side), ntiles)
+    for start, digits in zip(range(0, count, rows),
+                             iter_product(range(ntiles), repeat=high)):
+        grid[:, :high] = digits
+        values, counts = index.value_counts(grid.reshape(-1, side, side), ntiles)
         # group the configurations by count vector, one column at a time
-        group = np.zeros(len(counts), dtype=np.int64)
+        group = np.zeros(rows, dtype=np.int64)
         for column in counts.T:
             group = np.unique(group * (int(column.max()) + 1) + column, return_inverse=True)[1]
-        rows = np.empty((int(group.max()) + 1, counts.shape[1]), dtype=np.int32)
-        rows[group] = counts
+        vectors = np.empty((int(group.max()) + 1, counts.shape[1]), dtype=np.int32)
+        vectors[group] = counts
         # each group's level, summed in Python ints
         ids = [position.setdefault(sum(c * v for c, v in zip(row, values)), len(position))
-               for row in rows.tolist()]
-        level_ids[start:start + len(digits)] = np.array(ids)[group]
+               for row in vectors.tolist()]
+        level_ids[start:start + rows] = np.array(ids)[group]
     tally = np.bincount(level_ids, minlength=len(position)).tolist()
     weights = [y ** n for n in position]
     z = sum(c * w for c, w in zip(tally, weights))
-    energy = [Fraction(n, d) for n in position]
-    probability = [w / z for w in weights]
-    per_config = level_ids.tolist()
-    energies = dict(zip(iter_product(range(ntiles), repeat=side * side),
-                        map(energy.__getitem__, per_config)))
-    return BoltzmannTable(side=side, beta=beta, denominator=d, base=y, energies=energies,
-                          probabilities=dict(zip(energies, map(probability.__getitem__,
-                                                               per_config))))
+    level_ids.flags.writeable = False  # shared by both views
+    energies = LevelView(level_ids, tuple(Fraction(n, d) for n in position), ntiles, ncells)
+    probabilities = LevelView(level_ids, tuple(w / z for w in weights), ntiles, ncells)
+    return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
+                          energies=energies, probabilities=probabilities)
 
 
 def acceptance_probability(base: Fraction, denominator: int,

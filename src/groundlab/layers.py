@@ -44,10 +44,17 @@ def default_schedule() -> OdometerSchedule:
     return _DEFAULT
 
 
+class _ConstantSchedule(OdometerSchedule):
+    """t_k = c at every k: one run, whose t the kernels below read once."""
+
+    def __init__(self, c: int):
+        super().__init__(lambda k: c)
+
+
 def constant_schedule(c: int) -> OdometerSchedule:
     if c < 2:
         raise InputError("constant schedule needs c >= 2")
-    return OdometerSchedule(lambda k: c)
+    return _ConstantSchedule(c)
 
 
 def freq_rows(kmax: int, schedule: OdometerSchedule,
@@ -76,8 +83,13 @@ def schedule_runs(kmax: int, schedule: Optional[OdometerSchedule] = None
     """Runs (t, start, stop) of constant t_j covering j = 0..kmax-1 in order.
 
     The default schedule (None or `default_schedule()`) is walked by its
-    bit-length blocks; any other schedule is evaluated at every j.
+    bit-length blocks and a `constant_schedule` is one run, whose t(0) is
+    checked as any t(j) is; any other schedule is evaluated at every j.
     """
+    if isinstance(schedule, _ConstantSchedule):
+        if kmax > 0:
+            yield schedule.t(0), 0, kmax
+        return
     if schedule is None or schedule is _DEFAULT:
         j = 0
         while j < kmax:
@@ -93,7 +105,7 @@ def schedule_runs(kmax: int, schedule: Optional[OdometerSchedule] = None
             if j:
                 yield t, start, j
             start, t = j, v
-    if kmax:
+    if kmax > 0:
         yield t, start, kmax
 
 

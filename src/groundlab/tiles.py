@@ -439,29 +439,37 @@ class PatternIndex:
         range(ncodes): counts[b, j] is how many occurrences of value values[j]
         torus b holds, so its wrapped `total` is sum(counts[b] * values).
 
-        A shape of k cells reads each anchor's codes as one base-ncodes key
-        and looks it up in a table of ncodes**k value ids (0: no value),
-        built once per ncodes; it suits small alphabets and shapes only.
+        A shape of k cells reads each anchor's codes as one base-ncodes key,
+        first cell most significant, summed by Horner's rule over the gathered
+        code columns, and looks it up in a table of ncodes**k value ids
+        (0: no value), built once per ncodes; it suits small alphabets and
+        shapes only.
         """
         if ncodes not in self._dense:
             ids, luts = {}, []
             for offsets, table in self._shapes:
-                radix = ncodes ** np.arange(len(offsets) - 1, -1, -1, dtype=np.int64)
                 lut = np.zeros(ncodes ** len(offsets), dtype=np.int32)
                 for key, value in table.items():
                     key = key if len(offsets) > 1 else (key,)
                     if all(0 <= c < ncodes for c in key):
-                        lut[int(np.dot(key, radix))] = ids.setdefault(value, len(ids) + 1)
-                luts.append((radix, lut))
+                        at = 0
+                        for c in key:
+                            at = at * ncodes + c
+                        lut[at] = ids.setdefault(value, len(ids) + 1)
+                luts.append(lut)
             self._dense[ncodes] = tuple(ids), luts
         values, luts = self._dense[ncodes]
-        flat = grids.reshape(len(grids), -1)
+        # keys reach ncodes**k - 1, so they are int64 whatever the grid holds
+        flat = grids.reshape(len(grids), -1).astype(np.int64, copy=False)
         # value id j of grid b lands in bin b * (len(values) + 1) + j
         bins = np.arange(len(grids))[:, None] * (len(values) + 1)
         counts = np.zeros(bins.size * (len(values) + 1), dtype=np.int64)
-        for (_, _, _, cells), (radix, lut) in zip(self._plan(grids.shape[1:], True), luts):
-            counts += np.bincount((bins + lut[flat[:, cells] @ radix]).ravel(),
-                                  minlength=counts.size)
+        for (_, _, _, cells), lut in zip(self._plan(grids.shape[1:], True), luts):
+            key = flat[:, cells[:, 0]]
+            for column in cells.T[1:]:
+                key *= ncodes
+                key += flat[:, column]
+            counts += np.bincount((bins + lut[key]).ravel(), minlength=counts.size)
         return values, counts.reshape(len(grids), -1)[:, 1:].astype(np.int32)
 
     def occurrences(self, grid: np.ndarray, wrap: bool = False) -> list:

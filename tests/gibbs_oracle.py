@@ -8,7 +8,9 @@ tests/pattern_oracle.py, not from the pattern kernel.
 and keep one chain for every beta; tests/test_gibbs_oracle.py checks them
 against these loops.  Each loop takes the potential as its (rows, weight)
 list and reads the energy denominator off that list, not off the library's
-`Potential`.
+`Potential`.  The Boltzmann reference fills its table with plain dicts, one
+entry per configuration; the library's table holds level ids behind
+read-only views, and the two compare equal as mappings.
 """
 
 from fractions import Fraction

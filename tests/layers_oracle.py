@@ -1,18 +1,31 @@
-"""Straight-line frozen-fraction references: the interval scan steps through
-every j, the float table evaluates t at every j, and the float CSV formats
-every row on its own.
+"""Straight-line frozen-fraction references: the runs of t and the float
+table evaluate t at every j, the interval scan steps through every j, and the
+float CSV formats every row on its own.
 
-`layers.freq_bounds_scan` stops each run of t at its first fixed point,
-`layers.freq_table_float` reads t by runs, and `freq --mode float` writes one
-string per run of equal values; tests/test_layers.py checks their results and
-bytes against these loops.
+`layers.schedule_runs` walks the default and constant schedules without
+evaluating t per j, `layers.freq_bounds_scan` stops each run of t at its
+first fixed point, `layers.freq_table_float` reads t by runs, and
+`freq --mode float` writes one string per run of equal values;
+tests/test_layers.py checks their results and bytes against these loops.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from groundlab.layers import FreqScan
+from groundlab.layers import FreqScan, default_schedule
+
+
+def schedule_runs(kmax, schedule=None):
+    schedule = schedule or default_schedule()
+    runs = []
+    for j in range(kmax):
+        t = schedule.t(j)
+        if runs and runs[-1][0] == t:
+            runs[-1][2] = j + 1
+        else:
+            runs.append([t, j, j + 1])
+    return list(map(tuple, runs))
 
 
 def freq_bounds_scan(kmax, schedule=None, scale_bits=96, checkpoints=()):

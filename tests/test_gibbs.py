@@ -1,15 +1,19 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gibbs_oracle
 import pattern_oracle
+import groundlab.gibbs as gibbs
 from groundlab.gibbs import (BoltzmannTable, Potential, TorusConfig,
                              acceptance_probability, adjacency_potential,
                              boltzmann_base, boltzmann_exact,
@@ -238,6 +242,93 @@ def test_boltzmann_relabel_symmetry():
 def test_boltzmann_budget_refusal():
     with pytest.raises(BudgetExceeded):
         boltzmann_exact(TS2, AB_POT, 3, 1.0, budget=100)
+
+
+# three tiles on a side-2 torus: 81 configurations, codes up to 2
+TS3 = free_tileset(("A", "B", "C"))
+AC_PAIRS = [((("A", "C"),), 1), ((("C",), ("B",)), Fraction(1, 2))]
+
+
+def test_boltzmann_views_follow_iter_product():
+    tab = boltzmann_exact(TS3, pattern_potential(AC_PAIRS), 2, 1.0)
+    keys = list(iter_product(range(3), repeat=4))
+    for view in (tab.energies, tab.probabilities):
+        assert list(view) == list(view.keys()) == keys
+        assert [k for k, _ in view.items()] == keys
+        assert list(view.values()) == [v for _, v in view.items()] == [view[k] for k in keys]
+        assert len(view) == len(view.keys()) == len(view.values()) == len(view.items()) == 81
+        assert ((2, 0, 1, 2), view[2, 0, 1, 2]) in view.items()
+        assert view[2, 0, 1, 2] in view.values()
+    assert sum(tab.probabilities.values()) == 1
+    # one read-only level-id array; the level law is read off it
+    ids = tab.energies.level_ids
+    assert ids is tab.probabilities.level_ids and ids.dtype == np.int32
+    with pytest.raises(ValueError):
+        ids[0] = 1
+    law = dict(zip(tab.energies.levels, np.bincount(ids).tolist()))
+    assert law == Counter(tab.energies.values())
+
+
+def test_boltzmann_view_lookups():
+    tab = boltzmann_exact(TS3, pattern_potential(AC_PAIRS), 2, 1.0)
+    view = tab.probabilities
+    key = (2, 0, 1, 2)
+    p = view[key]
+    assert key in view and view.get(key) == p
+    assert view[tuple(np.array(key))] == p  # np.int64 entries
+    assert tab.probability(np.array(key).reshape(2, 2)) == p
+    assert tab.probability(np.array(key)) == p
+    plain = dict(view.items())
+    # found exactly when a dict of the same items finds the key: entries that
+    # hash and compare like a code are codes
+    for odd in [(2, 0, True, 2), (2, 0, 1.0, 2), (np.int8(2), 0, 1, np.uint64(2)),
+                (2, 0, 1), (2, 0, 1, 2, 0), (), (3, 0, 1, 2), (-1, 0, 1, 2),
+                (2, 0, 1.5, 2), ("2", 0, 1, 2), (None, 0, 1, 2), "2012", 2012, None,
+                ((2, 0), (1, 2))]:
+        assert view.get(odd) == plain.get(odd)
+        assert (odd in view) == (odd in plain)
+        if odd not in plain:
+            with pytest.raises(KeyError):
+                view[odd]
+    # unhashable keys, which a dict refuses with TypeError, are missing keys
+    for bad in [list(key), np.array(key), (2, 0, [1], 2)]:
+        with pytest.raises(KeyError):
+            view[bad]
+        assert bad not in view and view.get(bad) is None
+    with pytest.raises(TypeError):
+        view[key] = p
+
+
+def test_boltzmann_views_equal_the_oracle_dicts():
+    got = boltzmann_exact(TS3, pattern_potential(AC_PAIRS), 2, 1.0)
+    want = gibbs_oracle.boltzmann_exact(TS3, AC_PAIRS, 2, 1.0, 100)
+    assert got == want and want == got
+    for view, plain in ((got.energies, want.energies),
+                        (got.probabilities, want.probabilities)):
+        assert type(plain) is dict
+        assert view == plain and plain == view
+        assert not view != plain and not plain != view
+        changed = dict(plain)
+        changed[2, 0, 1, 2] += 1
+        assert view != changed and changed != view
+        del changed[2, 0, 1, 2]
+        assert view != changed and changed != view
+    assert got.energies != got.probabilities
+
+
+def test_boltzmann_exact_peak_is_its_level_ids_and_one_block():
+    # the toy at side 4: 65 536 configurations, one int32 level id each; a
+    # block's temporaries are its int64 grid and up to three arrays its size
+    count, cells = 2 ** 16, 16
+    block = 4 * gibbs.ENUMERATION_BLOCK * cells * 8
+    tracemalloc.start()
+    try:
+        tab = boltzmann_exact(TS2, AB_POT, 4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tab.probabilities) == count
+    assert peak <= 4 * count + block + 2 ** 20
 
 
 def test_acceptance_probability_values():

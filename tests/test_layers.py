@@ -19,6 +19,7 @@ from groundlab.layers import (
     freq_crossing,
     freq_frozen,
     freq_table_float,
+    schedule_runs,
 )
 from groundlab.tiles import InputError
 
@@ -163,6 +164,42 @@ def test_custom_schedule_named_default_keeps_its_values():
     assert freq_bounds_scan(40, seven, checkpoints=(1,)) == oracle.freq_bounds_scan(
         40, seven, checkpoints=(1,))
     assert default_schedule() is default_schedule()
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 3, 7, 8, 100, 2000])
+@pytest.mark.parametrize("schedule", [
+    None, default_schedule(), constant_schedule(2), constant_schedule(3),
+    constant_schedule(10 ** 400), OdometerSchedule(lambda k: 7), CYCLE, STEP_DOWN])
+def test_schedule_runs_match_per_j_walk(kmax, schedule):
+    runs = list(schedule_runs(kmax, schedule))
+    want = oracle.schedule_runs(kmax, schedule)
+    if schedule in (None, default_schedule()):
+        # cut at bit-length blocks, so t = 2 comes in two runs: compare per j
+        assert ([(j, t) for t, start, stop in runs for j in range(start, stop)]
+                == [(j, t) for t, start, stop in want for j in range(start, stop)])
+    else:
+        assert runs == want
+
+
+@pytest.mark.parametrize("c", [2.5, np.int64(3), Fraction(5, 2), 3.0])
+def test_constant_schedule_checks_its_value_as_t_does(c):
+    schedule = constant_schedule(c)
+    assert list(schedule_runs(0, schedule)) == []
+    with pytest.raises(InputError) as got:
+        list(schedule_runs(5, schedule))
+    with pytest.raises(InputError) as want:
+        oracle.schedule_runs(5, schedule)
+    assert str(got.value) == str(want.value) == f"schedule value t(0) = {c!r} must be an int >= 2"
+    for low in (1, 0, -3, True):
+        with pytest.raises(InputError):
+            constant_schedule(low)
+
+
+def test_constant_float_table_is_bit_identical_to_the_per_j_walk():
+    kmax = 10 ** 6
+    per_j = OdometerSchedule(lambda k: 3)  # evaluated at every j
+    assert (freq_table_float(kmax, constant_schedule(3)).tobytes()
+            == freq_table_float(kmax, per_j).tobytes())
 
 
 def test_freq_crossing_golden():

@@ -91,6 +91,39 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
         == [oracle.recompute_energy(compiled, cells), oracle.recompute_energy(compiled, after)]
 
 
+WIDE_SHAPES = [(1, 3), (3, 1), (1, 4), (4, 1), (2, 2)]  # 3 and 4 cells
+
+
+@st.composite
+def wide_case(draw):
+    """Patterns of 3 and 4 cells over three tiles, each shape with its all-C
+    pattern (C is the top code, 2), and a stack of side-6 or side-7 tori with
+    mostly high codes, the last all C."""
+    pairs = []
+    for h, w in draw(st.lists(st.sampled_from(WIDE_SHAPES), min_size=1, max_size=3)):
+        pairs.append(([["C"] * w] * h, draw(st.sampled_from(WEIGHTS[1:]))))
+        for _ in range(draw(st.integers(0, 3))):
+            pairs.append((draw(id_grid(h, w, ["A", "B", "C", "C"])),
+                          draw(st.sampled_from(WEIGHTS))))
+    side = draw(st.sampled_from([6, 7]))
+    grids = [draw(id_grid(side, side, [0, 1, 2, 2]))
+             for _ in range(draw(st.integers(0, 4)))]
+    return pairs, np.array(grids + [[[2] * side] * side], dtype=np.int64)
+
+
+@given(wide_case())
+@FAST
+def test_value_counts_of_wide_shapes_match_oracle(case):
+    pairs, grids = case
+    tileset = free_tileset(3)
+    compiled = oracle.compile_patterns(pairs, tileset)
+    d = oracle.denominator(pairs)
+    index = TorusConfig(tileset, pattern_potential(pairs), grids[0])._index
+    values, counts = index.value_counts(grids, 3)
+    assert [Fraction(sum(c * v for c, v in zip(row, values)), d) for row in counts.tolist()] \
+        == [oracle.recompute_energy(compiled, g) for g in grids]
+
+
 @given(torus_case())
 @FAST
 def test_direct_compile_matches_cell_list_grouping(case):

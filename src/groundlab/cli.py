@@ -395,6 +395,11 @@ def _run_gibbs(cfg):
         potential = adjacency_potential(tileset)
     elif Path(cfg["potential"]).exists():
         potential = Potential.from_json(_read_text(cfg["potential"]))
+        # the library drops a pattern naming an id the tileset lacks; a chain
+        # whose file names one would run another potential than asked for
+        missing = [i for i in potential.ids if i not in tileset.index]
+        if missing:
+            raise InputError(f"potential names tile id {missing[0]!r} that the tileset lacks")
     else:
         raise UsageError(f"unknown potential {cfg['potential']!r}")
     markers = robinson_marker_set(cfg["markers"]) if cfg["markers"] else None

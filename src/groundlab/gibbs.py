@@ -1,15 +1,18 @@
 """Finite-volume Gibbs machinery on the torus.
 
-A potential is its integer shape tables: per (h, w) rectangle, the tile ids
-of a forbidden pattern in row-major order map to its weight in units of 1/D
-(D the lcm of the weight denominators), summed over duplicates.  The
-adjacency potential is read straight off a tileset's compatibility matrices.
-A torus remaps each table's id keys to tile codes, column by column, and
-scales its units by the support h * w: these are the tables of the
-shape-hashed kernel `tiles.PatternIndex`.  The local energy of a site counts
-every occurrence covering it, so one occurrence of a size-s pattern
-contributes s times to the total.  Energies are kept as integers in units of
-1/D and read out as exact rationals.
+A potential is integer code rows over one legend of tile ids: per (h, w)
+rectangle, one int32 row of legend codes per forbidden pattern, in row-major
+order, and its weight in units of 1/D (D the lcm of the weight
+denominators), summed over duplicates.  Its id-keyed shape tables are a
+read-only view built on first read.  The adjacency potential takes its rows
+straight from a tileset's compatibility matrices, over the tileset's ids.  A
+torus maps the legend to tile codes with one numpy take per shape, drops the
+rows naming an id the tileset lacks and those of zero weight, and scales the
+units by the support h * w: these are the tables of the shape-hashed kernel
+`tiles.PatternIndex`.  The local energy of a site counts every occurrence
+covering it, so one occurrence of a size-s pattern contributes s times to the
+total.  Energies are kept as integers in units of 1/D and read out as exact
+rationals.
 
 A Metropolis proposal (site p, tile t) is scored in one pass over a flat
 Python list of codes: the kernel's plan for p holds one (table lookup, key
@@ -61,17 +64,21 @@ ENUMERATION_BUDGET = 1 << 20
 ENUMERATION_BLOCK = 4096  # configurations per numpy batch: bounds its arrays
 
 
-@dataclass(frozen=True)
 class Potential:
-    """Weighted forbidden patterns, held as integer shape tables.
+    """Weighted forbidden patterns, held as integer code rows over one legend.
 
-    `tables` maps each (h, w) rectangle to {ids: units}: `ids` is a pattern's
-    tile ids in row-major order, rows[j][i] at j * w + i, where rows are
-    indexed like the torus array (rows[j][i] matches the cell (y + j, x + i)
-    for an anchor at (y, x)), and `units` its weight in units of
-    1/`denominator`, summed over duplicate patterns.  Both fields are
-    read-only; two potentials are equal when their tables and denominators
-    are.  The constructor checks the tables one shape at a time.
+    `ids` is the legend, a tuple of distinct tile ids.  `rows` maps each
+    (h, w) rectangle to (codes, units): row r of the read-only int32 array
+    `codes`, of shape (m, h * w), is a pattern's legend codes in row-major
+    order, rows[j][i] at j * w + i, where rows are indexed like the torus
+    array (rows[j][i] matches the cell (y + j, x + i) for an anchor at
+    (y, x)); `units` holds the m weights as ints in units of 1/`denominator`,
+    duplicate patterns summed, so no row repeats.  `tables` is the same
+    potential keyed by tile ids, per shape {ids: units}: a read-only view
+    built on first read.  `Potential(tables, denominator)` takes that form;
+    the adjacency potential fills the code rows directly; both are checked
+    one shape at a time.  A potential is read-only, and two are equal when
+    their tables and denominators are.
 
     `from_patterns` sets the denominator to the lcm of the weight
     denominators as given, duplicates and unknown ids included.  `forbidden`
@@ -80,32 +87,86 @@ class Potential:
     denominators cancel (1/3 + 2/3 = 1) come back with a smaller denominator.
     """
 
-    tables: Mapping[Tuple[int, int], Mapping[Tuple[str, ...], int]]
-    denominator: int
+    __slots__ = ("ids", "rows", "denominator", "_tables")
 
-    def __post_init__(self):
-        d = self.denominator
-        if type(d) is not int or d < 1:
-            raise InputError("potential denominator must be an int >= 1")
-        tables = {}
-        for shape, table in dict(self.tables).items():
-            if (type(shape) is not tuple or len(shape) != 2
-                    or {type(n) for n in shape} != {int} or min(shape) < 1):
-                raise InputError(f"pattern shape must be (h, w) with h, w >= 1, got {shape!r}")
-            table = dict(table)
-            if not table:
-                continue
-            if set(map(type, table)) != {tuple} or set(map(len, table)) != {shape[0] * shape[1]}:
+    def __init__(self, tables: Mapping[Tuple[int, int], Mapping[Tuple[str, ...], int]],
+                 denominator: int):
+        tables = {shape: dict(table) for shape, table in dict(tables).items()}
+        for shape, table in tables.items():
+            _check_shape(shape)
+            if set(map(type, table)) - {tuple} or set(map(len, table)) - {shape[0] * shape[1]}:
                 raise InputError(f"{shape} pattern keys must be tuples of h * w tile ids")
-            if set(map(type, chain.from_iterable(table))) != {str}:
+            if set(map(type, chain.from_iterable(table))) - {str}:
                 raise InputError("pattern cells must be tile ids")
-            if set(map(type, table.values())) != {int} or min(table.values()) < 0:
+        ids = tuple(dict.fromkeys(chain.from_iterable(chain.from_iterable(tables.values()))))
+        code = dict(zip(ids, range(len(ids)))).__getitem__
+        self._keep(ids, {(h, w): (np.fromiter(map(code, chain.from_iterable(table)), np.int32)
+                                  .reshape(len(table), h * w), table.values())
+                         for (h, w), table in tables.items()}, denominator)
+
+    @classmethod
+    def _from_codes(cls, ids: Sequence[str],
+                    rows: Mapping[Tuple[int, int], Tuple[np.ndarray, Sequence[int]]],
+                    denominator: int) -> "Potential":
+        """The potential of code rows over the legend `ids`: per (h, w) shape,
+        an int array of shape (m, h * w) and its m units, no row repeated."""
+        pot = cls.__new__(cls)
+        pot._keep(tuple(ids), rows, denominator)
+        return pot
+
+    def _keep(self, ids, rows, denominator):
+        if type(denominator) is not int or denominator < 1:
+            raise InputError("potential denominator must be an int >= 1")
+        if set(map(type, ids)) - {str} or len(set(ids)) != len(ids):
+            raise InputError("a potential legend must hold distinct tile ids")
+        kept = {}
+        for shape, (codes, units) in rows.items():
+            _check_shape(shape)
+            codes, units = np.asarray(codes), tuple(units)
+            if codes.shape != (len(units), shape[0] * shape[1]):
+                raise InputError(f"{shape} code rows must hold h * w codes, one row per unit")
+            if not units:
+                continue
+            if codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(ids):
+                raise InputError("pattern codes must index the legend")
+            if set(map(type, units)) != {int} or min(units) < 0:
                 raise InputError("pattern weights must be integer units >= 0")
-            tables[shape] = MappingProxyType(table)
-        object.__setattr__(self, "tables", MappingProxyType(tables))
+            codes, n, width = codes.astype(np.int32), len(ids), codes.shape[1]
+            if n ** width < 1 << 63:  # each row one base-n int64 key
+                keys = np.sort(np.ravel_multi_index(tuple(codes.T), (n,) * width))
+                repeats = (keys[1:] == keys[:-1]).any()
+            else:
+                repeats = len(set(map(tuple, codes.tolist()))) < len(codes)
+            if repeats:
+                raise InputError(f"a {shape} pattern repeats")
+            codes.flags.writeable = False
+            kept[shape] = (codes, units)
+        for name, value in (("ids", ids), ("rows", MappingProxyType(kept)),
+                            ("denominator", denominator), ("_tables", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Potential is read-only")
+
+    @property
+    def tables(self) -> Mapping[Tuple[int, int], Mapping[Tuple[str, ...], int]]:
+        if self._tables is None:
+            ids = np.array(self.ids, dtype=object)
+            object.__setattr__(self, "_tables", MappingProxyType({
+                shape: MappingProxyType(dict(zip(map(tuple, ids[codes].tolist()), units)))
+                for shape, (codes, units) in self.rows.items()}))
+        return self._tables
+
+    def __eq__(self, other):
+        if not isinstance(other, Potential):
+            return NotImplemented
+        return self.denominator == other.denominator and self.tables == other.tables
 
     def __hash__(self):
-        return hash((self.denominator, frozenset(self.tables)))
+        return hash((self.denominator, frozenset(self.rows)))
+
+    def __repr__(self):
+        return f"Potential({ {s: dict(t) for s, t in self.tables.items()} }, {self.denominator})"
 
     @classmethod
     def from_patterns(cls, pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> "Potential":
@@ -145,7 +206,7 @@ class Potential:
     @property
     def range(self) -> int:
         """Largest anchor-to-cell offset any pattern can reach."""
-        return max((max(h, w) - 1 for h, w in self.tables), default=0)
+        return max((max(h, w) - 1 for h, w in self.rows), default=0)
 
     def to_json(self) -> str:
         doc = {"patterns": [
@@ -165,24 +226,30 @@ class Potential:
             raise InputError(f"malformed potential json: {exc}") from exc
 
 
+def _check_shape(shape) -> None:
+    if (type(shape) is not tuple or len(shape) != 2
+            or {type(n) for n in shape} != {int} or min(shape) < 1):
+        raise InputError(f"pattern shape must be (h, w) with h, w >= 1, got {shape!r}")
+
+
 def pattern_potential(pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> Potential:
     return Potential.from_patterns(pairs)
 
 
 def adjacency_potential(tileset: Tileset, weight: _Q = 1) -> Potential:
     """One forbidden domino per incompatible adjacent pair of the tileset,
-    read straight off the compatibility matrices."""
+    read straight off the compatibility matrices as code rows over the
+    tileset's ids."""
     weight = Fraction(weight)
-    ids = [t.id for t in tileset.tiles].__getitem__
-    tables = {}
+    rows = {}
     # h_compat[a, b]: a sits west of b; v_compat[a, b]: a sits south of b,
-    # so its domino's rows are (a,), (b,): row-major ids (a, b) either way
+    # so its domino's rows are (a,), (b,): row-major codes (a, b) either way
     for shape, compat in (((1, 2), tileset.h_compat), ((2, 1), tileset.v_compat)):
-        a, b = np.nonzero(~compat)
-        tables[shape] = dict.fromkeys(zip(map(ids, a.tolist()), map(ids, b.tolist())),
-                                      weight.numerator)
+        codes = np.argwhere(~compat)
+        rows[shape] = (codes, (weight.numerator,) * len(codes))
     # no pattern at all leaves the lcm of no denominators: 1
-    return Potential(tables, weight.denominator if any(tables.values()) else 1)
+    d = weight.denominator if any(units for _, units in rows.values()) else 1
+    return Potential._from_codes([t.id for t in tileset.tiles], rows, d)
 
 
 class TorusConfig:
@@ -209,21 +276,26 @@ class TorusConfig:
         self.potential = potential
         self.cells = cells
         self._denominator = potential.denominator
-        # each table's id keys become code keys column by column, its units
-        # scaled by the support h * w; keys holding an id the tileset lacks,
-        # and zero units, are dropped
-        code = tileset.index.get
+        # one take maps each shape's legend codes to tile codes (-1: an id
+        # the tileset lacks); rows holding such an id, and zero units, are
+        # dropped, and the units are scaled by the support h * w
+        code = np.array([tileset.index.get(i, -1) for i in potential.ids], dtype=np.int64)
+        lacks = code.min(initial=0) < 0
         tables = {}
-        for (h, w), table in potential.tables.items():
-            cols = [list(map(code, col)) for col in zip(*table)]
-            pairs = zip(cols[0] if h * w == 1 else zip(*cols),
-                        map(mul, table.values(), repeat(h * w)))
-            if None in chain.from_iterable(cols) or 0 in table.values():
-                pairs = compress(pairs, [u and None not in c
-                                         for c, u in zip(zip(*cols), table.values())])
-            compiled = dict(pairs)
-            if compiled:
-                tables[tuple(iter_product(range(h), range(w)))] = compiled
+        for (h, w), (rows, units) in potential.rows.items():
+            rows = code[rows]
+            if lacks or 0 in units:
+                keep = (rows >= 0).all(axis=1) & np.array(list(map(bool, units)))
+                rows, units = rows[keep], list(compress(units, keep.tolist()))
+            if not units:
+                continue
+            cols = rows.T.tolist()
+            keys = cols[0] if h * w == 1 else zip(*cols)
+            if units.count(units[0]) == len(units):  # one weight, scaled once
+                table = dict.fromkeys(keys, units[0] * h * w)
+            else:
+                table = dict(zip(keys, map(mul, units, repeat(h * w))))
+            tables[tuple(iter_product(range(h), range(w)))] = table
         self._index = PatternIndex(tables)
         self._plan = self._index.cell_plan(cells.shape, wrap=True)
         self._units = int(self.recompute_energy() * self._denominator)

@@ -339,6 +339,24 @@ def test_gibbs_usage_errors(tmp_path, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_gibbs_refuses_potential_naming_missing_tiles(tmp_path, capsys):
+    # every pattern of ab.json names ids Robinson lacks: dropping them all
+    # would run the chain at energy 0
+    pot = tmp_path / "ab.json"
+    pot.write_text(pattern_potential([((("A", "B"),), 1)]).to_json())
+    out = tmp_path / "g.csv"
+    assert run("gibbs", "--tileset", "robinson", "--potential", str(pot),
+               "--side", "2", "--beta", "1", "--steps", "10", "--csv", str(out)) == 2
+    assert capsys.readouterr().err == \
+        "error: gibbs: potential names tile id 'A' that the tileset lacks\n"
+    assert not out.exists()
+    # the first legend id missing is named, in the file's order
+    pot.write_text(pattern_potential([((("B",),), 1), ((("C", "A"),), 1)]).to_json())
+    assert run("gibbs", "--tileset", "free:2", "--potential", str(pot),
+               "--side", "2", "--beta", "1", "--steps", "10", "--csv", str(out)) == 2
+    assert "tile id 'C'" in capsys.readouterr().err
+
+
 _BLANK = "....."
 _TILE_A = {"id": "A", "north": _BLANK, "east": _BLANK, "south": _BLANK,
            "west": _BLANK}

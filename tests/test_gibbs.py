@@ -149,6 +149,62 @@ def test_adjacency_potential_matches_per_pair_wrapping():
     assert adjacency_potential(TS2, Fraction(2, 3)) == pattern_potential([]) == Potential({}, 1)
 
 
+@pytest.mark.parametrize("ids, rows, denominator", [
+    ("AB", {(1, 2): ([[0, 2]], [1])}, 1),                   # code outside the legend
+    ("AB", {(1, 2): ([[0, -1]], [1])}, 1),                  # negative code
+    ("AB", {(1, 2): ([[0.0, 1.0]], [1])}, 1),               # codes not ints
+    ("AB", {(1, 2): ([[0]], [1])}, 1),                      # row narrower than h * w
+    ("AB", {(2, 1): ([[0, 1, 0]], [1])}, 1),                # row wider than h * w
+    ("AB", {(1, 2): ([[0, 1], [1, 0]], [1])}, 1),           # fewer units than rows
+    ("AB", {(1, 2): ([[0, 1]], [-1])}, 1),                  # units < 0
+    ("AB", {(1, 2): ([[0, 1]], [True])}, 1),                # units a bool
+    ("AB", {(1, 2): ([[0, 1]], [1.0])}, 1),                 # units a float
+    ("AB", {(1, 2): ([[0, 1]], [Fraction(1, 2)])}, 1),      # units not an int
+    ("AB", {(1, 2): ([[0, 1], [0, 1]], [1, 2])}, 1),        # a repeated row
+    ("ABC", {(1, 40): ([[2] * 40, [2] * 40], [1, 1])}, 1),  # ... past int64 row keys
+    ("AA", {(1, 2): ([[0, 1]], [1])}, 1),                   # repeated legend id
+    (("A", 2), {(1, 2): ([[0, 1]], [1])}, 1),               # legend id not a string
+    ("AB", {(0, 2): ([], [])}, 1),                          # h < 1
+    ("AB", {(1, 2): ([[0, 1]], [1])}, 0),                   # denominator < 1
+])
+def test_potential_code_row_checks(ids, rows, denominator):
+    with pytest.raises(InputError):
+        Potential._from_codes(tuple(ids), rows, denominator)
+
+
+def test_potential_code_rows_keep_tables_eq_and_hash():
+    tileset = build_tileset()
+    for weight in (0, 1, Fraction(2, 3)):
+        rows = adjacency_potential(tileset, weight)
+        tables = pattern_potential(pattern_oracle.adjacency_pairs(tileset, weight))
+        assert rows == tables and tables == rows and hash(rows) == hash(tables)
+        assert rows.ids == tuple(t.id for t in tileset.tiles)
+        assert {shape: len(codes) for shape, (codes, _) in rows.rows.items()} == \
+            {shape: len(table) for shape, table in tables.tables.items()}
+    with pytest.raises(TypeError):
+        rows.tables[(1, 2)][rows.ids[:2]] = 1
+    with pytest.raises(ValueError):
+        rows.rows[(1, 2)][0][0, 0] = 0
+    # the legend lists ids in first-seen order, and a row's units stay summed
+    pot = pattern_potential([((("B", "A"),), 1), ((("A",), ("B",)), 1), ((("B", "A"),), 2)])
+    assert pot.ids == ("B", "A") and pot.rows[(1, 2)][1] == (3,)
+    assert Potential._from_codes(("A", "B"), {(1, 2): ([[1, 0]], [3]), (2, 1): ([[0, 1]], [1])},
+                                 1) == pot
+
+
+def test_adjacency_potential_retains_code_rows_only():
+    tileset = build_tileset()
+    tracemalloc.start()
+    try:
+        pot = adjacency_potential(tileset)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # 15 032 dominoes as int32 code rows and units; as id-tuple keys they held 1.26 MiB
+    assert retained < 2 ** 19
+    assert pot.tables == pattern_potential(pattern_oracle.adjacency_pairs(tileset)).tables
+
+
 def test_boltzmann_base_past_float_range():
     assert boltzmann_base(1.0, 10 ** 400) == 1
     assert 0 < boltzmann_base(1e308, 10 ** 309) < 1

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import gibbs_oracle
 import pattern_oracle as oracle
-from groundlab.gibbs import (TorusConfig, adjacency_potential, metropolis,
-                             pattern_potential, torus_coverage)
+from groundlab.gibbs import (Potential, TorusConfig, adjacency_potential,
+                             metropolis, pattern_potential, torus_coverage)
 from groundlab.markers import (MarkerSet, occurrence_map,
                                search_covering_counterexample)
 from groundlab.robinson import build_tileset
@@ -124,13 +124,34 @@ def test_value_counts_of_wide_shapes_match_oracle(case):
         == [oracle.recompute_energy(compiled, g) for g in grids]
 
 
-@given(torus_case())
+@given(torus_case(), st.data())
 @FAST
-def test_direct_compile_matches_cell_list_grouping(case):
+def test_direct_compile_matches_cell_list_grouping(case, data):
+    # the pairs hold ids the tileset lacks, zero weights, 1-cell shapes and
+    # duplicates to sum; the same code rows are compiled once more over a
+    # reordered legend with an id no pattern names
     tileset, pairs, cells = case
-    config = TorusConfig(tileset, pattern_potential(pairs), cells)
-    assert config._denominator == oracle.denominator(pairs)
+    listed = pattern_potential(pairs)
+    legend = data.draw(st.permutations(listed.ids + ("Y",)))
+    where = {tid: code for code, tid in enumerate(legend)}
+    recoded = Potential._from_codes(legend, {
+        shape: ([[where[tid] for tid in key] for key in table], list(table.values()))
+        for shape, table in listed.tables.items()}, listed.denominator)
+    assert recoded == listed
     # a shape whose every pattern drops out has no table
+    want = {offsets: table for offsets, table in oracle.potential_tables(pairs, tileset).items()
+            if table}
+    for potential in (listed, recoded):
+        config = TorusConfig(tileset, potential, cells)
+        assert config._denominator == oracle.denominator(pairs)
+        assert dict(config._index._shapes) == want
+
+
+@pytest.mark.parametrize("weight", [0, 1, Fraction(2, 3)])
+def test_adjacency_compile_matches_cell_list_grouping(weight):
+    tileset = build_tileset()
+    pairs = oracle.adjacency_pairs(tileset, weight)
+    config = TorusConfig(tileset, adjacency_potential(tileset, weight), np.zeros((2, 2), int))
     want = {offsets: table for offsets, table in oracle.potential_tables(pairs, tileset).items()
             if table}
     assert dict(config._index._shapes) == want

@@ -18,18 +18,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import WordMeasure
+from .measures import DEPTH_CAP, WordMeasure, _check_depth, word_index
 from .tiles import InputError
 
 DESK_BUDGET_CAP = 10_000_000
 
 
 class NonConformingError(RuntimeError):
-    """A machine breached its step budget (or left a non-word output)."""
+    """A machine breached its step budget on `seed`."""
 
     def __init__(self, message: str, seed: Optional[str] = None):
         super().__init__(message)
         self.seed = seed
+
+
+class NonWordOutput(NonConformingError, InputError):
+    """A machine halted on `seed` with a depth-prefix that is not a word: an
+    input error, as the machine is not a word machine."""
 
 
 @dataclass(frozen=True)
@@ -204,13 +209,19 @@ class _Delta:
             self.next[i], self.write[i], self.move[i] = row[q2], self.code[b], mv
         self.final = np.zeros(size, bool)
         self.final[[row[q] for q in machine.finals]] = True
-        # a code is a letter when its symbol spells only 'u'/'d' characters
+        # a code is a letter when its symbol spells only 'u'/'d' characters;
+        # as a word it has index `value` over `size` letters (index 0 past
+        # DEPTH_CAP letters, as no word holds that many)
         self.letter = np.array([set(a) <= {"u", "d"} for a in self.symbols])
+        self.value = np.array([word_index(a) if ok and len(a) <= DEPTH_CAP else 0
+                               for a, ok in zip(self.symbols, self.letter)], np.int64)
+        self.size = np.array([len(a) for a in self.symbols], np.int64)
 
 
 def _lockstep(machine: Machine, delta: _Delta, k: int, depth: int, budget: int,
-              lo: int, hi: int):
-    """Yield (word, count) over seeds lo..hi-1, run together as lanes.
+              lo: int, hi: int) -> np.ndarray:
+    """The depth-prefix codes of seeds lo..hi-1, one row per seed, run
+    together as lanes.
 
     Raises at the lowest failing seed of the block, as `run` seed by seed
     would: a run past the budget, or a depth-prefix that is not a word.
@@ -266,30 +277,27 @@ def _lockstep(machine: Machine, delta: _Delta, k: int, depth: int, budget: int,
                       steps, budget)
         if not res.halted:
             raise NonConformingError(
-                f"machine {machine.name or '?'} exceeded {budget} steps", seed=bits)
+                f"machine {machine.name or '?'} exceeded {budget} steps "
+                f"at seed {bits}", seed=bits)
         prefix[lane] = [delta.code[res.tape.get(c, machine.blank)] for c in range(d)]
         if not delta.letter[prefix[lane]].all():
             first_bad = lane
     if first_bad < n:
         w = "".join(symbols[c] for c in prefix[first_bad].tolist())
-        raise NonConformingError(
-            f"machine {machine.name or '?'} left a non-word output {w!r}",
-            seed=format(lo + first_bad, f"0{k}b"))
-    # equal prefixes side by side (lexsort needs a key: with d = 0 every
-    # prefix is the empty word already)
-    prefix = prefix[np.lexsort(prefix.T)] if d else prefix
-    starts = np.flatnonzero(np.r_[True, (prefix[1:] != prefix[:-1]).any(axis=1)])
-    for row, count in zip(prefix[starts].tolist(), np.diff(np.r_[starts, n]).tolist()):
-        yield "".join(symbols[c] for c in row), count
+        bits = format(lo + first_bad, f"0{k}b")
+        raise NonWordOutput(f"machine {machine.name or '?'} left a non-word "
+                            f"output {w!r} at seed {bits}", seed=bits)
+    return prefix
 
 
 def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
                  budget: Optional[int] = None) -> WordMeasure:
     """Average the output word over all 2^k seeds, exact rational weights.
 
-    Seeds advance in lockstep, as numpy lanes over the compiled delta; the
-    measure, and the error raised at the lowest failing seed, are those of
-    running each seed through `run` in order.
+    Seeds advance in lockstep, as numpy lanes over the compiled delta, and
+    each block's words are tallied by index with one bincount; the measure,
+    and the error raised at the lowest failing seed, are those of running
+    each seed through `run` in order.
     """
     if k < 1:
         raise InputError("scale k must be >= 1")
@@ -302,15 +310,30 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
     # the seeds before the first one holding a symbol outside the alphabet
     valid = total if {"0", "1"} <= alphabet else int("0" in alphabet)
     delta = _Delta(machine)
-    counts = {}
+    # a bad depth or a word of another length is reported once every seed
+    # has run, so that a failing seed is reported first
+    tally = 1 <= depth <= DEPTH_CAP
+    counts = np.zeros(2 ** depth if tally else 0, np.int64)
+    mismatch = False
     for lo in range(0, valid, _BLOCK_LANES):
-        for w, c in _lockstep(machine, delta, k, depth, budget, lo,
-                              min(valid, lo + _BLOCK_LANES)):
-            counts[w] = counts.get(w, 0) + c
+        prefix = _lockstep(machine, delta, k, depth, budget, lo,
+                           min(valid, lo + _BLOCK_LANES))
+        if tally and not mismatch:
+            index = np.zeros(len(prefix), np.int64)
+            size = np.zeros(len(prefix), np.int64)
+            for col in prefix.T:     # words spelled out letter by letter
+                index = (index << delta.size[col]) | delta.value[col]
+                size += delta.size[col]
+            if (size != depth).any():
+                mismatch = True
+            else:
+                counts += np.bincount(index, minlength=len(counts))
     if valid < total:
         _check_input(machine, format(valid, f"0{k}b"))
-    return WordMeasure.from_dict(depth, {w: Fraction(c, total)
-                                         for w, c in counts.items()})
+    _check_depth(depth)
+    if mismatch:
+        raise InputError("word depth mismatch")
+    return WordMeasure.from_nums(depth, counts.tolist(), total)
 
 
 # ---------------------------------------------------------------- corpus ---

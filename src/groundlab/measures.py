@@ -1,18 +1,20 @@
 """Exact measures on finite words over the two-letter grounding alphabet.
 
 Words use letters 'u' and 'd'.  A WordMeasure of depth l assigns an exact
-rational weight to each of the 2^l words; marginals, convex mixtures and the
-weak-* distance are all computed in exact arithmetic.  The conditional grid
-measure mixes a flow of word measures along a blocking schedule: at scale j a
-fresh blocked computation appears with probability 1/(4 t_j), otherwise the
-scale passes through, which yields a forward one-pass recursion and an exact
-leftover (never-blocked) residual.
+rational weight to each of the 2^l words, held as integer numerators over one
+denominator; marginals, convex mixtures and the weak-* distance run on those
+integers.  The conditional grid measure mixes a flow of word measures along
+a blocking schedule: at scale j a fresh blocked computation appears with
+probability 1/(4 t_j), otherwise the scale passes through, which yields a
+forward one-pass recursion and an exact leftover (never-blocked) residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .tiles import InputError
@@ -56,31 +58,62 @@ def _fold(ws: Sequence, times: int) -> Sequence:
 
 
 class WordMeasure:
-    """Probability vector over words of a fixed depth, exact rationals."""
+    """Probability vector over words of a fixed depth: one non-negative
+    integer numerator per word in `nums`, over one positive denominator
+    `den`, in lowest terms, so `==` and `hash` compare values.  `weights`,
+    `weight` and `as_dict` read them as exact Fractions."""
+
+    __slots__ = ("depth", "den", "nums", "_weights")
 
     def __init__(self, depth: int, weights: Sequence[Fraction]):
         _check_depth(depth)
-        ws = tuple(Fraction(w) for w in weights)
+        ws = [Fraction(w) for w in weights]
         if len(ws) != 2 ** depth:
             raise InputError("need one weight per word")
         if any(w < 0 for w in ws):
             raise InputError("negative weight")
-        if sum(ws) != 1:
+        den = math.lcm(*(w.denominator for w in ws))
+        self._keep(depth, [w.numerator * (den // w.denominator) for w in ws], den)
+
+    @classmethod
+    def from_nums(cls, depth: int, nums: Sequence[int], den: int) -> "WordMeasure":
+        """Weight nums[i] / den on word i, from Python ints not necessarily in
+        lowest terms."""
+        _check_depth(depth)
+        if len(nums) != 2 ** depth:
+            raise InputError("need one weight per word")
+        if min(nums) < 0:
+            raise InputError("negative weight")
+        m = cls.__new__(cls)
+        m._keep(depth, nums, den)
+        return m
+
+    def _keep(self, depth: int, nums: Sequence[int], den: int):
+        if den < 1 or sum(nums) != den:
             raise InputError("weights must sum to 1 exactly")
+        g = math.gcd(*nums)          # divides den too: den is their sum
         self.depth = depth
-        self.weights = ws
+        self.den = den // g
+        self.nums = tuple(n // g for n in nums)
+        self._weights = None
+
+    @property
+    def weights(self) -> tuple:
+        if self._weights is None:
+            self._weights = tuple(Fraction(n, self.den) for n in self.nums)
+        return self._weights
 
     @classmethod
     def point_mass(cls, word: str) -> "WordMeasure":
         depth = _check_depth(len(word))
-        ws = [Fraction(0)] * (2 ** depth)
-        ws[word_index(word)] = Fraction(1)
-        return cls(depth, ws)
+        nums = [0] * (2 ** depth)
+        nums[word_index(word)] = 1
+        return cls.from_nums(depth, nums, 1)
 
     @classmethod
     def uniform(cls, depth: int) -> "WordMeasure":
         _check_depth(depth)
-        return cls(depth, [Fraction(1, 2 ** depth)] * (2 ** depth))
+        return cls.from_nums(depth, [1] * (2 ** depth), 2 ** depth)
 
     @classmethod
     def from_dict(cls, depth: int, table: dict) -> "WordMeasure":
@@ -94,27 +127,29 @@ class WordMeasure:
     def weight(self, word: str) -> Fraction:
         if len(word) != self.depth:
             raise InputError("word depth mismatch")
-        return self.weights[word_index(word)]
+        return Fraction(self.nums[word_index(word)], self.den)
 
     def marginal(self, depth: int) -> "WordMeasure":
-        """Project onto the first `depth` letters by exact pairwise folds."""
+        """Project onto the first `depth` letters by pairwise folds."""
         if depth == self.depth:
             return self
         if not (1 <= depth < self.depth):
             raise InputError("marginal depth out of range")
-        return WordMeasure(depth, _fold(self.weights, self.depth - depth))
+        return WordMeasure.from_nums(depth, _fold(self.nums, self.depth - depth),
+                                     self.den)
 
     def as_dict(self) -> dict:
-        return {index_word(i, self.depth): w
-                for i, w in enumerate(self.weights) if w != 0}
+        return {index_word(i, self.depth): Fraction(n, self.den)
+                for i, n in enumerate(self.nums) if n}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WordMeasure)
                 and self.depth == other.depth
-                and self.weights == other.weights)
+                and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.depth, self.weights))
+        return hash((self.depth, self.den, self.nums))
 
     def __repr__(self):
         body = ", ".join(f"{w}:{v}" for w, v in sorted(self.as_dict().items()))
@@ -122,7 +157,8 @@ class WordMeasure:
 
 
 def mix(parts: Iterable[tuple]) -> WordMeasure:
-    """Exact convex combination of (coefficient, measure) pairs."""
+    """Exact convex combination of (coefficient, measure) pairs, over the lcm
+    of the parts' denominators."""
     parts = list(parts)
     if not parts:
         raise InputError("empty mixture")
@@ -132,55 +168,70 @@ def mix(parts: Iterable[tuple]) -> WordMeasure:
     if sum(coeffs) != 1:
         raise InputError("mixture coefficients must sum to 1")
     depth = min(m.depth for _, m in parts)
-    ws = [Fraction(0)] * (2 ** depth)
-    for c, m in parts:
-        mm = m.marginal(depth)
-        for i, w in enumerate(mm.weights):
-            ws[i] += c * w
-    return WordMeasure(depth, ws)
+    margins = [m.marginal(depth) for _, m in parts]
+    den = math.lcm(*(c.denominator * m.den for c, m in zip(coeffs, margins)))
+    nums = [0] * (2 ** depth)
+    for c, m in zip(coeffs, margins):
+        f = c.numerator * (den // (c.denominator * m.den))
+        if f:
+            nums = [a + f * b for a, b in zip(nums, m.nums)]
+    return WordMeasure.from_nums(depth, nums, den)
 
 
 def weak_star_distance(mu: WordMeasure, nu: WordMeasure,
                        max_depth: Optional[int] = None) -> Fraction:
     """Sum over depths l of 2^-l times the sup difference of depth-l marginals.
 
-    The difference vector is formed once at the common depth and folded one
-    level at a time, so no marginal measure is built.
+    One integer difference vector, over the lcm of the two denominators, is
+    formed at the common depth and folded one level at a time, so no marginal
+    measure is built; the sum is one Fraction at the end.
     """
     L = min(mu.depth, nu.depth)
     if max_depth is not None:
         L = min(L, max_depth)
     if L < 1:
         raise InputError("no common depth")
-    diff = [a - b for a, b in zip(_fold(mu.weights, mu.depth - L),
-                                  _fold(nu.weights, nu.depth - L))]
-    total = Fraction(0)
-    for l in range(L, 0, -1):
-        total += max(map(abs, diff)) / 2 ** l
+    den = math.lcm(mu.den, nu.den)
+    fa, fb = den // mu.den, den // nu.den
+    diff = [fa * a - fb * b for a, b in zip(_fold(mu.nums, mu.depth - L),
+                                            _fold(nu.nums, nu.depth - L))]
+    total = 0
+    for l in range(L, 0, -1):        # level l weighs 2^-l = 2^(L-l) / 2^L
+        total += max(map(abs, diff)) << (L - l)
         diff = _fold(diff, 1)
-    return total
+    return Fraction(total, den << L)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionalGridMeasure:
-    """Sub-probability vector of blocked words plus the never-blocked residual."""
+    """Sub-probability vector of blocked words, as numerators `nums` over one
+    denominator `den` in lowest terms, plus the never-blocked residual
+    (den - sum(nums)) / den.  `raw` and `residual` read them as Fractions."""
     depth: int
-    raw: tuple              # 2^depth Fractions, sums to 1 - residual
-    residual: Fraction
+    nums: tuple
+    den: int
     k: int
     j_start: int
 
+    @cached_property
+    def raw(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
+    def residual(self) -> Fraction:
+        return Fraction(self.den - sum(self.nums), self.den)
+
     def total(self) -> Fraction:
-        return sum(self.raw, Fraction(0)) + self.residual
+        return self.blocked_mass() + self.residual
 
     def blocked_mass(self) -> Fraction:
-        return sum(self.raw, Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
     def renormalized(self) -> WordMeasure:
-        mass = self.blocked_mass()
+        mass = sum(self.nums)
         if mass == 0:
             raise InputError("no blocked mass to renormalize")
-        return WordMeasure(self.depth, [w / mass for w in self.raw])
+        return WordMeasure.from_nums(self.depth, self.nums, mass)
 
 
 def conditional_rows(flow: Callable[[int], WordMeasure], depth: int, schedule,
@@ -191,21 +242,25 @@ def conditional_rows(flow: Callable[[int], WordMeasure], depth: int, schedule,
     Row k mixes flow(j) over j0 <= j <= k: scale j carries weight
     (1/(4 t_j)) * prod_{i=j+1..k} (1 - 1/(4 t_i)), and the residual
     prod_{i=j0..k} (1 - 1/(4 t_i)) is the mass never blocked.  flow(j) is
-    evaluated exactly once per scale.
+    evaluated exactly once per scale.  Each step multiplies the row by
+    (4 t_j - 1) / (4 t_j) and adds flow(j) / (4 t_j) on integer numerators
+    over the lcm of the two denominators times 4 t_j.
     """
     j0 = max(depth, j_start if j_start is not None else depth)
-    raw = [Fraction(0)] * (2 ** depth)
-    residual = Fraction(1)
+    nums, den = [0] * (2 ** depth), 1
     for j in range(j0, kmax + 1):
-        c = Fraction(1, 4 * schedule.t(j))
+        q = 4 * schedule.t(j)
         m = flow(j)
         if m.depth < depth:
             raise InputError(f"flow at scale {j} has depth {m.depth} < {depth}")
-        mw = m.marginal(depth).weights
-        keep = 1 - c
-        raw = [r * keep + c * w for r, w in zip(raw, mw)]
-        residual *= keep
-        yield ConditionalGridMeasure(depth, tuple(raw), residual, j, j0)
+        m = m.marginal(depth)
+        lcm = math.lcm(den, m.den)
+        keep, fresh = (q - 1) * (lcm // den), lcm // m.den
+        nums = [keep * r + fresh * w for r, w in zip(nums, m.nums)]
+        den = q * lcm
+        g = math.gcd(den, *nums)
+        nums, den = [r // g for r in nums], den // g
+        yield ConditionalGridMeasure(depth, tuple(nums), den, j, j0)
 
 
 def conditional_grid_measure(flow: Callable[[int], WordMeasure], depth: int,
@@ -213,8 +268,7 @@ def conditional_grid_measure(flow: Callable[[int], WordMeasure], depth: int,
                              j_start: Optional[int] = None) -> ConditionalGridMeasure:
     """Row k of conditional_rows; the empty measure (residual 1) when k < j0."""
     j0 = max(depth, j_start if j_start is not None else depth)
-    row = ConditionalGridMeasure(depth, (Fraction(0),) * (2 ** depth),
-                                 Fraction(1), k, j0)
+    row = ConditionalGridMeasure(depth, (0,) * (2 ** depth), 1, k, j0)
     for row in conditional_rows(flow, depth, schedule, k, j_start):
         pass
     return row

@@ -28,17 +28,20 @@ def is_dyadic(q: Fraction) -> bool:
 
 
 class DyadicMeasure(WordMeasure):
-    """Word measure whose weights all have power-of-two denominators."""
+    """Word measure whose weights all have power-of-two denominators: its
+    denominator, in lowest terms, is a power of two."""
 
-    def __init__(self, depth: int, weights):
-        super().__init__(depth, weights)
-        for w in self.weights:
-            if not is_dyadic(w):
-                raise InputError(f"non-dyadic weight {w}")
+    __slots__ = ()
+
+    def _keep(self, depth, nums, den):
+        super()._keep(depth, nums, den)
+        if self.den & (self.den - 1):
+            w = next(w for w in self.weights if not is_dyadic(w))
+            raise InputError(f"non-dyadic weight {w}")
 
     @classmethod
     def from_word_measure(cls, m: WordMeasure) -> "DyadicMeasure":
-        return cls(m.depth, m.weights)
+        return cls.from_nums(m.depth, m.nums, m.den)
 
 
 def bernoulli(p, depth: int = 1) -> DyadicMeasure:
@@ -46,13 +49,10 @@ def bernoulli(p, depth: int = 1) -> DyadicMeasure:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0, 1]")
-    ws = []
-    for i in range(2 ** _check_depth(depth)):
-        w = Fraction(1)
-        for j in range(depth):
-            w *= p if (i >> j) & 1 else 1 - p
-        ws.append(w)
-    return DyadicMeasure(depth, ws)
+    d, u = p.numerator, p.denominator - p.numerator
+    nums = [d ** i.bit_count() * u ** (depth - i.bit_count())
+            for i in range(2 ** _check_depth(depth))]
+    return DyadicMeasure.from_nums(depth, nums, p.denominator ** depth)
 
 
 @dataclass
@@ -141,9 +141,10 @@ def connectify(seq: ComputableSequence) -> ComputableSequence:
         if s == 0:
             return seq.term(n)
         a, b = seq.term(n), seq.term(n + 1)
-        c = Fraction(s, _block_size(n))
-        ws = [(1 - c) * wa + c * wb for wa, wb in zip(a.weights, b.weights)]
-        return DyadicMeasure(seq.depth, ws)
+        size, den = _block_size(n), math.lcm(a.den, b.den)
+        fa, fb = (size - s) * (den // a.den), s * (den // b.den)
+        return DyadicMeasure.from_nums(
+            seq.depth, [fa * x + fb * y for x, y in zip(a.nums, b.nums)], size * den)
 
     return ComputableSequence(gen, seq.depth, f"connectify({seq.name})")
 

@@ -11,7 +11,8 @@ admission test.
 
 from fractions import Fraction
 
-from groundlab.machines import NonConformingError, b_read, run, seed_budget
+from groundlab.machines import (NonConformingError, NonWordOutput, b_read, run,
+                                seed_budget)
 from groundlab.measures import WordMeasure
 from groundlab.tiles import InputError
 
@@ -29,12 +30,13 @@ def word_measure(machine, k, depth=None, budget=None):
         res = run(machine, bits, budget)
         if not res.halted:
             raise NonConformingError(
-                f"machine {machine.name or '?'} exceeded {budget} steps", seed=bits)
+                f"machine {machine.name or '?'} exceeded {budget} steps "
+                f"at seed {bits}", seed=bits)
         w = res.tape_word(depth)
         if any(c not in ("u", "d") for c in w):
-            raise NonConformingError(
-                f"machine {machine.name or '?'} left a non-word output {w!r}",
-                seed=bits)
+            raise NonWordOutput(
+                f"machine {machine.name or '?'} left a non-word output {w!r} "
+                f"at seed {bits}", seed=bits)
         counts[w] = counts.get(w, 0) + 1
     total = 2 ** k
     return WordMeasure.from_dict(depth, {w: Fraction(c, total)

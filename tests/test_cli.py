@@ -437,10 +437,27 @@ def test_perturb_epsilon_independent_bodies(tmp_path):
     assert "epsilon=3/10" in cfg_a
 
 
-def test_perturb_budget_breach_exit(tmp_path):
-    assert run("perturb", "--base", "constant-u", "--target", "incrementer",
-               "--epsilon", "1", "--horizon", "6",
-               "--out", str(tmp_path / "r.json")) == 3
+@pytest.mark.parametrize("argv, seed", [
+    (("perturb", "--base", "constant-u", "--target", "incrementer",
+      "--epsilon", "1", "--horizon", "6", "--out"), "000000"),
+    (("measure-flow", "--machine", "incrementer", "--csv"), "0000000000"),
+], ids=["perturb", "measure-flow"])
+def test_non_word_output_is_input_error(tmp_path, capsys, argv, seed):
+    # incrementer halts on every seed, so no budget is exceeded: it is not a
+    # word machine, which makes the argv a usage error
+    assert run(*argv, str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {argv[0]}: machine incrementer left a non-word output '0' "
+        f"at seed {seed}\n")
+
+
+def test_budget_breach_exit_names_its_seed(tmp_path, capsys):
+    # at k = 2 the step budget is 2^9 = 512, which left-mover never halts in
+    assert run("measure-flow", "--machine", "left-mover", "--depth", "1",
+               "--kmax", "2", "--csv", str(tmp_path / "flow.csv")) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: measure-flow: machine left-mover exceeded 512 steps "
+        "at seed 00\n")
 
 
 @pytest.mark.parametrize("name,argv", [
@@ -493,8 +510,9 @@ def test_console_entry_point_exists():
 
 # Token pools for the flow commands, (valid, invalid) per flag.  left-mover
 # is left out: it runs 10^7 steps by design (~6 s).  Valid depths stop at 3:
-# a depth d carries 2^d exact weights through every row (seconds at d = 12
-# and kmax 40), which is work, not a fault; the cap itself (13) stays in.
+# a depth d carries 2^d integer numerators through every row (at d = 12
+# and kmax 40, ~0.35 s for measure-flow and ~1.4 s for perturb, most of it
+# the JSON report), which is work, not a fault; the cap itself (13) stays in.
 FLOW_MACHINES = (["parity", "copier", "constant-u", "incrementer", "fair-coin"],
                  ["no-such-machine"])
 FLOW_DEPTHS = (["1", "2", "3"], ["-2", "-1", "0", "13", "40", "x"])

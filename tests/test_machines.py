@@ -15,6 +15,7 @@ from groundlab.machines import (
     DESK_BUDGET_CAP,
     Machine,
     NonConformingError,
+    NonWordOutput,
     b_read,
     constant_writer,
     copier,
@@ -146,7 +147,7 @@ def test_word_measure_budget_breach():
     with pytest.raises(NonConformingError) as info:
         word_measure(copier(), 3, budget=1)
     assert info.value.seed == "000"
-    assert str(info.value) == "machine copier exceeded 1 steps"
+    assert str(info.value) == "machine copier exceeded 1 steps at seed 000"
 
 
 def test_word_measure_budget_past_lockstep_phase():
@@ -155,7 +156,7 @@ def test_word_measure_budget_past_lockstep_phase():
     with pytest.raises(NonConformingError) as info:
         word_measure(left_mover(), 6, budget=20_000)
     assert info.value.seed == "000000"
-    assert str(info.value) == "machine left-mover exceeded 20000 steps"
+    assert str(info.value) == "machine left-mover exceeded 20000 steps at seed 000000"
 
 
 def _outcome(measure, machine, k, depth, budget):
@@ -173,7 +174,7 @@ def _longest_run(machine, k, cap=64):
     return max(r.steps for r in runs) if all(r.halted for r in runs) else None
 
 
-SYMBOLS = ("0", "1", "u", "d", "#", "x")
+SYMBOLS = ("0", "1", "u", "d", "#", "x", "uu")
 
 
 @st.composite
@@ -293,12 +294,58 @@ def test_word_measure_fails_in_a_later_block():
     with pytest.raises(NonConformingError) as info:
         word_measure(m, 13, depth=2)
     assert info.value.seed == "1" + "0" * 12
-    assert str(info.value) == "machine first-bit left a non-word output 'xu'"
+    assert str(info.value) == ("machine first-bit left a non-word output 'xu' "
+                               "at seed 1000000000000")
 
 
 def test_word_measure_non_word_output():
-    with pytest.raises(NonConformingError):
+    # an input error, not a budget breach: the machine is no word machine
+    with pytest.raises(NonWordOutput) as info:
         word_measure(incrementer(), 2)
+    assert isinstance(info.value, InputError) and info.value.seed == "00"
+    assert str(info.value) == ("machine incrementer left a non-word output '0' "
+                               "at seed 00")
+
+
+def _writer(*cells, spoil=None):
+    """Write cells[0], cells[1], ... from cell 0 on, the last one over the
+    rest of the seed (`spoil` at cell 0 on a seed that starts with 1), then
+    halt at the blank: k + 1 steps on every seed."""
+    tape = ("0", "1", "#", *sorted(set(cells) | {spoil} - {None}))
+    states = [f"s{i}" for i in range(len(cells))]
+    delta = {}
+    for i, cell in enumerate(cells):
+        after = states[min(i + 1, len(cells) - 1)]
+        delta.update({(states[i], a): (after, cell, 1) for a in tape})
+        delta[(states[i], "#")] = ("h", "#", 1)
+    if spoil is not None:
+        delta[("s0", "1")] = (states[min(1, len(cells) - 1)], spoil, 1)
+    return Machine((*states, "h"), "s0", frozenset(["h"]), ("0", "1"), tape,
+                   "#", delta, name="writer")
+
+
+@pytest.mark.parametrize("machine, k, depth, budget", [
+    # a multi-letter symbol spells a word of another length than the depth
+    (_writer("uu", "d"), 3, 2, None),
+    (_writer("uu", "d"), 3, 3, None),
+    # letters of lengths 2, 1 and 0 that add up to the depth spell a word,
+    # each shifted by the letters after it
+    (_writer("uu", ""), 3, 2, None),
+    (_writer("", "du"), 3, 2, None),
+    (_writer("", "d", "du"), 3, 3, None),
+    # a failing seed is reported before a word of another length, even one
+    # in an earlier block, and before a bad depth
+    (_writer("uu", "d", spoil="x"), 3, 2, None),
+    (_writer("u", "d"), 3, 0, 3),
+    (_writer("u", "d"), 3, DEPTH_CAP + 1, 3),
+    (_writer("u", "d"), 3, 0, None),
+    (_writer("u", "d"), 3, DEPTH_CAP + 1, None),
+])
+@pytest.mark.parametrize("lanes", [1, 3, machines._BLOCK_LANES])
+def test_word_measure_tally_edges_match_oracle(machine, k, depth, budget, lanes):
+    want = _outcome(oracle.word_measure, machine, k, depth, budget)
+    with mock.patch.object(machines, "_BLOCK_LANES", lanes):
+        assert _outcome(word_measure, machine, k, depth, budget) == want
 
 
 def test_enumeration_is_length_lex_and_versioned():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from groundlab.measures import (
     weak_star_distance,
     word_index,
 )
+from groundlab.sequences import DyadicMeasure
 from groundlab.tiles import InputError
 
 
@@ -150,6 +152,11 @@ def word_measures(draw, depth):
     return WordMeasure(depth, [Fraction(c, total) for c in counts])
 
 
+def _same(got, want):
+    """A measure equal, word by word, to a reference one."""
+    return got.depth == want.depth and got.weights == want.weights
+
+
 @st.composite
 def measure_pairs(draw):
     """Two measures of depth 1-10, of equal depth or not."""
@@ -164,7 +171,7 @@ def test_folded_marginal_and_distance_match_block_sums(pair):
     mu, nu = pair
     for m in pair:
         for l in range(1, m.depth + 1):
-            assert m.marginal(l) == oracle.marginal(m, l)
+            assert _same(m.marginal(l), oracle.marginal(m, l))
         for bad in (0, m.depth + 1):
             with pytest.raises(InputError) as got:
                 m.marginal(bad)
@@ -175,6 +182,104 @@ def test_folded_marginal_and_distance_match_block_sums(pair):
     for max_depth in [None, *range(1, L + 1)]:
         assert (weak_star_distance(mu, nu, max_depth)
                 == oracle.weak_star_distance(mu, nu, max_depth))
+
+
+@st.composite
+def measure_inputs(draw, depth=None):
+    """(depth, nums, den) at depth 1-6: dyadic or not, point masses included,
+    times a common factor, so that they are not in lowest terms."""
+    if depth is None:
+        depth = draw(st.integers(1, 6))
+    n = 2 ** depth
+    counts = draw(st.lists(st.just(0) | st.integers(1, 3) | st.integers(1, 1000),
+                           min_size=n, max_size=n))
+    if not any(counts):
+        counts[draw(st.integers(0, n - 1))] = 1
+    if draw(st.booleans()):          # top up to a power-of-two total
+        total = sum(counts)
+        counts[draw(st.integers(0, n - 1))] += (1 << (total - 1).bit_length()) - total
+    factor = draw(st.integers(1, 12))
+    return depth, [factor * c for c in counts], factor * sum(counts)
+
+
+def _pair(case):
+    """The integer measure of `case` and its Fraction reference."""
+    depth, nums, den = case
+    return (WordMeasure.from_nums(depth, nums, den),
+            oracle.WordMeasure(depth, [Fraction(c, den) for c in nums]))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(measure_inputs())
+def test_integer_measure_matches_fraction_oracle(case):
+    m, ref = _pair(case)
+    depth, nums, den = case
+    assert _same(m, ref) and m.as_dict() == ref.as_dict()
+    assert m.weight(index_word(0, depth)) == ref.weight(index_word(0, depth))
+    assert math.gcd(m.den, *m.nums) == 1 and sum(m.nums) == m.den
+    # every construction reaches the same lowest terms, so == and hash agree
+    for twin in (WordMeasure(depth, ref.weights),
+                 WordMeasure.from_dict(depth, ref.as_dict()),
+                 WordMeasure.from_nums(depth, m.nums, m.den)):
+        assert twin == m and hash(twin) == hash(m)
+        assert (twin.den, twin.nums) == (m.den, m.nums)
+    want = _outcome(oracle.DyadicMeasure, depth, ref.weights)
+    for got in (_outcome(DyadicMeasure, depth, ref.weights),
+                _outcome(DyadicMeasure.from_nums, depth, nums, den),
+                _outcome(DyadicMeasure.from_word_measure, m)):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, DyadicMeasure) and _same(got, want)
+            assert got == m and m == got and hash(got) == hash(m)
+    for l in range(1, depth + 1):
+        assert _same(m.marginal(l), oracle.marginal(ref, l))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(measure_inputs(), min_size=1, max_size=3), st.data())
+def test_integer_mix_and_distance_match_fraction_oracle(cases, data):
+    pairs = [_pair(case) for case in cases]
+    weights = data.draw(st.lists(st.integers(0, 5), min_size=len(pairs),
+                                 max_size=len(pairs)).filter(any), "weights")
+    coeffs = [Fraction(w, sum(weights)) for w in weights]
+    got = mix([(c, m) for c, (m, _) in zip(coeffs, pairs)])
+    assert _same(got, oracle.mix([(c, ref) for c, (_, ref) in zip(coeffs, pairs)]))
+    (mu, mu_ref), (nu, nu_ref) = pairs[0], pairs[-1]
+    for max_depth in [None, *range(1, min(mu.depth, nu.depth) + 1)]:
+        assert (weak_star_distance(mu, nu, max_depth)
+                == oracle.weak_star_distance(mu_ref, nu_ref, max_depth))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_rows_match_fraction_oracle(data):
+    flow_depth = data.draw(st.integers(1, 6), "flow depth")
+    depth = data.draw(st.integers(1, flow_depth), "depth")
+    kmax = data.draw(st.integers(0, 8), "kmax")
+    ts = data.draw(st.lists(st.integers(2, 7), min_size=kmax + 1,
+                            max_size=kmax + 1), "ts")
+    pairs = [_pair(data.draw(measure_inputs(flow_depth), f"flow({j})"))
+             for j in range(kmax + 1)]
+    j_start = data.draw(st.none() | st.integers(0, kmax + 1), "j_start")
+    sch = OdometerSchedule(lambda j: ts[j])
+    got = list(conditional_rows(lambda j: pairs[j][0], depth, sch, kmax, j_start))
+    want = list(oracle.conditional_rows(lambda j: pairs[j][1], depth, sch, kmax,
+                                        j_start))
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert (row.raw, row.residual, row.k, row.j_start) == (
+            ref.raw, ref.residual, ref.k, ref.j_start)
+        assert row.blocked_mass() == ref.blocked_mass()
+        assert math.gcd(row.den, *row.nums) == 1
+        assert _same(row.renormalized(), ref.renormalized())
 
 
 def test_conditional_constant_two_schedule():

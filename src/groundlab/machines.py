@@ -183,32 +183,36 @@ def seed_budget(k: int) -> int:
 # Seeds run as numpy lanes in blocks of at most _BLOCK_LANES, which bounds the
 # tape array's memory, for at most _LOCKSTEP_STEPS steps; a lane still running
 # then continues alone on `_resume`, so a machine that never halts costs one
-# interpreted run to its budget, not that many numpy steps.
+# interpreted run to its budget, not that many numpy steps.  Below
+# _SPLIT_LANES lanes a numpy step costs about the same whatever their number,
+# so a split goes straight up to that many.
 _BLOCK_LANES = 1 << 12
 _LOCKSTEP_STEPS = 1 << 12
+_SPLIT_LANES = 1 << 8
 
 
 class _Delta:
     """The delta as flat tables indexed by state row (state index * |tape
-    alphabet|) + symbol code: next state row, written code, move, and
-    whether the row's state is final."""
+    alphabet|) + symbol code: next state row, written code and move.  The
+    final states are numbered last, from row `halt` on."""
 
     def __init__(self, machine: Machine):
         self.symbols = machine.tape_alphabet
         self.code = {a: i for i, a in enumerate(self.symbols)}
+        self.blank = self.code[machine.blank]
         g = len(self.symbols)
         self.dtype = np.min_scalar_type(g - 1)
-        row = {q: i * g for i, q in enumerate(machine.states)}
-        size = len(machine.states) * g
+        self.states = sorted(machine.states, key=machine.finals.__contains__)
+        row = {q: i * g for i, q in enumerate(self.states)}
+        size = len(self.states) * g
         self.initial = row[machine.initial]
+        self.halt = (len(self.states) - len(machine.finals)) * g
         self.next = np.zeros(size, np.intp)
         self.write = np.zeros(size, self.dtype)
         self.move = np.zeros(size, np.intp)
         for (q, a), (q2, b, mv) in machine.delta.items():
             i = row[q] + self.code[a]
             self.next[i], self.write[i], self.move[i] = row[q2], self.code[b], mv
-        self.final = np.zeros(size, bool)
-        self.final[[row[q] for q in machine.finals]] = True
         # a code is a letter when its symbol spells only 'u'/'d' characters;
         # as a word it has index `value` over `size` letters (index 0 past
         # DEPTH_CAP letters, as no word holds that many)
@@ -218,76 +222,122 @@ class _Delta:
         self.size = np.array([len(a) for a in self.symbols], np.int64)
 
 
+def _compiled(machine: Machine) -> _Delta:
+    """The machine's `_Delta`, compiled once per instance and again only when
+    a field it reads no longer matches (the delta dict can be mutated)."""
+    source = (machine.states, machine.initial, machine.finals,
+              machine.tape_alphabet, machine.blank, machine.delta)
+    cached = machine.__dict__.get("_tables")
+    if cached is None or cached[0] != source:
+        cached = (source[:-1] + (dict(machine.delta),), _Delta(machine))
+        object.__setattr__(machine, "_tables", cached)
+    return cached[1]
+
+
 def _lockstep(machine: Machine, delta: _Delta, k: int, depth: int, budget: int,
-              lo: int, hi: int) -> np.ndarray:
-    """The depth-prefix codes of seeds lo..hi-1, one row per seed, run
-    together as lanes.
+              lo: int, hi: int) -> list:
+    """The depth-prefix codes of seeds lo..hi-1 as (codes, span) pairs, each
+    row of `codes` the prefix of `span` seeds, all seeds run as lanes.
+
+    An aligned block of 2^b seeds starts as one lane holding its lowest
+    seed.  A head can read only cells 0..s before step s, so every live lane
+    splits on seed cell s just then; a lane split on its first `fixed` cells
+    stands for the 2^(k - fixed) seeds sharing them, and so does its prefix
+    (a seed cell past `fixed` in it is unread: a non-letter for them all,
+    spelled as the lowest seed's).  Other blocks run a lane per seed.  Lanes
+    still running after the lockstep phase split to one per seed and finish
+    on `_resume`.
 
     Raises at the lowest failing seed of the block, as `run` seed by seed
     would: a run past the budget, or a depth-prefix that is not a word.
     """
-    symbols, blank = delta.symbols, delta.code[machine.blank]
-    g = len(symbols)
+    symbols, g = delta.symbols, len(delta.symbols)
     n = hi - lo
     d = max(depth, 0)
     width = max(k, d) + 1
-    tape = np.full((n, width), blank, delta.dtype)
+    aligned = n & (n - 1) == 0 and lo % n == 0
+    fixed = k - n.bit_length() + 1 if aligned else k
+    seeds = np.arange(lo, hi, n if aligned else 1)
+    tape = np.full((len(seeds), width), delta.blank, delta.dtype)
     # without '1' in the input alphabet the block is seed 0 alone: no 1 bits
     bit = np.array([delta.code["0"], delta.code.get("1", 0)], delta.dtype)
-    seeds = np.arange(lo, hi)
-    for j in range(k):               # column by column: no n x k temporaries
-        tape[:, j] = bit[(seeds >> (k - 1 - j)) & 1]
-    lanes = np.arange(n)             # seed - lo of each live lane
-    state = np.full(n, delta.initial, np.intp)
-    head = np.zeros(n, np.intp)
-    base = lanes * width             # flat index of each live lane's cell 0
-    flat = tape.reshape(-1)
-    prefix = np.zeros((n, d), delta.dtype)  # depth-prefix, once halted
-    steps = 0
+    tape[:, :k] = bit[(seeds[:, None] >> np.arange(k - 1, -1, -1)) & 1]
+    # one column per lane: its lowest seed, state row and head cell
+    lanes = np.zeros((3, len(seeds)), np.intp)
+    lanes[0], lanes[1] = seeds, delta.initial
+    halted = []                      # (lowest seeds, prefix codes, span)
+    steps, edge = 0, width           # no head can reach cell `width` before `edge`
     limit = min(budget, _LOCKSTEP_STEPS)
     while True:
-        stop = delta.final.take(state)
+        if fixed < k and (fixed == steps or steps >= limit):
+            # split on cell `fixed`, and on the next cells while lanes are
+            # few; split down to one lane per seed once the phase is over
+            room = (_SPLIT_LANES // lanes.shape[1]).bit_length() - 1
+            r = k - fixed if steps >= limit else min(k - fixed, max(1, room))
+            low = np.arange(1 << r)  # copy i of a lane holds bits i there
+            lanes, tape = lanes.repeat(1 << r, axis=1), tape.repeat(1 << r, axis=0)
+            lanes[0].reshape(-1, 1 << r)[:] += low << (k - fixed - r)
+            tape.reshape(-1, 1 << r, width)[:, :, fixed:fixed + r] = bit[
+                (low[:, None] >> np.arange(r - 1, -1, -1)) & 1]
+            fixed += r
+        seeds, state, pos = lanes
+        base = np.arange(len(state)) * width
+        pos += base                  # from head cell to flat index in `tape`
+        flat = tape.reshape(-1)
+        until = min(limit, edge, fixed if fixed < k else limit)
+        while steps < until and state.max() < delta.halt:
+            np.add(state, flat.take(pos), out=state)     # the row to apply
+            flat[pos] = delta.write.take(state)
+            pos += delta.move.take(state)
+            np.maximum(pos, base, out=pos)
+            delta.next.take(state, out=state)
+            steps += 1
+        pos -= base
+        stop = state >= delta.halt
+        if stop.all():
+            halted.append((seeds, tape[:, :d], 1 << (k - fixed)))
+            lanes = lanes[:, :0]
+            break
         if stop.any():
-            prefix[lanes[stop]] = tape[stop, :d]
-            live = ~stop
-            lanes, state, head, tape = lanes[live], state[live], head[live], tape[live]
-            base, flat = np.arange(len(lanes)) * width, tape.reshape(-1)
-        if not len(lanes) or steps >= limit:
+            halted.append((seeds[stop], tape[stop, :d], 1 << (k - fixed)))
+            lanes, tape = lanes[:, ~stop], tape[~stop]
+        if steps >= limit and fixed == k:
             break
-        at = base + head
-        i = state + flat.take(at)
-        flat[at] = delta.write.take(i)
-        state = delta.next.take(i)
-        head = np.maximum(head + delta.move.take(i), 0)
-        steps += 1
-        if steps >= width and head.max() >= width:
-            tape = np.concatenate([tape, np.full_like(tape, blank)], axis=1)
-            width *= 2
-            base, flat = np.arange(len(lanes)) * width, tape.reshape(-1)
-    halted = np.ones(n, bool)
-    halted[lanes] = False
-    bad = np.flatnonzero(halted & ~delta.letter[prefix].all(axis=1))
-    first_bad = int(bad[0]) if len(bad) else n
-    for j, lane in enumerate(lanes.tolist()):
-        if lane > first_bad:
+        if steps >= edge:            # heads move one cell a step
+            reach = int(lanes[2].max())
+            if reach >= width:
+                tape = np.concatenate([tape, np.full_like(tape, delta.blank)], axis=1)
+                width *= 2
+            edge = steps + width - reach
+    first, word = hi, None           # the lowest seed left with a non-word
+    for low, codes, span in halted:
+        if not delta.letter.take(codes).all():
+            bad = np.flatnonzero(~delta.letter.take(codes).all(axis=1))[0]
+            if low[bad] < first:
+                first, word = int(low[bad]), codes[bad]
+    seeds, state, head = lanes
+    rest = np.zeros((len(seeds), d), delta.dtype)
+    for j, seed in enumerate(seeds.tolist()):
+        if seed > first:
             break
-        bits = format(lo + lane, f"0{k}b")
-        res = _resume(machine, machine.states[state[j] // g], int(head[j]),
+        bits = format(seed, f"0{k}b")
+        res = _resume(machine, delta.states[state[j] // g], int(head[j]),
                       dict(enumerate(symbols[c] for c in tape[j].tolist())),
                       steps, budget)
         if not res.halted:
             raise NonConformingError(
                 f"machine {machine.name or '?'} exceeded {budget} steps "
                 f"at seed {bits}", seed=bits)
-        prefix[lane] = [delta.code[res.tape.get(c, machine.blank)] for c in range(d)]
-        if not delta.letter[prefix[lane]].all():
-            first_bad = lane
-    if first_bad < n:
-        w = "".join(symbols[c] for c in prefix[first_bad].tolist())
-        bits = format(lo + first_bad, f"0{k}b")
+        rest[j] = [delta.code[res.tape.get(c, machine.blank)] for c in range(d)]
+        if not delta.letter[rest[j]].all():
+            first, word = seed, rest[j]
+    if word is not None:
+        w = "".join(symbols[c] for c in word.tolist())
+        bits = format(first, f"0{k}b")
         raise NonWordOutput(f"machine {machine.name or '?'} left a non-word "
                             f"output {w!r} at seed {bits}", seed=bits)
-    return prefix
+    done = [(codes, span) for _, codes, span in halted]
+    return done + [(rest, 1)] if len(rest) else done
 
 
 def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
@@ -295,9 +345,9 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
     """Average the output word over all 2^k seeds, exact rational weights.
 
     Seeds advance in lockstep, as numpy lanes over the compiled delta, and
-    each block's words are tallied by index with one bincount; the measure,
-    and the error raised at the lowest failing seed, are those of running
-    each seed through `run` in order.
+    the words of each block's halted lanes are tallied by index with one
+    bincount per batch; the measure, and the error raised at the lowest
+    failing seed, are those of running each seed through `run` in order.
     """
     if k < 1:
         raise InputError("scale k must be >= 1")
@@ -309,25 +359,26 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
     alphabet = set(machine.input_alphabet)
     # the seeds before the first one holding a symbol outside the alphabet
     valid = total if {"0", "1"} <= alphabet else int("0" in alphabet)
-    delta = _Delta(machine)
+    delta = _compiled(machine)
     # a bad depth or a word of another length is reported once every seed
     # has run, so that a failing seed is reported first
     tally = 1 <= depth <= DEPTH_CAP
     counts = np.zeros(2 ** depth if tally else 0, np.int64)
     mismatch = False
     for lo in range(0, valid, _BLOCK_LANES):
-        prefix = _lockstep(machine, delta, k, depth, budget, lo,
-                           min(valid, lo + _BLOCK_LANES))
-        if tally and not mismatch:
-            index = np.zeros(len(prefix), np.int64)
-            size = np.zeros(len(prefix), np.int64)
-            for col in prefix.T:     # words spelled out letter by letter
+        for codes, span in _lockstep(machine, delta, k, depth, budget, lo,
+                                     min(valid, lo + _BLOCK_LANES)):
+            if not tally or mismatch:
+                continue
+            index = np.zeros(len(codes), np.int64)
+            size = np.zeros(len(codes), np.int64)
+            for col in codes.T:      # words spelled out letter by letter
                 index = (index << delta.size[col]) | delta.value[col]
                 size += delta.size[col]
             if (size != depth).any():
                 mismatch = True
             else:
-                counts += np.bincount(index, minlength=len(counts))
+                counts += span * np.bincount(index, minlength=len(counts))
     if valid < total:
         _check_input(machine, format(valid, f"0{k}b"))
     _check_depth(depth)

@@ -15,8 +15,10 @@ claim about the tile-level limit itself.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -156,8 +158,14 @@ class PerturbationReport:
     target_target: WordMeasure
 
     def to_json(self) -> str:
+        """The report as `json.dumps(doc, indent=1)` writes it, each weight
+        an exact [numerator, denominator] pair taken from integer rows."""
         def frac(q):
-            return [q.numerator, q.denominator]
+            return q.numerator, q.denominator
+
+        def fracs(m):                # each m.nums[i] / m.den in lowest terms
+            return [(n // g, m.den // g)
+                    for n, g in zip(m.nums, map(math.gcd, m.nums, repeat(m.den)))]
 
         doc = {
             "mode": self.mode,
@@ -168,9 +176,9 @@ class PerturbationReport:
             "diameter": self.diameter,
             "rows": [{
                 "k": r.k,
-                "raw": [frac(w) for w in r.raw],
+                "raw": fracs(r),
                 "residual": frac(r.residual),
-                "renormalized": [frac(w) for w in r.renormalized().weights],
+                "renormalized": fracs(r.renormalized()),
             } for r in self.rows],
             "distances": {
                 "to_base": [[k, frac(d)] for k, d in self.dist_to_base],
@@ -183,7 +191,26 @@ class PerturbationReport:
                            sorted(self.target_target.as_dict().items())},
             },
         }
-        return json.dumps(doc, indent=1)
+        return _indent1(doc)
+
+
+def _indent1(value, level: int = 0) -> str:
+    """`value` as `json.dumps(value, indent=1)` writes it, `level` deep; a
+    tuple is written as a list, and a list of (a, b) int pairs through one
+    format string, not item by item."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = "\n" + " " * (level + 1)
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_indent1(v, level + 1)}"
+                 for k, v in value.items()]
+    elif isinstance(value[0], tuple):
+        pair = f"[{inner} %d,{inner} %d{inner}]"
+        items = [pair % p for p in value]
+    else:
+        items = [_indent1(v, level + 1) for v in value]
+    start, end = "{}" if isinstance(value, dict) else "[]"
+    return start + inner + ("," + inner).join(items) + "\n" + " " * level + end
 
 
 def perturbed_flow(base_machine: Machine, target_machine: Machine,

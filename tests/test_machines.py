@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groundlab.machines as machines
+import groundlab.perturbation as perturbation
 import machines_oracle as oracle
 from groundlab.measures import DEPTH_CAP
 from groundlab.machines import (
@@ -38,6 +39,7 @@ from groundlab.machines import (
     word_measure,
 )
 from groundlab.measures import WordMeasure
+from groundlab.cli import main as cli_main
 from groundlab.perturbation import make_selector
 from groundlab.tiles import InputError
 
@@ -247,13 +249,17 @@ def test_word_measure_matches_serial_oracle(machine, data):
         budget = longest + data.draw(st.sampled_from([-1, 0]), "slack")
     # small blocks and a short lockstep phase put block offsets and the
     # hand-off to the interpreter within reach of small k; k = 13 runs two
-    # blocks as they are
-    lanes = data.draw(st.sampled_from([1, 3, machines._BLOCK_LANES] if k <= 8
+    # blocks as they are.  Aligned blocks of 4 and 8 seeds share their top
+    # bits and start as one lane; with one split per step a lane can halt
+    # while it still stands for several seeds
+    lanes = data.draw(st.sampled_from([1, 3, 4, 8, machines._BLOCK_LANES] if k <= 8
                                       else [machines._BLOCK_LANES]), "lanes")
     phase = data.draw(st.sampled_from([0, 2, 7] + [machines._LOCKSTEP_STEPS] * 3), "phase")
+    split = data.draw(st.sampled_from([1, machines._SPLIT_LANES]), "split")
     want = _outcome(oracle.word_measure, machine, k, depth, budget)
     with mock.patch.object(machines, "_BLOCK_LANES", lanes), \
-            mock.patch.object(machines, "_LOCKSTEP_STEPS", phase):
+            mock.patch.object(machines, "_LOCKSTEP_STEPS", phase), \
+            mock.patch.object(machines, "_SPLIT_LANES", split):
         assert _outcome(word_measure, machine, k, depth, budget) == want
 
 
@@ -346,6 +352,111 @@ def test_word_measure_tally_edges_match_oracle(machine, k, depth, budget, lanes)
     want = _outcome(oracle.word_measure, machine, k, depth, budget)
     with mock.patch.object(machines, "_BLOCK_LANES", lanes):
         assert _outcome(word_measure, machine, k, depth, budget) == want
+
+
+def _early_stop():
+    """Seeds starting 0 write 'uu' over cells 0-1 and halt on cell 2; seeds
+    starting 1 write 'd' on cell 0 and halt at once, their second seed bit
+    unread, so each of those lanes halts standing for half its seeds and
+    leaves a non-word at depth 2 ('d' and that bit)."""
+    tape = ("0", "1", "u", "d", "#")
+    delta = {(q, a): ("h", a, 1) for q in ("s", "t") for a in tape}
+    delta.update({("s", "0"): ("t", "u", 1), ("s", "1"): ("h", "d", 1),
+                  ("t", "0"): ("h", "u", 1), ("t", "1"): ("h", "u", 1)})
+    return Machine(("s", "t", "h"), "s", frozenset(["h"]), ("0", "1"), tape,
+                   "#", delta, name="early-stop")
+
+
+def _slow_ones():
+    """Seeds starting 0 write 'u' and halt after one step; seeds starting 1
+    run right over the whole seed and back, 2k + 1 steps."""
+    tape = ("0", "1", "u", "d", "#")
+    delta = {("s", "0"): ("h", "u", 1), ("s", "1"): ("r", "d", 1)}
+    delta.update({("r", a): ("r", a, 1) for a in ("0", "1", "u", "d")})
+    delta[("r", "#")] = ("l", "#", -1)
+    delta.update({("l", a): ("l", a, -1) for a in ("0", "1", "u", "#")})
+    delta[("l", "d")] = ("h", "d", 1)
+    delta.update({("s", a): ("h", a, 1) for a in ("u", "d", "#")})
+    return Machine(("s", "r", "l", "h"), "s", frozenset(["h"]), ("0", "1"), tape,
+                   "#", delta, name="slow-ones")
+
+
+def _zeros_only():
+    """The constant-u writer, its input alphabet without '1'."""
+    m = constant_writer("u")
+    return Machine(m.states, m.initial, m.finals, ("0",), m.tape_alphabet,
+                   m.blank, m.delta, name="zeros-only")
+
+
+@pytest.mark.parametrize("machine, k, depth, budget", [
+    # a lane halts before reading every seed cell while its depth prefix
+    # covers the unread ones: the non-word is its lowest seed's
+    (_early_stop(), 5, 2, None),
+    (_early_stop(), 13, 2, None),
+    (immediate_halt(), 4, 3, None),
+    # ... and the same lanes at a depth they wrote in full: a measure
+    (_early_stop(), 5, 1, None),
+    # no '1' in the input alphabet: seed 0 runs, then seed 1 is refused,
+    # unless seed 0 fails first
+    (_zeros_only(), 3, 2, None),
+    (_zeros_only(), 3, 2, 2),
+    (Machine(("h",), "h", frozenset(["h"]), ("0",), ("0", "1", "#"), "#", {}),
+     3, 2, None),
+    # budgets below k stop the lockstep phase before every seed cell is
+    # split on: the live lanes split down to one per seed and finish on the
+    # interpreter, the lowest seed past the budget reported
+    (_slow_ones(), 6, 1, 3),
+    (_slow_ones(), 6, 1, 5),
+    (_slow_ones(), 13, 1, 7),
+    (constant_writer("d"), 6, 2, 4),
+    # ... and a budget every seed keeps to
+    (_slow_ones(), 6, 1, 14),
+])
+@pytest.mark.parametrize("lanes", [1, 3, 4, 8, machines._BLOCK_LANES])
+@pytest.mark.parametrize("split", [1, machines._SPLIT_LANES])
+def test_word_measure_staged_edges_match_oracle(machine, k, depth, budget,
+                                                lanes, split):
+    want = _outcome(oracle.word_measure, machine, k, depth, budget)
+    with mock.patch.object(machines, "_BLOCK_LANES", lanes), \
+            mock.patch.object(machines, "_SPLIT_LANES", split):
+        assert _outcome(word_measure, machine, k, depth, budget) == want
+
+
+def test_one_compiled_delta_per_machine(tmp_path):
+    # measure-flow runs the parity machine at 11 scales: one table for them
+    compiled, calls = [], []
+    real_delta, real_measure = machines._Delta, perturbation.word_measure
+
+    def delta(machine):
+        compiled.append(machine)
+        return real_delta(machine)
+
+    def measure(machine, *args):
+        calls.append(machine)
+        return real_measure(machine, *args)
+
+    argv = ["measure-flow", "--machine", "parity", "--depth", "2", "--kmax",
+            "32", "--csv", str(tmp_path / "flow.csv")]
+    with mock.patch.object(machines, "_Delta", delta), \
+            mock.patch.object(perturbation, "word_measure", measure):
+        assert cli_main(argv) == 0
+    assert len(calls) == 11
+    assert len(compiled) == len({id(m) for m in calls}) == 1
+
+
+def test_compiled_delta_follows_the_machine():
+    m = constant_writer("u")
+    assert word_measure(m, 3).as_dict() == {"u": 1}
+    # rewriting a rule in place compiles the table again
+    for a in ("0", "1", "u", "d"):
+        m.delta[("w", a)] = ("w", "d", 1)
+    assert word_measure(m, 3) == oracle.word_measure(m, 3)
+    assert word_measure(m, 3).as_dict() == {"d": 1}
+    # an equal machine has its own table
+    equal = constant_writer("u")
+    m.delta.update(equal.delta)
+    assert m == equal
+    assert word_measure(equal, 3).as_dict() == word_measure(m, 3).as_dict() == {"u": 1}
 
 
 def test_enumeration_is_length_lex_and_versioned():

@@ -5,14 +5,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flow_oracle import closed_form_row
+from perturbation_oracle import report_json
 from groundlab.gibbs import pattern_potential
 from groundlab.machines import (NonConformingError, constant_writer, copier,
                                 fair_coin, incrementer, machine_enumeration,
                                 parity_machine, selector_weights, word_measure)
-from groundlab.measures import WordMeasure, mix, weak_star_distance
-from groundlab.perturbation import (PerturbedPotential, accumulation_report,
+from groundlab.measures import (ConditionalGridMeasure, WordMeasure, mix,
+                               weak_star_distance)
+from groundlab.perturbation import (PerturbationReport, PerturbedPotential,
+                                    accumulation_report,
                                     make_selector, mixture_flow,
                                     perturbed_flow, report_accumulation,
                                     selector_flow)
@@ -88,6 +93,52 @@ def test_positive_epsilon_reports_byte_identical():
     texts = {r.to_json() for r in reports}
     assert len(texts) == 1
     assert all(r.mode == "selector" for r in reports)
+
+
+@st.composite
+def reports(draw):
+    """Reports of 0-3 rows at depths 1-4: numerators up to 10^30, not always
+    in lowest terms, zero weights included, and rows with no blocked mass
+    left out, as `renormalized` refuses them."""
+    depth = draw(st.integers(1, 4))
+    big = st.integers(0, 10 ** 30) | st.integers(0, 3)
+    word_nums = st.lists(big, min_size=2 ** depth, max_size=2 ** depth).filter(any)
+
+    def measure():
+        nums = draw(word_nums)
+        return WordMeasure.from_nums(depth, nums, sum(nums))
+
+    def fraction():
+        return Fraction(draw(big), draw(st.integers(1, 10 ** 30)))
+
+    rows = []
+    for k in range(depth, depth + draw(st.integers(0, 3))):
+        nums = draw(word_nums)
+        rows.append(ConditionalGridMeasure(depth, tuple(nums),
+                                           sum(nums) + draw(big), k, depth))
+    return PerturbationReport(
+        draw(st.sampled_from(["mixture", "selector"])), depth,
+        depth + 3, draw(st.integers(1, 3)), draw(st.integers(0, 3)),
+        draw(st.integers(1, 8)), rows,
+        [(r.k, fraction()) for r in rows], [(r.k, fraction()) for r in rows],
+        measure(), measure())
+
+
+@given(reports())
+@settings(max_examples=100, deadline=None)
+def test_report_json_matches_json_dumps(report):
+    assert report.to_json() == report_json(report)
+
+
+@pytest.mark.parametrize("base, target, epsilon, depth, horizon", [
+    (constant_writer("u"), parity_machine(), 0, 2, 9),
+    (constant_writer("u"), parity_machine(), Fraction(1, 3), 2, 9),
+    (copier(), fair_coin(), 0, 3, 8),
+    (constant_writer("u"), fair_coin(), 1, 1, 6),
+])
+def test_flow_report_json_matches_json_dumps(base, target, epsilon, depth, horizon):
+    report = perturbed_flow(base, target, epsilon, depth, horizon)
+    assert report.to_json() == report_json(report)
 
 
 def test_report_has_no_epsilon_field():

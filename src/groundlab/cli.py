@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, List, Optional
 import numpy as np
 
 from .gibbs import (Potential, adjacency_potential, metropolis, trace_csv)
-from .layers import (constant_schedule, default_schedule, freq_rows,
+from .layers import (constant_schedule, default_schedule, freq_rows_decimal,
                      freq_table_float)
 from .machines import (NonConformingError, corpus, machine_enumeration,
                        machine_from_json)
@@ -267,9 +267,8 @@ def _run_freq(cfg):
         raise UsageError(f"freq: unknown mode {cfg['mode']!r}")
     schedule = _resolve_schedule(cfg["schedule"])
     if mode == "exact":
-        rows = [f"{k},{_serialize(f)}\n"
-                for k, f in enumerate(freq_rows(kmax, schedule))]
-        chunks = ["".join(rows).encode()]
+        chunks = (f"{k},{num}/{den}\n".encode()
+                  for k, (num, den) in enumerate(freq_rows_decimal(kmax, schedule)))
     else:
         chunks = _float_chunks(freq_table_float(kmax, schedule))
     resolved = dict(cfg)
@@ -300,22 +299,35 @@ def _float_chunks(table: np.ndarray) -> Iterator[bytes]:
         a = end
 
 
+# Runs of fewer rows than this are written as "%d%s" text: the numpy view
+# of a run costs about as much as 20 lines of text.
+_TEXT_ROWS = 20
+
+
 def _float_block(table: np.ndarray, cuts: list, a: int, end: int) -> bytearray:
-    """Lines a..end-1, keys of one digit count, in one buffer.  Each run is one
-    (rows, digits + separator) view of it.  Keys take no division: their last
-    four digits are a slice of `_low_digits()`, the rest hold for 10^4 keys, so
-    a full 10^4 after another copies its rows and rewrites only those."""
+    """Lines a..end-1, keys of one digit count, in one buffer.  A run of
+    `_TEXT_ROWS` rows or more is one (rows, digits + separator) view of it,
+    whose keys take no division: their last four digits are a slice of
+    `_low_digits()`, the rest hold for 10^4 keys and are written a column at
+    a time, so a full 10^4 after another copies its rows and rewrites only
+    those.  A shorter run is written as text."""
     digits = len(str(a))
     high = max(digits - 4, 0)
-    runs = [(max(cuts[i], a), min(cuts[i + 1], end),
-             f",{table[max(cuts[i], a)]!r}\n".encode())
-            for i in range(bisect_right(cuts, a) - 1, bisect_left(cuts, end))]
+    bounds = cuts[bisect_right(cuts, a) - 1:bisect_left(cuts, end) + 1]
+    bounds[0], bounds[-1] = a, end
+    runs = [(start, stop, f",{table[start]!r}\n".encode())
+            for start, stop in zip(bounds, bounds[1:])]
     chunk = bytearray(sum((stop - start) * (digits + len(sep))
                           for start, stop, sep in runs))
     buf = np.frombuffer(chunk, np.uint8)
+    end_pos = 0
     for start, stop, sep in runs:
-        rows = buf[:(stop - start) * (digits + len(sep))].reshape(stop - start, -1)
-        buf = buf[rows.size:]
+        pos, end_pos = end_pos, end_pos + (stop - start) * (digits + len(sep))
+        if stop - start < _TEXT_ROWS:
+            chunk[pos:end_pos] = b"".join([b"%d%s" % (k, sep)
+                                           for k in range(start, stop)])
+            continue
+        rows = buf[pos:end_pos].reshape(stop - start, -1)
         edges = [start, *range(start - start % 10 ** 4 + 10 ** 4, stop, 10 ** 4), stop]
         for s, e in zip(edges, edges[1:]):
             seg = rows[s - start:e - start]
@@ -324,7 +336,8 @@ def _float_block(table: np.ndarray, cuts: list, a: int, end: int) -> bytearray:
             else:
                 seg[:, digits:] = np.frombuffer(sep, np.uint8)
                 seg[:, high:digits] = _low_digits()[s % 10 ** 4:][:e - s, high - digits:]
-            seg[:, :high] = np.frombuffer(str(s)[:high].encode(), np.uint8)
+            for c, ch in enumerate(str(s)[:high].encode()):
+                seg[:, c] = ch
     return chunk
 
 

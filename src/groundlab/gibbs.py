@@ -567,9 +567,14 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
         raise InputError(f"rng_seed must be >= 0, got {rng_seed}")
     if cadence < 0 or sample_cadence < 0:
         raise InputError("cadence and sample_cadence must be >= 0")
-    rng = np.random.Generator(np.random.Philox(rng_seed))
     ntiles = len(tileset.tiles)
-    cells = rng.integers(0, ntiles, size=(side, side))
+    if ntiles == 0:
+        raise InputError("tileset has no tiles")
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    try:
+        cells = rng.integers(0, ntiles, size=(side, side))
+    except ValueError as exc:  # numpy's refusal of a size past its index range
+        raise MemoryError(str(exc)) from None
     config = TorusConfig(tileset, potential, cells)
     y = boltzmann_base(beta, config._denominator)
     accept: Dict[int, float] = {}  # rise n > 0 -> float(y^n)

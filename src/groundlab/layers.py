@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                     InvalidOperation, Rounded)
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -70,6 +73,37 @@ def freq_rows(kmax: int, schedule: OdometerSchedule,
         yield 1 - r
 
 
+# Integer arithmetic on Decimals: at this precision every sum, product and
+# integer quotient of the exact rows is exact, and any rounding would raise.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation])
+
+
+def freq_rows_decimal(kmax: int, schedule: Optional[OdometerSchedule] = None
+                      ) -> Iterator[tuple]:
+    """The rows of `freq_rows(kmax, schedule)` as (numerator, denominator)
+    pairs of `Decimal` integers in lowest terms, whose str() is linear in the
+    digit count where str() of an int is quadratic.
+
+    The residual 1 - f_j = N / D, gcd(N, D) = 1, steps to N (d - 1) / (D d)
+    with d = 4 t_j.  As gcd(d - 1, d) = 1 too, the two products share exactly
+    g = gcd(N mod d, d) * gcd(D mod (d - 1), d - 1), and the row is (D - N) / D.
+    """
+    ctx = _EXACT
+    n = den = Decimal(1)
+    yield Decimal(0), den
+    for t, start, stop in schedule_runs(kmax, schedule):
+        d = 4 * t
+        dd, dm = Decimal(d), Decimal(d - 1)
+        for _ in range(start, stop):
+            g = (gcd(int(ctx.remainder(n, dd)), d)
+                 * gcd(int(ctx.remainder(den, dm)), d - 1))
+            n, den = ctx.multiply(n, dm), ctx.multiply(den, dd)
+            if g > 1:
+                n, den = ctx.divide_int(n, g), ctx.divide_int(den, g)
+            yield ctx.subtract(den, n), den
+
+
 def freq_frozen(k: int, schedule: OdometerSchedule,
                 freq0: Fraction = Fraction(0)) -> Fraction:
     """Exact frozen fraction after blocking scales 0..k-1."""
@@ -109,23 +143,73 @@ def schedule_runs(kmax: int, schedule: Optional[OdometerSchedule] = None
         yield t, start, kmax
 
 
+# The float table's rows are worked in blocks of 2^12 rows doubling up to
+# 2^16, so that the sum stops soon after an early cut and a table with none
+# takes few numpy calls.
+_LOG_ROWS = (1 << 12, 1 << 16)
+
+
+def _float_t(t: int, j: int) -> float:
+    try:
+        return float(t)
+    except OverflowError:
+        raise InputError(f"schedule value t({j}) is past the float "
+                         "range: use --mode exact") from None
+
+
+def _filled_blocks(x: np.ndarray, runs: Iterator[tuple]) -> Iterator[tuple]:
+    """(start, block) for the blocks of x in order, each yielded once its
+    rows hold their t_j, read from `runs` no further than that block."""
+    a, rows = 0, _LOG_ROWS[0]
+    for t, start, stop in runs:
+        t = _float_t(t, start)
+        while start < stop:
+            end = min(stop, a + rows)
+            x[start:end] = t
+            start = end
+            if end == min(a + rows, len(x)):
+                yield a, x[a:end]
+                a, rows = end, min(2 * rows, _LOG_ROWS[1])
+
+
 def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> np.ndarray:
-    """freq_frozen(k) for k = 0..kmax as float64, one cumulative log sum
-    worked in place on rows 1..kmax, which first hold t_j."""
-    out = np.empty(kmax + 1, dtype=np.float64)
+    """freq_frozen(k) for k = 0..kmax as float64, worked in place on rows
+    1..kmax, a block at a time: the block's rows first hold t_j, then the
+    terms log1p(-1/(4 t_j)), summed by np.cumsum with the running sum carried
+    into the block's first term, which adds in the order of one cumsum over
+    all rows; each row then becomes 1 - exp(s).
+
+    The sum stops at its first row with s <= -40 and every later row is 1.0,
+    exactly: each term is <= 0, so the sequential float sum never rises; and
+    e^-40 < 2^-54 / 13, so 1 - exp(s) rounds to 1.0 for any exp within a few
+    ulps.  The t_j after the cut are still read, so one past the float range
+    raises wherever it falls.
+    """
+    try:
+        out = np.empty(kmax + 1, dtype=np.float64)
+    except ValueError as exc:  # numpy's refusal of a size past its index range
+        raise MemoryError(str(exc)) from None
     out[0] = 0.0
     x = out[1:]
-    for t, start, stop in schedule_runs(kmax, schedule):
-        try:
-            x[start:stop] = t
-        except OverflowError:
-            raise InputError(f"schedule value t({start}) is past the float "
-                             "range: use --mode exact") from None
-    np.divide(-0.25, x, out=x)
-    np.log1p(x, out=x)
-    np.cumsum(x, out=x)
-    np.exp(x, out=x)
-    np.subtract(1.0, x, out=x)
+    runs = schedule_runs(kmax, schedule)
+    carry = 0.0
+    for a, s in _filled_blocks(x, runs):
+        np.divide(-0.25, s, out=s)
+        np.log1p(s, out=s)
+        s[0] += carry
+        np.cumsum(s, out=s)
+        carry = s[-1]
+        cut = carry <= -40.0
+        if cut:
+            n = int(np.argmax(s <= -40.0)) + 1
+            x[a + n:] = 1.0
+            s = s[:n]
+        np.exp(s, out=s)
+        np.subtract(1.0, s, out=s)
+        if cut:
+            break
+    for t, j, _ in runs:  # the runs after a cut: read, not written
+        _float_t(t, j)
     return out
 
 

@@ -4,9 +4,10 @@ float CSV formats every row on its own.
 
 `layers.schedule_runs` walks the default and constant schedules without
 evaluating t per j, `layers.freq_bounds_scan` stops each run of t at its
-first fixed point, `layers.freq_table_float` reads t by runs, and
-`freq --mode float` writes one string per run of equal values;
-tests/test_layers.py checks their results and bytes against these loops.
+first fixed point, `layers.freq_table_float` reads t by runs and stops its
+sum where every later row is exactly 1.0, and `freq --mode float` writes one
+string per run of equal values; tests/test_layers.py and tests/test_cli.py
+check their results and bytes against these loops.
 """
 
 from fractions import Fraction

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import layers_oracle
 import groundlab.cli as cli
 import groundlab.thermo as thermo
-from groundlab.cli import _float_chunks, main
+from groundlab.cli import _BLOCK_ROWS, _TEXT_ROWS, _float_chunks, main
 from groundlab.gibbs import pattern_potential
-from groundlab.layers import constant_schedule, default_schedule, freq_frozen
+from groundlab.layers import (constant_schedule, default_schedule, freq_frozen,
+                              freq_rows)
 from groundlab.markers import MarkerSet
 from groundlab.tiles import Patch
 
@@ -58,6 +59,23 @@ def test_freq_exact_last_row_matches_library(tmp_path):
     k, frac = last.split(",")
     assert k == "1000"
     assert Fraction(frac) == freq_frozen(1000, default_schedule())
+
+
+def test_freq_exact_bytes_match_fraction_rows_past_the_digit_limit(tmp_path):
+    # row 3000's cells have ~4 600 digits, past Python's 4 300-digit
+    # int-to-str limit; the rows are written from Decimal integers
+    out = tmp_path / "f.csv"
+    assert run("freq", "--kmax", "3000", "--mode", "exact", "--csv", str(out)) == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = "k,freq\n" + "".join(
+            f"{k},{f.numerator}/{f.denominator}\n"
+            for k, f in enumerate(freq_rows(3000, default_schedule())))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, want.split("/"))) > 4300
+    assert out.read_bytes() == want.encode()
 
 
 def test_freq_float_mode_beyond_threshold(tmp_path):
@@ -129,6 +147,35 @@ EDGES = (10 ** 4, 65_536, 75_536, 10 ** 5, 165_536)
 ])
 def test_float_rows_match_per_row_oracle_across_block_edges(length, cuts):
     table = _runs_table(length, cuts)
+    got = b"k,freq\n" + b"".join(_float_chunks(table))
+    assert got == layers_oracle.freq_float_csv(table).encode()
+
+
+# the 4-digit to 5-digit key edge, and the block edge _BLOCK_ROWS keys after it
+TEXT_EDGES = (10 ** 4, 10 ** 4 + _BLOCK_ROWS)
+
+
+def _short_runs_cuts(length, pattern):
+    """Cuts that make runs of `length` rows end at, start at, or straddle
+    each of TEXT_EDGES, or fill the rows on both sides of it end to end."""
+    cuts = []
+    for e in TEXT_EDGES:
+        if pattern == "end":
+            cuts += [e - length, e]
+        elif pattern == "start":
+            cuts += [e, e + length]
+        elif pattern == "straddle":
+            cuts += [e - length // 2, e - length // 2 + length]
+        else:
+            cuts += range(e - 5 * length, e + 5 * length + 1, length)
+    return cuts
+
+
+@pytest.mark.parametrize("pattern", ["end", "start", "straddle", "packed"])
+@pytest.mark.parametrize("length", [_TEXT_ROWS - 1, _TEXT_ROWS, _TEXT_ROWS + 1])
+def test_float_rows_at_the_text_cutoff_match_per_row_oracle(length, pattern):
+    # runs shorter than _TEXT_ROWS are written as text, the others as views
+    table = _runs_table(TEXT_EDGES[-1] + 6 * length, _short_runs_cuts(length, pattern))
     got = b"k,freq\n" + b"".join(_float_chunks(table))
     assert got == layers_oracle.freq_float_csv(table).encode()
 
@@ -374,6 +421,7 @@ BAD_TILESETS = {
                    "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": "A"}]}]},
     "no-cells.json": {"tiles": [_TILE_A], "forbidden": [{"cells": []}]},
     "toy-potential.json": {"patterns": [{"rows": [["A", "B"]], "weight": [1, 1]}]},
+    "no-tiles.json": {"tiles": []},
 }
 
 
@@ -416,6 +464,7 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
      "forbidden"),
     (("thermo", "--r", "100000000000000000000", "--csv", "{tmp}/t.csv"),
      "interaction range r must be <= 2^54 - 2 at scale 1"),
+    (_gibbs_toy(tileset="{tmp}/no-tiles.json"), "tileset has no tiles"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     for name, doc in BAD_TILESETS.items():
@@ -477,6 +526,20 @@ def test_out_of_memory_is_budget_exit(tmp_path, capsys, monkeypatch, name,
     assert capsys.readouterr().err == (
         f"budget exceeded: {argv[0]}: out of memory "
         "(Unable to allocate 74.5 GiB)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("freq", "--mode", "float", "--kmax", "99999999999999999999999"),
+    ("freq", "--mode", "float", "--kmax", "9223372036854775806"),
+    ("gibbs", "--tileset", "free:2", "--side", "99999999999999999999",
+     "--beta", "1", "--steps", "1"),
+], ids=["freq-past-int64", "freq-past-bytes", "gibbs"])
+def test_numpy_size_refusal_is_budget_exit(tmp_path, capsys, argv):
+    # numpy refuses these sizes with a ValueError before any allocation
+    assert run(*argv, "--csv", str(tmp_path / "out.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"budget exceeded: {argv[0]}: out of memory (")
+    assert err.endswith(")\n") and err.count("\n") == 1
 
 
 def test_thermo_failed_criterion_names_its_scales(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import collections
 import random
+import sys
 import tracemalloc
+from decimal import Decimal, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +14,15 @@ import layers_oracle as oracle
 
 from groundlab.cli import _BLOCK_ROWS, _float_chunks
 from groundlab.layers import (
+    _EXACT,
     OdometerSchedule,
     constant_schedule,
     default_schedule,
     freq_bounds_scan,
     freq_crossing,
     freq_frozen,
+    freq_rows,
+    freq_rows_decimal,
     freq_table_float,
     schedule_runs,
 )
@@ -97,6 +102,82 @@ def test_freq_table_float_past_the_float_range_is_input_error():
     # rows before the first such j do not read it
     assert np.array_equal(freq_table_float(7, late),
                           oracle.freq_table_float(7, constant_schedule(3)))
+
+
+def _cut_row(kmax, schedule):
+    """The first row k whose log-sum s = sum_{j<k} log1p(-1/(4 t_j)), summed
+    as one np.cumsum, is <= -40."""
+    t = np.array([schedule.t(j) for j in range(kmax)], dtype=np.float64)
+    return int(np.argmax(np.cumsum(np.log1p(-0.25 / t)) <= -40.0)) + 1
+
+
+@pytest.mark.parametrize("schedule", [default_schedule(), constant_schedule(2)],
+                         ids=["default", "const:2"])
+def test_float_table_at_its_cut_matches_the_oracle(schedule):
+    cut = _cut_row(5000, schedule)
+    if schedule is default_schedule():
+        assert cut == 1458
+    for kmax in (cut - 1, cut, cut + 1, 3 * cut):
+        got = freq_table_float(kmax, schedule)
+        assert got.tobytes() == oracle.freq_table_float(kmax, schedule).tobytes()
+    assert np.all(got[cut:] == 1.0)
+
+
+@pytest.mark.parametrize("c", [1000, 10 ** 15])
+def test_float_table_across_its_blocks_matches_the_oracle(c):
+    # t = 1000 reaches the cut near row 160 000, many blocks in; t = 10^15
+    # never does.  Blocks start at rows 4 096 * (2^i - 1), then every 2^16.
+    schedule = constant_schedule(c)
+    for kmax in (4095, 4096, 4097, 12288, 61441, 300_000):
+        assert (freq_table_float(kmax, schedule).tobytes()
+                == oracle.freq_table_float(kmax, schedule).tobytes())
+
+
+def test_float_table_reads_every_t_after_its_cut():
+    # t = 2 reaches the cut near row 300; the first t past the float range
+    # comes far after it, and still names its j
+    late = OdometerSchedule(lambda k: 2 if k < 5000 else 10 ** 400)
+    assert _cut_row(5000, late) < 5000
+    assert np.array_equal(freq_table_float(5000, late),
+                          oracle.freq_table_float(5000, constant_schedule(2)))
+    with pytest.raises(InputError, match=r"t\(5000\) .*--mode exact"):
+        freq_table_float(5001, late)
+
+
+# t = 9 and t = 10 give d - 1 = 35 and 39, which share factors 5 and 3 with
+# the denominators that earlier steps built
+CYCLE_2_10 = OdometerSchedule(lambda j: 2 + j % 9)
+
+
+@pytest.mark.parametrize("schedule,kmax", [
+    (default_schedule(), 300), (constant_schedule(2), 300),
+    (constant_schedule(3), 300), (constant_schedule(10 ** 30), 300),
+    (CYCLE_2_10, 300),
+    # the Fraction text of this schedule takes ~55 s to kmax 300: str(int)
+    # is quadratic, and row 300 has 240 000 digits
+    (constant_schedule(10 ** 400), 40),
+], ids=["default", "const:2", "const:3", "const:10**30", "cycle-2-10",
+        "const:10**400"])
+def test_decimal_rows_match_fraction_rows_at_every_kmax(schedule, kmax):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [f"{f.numerator}/{f.denominator}" for f in freq_rows(kmax, schedule)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    full = list(freq_rows_decimal(kmax, schedule))
+    assert [f"{n}/{d}" for n, d in full] == want
+    # every shorter kmax: the same values, and the same text in its last row
+    for k in range(kmax):
+        rows = list(freq_rows_decimal(k, schedule))
+        assert rows == full[:k + 1]
+        assert "%s/%s" % rows[-1] == want[k]
+
+
+def test_decimal_rows_context_traps_rounding():
+    assert all(_EXACT.traps[s] for s in (Inexact, Rounded, InvalidOperation))
+    with pytest.raises(Inexact):
+        _EXACT.to_integral_exact(Decimal("2.5"))
 
 
 def _traced_peak(f):

@@ -10,7 +10,6 @@ and float evaluations both live here.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Rounded)
@@ -228,36 +227,26 @@ class FreqScan:
     bounded: bool            # upper bounds never exceed 1
     final_lo: Fraction
     final_hi: Fraction
-    checkpoints: dict        # k -> (freq lower bound, freq upper bound)
 
 
 def freq_bounds_scan(kmax: int, schedule: Optional[OdometerSchedule] = None,
-                     scale_bits: int = 96, checkpoints=()) -> FreqScan:
+                     scale_bits: int = 96) -> FreqScan:
     """Directed-rounding interval scan of freq_frozen for k = 0..kmax.
 
     The residual 1 - freq is tracked as an integer interval [lo, hi] / 2^B
     with floor/ceil rounding, so monotonicity and boundedness are exact
     integer comparisons at every step, at any kmax, with no float involved.
     A step is a function of (lo, hi) and d = 4 t alone, so once a step leaves
-    (lo, hi) unchanged every later step of the same run of t does too: the
-    scan records the checkpoints that run still holds and moves to the next.
+    (lo, hi) unchanged every later step of the same run of t does too, and
+    the scan moves to the next run.
     """
     one = 1 << scale_bits
     lo = hi = one
     monotone = True
     bounded = True
-    marks = sorted(set(checkpoints))
-    cps = set(marks)
-    taken = {}
-
-    def record(k):
-        taken[k] = (Fraction(one - hi, one), Fraction(one - lo, one))
-
-    if 0 in cps:
-        record(0)
     for t, start, stop in schedule_runs(kmax, schedule):
         d = 4 * t
-        for j in range(start, stop):
+        for _ in range(start, stop):
             new_lo = lo * (d - 1) // d
             new_hi = -((-hi * (d - 1)) // d)
             if new_hi > hi:
@@ -265,12 +254,8 @@ def freq_bounds_scan(kmax: int, schedule: Optional[OdometerSchedule] = None,
             if new_lo < 0:
                 bounded = False
             if new_lo == lo and new_hi == hi:
-                for k in marks[bisect_right(marks, j):bisect_right(marks, stop)]:
-                    record(k)
                 break
             lo, hi = new_lo, new_hi
-            if (j + 1) in cps:
-                record(j + 1)
     return FreqScan(kmax, monotone, bounded,
-                    Fraction(one - hi, one), Fraction(one - lo, one), taken)
+                    Fraction(one - hi, one), Fraction(one - lo, one))
 

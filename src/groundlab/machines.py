@@ -1,11 +1,11 @@
-"""Turing machines: stall-on-halt runs, budgets, word measures, dispatch.
+"""Turing machines: stall-on-halt runs, budgets, word measures, routing.
 
 Machines run on a one-sided tape (moving left at cell 0 stays at cell 0) and
 stall forever once a final state is reached.  A word machine, run on a k-bit
 seed, halts leaving letters 'u'/'d' on its tape; averaging the output word
 over all 2^k seeds uniformly yields the machine's word measure at scale k.
-A seed pair (x, y) drives a selector: y = 1^i chooses the i-th machine of a
-fixed enumeration, empty y keeps the default, anything else is rejected.
+A routing word y drives a selector: y = 1^i chooses the i-th machine of a
+fixed enumeration, and any other y keeps the default (`selector_weights`).
 """
 
 from __future__ import annotations
@@ -541,35 +541,15 @@ def routing_index(y: str) -> Optional[int]:
     return len(y) - len(rest) if rest.strip("#") == "" else None
 
 
-@dataclass(frozen=True)
-class DispatchOutcome:
-    kind: str                      # 'default' | 'selected' | 'forbidden'
-    index: int                     # 1-based enumeration index, 0 for default
-    machine: Optional[Machine]
-
-
-def selector_dispatch(default_machine: Machine, enumeration: Sequence[Machine],
-                      x: str, y: str) -> DispatchOutcome:
-    """Route a seed pair: y = 1^i picks enumeration[i-1], empty picks default.
-
-    Malformed y (anything not of the form 1^i #^j) is forbidden.  An index
-    beyond the registered enumeration falls back to the default machine.
-    """
-    i = routing_index(y)
-    if any(c not in "01" for c in x) or i is None or len(y) > len(x):
-        return DispatchOutcome("forbidden", -1, None)
-    if i == 0:
-        return DispatchOutcome("default", 0, default_machine)
-    if i <= len(enumeration):
-        return DispatchOutcome("selected", i, enumeration[i - 1])
-    return DispatchOutcome("default", 0, default_machine)
-
-
 def selector_weights(k: int, n_machines: int) -> list:
-    """Mixture weights over the 2^(k+1) - 1 seed words y of length <= k.
+    """Mixture weights of the epsilon = 0 flow over the 2^(k+1) - 1 binary
+    routing words y of length <= k, each equally likely.
 
-    Exactly one y of each length i in 1..min(k, n_machines) selects machine i
-    (the all-ones word); every other y keeps the default.  Returns
+    The rule at epsilon = 0: the all-ones word 1^i with 1 <= i <=
+    min(k, n_machines) routes to machine i, and every other y, the empty word
+    included, keeps the default machine; no word is forbidden.  Under a
+    selector rule (epsilon > 0) `routing_index` instead pins y to 1^i #^*, as
+    `perturbation.SelectorRule.admits` reads it.  Returns
     [(0, default weight)] + [(i, per-machine weight)...], summing to 1.
     """
     if k < 1:

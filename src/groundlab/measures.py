@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .tiles import InputError
 
-ALPHABET = ("u", "d")
 DEPTH_CAP = 16
 
 
@@ -178,8 +177,7 @@ def mix(parts: Iterable[tuple]) -> WordMeasure:
     return WordMeasure.from_nums(depth, nums, den)
 
 
-def weak_star_distance(mu: WordMeasure, nu: WordMeasure,
-                       max_depth: Optional[int] = None) -> Fraction:
+def weak_star_distance(mu: WordMeasure, nu: WordMeasure) -> Fraction:
     """Sum over depths l of 2^-l times the sup difference of depth-l marginals.
 
     One integer difference vector, over the lcm of the two denominators, is
@@ -187,8 +185,6 @@ def weak_star_distance(mu: WordMeasure, nu: WordMeasure,
     measure is built; the sum is one Fraction at the end.
     """
     L = min(mu.depth, nu.depth)
-    if max_depth is not None:
-        L = min(L, max_depth)
     if L < 1:
         raise InputError("no common depth")
     den = math.lcm(mu.den, nu.den)

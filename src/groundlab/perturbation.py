@@ -22,7 +22,6 @@ from itertools import repeat
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .gibbs import Potential
 from .layers import OdometerSchedule, default_schedule
 from .machines import Machine, routing_index, selector_weights, word_measure
 from .measures import (ConditionalGridMeasure, WordMeasure, conditional_rows,
@@ -76,47 +75,22 @@ def make_selector(i: int, enumeration: Sequence[Machine]) -> SelectorRule:
     return SelectorRule(i, tuple(cells))
 
 
-@dataclass(frozen=True)
-class PerturbedPotential:
-    """Base potential plus a selector potential with coefficient epsilon."""
-
-    base: Potential
-    perturbation: Potential
-    epsilon: Fraction
-
-    def __post_init__(self):
-        eps = Fraction(self.epsilon)
-        if eps < 0:
-            raise InputError("epsilon must be >= 0")
-        object.__setattr__(self, "epsilon", eps)
-
-    def combined(self) -> Potential:
-        pairs = list(self.base.forbidden)
-        pairs += [(rows, w * self.epsilon)
-                  for rows, w in self.perturbation.forbidden]
-        return Potential.from_patterns(pairs)
-
-    def zero_energy_signature(self) -> frozenset:
-        """Patterns with positive weight; equal for every epsilon > 0."""
-        return frozenset(rows for rows, w in self.combined().forbidden
-                         if w > 0)
-
-
 # ------------------------------------------------------------ flow report ---
 
-def _scale_memo(depth: int, cap: int) -> Callable[[Machine, int], WordMeasure]:
-    """measure(machine, j): the word measure at scale min(max(j, depth), cap).
+def _scale_memo(depth: int) -> Callable[[Machine, int], WordMeasure]:
+    """measure(machine, j): the word measure at scale
+    min(max(j, depth), SCALE_CAP).
 
     word_measure depends on j only through that clamped scale, so each
     (machine, scale) pair is evaluated once for the memo's lifetime.
     """
-    if not 1 <= depth <= cap:
-        raise InputError(f"depth {depth} is outside 1..{cap}: word measures "
-                         f"are evaluated at scales <= {cap}")
+    if not 1 <= depth <= SCALE_CAP:
+        raise InputError(f"depth {depth} is outside 1..{SCALE_CAP}: word measures "
+                         f"are evaluated at scales <= {SCALE_CAP}")
     table = {}
 
     def measure(machine: Machine, j: int) -> WordMeasure:
-        key = (machine, min(max(j, depth), cap))
+        key = (machine, min(max(j, depth), SCALE_CAP))
         if key not in table:
             table[key] = word_measure(machine, key[1], depth)
         return table[key]
@@ -131,16 +105,15 @@ def _routed(measure: Callable[[Machine, int], WordMeasure], base: Machine,
                 for idx, weight in selector_weights(j, len(enumeration))])
 
 
-def mixture_flow(base: Machine, enumeration: Sequence[Machine], depth: int,
-                 cap: int = SCALE_CAP) -> Callable[[int], WordMeasure]:
+def mixture_flow(base: Machine, enumeration: Sequence[Machine],
+                 depth: int) -> Callable[[int], WordMeasure]:
     """Routing-weighted mixture: default machine except on the 1^i words."""
-    return partial(_routed, _scale_memo(depth, cap), base, enumeration)
+    return partial(_routed, _scale_memo(depth), base, enumeration)
 
 
-def selector_flow(target: Machine, depth: int,
-                  cap: int = SCALE_CAP) -> Callable[[int], WordMeasure]:
+def selector_flow(target: Machine, depth: int) -> Callable[[int], WordMeasure]:
     """Selector-forced flow: the target machine owns every admissible seed."""
-    return partial(_scale_memo(depth, cap), target)
+    return partial(_scale_memo(depth), target)
 
 
 @dataclass
@@ -217,8 +190,7 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
                    epsilon, depth: int, horizon: int,
                    index: int = 1,
                    enumeration: Optional[Sequence[Machine]] = None,
-                   schedule: Optional[OdometerSchedule] = None,
-                   cap: int = SCALE_CAP) -> PerturbationReport:
+                   schedule: Optional[OdometerSchedule] = None) -> PerturbationReport:
     """Predicted blocked-word flow with or without the selector rule.
 
     epsilon == 0 runs the routing mixture (the target machine participates
@@ -235,7 +207,7 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
         enumeration = [target_machine]
     rule = make_selector(index, enumeration)
 
-    measure = _scale_memo(depth, cap)
+    measure = _scale_memo(depth)
     if eps == 0:
         mode = "mixture"
         flow = partial(_routed, measure, base_machine, enumeration)

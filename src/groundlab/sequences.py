@@ -112,13 +112,6 @@ def _block_size(n: int) -> int:
     return 1 << (n + 1).bit_length()
 
 
-def connectify_envelope(m: int) -> Fraction:
-    """Declared bound on d(y_m, y_{m+1}) for the connectified sequence."""
-    if m < 1:
-        raise InputError("envelope defined for m >= 1")
-    return Fraction(1, math.isqrt(m))
-
-
 def _locate(m: int) -> tuple:
     # walk blocks: output index m -> (original index n, step s within block)
     n = 0
@@ -147,11 +140,6 @@ def connectify(seq: ComputableSequence) -> ComputableSequence:
             seq.depth, [fa * x + fb * y for x, y in zip(a.nums, b.nums)], size * den)
 
     return ComputableSequence(gen, seq.depth, f"connectify({seq.name})")
-
-
-def original_position(seq_index: int) -> int:
-    """Output index where connectify places original term seq_index."""
-    return sum(_block_size(j) for j in range(seq_index))
 
 
 # ------------------------------------------------- finite accumulation ----

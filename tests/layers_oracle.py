@@ -29,19 +29,11 @@ def schedule_runs(kmax, schedule=None):
     return list(map(tuple, runs))
 
 
-def freq_bounds_scan(kmax, schedule=None, scale_bits=96, checkpoints=()):
+def freq_bounds_scan(kmax, schedule=None, scale_bits=96):
     one = 1 << scale_bits
     lo = hi = one
     monotone = True
     bounded = True
-    cps = set(checkpoints)
-    taken = {}
-
-    def record(k):
-        taken[k] = (Fraction(one - hi, one), Fraction(one - lo, one))
-
-    if 0 in cps:
-        record(0)
     for j in range(kmax):
         if schedule is None:
             t = max(2, (j + 1).bit_length())
@@ -55,10 +47,8 @@ def freq_bounds_scan(kmax, schedule=None, scale_bits=96, checkpoints=()):
         if new_lo < 0:
             bounded = False
         lo, hi = new_lo, new_hi
-        if (j + 1) in cps:
-            record(j + 1)
     return FreqScan(kmax, monotone, bounded,
-                    Fraction(one - hi, one), Fraction(one - lo, one), taken)
+                    Fraction(one - hi, one), Fraction(one - lo, one))
 
 
 def freq_table_float(kmax, schedule=None):

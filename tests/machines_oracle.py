@@ -4,9 +4,8 @@ through the `run` interpreter, in seed order.
 `machines.word_measure` advances all seeds together as numpy lanes;
 tests/test_machines.py checks its measures and its errors against this loop.
 
-Below it, the routing-word checks as each caller wrote them out before they
-shared `machines.routing_index`: selector dispatch and the selector rule's
-admission test.
+Below it, the selector rule's admission test as it was written out before
+it read `machines.routing_index`, the one routing-word rule.
 """
 
 from fractions import Fraction
@@ -41,18 +40,6 @@ def word_measure(machine, k, depth=None, budget=None):
     total = 2 ** k
     return WordMeasure.from_dict(depth, {w: Fraction(c, total)
                                          for w, c in counts.items()})
-
-
-def selector_dispatch(x, y, n_machines):
-    """(kind, index) of a seed pair routed over n_machines registered ones."""
-    if any(c not in "01" for c in x):
-        return "forbidden", -1
-    if y.lstrip("1").strip("#") != "" or len(y) > len(x):
-        return "forbidden", -1
-    i = len(y) - len(y.lstrip("1"))
-    if i == 0 or i > n_machines:
-        return "default", 0
-    return "selected", i
 
 
 def selector_admits(index, x, y):

@@ -4,7 +4,9 @@ Each function below is the loop one library call site ran before every
 pattern match went through the shape-hashed kernel, kept verbatim apart from
 taking its inputs as arguments.  They share nothing with the kernel: every
 pattern is compared cell by cell at every anchor, so they serve as the
-reference in the differential tests.
+reference in the differential tests.  The one exception is `covering`, which
+reads the kernel's own per-cell plan the way `TorusConfig.update` and
+`count_admissible` do, so that the tests can check that plan cell by cell.
 """
 
 import math
@@ -150,6 +152,14 @@ def torus_coverage(tileset, cells, markers) -> Fraction:
         for x, y, _ in p.cells():
             covered |= np.roll(match, (y, x), (0, 1))
     return Fraction(int(covered.sum()), s * s)
+
+
+def covering(index, grid, y, x, wrap=False) -> list:
+    """Values of the occurrences of `index` covering cell (y, x), summed from
+    its `cell_plan` terms, once per pattern cell landing there."""
+    codes = grid.ravel()  # numpy ints hash and compare like the table's keys
+    return [v for get, key in index.cell_plan(grid.shape, wrap)[y * grid.shape[1] + x]
+            if (v := get(key(codes))) is not None]
 
 
 def occurrence_map(config, markers) -> np.ndarray:

@@ -423,6 +423,14 @@ BAD_TILESETS = {
     "toy-potential.json": {"patterns": [{"rows": [["A", "B"]], "weight": [1, 1]}]},
     "no-tiles.json": {"tiles": []},
 }
+# marker files `MarkerSet` refuses: a zero tau denominator, a negative tau,
+# and patterns with no cells
+BAD_MARKERS = {
+    "tau-over-zero.json": {"tau": [1, 0], "patterns": [{"rows": [["A"]]}]},
+    "negative-tau.json": {"tau": [-5, 1], "patterns": [{"rows": [["A"]]}]},
+    "no-rows.json": {"tau": [0, 1], "patterns": [{"rows": []}]},
+    "empty-row.json": {"tau": [0, 1], "patterns": [{"rows": [[]]}]},
+}
 
 
 def _gibbs_toy(side="2", beta="1", tileset="free:2"):
@@ -465,9 +473,14 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     (("thermo", "--r", "100000000000000000000", "--csv", "{tmp}/t.csv"),
      "interaction range r must be <= 2^54 - 2 at scale 1"),
     (_gibbs_toy(tileset="{tmp}/no-tiles.json"), "tileset has no tiles"),
+    *[(("verify-markers", "--markers", "{tmp}/" + name, "--out", "{tmp}/v.json"), field)
+      for name, field in [("tau-over-zero.json", "malformed marker json"),
+                          ("negative-tau.json", "tau must be >= 0"),
+                          ("no-rows.json", "at least one cell"),
+                          ("empty-row.json", "at least one cell")]],
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
-    for name, doc in BAD_TILESETS.items():
+    for name, doc in {**BAD_TILESETS, **BAD_MARKERS}.items():
         (tmp_path / name).write_text(json.dumps(doc))
     assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err
@@ -766,7 +779,7 @@ VERDICT_FLAGS = {
                        "--markers": (["overlapping-markers.json",
                                       "non-square-markers.json"],
                                      ["missing.json", "truncated.json",
-                                      "binary.config"])},
+                                      "binary.config", *BAD_MARKERS])},
     "thermo": {"--kmin": (["0", "1", "3"], ["-1", "x"]),
                "--kmax": (["2", "5", "643"], ["-1", "0", "644", "x"]),
                "--C": (["1", "1/2", "3"], ["0", "-1", "1/0", "x"]),
@@ -792,8 +805,11 @@ VERDICT_OUT = {"verify-markers": "--out", "thermo": "--csv", "acc": "--out"}
 def verdict_inputs(gibbs_inputs):
     """The gibbs configs (one written by freq, one that is not UTF-8), a
     config with a line that is not key=value, and marker files: one that
-    violates non-overlap, one cut short, one of non-square patterns."""
+    violates non-overlap, one cut short, one of non-square patterns, and
+    those `MarkerSet` refuses."""
     (gibbs_inputs / "verdict-no-equals.config").write_text("command=acc\ndepth\n")
+    for name, doc in BAD_MARKERS.items():
+        (gibbs_inputs / name).write_text(json.dumps(doc))
     square = MarkerSet([Patch.from_ids([["A", "A"], ["A", "A"]])]).to_json()
     (gibbs_inputs / "overlapping-markers.json").write_text(square)
     (gibbs_inputs / "truncated.json").write_text(square[:len(square) // 2])

@@ -1,8 +1,12 @@
-"""Every name a groundlab module imports is used in that module.
+"""Every name a groundlab module imports is used in that module, and every
+public name it defines has a reader other than its own unit tests.
 
 No linter ships with the toolchain, so this walks each module's syntax tree.
-The package `__init__` is exempt (its imports are re-exports), and so are
-`from __future__` imports.
+For imports, the package `__init__` is exempt (its imports are re-exports),
+and so are `from __future__` imports.  A reader is any `src/groundlab`
+module (the defining one outside the definition itself, and the `__init__`
+re-exports included), a demo, `tests/test_acceptance.py` or a
+`perfbench/*.py` file.
 """
 
 import ast
@@ -53,3 +57,59 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+ROOT = SRC.parents[1]
+# the readers a library name may have besides its own unit tests
+READERS = sorted([*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                  ROOT / "tests" / "test_acceptance.py",
+                  *(ROOT / "perfbench").glob("*.py")])
+
+
+def public_definitions(tree):
+    """(name, node) of each top-level function, class or assigned name that
+    does not start with an underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def named(nodes):
+    """Every name the nodes' code reads, imports or attributes, and every
+    dotted identifier written as a string (perfbench's tracer names its
+    targets so, as in "TorusConfig.__init__")."""
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(p.isidentifier() for p in parts):
+                out.update(parts)
+    return out
+
+
+def test_every_public_name_has_a_reader():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+    reads = {path: named([tree]) for path, tree in trees.items()}
+    orphans = []
+    for path in MODULES:
+        for name, definition in public_definitions(trees[path]):
+            # its own module counts, outside the definition itself
+            own = named(node for node in trees[path].body if node is not definition)
+            if name not in own and not any(name in reads[other]
+                                           for other in reads if other != path):
+                orphans.append(f"{path.stem}.{name}")
+    assert not orphans, ("public names that no command, demo, acceptance "
+                         f"criterion or benchmark reads: {orphans}")

@@ -205,13 +205,12 @@ def test_float_writer_peak_is_one_block():
 
 
 def test_freq_bounds_scan_contains_exact():
-    sch = default_schedule()
-    scan = freq_bounds_scan(2000, checkpoints=(1, 95, 500, 2000))
-    assert scan.monotone and scan.bounded
-    for k, (lo, hi) in scan.checkpoints.items():
-        exact = freq_frozen(k, sch)
-        assert lo <= exact <= hi
-        assert hi - lo < Fraction(1, 2 ** 64)
+    for k in (1, 95, 500, 2000):
+        scan = freq_bounds_scan(k)
+        assert scan == oracle.freq_bounds_scan(k)
+        assert scan.monotone and scan.bounded
+        assert scan.final_lo <= freq_frozen(k, default_schedule()) <= scan.final_hi
+        assert scan.final_hi - scan.final_lo < Fraction(1, 2 ** 64)
 
 
 # A schedule that steps down: a state fixed under d = 160 moves again under
@@ -228,13 +227,10 @@ def test_freq_bounds_scan_matches_stepwise_oracle(data):
         st.sampled_from([None, default_schedule(), CYCLE, STEP_DOWN]),
         st.integers(2, 50).map(constant_schedule)), "schedule")
     # small widths reach their fixed point within a few dozen steps, so most
-    # of the range is skipped and random checkpoints fall inside it
+    # of the range is skipped and a random shorter scan ends inside it
     bits = data.draw(st.sampled_from([4, 8, 16, 64, 96]), "scale_bits")
-    marks = st.one_of(st.sampled_from([0, kmax, kmax + 1, kmax + 700, -1]),
-                      st.integers(0, kmax))
-    cps = data.draw(st.lists(marks, max_size=12), "checkpoints")
-    assert (freq_bounds_scan(kmax, schedule, bits, cps)
-            == oracle.freq_bounds_scan(kmax, schedule, bits, cps))
+    for k in [kmax, *data.draw(st.lists(st.integers(0, kmax), max_size=3), "shorter")]:
+        assert freq_bounds_scan(k, schedule, bits) == oracle.freq_bounds_scan(k, schedule, bits)
 
 
 def test_custom_schedule_named_default_keeps_its_values():
@@ -242,8 +238,8 @@ def test_custom_schedule_named_default_keeps_its_values():
     tab = freq_table_float(40, seven)
     assert np.array_equal(tab, oracle.freq_table_float(40, seven))
     assert abs(tab[1] - 1 / 28) < 1e-15
-    assert freq_bounds_scan(40, seven, checkpoints=(1,)) == oracle.freq_bounds_scan(
-        40, seven, checkpoints=(1,))
+    for k in (1, 40):
+        assert freq_bounds_scan(k, seven) == oracle.freq_bounds_scan(k, seven)
     assert default_schedule() is default_schedule()
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -32,7 +33,6 @@ from groundlab.machines import (
     routing_index,
     run,
     seed_budget,
-    selector_dispatch,
     selector_weights,
     simulate_universal,
     universal_cost_constant,
@@ -471,21 +471,6 @@ def test_enumeration_is_length_lex_and_versioned():
         "constant-d", "constant-u", "copier", "parity"]
 
 
-def test_selector_dispatch():
-    enum, _ = machine_enumeration()
-    mx = constant_writer("u")
-    assert selector_dispatch(mx, enum, "0101", "").kind == "default"
-    assert selector_dispatch(mx, enum, "0101", "###").kind == "default"
-    got = selector_dispatch(mx, enum, "0101", "11#")
-    assert got.kind == "selected" and got.index == 2
-    assert got.machine.name == enum[1].name
-    assert selector_dispatch(mx, enum, "0101", "1#1").kind == "forbidden"
-    assert selector_dispatch(mx, enum, "0x01", "1").kind == "forbidden"
-    assert selector_dispatch(mx, enum, "01", "111").kind == "forbidden"
-    deep = selector_dispatch(mx, enum, "1" * 9, "1" * 9)
-    assert deep.kind == "default" and deep.machine is mx
-
-
 @given(st.text("01#x", max_size=10))
 @settings(max_examples=300)
 def test_routing_index_matches_the_word_pattern(y):
@@ -510,19 +495,12 @@ _ENUM = machine_enumeration()[0]
 _RULES = [make_selector(i, _ENUM) for i in range(1, len(_ENUM) + 1)]
 
 
-def _dispatch(k, x, y):
-    got = selector_dispatch(copier(), _ENUM, x, y)
-    return got.kind, got.index
-
-
 def _admits(k, x, y):
     return [rule.admits(x, y) for rule in _RULES]
 
 
 # each caller of routing_index against its former inline check
 ROUTING_CALLERS = {
-    "selector_dispatch": (
-        _dispatch, lambda k, x, y: oracle.selector_dispatch(x, y, len(_ENUM))),
     "SelectorRule.admits": (
         _admits, lambda k, x, y: [oracle.selector_admits(rule.index, x, y)
                                   for rule in _RULES]),
@@ -546,6 +524,20 @@ def test_selector_weights():
     assert len(rows2) == 3
     assert sum(w for _, w in rows2) == 1
     assert rows2[0][1] == 1 - Fraction(2, 2 ** 11 - 1)
+
+
+def test_selector_weights_tally_every_routing_word():
+    # the epsilon = 0 rule over every binary y of length <= k, each equally
+    # likely: 1^i with 1 <= i <= n picks machine i, any other y keeps the default
+    for k in range(1, 7):
+        words = ["".join(y) for n in range(k + 1) for y in product("01", repeat=n)]
+        for n_machines in range(6):
+            tally = {}
+            for y in words:
+                i = len(y) if 1 <= len(y) <= n_machines and y == "1" * len(y) else 0
+                tally[i] = tally.get(i, 0) + 1
+            assert selector_weights(k, n_machines) == [
+                (i, Fraction(c, len(words))) for i, c in sorted(tally.items())]
 
 
 def test_universal_semantic_equality():

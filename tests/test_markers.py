@@ -7,32 +7,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import markers_oracle
+import pattern_oracle
 from groundlab.markers import (
-    CoveringResult,
     MarkerSet,
-    StationaryGridMeasure,
     nonoverlap_violations,
-    occurrence_map,
     robinson_marker_set,
-    search_covering_counterexample,
     verify_nonoverlap,
 )
-from groundlab.robinson import build_macro_tile, build_tileset
-from groundlab.tiles import (EdgeLabel, ForbiddenPattern, InputError, Patch, Tile,
-                             Tileset, check_patch)
-
-
-def free_label():
-    return EdgeLabel(None, None, None, None, None)
-
-
-def free_tileset(ids):
-    lab = free_label()
-    return Tileset([Tile(i, lab, lab, lab, lab) for i in ids])
+from groundlab.tiles import InputError, Patch
 
 
 def patch_of(rows):
     return Patch.from_ids(rows)
+
+
+def covered(config, markers):
+    """The cells of `config` inside a marker occurrence, read as
+    `gibbs.torus_coverage` reads a torus: the marker kernel over the codes of
+    one tile id -> code mapping, here the config's own legend."""
+    code = {tid: i for i, tid in enumerate(config.legend)}
+    return markers.index(code).covered(config.codes_in(code))
 
 
 # independent double-loop oracle, same scan order as the implementation
@@ -72,6 +66,12 @@ def test_markerset_validation():
         MarkerSet([patch_of([["A"]]), patch_of([["A"]])])
     with pytest.raises(InputError):
         MarkerSet([patch_of([["A", None], ["A", "B"]])])
+    with pytest.raises(InputError, match="at least one cell"):
+        MarkerSet([patch_of([])])
+    with pytest.raises(InputError, match="at least one cell"):
+        MarkerSet([patch_of([[]])])
+    with pytest.raises(InputError, match="tau must be >= 0"):
+        MarkerSet([patch_of([["A"]])], tau=Fraction(-5))
 
 
 def test_window_side_rounds_up():
@@ -176,101 +176,18 @@ def test_codes_share_one_legend():
         ms.codes[0, 0, 0] = 1
 
 
-def test_covering_witness_on_free_tileset():
-    ts = free_tileset(["A", "B"])
-    ms = MarkerSet([patch_of([["A"]])], tau=Fraction(0))
-    res = search_covering_counterexample(ts, ms)
-    assert res.status == "witness"
-    assert res.witness.width == ms.m == 1
-    assert not occurrence_map(res.witness, ms).any()
-    assert check_patch(ts, res.witness) == []
-
-
-def test_covering_witness_avoids_block_pattern():
-    ts = free_tileset(["A", "B"])
-    ms = MarkerSet([patch_of([["A", "A"], ["A", "A"]])])
-    res = search_covering_counterexample(ts, ms)
-    assert res.status == "witness"
-    assert res.witness.width == 3 and res.witness.height == 3
-    assert not occurrence_map(res.witness, ms).any()
-    assert check_patch(ts, res.witness) == []
-
-
-def test_covering_witness_obeys_forbidden_patterns():
-    # A is banned outright and C may not sit diagonally up-right of C, so
-    # the witness needs B and C, and no 2x2 block of B
-    lab = free_label()
-    ts = Tileset([Tile(i, lab, lab, lab, lab) for i in "ABC"], extra_forbidden=[
-        ForbiddenPattern(((0, 0, "A"),)),
-        ForbiddenPattern(((0, 0, "C"), (1, 1, "C")))])
-    ms = MarkerSet([patch_of([["B", "B"], ["B", "B"]])])
-    res = search_covering_counterexample(ts, ms)
-    assert res.status == "witness"
-    assert not occurrence_map(res.witness, ms).any()
-    assert check_patch(ts, res.witness) == []
-    # with C gone too, every admissible 3x3 patch is all B: no witness
-    only_b = Tileset(ts.tiles, extra_forbidden=[
-        ForbiddenPattern(((0, 0, "A"),)), ForbiddenPattern(((0, 0, "C"),))])
-    assert search_covering_counterexample(only_b, ms).status == "none"
-
-
-@pytest.mark.parametrize("tau", [Fraction(0), Fraction(2), Fraction(3)])
-def test_covering_ignores_one_cell_marker_of_unknown_id(tau):
-    # a 1x1 marker naming an id the tileset lacks bans no tile, so the search
-    # runs as it does without that marker; B may not sit west of B, so a
-    # witness wider than 1 needs C, the last tile, as well
-    ts = Tileset(free_tileset(["A", "B", "C"]).tiles,
-                 extra_forbidden=[ForbiddenPattern(((0, 0, "B"), (1, 0, "B")))])
-    want = search_covering_counterexample(ts, MarkerSet([patch_of([["A"]])], tau))
-    assert want.status == "witness"
-    for rows in ([["A"]], [["Z"]]), ([["Z"]], [["A"]]):
-        got = search_covering_counterexample(ts, MarkerSet(map(patch_of, rows), tau))
-        assert (got.status, got.nodes) == (want.status, want.nodes)
-        assert got.witness.same_cells(want.witness)
-    alone = search_covering_counterexample(ts, MarkerSet([patch_of([["Z"]])], tau))
-    assert alone.status == "witness" and alone.witness.width == want.witness.width
-
-
 def test_occurrence_map_reads_a_legend_that_repeats_an_id():
     config = Patch(np.array([[0, 1, -1]]), ("A", "A"))
     ms = MarkerSet([patch_of([["A", "A"]])])
-    assert occurrence_map(config, ms).tolist() == [[True, True, False]]
-
-
-def test_covering_budget_exhaustion():
-    ts = free_tileset(["A", "B"])
-    ms = MarkerSet([patch_of([["A", "A"], ["A", "A"]])])
-    res = search_covering_counterexample(ts, ms, budget=1)
-    assert res.status == "budget"
-    assert res.witness is None
-    assert res.nodes == 2  # second node trips the budget
-
-
-def test_covering_none_when_nothing_admissible():
-    lab = free_label()
-    top = EdgeLabel("r", 0, None, None, None)
-    t = Tile("C", top, lab, lab, lab)  # north never matches its own south
-    ts = Tileset([t])
-    ms = MarkerSet([patch_of([["C", "C"], ["C", "C"]])])
-    res = search_covering_counterexample(ts, ms)
-    assert res.status == "none"
-    assert res.nodes == 0  # initial propagation wipes the domains
-
-
-def test_covering_holds_for_bumpy_cross_markers():
-    # one-cell markers, window side 7: parity forces a marker into any
-    # 2x2 admissible block, and propagation discovers this immediately
-    ts = build_tileset()
-    ms = robinson_marker_set(1)
-    res = search_covering_counterexample(ts, ms, budget=100_000)
-    assert res.status == "none"
-    assert res.nodes <= len(ts)  # every root assignment dies in propagation
+    assert covered(config, ms).tolist() == [[True, True, False]]
+    assert np.array_equal(covered(config, ms), pattern_oracle.occurrence_map(config, ms))
 
 
 def test_coverage_full_on_abutting_grid():
     ms = MarkerSet([patch_of([["A", "A"], ["A", "A"]])])
     config = patch_of([["A"] * 6] * 6)
-    assert occurrence_map(config, ms).all()
+    assert covered(config, ms).all()
+    assert pattern_oracle.occurrence_map(config, ms).all()
 
 
 def test_coverage_with_gutters():
@@ -278,74 +195,8 @@ def test_coverage_with_gutters():
     inside = [[x % 3 < 2 and y % 3 < 2 for x in range(9)] for y in range(9)]
     config = patch_of([["A" if c else "B" for c in row] for row in inside])
     # covered cells are exactly those inside an A-block
-    assert occurrence_map(config, ms).tolist() == inside
-
-
-def toy_measure():
-    p1 = patch_of([["A", "A"], ["A", "A"]])
-    p2 = patch_of([["B", "B"], ["B", "B"]])
-    return StationaryGridMeasure(MarkerSet([p1, p2]))
-
-
-def test_grid_measure_single_cell_marginal():
-    mu = toy_measure()
-    assert mu.probability(Patch.from_ids([["A"]])) == Fraction(1, 2)
-    assert mu.probability(Patch.from_ids([["B"]])) == Fraction(1, 2)
-
-
-def test_grid_measure_straddling_domino():
-    mu = toy_measure()
-    domino = Patch.from_ids([["A", "A"]])
-    # aligned offset: 1/2; straddling offset: 1/4; average 3/8
-    assert mu.probability(domino) == Fraction(3, 8)
-
-
-def test_grid_measure_shift_invariance():
-    mu = toy_measure()
-    rng = random.Random(7)
-    for _ in range(25):
-        w = rng.randint(1, 3)
-        h = rng.randint(1, 3)
-        rows = [[rng.choice(["A", "B", None]) for _ in range(w)] for _ in range(h)]
-        base = Patch.from_ids(rows, origin=(0, 0))
-        moved = Patch.from_ids(rows, origin=(rng.randint(-9, 9), rng.randint(-9, 9)))
-        assert mu.probability(base) == mu.probability(moved)
-
-
-def test_grid_measure_normalization():
-    mu = toy_measure()
-    for w, h in ((2, 2), (3, 1)):
-        total = Fraction(0)
-        for stamp in range(2 ** (w * h)):
-            rows = [["A" if (stamp >> (y * w + x)) & 1 else "B" for x in range(w)]
-                    for y in range(h)]
-            total += mu.probability(Patch.from_ids(rows))
-        assert total == 1
-
-
-def test_grid_measure_weight_validation():
-    ms = MarkerSet([patch_of([["A"]]), patch_of([["B"]])])
-    with pytest.raises(InputError):
-        StationaryGridMeasure(ms, [Fraction(1, 3), Fraction(1, 3)])
-    with pytest.raises(InputError):
-        StationaryGridMeasure(ms, [Fraction(3, 2), Fraction(-1, 2)])
-    with pytest.raises(InputError):
-        StationaryGridMeasure(ms, [Fraction(1)])
-
-
-def test_grid_measure_entropy_uniform():
-    mu = toy_measure()
-    assert mu.entropy_per_site() == pytest.approx(1 / 4)
-    rob = StationaryGridMeasure(robinson_marker_set(1))
-    assert rob.entropy_per_site() == pytest.approx(2.0)
-
-
-def test_robinson_grid_measure_cells():
-    rob = StationaryGridMeasure(robinson_marker_set(1))
-    one = build_macro_tile(1, "ne")
-    assert rob.probability(one) == Fraction(1, 4)
-    two = Patch.from_ids([[one.id_at(0, 0), build_macro_tile(1, "sw").id_at(0, 0)]])
-    assert rob.probability(two) == Fraction(1, 16)
+    assert covered(config, ms).tolist() == inside
+    assert pattern_oracle.occurrence_map(config, ms).tolist() == inside
 
 
 def test_marker_json_roundtrip():

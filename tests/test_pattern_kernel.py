@@ -12,8 +12,7 @@ import gibbs_oracle
 import pattern_oracle as oracle
 from groundlab.gibbs import (Potential, TorusConfig, adjacency_potential,
                              metropolis, pattern_potential, torus_coverage)
-from groundlab.markers import (MarkerSet, occurrence_map,
-                               search_covering_counterexample)
+from groundlab.markers import MarkerSet
 from groundlab.robinson import build_tileset
 from groundlab.tiles import (EdgeLabel, ForbiddenPattern, InputError, Patch,
                              PatternIndex, Tile, Tileset, check_patch,
@@ -65,17 +64,17 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
     side = len(cells)
     for y in range(side):
         for x in range(side):
-            assert (Fraction(sum(config._index.covering(cells, y, x, wrap=True)), d)
+            assert (Fraction(sum(oracle.covering(config._index, cells, y, x, wrap=True)), d)
                     == oracle.occurrences_at(compiled, cells, x, y))
-    # an open grid with unassigned (-1) cells, the covering search's path:
-    # the oracle sees it inside a torus padded with -1 wider than any pattern
+    # an open grid with unassigned (-1) cells, count_admissible's path: the
+    # oracle sees it inside a torus padded with -1 wider than any pattern
     grid = cells.copy()
     grid.flat[data.draw(st.integers(0, side * side)):] = -1
     padded = np.full((2 * side, 2 * side), -1)
     padded[:side, :side] = grid
     for y in range(side):
         for x in range(side):
-            assert (Fraction(sum(config._index.covering(grid, y, x)), d)
+            assert (Fraction(sum(oracle.covering(config._index, grid, y, x)), d)
                     == oracle.occurrences_at(compiled, padded, x, y))
     x, y = data.draw(st.integers(0, side - 1)), data.draw(st.integers(0, side - 1))
     t = data.draw(st.integers(0, len(tileset) - 1))
@@ -197,7 +196,9 @@ def test_occurrence_map_matches_oracle(data):
     fill = data.draw(id_grid(h, w, ["A", "B", None]))
     markers = data.draw(marker_case(["A", "B", UNKNOWN], fill))
     patch = Patch.from_ids(fill)
-    assert np.array_equal(occurrence_map(patch, markers),
+    # the marker kernel over the patch's own codes, as torus_coverage reads it
+    code = {tid: i for i, tid in enumerate(patch.legend)}
+    assert np.array_equal(markers.index(code).covered(patch.codes_in(code)),
                           oracle.occurrence_map(patch, markers))
 
 
@@ -228,8 +229,8 @@ def test_check_patch_forbidden_matches_oracle(patterns, data):
 @given(st.data())
 @FAST
 def test_block_lookup_matches_oracle(data):
-    # the covering search fills cells in row-major order, so every cell after
-    # the one just assigned still holds -1
+    # count_admissible fills cells in row-major order, so every cell after the
+    # one just assigned still holds -1
     m = data.draw(st.integers(1, 5))
     fill = data.draw(id_grid(m, m, ["A", "B"]))
     y, x = divmod(data.draw(st.integers(0, m * m - 1)), m)
@@ -248,7 +249,7 @@ def test_block_lookup_matches_oracle(data):
     pat_codes = [[[tileset.index[p.id_at(i, j)] for i in range(w)]
                   for j in range(h)] for p in markers.patterns]
     want = oracle.forbidden_block_completed(grid, pat_codes, w, h, x, y)
-    assert bool(markers.index(tileset.index).covering(grid, y, x)) == want
+    assert bool(oracle.covering(markers.index(tileset.index), grid, y, x)) == want
 
 
 def test_weighted_index_sums_duplicates_and_drops_zero_keys():
@@ -256,7 +257,8 @@ def test_weighted_index_sums_duplicates_and_drops_zero_keys():
         [[(0, 0, 1)], [(0, 0, 1)], [(0, 0, 0)], [(0, 0, None)]], [2, 3, 0, 7]))
     grid = np.array([[0, 1], [1, -1]])
     assert index.total(grid) == 10 and index.total(grid, wrap=True) == 10
-    assert index.covering(grid, 0, 1) == [5] and index.covering(grid, 0, 0) == []
+    assert oracle.covering(index, grid, 0, 1) == [5]
+    assert oracle.covering(index, grid, 0, 0) == []
     listed = PatternIndex(pattern_tables([[(0, 0, 1)], [(0, 0, 1)]]))
     assert listed.occurrences(grid) == [(0, 1, (0, 1)), (1, 0, (0, 1))]
 
@@ -265,8 +267,8 @@ def test_shape_wider_than_torus_lands_twice():
     index = PatternIndex({((0, 0), (0, 1)): {(1, 1): 3}})
     grid = np.array([[1]])
     assert index.total(grid, wrap=True) == 3
-    assert index.covering(grid, 0, 0, wrap=True) == [3, 3]
-    assert index.covering(grid, 0, 0) == []
+    assert oracle.covering(index, grid, 0, 0, wrap=True) == [3, 3]
+    assert oracle.covering(index, grid, 0, 0) == []
 
 
 def test_robinson_chain_matches_oracle_local_energy():
@@ -285,12 +287,3 @@ def test_empty_pattern_is_refused():
     with pytest.raises(InputError):
         pattern_tables([[]])
 
-
-def test_covering_search_unchanged_on_block_markers():
-    tileset = free_tileset(2)
-    markers = MarkerSet([Patch.from_ids([["A", "B"], ["B", "A"]]),
-                         Patch.from_ids([["A", "A"], ["A", "A"]])])
-    res = search_covering_counterexample(tileset, markers)
-    assert res.status == "witness"
-    assert not occurrence_map(res.witness, markers).any()
-    assert not oracle.occurrence_map(res.witness, markers).any()

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from flow_oracle import closed_form_row
 from perturbation_oracle import report_json
-from groundlab.gibbs import pattern_potential
 from groundlab.machines import (NonConformingError, constant_writer, copier,
                                 fair_coin, incrementer, machine_enumeration,
                                 parity_machine, selector_weights, word_measure)
 from groundlab.measures import (ConditionalGridMeasure, WordMeasure, mix,
                                weak_star_distance)
-from groundlab.perturbation import (PerturbationReport, PerturbedPotential,
+from groundlab.perturbation import (SCALE_CAP, PerturbationReport,
                                     accumulation_report,
                                     make_selector, mixture_flow,
                                     perturbed_flow, report_accumulation,
@@ -65,25 +64,6 @@ def test_selector_validation():
 def test_selector_rule_diameter_grows_linearly():
     for i in range(1, len(ENUM) + 1):
         assert make_selector(i, ENUM).diameter == i + 1
-
-
-def test_perturbed_potential_epsilon_independence():
-    base = pattern_potential([((("A", "B"),), 1)])
-    psi = pattern_potential([((("B", "B"),), 1)])
-    sigs = {PerturbedPotential(base, psi, eps).zero_energy_signature()
-            for eps in (Fraction(1, 100), Fraction(1, 2), 1, 7)}
-    assert len(sigs) == 1
-    zero = PerturbedPotential(base, psi, 0).zero_energy_signature()
-    assert zero < next(iter(sigs))
-    with pytest.raises(InputError):
-        PerturbedPotential(base, psi, -1)
-
-
-def test_perturbed_potential_combined_weights():
-    base = pattern_potential([((("A", "B"),), 1)])
-    psi = pattern_potential([((("B", "B"),), 2)])
-    comb = PerturbedPotential(base, psi, Fraction(1, 4)).combined()
-    assert dict(comb.forbidden)[(("B", "B"),)] == Fraction(1, 2)
 
 
 def test_positive_epsilon_reports_byte_identical():
@@ -206,8 +186,9 @@ def test_word_measure_once_per_machine_and_scale(word_measure_calls,
 def test_depth_above_scale_cap_refused():
     with pytest.raises(InputError, match="depth 13 .*12"):
         perturbed_flow(constant_writer("u"), parity_machine(), 1, 13, 14)
-    with pytest.raises(InputError, match="depth 3 .*2"):
-        selector_flow(parity_machine(), 3, cap=2)
+    depth = SCALE_CAP + 1
+    with pytest.raises(InputError, match=f"depth {depth} .*{SCALE_CAP}"):
+        selector_flow(parity_machine(), depth)
     with pytest.raises(InputError):
         mixture_flow(constant_writer("u"), ENUM, 0)
 

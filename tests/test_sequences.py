@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,11 +8,9 @@ import pytest
 from groundlab.measures import WordMeasure, weak_star_distance
 from groundlab.sequences import (AccumulationSet, ComputableSequence,
                                  DyadicMeasure, alternating_sequence,
-                                 bernoulli, connectify, connectify_envelope,
-                                 constant_sequence, dyadic_sweep,
-                                 finite_accumulation, is_dyadic,
-                                 named_sequence, original_position,
-                                 sweep_fraction)
+                                 bernoulli, connectify, constant_sequence,
+                                 dyadic_sweep, finite_accumulation, is_dyadic,
+                                 named_sequence, sweep_fraction)
 from groundlab.tiles import InputError
 
 
@@ -67,15 +66,18 @@ def test_connectify_constant_unchanged():
 def test_connectify_embeds_original_terms():
     alt = named_sequence("alternating")
     con = connectify(alt)
+    # block j holds 2^bit_length(j + 1) steps, so term n starts block n
     for n in range(8):
-        assert con.term(original_position(n)) == alt.term(n)
+        start = sum(1 << (j + 1).bit_length() for j in range(n))
+        assert con.term(start) == alt.term(n)
 
 
 def test_connectify_envelope_holds_everywhere():
+    # consecutive terms lie within the declared envelope 1/isqrt(m)
     con = connectify(named_sequence("alternating"))
     for m in range(1, 300):
         d = weak_star_distance(con.term(m), con.term(m + 1))
-        assert d <= connectify_envelope(m)
+        assert d <= Fraction(1, math.isqrt(m))
 
 
 def test_connectify_distances_vanish():
@@ -93,13 +95,6 @@ def test_connectify_steps_are_convex_interpolants():
     assert mid.weights[0] == Fraction(1, 2)
     # interpolants stay dyadic
     assert isinstance(con.term(13), DyadicMeasure)
-
-
-def test_envelope_validation():
-    with pytest.raises(InputError):
-        connectify_envelope(0)
-    assert connectify_envelope(9) == Fraction(1, 3)
-    assert connectify_envelope(10) == Fraction(1, 3)
 
 
 def test_accumulation_constant_single_rep():

@@ -6,13 +6,13 @@ by the single-cell marker "A" climbs toward 1.  With real budgets the same
 pipeline runs the full aperiodic tileset (see the gibbs CLI subcommand).
 """
 
-from groundlab.gibbs import coverage_sweep, pattern_potential, spearman_rank
+from groundlab.gibbs import Potential, coverage_sweep, spearman_rank
 from groundlab.markers import MarkerSet
 from groundlab.tiles import EdgeLabel, Patch, Tile, Tileset
 
 lab = EdgeLabel(None, None, None, None, None)
 ts = Tileset([Tile("A", lab, lab, lab, lab), Tile("B", lab, lab, lab, lab)])
-pot = pattern_potential([((("B",),), 1)])
+pot = Potential.from_patterns([((("B",),), 1)])
 markers = MarkerSet([Patch.from_ids([["A"]])])
 
 betas = [0.0, 0.5, 1.0, 2.0, 4.0]

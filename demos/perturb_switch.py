@@ -32,6 +32,6 @@ print(f"\nmode={reports[0].mode}: {len(reports)} strengths, "
 print("final distance to target:",
       float(reports[0].dist_to_target[-1][1]))
 
-acc = report_accumulation(reports[0], window=4, radius=Fraction(1, 256))
+acc = report_accumulation(reports[0], window=4)
 print(f"accumulation verdict over last 4 scales: {acc.verdict} "
       f"({len(acc.representatives)} cluster)")

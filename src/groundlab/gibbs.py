@@ -3,16 +3,16 @@
 A potential is integer code rows over one legend of tile ids: per (h, w)
 rectangle, one int32 row of legend codes per forbidden pattern, in row-major
 order, and its weight in units of 1/D (D the lcm of the weight
-denominators), summed over duplicates.  Its id-keyed shape tables are a
-read-only view built on first read.  The adjacency potential takes its rows
-straight from a tileset's compatibility matrices, over the tileset's ids.  A
-torus maps the legend to tile codes with one numpy take per shape, drops the
-rows naming an id the tileset lacks and those of zero weight, and scales the
-units by the support h * w: these are the tables of the shape-hashed kernel
-`tiles.PatternIndex`.  The local energy of a site counts every occurrence
-covering it, so one occurrence of a size-s pattern contributes s times to the
-total.  Energies are kept as integers in units of 1/D and read out as exact
-rationals.
+denominators), summed over duplicates.  `Potential.from_patterns` codes
+(rows, weight) pairs over the ids in first-seen order; the adjacency
+potential takes its rows straight from a tileset's compatibility matrices,
+over the tileset's ids.  A torus maps the legend to tile codes with one
+numpy take per shape, drops the rows naming an id the tileset lacks and
+those of zero weight, and scales the units by the support h * w: these are
+the tables of the shape-hashed kernel `tiles.PatternIndex`.  The local
+energy of a site counts every occurrence covering it, so one occurrence of a
+size-s pattern contributes s times to the total.  Energies are kept as
+integers in units of 1/D and read out as exact rationals.
 
 A Metropolis proposal (site p, tile t) is scored in one pass over a flat
 Python list of codes: the kernel's plan for p holds one (table lookup, key
@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .markers import MarkerSet
-from .tiles import BudgetExceeded, InputError, PatternIndex, Tileset
+from .tiles import BudgetExceeded, InputError, PatternIndex, Tileset, id_rows
 
 _Q = Union[int, Fraction]
 
@@ -73,55 +73,29 @@ class Potential:
     order, rows[j][i] at j * w + i, where rows are indexed like the torus
     array (rows[j][i] matches the cell (y + j, x + i) for an anchor at
     (y, x)); `units` holds the m weights as ints in units of 1/`denominator`,
-    duplicate patterns summed, so no row repeats.  `tables` is the same
-    potential keyed by tile ids, per shape {ids: units}: a read-only view
-    built on first read.  `Potential(tables, denominator)` takes that form;
-    the adjacency potential fills the code rows directly; both are checked
-    one shape at a time.  A potential is read-only, and two are equal when
-    their tables and denominators are.
+    duplicate patterns summed, so no row repeats.  The constructor checks
+    each shape's rows; a potential is read-only.
 
-    `from_patterns` sets the denominator to the lcm of the weight
-    denominators as given, duplicates and unknown ids included.  `forbidden`
-    and `to_json` list one pattern per key, so a round trip keeps a potential
-    whenever no two of its patterns share a key; duplicates whose
-    denominators cancel (1/3 + 2/3 = 1) come back with a smaller denominator.
+    `from_patterns` lists the legend in first-seen order and sets the
+    denominator to the lcm of the weight denominators as given, duplicates
+    and unknown ids included.
     """
 
-    __slots__ = ("ids", "rows", "denominator", "_tables")
+    __slots__ = ("ids", "rows", "denominator")
 
-    def __init__(self, tables: Mapping[Tuple[int, int], Mapping[Tuple[str, ...], int]],
+    def __init__(self, ids: Sequence[str],
+                 rows: Mapping[Tuple[int, int], Tuple[np.ndarray, Sequence[int]]],
                  denominator: int):
-        tables = {shape: dict(table) for shape, table in dict(tables).items()}
-        for shape, table in tables.items():
-            _check_shape(shape)
-            if set(map(type, table)) - {tuple} or set(map(len, table)) - {shape[0] * shape[1]}:
-                raise InputError(f"{shape} pattern keys must be tuples of h * w tile ids")
-            if set(map(type, chain.from_iterable(table))) - {str}:
-                raise InputError("pattern cells must be tile ids")
-        ids = tuple(dict.fromkeys(chain.from_iterable(chain.from_iterable(tables.values()))))
-        code = dict(zip(ids, range(len(ids)))).__getitem__
-        self._keep(ids, {(h, w): (np.fromiter(map(code, chain.from_iterable(table)), np.int32)
-                                  .reshape(len(table), h * w), table.values())
-                         for (h, w), table in tables.items()}, denominator)
-
-    @classmethod
-    def _from_codes(cls, ids: Sequence[str],
-                    rows: Mapping[Tuple[int, int], Tuple[np.ndarray, Sequence[int]]],
-                    denominator: int) -> "Potential":
-        """The potential of code rows over the legend `ids`: per (h, w) shape,
-        an int array of shape (m, h * w) and its m units, no row repeated."""
-        pot = cls.__new__(cls)
-        pot._keep(tuple(ids), rows, denominator)
-        return pot
-
-    def _keep(self, ids, rows, denominator):
+        ids = tuple(ids)
         if type(denominator) is not int or denominator < 1:
             raise InputError("potential denominator must be an int >= 1")
         if set(map(type, ids)) - {str} or len(set(ids)) != len(ids):
             raise InputError("a potential legend must hold distinct tile ids")
         kept = {}
         for shape, (codes, units) in rows.items():
-            _check_shape(shape)
+            if (type(shape) is not tuple or len(shape) != 2
+                    or {type(n) for n in shape} != {int} or min(shape) < 1):
+                raise InputError(f"pattern shape must be (h, w) with h, w >= 1, got {shape!r}")
             codes, units = np.asarray(codes), tuple(units)
             if codes.shape != (len(units), shape[0] * shape[1]):
                 raise InputError(f"{shape} code rows must hold h * w codes, one row per unit")
@@ -142,39 +116,20 @@ class Potential:
             codes.flags.writeable = False
             kept[shape] = (codes, units)
         for name, value in (("ids", ids), ("rows", MappingProxyType(kept)),
-                            ("denominator", denominator), ("_tables", None)):
+                            ("denominator", denominator)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("a Potential is read-only")
 
-    @property
-    def tables(self) -> Mapping[Tuple[int, int], Mapping[Tuple[str, ...], int]]:
-        if self._tables is None:
-            ids = np.array(self.ids, dtype=object)
-            object.__setattr__(self, "_tables", MappingProxyType({
-                shape: MappingProxyType(dict(zip(map(tuple, ids[codes].tolist()), units)))
-                for shape, (codes, units) in self.rows.items()}))
-        return self._tables
-
-    def __eq__(self, other):
-        if not isinstance(other, Potential):
-            return NotImplemented
-        return self.denominator == other.denominator and self.tables == other.tables
-
-    def __hash__(self):
-        return hash((self.denominator, frozenset(self.rows)))
-
-    def __repr__(self):
-        return f"Potential({ {s: dict(t) for s, t in self.tables.items()} }, {self.denominator})"
-
     @classmethod
     def from_patterns(cls, pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> "Potential":
         """The potential of (rows, weight) pairs, rows indexed like the torus."""
+        code: Dict[str, int] = {}
         patterns = []
         for rows, weight in pairs:
             try:
-                rows = tuple(map(tuple, rows))
+                rows = id_rows(rows)
                 if type(weight) is not Fraction:
                     weight = Fraction(weight)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -188,32 +143,22 @@ class Potential:
             ids = tuple(chain.from_iterable(rows))
             if set(map(type, ids)) != {str}:
                 raise InputError("pattern cells must be tile ids")
-            patterns.append(((len(rows), len(rows[0])), ids, weight.numerator, weight.denominator))
+            patterns.append(((len(rows), len(rows[0])),
+                             tuple(code.setdefault(i, len(code)) for i in ids),
+                             weight.numerator, weight.denominator))
         d = math.lcm(*{den for *_, den in patterns})
         tables: Dict[Tuple[int, int], Dict[tuple, int]] = {}
-        for shape, ids, num, den in patterns:
+        for shape, codes, num, den in patterns:
             table = tables.setdefault(shape, {})
-            table[ids] = table.get(ids, 0) + num * (d // den)
-        return cls(tables, d)
-
-    @property
-    def forbidden(self) -> Tuple[Tuple[Tuple[Tuple[str, ...], ...], Fraction], ...]:
-        """(rows, weight) per key, duplicates summed."""
-        d = self.denominator
-        return tuple((tuple(ids[j * w:(j + 1) * w] for j in range(h)), Fraction(units, d))
-                     for (h, w), table in self.tables.items() for ids, units in table.items())
+            table[codes] = table.get(codes, 0) + num * (d // den)
+        return cls(tuple(code), {
+            (h, w): (np.array(list(table), np.int32).reshape(-1, h * w), table.values())
+            for (h, w), table in tables.items()}, d)
 
     @property
     def range(self) -> int:
         """Largest anchor-to-cell offset any pattern can reach."""
         return max((max(h, w) - 1 for h, w in self.rows), default=0)
-
-    def to_json(self) -> str:
-        doc = {"patterns": [
-            {"rows": [list(r) for r in rows],
-             "weight": [w.numerator, w.denominator]}
-            for rows, w in self.forbidden]}
-        return json.dumps(doc, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "Potential":
@@ -226,30 +171,17 @@ class Potential:
             raise InputError(f"malformed potential json: {exc}") from exc
 
 
-def _check_shape(shape) -> None:
-    if (type(shape) is not tuple or len(shape) != 2
-            or {type(n) for n in shape} != {int} or min(shape) < 1):
-        raise InputError(f"pattern shape must be (h, w) with h, w >= 1, got {shape!r}")
-
-
-def pattern_potential(pairs: Iterable[Tuple[Sequence[Sequence[str]], _Q]]) -> Potential:
-    return Potential.from_patterns(pairs)
-
-
-def adjacency_potential(tileset: Tileset, weight: _Q = 1) -> Potential:
-    """One forbidden domino per incompatible adjacent pair of the tileset,
-    read straight off the compatibility matrices as code rows over the
-    tileset's ids."""
-    weight = Fraction(weight)
+def adjacency_potential(tileset: Tileset) -> Potential:
+    """One forbidden domino of weight 1 per incompatible adjacent pair of the
+    tileset, read straight off the compatibility matrices as code rows over
+    the tileset's ids."""
     rows = {}
     # h_compat[a, b]: a sits west of b; v_compat[a, b]: a sits south of b,
     # so its domino's rows are (a,), (b,): row-major codes (a, b) either way
     for shape, compat in (((1, 2), tileset.h_compat), ((2, 1), tileset.v_compat)):
         codes = np.argwhere(~compat)
-        rows[shape] = (codes, (weight.numerator,) * len(codes))
-    # no pattern at all leaves the lcm of no denominators: 1
-    d = weight.denominator if any(units for _, units in rows.values()) else 1
-    return Potential._from_codes([t.id for t in tileset.tiles], rows, d)
+        rows[shape] = (codes, (1,) * len(codes))
+    return Potential([t.id for t in tileset.tiles], rows, 1)
 
 
 class TorusConfig:

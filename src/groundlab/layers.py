@@ -59,13 +59,11 @@ def constant_schedule(c: int) -> OdometerSchedule:
     return _ConstantSchedule(c)
 
 
-def freq_rows(kmax: int, schedule: OdometerSchedule,
-              freq0: Fraction = Fraction(0)) -> Iterator[Fraction]:
-    """Exact frozen fractions f_0 = freq0, f_1, ..., f_kmax of the recursion
+def freq_rows(kmax: int, schedule: OdometerSchedule) -> Iterator[Fraction]:
+    """Exact frozen fractions f_0 = 0, f_1, ..., f_kmax of the recursion
     1 - f_{j+1} = (1 - 1/(4 t_j)) (1 - f_j)."""
-    f = Fraction(freq0)
-    yield f
-    r = 1 - f
+    yield Fraction(0)
+    r = Fraction(1)
     for j in range(kmax):
         d = 4 * schedule.t(j)
         r *= Fraction(d - 1, d)
@@ -103,10 +101,9 @@ def freq_rows_decimal(kmax: int, schedule: Optional[OdometerSchedule] = None
             yield ctx.subtract(den, n), den
 
 
-def freq_frozen(k: int, schedule: OdometerSchedule,
-                freq0: Fraction = Fraction(0)) -> Fraction:
+def freq_frozen(k: int, schedule: OdometerSchedule) -> Fraction:
     """Exact frozen fraction after blocking scales 0..k-1."""
-    for f in freq_rows(k, schedule, freq0):
+    for f in freq_rows(k, schedule):
         pass
     return f
 

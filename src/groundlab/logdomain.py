@@ -21,6 +21,7 @@ _Q = Union[int, Fraction]
 
 # denominators in capped bounds never exceed 2^_CAP_BITS
 _CAP_BITS = 120
+_LOG2_BITS = 48  # binary digits of log2 that log2_of_int extracts
 
 
 @dataclass(frozen=True)
@@ -85,19 +86,19 @@ class Dyadic:
     e: int
 
 
-def log2_of_int(n: int, bits: int = 48) -> LogInterval:
+def log2_of_int(n: int) -> LogInterval:
     """Enclose log2(n) by extracting binary digits from a mantissa interval.
 
     The mantissa is tracked as an integer interval with floor/ceil rounding
     through repeated squaring; when the interval straddles a digit boundary
-    the enclosure returned is still rigorous, just wider than 2^-bits.
+    the enclosure returned is still rigorous, just wider than 2^-_LOG2_BITS.
     """
     if n <= 0:
         raise InputError("log2 of a non-positive integer")
     e = n.bit_length() - 1
     if n == 1 << e:
         return LogInterval.exact(e)
-    w = bits + 32
+    w = _LOG2_BITS + 32
     if e <= w:
         a = b = n << (w - e)
     else:
@@ -105,7 +106,7 @@ def log2_of_int(n: int, bits: int = 48) -> LogInterval:
         b = a + 1
     two = 2 << w
     acc = 0
-    for i in range(1, bits + 1):
+    for i in range(1, _LOG2_BITS + 1):
         a = (a * a) >> w
         b = ((b * b) + (1 << w) - 1) >> w
         bit_lo = a >= two
@@ -119,15 +120,15 @@ def log2_of_int(n: int, bits: int = 48) -> LogInterval:
             acc += 1
             a >>= 1
             b = (b + 1) >> 1
-    return LogInterval(e + Fraction(acc, 1 << bits),
-                       e + Fraction(acc + 1, 1 << bits))
+    return LogInterval(e + Fraction(acc, 1 << _LOG2_BITS),
+                       e + Fraction(acc + 1, 1 << _LOG2_BITS))
 
 
-def log2_of_fraction(q: Fraction, bits: int = 48) -> LogInterval:
+def log2_of_fraction(q: Fraction) -> LogInterval:
     q = Fraction(q)
     if q <= 0:
         raise InputError("log2 of a non-positive rational")
-    return log2_of_int(q.numerator, bits) - log2_of_int(q.denominator, bits)
+    return log2_of_int(q.numerator) - log2_of_int(q.denominator)
 
 
 def log2_pow2_minus(n: int, c: int) -> LogInterval:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from .layers import OdometerSchedule, default_schedule
+from .layers import default_schedule
 from .machines import Machine, routing_index, selector_weights, word_measure
 from .measures import (ConditionalGridMeasure, WordMeasure, conditional_rows,
                        mix, weak_star_distance)
@@ -31,6 +31,8 @@ from .tiles import InputError
 
 # word_measure enumerates all 2^k seeds; flows clamp the evaluation scale
 SCALE_CAP = 12
+# the net radius of an accumulation view
+ACCUMULATION_RADIUS = Fraction(1, 256)
 
 
 @dataclass(frozen=True)
@@ -187,11 +189,10 @@ def _indent1(value, level: int = 0) -> str:
 
 
 def perturbed_flow(base_machine: Machine, target_machine: Machine,
-                   epsilon, depth: int, horizon: int,
-                   index: int = 1,
-                   enumeration: Optional[Sequence[Machine]] = None,
-                   schedule: Optional[OdometerSchedule] = None) -> PerturbationReport:
-    """Predicted blocked-word flow with or without the selector rule.
+                   epsilon, depth: int, horizon: int, index: int,
+                   enumeration: Sequence[Machine]) -> PerturbationReport:
+    """Predicted blocked-word flow with or without the selector rule, mixed
+    across scales by the default schedule.
 
     epsilon == 0 runs the routing mixture (the target machine participates
     only through its enumeration slot, if any); epsilon > 0 forces the
@@ -203,8 +204,6 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
         raise InputError("epsilon must be >= 0")
     if depth < 1 or horizon < depth:
         raise InputError("need depth >= 1 and horizon >= depth")
-    if enumeration is None:
-        enumeration = [target_machine]
     rule = make_selector(index, enumeration)
 
     measure = _scale_memo(depth)
@@ -218,12 +217,11 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
         flow = partial(measure, target_machine)
         j_start = max(depth, rule.threshold)
         threshold = rule.threshold
-    schedule = schedule or default_schedule()
 
     base_target = measure(base_machine, horizon)
     target_target = measure(target_machine, horizon)
 
-    rows = list(conditional_rows(flow, depth, schedule, horizon, j_start))
+    rows = list(conditional_rows(flow, depth, default_schedule(), horizon, j_start))
     to_base = []
     to_target = []
     for row in rows:
@@ -238,17 +236,15 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
 # ------------------------------------------------------ accumulation view ---
 
 def accumulation_report(flow: Callable[[int], WordMeasure], depth: int,
-                        horizon: int, window: int,
-                        radius: Fraction = Fraction(1, 256)) -> AccumulationSet:
+                        horizon: int, window: int) -> AccumulationSet:
     """Cluster the tail of a flow; one cluster means the limit stabilized."""
     if window < 0 or horizon < window:
         raise InputError("need 0 <= window <= horizon")
     return tail_net(lambda k: flow(k).marginal(depth),
-                    range(horizon - window, horizon + 1), radius)
+                    range(horizon - window, horizon + 1), ACCUMULATION_RADIUS)
 
 
-def report_accumulation(report: PerturbationReport, window: int,
-                        radius: Fraction = Fraction(1, 256)) -> AccumulationSet:
+def report_accumulation(report: PerturbationReport, window: int) -> AccumulationSet:
     """Accumulation view of a perturbation report's renormalized tail, indexed
     by blocking scale."""
     if window < 0:
@@ -257,4 +253,4 @@ def report_accumulation(report: PerturbationReport, window: int,
     if not rows:
         raise InputError("report has no renormalizable rows")
     scales = list(rows)[-1 - min(window, len(rows) - 1):]
-    return tail_net(lambda k: rows[k].renormalized(), scales, radius)
+    return tail_net(lambda k: rows[k].renormalized(), scales, ACCUMULATION_RADIUS)

@@ -283,6 +283,7 @@ class Patch:
     @classmethod
     def from_ids(cls, rows, origin=(0, 0)) -> "Patch":
         """rows: list of rows bottom-up, each a list of tile ids or None."""
+        rows = id_rows(rows)
         legend = []
         lut = {}
         h = len(rows)
@@ -344,6 +345,15 @@ class Patch:
             return cls.from_ids(doc["rows"], tuple(doc.get("origin", (0, 0))))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed patch json: {exc}") from exc
+
+
+def id_rows(rows) -> tuple:
+    """A grid of tile ids as a tuple of row tuples.  A string, for the rows
+    or for one row, is refused: it would otherwise read as one-letter ids."""
+    rows = rows if isinstance(rows, str) else tuple(rows)
+    if isinstance(rows, str) or any(isinstance(row, str) for row in rows):
+        raise InputError("rows must be lists of tile ids, not strings")
+    return tuple(map(tuple, rows))
 
 
 def pattern_tables(patterns) -> dict:

@@ -20,9 +20,8 @@ from typing import Dict, List
 import numpy as np
 
 import pattern_oracle
-from groundlab.gibbs import (BoltzmannTable, MetropolisResult, TorusConfig,
-                             acceptance_probability, boltzmann_base,
-                             pattern_potential)
+from groundlab.gibbs import (BoltzmannTable, MetropolisResult, Potential,
+                             TorusConfig, acceptance_probability, boltzmann_base)
 from groundlab.tiles import BudgetExceeded, InputError
 
 
@@ -36,7 +35,7 @@ def boltzmann_exact(tileset, pairs, side, beta, budget):
     y = boltzmann_base(beta, d)
     energies: Dict[tuple, Fraction] = {}
     weights: Dict[tuple, Fraction] = {}
-    scratch = TorusConfig(tileset, pattern_potential(pairs),
+    scratch = TorusConfig(tileset, Potential.from_patterns(pairs),
                           np.zeros((side, side), np.int64))
     for assignment in iter_product(range(ntiles), repeat=side * side):
         scratch.cells = np.array(assignment, np.int64).reshape(side, side)
@@ -57,7 +56,7 @@ def metropolis(tileset, pairs, side, beta, steps, rng_seed, markers=None,
     rng = np.random.Generator(np.random.Philox(rng_seed))
     ntiles = len(tileset.tiles)
     cells = rng.integers(0, ntiles, size=(side, side))
-    config = TorusConfig(tileset, pattern_potential(pairs), cells)
+    config = TorusConfig(tileset, Potential.from_patterns(pairs), cells)
     compiled = pattern_oracle.compile_patterns(pairs, tileset)
     d = pattern_oracle.denominator(pairs)
     y = boltzmann_base(beta, d)

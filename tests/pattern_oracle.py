@@ -73,17 +73,25 @@ def potential_tables(pairs, tileset) -> dict:
         Fraction(w) * d * len(pattern) for (_, w), pattern in zip(pairs, patterns)])
 
 
-def adjacency_pairs(tileset, weight=1) -> list:
-    """The former `adjacency_potential` loop: one forbidden domino per
-    incompatible pair, (a, b) in a row, or a below b."""
+def adjacency_pairs(tileset) -> list:
+    """The former `adjacency_potential` loop: one forbidden domino of weight
+    1 per incompatible pair, (a, b) in a row, or a below b."""
     pairs = []
     for i, a in enumerate(tileset.tiles):
         for j, b in enumerate(tileset.tiles):
             if not tileset.h_compat[i, j]:
-                pairs.append((((a.id, b.id),), weight))
+                pairs.append((((a.id, b.id),), 1))
             if not tileset.v_compat[i, j]:
-                pairs.append((((a.id,), (b.id,)), weight))
+                pairs.append((((a.id,), (b.id,)), 1))
     return pairs
+
+
+def keyed(potential) -> dict:
+    """A potential keyed by tile ids, {(h, w): {id tuple: units}}, read from
+    its legend and code rows."""
+    ids = potential.ids
+    return {shape: dict(zip((tuple(ids[c] for c in row) for row in codes.tolist()), units))
+            for shape, (codes, units) in potential.rows.items()}
 
 
 def compile_patterns(pairs, tileset) -> list:

@@ -12,8 +12,8 @@ from collections import Counter
 from fractions import Fraction
 
 from flow_oracle import closed_form_row
-from groundlab.gibbs import (acceptance_probability, boltzmann_exact,
-                             metropolis, pattern_potential)
+from groundlab.gibbs import (Potential, acceptance_probability, boltzmann_exact,
+                             metropolis)
 from groundlab.layers import (OdometerSchedule, default_schedule,
                               freq_bounds_scan, freq_crossing, freq_frozen)
 from groundlab.machines import (corpus, machine_enumeration, machine_to_json,
@@ -24,8 +24,9 @@ from groundlab.markers import (nonoverlap_violations, robinson_marker_set,
 from groundlab.measures import (WordMeasure, conditional_grid_measure,
                                 constant_flow, flow_horizon,
                                 repetition_flow, weak_star_distance)
-from groundlab.perturbation import (accumulation_report, mixture_flow,
-                                    perturbed_flow, report_accumulation)
+from groundlab.perturbation import (ACCUMULATION_RADIUS, accumulation_report,
+                                    mixture_flow, perturbed_flow,
+                                    report_accumulation)
 from groundlab.robinson import build_macro_tile, build_tileset
 from groundlab.sequences import (bernoulli, dyadic_sweep, finite_accumulation,
                                  named_sequence)
@@ -238,7 +239,7 @@ def test_acceptance_7_gibbs_oracle_equivalence():
     lab = EdgeLabel(None, None, None, None, None)
     ts = Tileset([Tile("A", lab, lab, lab, lab),
                   Tile("B", lab, lab, lab, lab)])
-    pot = pattern_potential([((("A", "B"),), 1)])
+    pot = Potential.from_patterns([((("A", "B"),), 1)])
     exact = boltzmann_exact(ts, pot, 2, 1.0)
     # pilot-determined budget: 400k proposals, sample every 4, 10% burn-in
     res = metropolis(ts, pot, 2, 1.0, 400000, rng_seed=2026, sample_cadence=4)
@@ -305,20 +306,20 @@ def test_acceptance_8_perturbation_swap():
 
 def test_acceptance_9_stable_vs_chaotic_flows():
     t0 = time.monotonic()
-    radius = Fraction(1, 2 ** 8)
+    assert ACCUMULATION_RADIUS == Fraction(1, 2 ** 8)
     uniform = WordMeasure.uniform(1)
     point = WordMeasure(1, [Fraction(1), Fraction(0)])
     # eventually-constant schedule: a single cluster of zero drift
     acc = accumulation_report(lambda k: point if k < 6 else uniform,
-                              1, 30, 10, radius=radius)
+                              1, 30, 10)
     assert acc.verdict == "stable"
     assert len(acc.representatives) == 1
-    assert acc.hausdorff < radius
+    assert acc.hausdorff < ACCUMULATION_RADIUS
     # dyadic repetitions of two targets: exactly the two target clusters
     targets = [point, WordMeasure(1, [Fraction(0), Fraction(1)])]
     base = lambda i: targets[i % 2]
     flow = repetition_flow(base)
-    acc2 = accumulation_report(flow, 1, 40, 32, radius=radius)
+    acc2 = accumulation_report(flow, 1, 40, 32)
     assert acc2.verdict == "oscillating"
     assert len(acc2.representatives) == 2
     assert set(acc2.representatives) == set(targets)

@@ -14,7 +14,6 @@ import layers_oracle
 import groundlab.cli as cli
 import groundlab.thermo as thermo
 from groundlab.cli import _BLOCK_ROWS, _TEXT_ROWS, _float_chunks, main
-from groundlab.gibbs import pattern_potential
 from groundlab.layers import (constant_schedule, default_schedule, freq_frozen,
                               freq_rows)
 from groundlab.markers import MarkerSet
@@ -335,7 +334,7 @@ def test_thermo_csv_plumbing(tmp_path):
 
 def test_gibbs_trace_and_replay(tmp_path):
     pot = tmp_path / "ab.json"
-    pot.write_text(pattern_potential([((("A", "B"),), 1)]).to_json())
+    pot.write_text(json.dumps({"patterns": [{"rows": [["A", "B"]], "weight": [1, 1]}]}))
     out = tmp_path / "g.csv"
     assert run("gibbs", "--tileset", "free:2", "--potential", str(pot),
                "--side", "3", "--beta", "1.0", "--steps", "400",
@@ -390,7 +389,7 @@ def test_gibbs_refuses_potential_naming_missing_tiles(tmp_path, capsys):
     # every pattern of ab.json names ids Robinson lacks: dropping them all
     # would run the chain at energy 0
     pot = tmp_path / "ab.json"
-    pot.write_text(pattern_potential([((("A", "B"),), 1)]).to_json())
+    pot.write_text(json.dumps({"patterns": [{"rows": [["A", "B"]], "weight": [1, 1]}]}))
     out = tmp_path / "g.csv"
     assert run("gibbs", "--tileset", "robinson", "--potential", str(pot),
                "--side", "2", "--beta", "1", "--steps", "10", "--csv", str(out)) == 2
@@ -398,7 +397,8 @@ def test_gibbs_refuses_potential_naming_missing_tiles(tmp_path, capsys):
         "error: gibbs: potential names tile id 'A' that the tileset lacks\n"
     assert not out.exists()
     # the first legend id missing is named, in the file's order
-    pot.write_text(pattern_potential([((("B",),), 1), ((("C", "A"),), 1)]).to_json())
+    pot.write_text(json.dumps({"patterns": [{"rows": [["B"]], "weight": [1, 1]},
+                                            {"rows": [["C", "A"]], "weight": [1, 1]}]}))
     assert run("gibbs", "--tileset", "free:2", "--potential", str(pot),
                "--side", "2", "--beta", "1", "--steps", "10", "--csv", str(out)) == 2
     assert "tile id 'C'" in capsys.readouterr().err
@@ -424,12 +424,20 @@ BAD_TILESETS = {
     "no-tiles.json": {"tiles": []},
 }
 # marker files `MarkerSet` refuses: a zero tau denominator, a negative tau,
-# and patterns with no cells
+# patterns with no cells, and rows given as strings, which would read as
+# one-letter ids
 BAD_MARKERS = {
     "tau-over-zero.json": {"tau": [1, 0], "patterns": [{"rows": [["A"]]}]},
     "negative-tau.json": {"tau": [-5, 1], "patterns": [{"rows": [["A"]]}]},
     "no-rows.json": {"tau": [0, 1], "patterns": [{"rows": []}]},
     "empty-row.json": {"tau": [0, 1], "patterns": [{"rows": [[]]}]},
+    "rows-string.json": {"tau": [0, 1], "patterns": [{"rows": "AB"}]},
+    "row-strings.json": {"tau": [0, 1], "patterns": [{"rows": ["AB", "CD"]}]},
+}
+# potential files whose rows, or one row, are strings
+BAD_POTENTIALS = {
+    "potential-row-string.json": {"patterns": [{"rows": ["AB"], "weight": [1, 1]}]},
+    "potential-rows-string.json": {"patterns": [{"rows": "AB", "weight": [1, 1]}]},
 }
 
 
@@ -477,10 +485,14 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
       for name, field in [("tau-over-zero.json", "malformed marker json"),
                           ("negative-tau.json", "tau must be >= 0"),
                           ("no-rows.json", "at least one cell"),
-                          ("empty-row.json", "at least one cell")]],
+                          ("empty-row.json", "at least one cell"),
+                          ("rows-string.json", "not strings"),
+                          ("row-strings.json", "not strings")]],
+    *[((*_gibbs_toy(), "--potential", "{tmp}/" + name), "not strings")
+      for name in BAD_POTENTIALS],
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
-    for name, doc in {**BAD_TILESETS, **BAD_MARKERS}.items():
+    for name, doc in {**BAD_TILESETS, **BAD_MARKERS, **BAD_POTENTIALS}.items():
         (tmp_path / name).write_text(json.dumps(doc))
     assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err

@@ -17,8 +17,7 @@ import groundlab.gibbs as gibbs
 from groundlab.gibbs import (BoltzmannTable, Potential, TorusConfig,
                              acceptance_probability, adjacency_potential,
                              boltzmann_base, boltzmann_exact,
-                             coverage_sweep, metropolis, pattern_potential,
-                             power_float,
+                             coverage_sweep, metropolis, power_float,
                              spearman_rank, torus_coverage, trace_csv)
 from groundlab.markers import MarkerSet, robinson_marker_set
 from groundlab.robinson import build_tileset
@@ -32,16 +31,17 @@ def free_tileset(ids):
 
 
 TS2 = free_tileset(("A", "B"))
-AB_POT = pattern_potential([((("A", "B"),), 1)])
-B_POT = pattern_potential([((("B",),), 1)])
+AB_PAIRS = [((("A", "B"),), 1)]
+AB_POT = Potential.from_patterns(AB_PAIRS)
+B_POT = Potential.from_patterns([((("B",),), 1)])
 
 
-def naive_energy(cells, potential):
+def naive_energy(cells, pairs):
     # independent full-scan oracle: walk every anchor of every pattern
     n = len(cells)
     ids = {0: "A", 1: "B"}
     total = Fraction(0)
-    for rows, w in potential.forbidden:
+    for rows, w in pairs:
         h, width = len(rows), len(rows[0])
         for y in range(n):
             for x in range(n):
@@ -51,61 +51,62 @@ def naive_energy(cells, potential):
     return total
 
 
+def potential_json(pairs) -> str:
+    """The potential file of (rows, weight) pairs, one entry per pair."""
+    return json.dumps({"patterns": [
+        {"rows": [list(r) for r in rows],
+         "weight": [Fraction(w).numerator, Fraction(w).denominator]}
+        for rows, w in pairs]})
+
+
 def test_potential_validation():
     with pytest.raises(InputError):
-        pattern_potential([((("A", "B"),), -1)])
+        Potential.from_patterns([((("A", "B"),), -1)])
     with pytest.raises(InputError):
-        pattern_potential([((), 1)])
+        Potential.from_patterns([((), 1)])
     with pytest.raises(InputError):
-        pattern_potential([(((),), 1)])
+        Potential.from_patterns([(((),), 1)])
     with pytest.raises(InputError):
-        pattern_potential([((("A", "B"), ("A",)), 1)])
+        Potential.from_patterns([((("A", "B"), ("A",)), 1)])
     with pytest.raises(InputError):
-        pattern_potential([((("A", 1),), 1)])
+        Potential.from_patterns([((("A", 1),), 1)])
     with pytest.raises(InputError):
-        pattern_potential([((("A",),), None)])
+        Potential.from_patterns([((("A",),), None)])
+    # a string, for the rows or for one row, would read as one-letter ids
+    for rows in ("AB", ["AB"], ["AB", "CD"], [["A", "B"], "CD"]):
+        with pytest.raises(InputError, match="not strings"):
+            Potential.from_patterns([(rows, 1)])
     assert AB_POT.range == 1
     assert B_POT.range == 0
-    assert pattern_potential([]).range == 0
-    assert pattern_potential([]) == Potential({}, 1)
+    empty = Potential.from_patterns([])
+    assert empty.range == 0 and empty.denominator == 1
+    assert empty.ids == () and pattern_oracle.keyed(empty) == {}
 
 
-@pytest.mark.parametrize("tables, denominator", [
-    ({(1, 2): {("A", "B"): 1}}, 0),                 # denominator < 1
-    ({(1, 2): {("A", "B"): 1}}, 1.0),               # denominator not an int
-    ({(0, 2): {(): 1}}, 1),                         # h < 1
-    ({(1,): {("A",): 1}}, 1),                       # shape not (h, w)
-    ({(1, 2): {("A",): 1}}, 1),                     # key shorter than h * w
-    ({(1, 2): {"AB": 1}}, 1),                       # key not a tuple
-    ({(1, 2): {("A", 2): 1}}, 1),                   # cell not a tile id
-    ({(1, 2): {("A", "B"): -1}}, 1),                # units < 0
-    ({(1, 2): {("A", "B"): Fraction(1, 2)}}, 1),    # units not an int
-    ({(1, 2): {("A", "B"): True}}, 1),              # units a bool
-])
-def test_potential_table_checks(tables, denominator):
-    with pytest.raises(InputError):
-        Potential(tables, denominator)
-
-
-def test_potential_tables_are_read_only_and_summed():
-    pot = pattern_potential([((("A", "B"),), Fraction(1, 3)), ((("A", "B"),), Fraction(2, 3)),
-                             ((("B",), ("A",)), 0)])
-    assert pot == Potential({(1, 2): {("A", "B"): 3}, (2, 1): {("B", "A"): 0}}, 3)
-    assert hash(pot) == hash(Potential({(2, 1): {("B", "A"): 0}, (1, 2): {("A", "B"): 3}}, 3))
-    assert pot != Potential({(1, 2): {("A", "B"): 1}, (2, 1): {("B", "A"): 0}}, 1)
-    assert dict(pot.forbidden) == {(("A", "B"),): 1, (("B",), ("A",)): 0}
+def test_potential_rows_are_read_only_and_summed():
+    pot = Potential.from_patterns([((("B", "A"),), Fraction(1, 3)), ((("A",), ("B",)), 0),
+                                   ((("B", "A"),), Fraction(2, 3))])
+    # the legend lists ids in first-seen order, and a row's units stay summed
+    assert pot.ids == ("B", "A") and pot.denominator == 3
+    assert pattern_oracle.keyed(pot) == {(1, 2): {("B", "A"): 3}, (2, 1): {("A", "B"): 0}}
+    assert pot.rows[(1, 2)][1] == (3,)
+    with pytest.raises(ValueError):
+        pot.rows[(1, 2)][0][0, 0] = 0
     with pytest.raises(TypeError):
-        pot.tables[(1, 2)][("A", "B")] = 1
-    with pytest.raises(TypeError):
-        pot.tables[(1, 1)] = {}
-    # one pattern per key: the round trip of cancelling duplicates lowers D
-    assert Potential.from_json(pot.to_json()).denominator == 1
+        pot.rows[(1, 1)] = (np.zeros((1, 1), np.int32), (1,))
+    with pytest.raises(AttributeError):
+        pot.denominator = 1
+    # the same rows over a reordered legend with an id no pattern names
+    recoded = Potential(("C", "A", "B"), {(1, 2): ([[2, 1]], [3]), (2, 1): ([[1, 2]], [0])}, 3)
+    assert pattern_oracle.keyed(recoded) == pattern_oracle.keyed(pot)
 
 
 def test_potential_json_roundtrip():
-    pot = pattern_potential([((("A", "B"),), Fraction(2, 3)), ((("B",),), 1)])
-    again = Potential.from_json(pot.to_json())
-    assert again == pot
+    pairs = [((("A", "B"),), Fraction(2, 3)), ((("B",),), 1)]
+    again = Potential.from_json(potential_json(pairs))
+    want = Potential.from_patterns(pairs)
+    assert pattern_oracle.keyed(again) == pattern_oracle.keyed(want)
+    assert again.ids == want.ids and again.denominator == want.denominator == 3
     with pytest.raises(InputError):
         Potential.from_json("{}")
     for bad in ([1, 0], [1.5, 1]):
@@ -114,6 +115,10 @@ def test_potential_json_roundtrip():
             Potential.from_json(json.dumps(doc))
     with pytest.raises(InputError, match="tile ids"):
         Potential.from_json(json.dumps({"patterns": [{"rows": [[["A"]]], "weight": [1, 1]}]}))
+    for rows in ("AB", ["AB"]):
+        doc = {"patterns": [{"rows": rows, "weight": [1, 1]}]}
+        with pytest.raises(InputError, match="malformed potential json.*not strings"):
+            Potential.from_json(json.dumps(doc))
 
 
 @st.composite
@@ -131,22 +136,58 @@ def distinct_patterns(draw):
 @given(distinct_patterns())
 @settings(max_examples=60, deadline=None)
 def test_json_roundtrip_without_shared_keys(pairs):
-    pot = pattern_potential(pairs)
-    assert pot.denominator == math.lcm(*(Fraction(w).denominator for _, w in pairs))
-    assert dict(pot.forbidden) == dict(pairs)
-    assert Potential.from_json(pot.to_json()) == pot
+    pot = Potential.from_patterns(pairs)
+    d = math.lcm(*(Fraction(w).denominator for _, w in pairs))
+    assert pot.denominator == d
+    want = {}
+    for rows, w in pairs:
+        want.setdefault((len(rows), len(rows[0])), {})[sum(rows, ())] = w * d
+    assert pattern_oracle.keyed(pot) == want
+    again = Potential.from_json(potential_json(pairs))
+    assert pattern_oracle.keyed(again) == want and again.denominator == d
 
 
 def test_adjacency_potential_matches_per_pair_wrapping():
     tileset = build_tileset()
-    for weight in (0, 1, Fraction(2, 3)):
-        want = pattern_potential(pattern_oracle.adjacency_pairs(tileset, weight))
-        got = adjacency_potential(tileset, weight)
-        assert got == want and got.denominator == Fraction(weight).denominator
+    got = adjacency_potential(tileset)
+    want = Potential.from_patterns(pattern_oracle.adjacency_pairs(tileset))
+    assert pattern_oracle.keyed(got) == pattern_oracle.keyed(want)
+    assert got.ids == tuple(t.id for t in tileset.tiles) and got.denominator == 1
+    # no incompatible pair: no pattern
+    free = adjacency_potential(TS2)
+    assert pattern_oracle.keyed(free) == {} and free.denominator == 1
+
+
+def code_rows(tables):
+    """The (ids, rows) of id-keyed tables {(h, w): {cells: units}}, the
+    legend in first-seen order.  It checks nothing: a key that is not a
+    tuple of cells reaches the constructor as it is."""
+    legend = {}
+    rows = {}
+    for shape, table in tables.items():
+        codes = [[legend.setdefault(c, len(legend)) for c in key]
+                 if type(key) is tuple else key for key in table]
+        rows[shape] = (codes, list(table.values()))
+    return tuple(legend), rows
+
+
+@pytest.mark.parametrize("tables, denominator", [
+    ({(1, 2): {("A", "B"): 1}}, 0),                 # denominator < 1
+    ({(1, 2): {("A", "B"): 1}}, 1.0),               # denominator not an int
+    ({(0, 2): {(): 1}}, 1),                         # h < 1
+    ({(1,): {("A",): 1}}, 1),                       # shape not (h, w)
+    ({(1, 2): {("A",): 1}}, 1),                     # key shorter than h * w
+    ({(1, 2): {"AB": 1}}, 1),                       # key not a tuple
+    ({(1, 2): {("A", 2): 1}}, 1),                   # cell not a tile id
+    ({(1, 2): {("A", "B"): -1}}, 1),                # units < 0
+    ({(1, 2): {("A", "B"): Fraction(1, 2)}}, 1),    # units not an int
+    ({(1, 2): {("A", "B"): True}}, 1),              # units a bool
+])
+def test_potential_table_checks(tables, denominator):
+    # the cases of the former id-keyed form, coded as rows over a legend
+    ids, rows = code_rows(tables)
     with pytest.raises(InputError):
-        adjacency_potential(tileset, -1)
-    # no incompatible pair: no pattern, and the lcm of no denominator is 1
-    assert adjacency_potential(TS2, Fraction(2, 3)) == pattern_potential([]) == Potential({}, 1)
+        Potential(ids, rows, denominator)
 
 
 @pytest.mark.parametrize("ids, rows, denominator", [
@@ -166,30 +207,11 @@ def test_adjacency_potential_matches_per_pair_wrapping():
     (("A", 2), {(1, 2): ([[0, 1]], [1])}, 1),               # legend id not a string
     ("AB", {(0, 2): ([], [])}, 1),                          # h < 1
     ("AB", {(1, 2): ([[0, 1]], [1])}, 0),                   # denominator < 1
+    ("AB", {(1, 2.0): ([[0, 1]], [1])}, 1),                 # shape of a float
 ])
 def test_potential_code_row_checks(ids, rows, denominator):
     with pytest.raises(InputError):
-        Potential._from_codes(tuple(ids), rows, denominator)
-
-
-def test_potential_code_rows_keep_tables_eq_and_hash():
-    tileset = build_tileset()
-    for weight in (0, 1, Fraction(2, 3)):
-        rows = adjacency_potential(tileset, weight)
-        tables = pattern_potential(pattern_oracle.adjacency_pairs(tileset, weight))
-        assert rows == tables and tables == rows and hash(rows) == hash(tables)
-        assert rows.ids == tuple(t.id for t in tileset.tiles)
-        assert {shape: len(codes) for shape, (codes, _) in rows.rows.items()} == \
-            {shape: len(table) for shape, table in tables.tables.items()}
-    with pytest.raises(TypeError):
-        rows.tables[(1, 2)][rows.ids[:2]] = 1
-    with pytest.raises(ValueError):
-        rows.rows[(1, 2)][0][0, 0] = 0
-    # the legend lists ids in first-seen order, and a row's units stay summed
-    pot = pattern_potential([((("B", "A"),), 1), ((("A",), ("B",)), 1), ((("B", "A"),), 2)])
-    assert pot.ids == ("B", "A") and pot.rows[(1, 2)][1] == (3,)
-    assert Potential._from_codes(("A", "B"), {(1, 2): ([[1, 0]], [3]), (2, 1): ([[0, 1]], [1])},
-                                 1) == pot
+        Potential(tuple(ids), rows, denominator)
 
 
 def test_adjacency_potential_retains_code_rows_only():
@@ -202,7 +224,8 @@ def test_adjacency_potential_retains_code_rows_only():
         tracemalloc.stop()
     # 15 032 dominoes as int32 code rows and units; as id-tuple keys they held 1.26 MiB
     assert retained < 2 ** 19
-    assert pot.tables == pattern_potential(pattern_oracle.adjacency_pairs(tileset)).tables
+    assert pattern_oracle.keyed(pot) == pattern_oracle.keyed(
+        Potential.from_patterns(pattern_oracle.adjacency_pairs(tileset)))
 
 
 def test_boltzmann_base_past_float_range():
@@ -226,12 +249,12 @@ def test_energy_matches_naive_scan():
         n = rng.choice([2, 3, 4, 5])
         cells = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
         cfg = TorusConfig(TS2, AB_POT, cells)
-        assert cfg.energy == naive_energy(cells, AB_POT)
+        assert cfg.energy == naive_energy(cells, AB_PAIRS)
         assert cfg.recompute_energy() == cfg.energy
 
 
 def test_range_precondition():
-    wide = pattern_potential([((("A", "A", "A"),), 1)])
+    wide = Potential.from_patterns([((("A", "A", "A"),), 1)])
     with pytest.raises(InputError):
         TorusConfig(TS2, wide, [[0, 0], [0, 0]])
     # offsets of 1 on a side-2 torus are allowed: the acceptance instance
@@ -288,7 +311,7 @@ def test_boltzmann_zero_to_one_violation_ratio():
 
 def test_boltzmann_relabel_symmetry():
     # forbid both orders: swapping A and B is then a potential symmetry
-    sym = pattern_potential([((("A", "B"),), 1), ((("B", "A"),), 1)])
+    sym = Potential.from_patterns([((("A", "B"),), 1), ((("B", "A"),), 1)])
     tab = boltzmann_exact(TS2, sym, 2, 1.0)
     for key, p in tab.probabilities.items():
         swapped = tuple(1 - v for v in key)
@@ -306,7 +329,7 @@ AC_PAIRS = [((("A", "C"),), 1), ((("C",), ("B",)), Fraction(1, 2))]
 
 
 def test_boltzmann_views_follow_iter_product():
-    tab = boltzmann_exact(TS3, pattern_potential(AC_PAIRS), 2, 1.0)
+    tab = boltzmann_exact(TS3, Potential.from_patterns(AC_PAIRS), 2, 1.0)
     keys = list(iter_product(range(3), repeat=4))
     for view in (tab.energies, tab.probabilities):
         assert list(view) == list(view.keys()) == keys
@@ -326,7 +349,7 @@ def test_boltzmann_views_follow_iter_product():
 
 
 def test_boltzmann_view_lookups():
-    tab = boltzmann_exact(TS3, pattern_potential(AC_PAIRS), 2, 1.0)
+    tab = boltzmann_exact(TS3, Potential.from_patterns(AC_PAIRS), 2, 1.0)
     view = tab.probabilities
     key = (2, 0, 1, 2)
     p = view[key]
@@ -356,7 +379,7 @@ def test_boltzmann_view_lookups():
 
 
 def test_boltzmann_views_equal_the_oracle_dicts():
-    got = boltzmann_exact(TS3, pattern_potential(AC_PAIRS), 2, 1.0)
+    got = boltzmann_exact(TS3, Potential.from_patterns(AC_PAIRS), 2, 1.0)
     want = gibbs_oracle.boltzmann_exact(TS3, AC_PAIRS, 2, 1.0, 100)
     assert got == want and want == got
     for view, plain in ((got.energies, want.energies),

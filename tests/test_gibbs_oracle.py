@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gibbs_oracle as oracle
 import groundlab.gibbs as gibbs
-from groundlab.gibbs import boltzmann_exact, metropolis, pattern_potential
+from groundlab.gibbs import Potential, boltzmann_exact, metropolis
 from groundlab.markers import MarkerSet
 from groundlab.tiles import BudgetExceeded, EdgeLabel, Patch, Tile, Tileset
 
@@ -57,7 +57,7 @@ def gibbs_case(draw, weights=tuple(WEIGHTS)):
 @settings(max_examples=100, deadline=None)
 def test_boltzmann_exact_matches_oracle(case, block):
     tileset, pairs, side, beta = case
-    potential = pattern_potential(pairs)
+    potential = Potential.from_patterns(pairs)
     with mock.patch.object(gibbs, "ENUMERATION_BLOCK", block):
         try:
             want = oracle.boltzmann_exact(tileset, pairs, side, beta, BUDGET)
@@ -83,7 +83,7 @@ def test_metropolis_matches_oracle(case, data):
     kwargs = dict(markers=markers,
                   cadence=data.draw(st.integers(0, 40), label="cadence"),
                   sample_cadence=data.draw(st.integers(0, 40), label="sample_cadence"))
-    got = metropolis(tileset, pattern_potential(pairs), *args, **kwargs)
+    got = metropolis(tileset, Potential.from_patterns(pairs), *args, **kwargs)
     want = oracle.metropolis(tileset, pairs, *args, **kwargs)
     assert got.trace == want.trace
     assert got.samples == want.samples

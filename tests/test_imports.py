@@ -10,6 +10,8 @@ re-exports included), a demo, `tests/test_acceptance.py` or a
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -113,3 +115,17 @@ def test_every_public_name_has_a_reader():
                 orphans.append(f"{path.stem}.{name}")
     assert not orphans, ("public names that no command, demo, acceptance "
                          f"criterion or benchmark reads: {orphans}")
+
+
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def test_ci_snippets_import_existing_names():
+    # the workflow's informational steps end in `|| true`, which would hide
+    # an ImportError of a name a later change deletes
+    found = re.findall(r"^\s*from groundlab\.(\w+) import (.+)$", WORKFLOW.read_text(), re.M)
+    assert found
+    missing = [f"{module}.{name}" for module, names in found
+               for name in map(str.strip, names.split(","))
+               if not hasattr(importlib.import_module(f"groundlab.{module}"), name)]
+    assert not missing, f"{WORKFLOW.name} imports names groundlab lacks: {missing}"

@@ -69,8 +69,6 @@ def test_freq_first_step_and_product_identity():
         for j in range(k):
             prod *= 1 - Fraction(1, 4 * ts[j])
         assert 1 - freq_frozen(k, custom) == prod
-        f0 = Fraction(rng.randint(0, 3), 4)
-        assert 1 - freq_frozen(k, custom, freq0=f0) == prod * (1 - f0)
 
 
 def test_freq_monotone_bounded_exact():

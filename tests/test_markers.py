@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -72,6 +73,10 @@ def test_markerset_validation():
         MarkerSet([patch_of([[]])])
     with pytest.raises(InputError, match="tau must be >= 0"):
         MarkerSet([patch_of([["A"]])], tau=Fraction(-5))
+    for rows in ("AB", ["AB", "CD"]):
+        doc = {"tau": [0, 1], "patterns": [{"rows": rows}]}
+        with pytest.raises(InputError, match="malformed marker json.*not strings"):
+            MarkerSet.from_json(json.dumps(doc))
 
 
 def test_window_side_rounds_up():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import gibbs_oracle
 import pattern_oracle as oracle
 from groundlab.gibbs import (Potential, TorusConfig, adjacency_potential,
-                             metropolis, pattern_potential, torus_coverage)
+                             metropolis, torus_coverage)
 from groundlab.markers import MarkerSet
 from groundlab.robinson import build_tileset
 from groundlab.tiles import (EdgeLabel, ForbiddenPattern, InputError, Patch,
@@ -59,7 +59,7 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
     tileset, pairs, cells = case
     compiled = oracle.compile_patterns(pairs, tileset)
     d = oracle.denominator(pairs)
-    config = TorusConfig(tileset, pattern_potential(pairs), cells.copy())
+    config = TorusConfig(tileset, Potential.from_patterns(pairs), cells.copy())
     assert config.energy == oracle.recompute_energy(compiled, cells)
     side = len(cells)
     for y in range(side):
@@ -117,7 +117,7 @@ def test_value_counts_of_wide_shapes_match_oracle(case):
     tileset = free_tileset(3)
     compiled = oracle.compile_patterns(pairs, tileset)
     d = oracle.denominator(pairs)
-    index = TorusConfig(tileset, pattern_potential(pairs), grids[0])._index
+    index = TorusConfig(tileset, Potential.from_patterns(pairs), grids[0])._index
     values, counts = index.value_counts(grids, 3)
     assert [Fraction(sum(c * v for c, v in zip(row, values)), d) for row in counts.tolist()] \
         == [oracle.recompute_energy(compiled, g) for g in grids]
@@ -130,13 +130,13 @@ def test_direct_compile_matches_cell_list_grouping(case, data):
     # duplicates to sum; the same code rows are compiled once more over a
     # reordered legend with an id no pattern names
     tileset, pairs, cells = case
-    listed = pattern_potential(pairs)
+    listed = Potential.from_patterns(pairs)
     legend = data.draw(st.permutations(listed.ids + ("Y",)))
     where = {tid: code for code, tid in enumerate(legend)}
-    recoded = Potential._from_codes(legend, {
+    recoded = Potential(legend, {
         shape: ([[where[tid] for tid in key] for key in table], list(table.values()))
-        for shape, table in listed.tables.items()}, listed.denominator)
-    assert recoded == listed
+        for shape, table in oracle.keyed(listed).items()}, listed.denominator)
+    assert oracle.keyed(recoded) == oracle.keyed(listed)
     # a shape whose every pattern drops out has no table
     want = {offsets: table for offsets, table in oracle.potential_tables(pairs, tileset).items()
             if table}
@@ -146,11 +146,10 @@ def test_direct_compile_matches_cell_list_grouping(case, data):
         assert dict(config._index._shapes) == want
 
 
-@pytest.mark.parametrize("weight", [0, 1, Fraction(2, 3)])
-def test_adjacency_compile_matches_cell_list_grouping(weight):
+def test_adjacency_compile_matches_cell_list_grouping():
     tileset = build_tileset()
-    pairs = oracle.adjacency_pairs(tileset, weight)
-    config = TorusConfig(tileset, adjacency_potential(tileset, weight), np.zeros((2, 2), int))
+    pairs = oracle.adjacency_pairs(tileset)
+    config = TorusConfig(tileset, adjacency_potential(tileset), np.zeros((2, 2), int))
     want = {offsets: table for offsets, table in oracle.potential_tables(pairs, tileset).items()
             if table}
     assert dict(config._index._shapes) == want
@@ -184,7 +183,7 @@ def test_torus_coverage_matches_oracle(data):
     markers = data.draw(marker_case(list(IDS[:n]) + [UNKNOWN], fill))
     tileset = free_tileset(n)
     cells = np.array([[tileset.index[t] for t in row] for row in fill])
-    config = TorusConfig(tileset, pattern_potential([]), cells)
+    config = TorusConfig(tileset, Potential.from_patterns([]), cells)
     assert torus_coverage(config, markers) == \
         oracle.torus_coverage(tileset, cells, markers)
 

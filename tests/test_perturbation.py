@@ -117,7 +117,7 @@ def test_report_json_matches_json_dumps(report):
     (constant_writer("u"), fair_coin(), 1, 1, 6),
 ])
 def test_flow_report_json_matches_json_dumps(base, target, epsilon, depth, horizon):
-    report = perturbed_flow(base, target, epsilon, depth, horizon)
+    report = perturbed_flow(base, target, epsilon, depth, horizon, 1, [target])
     assert report.to_json() == report_json(report)
 
 
@@ -185,7 +185,7 @@ def test_word_measure_once_per_machine_and_scale(word_measure_calls,
 
 def test_depth_above_scale_cap_refused():
     with pytest.raises(InputError, match="depth 13 .*12"):
-        perturbed_flow(constant_writer("u"), parity_machine(), 1, 13, 14)
+        perturbed_flow(constant_writer("u"), parity_machine(), 1, 13, 14, 1, ENUM)
     depth = SCALE_CAP + 1
     with pytest.raises(InputError, match=f"depth {depth} .*{SCALE_CAP}"):
         selector_flow(parity_machine(), depth)
@@ -242,18 +242,18 @@ def test_mixture_distance_to_base_decreases():
     assert dists[-1] < Fraction(1, 25) < dists[0]
 
 
-def test_default_enumeration_wraps_target():
-    rep = perturbed_flow(constant_writer("u"), fair_coin(), 1, 1, 6)
+def test_target_only_enumeration_wraps_target():
+    rep = perturbed_flow(constant_writer("u"), fair_coin(), 1, 1, 6, 1, [fair_coin()])
     assert rep.index == 1
     assert rep.rows[-1].renormalized() == UNIFORM
 
 
-def test_index_outside_default_enumeration_refused():
-    # with no enumeration the target is the only registered machine, so
-    # index 3 is refused rather than reported as index 1
+def test_index_outside_enumeration_refused():
+    # with the target the only registered machine, index 3 is refused
+    # rather than reported as index 1
     with pytest.raises(InputError, match="selector index 3 outside "
                                          "enumeration of 1"):
-        perturbed_flow(constant_writer("u"), fair_coin(), 1, 1, 6, index=3)
+        perturbed_flow(constant_writer("u"), fair_coin(), 1, 1, 6, 3, [fair_coin()])
 
 
 def test_nonconforming_machine_refused():
@@ -264,11 +264,11 @@ def test_nonconforming_machine_refused():
 
 def test_flow_validation():
     with pytest.raises(InputError):
-        perturbed_flow(constant_writer("u"), fair_coin(), -1, 1, 6)
+        perturbed_flow(constant_writer("u"), fair_coin(), -1, 1, 6, 1, ENUM)
     with pytest.raises(InputError):
-        perturbed_flow(constant_writer("u"), fair_coin(), 0, 0, 6)
+        perturbed_flow(constant_writer("u"), fair_coin(), 0, 0, 6, 1, ENUM)
     with pytest.raises(InputError):
-        perturbed_flow(constant_writer("u"), fair_coin(), 0, 4, 2)
+        perturbed_flow(constant_writer("u"), fair_coin(), 0, 4, 2, 1, ENUM)
 
 
 def test_accumulation_stable_for_constant_flow():

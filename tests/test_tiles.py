@@ -226,6 +226,17 @@ def test_patch_construction_and_holes():
     assert sub.id_at(0, 1) == "a"
 
 
+def test_patch_refuses_string_rows():
+    # a string, for the rows or for one row, would read as one-letter ids
+    for rows in ("AB", ["AB"], ["AB", "CD"], [["A", "B"], "CD"]):
+        with pytest.raises(InputError, match="not strings"):
+            Patch.from_ids(rows)
+        with pytest.raises(InputError, match="malformed patch json.*not strings"):
+            Patch.from_json(json.dumps({"rows": rows}))
+    with pytest.raises(InputError, match="ragged"):
+        Patch.from_ids([["A", "B"], ["A"]])
+
+
 def test_patch_out_of_range_reads_are_none():
     p = Patch.from_ids([["a"]])
     assert p.id_at(-1, 0) is None

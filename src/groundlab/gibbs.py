@@ -344,10 +344,6 @@ class BoltzmannTable:
     energies: Mapping[tuple, Fraction]
     probabilities: Mapping[tuple, Fraction]
 
-    def probability(self, cells) -> Fraction:
-        key = tuple(int(v) for v in np.asarray(cells).ravel())
-        return self.probabilities[key]
-
 
 def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
                     beta: float, budget: int = ENUMERATION_BUDGET) -> BoltzmannTable:
@@ -458,15 +454,12 @@ def _to_float(v: Tuple[int, int]) -> float:
     return m / (1 << -e)
 
 
-def torus_coverage(config: TorusConfig,
-                   markers: Union[MarkerSet, PatternIndex]) -> Fraction:
+def torus_coverage(config: TorusConfig, markers: PatternIndex) -> Fraction:
     """Fraction of torus cells inside some marker occurrence (wrap-aware).
 
-    `markers` is a marker set or its kernel over the config's tile codes,
-    `markers.index(config.tileset.index)`, which a chain builds once.
+    `markers` is a marker set's kernel over the config's tile codes,
+    `MarkerSet.index(config.tileset.index)`, which a chain builds once.
     """
-    if isinstance(markers, MarkerSet):
-        markers = markers.index(config.tileset.index)
     covered = markers.covered(config.cells, wrap=True)
     return Fraction(int(covered.sum()), config.side ** 2)
 
@@ -560,12 +553,12 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
 
 def coverage_sweep(tileset: Tileset, potential: Potential, markers: MarkerSet,
                    side: int, beta_list: Sequence[float], steps: int,
-                   seeds: Sequence[int],
-                   cadence: Optional[int] = None) -> List[dict]:
-    """Mean marker coverage (with standard error) per beta over replica chains."""
+                   seeds: Sequence[int]) -> List[dict]:
+    """Mean marker coverage (with standard error) per beta over replica
+    chains, each observed every tenth of its steps."""
     if not beta_list or not seeds:
         raise InputError("coverage sweep needs at least one beta and one seed")
-    cadence = cadence or max(1, steps // 10)
+    cadence = max(1, steps // 10)
     rows = []
     n = len(seeds)
     for beta in beta_list:

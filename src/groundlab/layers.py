@@ -59,17 +59,6 @@ def constant_schedule(c: int) -> OdometerSchedule:
     return _ConstantSchedule(c)
 
 
-def freq_rows(kmax: int, schedule: OdometerSchedule) -> Iterator[Fraction]:
-    """Exact frozen fractions f_0 = 0, f_1, ..., f_kmax of the recursion
-    1 - f_{j+1} = (1 - 1/(4 t_j)) (1 - f_j)."""
-    yield Fraction(0)
-    r = Fraction(1)
-    for j in range(kmax):
-        d = 4 * schedule.t(j)
-        r *= Fraction(d - 1, d)
-        yield 1 - r
-
-
 # Integer arithmetic on Decimals: at this precision every sum, product and
 # integer quotient of the exact rows is exact, and any rounding would raise.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
@@ -78,7 +67,8 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 
 def freq_rows_decimal(kmax: int, schedule: Optional[OdometerSchedule] = None
                       ) -> Iterator[tuple]:
-    """The rows of `freq_rows(kmax, schedule)` as (numerator, denominator)
+    """Exact frozen fractions f_0 = 0, f_1, ..., f_kmax of the recursion
+    1 - f_{j+1} = (1 - 1/(4 t_j)) (1 - f_j), as (numerator, denominator)
     pairs of `Decimal` integers in lowest terms, whose str() is linear in the
     digit count where str() of an int is quadratic.
 
@@ -103,9 +93,9 @@ def freq_rows_decimal(kmax: int, schedule: Optional[OdometerSchedule] = None
 
 def freq_frozen(k: int, schedule: OdometerSchedule) -> Fraction:
     """Exact frozen fraction after blocking scales 0..k-1."""
-    for f in freq_rows(k, schedule):
+    for num, den in freq_rows_decimal(k, schedule):
         pass
-    return f
+    return Fraction(int(num), int(den))
 
 
 def schedule_runs(kmax: int, schedule: Optional[OdometerSchedule] = None
@@ -211,9 +201,12 @@ def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> 
 
 def freq_crossing(threshold: Fraction, schedule: OdometerSchedule,
                   kmax: int = 100_000) -> Optional[int]:
-    """Smallest k <= kmax with freq_frozen(k) >= threshold, by exact iteration."""
-    return next((k for k, f in enumerate(freq_rows(kmax, schedule)) if f >= threshold),
-                None)
+    """Smallest k <= kmax with freq_frozen(k) >= threshold, by exact iteration:
+    num / den >= p / q is num * q >= p * den in integers."""
+    threshold = Fraction(threshold)
+    p, q = Decimal(threshold.numerator), Decimal(threshold.denominator)
+    return next((k for k, (num, den) in enumerate(freq_rows_decimal(kmax, schedule))
+                 if _EXACT.multiply(num, q) >= _EXACT.multiply(p, den)), None)
 
 
 @dataclass

@@ -55,20 +55,8 @@ class LogInterval:
             return LogInterval(c * self.lo, c * self.hi)
         return LogInterval(c * self.hi, c * self.lo)
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, v: _Q) -> bool:
-        return self.lo <= Fraction(v) <= self.hi
-
     def definitely_less(self, other: "LogInterval") -> bool:
         return self.hi < other.lo
-
-    def definitely_greater(self, other: "LogInterval") -> bool:
-        return self.lo > other.hi
-
-    def overlaps(self, other: "LogInterval") -> bool:
-        return not (self.definitely_less(other) or self.definitely_greater(other))
 
     def midpoint_float(self) -> float:
         return float((self.lo + self.hi) / 2)

@@ -180,12 +180,12 @@ def seed_budget(k: int) -> int:
     return min(2 ** e, DESK_BUDGET_CAP)
 
 
-# Seeds run as numpy lanes in blocks of at most _BLOCK_LANES, which bounds the
-# tape array's memory, for at most _LOCKSTEP_STEPS steps; a lane still running
-# then continues alone on `_resume`, so a machine that never halts costs one
-# interpreted run to its budget, not that many numpy steps.  Below
-# _SPLIT_LANES lanes a numpy step costs about the same whatever their number,
-# so a split goes straight up to that many.
+# Seeds run as numpy lanes in aligned blocks of at most _BLOCK_LANES, a power
+# of two, which bounds the tape array's memory, for at most _LOCKSTEP_STEPS
+# steps; a lane still running then continues alone on `_resume`, so a machine
+# that never halts costs one interpreted run to its budget, not that many
+# numpy steps.  Below _SPLIT_LANES lanes a numpy step costs about the same
+# whatever their number, so a split goes straight up to that many.
 _BLOCK_LANES = 1 << 12
 _LOCKSTEP_STEPS = 1 << 12
 _SPLIT_LANES = 1 << 8
@@ -239,25 +239,24 @@ def _lockstep(machine: Machine, delta: _Delta, k: int, depth: int, budget: int,
     """The depth-prefix codes of seeds lo..hi-1 as (codes, span) pairs, each
     row of `codes` the prefix of `span` seeds, all seeds run as lanes.
 
-    An aligned block of 2^b seeds starts as one lane holding its lowest
+    The block is aligned: its 2^b seeds share their first k - b cells, as
+    `word_measure` cuts the seeds 0..valid-1, with valid 0, 1 or 2^k, into
+    blocks of a power of two.  It starts as one lane holding its lowest
     seed.  A head can read only cells 0..s before step s, so every live lane
     splits on seed cell s just then; a lane split on its first `fixed` cells
     stands for the 2^(k - fixed) seeds sharing them, and so does its prefix
     (a seed cell past `fixed` in it is unread: a non-letter for them all,
-    spelled as the lowest seed's).  Other blocks run a lane per seed.  Lanes
-    still running after the lockstep phase split to one per seed and finish
-    on `_resume`.
+    spelled as the lowest seed's).  Lanes still running after the lockstep
+    phase split to one per seed and finish on `_resume`.
 
     Raises at the lowest failing seed of the block, as `run` seed by seed
     would: a run past the budget, or a depth-prefix that is not a word.
     """
     symbols, g = delta.symbols, len(delta.symbols)
-    n = hi - lo
     d = max(depth, 0)
     width = max(k, d) + 1
-    aligned = n & (n - 1) == 0 and lo % n == 0
-    fixed = k - n.bit_length() + 1 if aligned else k
-    seeds = np.arange(lo, hi, n if aligned else 1)
+    fixed = k - (hi - lo).bit_length() + 1
+    seeds = np.array([lo])
     tape = np.full((len(seeds), width), delta.blank, delta.dtype)
     # without '1' in the input alphabet the block is seed 0 alone: no 1 bits
     bit = np.array([delta.code["0"], delta.code.get("1", 0)], delta.dtype)
@@ -365,9 +364,11 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
     tally = 1 <= depth <= DEPTH_CAP
     counts = np.zeros(2 ** depth if tally else 0, np.int64)
     mismatch = False
-    for lo in range(0, valid, _BLOCK_LANES):
+    # aligned blocks, as `_lockstep` needs: a power of two seeds each
+    block = 1 << (_BLOCK_LANES.bit_length() - 1)
+    for lo in range(0, valid, block):
         for codes, span in _lockstep(machine, delta, k, depth, budget, lo,
-                                     min(valid, lo + _BLOCK_LANES)):
+                                     min(valid, lo + block)):
             if not tally or mismatch:
                 continue
             index = np.zeros(len(codes), np.int64)

@@ -59,8 +59,8 @@ def _fold(ws: Sequence, times: int) -> Sequence:
 class WordMeasure:
     """Probability vector over words of a fixed depth: one non-negative
     integer numerator per word in `nums`, over one positive denominator
-    `den`, in lowest terms, so `==` and `hash` compare values.  `weights`,
-    `weight` and `as_dict` read them as exact Fractions."""
+    `den`, in lowest terms, so `==` and `hash` compare values.  `weights`
+    and `as_dict` read them as exact Fractions."""
 
     __slots__ = ("depth", "den", "nums", "_weights")
 
@@ -103,13 +103,6 @@ class WordMeasure:
         return self._weights
 
     @classmethod
-    def point_mass(cls, word: str) -> "WordMeasure":
-        depth = _check_depth(len(word))
-        nums = [0] * (2 ** depth)
-        nums[word_index(word)] = 1
-        return cls.from_nums(depth, nums, 1)
-
-    @classmethod
     def uniform(cls, depth: int) -> "WordMeasure":
         _check_depth(depth)
         return cls.from_nums(depth, [1] * (2 ** depth), 2 ** depth)
@@ -122,11 +115,6 @@ class WordMeasure:
                 raise InputError("word depth mismatch")
             ws[word_index(word)] += Fraction(w)
         return cls(depth, ws)
-
-    def weight(self, word: str) -> Fraction:
-        if len(word) != self.depth:
-            raise InputError("word depth mismatch")
-        return Fraction(self.nums[word_index(word)], self.den)
 
     def marginal(self, depth: int) -> "WordMeasure":
         """Project onto the first `depth` letters by pairwise folds."""
@@ -217,9 +205,6 @@ class ConditionalGridMeasure:
     def residual(self) -> Fraction:
         return Fraction(self.den - sum(self.nums), self.den)
 
-    def total(self) -> Fraction:
-        return self.blocked_mass() + self.residual
-
     def blocked_mass(self) -> Fraction:
         return Fraction(sum(self.nums), self.den)
 
@@ -271,9 +256,9 @@ def conditional_grid_measure(flow: Callable[[int], WordMeasure], depth: int,
 
 
 def flow_horizon(flow, target: WordMeasure, depth: int, tol: Fraction,
-                 schedule, kmax: int, j_start=None) -> Optional[int]:
+                 schedule, kmax: int) -> Optional[int]:
     """First k <= kmax whose renormalized conditional is within tol of target."""
-    for row in conditional_rows(flow, depth, schedule, kmax, j_start):
+    for row in conditional_rows(flow, depth, schedule, kmax):
         if weak_star_distance(row.renormalized(), target) < tol:
             return row.k
     return None

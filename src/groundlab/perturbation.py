@@ -235,15 +235,6 @@ def perturbed_flow(base_machine: Machine, target_machine: Machine,
 
 # ------------------------------------------------------ accumulation view ---
 
-def accumulation_report(flow: Callable[[int], WordMeasure], depth: int,
-                        horizon: int, window: int) -> AccumulationSet:
-    """Cluster the tail of a flow; one cluster means the limit stabilized."""
-    if window < 0 or horizon < window:
-        raise InputError("need 0 <= window <= horizon")
-    return tail_net(lambda k: flow(k).marginal(depth),
-                    range(horizon - window, horizon + 1), ACCUMULATION_RADIUS)
-
-
 def report_accumulation(report: PerturbationReport, window: int) -> AccumulationSet:
     """Accumulation view of a perturbation report's renormalized tail, indexed
     by blocking scale."""

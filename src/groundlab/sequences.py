@@ -82,11 +82,11 @@ def constant_sequence(m: DyadicMeasure, name: str = "constant") -> ComputableSeq
     return ComputableSequence(lambda n: m, m.depth, name)
 
 
-def alternating_sequence(a: DyadicMeasure, b: DyadicMeasure,
-                         name: str = "alternating") -> ComputableSequence:
+def alternating_sequence(a: DyadicMeasure, b: DyadicMeasure) -> ComputableSequence:
     if a.depth != b.depth:
         raise InputError("alternating terms need equal depth")
-    return ComputableSequence(lambda n: a if n % 2 == 0 else b, a.depth, name)
+    return ComputableSequence(lambda n: a if n % 2 == 0 else b, a.depth,
+                              "alternating")
 
 
 def sweep_fraction(n: int) -> Fraction:

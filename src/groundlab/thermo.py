@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 from .layers import OdometerSchedule, default_schedule
 from .logdomain import (Dyadic, LogInterval, log2_of_fraction, log2_of_int,
@@ -131,9 +131,6 @@ class TemperatureWindow:
     log2_beta_lo: LogInterval
     log2_beta_hi: LogInterval
 
-    def nonempty(self) -> bool:
-        return self.log2_beta_lo.definitely_less(self.log2_beta_hi)
-
 
 def _window_ladder(k_min: int, k_max: int, C: _Q, C_prime: _Q,
                    r: int) -> List[TemperatureWindow]:
@@ -171,46 +168,14 @@ def _window_ladder(k_min: int, k_max: int, C: _Q, C_prime: _Q,
     return windows
 
 
-def temperature_window(k: int, C: _Q = 1, C_prime: _Q = 1,
-                       r: int = 2) -> TemperatureWindow:
-    """Inverse-temperature window for the scale-k marker set (the formula is
-    at _window_ladder)."""
-    return _window_ladder(k, k, C, C_prime, r)[0]
-
-
-@dataclass(frozen=True)
-class OverlapRow:
-    k: int
-    log2_ratio: LogInterval
-
-    def overlaps(self) -> bool:
-        return self.log2_ratio.lo > 0
-
-
-def overlap_check(k_range: Iterable[int], C: _Q = 1, C_prime: _Q = 1,
-                  r: int = 2) -> List[OverlapRow]:
-    """log2(beta_hi(k)) - log2(beta_lo(k+1)) per k; positive means the windows
-    for consecutive scales overlap."""
-    ks = sorted(set(k_range))
-    if not ks:
-        raise InputError("empty scale range")
-    windows = {w.k: w for w in _window_ladder(ks[0], ks[-1] + 1, C, C_prime, r)}
-    return [OverlapRow(k, windows[k].log2_beta_hi - windows[k + 1].log2_beta_lo)
-            for k in ks]
-
-
-def first_overlap_scale(rows: Iterable[OverlapRow]) -> Optional[int]:
-    """Smallest k whose window definitely overlaps the next one."""
-    for row in sorted(rows, key=lambda r: r.k):
-        if row.overlaps():
-            return row.k
-    return None
-
-
 def thermo_table(k_min: int, k_max: int, C: _Q = 1, C_prime: _Q = 1,
                  r: int = 2, c: _Q = 1,
                  schedule: Optional[OdometerSchedule] = None) -> List[dict]:
-    """Per-scale summary rows combining windows, overlaps, and entropy."""
+    """Per-scale summary rows, the one view of the window ladder: row k holds
+    the scale-k window as `log2_beta_lo` and `log2_beta_hi`, its overlap
+    with the next window as `overlap_log_ratio` = log2(beta_hi(k)) -
+    log2(beta_lo(k+1)) (positive means they overlap), and the entropy
+    verdict."""
     # row k reads the cardinality bounds at k + 2, which stop at
     # PRECISION_MAX_K: past that row the CSV's log2 beta_hi would overflow
     if k_max > PRECISION_MAX_K - 2:

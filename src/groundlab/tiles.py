@@ -482,9 +482,9 @@ class PatternIndex:
             counts += np.bincount((bins + lut[key]).ravel(), minlength=counts.size)
         return values, counts.reshape(len(grids), -1)[:, 1:].astype(np.int32)
 
-    def occurrences(self, grid: np.ndarray, wrap: bool = False) -> list:
-        """(y, x, value) of every occurrence, by anchor."""
-        return [(int(y), int(x), v) for ay, ax, _, values in self._lookup(grid, wrap)
+    def occurrences(self, grid: np.ndarray) -> list:
+        """(y, x, value) of every occurrence in the open grid, by anchor."""
+        return [(int(y), int(x), v) for ay, ax, _, values in self._lookup(grid, False)
                 for y, x, v in zip(ay, ax, values) if v is not None]
 
     def covered(self, grid: np.ndarray, wrap: bool = False) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Straight-line frozen-fraction references: the runs of t and the float
-table evaluate t at every j, the interval scan steps through every j, and the
-float CSV formats every row on its own.
+"""Straight-line frozen-fraction references: the exact rows are `Fraction`s
+stepped one j at a time, the runs of t and the float table evaluate t at
+every j, the interval scan steps through every j, and the float CSV formats
+every row on its own.
 
-`layers.schedule_runs` walks the default and constant schedules without
-evaluating t per j, `layers.freq_bounds_scan` stops each run of t at its
-first fixed point, `layers.freq_table_float` reads t by runs and stops its
-sum where every later row is exactly 1.0, and `freq --mode float` writes one
-string per run of equal values; tests/test_layers.py and tests/test_cli.py
-check their results and bytes against these loops.
+`layers.freq_rows_decimal` holds each exact row as a pair of `Decimal`
+integers in lowest terms, `layers.schedule_runs` walks the default and
+constant schedules without evaluating t per j, `layers.freq_bounds_scan`
+stops each run of t at its first fixed point, `layers.freq_table_float`
+reads t by runs and stops its sum where every later row is exactly 1.0, and
+`freq --mode float` writes one string per run of equal values;
+tests/test_layers.py and tests/test_cli.py check their results and bytes
+against these loops.
 """
 
 from fractions import Fraction
@@ -15,6 +18,17 @@ from fractions import Fraction
 import numpy as np
 
 from groundlab.layers import FreqScan, default_schedule
+
+
+def freq_rows(kmax, schedule):
+    """Exact frozen fractions f_0 = 0, f_1, ..., f_kmax of the recursion
+    1 - f_{j+1} = (1 - 1/(4 t_j)) (1 - f_j)."""
+    yield Fraction(0)
+    r = Fraction(1)
+    for j in range(kmax):
+        d = 4 * schedule.t(j)
+        r *= Fraction(d - 1, d)
+        yield 1 - r
 
 
 def schedule_runs(kmax, schedule=None):

@@ -24,14 +24,12 @@ from groundlab.markers import (nonoverlap_violations, robinson_marker_set,
 from groundlab.measures import (WordMeasure, conditional_grid_measure,
                                 constant_flow, flow_horizon,
                                 repetition_flow, weak_star_distance)
-from groundlab.perturbation import (ACCUMULATION_RADIUS, accumulation_report,
-                                    mixture_flow, perturbed_flow,
-                                    report_accumulation)
+from groundlab.perturbation import (ACCUMULATION_RADIUS, mixture_flow,
+                                    perturbed_flow, report_accumulation)
 from groundlab.robinson import build_macro_tile, build_tileset
 from groundlab.sequences import (bernoulli, dyadic_sweep, finite_accumulation,
-                                 named_sequence)
-from groundlab.thermo import (first_overlap_scale, overlap_check,
-                              temperature_window, thermo_table)
+                                 named_sequence, tail_net)
+from groundlab.thermo import thermo_table
 from groundlab.tiles import EdgeLabel, Patch, Tile, Tileset, check_patch
 
 
@@ -207,18 +205,18 @@ def test_acceptance_5_word_measure_exactness():
 
 def test_acceptance_6_thermo_windows():
     t0 = time.monotonic()
-    windows = {k: temperature_window(k) for k in range(1, 14)}
-    for k in range(1, 13):
-        a, b = windows[k], windows[k + 1]
-        assert a.log2_beta_lo.definitely_less(b.log2_beta_lo)
-        assert a.log2_beta_hi.definitely_less(b.log2_beta_hi)
-    row_list = overlap_check(range(0, 13))
-    threshold = first_overlap_scale(row_list)
-    rows = {r.k: r for r in row_list}
+    rows = thermo_table(0, 13)
+    assert [row["k"] for row in rows] == list(range(14))
+    for a, b in zip(rows[1:], rows[2:]):
+        assert a["log2_beta_lo"].definitely_less(b["log2_beta_lo"])
+        assert a["log2_beta_hi"].definitely_less(b["log2_beta_hi"])
+    # the first scale whose window definitely overlaps the next one
+    ratios = [row["overlap_log_ratio"] for row in rows]
+    threshold = next((k for k in range(13) if ratios[k].lo > 0), None)
     assert threshold is not None
-    assert all(rows[k].log2_ratio.lo > 0 for k in range(threshold, 12))
+    assert all(ratios[k].lo > 0 for k in range(threshold, 12))
     for k in range(threshold, 11):
-        assert rows[k].log2_ratio.definitely_less(rows[k + 1].log2_ratio)
+        assert ratios[k].definitely_less(ratios[k + 1])
     # scaling the constants shifts log bounds additively, verdicts unmoved
     from groundlab.logdomain import log2_of_fraction
     shift = log2_of_fraction(Fraction(9))
@@ -310,8 +308,8 @@ def test_acceptance_9_stable_vs_chaotic_flows():
     uniform = WordMeasure.uniform(1)
     point = WordMeasure(1, [Fraction(1), Fraction(0)])
     # eventually-constant schedule: a single cluster of zero drift
-    acc = accumulation_report(lambda k: point if k < 6 else uniform,
-                              1, 30, 10)
+    acc = tail_net(lambda k: point if k < 6 else uniform, range(20, 31),
+                   ACCUMULATION_RADIUS)
     assert acc.verdict == "stable"
     assert len(acc.representatives) == 1
     assert acc.hausdorff < ACCUMULATION_RADIUS
@@ -319,7 +317,7 @@ def test_acceptance_9_stable_vs_chaotic_flows():
     targets = [point, WordMeasure(1, [Fraction(0), Fraction(1)])]
     base = lambda i: targets[i % 2]
     flow = repetition_flow(base)
-    acc2 = accumulation_report(flow, 1, 40, 32)
+    acc2 = tail_net(flow, range(8, 41), ACCUMULATION_RADIUS)
     assert acc2.verdict == "oscillating"
     assert len(acc2.representatives) == 2
     assert set(acc2.representatives) == set(targets)

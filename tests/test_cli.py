@@ -14,8 +14,7 @@ import layers_oracle
 import groundlab.cli as cli
 import groundlab.thermo as thermo
 from groundlab.cli import _BLOCK_ROWS, _TEXT_ROWS, _float_chunks, main
-from groundlab.layers import (constant_schedule, default_schedule, freq_frozen,
-                              freq_rows)
+from groundlab.layers import constant_schedule, default_schedule
 from groundlab.markers import MarkerSet
 from groundlab.tiles import Patch
 
@@ -57,7 +56,8 @@ def test_freq_exact_last_row_matches_library(tmp_path):
     last = out.read_text().strip().splitlines()[-1]
     k, frac = last.split(",")
     assert k == "1000"
-    assert Fraction(frac) == freq_frozen(1000, default_schedule())
+    *_, want = layers_oracle.freq_rows(1000, default_schedule())
+    assert Fraction(frac) == want
 
 
 def test_freq_exact_bytes_match_fraction_rows_past_the_digit_limit(tmp_path):
@@ -70,7 +70,7 @@ def test_freq_exact_bytes_match_fraction_rows_past_the_digit_limit(tmp_path):
     try:
         want = "k,freq\n" + "".join(
             f"{k},{f.numerator}/{f.denominator}\n"
-            for k, f in enumerate(freq_rows(3000, default_schedule())))
+            for k, f in enumerate(layers_oracle.freq_rows(3000, default_schedule())))
     finally:
         sys.set_int_max_str_digits(limit)
     assert max(map(len, want.split("/"))) > 4300
@@ -293,7 +293,7 @@ def test_exact_cells_past_the_int_str_digit_limit(tmp_path, argv):
     if argv[0] != "freq":
         return
     k, frac = out.read_text().splitlines()[-1].split(",")
-    want = freq_frozen(150, constant_schedule(10 ** 30))
+    *_, want = layers_oracle.freq_rows(150, constant_schedule(10 ** 30))
     sys.set_int_max_str_digits(0)
     try:
         assert (k, frac) == ("150", f"{want.numerator}/{want.denominator}")

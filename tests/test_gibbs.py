@@ -355,8 +355,6 @@ def test_boltzmann_view_lookups():
     p = view[key]
     assert key in view and view.get(key) == p
     assert view[tuple(np.array(key))] == p  # np.int64 entries
-    assert tab.probability(np.array(key).reshape(2, 2)) == p
-    assert tab.probability(np.array(key)) == p
     plain = dict(view.items())
     # found exactly when a dict of the same items finds the key: entries that
     # hash and compare like a code are codes
@@ -526,7 +524,7 @@ def test_annealing_lowers_energy_in_expectation():
 
 
 def test_torus_coverage_all_and_none():
-    mk = MarkerSet([Patch.from_ids([["A"]])])
+    mk = MarkerSet([Patch.from_ids([["A"]])]).index(TS2.index)
     cfg = TorusConfig(TS2, B_POT, [[0, 0], [0, 0]])
     assert torus_coverage(cfg, mk) == 1
     cfg = TorusConfig(TS2, B_POT, [[1, 1], [1, 1]])
@@ -534,14 +532,14 @@ def test_torus_coverage_all_and_none():
 
 
 def test_torus_coverage_wraps():
-    mk = MarkerSet([Patch.from_ids([["A", "B"]])])
+    mk = MarkerSet([Patch.from_ids([["A", "B"]])]).index(TS2.index)
     # occurrence spans the seam: A at the right edge, B wrapping to column 0
     cfg = TorusConfig(TS2, AB_POT, [[1, 0], [1, 1]])
     assert torus_coverage(cfg, mk) == Fraction(2, 4)
 
 
 def test_torus_coverage_unknown_marker_tile():
-    mk = MarkerSet([Patch.from_ids([["Z"]])])
+    mk = MarkerSet([Patch.from_ids([["Z"]])]).index(TS2.index)
     cfg = TorusConfig(TS2, B_POT, [[0, 0], [0, 0]])
     assert torus_coverage(cfg, mk) == 0
 

@@ -1,5 +1,6 @@
 """Every name a groundlab module imports is used in that module, and every
-public name it defines has a reader other than its own unit tests.
+public name it defines, and every public method or property of its
+classes, has a reader other than its own unit tests.
 
 No linter ships with the toolchain, so this walks each module's syntax tree.
 For imports, the package `__init__` is exempt (its imports are re-exports),
@@ -12,6 +13,7 @@ re-exports included), a demo, `tests/test_acceptance.py` or a
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,61 @@ def test_every_public_name_has_a_reader():
                 orphans.append(f"{path.stem}.{name}")
     assert not orphans, ("public names that no command, demo, acceptance "
                          f"criterion or benchmark reads: {orphans}")
+
+
+# public members kept without a reader, each for a stated reason
+UNREAD_MEMBERS = {
+    "tiles.Tile.rotated": "reference of the rotation-closure identity tests",
+    "robinson.CrossState.rotated": "reference of the rotation-closure identity tests",
+    "robinson.ArmState.rotated": "reference of the rotation-closure identity tests",
+    "perturbation.SelectorRule.admits":
+        "the routing-word rule a selector pins, kept with its selector",
+}
+
+
+def public_members(tree):
+    """(class name, member name, node) of each public method or property of
+    a top-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    yield cls.name, node.name, node
+
+
+def member_reads(node):
+    """Counter of the attribute names the node's code reads (`.name` loads
+    only, so a variable of the same name does not count) and of each
+    `Class.member` pair in a dotted string, as the tracer writes
+    "TorusConfig.recompute_energy"."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if len(parts) > 1 and all(p.isidentifier() for p in parts):
+                out.update(".".join(pair) for pair in zip(parts, parts[1:]))
+    return out
+
+
+def test_every_public_member_has_a_reader():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+    reads = {path: member_reads(tree) for path, tree in trees.items()}
+    orphans = []
+    for path in MODULES:
+        for cls, name, definition in public_members(trees[path]):
+            # its own module counts, outside the member's own body
+            own = reads[path] - member_reads(definition)
+            if not any(r[name] or r[f"{cls}.{name}"]
+                       for r in (own, *(reads[p] for p in reads if p != path))):
+                orphans.append(f"{path.stem}.{cls}.{name}")
+    unexpected = sorted(set(orphans) - set(UNREAD_MEMBERS))
+    assert not unexpected, ("public members that no command, demo, acceptance "
+                            f"criterion or benchmark reads: {unexpected}")
+    stale = sorted(set(UNREAD_MEMBERS) - set(orphans))
+    assert not stale, f"exempt members that now have a reader or are gone: {stale}"
 
 
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"

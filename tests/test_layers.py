@@ -21,7 +21,6 @@ from groundlab.layers import (
     freq_bounds_scan,
     freq_crossing,
     freq_frozen,
-    freq_rows,
     freq_rows_decimal,
     freq_table_float,
     schedule_runs,
@@ -160,7 +159,8 @@ def test_decimal_rows_match_fraction_rows_at_every_kmax(schedule, kmax):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        want = [f"{f.numerator}/{f.denominator}" for f in freq_rows(kmax, schedule)]
+        want = [f"{f.numerator}/{f.denominator}"
+                for f in oracle.freq_rows(kmax, schedule)]
     finally:
         sys.set_int_max_str_digits(limit)
     full = list(freq_rows_decimal(kmax, schedule))
@@ -282,3 +282,22 @@ def test_freq_crossing_golden():
     assert freq_crossing(Fraction(99, 100), sch) == 95
     assert freq_crossing(Fraction(0), sch) == 0
     assert freq_crossing(Fraction(1), sch, kmax=50) is None
+
+
+@pytest.mark.parametrize("schedule", [
+    default_schedule(), constant_schedule(3), constant_schedule(10 ** 30),
+    CYCLE_2_10,
+], ids=["default", "const:3", "const:10**30", "cycle-2-10"])
+def test_freq_crossing_matches_the_fraction_rows(schedule):
+    kmax = 40
+    rows = list(oracle.freq_rows(kmax, schedule))
+    # each row itself (the >= edge), the points just below and above it,
+    # and thresholds no row reaches: past the last row, at 1 and above
+    thresholds = [Fraction(-1), Fraction(1), Fraction(3, 2)]
+    for f in rows:
+        eps = Fraction(1, 2 * f.denominator ** 2)
+        thresholds += [f - eps, f, f + eps]
+    for threshold in thresholds:
+        want = next((k for k, f in enumerate(rows) if f >= threshold), None)
+        assert freq_crossing(threshold, schedule, kmax) == want, threshold
+    assert freq_crossing(rows[-1], schedule, kmax - 1) is None

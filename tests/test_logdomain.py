@@ -19,11 +19,9 @@ def test_interval_validation_and_ops():
     assert (b - a) == LogInterval(Fraction(8), Fraction(10))
     assert a.scale(3) == LogInterval(Fraction(3), Fraction(6))
     assert a.scale(-1) == LogInterval(Fraction(-2), Fraction(-1))
-    assert a.scale(Fraction(1, 2)).width() == Fraction(1, 2)
-    assert a.contains(Fraction(3, 2)) and not a.contains(3)
-    assert a.definitely_less(b) and b.definitely_greater(a)
-    assert not a.overlaps(b)
-    assert a.overlaps(LogInterval(Fraction(2), Fraction(5)))
+    assert a.scale(Fraction(1, 2)) == LogInterval(Fraction(1, 2), Fraction(1))
+    assert a.definitely_less(b) and not b.definitely_less(a)
+    assert not a.definitely_less(LogInterval(Fraction(2), Fraction(5)))
     e = LogInterval.exact(Fraction(7, 3))
     assert e.lo == e.hi == Fraction(7, 3)
 
@@ -42,7 +40,7 @@ def test_log2_of_int_contains_true_value():
         v = math.log2(n)
         assert float(iv.lo) <= v + 1e-9
         assert float(iv.hi) >= v - 1e-9
-        assert iv.width() <= Fraction(1, 1 << 40)
+        assert iv.hi - iv.lo <= Fraction(1, 1 << 40)
 
 
 def test_log2_of_int_orders_nearby_integers():
@@ -77,10 +75,10 @@ def test_pow2_minus_large_brackets_true_value():
     for n, c in [(65, 1), (70, 12345), (100, 7)]:
         capped = log2_pow2_minus(n, c)
         direct = log2_of_int((1 << n) - c)
-        assert capped.overlaps(direct)
+        assert capped.lo <= direct.hi and direct.lo <= capped.hi
         assert capped.hi == n
     giant = log2_pow2_minus(10 ** 7, 1)
-    assert giant.hi == 10 ** 7 and giant.width() == Fraction(2, 1 << 120)
+    assert giant.hi == 10 ** 7 and giant.hi - giant.lo == Fraction(2, 1 << 120)
 
 
 def test_pow2_minus_rejects_large_subtrahend():

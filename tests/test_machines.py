@@ -249,10 +249,10 @@ def test_word_measure_matches_serial_oracle(machine, data):
         budget = longest + data.draw(st.sampled_from([-1, 0]), "slack")
     # small blocks and a short lockstep phase put block offsets and the
     # hand-off to the interpreter within reach of small k; k = 13 runs two
-    # blocks as they are.  Aligned blocks of 4 and 8 seeds share their top
-    # bits and start as one lane; with one split per step a lane can halt
-    # while it still stands for several seeds
-    lanes = data.draw(st.sampled_from([1, 3, 4, 8, machines._BLOCK_LANES] if k <= 8
+    # blocks as they are.  Blocks of 4 and 8 seeds share their top bits and
+    # start as one lane; with one split per step a lane can halt while it
+    # still stands for several seeds
+    lanes = data.draw(st.sampled_from([1, 4, 8, machines._BLOCK_LANES] if k <= 8
                                       else [machines._BLOCK_LANES]), "lanes")
     phase = data.draw(st.sampled_from([0, 2, 7] + [machines._LOCKSTEP_STEPS] * 3), "phase")
     split = data.draw(st.sampled_from([1, machines._SPLIT_LANES]), "split")
@@ -347,6 +347,7 @@ def _writer(*cells, spoil=None):
     (_writer("u", "d"), 3, 0, None),
     (_writer("u", "d"), 3, DEPTH_CAP + 1, None),
 ])
+# a `_BLOCK_LANES` of 3 is no power of two: word_measure cuts blocks of 2
 @pytest.mark.parametrize("lanes", [1, 3, machines._BLOCK_LANES])
 def test_word_measure_tally_edges_match_oracle(machine, k, depth, budget, lanes):
     want = _outcome(oracle.word_measure, machine, k, depth, budget)
@@ -412,6 +413,7 @@ def _zeros_only():
     # ... and a budget every seed keeps to
     (_slow_ones(), 6, 1, 14),
 ])
+# a `_BLOCK_LANES` of 3 is no power of two: word_measure cuts blocks of 2
 @pytest.mark.parametrize("lanes", [1, 3, 4, 8, machines._BLOCK_LANES])
 @pytest.mark.parametrize("split", [1, machines._SPLIT_LANES])
 def test_word_measure_staged_edges_match_oracle(machine, k, depth, budget,

@@ -184,7 +184,7 @@ def test_torus_coverage_matches_oracle(data):
     tileset = free_tileset(n)
     cells = np.array([[tileset.index[t] for t in row] for row in fill])
     config = TorusConfig(tileset, Potential.from_patterns([]), cells)
-    assert torus_coverage(config, markers) == \
+    assert torus_coverage(config, markers.index(tileset.index)) == \
         oracle.torus_coverage(tileset, cells, markers)
 
 

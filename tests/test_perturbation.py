@@ -15,11 +15,11 @@ from groundlab.machines import (NonConformingError, constant_writer, copier,
                                 parity_machine, selector_weights, word_measure)
 from groundlab.measures import (ConditionalGridMeasure, WordMeasure, mix,
                                weak_star_distance)
-from groundlab.perturbation import (SCALE_CAP, PerturbationReport,
-                                    accumulation_report,
-                                    make_selector, mixture_flow,
-                                    perturbed_flow, report_accumulation,
-                                    selector_flow)
+from groundlab.perturbation import (ACCUMULATION_RADIUS, SCALE_CAP,
+                                    PerturbationReport, make_selector,
+                                    mixture_flow, perturbed_flow,
+                                    report_accumulation, selector_flow)
+from groundlab.sequences import tail_net
 from groundlab.tiles import InputError
 
 ENUM, _VERSION = machine_enumeration()
@@ -272,7 +272,7 @@ def test_flow_validation():
 
 
 def test_accumulation_stable_for_constant_flow():
-    acc = accumulation_report(lambda k: UNIFORM, 1, 20, 6)
+    acc = tail_net(lambda k: UNIFORM, range(14, 21), ACCUMULATION_RADIUS)
     assert acc.verdict == "stable"
     assert len(acc.representatives) == 1
     assert acc.hausdorff == 0
@@ -280,16 +280,12 @@ def test_accumulation_stable_for_constant_flow():
 
 def test_accumulation_oscillating_for_alternating_flow():
     pu, pd = POINT_U, WordMeasure(1, [Fraction(0), Fraction(1)])
-    acc = accumulation_report(lambda k: pu if k % 2 else pd, 1, 20, 7)
+    acc = tail_net(lambda k: pu if k % 2 else pd, range(13, 21),
+                   ACCUMULATION_RADIUS)
     assert acc.verdict == "oscillating"
     assert len(acc.representatives) == 2
     d = weak_star_distance(acc.representatives[0], acc.representatives[1])
     assert d == weak_star_distance(pu, pd)
-
-
-def test_accumulation_validation():
-    with pytest.raises(InputError):
-        accumulation_report(lambda k: UNIFORM, 1, 5, 6)
 
 
 def test_report_accumulation_selector_matches_target():

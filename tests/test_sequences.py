@@ -29,9 +29,8 @@ def test_dyadic_from_word_measure():
 
 def test_bernoulli_product_structure():
     m = bernoulli(Fraction(1, 4), depth=2)
-    assert m.weight("uu") == Fraction(9, 16)
-    assert m.weight("dd") == Fraction(1, 16)
-    assert m.weight("ud") == m.weight("du") == Fraction(3, 16)
+    assert m.as_dict() == {"uu": Fraction(9, 16), "ud": Fraction(3, 16),
+                           "du": Fraction(3, 16), "dd": Fraction(1, 16)}
     with pytest.raises(InputError):
         bernoulli(Fraction(3, 2))
 

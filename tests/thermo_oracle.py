@@ -7,8 +7,8 @@ dyadics exactly, by bit lengths and exponents, where the version here
 prefilters with log enclosures; the tests check their endpoints and
 verdicts against these versions.  `temperature_window` here builds one
 window from scratch, every log formed anew, and the tests check the windows
-and overlap ratios `thermo` reads from its shared per-scale ladder against
-it.
+and overlap ratios of `thermo.thermo_table`'s rows, read from one shared
+per-scale ladder, against it.
 """
 
 from __future__ import annotations

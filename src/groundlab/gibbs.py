@@ -17,9 +17,8 @@ integers in units of 1/D and read out as exact rationals.
 A Metropolis proposal (site p, tile t) is scored in one pass over a flat
 Python list of codes: the kernel's plan for p holds one (table lookup, key
 getter) pair per pattern cell landing on p, and the rise n is the sum of the
-lookups after the change minus the sum before it (`TorusConfig._rise`, which
-`update` runs over a flat view of the cells).  A proposal that keeps the tile
-is a zero rise.
+lookups after the change minus the sum before it (`TorusConfig._rise`).  A
+proposal that keeps the tile is a zero rise.
 
 Weights are formed per integer level n (energy n/D).  With
 y = Fraction(exp(-beta/D)) a level weighs y^n: exact Boltzmann enumeration on
@@ -204,8 +203,6 @@ class TorusConfig:
             raise InputError("potential range must stay within half the side")
         if cells.min(initial=0) < 0 or cells.max(initial=0) >= len(tileset.tiles):
             raise InputError("cell values must index the tileset")
-        self.tileset = tileset
-        self.potential = potential
         self.cells = cells
         self._denominator = potential.denominator
         # one take maps each shape's legend codes to tile codes (-1: an id
@@ -253,15 +250,6 @@ class TorusConfig:
         for get, key in terms:
             delta += get(key(codes), 0)
         return delta
-
-    def update(self, x: int, y: int, tile_index: int) -> Fraction:
-        """Set one cell, returning the exact energy change."""
-        if not 0 <= tile_index < len(self.tileset.tiles):
-            raise InputError("tile index out of range")
-        p = (y % self.side) * self.side + x % self.side
-        delta = self._rise(self.cells.reshape(-1), p, tile_index)
-        self._units += delta
-        return Fraction(delta, self._denominator)
 
 
 def boltzmann_base(beta: float, denominator: int) -> Fraction:
@@ -458,7 +446,7 @@ def torus_coverage(config: TorusConfig, markers: PatternIndex) -> Fraction:
     """Fraction of torus cells inside some marker occurrence (wrap-aware).
 
     `markers` is a marker set's kernel over the config's tile codes,
-    `MarkerSet.index(config.tileset.index)`, which a chain builds once.
+    `MarkerSet.index(tileset.index)`, which a chain builds once.
     """
     covered = markers.covered(config.cells, wrap=True)
     return Fraction(int(covered.sum()), config.side ** 2)

@@ -202,8 +202,11 @@ def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> 
 def freq_crossing(threshold: Fraction, schedule: OdometerSchedule,
                   kmax: int = 100_000) -> Optional[int]:
     """Smallest k <= kmax with freq_frozen(k) >= threshold, by exact iteration:
-    num / den >= p / q is num * q >= p * den in integers."""
+    num / den >= p / q is num * q >= p * den in integers.  Every f_k is below
+    1 (each residual factor 1 - 1/(4 t_j) is positive): a threshold >= 1 makes no row."""
     threshold = Fraction(threshold)
+    if threshold >= 1:
+        return None
     p, q = Decimal(threshold.numerator), Decimal(threshold.denominator)
     return next((k for k, (num, den) in enumerate(freq_rows_decimal(kmax, schedule))
                  if _EXACT.multiply(num, q) >= _EXACT.multiply(p, den)), None)

@@ -76,13 +76,6 @@ class MarkerSet:
             [[(y, x, lut[c]) for y, row in enumerate(g.tolist()) for x, c in enumerate(row)]
              for g in self.codes]))
 
-    def to_json(self) -> str:
-        doc = {
-            "tau": [self.tau.numerator, self.tau.denominator],
-            "patterns": [json.loads(p.to_json()) for p in self.patterns],
-        }
-        return json.dumps(doc, indent=1)
-
     @classmethod
     def from_json(cls, text: str) -> "MarkerSet":
         try:

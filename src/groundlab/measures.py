@@ -195,7 +195,6 @@ class ConditionalGridMeasure:
     nums: tuple
     den: int
     k: int
-    j_start: int
 
     @cached_property
     def raw(self) -> tuple:
@@ -220,7 +219,7 @@ def conditional_rows(flow: Callable[[int], WordMeasure], depth: int, schedule,
                      ) -> Iterator[ConditionalGridMeasure]:
     """Yield the conditional measure of every k in j0..kmax in one forward pass.
 
-    Row k mixes flow(j) over j0 <= j <= k: scale j carries weight
+    Row k mixes flow(j) over j0 = max(depth, j_start) <= j <= k: scale j carries weight
     (1/(4 t_j)) * prod_{i=j+1..k} (1 - 1/(4 t_i)), and the residual
     prod_{i=j0..k} (1 - 1/(4 t_i)) is the mass never blocked.  flow(j) is
     evaluated exactly once per scale.  Each step multiplies the row by
@@ -241,16 +240,14 @@ def conditional_rows(flow: Callable[[int], WordMeasure], depth: int, schedule,
         den = q * lcm
         g = math.gcd(den, *nums)
         nums, den = [r // g for r in nums], den // g
-        yield ConditionalGridMeasure(depth, tuple(nums), den, j, j0)
+        yield ConditionalGridMeasure(depth, tuple(nums), den, j)
 
 
 def conditional_grid_measure(flow: Callable[[int], WordMeasure], depth: int,
-                             k: int, schedule,
-                             j_start: Optional[int] = None) -> ConditionalGridMeasure:
-    """Row k of conditional_rows; the empty measure (residual 1) when k < j0."""
-    j0 = max(depth, j_start if j_start is not None else depth)
-    row = ConditionalGridMeasure(depth, (0,) * (2 ** depth), 1, k, j0)
-    for row in conditional_rows(flow, depth, schedule, k, j_start):
+                             k: int, schedule) -> ConditionalGridMeasure:
+    """Row k of conditional_rows; the empty measure (residual 1) when k < depth."""
+    row = ConditionalGridMeasure(depth, (0,) * (2 ** depth), 1, k)
+    for row in conditional_rows(flow, depth, schedule, k):
         pass
     return row
 

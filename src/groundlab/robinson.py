@@ -4,8 +4,8 @@ The tiles decorate the square lattice with two alternating colours of square
 outlines plus signal arrows and a parity grid.  Every admissible configuration
 organises itself into nested macro-tiles of order n (squares of side 2^n - 1);
 the module builds those macro-tiles by explicit recursion and derives the
-finite tileset by collecting every cell state that occurs, closing under
-rotation.
+finite tileset by collecting every cell state that occurs, in every order and
+all four orientations, which makes the states rotation-closed by construction.
 
 Cell states rather than raw tiles are the working currency: a cell is either a
 cross (corner of one square outline of its scale, with an orientation naming
@@ -47,20 +47,6 @@ def colour_of_scale(s: int) -> str:
     return "r" if s % 2 == 0 else "b"
 
 
-def normalize_orientation(vert: str, horiz: str) -> str:
-    if vert not in "ns" or horiz not in "ew":
-        raise InputError(f"bad orientation parts {vert!r} {horiz!r}")
-    return vert + horiz
-
-
-def rotate_orientation(q: str, quarter_turns: int = 1) -> str:
-    a = rotate_direction(q[0], quarter_turns)
-    b = rotate_direction(q[1], quarter_turns)
-    if a in "ns":
-        return normalize_orientation(a, b)
-    return normalize_orientation(b, a)
-
-
 @dataclass(frozen=True)
 class CrossState:
     """Corner of one same-scale square outline; q names the square's quadrant."""
@@ -68,9 +54,6 @@ class CrossState:
     q: str
     colour: str
     bumpy: bool
-
-    def rotated(self, quarter_turns: int = 1) -> "CrossState":
-        return CrossState(rotate_orientation(self.q, quarter_turns), self.colour, self.bumpy)
 
 
 @dataclass(frozen=True)
@@ -87,10 +70,6 @@ class ArmState:
     par: int
     principal: Optional[tuple] = None
     crossing: Optional[str] = None
-
-    def rotated(self, quarter_turns: int = 1) -> "ArmState":
-        return ArmState(rotate_direction(self.away, quarter_turns), self.par,
-                        self.principal, self.crossing)
 
 
 # ---- naming ----

@@ -41,10 +41,8 @@ _CCW = {"n": "w", "w": "s", "s": "e", "e": "n"}
 _OPP = {"n": "s", "s": "n", "e": "w", "w": "e"}
 
 
-def rotate_direction(d: str, quarter_turns: int = 1) -> str:
-    for _ in range(quarter_turns % 4):
-        d = _CCW[d]
-    return d
+def rotate_direction(d: str) -> str:
+    return _CCW[d]
 
 
 def opposite_direction(d: str) -> str:
@@ -68,10 +66,6 @@ class EdgeLabel:
             if v is not None and v not in (0, 1):
                 raise InputError(f"bad bit value {v!r}")
 
-    def encode(self) -> str:
-        enc = lambda v: "." if v is None else str(v)
-        return f"{self.line or '.'}{enc(self.pos)}{self.arrow or '.'}{enc(self.px)}{enc(self.py)}"
-
     @classmethod
     def decode(cls, s: str) -> "EdgeLabel":
         if len(s) != 5:
@@ -83,21 +77,6 @@ class EdgeLabel:
             arrow=None if s[2] == "." else s[2],
             px=bit(s[3]),
             py=bit(s[4]),
-        )
-
-    def _rot1(self, flip_pos: bool) -> "EdgeLabel":
-        # one quarter turn counterclockwise: arrows turn with the plane,
-        # parity bits swap because (x, y) -> (-y, x), and the line position
-        # along the edge flips only on the east->north and west->south moves
-        pos = self.pos
-        if flip_pos and pos is not None:
-            pos = 1 - pos
-        return EdgeLabel(
-            line=self.line,
-            pos=pos,
-            arrow=_CCW[self.arrow] if self.arrow else None,
-            px=self.py,
-            py=self.px,
         )
 
 
@@ -133,20 +112,6 @@ class Tile:
 
     def edges(self) -> tuple:
         return (self.north, self.east, self.south, self.west)
-
-    def rotated(self, quarter_turns: int = 1) -> "Tile":
-        t = self
-        for _ in range(quarter_turns % 4):
-            t = Tile(
-                id=t.id,
-                north=t.east._rot1(flip_pos=True),
-                east=t.south._rot1(flip_pos=False),
-                south=t.west._rot1(flip_pos=True),
-                west=t.north._rot1(flip_pos=False),
-                template=t.template,
-                rotation=(t.rotation + 1) % 4,
-            )
-        return t
 
 
 @dataclass(frozen=True)
@@ -201,29 +166,6 @@ class Tileset:
         except KeyError:
             raise InputError(f"unknown tile id: {tile_id!r}") from None
 
-    # ---- serialization ----
-
-    def to_json(self) -> str:
-        doc = {
-            "tiles": [
-                {
-                    "id": t.id,
-                    "north": t.north.encode(),
-                    "east": t.east.encode(),
-                    "south": t.south.encode(),
-                    "west": t.west.encode(),
-                    "template": t.template,
-                    "rotation": t.rotation,
-                }
-                for t in self.tiles
-            ],
-            "forbidden": [
-                {"cells": [{"dx": dx, "dy": dy, "tile": tid} for dx, dy, tid in p.cells]}
-                for p in self.extra_forbidden
-            ],
-        }
-        return json.dumps(doc, indent=1, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "Tileset":
         try:
@@ -264,13 +206,12 @@ class Patch:
     the grid does not hold, or one id twice; `codes_in` reads the grid in the
     codes of any other tile id -> code mapping."""
 
-    def __init__(self, grid: np.ndarray, legend: tuple, origin: tuple = (0, 0)):
+    def __init__(self, grid: np.ndarray, legend: tuple):
         grid = np.asarray(grid, dtype=np.int32)
         if grid.ndim != 2:
             raise InputError("patch grid must be 2-dimensional")
         self.grid = grid
         self.legend = tuple(legend)
-        self.origin = tuple(origin)
 
     @property
     def height(self) -> int:
@@ -281,7 +222,7 @@ class Patch:
         return self.grid.shape[1]
 
     @classmethod
-    def from_ids(cls, rows, origin=(0, 0)) -> "Patch":
+    def from_ids(cls, rows) -> "Patch":
         """rows: list of rows bottom-up, each a list of tile ids or None."""
         rows = id_rows(rows)
         legend = []
@@ -299,7 +240,7 @@ class Patch:
                     lut[tid] = len(legend)
                     legend.append(tid)
                 grid[y, x] = lut[tid]
-        return cls(grid, tuple(legend), origin)
+        return cls(grid, tuple(legend))
 
     def id_at(self, x: int, y: int):
         if not (0 <= x < self.width and 0 <= y < self.height):
@@ -307,21 +248,13 @@ class Patch:
         v = self.grid[y, x]
         return None if v == HOLE else self.legend[v]
 
-    def cells(self):
-        for y in range(self.height):
-            for x in range(self.width):
-                v = self.grid[y, x]
-                if v != HOLE:
-                    yield (x, y, self.legend[v])
-
     def filled(self) -> bool:
         return bool((self.grid != HOLE).all())
 
     def subpatch(self, x0: int, y0: int, w: int, h: int) -> "Patch":
         if x0 < 0 or y0 < 0 or x0 + w > self.width or y0 + h > self.height:
             raise InputError("subpatch out of range")
-        return Patch(self.grid[y0:y0 + h, x0:x0 + w].copy(), self.legend,
-                     (self.origin[0] + x0, self.origin[1] + y0))
+        return Patch(self.grid[y0:y0 + h, x0:x0 + w].copy(), self.legend)
 
     def codes_in(self, code) -> np.ndarray:
         """The grid in the codes that `code` (a tile id -> code mapping)
@@ -333,18 +266,6 @@ class Patch:
         """Do both patches hold the same id, or a hole, at every cell?"""
         code = {tid: k for k, tid in enumerate(self.legend + other.legend)}
         return np.array_equal(self.codes_in(code), other.codes_in(code))
-
-    def to_json(self) -> str:
-        rows = [[self.id_at(x, y) for x in range(self.width)] for y in range(self.height)]
-        return json.dumps({"origin": list(self.origin), "rows": rows}, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Patch":
-        try:
-            doc = json.loads(text)
-            return cls.from_ids(doc["rows"], tuple(doc.get("origin", (0, 0))))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed patch json: {exc}") from exc
 
 
 def id_rows(rows) -> tuple:
@@ -532,10 +453,8 @@ def check_patch(tileset: Tileset, patch: Patch) -> list:
 
 @dataclass
 class CountResult:
-    count: Optional[int]
-    exact: bool
+    count: Optional[int]  # None when the budget ran out
     nodes: int
-    budget_exceeded: bool
 
 
 def count_admissible(tileset: Tileset, n: int, budget: int = 10_000_000) -> CountResult:
@@ -573,11 +492,11 @@ def count_admissible(tileset: Tileset, n: int, budget: int = 10_000_000) -> Coun
             for t in fits[pair]:
                 nodes += 1
                 if nodes > budget:
-                    return CountResult(None, False, nodes, True)
+                    return CountResult(None, nodes)
                 codes[c] = t
                 if any(get(key(codes)) is not None for get, key in terms):
                     continue
                 f = (frontier + (t,))[-keep:]
                 grown[f] = grown.get(f, 0) + ways
         states = grown
-    return CountResult(sum(states.values()), True, nodes, False)
+    return CountResult(sum(states.values()), nodes)

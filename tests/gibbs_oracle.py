@@ -11,6 +11,10 @@ list and reads the energy denominator off that list, not off the library's
 `Potential`.  The Boltzmann reference fills its table with plain dicts, one
 entry per configuration; the library's table holds level ids behind
 read-only views, and the two compare equal as mappings.
+
+`set_cell` is no reference: it drives one accepted move of a torus through
+the library's own `TorusConfig._rise`, as `gibbs.metropolis` does, so that
+tests can place tiles where they choose.
 """
 
 from fractions import Fraction
@@ -23,6 +27,14 @@ import pattern_oracle
 from groundlab.gibbs import (BoltzmannTable, MetropolisResult, Potential,
                              TorusConfig, acceptance_probability, boltzmann_base)
 from groundlab.tiles import BudgetExceeded, InputError
+
+
+def set_cell(config, x, y, t) -> Fraction:
+    """Set cell (x, y) to tile t through the kernel's rise, kept in the
+    config's energy units as an accepted move is; the exact energy change."""
+    delta = config._rise(config.cells.reshape(-1), y * config.side + x, t)
+    config._units += delta
+    return Fraction(delta, config._denominator)
 
 
 def boltzmann_exact(tileset, pairs, side, beta, budget):

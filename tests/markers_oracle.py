@@ -2,9 +2,23 @@
 replaced: for every pattern pair (i, j) and every shift (dx, dy), one array
 compare of the overlap, appended in (i, j, dy, dx) loop order.  Each pattern
 is encoded on its own here, cell by cell, not read from `MarkerSet.codes`.
+
+`marker_json` writes a marker file in the layout `verify-markers --markers`
+reads, each pattern with the `origin` key such files carry.
 """
 
+import json
+
 import numpy as np
+
+import tiles_oracle
+
+
+def marker_json(patterns, tau=(0, 1)) -> str:
+    """A marker file of the patterns, each given as its rows bottom-up."""
+    return json.dumps({"tau": list(tau),
+                       "patterns": [{"origin": [0, 0], "rows": rows} for rows in patterns]},
+                      indent=1)
 
 
 def encoded(markers):
@@ -13,7 +27,7 @@ def encoded(markers):
     grids = []
     for p in markers.patterns:
         g = np.empty((markers.height, markers.width), dtype=np.int64)
-        for x, y, tid in p.cells():
+        for x, y, tid in tiles_oracle.cells(p):
             g[y, x] = lut.setdefault(tid, len(lut))
         grids.append(g)
     return grids

@@ -119,7 +119,6 @@ class ConditionalGridMeasure:
     raw: tuple              # 2^depth Fractions, sums to 1 - residual
     residual: Fraction
     k: int
-    j_start: int
 
     def blocked_mass(self):
         return sum(self.raw, Fraction(0))
@@ -144,4 +143,4 @@ def conditional_rows(flow, depth, schedule, kmax, j_start=None):
         keep = 1 - c
         raw = [r * keep + c * w for r, w in zip(raw, marginal(m, depth).weights)]
         residual *= keep
-        yield ConditionalGridMeasure(depth, tuple(raw), residual, j, j0)
+        yield ConditionalGridMeasure(depth, tuple(raw), residual, j)

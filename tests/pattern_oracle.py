@@ -5,7 +5,7 @@ pattern match went through the shape-hashed kernel, kept verbatim apart from
 taking its inputs as arguments.  They share nothing with the kernel: every
 pattern is compared cell by cell at every anchor, so they serve as the
 reference in the differential tests.  The one exception is `covering`, which
-reads the kernel's own per-cell plan the way `TorusConfig.update` and
+reads the kernel's own per-cell plan the way `TorusConfig._rise` and
 `count_admissible` do, so that the tests can check that plan cell by cell.
 """
 
@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+import tiles_oracle
 
 
 class _CompiledPattern:
@@ -149,7 +151,7 @@ def torus_coverage(tileset, cells, markers) -> Fraction:
     for p in markers.patterns:
         match = np.ones((s, s), dtype=bool)
         ok = True
-        for x, y, tid in p.cells():
+        for x, y, tid in tiles_oracle.cells(p):
             code = index.get(tid)
             if code is None:
                 ok = False
@@ -157,7 +159,7 @@ def torus_coverage(tileset, cells, markers) -> Fraction:
             match &= np.roll(cells, (-y, -x), (0, 1)) == code
         if not ok or not match.any():
             continue
-        for x, y, _ in p.cells():
+        for x, y, _ in tiles_oracle.cells(p):
             covered |= np.roll(match, (y, x), (0, 1))
     return Fraction(int(covered.sum()), s * s)
 

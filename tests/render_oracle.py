@@ -5,6 +5,7 @@ coordinate on its own, through one `to_svg` per point.
 coordinate once; tests/test_render.py checks its bytes against this loop.
 """
 
+import tiles_oracle
 from groundlab.render import _LINE_COLOURS, _arrow_tick, _fmt, _tile_segments
 
 
@@ -20,7 +21,7 @@ def render_patch_svg(tileset, patch, cell=24, show_arrows=True):
     def to_svg(x, y, lx, ly):
         return (x * cell + lx * cell, (patch.height - y) * cell - ly * cell)
 
-    for x, y, tid in patch.cells():
+    for x, y, tid in tiles_oracle.cells(patch):
         tile = tileset.tile(tid)
         x0, y0 = to_svg(x, y, 0.0, 1.0)
         fill = "#f4f4f4"

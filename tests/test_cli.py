@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import layers_oracle
+import markers_oracle
 import groundlab.cli as cli
 import groundlab.thermo as thermo
 from groundlab.cli import _BLOCK_ROWS, _TEXT_ROWS, _float_chunks, main
 from groundlab.layers import constant_schedule, default_schedule
-from groundlab.markers import MarkerSet
-from groundlab.tiles import Patch
 
 
 def run(*argv):
@@ -233,9 +232,8 @@ def test_verify_markers_ok_and_violation(tmp_path, capsys):
     assert run("verify-markers", "--scale", "1", "--out", str(out)) == 0
     assert json.loads(out.read_text())["nonoverlap"] == "ok"
     # two identical 2x2 patterns overlap under a shift: invariant failure
-    p = Patch.from_ids([["A", "A"], ["A", "A"]])
     bad = tmp_path / "bad-markers.json"
-    bad.write_text(MarkerSet([p]).to_json())
+    bad.write_text(markers_oracle.marker_json([[["A", "A"], ["A", "A"]]]))
     capsys.readouterr()
     assert run("verify-markers", "--markers", str(bad),
                "--out", str(out)) == 1
@@ -254,7 +252,7 @@ def test_verify_markers_ok_and_violation(tmp_path, capsys):
 def test_verify_markers_non_square(tmp_path, capsys, rows, code):
     # a non-square set has no side or window, but its verdict still decides
     path = tmp_path / "markers.json"
-    path.write_text(MarkerSet([Patch.from_ids(r) for r in rows]).to_json())
+    path.write_text(markers_oracle.marker_json(rows))
     out = tmp_path / "v.json"
     assert run("verify-markers", "--markers", str(path), "--out", str(out)) == code
     doc = json.loads(out.read_text())
@@ -822,11 +820,11 @@ def verdict_inputs(gibbs_inputs):
     (gibbs_inputs / "verdict-no-equals.config").write_text("command=acc\ndepth\n")
     for name, doc in BAD_MARKERS.items():
         (gibbs_inputs / name).write_text(json.dumps(doc))
-    square = MarkerSet([Patch.from_ids([["A", "A"], ["A", "A"]])]).to_json()
+    square = markers_oracle.marker_json([[["A", "A"], ["A", "A"]]])
     (gibbs_inputs / "overlapping-markers.json").write_text(square)
     (gibbs_inputs / "truncated.json").write_text(square[:len(square) // 2])
-    (gibbs_inputs / "non-square-markers.json").write_text(MarkerSet(
-        [Patch.from_ids([["A", "B"]]), Patch.from_ids([["B", "B"]])]).to_json())
+    (gibbs_inputs / "non-square-markers.json").write_text(
+        markers_oracle.marker_json([[["A", "B"]], [["B", "B"]]]))
     return gibbs_inputs
 
 

@@ -273,16 +273,16 @@ def test_energy_cache_coherent_after_many_updates():
     cfg = TorusConfig(TS2, AB_POT, [[rng.randrange(2) for _ in range(5)]
                                     for _ in range(5)])
     for _ in range(2000):
-        cfg.update(rng.randrange(5), rng.randrange(5), rng.randrange(2))
+        gibbs_oracle.set_cell(cfg, rng.randrange(5), rng.randrange(5), rng.randrange(2))
     assert cfg.energy == cfg.recompute_energy()
 
 
 def test_update_returns_exact_delta():
     cfg = TorusConfig(TS2, AB_POT, [[0, 0], [0, 0]])
-    delta = cfg.update(1, 0, 1)
+    delta = gibbs_oracle.set_cell(cfg, 1, 0, 1)
     # A B on the top row: occurrence at (0,0) and the wrap pair (B,A) is fine
     assert delta == 2 and cfg.energy == 2
-    delta = cfg.update(1, 0, 0)
+    delta = gibbs_oracle.set_cell(cfg, 1, 0, 0)
     assert delta == -2 and cfg.energy == 0
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import layers_oracle as oracle
+import groundlab.layers as layers
 
 from groundlab.cli import _BLOCK_ROWS, _float_chunks
 from groundlab.layers import (
@@ -282,6 +283,18 @@ def test_freq_crossing_golden():
     assert freq_crossing(Fraction(99, 100), sch) == 95
     assert freq_crossing(Fraction(0), sch) == 0
     assert freq_crossing(Fraction(1), sch, kmax=50) is None
+
+
+def test_freq_crossing_past_one_makes_no_row(monkeypatch):
+    # every f_k is below 1, so a threshold >= 1 is answered without making
+    # a row: the rows up to the default kmax take ~30 s
+    def no_rows(*args):
+        raise AssertionError("freq_rows_decimal was called")
+
+    monkeypatch.setattr(layers, "freq_rows_decimal", no_rows)
+    for threshold in (1, Fraction(3, 2)):
+        assert freq_crossing(threshold, default_schedule()) is None
+        assert freq_crossing(threshold, constant_schedule(3), kmax=10) is None
 
 
 @pytest.mark.parametrize("schedule", [

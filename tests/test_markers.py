@@ -205,10 +205,11 @@ def test_coverage_with_gutters():
 
 
 def test_marker_json_roundtrip():
-    ms = robinson_marker_set(1)
-    text = ms.to_json()
-    back = MarkerSet.from_json(text)
-    assert back.tau == ms.tau
+    ms = robinson_marker_set(2)
+    rows = [[[p.id_at(x, y) for x in range(p.width)] for y in range(p.height)]
+            for p in ms.patterns]
+    back = MarkerSet.from_json(markers_oracle.marker_json(rows, (2, 1)))
+    assert back.tau == ms.tau == 2
     assert len(back) == len(ms)
     for a, b in zip(back.patterns, ms.patterns):
         assert a.same_cells(b)

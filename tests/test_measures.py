@@ -285,8 +285,7 @@ def test_integer_rows_match_fraction_oracle(data):
                                         j_start))
     assert len(got) == len(want)
     for row, ref in zip(got, want):
-        assert (row.raw, row.residual, row.k, row.j_start) == (
-            ref.raw, ref.residual, ref.k, ref.j_start)
+        assert (row.raw, row.residual, row.k) == (ref.raw, ref.residual, ref.k)
         assert row.blocked_mass() == ref.blocked_mass()
         assert math.gcd(row.den, *row.nums) == 1
         assert _same(row.renormalized(), ref.renormalized())
@@ -318,10 +317,11 @@ def test_conditional_total_is_one():
 def test_conditional_j_start():
     flow = constant_flow(point("u"))
     sch = constant_schedule(2)
-    cond = conditional_grid_measure(flow, 1, 5, sch, j_start=4)
-    assert cond.residual == Fraction(49, 64)
-    assert cond.j_start == 4
-    empty = conditional_grid_measure(flow, 1, 3, sch, j_start=7)
+    rows = list(conditional_rows(flow, 1, sch, 5, j_start=4))
+    assert [row.k for row in rows] == [4, 5]
+    assert rows[-1].residual == Fraction(49, 64)
+    assert list(conditional_rows(flow, 1, sch, 6, j_start=7)) == []
+    empty = conditional_grid_measure(flow, 1, 0, sch)
     assert empty.residual == 1
     with pytest.raises(InputError):
         empty.renormalized()
@@ -385,11 +385,9 @@ def test_rows_match_closed_form(case):
     for row in rows:
         assert (row.raw, row.residual) == closed_form_row(flow, depth, row.k,
                                                           sch, j_start)
-        assert row.j_start == j0
-    cond = conditional_grid_measure(flow, depth, k, sch, j_start)
-    assert (cond.raw, cond.residual) == closed_form_row(flow, depth, k, sch,
-                                                        j_start)
-    assert (cond.k, cond.j_start) == (k, j0)
+    cond = conditional_grid_measure(flow, depth, k, sch)
+    assert (cond.raw, cond.residual) == closed_form_row(flow, depth, k, sch)
+    assert cond.k == k
 
 
 def test_rows_evaluate_flow_once_per_scale():

@@ -80,7 +80,7 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
     t = data.draw(st.integers(0, len(tileset) - 1))
     after = cells.copy()
     after[y, x] = t
-    delta = config.update(x, y, t)
+    delta = gibbs_oracle.set_cell(config, x, y, t)
     assert delta == (oracle.occurrences_at(compiled, after, x, y)
                      - oracle.occurrences_at(compiled, cells, x, y))
     assert config.energy == config.recompute_energy() \

@@ -94,8 +94,7 @@ def reports(draw):
     rows = []
     for k in range(depth, depth + draw(st.integers(0, 3))):
         nums = draw(word_nums)
-        rows.append(ConditionalGridMeasure(depth, tuple(nums),
-                                           sum(nums) + draw(big), k, depth))
+        rows.append(ConditionalGridMeasure(depth, tuple(nums), sum(nums) + draw(big), k))
     return PerturbationReport(
         draw(st.sampled_from(["mixture", "selector"])), depth,
         depth + 3, draw(st.integers(1, 3)), draw(st.integers(0, 3)),
@@ -150,7 +149,6 @@ def test_threshold_excludes_small_scales():
                          index=3, enumeration=ENUM)
     assert rep.threshold == 3
     assert rep.rows[0].k == 3
-    assert all(r.j_start == 3 for r in rep.rows)
 
 
 def test_zero_epsilon_matches_unperturbed_pipeline():

@@ -44,7 +44,9 @@ def test_edge_label_encode_roundtrip():
             px=rng.choice([None, 0, 1]),
             py=rng.choice([None, 0, 1]),
         )
-        assert EdgeLabel.decode(lab.encode()) == lab
+        assert EdgeLabel.decode(tiles_oracle.label_text(lab)) == lab
+    assert EdgeLabel.decode("r0n1.") == EdgeLabel(line="r", pos=0, arrow="n", px=1)
+    assert EdgeLabel.decode(".....") == EdgeLabel()
 
 
 def test_edge_label_validation():
@@ -89,9 +91,10 @@ def test_tile_rotation_returns_to_start():
         west=EdgeLabel(arrow="e", px=0, py=1),
         template="probe",
     )
-    assert t.rotated(4).edges() == t.edges()
-    assert t.rotated(1).rotated(3).edges() == t.edges()
-    r = t.rotated(1)
+    rotated = tiles_oracle.rotated
+    assert rotated(t, 4).edges() == t.edges()
+    assert rotated(rotated(t, 1), 3).edges() == t.edges()
+    r = rotated(t, 1)
     # CCW quarter turn: old east edge becomes the new north edge and the old
     # north edge becomes the new west edge with its line position kept
     assert r.north.line == t.east.line
@@ -120,7 +123,7 @@ def test_rotation_preserves_adjacency():
 
     for _ in range(300):
         a, b = rand_tile("a"), rand_tile("b")
-        ra, rb = a.rotated(1), b.rotated(1)
+        ra, rb = tiles_oracle.rotated(a), tiles_oracle.rotated(b)
         assert h_edges_match(a.east, b.west) == v_edges_match(ra.north, rb.south)
         assert v_edges_match(a.north, b.south) == h_edges_match(rb.east, ra.west)
 
@@ -137,9 +140,7 @@ def test_parity_tileset_counts():
     ts = parity_tileset()
     # parity forces the checkerboard phase; only the global phase is free
     for n in range(1, 5):
-        r = count_admissible(ts, n)
-        assert r.exact
-        assert r.count == 4
+        assert count_admissible(ts, n).count == 4
 
 
 def test_free_tileset_counts():
@@ -159,8 +160,7 @@ def test_self_incompatible_tile():
 def test_count_budget():
     ts = Tileset([uniform_tile(f"f{i}") for i in range(5)])
     r = count_admissible(ts, 4, budget=10)
-    assert r.budget_exceeded
-    assert r.count is None and not r.exact
+    assert r.count is None and r.nodes == 11
 
 
 def test_forbidden_pattern_count():
@@ -196,7 +196,7 @@ def forbidden_tilesets(draw):
 def test_dp_matches_exhaustive(ts, n):
     want = tiles_oracle.count_exhaustive(ts, n)
     got = count_admissible(ts, n)
-    assert want.exact and got.exact
+    assert want.count is not None
     assert got.count == want.count
 
 
@@ -218,11 +218,10 @@ def test_patch_construction_and_holes():
     assert p.id_at(1, 0) is None
     assert p.id_at(1, 1) == "a"
     assert not p.filled()
-    assert sorted(p.cells()) == [(0, 0, "a"), (0, 1, "b"), (1, 1, "a"), (2, 0, "b")]
-    q = Patch.from_json(p.to_json())
-    assert p.same_cells(q)
+    assert p.legend == ("a", "b")
+    assert p.grid.tolist() == [[0, HOLE, 1], [1, 0, HOLE]]
     sub = p.subpatch(1, 0, 2, 2)
-    assert sub.origin == (1, 0)
+    assert sub.same_cells(Patch.from_ids([[None, "b"], ["a", None]]))
     assert sub.id_at(0, 1) == "a"
 
 
@@ -231,8 +230,6 @@ def test_patch_refuses_string_rows():
     for rows in ("AB", ["AB"], ["AB", "CD"], [["A", "B"], "CD"]):
         with pytest.raises(InputError, match="not strings"):
             Patch.from_ids(rows)
-        with pytest.raises(InputError, match="malformed patch json.*not strings"):
-            Patch.from_json(json.dumps({"rows": rows}))
     with pytest.raises(InputError, match="ragged"):
         Patch.from_ids([["A", "B"], ["A"]])
 
@@ -286,11 +283,18 @@ def test_tileset_serialization_roundtrip():
         ],
         extra_forbidden=[ForbiddenPattern(((0, 0, "one"), (1, 1, "two")))],
     )
-    back = Tileset.from_json(ts.to_json())
-    assert [t.id for t in back.tiles] == ["one", "two"]
-    assert back.tile("one").template == "alpha"
-    assert back.tile("one").rotation == 2
-    assert back.tile("one").north == ts.tile("one").north
+    doc = {
+        "tiles": [
+            {"id": "one", "north": "r0n..", "east": "...1.", "south": ".....",
+             "west": "....0", "template": "alpha", "rotation": 2},
+            {"id": "two", "north": "..s..", "east": "..s..", "south": "..s..",
+             "west": "..s.."},
+        ],
+        "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": "one"},
+                                 {"dx": 1, "dy": 1, "tile": "two"}]}],
+    }
+    back = Tileset.from_json(json.dumps(doc))
+    assert back.tiles == ts.tiles
     assert back.extra_forbidden == ts.extra_forbidden
     assert np.array_equal(back.h_compat, ts.h_compat)
     assert np.array_equal(back.v_compat, ts.v_compat)

@@ -7,11 +7,55 @@ replaced: every ordered tile pair is matched on its own with those two
 predicates, east against west and north against south, with no sharing
 between pairs of equal labels.  `same_cells` is the id-by-id comparison that
 `Patch.same_cells` replaced.  `count_exhaustive` is the leaf-checking walk
-that `count_admissible`'s one sweep replaced."""
+that `count_admissible`'s one sweep replaced.
+
+`rotated` is the quarter-turn reference of the rotation identity tests,
+`label_text` the five-character form `EdgeLabel.decode` reads, and `cells`
+the filled cells of a patch, read off its grid."""
 
 import numpy as np
 
-from groundlab.tiles import CountResult
+from groundlab.tiles import HOLE, CountResult, EdgeLabel, Tile, rotate_direction
+
+
+def _rot1(lab, flip_pos: bool):
+    # one quarter turn counterclockwise: arrows turn with the plane,
+    # parity bits swap because (x, y) -> (-y, x), and the line position
+    # along the edge flips only on the east->north and west->south moves
+    pos = lab.pos
+    if flip_pos and pos is not None:
+        pos = 1 - pos
+    return EdgeLabel(line=lab.line, pos=pos,
+                     arrow=rotate_direction(lab.arrow) if lab.arrow else None,
+                     px=lab.py, py=lab.px)
+
+
+def rotated(t, quarter_turns: int = 1):
+    """The tile turned counterclockwise by quarter_turns quarter turns."""
+    for _ in range(quarter_turns % 4):
+        t = Tile(
+            id=t.id,
+            north=_rot1(t.east, flip_pos=True),
+            east=_rot1(t.south, flip_pos=False),
+            south=_rot1(t.west, flip_pos=True),
+            west=_rot1(t.north, flip_pos=False),
+            template=t.template,
+            rotation=(t.rotation + 1) % 4,
+        )
+    return t
+
+
+def label_text(lab) -> str:
+    """line, pos, arrow, px, py as one character each, '.' for None."""
+    return "".join("." if v is None else str(v)
+                   for v in (lab.line, lab.pos, lab.arrow, lab.px, lab.py))
+
+
+def cells(patch):
+    """(x, y, tile id) of every filled cell, row by row from the bottom."""
+    for (y, x), v in np.ndenumerate(patch.grid):
+        if v != HOLE:
+            yield x, y, patch.legend[v]
 
 
 def _parity_ok(a, b, flip: bool) -> bool:
@@ -110,6 +154,4 @@ def count_exhaustive(tileset, n: int, budget: int = 2_000_000) -> CountResult:
             grid[y][x] = None
 
     rec(0)
-    if overran:
-        return CountResult(None, False, nodes, True)
-    return CountResult(count, True, nodes, False)
+    return CountResult(None if overran else count, nodes)

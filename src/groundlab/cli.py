@@ -36,6 +36,7 @@ from .thermo import thermo_csv, thermo_table
 from .tiles import BudgetExceeded, EdgeLabel, InputError, Tile, Tileset
 
 FORMAT_VERSION = "1"
+_SLICE = 1 << 20  # characters of a large text artifact encoded at once
 
 
 class UsageError(Exception):
@@ -147,8 +148,9 @@ def _emit(primary_path: str, chunks: Iterable[bytes], command: str,
           resolved: dict):
     """Write the artifact from its bytes chunks, then its .config sidecar.
 
-    Text artifacts are passed as one chunk of UTF-8, and the sidecar is
-    UTF-8 too, which is how `_read_text` reads it back.
+    Text artifacts are passed as UTF-8, in one chunk or (the SVG) in
+    slices, and the sidecar is UTF-8 too, which is how `_read_text` reads it
+    back.
     """
     with open(primary_path, "wb") as out:
         out.writelines(chunks)
@@ -217,7 +219,9 @@ def _run_render(cfg):
     patch = build_macro_tile(cfg["scale"])
     svg = render_patch_svg(build_tileset(), patch, cell=cfg["cell"],
                            show_arrows=cfg["arrows"])
-    _emit(cfg["out"], [svg.encode()], "render", cfg)
+    # encoded a slice at a time: no second whole-document copy as bytes
+    _emit(cfg["out"], (svg[i:i + _SLICE].encode()
+                       for i in range(0, len(svg), _SLICE)), "render", cfg)
     return 0
 
 

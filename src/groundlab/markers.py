@@ -4,7 +4,9 @@ A marker set is a family of same-shape rectangular patterns.  Two axioms make
 a family usable as a grounding device: no two patterns may agree on a proper
 overlap (so occurrences cannot chain into ambiguity), and every admissible
 window of side m must contain an occurrence (so markers appear everywhere).
-Non-overlap is decided exactly by a shift scan over every pattern pair.
+Non-overlap is decided exactly: every overlap of every pattern pair is hashed
+from 2-D prefix sums (Karp-Rabin), and array equality confirms each hash hit,
+so a collision costs one compare and never changes the verdict.
 Covering is not searched: `MarkerSet.m` gives the window side, which
 `verify-markers` reports, and `gibbs.torus_coverage` measures how much of a
 sampled torus the markers cover.
@@ -94,23 +96,71 @@ def robinson_marker_set(n: int) -> MarkerSet:
                      tau=Fraction(6, ell))
 
 
+# Overlap hashes: a block's hash is the sum of (code + 1) * r^x * s^y over its
+# cells, x and y counted from the block's corner, modulo a prime below 2^31.
+_PRIME = 2 ** 31 - 1
+_BASES = (48271, 39373)
+
+
 def nonoverlap_violations(markers: MarkerSet) -> list:
     """All (i, j, (dx, dy)) where pattern j shifted by (dx, dy) agrees with
     pattern i on a nonempty proper overlap (i == j with zero shift excluded),
-    sorted by (i, j, dy, dx).  Each shift compares all pattern pairs at once."""
+    sorted by (i, j, dy, dx).
+
+    Every overlap is hashed from 2-D prefix sums, one numpy pass per row shift
+    dy over all column shifts and pattern pairs; equal overlaps hash equal, and
+    `np.array_equal` confirms each hash hit, so the hash only filters."""
     codes = markers.codes
-    h, w = markers.height, markers.width
+    n, h, w = codes.shape
+    p = _PRIME
+    r, s = (b % p for b in _BASES)
+    # Every residue is below p < 2^31.  A prefix sum of one row or column of
+    # residues stays below 2^31 * 2^32, and a block's four-corner sum lies in
+    # (-2p, 2p), so its product with a residue stays below 2^63: each fits in
+    # int64 before its `% p`.
+    rpow = np.array([pow(r, x, p) for x in range(w)], dtype=np.int64)
+    spow = np.array([pow(s, y, p) for y in range(h)], dtype=np.int64)
+    rinv = np.array([pow(r, -x, p) for x in range(w)], dtype=np.int64)
+    sinv = [pow(s, -y, p) for y in range(h)]
+    prefix = np.zeros((n, h + 1, w + 1), dtype=np.int64)
+    cells = prefix[:, 1:, 1:]
+    cells[...] = codes
+    cells += 1
+    cells *= rpow
+    cells %= p
+    cells *= spow[:, None]
+    cells %= p
+    np.cumsum(cells, axis=2, out=cells)
+    cells %= p
+    np.cumsum(cells, axis=1, out=cells)
+    cells %= p
+
+    dxs = np.arange(-(w - 1), w)
+    ax0, ax1 = np.maximum(0, dxs), np.minimum(w, w + dxs)  # pattern i's columns
+    bx0, bx1 = ax0 - dxs, ax1 - dxs                        # pattern j's columns
+    ainv, binv = rinv[ax0], rinv[bx0]
+
+    def overlap_hashes(y0, y1, x0, x1, xinv):
+        """(n, 2w - 1) hashes of rows y0:y1 and columns x0[k]:x1[k]."""
+        band = prefix[:, y1] - prefix[:, y0]
+        v = band[:, x1] - band[:, x0]
+        v *= xinv * sinv[y0] % p
+        v %= p
+        return v
+
     hits = []
     for dy in range(-(h - 1), h):
         y0, y1 = max(0, dy), min(h, h + dy)
-        for dx in range(-(w - 1), w):
-            x0, x1 = max(0, dx), min(w, w + dx)
-            a = codes[:, y0:y1, x0:x1]
-            b = codes[:, y0 - dy:y1 - dy, x0 - dx:x1 - dx]
-            agree = (a[:, None] == b[None]).all(axis=(2, 3))
-            if dx == 0 and dy == 0:
-                np.fill_diagonal(agree, False)
-            hits.extend((int(i), int(j), dy, dx) for i, j in zip(*np.nonzero(agree)))
+        agree = (overlap_hashes(y0, y1, ax0, ax1, ainv)[:, None]
+                 == overlap_hashes(y0 - dy, y1 - dy, bx0, bx1, binv)[None])
+        if dy == 0:  # no pattern is compared with itself at zero shift
+            agree[range(n), range(n), w - 1] = False
+        if not agree.any():
+            continue
+        for i, j, k in zip(*np.nonzero(agree)):
+            if np.array_equal(codes[i, y0:y1, ax0[k]:ax1[k]],
+                              codes[j, y0 - dy:y1 - dy, bx0[k]:bx1[k]]):
+                hits.append((int(i), int(j), dy, int(dxs[k])))
     hits.sort()
     return [(i, j, (dx, dy)) for i, j, dy, dx in hits]
 

@@ -67,23 +67,38 @@ def _arrow_tick(edge: str, arrow: str):
 
 _TICK = 'stroke="#b8b8b8" stroke-width="0.7" marker-end="url(#tip)"'
 
+# Slots of a tile's text: `text % y_strings` fills the y slots and turns each
+# x slot into `%s`, which `% x_strings` then fills.  No fixed text holds `%`.
+_X, _Y = "%%s", "%s"
+
 
 def _tile_plan(tile, cell: int, show_arrows: bool):
-    """What one tile draws at any position: its fill, whether it carries the
-    bumpy-cross circle, and its lines as (x1, y1, x2, y2, attributes) with
-    the tile-local endpoints already multiplied by `cell`."""
+    """What one tile draws at any position, as one text of all its elements
+    (background, arrow ticks, lines, bumpy-cross circle) and the tile-local
+    offsets of its x and y slots, already multiplied by `cell`."""
     bumpy = tile.template == "bumpy-cross"
-    lines = []
+    fill = "#e2e2e2" if bumpy else "#f4f4f4"
+    elements = [f'<rect x="{_X}" y="{_Y}" width="{cell}" height="{cell}" '
+                f'fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>']
+    xs, ys = [0.0 * cell], [1.0 * cell]
+    ends = []
     if show_arrows:
         for edge, lab in zip("nesw", tile.edges()):
             if lab.arrow is not None:
-                (ax, ay), (bx, by) = _arrow_tick(edge, lab.arrow)
-                lines.append((ax * cell, ay * cell, bx * cell, by * cell, _TICK))
-    for colour, (ax, ay), (bx, by) in _tile_segments(tile):
-        lines.append((ax * cell, ay * cell, bx * cell, by * cell,
-                      f'stroke="{_LINE_COLOURS[colour]}" stroke-width="1.6" '
-                      f'stroke-linecap="square"'))
-    return ("#e2e2e2" if bumpy else "#f4f4f4"), bumpy, lines
+                ends.append((*_arrow_tick(edge, lab.arrow), _TICK))
+    for colour, a, b in _tile_segments(tile):
+        ends.append((a, b, f'stroke="{_LINE_COLOURS[colour]}" stroke-width="1.6" '
+                           f'stroke-linecap="square"'))
+    for (ax, ay), (bx, by), attributes in ends:
+        elements.append(f'<line x1="{_X}" y1="{_Y}" x2="{_X}" y2="{_Y}" {attributes}/>')
+        xs += [ax * cell, bx * cell]
+        ys += [ay * cell, by * cell]
+    if bumpy:
+        elements.append(f'<circle cx="{_X}" cy="{_Y}" r="{_fmt(cell * 0.08)}" '
+                        f'fill="#2c3e50"/>')
+        xs.append(0.5 * cell)
+        ys.append(0.5 * cell)
+    return "\n".join(elements), xs, ys
 
 
 class _Formatted(dict):
@@ -97,8 +112,10 @@ class _Formatted(dict):
 def render_patch_svg(tileset: Tileset, patch: Patch, cell: int = 24,
                      show_arrows: bool = True) -> str:
     """The patch as SVG, `cell` pixels per tile.  Each tile id is planned
-    once; a point is `x * cell + lx * cell`, `(height - y) * cell - ly * cell`
-    for cell (x, y) and plan offsets (lx * cell, ly * cell)."""
+    once as one text; a point is `x * cell + lx`, `(height - y) * cell - ly`
+    for cell (x, y) and plan offsets (lx, ly).  Each row fills its tiles' y
+    slots once, each (tile, column) pair formats its x strings once, and each
+    cell is one `%` of the two."""
     if cell < 1:
         raise InputError(f"cell must be >= 1 pixel, got {cell}")
     W = patch.width * cell
@@ -106,43 +123,31 @@ def render_patch_svg(tileset: Tileset, patch: Patch, cell: int = 24,
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}">',
+        '<defs><marker id="tip" viewBox="0 0 4 4" refX="3" refY="2" markerWidth="3" '
+        'markerHeight="3" orient="auto"><path d="M0,0 L4,2 L0,4 z" fill="#b8b8b8"/>'
+        "</marker></defs>",
         f'<rect width="{W}" height="{H}" fill="#ffffff"/>',
     ]
     f = _Formatted()
     plans = {}
-    left, top, mid = 0.0 * cell, 1.0 * cell, 0.5 * cell
-    radius = _fmt(cell * 0.08)
+    x_strings = {}
     for y, row in enumerate(patch.grid.tolist()):
         cy = (patch.height - y) * cell
+        row_texts = {}
         for x, code in enumerate(row):
             if code == HOLE:
                 continue
-            plan = plans.get(code)
-            if plan is None:
-                tile = tileset.tile(patch.legend[code])
-                plan = plans[code] = _tile_plan(tile, cell, show_arrows)
-            fill, bumpy, lines = plan
-            cx = x * cell
-            out.append(
-                f'<rect x="{f[cx + left]}" y="{f[cy - top]}" width="{cell}" '
-                f'height="{cell}" fill="{fill}" stroke="#cccccc" stroke-width="0.5"/>'
-            )
-            for x1, y1, x2, y2, attributes in lines:
-                out.append(
-                    f'<line x1="{f[cx + x1]}" y1="{f[cy - y1]}" x2="{f[cx + x2]}" '
-                    f'y2="{f[cy - y2]}" {attributes}/>'
-                )
-            if bumpy:
-                out.append(
-                    f'<circle cx="{f[cx + mid]}" cy="{f[cy - mid]}" r="{radius}" '
-                    f'fill="#2c3e50"/>'
-                )
-
-    defs = (
-        '<defs><marker id="tip" viewBox="0 0 4 4" refX="3" refY="2" markerWidth="3" '
-        'markerHeight="3" orient="auto"><path d="M0,0 L4,2 L0,4 z" fill="#b8b8b8"/>'
-        "</marker></defs>"
-    )
-    out.insert(1, defs)
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+            text = row_texts.get(code)
+            if text is None:
+                plan = plans.get(code)
+                if plan is None:
+                    plan = plans[code] = _tile_plan(
+                        tileset.tile(patch.legend[code]), cell, show_arrows)
+                text = row_texts[code] = plan[0] % tuple(f[cy - ly] for ly in plan[2])
+            xs = x_strings.get((code, x))
+            if xs is None:
+                cx = x * cell
+                xs = x_strings[code, x] = tuple(f[cx + lx] for lx in plans[code][1])
+            out.append(text % xs)
+    out.append("</svg>\n")
+    return "\n".join(out)

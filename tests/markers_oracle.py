@@ -1,7 +1,8 @@
 """The pair-by-pair non-overlap scan that `markers.nonoverlap_violations`
 replaced: for every pattern pair (i, j) and every shift (dx, dy), one array
-compare of the overlap, appended in (i, j, dy, dx) loop order.  Each pattern
-is encoded on its own here, cell by cell, not read from `MarkerSet.codes`.
+compare of the overlap, appended in (i, j, dy, dx) loop order, with no hash.
+Each pattern is encoded on its own here, cell by cell, not read from
+`MarkerSet.codes`.
 
 `marker_json` writes a marker file in the layout `verify-markers --markers`
 reads, each pattern with the `origin` key such files carry.

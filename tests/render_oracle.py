@@ -1,8 +1,10 @@
 """Straight-line SVG reference: every cell looks its tile up and formats every
 coordinate on its own, through one `to_svg` per point.
 
-`render.render_patch_svg` plans each tile id once and formats each distinct
-coordinate once; tests/test_render.py checks its bytes against this loop.
+`render.render_patch_svg` plans each tile id once as one text of all its
+elements, fills its y strings once per row and its x strings once per column,
+and formats each distinct coordinate once; tests/test_render.py checks its
+bytes against this loop.
 """
 
 import tiles_oracle

@@ -80,7 +80,7 @@ def _overlap_oracle(markers):
 def test_acceptance_2_marker_axioms():
     from groundlab.markers import MarkerSet
     t0 = time.monotonic()
-    for n in range(1, 5):
+    for n in range(1, 9):
         assert verify_nonoverlap(robinson_marker_set(n)) is None
     rng = random.Random(20260816)
     agreements = 0

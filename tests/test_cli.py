@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import layers_oracle
 import markers_oracle
+import render_oracle
 import groundlab.cli as cli
 import groundlab.thermo as thermo
 from groundlab.cli import _BLOCK_ROWS, _TEXT_ROWS, _float_chunks, main
@@ -42,6 +43,15 @@ def test_render_replay_byte_identical(tmp_path):
     assert run("render", "--config", str(a) + ".config",
                "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_render_slices_write_the_oracle_bytes(tmp_path, monkeypatch):
+    from groundlab.robinson import build_macro_tile, build_tileset
+    monkeypatch.setattr(cli, "_SLICE", 1000)  # many slices, the last one short
+    out = tmp_path / "m3.svg"
+    assert run("render", "--scale", "3", "--cell", "7", "--out", str(out)) == 0
+    want = render_oracle.render_patch_svg(build_tileset(), build_macro_tile(3), 7)
+    assert len(want) % 1000 and out.read_bytes() == want.encode()
 
 
 def test_render_requires_scale(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import markers_oracle
 import pattern_oracle
+from groundlab import markers
 from groundlab.markers import (
     MarkerSet,
     nonoverlap_violations,
@@ -156,21 +157,39 @@ def marker_sets(draw):
     return _marker_set(grids)
 
 
-@given(marker_sets())
-@example(_marker_set([(("A",),), (("B",),)]))                # 1x1: never overlap
-@example(_marker_set([(("A", "B", "A"),), (("B", "A", "B"),)]))  # non-square
-@example(_marker_set([(("A", "A"), ("A", "A"))]))            # self-overlap
-@settings(max_examples=200, deadline=None)
-def test_all_pairs_scan_matches_pair_loop(ms):
+@given(marker_sets(), st.sampled_from([markers._PRIME, 2, 3, 5]))
+@example(_marker_set([(("A",),), (("B",),)]), markers._PRIME)    # 1x1: never overlap
+@example(_marker_set([(("A", "B", "A"),), (("B", "A", "B"),)]), markers._PRIME)  # non-square
+@example(_marker_set([(("A", "A"), ("A", "A"))]), markers._PRIME)  # self-overlap
+@example(_marker_set([(("A", "B"), ("B", "A")), (("B", "A"), ("A", "B"))]), 2)
+@settings(max_examples=300, deadline=None)
+def test_all_pairs_scan_matches_pair_loop(ms, prime):
+    """At the hash modulus and at tiny primes, where most overlaps collide:
+    array equality, not the hash, decides each hit."""
     want = markers_oracle.nonoverlap_violations(ms)
-    assert nonoverlap_violations(ms) == want
-    assert verify_nonoverlap(ms) == (want[0] if want else None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markers, "_PRIME", prime)
+        assert nonoverlap_violations(ms) == want
+        assert verify_nonoverlap(ms) == (want[0] if want else None)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_robinson_scan_matches_pair_loop(n):
     ms = robinson_marker_set(n)
     assert nonoverlap_violations(ms) == markers_oracle.nonoverlap_violations(ms) == []
+
+
+def test_robinson_scan_confirms_colliding_hashes(monkeypatch):
+    monkeypatch.setattr(markers, "_PRIME", 2)
+    confirms = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b: confirms.append(1) or array_equal(a, b))
+    for n in range(1, 5):
+        ms = robinson_marker_set(n)
+        assert nonoverlap_violations(ms) == markers_oracle.nonoverlap_violations(ms) == []
+        assert verify_nonoverlap(ms) is None
+    assert len(confirms) > 1000  # every one a collision, refused by array equality
 
 
 def test_codes_share_one_legend():

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .measures import DEPTH_CAP, WordMeasure, _check_depth, word_index
-from .tiles import InputError
+from .measures import WordMeasure, _check_depth, word_index
+from .tiles import BudgetExceeded, InputError
 
 DESK_BUDGET_CAP = 10_000_000
 
@@ -147,21 +146,12 @@ def _check_input(machine: Machine, word: str):
 def run(machine: Machine, word: str, budget: int = DESK_BUDGET_CAP) -> RunResult:
     """Execute until halt or budget; the head clamps at the left edge."""
     _check_input(machine, word)
-    return _resume(machine, machine.initial, 0, dict(enumerate(word)), 0, budget)
-
-
-def _resume(machine: Machine, state: str, head: int, tape: dict, steps: int,
-            budget: int) -> RunResult:
-    """Continue a run from (state, head, tape, steps) until halt or budget."""
-    finals = machine.finals
-    delta = machine.delta
-    blank = machine.blank
+    finals, delta, blank = machine.finals, machine.delta, machine.blank
+    state, head, tape, steps = machine.initial, 0, dict(enumerate(word)), 0
     while state not in finals:
         if steps >= budget:
             return RunResult(state, head, steps, False, tape, blank)
-        sym = tape.get(head, blank)
-        state, write, move = delta[(state, sym)]
-        tape[head] = write
+        state, tape[head], move = delta[(state, tape.get(head, blank))]
         head = max(0, head + move)
         steps += 1
     return RunResult(state, head, steps, True, tape, blank)
@@ -180,212 +170,221 @@ def seed_budget(k: int) -> int:
     return min(2 ** e, DESK_BUDGET_CAP)
 
 
-# Seeds run as numpy lanes in aligned blocks of at most _BLOCK_LANES, a power
-# of two, which bounds the tape array's memory, for at most _LOCKSTEP_STEPS
-# steps; a lane still running then continues alone on `_resume`, so a machine
-# that never halts costs one interpreted run to its budget, not that many
-# numpy steps.  Below _SPLIT_LANES lanes a numpy step costs about the same
-# whatever their number, so a split goes straight up to that many.
-_BLOCK_LANES = 1 << 12
-_LOCKSTEP_STEPS = 1 << 12
-_SPLIT_LANES = 1 << 8
+# a scale the sweep leaves open runs seed by seed, at most this many seeds
+FALLBACK_SEEDS = 1 << 16
 
 
-class _Delta:
-    """The delta as flat tables indexed by state row (state index * |tape
-    alphabet|) + symbol code: next state row, written code and move.  The
-    final states are numbered last, from row `halt` on."""
+class _Sweep:
+    """Word measures of one machine at every scale, by a forward sweep over
+    the boundaries between tape cells (Hennie 1965; Shepherdson 1959).
+
+    A node at boundary b, between cells b - 1 and b, is keyed (R, w): R is
+    its crossing sequence, the states in which the head crosses b, rightward
+    and leftward in turn, and w the final symbols of the cells below
+    min(b, depth).  Its value is [seeds, steps]: how many b-bit seed
+    prefixes lead to it and the most steps their runs make left of b.  Each
+    cell's visits are replayed from its seed bit, or the blank past the
+    seed, guessing the states the head comes back in; the next cell keeps
+    only the guesses it can replay.  A run that halts has one such chain,
+    so a scale is exact once its finished chains count all 2^k seeds.
+    Nodes over the seed are shared by every scale of one (depth, budget)
+    pass; scale k closes its nodes over blank cells, cached by (R, cells
+    still needed)."""
 
     def __init__(self, machine: Machine):
-        self.symbols = machine.tape_alphabet
-        self.code = {a: i for i, a in enumerate(self.symbols)}
-        self.blank = self.code[machine.blank]
-        g = len(self.symbols)
-        self.dtype = np.min_scalar_type(g - 1)
-        self.states = sorted(machine.states, key=machine.finals.__contains__)
-        row = {q: i * g for i, q in enumerate(self.states)}
-        size = len(self.states) * g
-        self.initial = row[machine.initial]
-        self.halt = (len(self.states) - len(machine.finals)) * g
-        self.next = np.zeros(size, np.intp)
-        self.write = np.zeros(size, self.dtype)
-        self.move = np.zeros(size, np.intp)
-        for (q, a), (q2, b, mv) in machine.delta.items():
-            i = row[q] + self.code[a]
-            self.next[i], self.write[i], self.move[i] = row[q2], self.code[b], mv
-        # a code is a letter when its symbol spells only 'u'/'d' characters;
-        # as a word it has index `value` over `size` letters (index 0 past
-        # DEPTH_CAP letters, as no word holds that many)
-        self.letter = np.array([set(a) <= {"u", "d"} for a in self.symbols])
-        self.value = np.array([word_index(a) if ok and len(a) <= DEPTH_CAP else 0
-                               for a, ok in zip(self.symbols, self.letter)], np.int64)
-        self.size = np.array([len(a) for a in self.symbols], np.int64)
+        self.delta, self.finals = machine.delta, machine.finals
+        self.initial, self.blank = machine.initial, machine.blank
+        # the states a head can come back in: targets of left moves
+        self.returns = tuple(sorted({q for q, _, mv in machine.delta.values()
+                                     if mv < 0}))
+        self.letters = {a for a in machine.tape_alphabet if set(a) <= {"u", "d"}}
+        self.room = len(machine.states) * len(machine.tape_alphabet)
+        self.passes = {}
+
+    def measure(self, k: int, depth: int, budget: int) -> Optional[dict]:
+        """Word -> seed count over all 2^k seeds, or None if the sweep
+        cannot settle scale k: a run past the budget, a depth-prefix that is
+        not a word, or a bound of the sweep passed."""
+        levels, ends = self.passes.setdefault((depth, budget), ([{(None, ()): [1, 0]}], {}))
+        while len(levels) <= k and levels[-1] is not None:
+            cell = len(levels) - 1
+            levels.append(self._cross(levels[cell], "01", cell < depth, budget,
+                                      self._bound(cell + 1)))
+        if len(levels) <= k or levels[k] is None:
+            return None
+        need = max(0, depth - k)
+        table, total = {}, 0
+        for (crossings, w), (seeds, steps) in levels[k].items():
+            if (crossings, need) not in ends:
+                ends[crossings, need] = self._close(crossings, need, budget)
+            end = ends[crossings, need]
+            if end is not None and steps + end[1] <= budget:
+                word = "".join(w + end[0])
+                table[word] = table.get(word, 0) + seeds
+                total += seeds
+        return table if total == 1 << k else None
+
+    def _bound(self, boundary: int) -> int:
+        """Nodes, and guesses in all, past which a seed boundary is left
+        open: max(2^boundary up to FALLBACK_SEEDS, |Q| |Γ|)."""
+        return max(self.room, min(1 << boundary, FALLBACK_SEEDS))
+
+    def _close(self, crossings: tuple, need: int, budget: int) -> Optional[tuple]:
+        """(final symbols of the `need` cells past boundary k, steps made
+        there) for a node with these crossings, its cells all blank, or None
+        when no chain ends: each chain dies, the set of nodes repeats, or a
+        bound is passed."""
+        nodes, seen, cell = {(crossings, ()): [1, 0]}, set(), 0
+        while nodes:
+            for (rest, w), (_, steps) in nodes.items():
+                if not rest:         # the head never passes this boundary
+                    fill = max(0, need - cell)
+                    if fill and self.blank not in self.letters:
+                        return None
+                    return w + (self.blank,) * fill, steps
+            if cell >= need:
+                keys = frozenset(nodes)
+                if keys in seen:
+                    return None
+                seen.add(keys)
+            nodes = self._cross(nodes, (self.blank,), cell < need, budget, self.room)
+            cell += 1
+        return None
+
+    def _cross(self, nodes: dict, symbols, keep: bool, budget: int,
+               limit: int) -> Optional[dict]:
+        """The nodes one boundary on, past a cell holding one of `symbols`;
+        its final symbol joins w when `keep`, and a non-letter there drops
+        the chain.  None past `limit` nodes, or `limit` guesses in all."""
+        out, left = {}, limit
+        for (crossings, w), (seeds, steps) in nodes.items():
+            for sym in symbols:
+                ways, left = self._replay(crossings, sym, budget - steps, left)
+                if ways is None:
+                    return None
+                for after, last, more in ways:
+                    if keep and last not in self.letters:
+                        continue
+                    node = out.setdefault((after, w + (last,) if keep else w), [0, 0])
+                    node[0] += seeds
+                    node[1] = max(node[1], steps + more)
+        return out if len(out) <= limit else None
+
+    def _replay(self, crossings: Optional[tuple], sym: str, allowance: int,
+                left: int) -> tuple:
+        """Every way the visits to one cell can go, as (crossings on its
+        right, final symbol, steps made in it), given the crossings on its
+        left; None stands for cell 0, where the head starts and a left move
+        keeps it in place.  At most `allowance` steps and `left` guesses:
+        returns (ways, guesses left), or (None, 0) past them."""
+        if crossings == ():          # the head never comes here
+            return [((), sym, 0)], left
+        delta, finals, returns = self.delta, self.finals, self.returns
+        zero = crossings is None
+        stack = [(self.initial, sym, 0, (), 0) if zero else (crossings[0], sym, 1, (), 0)]
+        crossings = crossings or ()
+        end, out = len(crossings), []
+        while stack:
+            q, a, i, right, steps = stack.pop()
+            stay = 0
+            while True:
+                if q in finals:      # the run halts in this cell
+                    if i == end:
+                        out.append((right, a, steps))
+                    break
+                if steps >= allowance:
+                    break
+                q, a, move = delta[q, a]
+                steps += 1
+                if move < 0:
+                    if zero:         # clamped: a loop once a (state, symbol) repeats
+                        stay += 1
+                        if stay > self.room:
+                            break
+                        continue
+                    if i == end or crossings[i] != q:
+                        break
+                    i += 1
+                    if i == end:     # halted on the left, or never back
+                        out.append((right, a, steps))
+                        break
+                    if q in finals:
+                        break
+                    q, i = crossings[i], i + 1
+                    continue
+                right += (q,)
+                if i == end:         # halts on the right, or never comes back
+                    out.append((right, a, steps))
+                if q in finals:
+                    break
+                left -= len(returns)
+                if left < 0:
+                    return None, 0
+                stack.extend((s, a, i, right + (s,), steps) for s in returns)
+                break
+        return out, left
 
 
-def _compiled(machine: Machine) -> _Delta:
-    """The machine's `_Delta`, compiled once per instance and again only when
-    a field it reads no longer matches (the delta dict can be mutated)."""
+def _swept(machine: Machine) -> _Sweep:
+    """The machine's `_Sweep`, built once per instance and again only when a
+    field it reads no longer matches (the delta dict can be mutated)."""
     source = (machine.states, machine.initial, machine.finals,
               machine.tape_alphabet, machine.blank, machine.delta)
-    cached = machine.__dict__.get("_tables")
+    cached = machine.__dict__.get("_sweep")
     if cached is None or cached[0] != source:
-        cached = (source[:-1] + (dict(machine.delta),), _Delta(machine))
-        object.__setattr__(machine, "_tables", cached)
+        cached = (source[:-1] + (dict(machine.delta),), _Sweep(machine))
+        object.__setattr__(machine, "_sweep", cached)
     return cached[1]
 
 
-def _lockstep(machine: Machine, delta: _Delta, k: int, depth: int, budget: int,
-              lo: int, hi: int) -> list:
-    """The depth-prefix codes of seeds lo..hi-1 as (codes, span) pairs, each
-    row of `codes` the prefix of `span` seeds, all seeds run as lanes.
-
-    The block is aligned: its 2^b seeds share their first k - b cells, as
-    `word_measure` cuts the seeds 0..valid-1, with valid 0, 1 or 2^k, into
-    blocks of a power of two.  It starts as one lane holding its lowest
-    seed.  A head can read only cells 0..s before step s, so every live lane
-    splits on seed cell s just then; a lane split on its first `fixed` cells
-    stands for the 2^(k - fixed) seeds sharing them, and so does its prefix
-    (a seed cell past `fixed` in it is unread: a non-letter for them all,
-    spelled as the lowest seed's).  Lanes still running after the lockstep
-    phase split to one per seed and finish on `_resume`.
-
-    Raises at the lowest failing seed of the block, as `run` seed by seed
-    would: a run past the budget, or a depth-prefix that is not a word.
-    """
-    symbols, g = delta.symbols, len(delta.symbols)
-    d = max(depth, 0)
-    width = max(k, d) + 1
-    fixed = k - (hi - lo).bit_length() + 1
-    seeds = np.array([lo])
-    tape = np.full((len(seeds), width), delta.blank, delta.dtype)
-    # without '1' in the input alphabet the block is seed 0 alone: no 1 bits
-    bit = np.array([delta.code["0"], delta.code.get("1", 0)], delta.dtype)
-    tape[:, :k] = bit[(seeds[:, None] >> np.arange(k - 1, -1, -1)) & 1]
-    # one column per lane: its lowest seed, state row and head cell
-    lanes = np.zeros((3, len(seeds)), np.intp)
-    lanes[0], lanes[1] = seeds, delta.initial
-    halted = []                      # (lowest seeds, prefix codes, span)
-    steps, edge = 0, width           # no head can reach cell `width` before `edge`
-    limit = min(budget, _LOCKSTEP_STEPS)
-    while True:
-        if fixed < k and (fixed == steps or steps >= limit):
-            # split on cell `fixed`, and on the next cells while lanes are
-            # few; split down to one lane per seed once the phase is over
-            room = (_SPLIT_LANES // lanes.shape[1]).bit_length() - 1
-            r = k - fixed if steps >= limit else min(k - fixed, max(1, room))
-            low = np.arange(1 << r)  # copy i of a lane holds bits i there
-            lanes, tape = lanes.repeat(1 << r, axis=1), tape.repeat(1 << r, axis=0)
-            lanes[0].reshape(-1, 1 << r)[:] += low << (k - fixed - r)
-            tape.reshape(-1, 1 << r, width)[:, :, fixed:fixed + r] = bit[
-                (low[:, None] >> np.arange(r - 1, -1, -1)) & 1]
-            fixed += r
-        seeds, state, pos = lanes
-        base = np.arange(len(state)) * width
-        pos += base                  # from head cell to flat index in `tape`
-        flat = tape.reshape(-1)
-        until = min(limit, edge, fixed if fixed < k else limit)
-        while steps < until and state.max() < delta.halt:
-            np.add(state, flat.take(pos), out=state)     # the row to apply
-            flat[pos] = delta.write.take(state)
-            pos += delta.move.take(state)
-            np.maximum(pos, base, out=pos)
-            delta.next.take(state, out=state)
-            steps += 1
-        pos -= base
-        stop = state >= delta.halt
-        if stop.all():
-            halted.append((seeds, tape[:, :d], 1 << (k - fixed)))
-            lanes = lanes[:, :0]
-            break
-        if stop.any():
-            halted.append((seeds[stop], tape[stop, :d], 1 << (k - fixed)))
-            lanes, tape = lanes[:, ~stop], tape[~stop]
-        if steps >= limit and fixed == k:
-            break
-        if steps >= edge:            # heads move one cell a step
-            reach = int(lanes[2].max())
-            if reach >= width:
-                tape = np.concatenate([tape, np.full_like(tape, delta.blank)], axis=1)
-                width *= 2
-            edge = steps + width - reach
-    first, word = hi, None           # the lowest seed left with a non-word
-    for low, codes, span in halted:
-        if not delta.letter.take(codes).all():
-            bad = np.flatnonzero(~delta.letter.take(codes).all(axis=1))[0]
-            if low[bad] < first:
-                first, word = int(low[bad]), codes[bad]
-    seeds, state, head = lanes
-    rest = np.zeros((len(seeds), d), delta.dtype)
-    for j, seed in enumerate(seeds.tolist()):
-        if seed > first:
-            break
+def _seed_by_seed(machine: Machine, k: int, depth: int, budget: int) -> dict:
+    """Word -> seed count, each seed run through `run` in order, raising at
+    the lowest failing one; BudgetExceeded past FALLBACK_SEEDS seeds."""
+    name = machine.name or "?"
+    table = {}
+    for seed in range(2 ** k):
+        if seed == FALLBACK_SEEDS:
+            raise BudgetExceeded(f"machine {name} at scale {k}: the word measure "
+                                 f"runs seed by seed, past {FALLBACK_SEEDS} seeds")
         bits = format(seed, f"0{k}b")
-        res = _resume(machine, delta.states[state[j] // g], int(head[j]),
-                      dict(enumerate(symbols[c] for c in tape[j].tolist())),
-                      steps, budget)
+        res = run(machine, bits, budget)
         if not res.halted:
-            raise NonConformingError(
-                f"machine {machine.name or '?'} exceeded {budget} steps "
-                f"at seed {bits}", seed=bits)
-        rest[j] = [delta.code[res.tape.get(c, machine.blank)] for c in range(d)]
-        if not delta.letter[rest[j]].all():
-            first, word = seed, rest[j]
-    if word is not None:
-        w = "".join(symbols[c] for c in word.tolist())
-        bits = format(first, f"0{k}b")
-        raise NonWordOutput(f"machine {machine.name or '?'} left a non-word "
-                            f"output {w!r} at seed {bits}", seed=bits)
-    done = [(codes, span) for _, codes, span in halted]
-    return done + [(rest, 1)] if len(rest) else done
+            raise NonConformingError(f"machine {name} exceeded {budget} steps "
+                                     f"at seed {bits}", seed=bits)
+        w = res.tape_word(depth)
+        if any(c not in ("u", "d") for c in w):
+            raise NonWordOutput(f"machine {name} left a non-word output {w!r} "
+                                f"at seed {bits}", seed=bits)
+        table[w] = table.get(w, 0) + 1
+    return table
 
 
 def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
                  budget: Optional[int] = None) -> WordMeasure:
     """Average the output word over all 2^k seeds, exact rational weights.
 
-    Seeds advance in lockstep, as numpy lanes over the compiled delta, and
-    the words of each block's halted lanes are tallied by index with one
-    bincount per batch; the measure, and the error raised at the lowest
-    failing seed, are those of running each seed through `run` in order.
-    """
+    The machine's `_Sweep` counts the seeds by crossing sequences; a scale
+    it leaves open, or a seed alphabet without both bits, runs seed by seed
+    (`_seed_by_seed`).  Either way the measure, and the error raised at the
+    lowest failing seed, are those of running each seed through `run`."""
     if k < 1:
         raise InputError("scale k must be >= 1")
     if depth is None:
         depth = b_read(k)
     if budget is None:
         budget = seed_budget(k)
-    total = 2 ** k
-    alphabet = set(machine.input_alphabet)
-    # the seeds before the first one holding a symbol outside the alphabet
-    valid = total if {"0", "1"} <= alphabet else int("0" in alphabet)
-    delta = _compiled(machine)
-    # a bad depth or a word of another length is reported once every seed
-    # has run, so that a failing seed is reported first
-    tally = 1 <= depth <= DEPTH_CAP
-    counts = np.zeros(2 ** depth if tally else 0, np.int64)
-    mismatch = False
-    # aligned blocks, as `_lockstep` needs: a power of two seeds each
-    block = 1 << (_BLOCK_LANES.bit_length() - 1)
-    for lo in range(0, valid, block):
-        for codes, span in _lockstep(machine, delta, k, depth, budget, lo,
-                                     min(valid, lo + block)):
-            if not tally or mismatch:
-                continue
-            index = np.zeros(len(codes), np.int64)
-            size = np.zeros(len(codes), np.int64)
-            for col in codes.T:      # words spelled out letter by letter
-                index = (index << delta.size[col]) | delta.value[col]
-                size += delta.size[col]
-            if (size != depth).any():
-                mismatch = True
-            else:
-                counts += span * np.bincount(index, minlength=len(counts))
-    if valid < total:
-        _check_input(machine, format(valid, f"0{k}b"))
+    table = None
+    if {"0", "1"} <= set(machine.input_alphabet):
+        table = _swept(machine).measure(k, depth, budget)
+    if table is None:
+        table = _seed_by_seed(machine, k, depth, budget)
     _check_depth(depth)
-    if mismatch:
-        raise InputError("word depth mismatch")
-    return WordMeasure.from_nums(depth, counts.tolist(), total)
+    nums, g = [0] * 2 ** depth, math.gcd(2 ** k, *table.values())
+    for word, seeds in table.items():
+        if len(word) != depth:
+            raise InputError("word depth mismatch")
+        nums[word_index(word)] += seeds // g
+    return WordMeasure.from_nums(depth, nums, 2 ** k // g)
 
 
 # ---------------------------------------------------------------- corpus ---

@@ -102,14 +102,15 @@ _PRIME = 2 ** 31 - 1
 _BASES = (48271, 39373)
 
 
-def nonoverlap_violations(markers: MarkerSet) -> list:
-    """All (i, j, (dx, dy)) where pattern j shifted by (dx, dy) agrees with
-    pattern i on a nonempty proper overlap (i == j with zero shift excluded),
-    sorted by (i, j, dy, dx).
+def _violations(markers: MarkerSet):
+    """Yield each (i, j, (dx, dy)) where pattern j shifted by (dx, dy) agrees
+    with pattern i on a nonempty proper overlap (i == j with zero shift
+    excluded), in (i, j, dy, dx) order.
 
     Every overlap is hashed from 2-D prefix sums, one numpy pass per row shift
-    dy over all column shifts and pattern pairs; equal overlaps hash equal, and
-    `np.array_equal` confirms each hash hit, so the hash only filters."""
+    dy over all column shifts and pattern pairs; equal overlaps hash equal.
+    The hash hits are sorted, and `np.array_equal` confirms each one only
+    when the caller asks for it, so the hash only filters."""
     codes = markers.codes
     n, h, w = codes.shape
     p = _PRIME
@@ -148,25 +149,31 @@ def nonoverlap_violations(markers: MarkerSet) -> list:
         v %= p
         return v
 
-    hits = []
+    hits = [np.zeros((4, 0), np.intp)]   # (i, j, dy, column shift index) columns
     for dy in range(-(h - 1), h):
         y0, y1 = max(0, dy), min(h, h + dy)
         agree = (overlap_hashes(y0, y1, ax0, ax1, ainv)[:, None]
                  == overlap_hashes(y0 - dy, y1 - dy, bx0, bx1, binv)[None])
         if dy == 0:  # no pattern is compared with itself at zero shift
             agree[range(n), range(n), w - 1] = False
-        if not agree.any():
-            continue
-        for i, j, k in zip(*np.nonzero(agree)):
-            if np.array_equal(codes[i, y0:y1, ax0[k]:ax1[k]],
-                              codes[j, y0 - dy:y1 - dy, bx0[k]:bx1[k]]):
-                hits.append((int(i), int(j), dy, int(dxs[k])))
-    hits.sort()
-    return [(i, j, (dx, dy)) for i, j, dy, dx in hits]
+        if agree.any():
+            i, j, k = np.nonzero(agree)
+            hits.append(np.stack([i, j, np.full_like(i, dy), k]))
+    hits = np.concatenate(hits, axis=1)
+    # the column shift index runs with dx, so this is (i, j, dy, dx) order
+    for i, j, dy, k in map(tuple, hits[:, np.lexsort(hits[::-1])].T):
+        y0, y1 = max(0, dy), min(h, h + dy)
+        if np.array_equal(codes[i, y0:y1, ax0[k]:ax1[k]],
+                          codes[j, y0 - dy:y1 - dy, bx0[k]:bx1[k]]):
+            yield int(i), int(j), (int(dxs[k]), int(dy))
+
+
+def nonoverlap_violations(markers: MarkerSet) -> list:
+    """Every violation of the non-overlap axiom, in (i, j, dy, dx) order."""
+    return list(_violations(markers))
 
 
 def verify_nonoverlap(markers: MarkerSet):
     """None when the non-overlap axiom holds, else the first violating triple
-    in (i, j, dy, dx) order."""
-    bad = nonoverlap_violations(markers)
-    return bad[0] if bad else None
+    in (i, j, dy, dx) order; no hash hit after it is confirmed."""
+    return next(_violations(markers), None)

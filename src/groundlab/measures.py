@@ -93,7 +93,7 @@ class WordMeasure:
         g = math.gcd(*nums)          # divides den too: den is their sum
         self.depth = depth
         self.den = den // g
-        self.nums = tuple(n // g for n in nums)
+        self.nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
         self._weights = None
 
     @property

@@ -24,13 +24,11 @@ from typing import Callable, List, Sequence, Tuple
 
 from .layers import default_schedule
 from .machines import Machine, routing_index, selector_weights, word_measure
-from .measures import (ConditionalGridMeasure, WordMeasure, conditional_rows,
-                       mix, weak_star_distance)
+from .measures import (ConditionalGridMeasure, WordMeasure, _check_depth,
+                       conditional_rows, mix, weak_star_distance)
 from .sequences import AccumulationSet, tail_net
 from .tiles import InputError
 
-# word_measure enumerates all 2^k seeds; flows clamp the evaluation scale
-SCALE_CAP = 12
 # the net radius of an accumulation view
 ACCUMULATION_RADIUS = Fraction(1, 256)
 
@@ -80,19 +78,13 @@ def make_selector(i: int, enumeration: Sequence[Machine]) -> SelectorRule:
 # ------------------------------------------------------------ flow report ---
 
 def _scale_memo(depth: int) -> Callable[[Machine, int], WordMeasure]:
-    """measure(machine, j): the word measure at scale
-    min(max(j, depth), SCALE_CAP).
-
-    word_measure depends on j only through that clamped scale, so each
-    (machine, scale) pair is evaluated once for the memo's lifetime.
-    """
-    if not 1 <= depth <= SCALE_CAP:
-        raise InputError(f"depth {depth} is outside 1..{SCALE_CAP}: word measures "
-                         f"are evaluated at scales <= {SCALE_CAP}")
+    """measure(machine, j): the word measure at scale max(j, depth), each
+    (machine, scale) pair evaluated once for the memo's lifetime."""
+    _check_depth(depth)
     table = {}
 
     def measure(machine: Machine, j: int) -> WordMeasure:
-        key = (machine, min(max(j, depth), SCALE_CAP))
+        key = (machine, max(j, depth))
         if key not in table:
             table[key] = word_measure(machine, key[1], depth)
         return table[key]

@@ -1,17 +1,18 @@
 """Straight-line word-measure reference: each of the 2^k seeds runs alone
 through the `run` interpreter, in seed order.
 
-`machines.word_measure` advances all seeds together as numpy lanes;
+`machines.word_measure` counts the seeds by crossing sequences;
 tests/test_machines.py checks its measures and its errors against this loop.
 
 Below it, the selector rule's admission test as it was written out before
-it read `machines.routing_index`, the one routing-word rule.
+it read `machines.routing_index`, the one routing-word rule, and
+`alternator`, a word machine whose output depends on the scale.
 """
 
 from fractions import Fraction
 
-from groundlab.machines import (NonConformingError, NonWordOutput, b_read, run,
-                                seed_budget)
+from groundlab.machines import (Machine, NonConformingError, NonWordOutput,
+                                b_read, run, seed_budget)
 from groundlab.measures import WordMeasure
 from groundlab.tiles import InputError
 
@@ -49,3 +50,21 @@ def selector_admits(index, x, y):
     want = "1" * index + "#" * (k - index)
     return all(c in "01" for c in x) and y == want
 
+
+def alternator():
+    """Scan right over the seed writing 'x' and tracking k mod 2, then walk
+    back turning each 'x' into '#'; the head clamps at cell 0, reads the '#'
+    it just wrote there and writes 'u' for even k, 'd' for odd k.  Its
+    depth-1 word measure at scale k is the point mass on that letter."""
+    tape = ("0", "1", "x", "u", "d", "#")
+    delta = {(q, a): ("h", a, 1) for q in ("e", "o", "bu", "bd") for a in tape}
+    for a in ("0", "1"):
+        delta["e", a] = ("o", "x", 1)
+        delta["o", a] = ("e", "x", 1)
+    delta["e", "#"] = ("bu", "#", -1)
+    delta["o", "#"] = ("bd", "#", -1)
+    for q, letter in (("bu", "u"), ("bd", "d")):
+        delta[q, "x"] = (q, "#", -1)
+        delta[q, "#"] = ("h", letter, 1)
+    return Machine(("e", "o", "bu", "bd", "h"), "e", frozenset(["h"]), ("0", "1"),
+                   tape, "#", delta, name="alternator")

@@ -17,6 +17,7 @@ import groundlab.cli as cli
 import groundlab.thermo as thermo
 from groundlab.cli import _BLOCK_ROWS, _TEXT_ROWS, _float_chunks, main
 from groundlab.layers import constant_schedule, default_schedule
+from groundlab.measures import DEPTH_CAP
 
 
 def run(*argv):
@@ -313,20 +314,22 @@ def test_measure_flow_word_measure_once_per_scale(tmp_path,
                                                   word_measure_calls):
     assert run("measure-flow", "--machine", "parity", "--depth", "2",
                "--kmax", "32", "--csv", str(tmp_path / "mf.csv")) == 0
-    # 31 rows, but scales clamp to min(max(k, depth), 12): 11 distinct
-    assert sorted(k for _, k, _ in word_measure_calls) == list(range(2, 13))
+    # 31 rows, each at its own scale max(k, depth), each scale run once
+    assert sorted(k for _, k, _ in word_measure_calls) == list(range(2, 33))
 
 
 def test_depth_above_scale_cap_is_usage_error(tmp_path, capsys):
-    assert run("measure-flow", "--machine", "parity", "--depth", "13",
-               "--kmax", "14", "--csv", str(tmp_path / "mf.csv")) == 2
+    # the one depth limit is DEPTH_CAP, as measures allocate 2^depth weights
+    depth = str(DEPTH_CAP + 1)
+    assert run("measure-flow", "--machine", "parity", "--depth", depth,
+               "--kmax", "18", "--csv", str(tmp_path / "mf.csv")) == 2
     err = capsys.readouterr().err
-    assert "depth 13" in err and "12" in err
+    assert f"depth must be in 1..{DEPTH_CAP}" in err
     assert run("perturb", "--base", "constant-u", "--target", "parity",
-               "--epsilon", "1", "--depth", "13", "--horizon", "14",
+               "--epsilon", "1", "--depth", depth, "--horizon", "18",
                "--out", str(tmp_path / "r.json")) == 2
     err = capsys.readouterr().err
-    assert "depth 13" in err and "12" in err
+    assert f"depth must be in 1..{DEPTH_CAP}" in err
     assert run("measure-flow", "--machine", "parity", "--depth", "-1",
                "--kmax", "3", "--csv", str(tmp_path / "mf.csv")) == 2
 

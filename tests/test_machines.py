@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -41,7 +42,7 @@ from groundlab.machines import (
 from groundlab.measures import WordMeasure
 from groundlab.cli import main as cli_main
 from groundlab.perturbation import make_selector
-from groundlab.tiles import InputError
+from groundlab.tiles import BudgetExceeded, InputError
 
 
 def test_machine_validation():
@@ -152,9 +153,9 @@ def test_word_measure_budget_breach():
     assert str(info.value) == "machine copier exceeded 1 steps at seed 000"
 
 
-def test_word_measure_budget_past_lockstep_phase():
-    # 20 000 steps outlast the lanes' lockstep phase: seed 0 finishes on the
-    # interpreter and is the one reported
+def test_word_measure_budget_breach_on_a_long_run():
+    # the head loops at cell 0 for all 20 000 steps: seed 0 is the one
+    # reported, by the runs seed by seed
     with pytest.raises(NonConformingError) as info:
         word_measure(left_mover(), 6, budget=20_000)
     assert info.value.seed == "000000"
@@ -247,20 +248,8 @@ def test_word_measure_matches_serial_oracle(machine, data):
     longest = _longest_run(machine, k)
     if longest is not None and data.draw(st.booleans(), "tight"):
         budget = longest + data.draw(st.sampled_from([-1, 0]), "slack")
-    # small blocks and a short lockstep phase put block offsets and the
-    # hand-off to the interpreter within reach of small k; k = 13 runs two
-    # blocks as they are.  Blocks of 4 and 8 seeds share their top bits and
-    # start as one lane; with one split per step a lane can halt while it
-    # still stands for several seeds
-    lanes = data.draw(st.sampled_from([1, 4, 8, machines._BLOCK_LANES] if k <= 8
-                                      else [machines._BLOCK_LANES]), "lanes")
-    phase = data.draw(st.sampled_from([0, 2, 7] + [machines._LOCKSTEP_STEPS] * 3), "phase")
-    split = data.draw(st.sampled_from([1, machines._SPLIT_LANES]), "split")
     want = _outcome(oracle.word_measure, machine, k, depth, budget)
-    with mock.patch.object(machines, "_BLOCK_LANES", lanes), \
-            mock.patch.object(machines, "_LOCKSTEP_STEPS", phase), \
-            mock.patch.object(machines, "_SPLIT_LANES", split):
-        assert _outcome(word_measure, machine, k, depth, budget) == want
+    assert _outcome(word_measure, machine, k, depth, budget) == want
 
 
 def test_word_measure_clamps_at_cell_zero():
@@ -274,9 +263,9 @@ def test_word_measure_clamps_at_cell_zero():
 
 
 def test_word_measure_heads_run_past_the_seed():
-    # the head writes three cells past the seed before it stops, so the lanes'
-    # tape widens under it; a write past a lane's row would put '#' into the
-    # next lane's word
+    # the head writes three cells past the seed before it stops: each
+    # scale's completion over blank cells carries it there, and below the
+    # depth those cells are part of the word
     tape = ("0", "1", "u", "d", "#")
     trail = ["s", "t1", "t2", "t3", "h"]
     delta = {("s", "0"): ("s", "u", 1), ("s", "1"): ("s", "d", 1)}
@@ -289,7 +278,8 @@ def test_word_measure_heads_run_past_the_seed():
 
 
 def test_word_measure_fails_in_a_later_block():
-    # the lowest failing seed is 2^12, the first seed of the second block
+    # the lowest failing seed is 2^12: the sweep leaves the scale open, and
+    # the runs seed by seed report that seed
     tape = ("0", "1", "u", "d", "x", "#")
     delta = {("s", a): ("s", a, 1) for a in tape}
     delta.update({("w", a): ("w", "u", 1) for a in tape})
@@ -340,26 +330,27 @@ def _writer(*cells, spoil=None):
     (_writer("", "du"), 3, 2, None),
     (_writer("", "d", "du"), 3, 3, None),
     # a failing seed is reported before a word of another length, even one
-    # in an earlier block, and before a bad depth
+    # of a lower seed, and before a bad depth
     (_writer("uu", "d", spoil="x"), 3, 2, None),
     (_writer("u", "d"), 3, 0, 3),
     (_writer("u", "d"), 3, DEPTH_CAP + 1, 3),
     (_writer("u", "d"), 3, 0, None),
     (_writer("u", "d"), 3, DEPTH_CAP + 1, None),
 ])
-# a `_BLOCK_LANES` of 3 is no power of two: word_measure cuts blocks of 2
-@pytest.mark.parametrize("lanes", [1, 3, machines._BLOCK_LANES])
-def test_word_measure_tally_edges_match_oracle(machine, k, depth, budget, lanes):
+# the sweep's bound per seed boundary patched small: it declines at once on
+# most of these, and the runs seed by seed must give the same outcome
+@pytest.mark.parametrize("bound", [1, 3, 4096])
+def test_word_measure_tally_edges_match_oracle(machine, k, depth, budget, bound):
     want = _outcome(oracle.word_measure, machine, k, depth, budget)
-    with mock.patch.object(machines, "_BLOCK_LANES", lanes):
+    with mock.patch.object(machines._Sweep, "_bound", lambda self, b: bound):
         assert _outcome(word_measure, machine, k, depth, budget) == want
 
 
 def _early_stop():
     """Seeds starting 0 write 'uu' over cells 0-1 and halt on cell 2; seeds
     starting 1 write 'd' on cell 0 and halt at once, their second seed bit
-    unread, so each of those lanes halts standing for half its seeds and
-    leaves a non-word at depth 2 ('d' and that bit)."""
+    unread, so the head never crosses boundary 2 and cell 1 keeps its seed
+    bit: a non-word at depth 2 ('d' and that bit)."""
     tape = ("0", "1", "u", "d", "#")
     delta = {(q, a): ("h", a, 1) for q in ("s", "t") for a in tape}
     delta.update({("s", "0"): ("t", "u", 1), ("s", "1"): ("h", "d", 1),
@@ -390,12 +381,12 @@ def _zeros_only():
 
 
 @pytest.mark.parametrize("machine, k, depth, budget", [
-    # a lane halts before reading every seed cell while its depth prefix
+    # a run halts before reading every seed cell while its depth prefix
     # covers the unread ones: the non-word is its lowest seed's
     (_early_stop(), 5, 2, None),
     (_early_stop(), 13, 2, None),
     (immediate_halt(), 4, 3, None),
-    # ... and the same lanes at a depth they wrote in full: a measure
+    # ... and the same runs at a depth they wrote in full: a measure
     (_early_stop(), 5, 1, None),
     # no '1' in the input alphabet: seed 0 runs, then seed 1 is refused,
     # unless seed 0 fails first
@@ -403,9 +394,8 @@ def _zeros_only():
     (_zeros_only(), 3, 2, 2),
     (Machine(("h",), "h", frozenset(["h"]), ("0",), ("0", "1", "#"), "#", {}),
      3, 2, None),
-    # budgets below k stop the lockstep phase before every seed cell is
-    # split on: the live lanes split down to one per seed and finish on the
-    # interpreter, the lowest seed past the budget reported
+    # budgets below k stop runs before they read every seed cell: the
+    # lowest seed past the budget is reported
     (_slow_ones(), 6, 1, 3),
     (_slow_ones(), 6, 1, 5),
     (_slow_ones(), 13, 1, 7),
@@ -413,25 +403,31 @@ def _zeros_only():
     # ... and a budget every seed keeps to
     (_slow_ones(), 6, 1, 14),
 ])
-# a `_BLOCK_LANES` of 3 is no power of two: word_measure cuts blocks of 2
-@pytest.mark.parametrize("lanes", [1, 3, 4, 8, machines._BLOCK_LANES])
-@pytest.mark.parametrize("split", [1, machines._SPLIT_LANES])
+# the sweep's bound per seed boundary patched small, so that it declines at
+# the first boundaries and the runs seed by seed answer; and the sweep first
+# taken on to scale `warm`, so that scale k reads boundaries a call for a
+# larger scale already swept
+@pytest.mark.parametrize("bound", [1, 3, 4, 8, 4096])
+@pytest.mark.parametrize("warm", [1, 256])
 def test_word_measure_staged_edges_match_oracle(machine, k, depth, budget,
-                                                lanes, split):
+                                                bound, warm):
     want = _outcome(oracle.word_measure, machine, k, depth, budget)
-    with mock.patch.object(machines, "_BLOCK_LANES", lanes), \
-            mock.patch.object(machines, "_SPLIT_LANES", split):
+    with mock.patch.object(machines._Sweep, "_bound", lambda self, b: bound):
+        if {"0", "1"} <= set(machine.input_alphabet):
+            machines._swept(machine).measure(
+                warm, b_read(k) if depth is None else depth,
+                seed_budget(k) if budget is None else budget)
         assert _outcome(word_measure, machine, k, depth, budget) == want
 
 
 def test_one_compiled_delta_per_machine(tmp_path):
-    # measure-flow runs the parity machine at 11 scales: one table for them
-    compiled, calls = [], []
-    real_delta, real_measure = machines._Delta, perturbation.word_measure
+    # measure-flow runs the parity machine at 31 scales: one sweep for them
+    built, calls = [], []
+    real_sweep, real_measure = machines._Sweep, perturbation.word_measure
 
-    def delta(machine):
-        compiled.append(machine)
-        return real_delta(machine)
+    def sweep(machine):
+        built.append(machine)
+        return real_sweep(machine)
 
     def measure(machine, *args):
         calls.append(machine)
@@ -439,26 +435,87 @@ def test_one_compiled_delta_per_machine(tmp_path):
 
     argv = ["measure-flow", "--machine", "parity", "--depth", "2", "--kmax",
             "32", "--csv", str(tmp_path / "flow.csv")]
-    with mock.patch.object(machines, "_Delta", delta), \
+    with mock.patch.object(machines, "_Sweep", sweep), \
             mock.patch.object(perturbation, "word_measure", measure):
         assert cli_main(argv) == 0
-    assert len(calls) == 11
-    assert len(compiled) == len({id(m) for m in calls}) == 1
+    assert len(calls) == 31
+    assert len(built) == len({id(m) for m in calls}) == 1
 
 
 def test_compiled_delta_follows_the_machine():
     m = constant_writer("u")
     assert word_measure(m, 3).as_dict() == {"u": 1}
-    # rewriting a rule in place compiles the table again
+    # rewriting a rule in place builds the sweep again
     for a in ("0", "1", "u", "d"):
         m.delta[("w", a)] = ("w", "d", 1)
     assert word_measure(m, 3) == oracle.word_measure(m, 3)
     assert word_measure(m, 3).as_dict() == {"d": 1}
-    # an equal machine has its own table
+    # an equal machine has its own sweep
     equal = constant_writer("u")
     m.delta.update(equal.delta)
     assert m == equal
     assert word_measure(equal, 3).as_dict() == word_measure(m, 3).as_dict() == {"u": 1}
+
+
+@pytest.mark.parametrize("name", ["constant-u", "constant-d", "copier",
+                                  "parity", "fair-coin"])
+def test_corpus_word_machines_never_run_seed_by_seed(name):
+    m = corpus()[name]
+    letters = {"constant-u": "u", "constant-d": "d"}.get(name, "ud")
+    with mock.patch.object(machines, "_seed_by_seed", side_effect=AssertionError):
+        for k in range(16, 1, -1):   # one sweep, its largest scale first
+            d = b_read(k)
+            assert word_measure(m, k).as_dict() == {
+                a * d: Fraction(1, len(letters)) for a in letters}
+            assert word_measure(corpus()[name], k) == word_measure(m, k)
+
+
+def test_word_measures_at_scale_1000_in_a_second():
+    # each scale 1..1000 from one sweep per machine
+    start = time.perf_counter()
+    for m, depth in ((parity_machine(), None), (copier(), None),
+                     (constant_writer("u"), None), (oracle.alternator(), 1)):
+        for k in (1000, 999):
+            got = word_measure(m, k, depth).as_dict()
+            if m.name == "alternator":
+                assert got == {"ud"[k % 2]: 1}
+            elif m.name == "constant-u":
+                assert got == {"u" * 9: 1}
+            else:
+                assert got == {"u" * 9: Fraction(1, 2), "d" * 9: Fraction(1, 2)}
+    assert time.perf_counter() - start < 1
+
+
+SWEEP_DECLINES = [(m, k, depth, budget)
+                  for m in (*corpus().values(), _zeros_only(), oracle.alternator())
+                  for k, depth, budget in ((1, None, None), (2, 1, None), (5, 2, 30),
+                                           (6, 3, 12))]
+
+
+@pytest.mark.parametrize("machine, k, depth, budget", SWEEP_DECLINES,
+                         ids=[f"{m.name}-{k}-{d}-{b}" for m, k, d, b in SWEEP_DECLINES])
+def test_seed_by_seed_matches_oracle(machine, k, depth, budget):
+    want = _outcome(oracle.word_measure, machine, k, depth, budget)
+    with mock.patch.object(machines._Sweep, "measure", return_value=None):
+        assert _outcome(word_measure, machine, k, depth, budget) == want
+
+
+def test_seed_by_seed_past_its_budget(tmp_path, capsys):
+    with mock.patch.object(machines._Sweep, "measure", return_value=None), \
+            mock.patch.object(machines, "FALLBACK_SEEDS", 8):
+        assert word_measure(parity_machine(), 3) == oracle.word_measure(parity_machine(), 3)
+        with pytest.raises(BudgetExceeded) as info:
+            word_measure(parity_machine(), 4)
+        assert str(info.value) == ("machine parity at scale 4: the word measure "
+                                   "runs seed by seed, past 8 seeds")
+        # a failing seed below the budget is still the one reported
+        with pytest.raises(NonConformingError) as info:
+            word_measure(left_mover(), 5, budget=100)
+        assert info.value.seed == "00000"
+        argv = ["measure-flow", "--machine", "parity", "--depth", "2", "--kmax",
+                "6", "--csv", str(tmp_path / "flow.csv")]
+        assert cli_main(argv) == 3
+    assert "budget exceeded: measure-flow: machine parity at scale 6" in capsys.readouterr().err
 
 
 def test_enumeration_is_length_lex_and_versioned():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,20 @@ def test_robinson_scan_confirms_colliding_hashes(monkeypatch):
         assert nonoverlap_violations(ms) == markers_oracle.nonoverlap_violations(ms) == []
         assert verify_nonoverlap(ms) is None
     assert len(confirms) > 1000  # every one a collision, refused by array equality
+
+
+def test_first_violation_confirms_no_later_hit():
+    # two constant 120x120 patterns: 2 * 239^2 self-overlaps agree, and the
+    # verdict is the first in (i, j, dy, dx) order, confirmed alone
+    ms = _marker_set([(("A",) * 120,) * 120, (("B",) * 120,) * 120])
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert verify_nonoverlap(ms) == (0, 0, (-119, -119))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    small = _marker_set([(("A",) * 3,) * 3, (("B",) * 3,) * 3])
+    assert verify_nonoverlap(small) == markers_oracle.nonoverlap_violations(small)[0]
 
 
 def test_codes_share_one_legend():

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_oracle import closed_form_row
+from machines_oracle import alternator
 from perturbation_oracle import report_json
 from groundlab.machines import (NonConformingError, constant_writer, copier,
                                 fair_coin, incrementer, machine_enumeration,
                                 parity_machine, selector_weights, word_measure)
-from groundlab.measures import (ConditionalGridMeasure, WordMeasure, mix,
-                               weak_star_distance)
-from groundlab.perturbation import (ACCUMULATION_RADIUS, SCALE_CAP,
+from groundlab.measures import (DEPTH_CAP, ConditionalGridMeasure, WordMeasure,
+                               mix, weak_star_distance)
+from groundlab.perturbation import (ACCUMULATION_RADIUS,
                                     PerturbationReport, make_selector,
                                     mixture_flow, perturbed_flow,
                                     report_accumulation, selector_flow)
@@ -168,27 +169,43 @@ def test_word_measure_once_per_machine_and_scale(word_measure_calls,
                                                  epsilon):
     base, target = constant_writer("u"), parity_machine()
     perturbed_flow(base, target, epsilon, 2, 16, index=1, enumeration=ENUM)
-    scale = {j: min(max(j, 2), 12) for j in range(2, 17)}
+    scales = range(2, 17)
     if epsilon:
-        flow_pairs = {(target, s) for s in scale.values()}
+        flow_pairs = {(target, j) for j in scales}
     else:
-        flow_pairs = {(base if i == 0 else ENUM[i - 1], scale[j])
-                      for j in scale for i, _ in selector_weights(j, len(ENUM))}
-    expected = flow_pairs | {(base, 12), (target, 12)}
+        flow_pairs = {(base if i == 0 else ENUM[i - 1], j)
+                      for j in scales for i, _ in selector_weights(j, len(ENUM))}
+    expected = flow_pairs | {(base, 16), (target, 16)}
     calls = word_measure_calls
-    assert len(calls) == len(expected) == (41 if epsilon == 0 else 12)
+    assert len(calls) == len(expected) == (57 if epsilon == 0 else 16)
     assert {(m, k) for m, k, _ in calls} == expected
     assert {d for _, _, d in calls} == {2}
 
 
 def test_depth_above_scale_cap_refused():
-    with pytest.raises(InputError, match="depth 13 .*12"):
-        perturbed_flow(constant_writer("u"), parity_machine(), 1, 13, 14, 1, ENUM)
-    depth = SCALE_CAP + 1
-    with pytest.raises(InputError, match=f"depth {depth} .*{SCALE_CAP}"):
+    # the one depth limit: word measures at every scale, depth 1..DEPTH_CAP
+    depth = DEPTH_CAP + 1
+    with pytest.raises(InputError, match=f"depth must be in 1..{DEPTH_CAP}"):
+        perturbed_flow(constant_writer("u"), parity_machine(), 1, depth, depth + 1,
+                       1, ENUM)
+    with pytest.raises(InputError, match=f"depth must be in 1..{DEPTH_CAP}"):
         selector_flow(parity_machine(), depth)
     with pytest.raises(InputError):
         mixture_flow(constant_writer("u"), ENUM, 0)
+    assert selector_flow(parity_machine(), DEPTH_CAP)(DEPTH_CAP).as_dict() == {
+        "u" * DEPTH_CAP: Fraction(1, 2), "d" * DEPTH_CAP: Fraction(1, 2)}
+
+
+def test_flows_past_scale_twelve_read_the_true_scale():
+    # the alternator writes 'u' at even scales and 'd' at odd ones; a flow
+    # that reused scale 12's measure would read 'u' at 13
+    alt = alternator()
+    assert selector_flow(alt, 1)(13).as_dict() == {"d": 1}
+    assert [selector_flow(alt, 1)(k).as_dict() for k in (96, 97)] == [{"u": 1}, {"d": 1}]
+    verdicts = [report_accumulation(perturbed_flow(
+        constant_writer("u"), alt, eps, 1, 96, 1, [alt]), 16).verdict
+                for eps in (0, Fraction(1, 2))]
+    assert verdicts == ["stable", "oscillating"]
 
 
 @pytest.mark.parametrize("demo, expected, svgs", [

@@ -28,11 +28,12 @@ computed once per n by `power_float` without forming y^n.  Acceptance
 probabilities are exact rationals and detailed balance is an identity;
 beta = 0 is simply y = 1.
 
-The enumeration scores configurations in blocks of numpy digit rows: the
-kernel counts each block's occurrences per distinct pattern value, and each
-distinct count vector's level is summed once in Python ints, so levels stay
-exact for weights of any size.  A block's rows share their high digits and
-take their low digits from one fixed table, so no row is formed by division.
+The enumeration scores rows, not cells: shapes are anchored at their top-left
+cell, so a configuration's level is the sum over its rows y of the level of
+the window of rows y .. y + H - 1 (mod side), H the tallest shape, read from
+a table the kernel fills once (`PatternIndex.row_counts`) as int64 sums of
+limbs of the pattern values.  Each block's distinct limb sums are summed once
+in Python ints, so levels stay exact for weights of any size.
 The table it returns is one int32 level id per configuration plus one energy
 and one probability per level: `energies` and `probabilities` are read-only
 `LevelView`s over them, where a lookup reads one level and a walk over every
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,7 +282,6 @@ class LevelView(Mapping):
     def __init__(self, level_ids: np.ndarray, levels: Sequence, ntiles: int, ncells: int):
         self.level_ids = level_ids
         self.levels = levels
-        self._ntiles = ntiles
         self._codes = {c: c for c in range(ntiles)}
         self._place = [ntiles ** k for k in range(ncells - 1, -1, -1)]
 
@@ -294,13 +295,10 @@ class LevelView(Mapping):
         return self.levels[self.level_ids[i]]
 
     def __iter__(self):
-        return iter_product(range(self._ntiles), repeat=len(self._place))
+        return iter_product(self._codes, repeat=len(self._place))
 
     def __len__(self):
         return len(self.level_ids)
-
-    def _walk(self):
-        return map(self.levels.__getitem__, self.level_ids.tolist())
 
     def values(self):
         return _LevelValues(self)
@@ -311,12 +309,12 @@ class LevelView(Mapping):
 
 class _LevelValues(ValuesView):
     def __iter__(self):
-        return self._mapping._walk()
+        return map(self._mapping.levels.__getitem__, self._mapping.level_ids.tolist())
 
 
 class _LevelItems(ItemsView):
     def __iter__(self):
-        return zip(self._mapping, self._mapping._walk())
+        return zip(self._mapping, _LevelValues(self._mapping))
 
 
 @dataclass
@@ -346,33 +344,33 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     scratch = TorusConfig(tileset, potential, np.zeros((side, side), np.int64))
     d, index = scratch._denominator, scratch._index
     y = boltzmann_base(beta, d)
-    # configuration i is the base-ntiles digit row of i, most significant
-    # digit first: the iter_product order of the table's keys.  A block of
-    # ntiles**low rows shares its high digits, and its low digits are one
-    # fixed table, written into the block's grid once.
-    low = 0
-    while low < ncells and ntiles ** (low + 1) <= ENUMERATION_BLOCK:
-        low += 1
-    rows = ntiles ** low
-    high = ncells - low
-    grid = np.empty((rows, ncells), dtype=np.int64)
-    grid[:, high:] = np.indices((ntiles,) * low).reshape(low, rows).T
+    # no torus holds more than ncells * len(shapes) occurrences, so its limb sums stay int64
+    height, rowcodes = max((h for h, _ in potential.rows), default=1), ntiles ** side
+    bits = 63 - (ncells * len(potential.rows)).bit_length()
+    top = max((max(u) * h * w for (h, w), (_, u) in potential.rows.items()), default=0)
+    limbs = range(max(1, -(-top.bit_length() // bits)))
+    stacks = (cells.reshape(-1, height, side) for _, cells in _row_blocks(ntiles, height * side))
+    values, counts = index.row_counts(stacks, ntiles)
+    split = np.array([[(v >> bits * k) & ((1 << bits) - 1) for k in limbs] for v in values],
+                     dtype=np.int64).reshape(len(values), len(limbs))
+    table = np.concatenate([window_counts @ split for window_counts in counts])
+    # configuration i spells i in base ntiles, so its row codes are the
+    # base-rowcodes digits of i; window y codes rows y .. y + height - 1, wrapping
     level_ids = np.empty(count, dtype=np.int32)
     position: Dict[int, int] = {}  # distinct level n -> its id
-    for start, digits in zip(range(0, count, rows),
-                             iter_product(range(ntiles), repeat=high)):
-        grid[:, :high] = digits
-        values, counts = index.value_counts(grid.reshape(-1, side, side), ntiles)
-        # group the configurations by count vector, one column at a time
-        group = np.zeros(rows, dtype=np.int64)
-        for column in counts.T:
-            group = np.unique(group * (int(column.max()) + 1) + column, return_inverse=True)[1]
-        vectors = np.empty((int(group.max()) + 1, counts.shape[1]), dtype=np.int32)
-        vectors[group] = counts
-        # each group's level, summed in Python ints
-        ids = [position.setdefault(sum(c * v for c, v in zip(row, values)), len(position))
-               for row in vectors.tolist()]
-        level_ids[start:start + rows] = np.array(ids)[group]
+    for start, rows in _row_blocks(rowcodes, side):
+        windows = sum(np.roll(rows, -j, axis=1) * rowcodes ** (height - 1 - j)
+                      for j in range(height))
+        sums = table[windows].sum(axis=1)
+        group = np.unique(sums[:, 0], return_inverse=True)[1]
+        for column in sums.T[1:]:
+            group = np.unique(group * len(sums) + np.unique(column, return_inverse=True)[1],
+                              return_inverse=True)[1]
+        first = np.empty(int(group.max()) + 1, dtype=np.int64)
+        first[group] = np.arange(len(group))
+        ids = [position.setdefault(sum(s << bits * k for k, s in enumerate(row)), len(position))
+               for row in sums[first].tolist()]
+        level_ids[start:start + len(group)] = np.array(ids)[group]
     tally = np.bincount(level_ids, minlength=len(position)).tolist()
     weights = [y ** n for n in position]
     z = sum(c * w for c, w in zip(tally, weights))
@@ -381,6 +379,23 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     probabilities = LevelView(level_ids, tuple(w / z for w in weights), ntiles, ncells)
     return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
                           energies=energies, probabilities=probabilities)
+
+
+def _row_blocks(base: int, n: int):
+    """(start, rows) per block of at most ENUMERATION_BLOCK consecutive codes
+    from 0 to base**n - 1: rows[b] is code start + b as n base-`base` digits,
+    most significant first, the low ones read from one fixed table."""
+    low = 0
+    while base > 1 and low < n and base ** (low + 1) <= ENUMERATION_BLOCK:
+        low += 1
+    unit, runs, top = base ** low, ENUMERATION_BLOCK // base ** low, base ** (n - low)
+    rows = np.empty((runs, unit, n), dtype=np.int64)
+    rows[:, :, n - low:] = np.indices((base,) * low).reshape(low, unit).T
+    place = base ** np.arange(n - low - 1, -1, -1)
+    for run in range(0, top, runs):
+        high = np.arange(run, min(run + runs, top))[:, None] // place % base
+        rows[:len(high), :, :n - low] = high[:, None]
+        yield run * unit, rows[:len(high)].reshape(-1, n)
 
 
 def acceptance_probability(base: Fraction, denominator: int,
@@ -575,27 +590,14 @@ def spearman_rank(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Spearman rank correlation with average ranks on ties."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise InputError("need two sequences of equal length >= 2")
-
-    def ranks(vals):
-        order = sorted(range(len(vals)), key=lambda i: vals[i])
-        out = [0.0] * len(vals)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
-                j += 1
-            avg = (i + j) / 2 + 1
-            for t in range(i, j + 1):
-                out[order[t]] = avg
-            i = j + 1
-        return out
-
-    rx, ry = ranks(xs), ranks(ys)
-    mx = sum(rx) / len(rx)
-    my = sum(ry) / len(ry)
-    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    vx = sum((a - mx) ** 2 for a in rx)
-    vy = sum((b - my) ** 2 for b in ry)
+    centred = []
+    for vals in (xs, ys):
+        # a value's rank is the middle of its run among the sorted values
+        ranks = [(bisect_left(run, v) + bisect_right(run, v) + 1) / 2
+                 for run in [sorted(vals)] for v in vals]
+        mean = sum(ranks) / len(ranks)
+        centred.append([r - mean for r in ranks])
+    (rx, ry), (vx, vy) = centred, (sum(r ** 2 for r in c) for c in centred)
     if vx == 0 or vy == 0:
         raise InputError("constant sequence has no rank correlation")
-    return cov / math.sqrt(vx * vy)
+    return sum(a * b for a, b in zip(rx, ry)) / math.sqrt(vx * vy)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -237,7 +237,13 @@ def build_macro_tile(n: int, q: str = "ne") -> Patch:
     return Patch(build_state_grid(n, q), LEGEND)
 
 
+_TILESET: List[Tileset] = []  # built on the first call
+
+
 def build_tileset() -> Tileset:
     """One tile per state in `STATES`, in that order: a macro-tile's cell
-    code is its tile's index.  The states are rotation-closed."""
-    return Tileset(map(tile_from_state, STATES))
+    code is its tile's index.  The states are rotation-closed.  The tileset
+    is built once per process and shared; its compat arrays are read-only."""
+    if not _TILESET:
+        _TILESET.append(Tileset(map(tile_from_state, STATES)))
+    return _TILESET[0]

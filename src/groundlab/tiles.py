@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -125,7 +125,9 @@ def _compat(match, first: list, second: list) -> np.ndarray:
     """[i, j] = match(first[i], second[j]), matched once per distinct label pair."""
     (a, ia), (b, ib) = _distinct(first), _distinct(second)
     small = np.array([[match(x, y) for y in b] for x in a], dtype=bool)
-    return small.reshape(len(a), len(b))[np.ix_(ia, ib)]
+    compat = small.reshape(len(a), len(b))[np.ix_(ia, ib)]
+    compat.flags.writeable = False  # a tileset may be shared
+    return compat
 
 
 def _distinct(labels: list) -> tuple:
@@ -225,8 +227,7 @@ class Patch:
     def from_ids(cls, rows) -> "Patch":
         """rows: list of rows bottom-up, each a list of tile ids or None."""
         rows = id_rows(rows)
-        legend = []
-        lut = {}
+        legend = {}  # id -> code, in first-seen order
         h = len(rows)
         w = len(rows[0]) if h else 0
         grid = np.full((h, w), HOLE, dtype=np.int32)
@@ -234,12 +235,8 @@ class Patch:
             if len(row) != w:
                 raise InputError("ragged patch rows")
             for x, tid in enumerate(row):
-                if tid is None:
-                    continue
-                if tid not in lut:
-                    lut[tid] = len(legend)
-                    legend.append(tid)
-                grid[y, x] = lut[tid]
+                if tid is not None:
+                    grid[y, x] = legend.setdefault(tid, len(legend))
         return cls(grid, tuple(legend))
 
     def id_at(self, x: int, y: int):
@@ -316,7 +313,6 @@ class PatternIndex:
         self._shapes = list(tables.items())
         self._plans = {}
         self._by_cell = {}
-        self._dense = {}
 
     def _plan(self, shape: tuple, wrap: bool) -> list:
         """(table, anchor ys, anchor xs, flat cell indices per anchor) per shape."""
@@ -365,43 +361,40 @@ class PatternIndex:
         return sum(sum(map(table.get, self._keys(grid, cells), repeat(0)))
                    for table, _, _, cells in self._plan(grid.shape, wrap))
 
-    def value_counts(self, grids: np.ndarray, ncodes: int):
-        """(values, counts) for a (B, h, w) stack of tori with codes in
-        range(ncodes): counts[b, j] is how many occurrences of value values[j]
-        torus b holds, so its wrapped `total` is sum(counts[b] * values).
-
-        A shape of k cells reads each anchor's codes as one base-ncodes key,
-        first cell most significant, summed by Horner's rule over the gathered
-        code columns, and looks it up in a table of ncodes**k value ids
-        (0: no value), built once per ncodes; it suits small alphabets and
-        shapes only.
+    def row_counts(self, stacks: Iterable[np.ndarray], ncodes: int):
+        """(values, counts per stack) for (B, H, w) stacks of windows: H rows
+        of a torus of w columns, codes in range(ncodes), H at least every
+        shape's height.  counts[b, j] is how many occurrences of value
+        values[j] are anchored on the first row of window b, columns wrapping,
+        so a torus's wrapped `total` sums sum(counts * values) of the windows
+        of rows y .. y + H - 1 (mod side) over its rows y.  A shape of k cells
+        reads each anchor's codes as one base-ncodes key, looked up in a table
+        of ncodes**k value ids (0: none) built once per call: it suits small
+        alphabets and shapes.  A stack is counted when it is read.
         """
-        if ncodes not in self._dense:
-            ids, luts = {}, []
-            for offsets, table in self._shapes:
-                lut = np.zeros(ncodes ** len(offsets), dtype=np.int32)
-                for key, value in table.items():
-                    key = key if len(offsets) > 1 else (key,)
-                    if all(0 <= c < ncodes for c in key):
-                        at = 0
-                        for c in key:
-                            at = at * ncodes + c
-                        lut[at] = ids.setdefault(value, len(ids) + 1)
-                luts.append(lut)
-            self._dense[ncodes] = tuple(ids), luts
-        values, luts = self._dense[ncodes]
-        # keys reach ncodes**k - 1, so they are int64 whatever the grid holds
-        flat = grids.reshape(len(grids), -1).astype(np.int64, copy=False)
-        # value id j of grid b lands in bin b * (len(values) + 1) + j
-        bins = np.arange(len(grids))[:, None] * (len(values) + 1)
-        counts = np.zeros(bins.size * (len(values) + 1), dtype=np.int64)
-        for (_, _, _, cells), lut in zip(self._plan(grids.shape[1:], True), luts):
-            key = flat[:, cells[:, 0]]
-            for column in cells.T[1:]:
-                key *= ncodes
-                key += flat[:, column]
-            counts += np.bincount((bins + lut[key]).ravel(), minlength=counts.size)
-        return values, counts.reshape(len(grids), -1)[:, 1:].astype(np.int32)
+        ids, luts = {}, []
+        for offsets, table in self._shapes:
+            keys = np.array(list(table), dtype=np.int64).reshape(len(table), len(offsets))
+            fits = ((keys >= 0) & (keys < ncodes)).all(axis=1)
+            luts.append(np.zeros(ncodes ** len(offsets), dtype=np.int32))
+            luts[-1][keys[fits] @ ncodes ** np.arange(len(offsets) - 1, -1, -1)] = [
+                ids.setdefault(value, len(ids) + 1) for value in compress(table.values(), fits)]
+
+        def count(windows: np.ndarray) -> np.ndarray:
+            # keys reach ncodes**k - 1, so they are int64 whatever the grid holds
+            flat = windows.reshape(len(windows), -1).astype(np.int64, copy=False)
+            # value id j of window b lands in bin b * (len(ids) + 1) + j
+            bins = np.arange(len(windows))[:, None] * (len(ids) + 1)
+            counts = np.zeros(bins.size * (len(ids) + 1), dtype=np.int64)
+            for (_, ay, _, cells), lut in zip(self._plan(windows.shape[1:], True), luts):
+                cells = cells[ay == 0]
+                key = flat[:, cells[:, 0]]
+                for column in cells.T[1:]:
+                    key *= ncodes
+                    key += flat[:, column]
+                counts += np.bincount((bins + lut[key]).ravel(), minlength=counts.size)
+            return counts.reshape(len(windows), -1)[:, 1:].astype(np.int32)
+        return tuple(ids), map(count, stacks)
 
     def occurrences(self, grid: np.ndarray) -> list:
         """(y, x, value) of every occurrence in the open grid, by anchor."""
@@ -474,8 +467,7 @@ def count_admissible(tileset: Tileset, n: int, budget: int = 10_000_000) -> Coun
     flat = [[dy * n + dx for dx, dy, _ in p.cells] for p in tileset.extra_forbidden]
     keep = max([n] + [max(f) - min(f) for f in flat])
     edge = np.ones((1, len(tileset)), dtype=bool)  # row -1: no neighbour
-    h = np.vstack([tileset.h_compat, edge])
-    v = np.vstack([tileset.v_compat, edge])
+    h, v = (np.vstack([compat, edge]) for compat in (tileset.h_compat, tileset.v_compat))
     fits = {}
     # cells past the one being placed stay -1, so a plan term matches only
     # an occurrence that this cell completes

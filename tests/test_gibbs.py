@@ -323,6 +323,16 @@ def test_boltzmann_budget_refusal():
         boltzmann_exact(TS2, AB_POT, 3, 1.0, budget=100)
 
 
+def test_boltzmann_one_tile_past_64_cells():
+    # one configuration, but more cells (and rows) than numpy has dimensions:
+    # each of the 81 and 4 900 cells anchors one A A domino, of support 2
+    for side in (9, 70):
+        tab = boltzmann_exact(free_tileset(("A",)), Potential.from_patterns([((("A", "A"),), 1)]),
+                              side, 1.0)
+        assert tab.energies == {(0,) * side * side: 2 * side * side}
+        assert tab.probabilities == {(0,) * side * side: 1}
+
+
 # three tiles on a side-2 torus: 81 configurations, codes up to 2
 TS3 = free_tileset(("A", "B", "C"))
 AC_PAIRS = [((("A", "C"),), 1), ((("C",), ("B",)), Fraction(1, 2))]

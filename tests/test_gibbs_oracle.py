@@ -2,6 +2,7 @@
 `metropolis` against the per-configuration loops they replaced
 (tests/gibbs_oracle.py)."""
 
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -66,6 +67,37 @@ def test_boltzmann_exact_matches_oracle(case, block):
                 boltzmann_exact(tileset, potential, side, beta, budget=BUDGET)
             return
         assert boltzmann_exact(tileset, potential, side, beta, budget=BUDGET) == want
+
+
+# side 4, past the drawn cases' budget: a vertical domino, whose windows
+# wrap from the last row to the first, a 2 x 2 shape and a horizontal domino
+SIDE4 = [([["A"], ["B"]], Fraction(2, 3)), ([["A", "B"], ["B", "A"]], 1),
+         ([["B", "B"]], Fraction(1, 2))]
+
+
+@pytest.fixture(scope="module")
+def side4_energies():
+    # the oracle's scan of all 65 536 configurations, once; at beta = 0 it
+    # forms no large weights
+    return oracle.boltzmann_exact(free_tileset(2), SIDE4, 4, 0.0, 1 << 16).energies
+
+
+@pytest.mark.parametrize("block", [7, gibbs.ENUMERATION_BLOCK])
+def test_boltzmann_exact_at_side_4_matches_oracle(side4_energies, block):
+    tileset, big = free_tileset(2), [(rows, weight * BIG) for rows, weight in SIDE4]
+    with mock.patch.object(gibbs, "ENUMERATION_BLOCK", block):
+        got = boltzmann_exact(tileset, Potential.from_patterns(SIDE4), 4, 1.0)
+        scaled = boltzmann_exact(tileset, Potential.from_patterns(big), 4, 0.0)
+    assert got.energies == side4_energies
+    # y**n / Z, formed once per distinct level
+    law = Counter(side4_energies.values())
+    weight = {e: got.base ** int(e * got.denominator) for e in law}
+    z = sum(c * weight[e] for e, c in law.items())
+    p = {e: w / z for e, w in weight.items()}
+    assert got.probabilities == {key: p[e] for key, e in side4_energies.items()}
+    # every weight times BIG makes every level BIG times larger, past int64
+    assert scaled.energies == {key: e * BIG for key, e in side4_energies.items()}
+    assert set(scaled.probabilities.values()) == {Fraction(1, 1 << 16)}
 
 
 @given(gibbs_case(), st.data())

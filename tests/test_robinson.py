@@ -97,6 +97,16 @@ def test_recursion_matches_coordinate_oracle(q):
 
 # ---- golden facts about the collected tileset ------------------------------
 
+def test_tileset_is_built_once_and_read_only():
+    ts = build_tileset()
+    assert build_tileset() is ts
+    for compat in (ts.h_compat, ts.v_compat):
+        with pytest.raises(ValueError):
+            compat[0, 0] = not compat[0, 0]
+    # a tileset read from labels is read-only too
+    assert not Tileset(ts.tiles[:2]).h_compat.flags.writeable
+
+
 def test_tileset_inventory():
     ts = build_tileset()
     assert len(ts) == 88

@@ -8,17 +8,21 @@ denominators), summed over duplicates.  `Potential.from_patterns` codes
 potential takes its rows straight from a tileset's compatibility matrices,
 over the tileset's ids.  A torus maps the legend to tile codes with one
 numpy take per shape, drops the rows naming an id the tileset lacks and
-those of zero weight, and scales the units by the support h * w: these are
-the tables of the shape-hashed kernel `tiles.PatternIndex`.  The local
+those of zero weight, and scales the units by the support h * w.  The local
 energy of a site counts every occurrence covering it, so one occurrence of a
 size-s pattern contributes s times to the total.  Energies are kept as
 integers in units of 1/D and read out as exact rationals.
 
-A Metropolis proposal (site p, tile t) is scored in one pass over a flat
-Python list of codes: the kernel's plan for p holds one (table lookup, key
-getter) pair per pattern cell landing on p, and the rise n is the sum of the
-lookups after the change minus the sum before it (`TorusConfig._rise`).  A
-proposal that keeps the tile is a zero rise.
+A torus keys each occurrence of a k-cell shape by one integer, the base-ntiles
+number sum code_i * ntiles^(k - 1 - i) of the codes at its cells: one numpy
+product with these place values keys a shape's pattern rows into an int-keyed
+dict, and the torus's cells into every occurrence's current key (Python ints
+once ntiles^k passes int64).  The full scan looks every key up; a Metropolis
+proposal (site p, tile t) reads only the occurrences covering p, each through
+one (occurrence, place value m, lookup) term, and its rise n is the sum of
+lookup(key + (t - a) * m) - lookup(key), a the tile at p.  An accepted move
+adds (t - a) * m to each covering key, so no key is read off the cells again.
+A proposal that keeps the tile is a zero rise.
 
 Weights are formed per integer level n (energy n/D).  With
 y = Fraction(exp(-beta/D)) a level weighs y^n: exact Boltzmann enumeration on
@@ -31,9 +35,9 @@ beta = 0 is simply y = 1.
 The enumeration scores rows, not cells: shapes are anchored at their top-left
 cell, so a configuration's level is the sum over its rows y of the level of
 the window of rows y .. y + H - 1 (mod side), H the tallest shape, read from
-a table the kernel fills once (`PatternIndex.row_counts`) as int64 sums of
-limbs of the pattern values.  Each block's distinct limb sums are summed once
-in Python ints, so levels stay exact for weights of any size.
+a table filled once from the torus's int tables (`_window_limbs`) as int64
+sums of limbs of the pattern values.  Each block's distinct limb sums are
+summed once in Python ints, so levels stay exact for weights of any size.
 The table it returns is one int32 level id per configuration plus one energy
 and one probability per level: `energies` and `probabilities` are read-only
 `LevelView`s over them, where a lookup reads one level and a walk over every
@@ -48,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from itertools import product as iter_product
 from operator import mul
 from types import MappingProxyType
@@ -57,7 +61,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .markers import MarkerSet
-from .tiles import BudgetExceeded, InputError, PatternIndex, Tileset, id_rows
+from .tiles import (BudgetExceeded, InputError, PatternIndex, Tileset, anchor_cells,
+                    id_rows)
 
 _Q = Union[int, Fraction]
 
@@ -186,7 +191,19 @@ def adjacency_potential(tileset: Tileset) -> Potential:
 
 
 class TorusConfig:
-    """Tile assignment on an N x N torus with a maintained exact energy."""
+    """Tile assignment on an N x N torus with a maintained exact energy.
+
+    An occurrence, one shape at one anchor, is keyed by one integer: the
+    base-ntiles number of the codes at its cells in row-major order,
+    sum code_i * ntiles^(k - 1 - i) over its k cells.  `_shapes` maps each
+    (h, w) shape to (table, place, cells): the int-keyed dict of its pattern
+    values in units of 1/D, its place values ntiles^(k - 1 - i) (int64, or
+    Python ints once ntiles^k passes int64) and the flat cell indices of each
+    anchor, row-major.  `_keys` holds every occurrence's current key, shape by
+    shape, and `_terms[p]` one (occurrence, place value, lookup) per
+    occurrence covering flat cell p: when p changes from tile a to tile t,
+    that occurrence's key moves by (t - a) * place value.
+    """
 
     def __init__(self, tileset: Tileset, potential: Potential, cells):
         # a potential holds only weighted rectangles, so a chain would ignore
@@ -197,22 +214,25 @@ class TorusConfig:
         cells = np.array(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
             raise InputError("torus cells must form a square array")
-        self.side = int(cells.shape[0])
-        if self.side < 1:
+        self.side = side = int(cells.shape[0])
+        if side < 1:
             raise InputError("torus side must be >= 1")
-        # offsets up to side/2 keep every pattern within one wrap of the torus
-        if 2 * potential.range > self.side:
+        # offsets up to side/2 keep every pattern within one wrap of the
+        # torus, so no occurrence covers a cell twice
+        if 2 * potential.range > side:
             raise InputError("potential range must stay within half the side")
-        if cells.min(initial=0) < 0 or cells.max(initial=0) >= len(tileset.tiles):
+        ntiles = len(tileset.tiles)
+        if cells.min(initial=0) < 0 or cells.max(initial=0) >= ntiles:
             raise InputError("cell values must index the tileset")
         self.cells = cells
         self._denominator = potential.denominator
         # one take maps each shape's legend codes to tile codes (-1: an id
         # the tileset lacks); rows holding such an id, and zero units, are
-        # dropped, and the units are scaled by the support h * w
+        # dropped, the units are scaled by the support h * w, and one product
+        # with the place values keys each row
         code = np.array([tileset.index.get(i, -1) for i in potential.ids], dtype=np.int64)
         lacks = code.min(initial=0) < 0
-        tables = {}
+        self._shapes = {}
         for (h, w), (rows, units) in potential.rows.items():
             rows = code[rows]
             if lacks or 0 in units:
@@ -220,15 +240,28 @@ class TorusConfig:
                 rows, units = rows[keep], list(compress(units, keep.tolist()))
             if not units:
                 continue
-            cols = rows.T.tolist()
-            keys = cols[0] if h * w == 1 else zip(*cols)
+            k = h * w
+            place = np.array([ntiles ** e for e in range(k - 1, -1, -1)],
+                             dtype=np.int64 if ntiles ** k <= 1 << 63 else object)
+            keys = (rows @ place).tolist()
             if units.count(units[0]) == len(units):  # one weight, scaled once
-                table = dict.fromkeys(keys, units[0] * h * w)
+                table = dict.fromkeys(keys, units[0] * k)
             else:
-                table = dict(zip(keys, map(mul, units, repeat(h * w))))
-            tables[tuple(iter_product(range(h), range(w)))] = table
-        self._index = PatternIndex(tables)
-        self._plan = self._index.cell_plan(cells.shape, wrap=True)
+                table = dict(zip(keys, map(mul, units, repeat(k))))
+            offsets = tuple(iter_product(range(h), range(w)))
+            self._shapes[h, w] = (table, place, anchor_cells(offsets, cells.shape, True)[2])
+        flat = cells.ravel()
+        self._keys = list(chain.from_iterable(
+            (flat[at] @ place).tolist() for _, place, at in self._shapes.values()))
+        terms = [[] for _ in range(side * side)]
+        first = 0  # the shape's first occurrence
+        for table, place, at in self._shapes.values():
+            get = table.get
+            for m, column in zip(place.tolist(), at.T.tolist()):
+                for o, p in enumerate(column, first):
+                    terms[p].append((o, m, get))
+            first += len(at)
+        self._terms = list(map(tuple, terms))
         self._units = int(self.recompute_energy() * self._denominator)
 
     @property
@@ -237,21 +270,10 @@ class TorusConfig:
 
     def recompute_energy(self) -> Fraction:
         """Full from-scratch scan of the current cells."""
-        return Fraction(self._index.total(self.cells, wrap=True), self._denominator)
-
-    def _rise(self, codes, p: int, t: int) -> int:
-        """Units of 1/D the energy rises by when flat cell p of `codes` (a
-        flat list of the cells, or a flat view of them) takes tile t: the
-        plan's lookups at p after the change minus before it, in one pass.
-        Leaves codes[p] = t."""
-        terms = self._plan[p]
-        delta = 0
-        for get, key in terms:
-            delta -= get(key(codes), 0)
-        codes[p] = t
-        for get, key in terms:
-            delta += get(key(codes), 0)
-        return delta
+        flat = self.cells.ravel()
+        return Fraction(sum(sum(map(table.get, (flat[at] @ place).tolist(), repeat(0)))
+                            for table, place, at in self._shapes.values()),
+                        self._denominator)
 
 
 def boltzmann_base(beta: float, denominator: int) -> Fraction:
@@ -342,18 +364,15 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
         raise BudgetExceeded(
             f"{count} configurations exceed the enumeration budget {budget}")
     scratch = TorusConfig(tileset, potential, np.zeros((side, side), np.int64))
-    d, index = scratch._denominator, scratch._index
+    d = scratch._denominator
     y = boltzmann_base(beta, d)
     # no torus holds more than ncells * len(shapes) occurrences, so its limb sums stay int64
     height, rowcodes = max((h for h, _ in potential.rows), default=1), ntiles ** side
     bits = 63 - (ncells * len(potential.rows)).bit_length()
     top = max((max(u) * h * w for (h, w), (_, u) in potential.rows.items()), default=0)
-    limbs = range(max(1, -(-top.bit_length() // bits)))
-    stacks = (cells.reshape(-1, height, side) for _, cells in _row_blocks(ntiles, height * side))
-    values, counts = index.row_counts(stacks, ntiles)
-    split = np.array([[(v >> bits * k) & ((1 << bits) - 1) for k in limbs] for v in values],
-                     dtype=np.int64).reshape(len(values), len(limbs))
-    table = np.concatenate([window_counts @ split for window_counts in counts])
+    nlimbs = max(1, -(-top.bit_length() // bits))
+    stacks = (windows for _, windows in _row_blocks(ntiles, height * side))
+    table = np.concatenate(list(_window_limbs(scratch, ntiles, stacks, bits, nlimbs)))
     # configuration i spells i in base ntiles, so its row codes are the
     # base-rowcodes digits of i; window y codes rows y .. y + height - 1, wrapping
     level_ids = np.empty(count, dtype=np.int32)
@@ -379,6 +398,30 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     probabilities = LevelView(level_ids, tuple(w / z for w in weights), ntiles, ncells)
     return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
                           energies=energies, probabilities=probabilities)
+
+
+def _window_limbs(config: TorusConfig, ntiles: int, stacks: Iterable[np.ndarray],
+                  bits: int, nlimbs: int):
+    """Per (B, H * side) stack of windows, each H rows of the config's torus
+    as row-major codes with H at least every shape's height: the (B, nlimbs)
+    int64 sums, limb by limb, of the values of the occurrences anchored on
+    the window's first row, columns wrapping.  Limb k of a value is its bits
+    k * bits .. (k + 1) * bits - 1.  A k-cell shape looks its keys up in a
+    dense table of ntiles**k rows built once, which suits the small alphabets
+    and shapes of an enumeration.  A stack is summed when it is read."""
+    mask, plans = (1 << bits) - 1, []
+    for table, place, at in config._shapes.values():
+        lut = np.zeros((ntiles ** len(place), nlimbs), dtype=np.int64)
+        lut[list(table)] = [[v >> bits * k & mask for k in range(nlimbs)]
+                            for v in table.values()]
+        # the first row's anchors come first, and their cells lie in rows
+        # below the window's height, so a torus cell index is a window one
+        plans.append((lut, place, at[:config.side]))
+    for windows in stacks:
+        sums = np.zeros((len(windows), nlimbs), dtype=np.int64)
+        for lut, place, at in plans:
+            sums += lut[windows[:, at] @ place].sum(axis=1)
+        yield sums
 
 
 def _row_blocks(base: int, n: int):
@@ -515,38 +558,53 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     trace: List[tuple] = []
     samples: List[tuple] = []
     observe(0)
-    # the chain scores over a flat code list; config.cells follows each accepted move
-    rise = config._rise
+    # the chain runs on a flat code list, the occurrence keys and its energy
+    # units; config.cells and config._units catch up at each observation
     codes = config.cells.ravel().tolist()
     flat = config.cells.reshape(-1)
+    keys, terms, units = config._keys, config._terms, config._units
     accepted = 0
     done = 0
     while done < steps:
         block = min(steps - done, 1 << 14)
-        xs = rng.integers(0, side, size=block).tolist()
-        ys = rng.integers(0, side, size=block).tolist()
+        xs = rng.integers(0, side, size=block)
+        sites = (rng.integers(0, side, size=block) * side + xs).tolist()
         ts = rng.integers(0, ntiles, size=block).tolist()
         us = rng.random(size=block).tolist()
-        for x, yy, t, u in zip(xs, ys, ts, us):
-            done += 1
-            p = yy * side + x
-            old = codes[p]
-            if t == old:  # nothing moves: a zero rise, always accepted
-                accepted += 1
-            else:
-                delta = rise(codes, p, t)
-                if delta > 0 and delta not in accept:
-                    accept[delta] = power_float(y, delta)
-                if delta <= 0 or u < accept[delta]:
-                    flat[p] = t
-                    config._units += delta
+        moves = zip(sites, ts, us)
+        end = done + block
+        while done < end:
+            # one segment runs up to the next observation or sample step
+            stop = end
+            for every in (cadence, sample_cadence):
+                if every:
+                    stop = min(stop, done - done % every + every)
+            for p, t, u in islice(moves, stop - done):
+                old = codes[p]
+                if t == old:  # nothing moves: a zero rise, always accepted
                     accepted += 1
-                else:
-                    codes[p] = old
+                    continue
+                shift, delta, here = t - old, 0, terms[p]
+                for o, m, get in here:
+                    key = keys[o]
+                    delta += get(key + shift * m, 0) - get(key, 0)
+                if delta > 0:
+                    if delta not in accept:
+                        accept[delta] = power_float(y, delta)
+                    if u >= accept[delta]:
+                        continue
+                codes[p] = t
+                for o, m, _ in here:
+                    keys[o] += shift * m
+                units += delta
+                accepted += 1
+            done = stop
             if cadence and done % cadence == 0:
+                flat[:], config._units = codes, units
                 observe(done)
             if sample_cadence and done % sample_cadence == 0:
-                samples.append(tuple(int(v) for v in config.cells.ravel()))
+                samples.append(tuple(codes))
+    flat[:], config._units = codes, units
     if not cadence or steps % cadence != 0:
         observe(steps)
     return MetropolisResult(seed=rng_seed, beta=beta, steps=steps,
@@ -581,8 +639,13 @@ def coverage_sweep(tileset: Tileset, potential: Potential, markers: MarkerSet,
 def trace_csv(result: MetropolisResult) -> str:
     lines = ["step,energy,coverage"]
     for step, energy, cov in result.trace:
+        try:
+            energy = float(energy)
+        except OverflowError:
+            raise InputError(f"the energy at step {step} is past the float "
+                             "range of the trace CSV") from None
         cov_text = "" if cov is None else repr(cov)
-        lines.append(f"{step},{float(energy)!r},{cov_text}")
+        lines.append(f"{step},{energy!r},{cov_text}")
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -293,15 +292,35 @@ def pattern_tables(patterns) -> dict:
     return tables
 
 
-class PatternIndex:
-    """The one pattern-occurrence kernel: patterns hashed by cell-offset shape.
+def anchor_cells(offsets, shape: tuple, wrap: bool) -> tuple:
+    """(anchor ys, anchor xs, flat cell indices per anchor) of the (dy, dx)
+    `offsets` of one shape on a grid of `shape`, anchors in row-major order.
+    With `wrap` the grid is a torus: every cell anchors and the cells are
+    taken mod the sides; without it an anchor counts only where the whole
+    shape lies inside the grid."""
+    h, w = shape
+    dy, dx = np.array(offsets).T
+    ys = np.arange(h) if wrap else np.arange(-dy.min(), h - dy.max())
+    xs = np.arange(w) if wrap else np.arange(-dx.min(), w - dx.max())
+    ay, ax = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))
+    cy, cx = ay[:, None] + dy, ax[:, None] + dx
+    if wrap:
+        cy, cx = cy % h, cx % w
+    return ay, ax, cy * w + cx
 
-    `tables` maps each shape (a tuple of (dy, dx) offsets) to a dict from the
-    codes read at those offsets, as a tuple, to a value: an integer weight or
-    the indices of the patterns (`pattern_tables`).  A 1-cell shape is keyed
-    by its one code.  The tables come in this final form, with no falsy
-    value, and are kept as given: an anchor is one dict lookup per shape,
-    however many patterns there are.
+
+class PatternIndex:
+    """The kernel of pattern sets: patterns hashed by cell-offset shape.
+
+    It serves the marker sets, `check_patch` and `count_admissible`, whose
+    grids hold holes and whose shapes are far too wide for one integer key;
+    a torus potential keys its occurrences by integers instead
+    (`gibbs.TorusConfig`).  `tables` maps each shape (a tuple of (dy, dx)
+    offsets) to a dict from the codes read at those offsets, as a tuple, to a
+    value: an integer weight or the indices of the patterns
+    (`pattern_tables`).  A 1-cell shape is keyed by its one code.  The tables
+    come in this final form, with no falsy value, and are kept as given: an
+    anchor is one dict lookup per shape, however many patterns there are.
 
     Grids hold integer codes indexed [y, x].  With `wrap` the grid is a
     torus; without it an anchor counts only where its whole shape lies inside
@@ -317,17 +336,8 @@ class PatternIndex:
     def _plan(self, shape: tuple, wrap: bool) -> list:
         """(table, anchor ys, anchor xs, flat cell indices per anchor) per shape."""
         if (shape, wrap) not in self._plans:
-            h, w = shape
-            plan = self._plans[shape, wrap] = []
-            for offsets, table in self._shapes:
-                dy, dx = np.array(offsets).T
-                ys = np.arange(h) if wrap else np.arange(-dy.min(), h - dy.max())
-                xs = np.arange(w) if wrap else np.arange(-dx.min(), w - dx.max())
-                ay, ax = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))
-                cy, cx = ay[:, None] + dy, ax[:, None] + dx
-                if wrap:
-                    cy, cx = cy % h, cx % w
-                plan.append((table, ay, ax, cy * w + cx))
+            self._plans[shape, wrap] = [(table, *anchor_cells(offsets, shape, wrap))
+                                        for offsets, table in self._shapes]
         return self._plans[shape, wrap]
 
     @staticmethod
@@ -341,60 +351,19 @@ class PatternIndex:
         for table, ay, ax, cells in self._plan(grid.shape, wrap):
             yield ay, ax, cells, list(map(table.get, self._keys(grid, cells)))
 
-    def cell_plan(self, shape: tuple, wrap: bool) -> list:
-        """Per flat cell of a grid of `shape`: one (lookup, key) pair per
-        pattern cell landing there, so that lookup(key(codes), 0) is the value
-        of that cell's anchor in the flat code list `codes` (a shape wider
-        than a torus can land on a cell twice)."""
-        if (shape, wrap) not in self._by_cell:
+    def cell_plan(self, shape: tuple) -> list:
+        """Per flat cell of an open grid of `shape`: one (lookup, key) pair
+        per pattern cell landing there, so that lookup(key(codes)) is the
+        value of that cell's anchor in the flat code list `codes`, or None."""
+        if shape not in self._by_cell:
             terms = [[] for _ in range(shape[0] * shape[1])]
-            for table, _, _, cells in self._plan(shape, wrap):
+            for table, _, _, cells in self._plan(shape, False):
                 for row in cells.tolist():
                     term = (table.get, itemgetter(*row))
                     for p in row:
                         terms[p].append(term)
-            self._by_cell[shape, wrap] = list(map(tuple, terms))
-        return self._by_cell[shape, wrap]
-
-    def total(self, grid: np.ndarray, wrap: bool = False) -> int:
-        """Summed value of every occurrence in the grid."""
-        return sum(sum(map(table.get, self._keys(grid, cells), repeat(0)))
-                   for table, _, _, cells in self._plan(grid.shape, wrap))
-
-    def row_counts(self, stacks: Iterable[np.ndarray], ncodes: int):
-        """(values, counts per stack) for (B, H, w) stacks of windows: H rows
-        of a torus of w columns, codes in range(ncodes), H at least every
-        shape's height.  counts[b, j] is how many occurrences of value
-        values[j] are anchored on the first row of window b, columns wrapping,
-        so a torus's wrapped `total` sums sum(counts * values) of the windows
-        of rows y .. y + H - 1 (mod side) over its rows y.  A shape of k cells
-        reads each anchor's codes as one base-ncodes key, looked up in a table
-        of ncodes**k value ids (0: none) built once per call: it suits small
-        alphabets and shapes.  A stack is counted when it is read.
-        """
-        ids, luts = {}, []
-        for offsets, table in self._shapes:
-            keys = np.array(list(table), dtype=np.int64).reshape(len(table), len(offsets))
-            fits = ((keys >= 0) & (keys < ncodes)).all(axis=1)
-            luts.append(np.zeros(ncodes ** len(offsets), dtype=np.int32))
-            luts[-1][keys[fits] @ ncodes ** np.arange(len(offsets) - 1, -1, -1)] = [
-                ids.setdefault(value, len(ids) + 1) for value in compress(table.values(), fits)]
-
-        def count(windows: np.ndarray) -> np.ndarray:
-            # keys reach ncodes**k - 1, so they are int64 whatever the grid holds
-            flat = windows.reshape(len(windows), -1).astype(np.int64, copy=False)
-            # value id j of window b lands in bin b * (len(ids) + 1) + j
-            bins = np.arange(len(windows))[:, None] * (len(ids) + 1)
-            counts = np.zeros(bins.size * (len(ids) + 1), dtype=np.int64)
-            for (_, ay, _, cells), lut in zip(self._plan(windows.shape[1:], True), luts):
-                cells = cells[ay == 0]
-                key = flat[:, cells[:, 0]]
-                for column in cells.T[1:]:
-                    key *= ncodes
-                    key += flat[:, column]
-                counts += np.bincount((bins + lut[key]).ravel(), minlength=counts.size)
-            return counts.reshape(len(windows), -1)[:, 1:].astype(np.int32)
-        return tuple(ids), map(count, stacks)
+            self._by_cell[shape] = list(map(tuple, terms))
+        return self._by_cell[shape]
 
     def occurrences(self, grid: np.ndarray) -> list:
         """(y, x, value) of every occurrence in the open grid, by anchor."""
@@ -474,7 +443,7 @@ def count_admissible(tileset: Tileset, n: int, budget: int = 10_000_000) -> Coun
     codes = [-1] * (n * n)
     states = {(): 1}
     nodes = 0
-    for c, terms in enumerate(tileset.forbidden_index.cell_plan((n, n), wrap=False)):
+    for c, terms in enumerate(tileset.forbidden_index.cell_plan((n, n))):
         grown = {}
         for frontier, ways in states.items():
             pair = (frontier[-n] if c >= n else -1, frontier[-1] if c % n else -1)

@@ -1,8 +1,9 @@
-"""Straight-line Gibbs references: one Boltzmann weight per configuration, and
-a Metropolis chain with a separate beta = 0 branch that skips the local
-energy and rescans the torus at every cadence and at the end.  The chain
-takes its energies, deltas and coverage from the cell-by-cell loops of
-tests/pattern_oracle.py, not from the pattern kernel.
+"""Straight-line Gibbs references: one Boltzmann weight per energy level,
+each configuration scored by roll and compare, and a Metropolis chain with a
+separate beta = 0 branch that skips the local energy and rescans the torus at
+every cadence and at the end.  Both take their energies, deltas and coverage
+from the cell-by-cell loops of tests/pattern_oracle.py, not from the
+library's occurrence keys.
 
 `gibbs.boltzmann_exact` and `gibbs.metropolis` key on integer energy levels
 and keep one chain for every beta; tests/test_gibbs_oracle.py checks them
@@ -13,13 +14,14 @@ entry per configuration; the library's table holds level ids behind
 read-only views, and the two compare equal as mappings.
 
 `set_cell` is no reference: it drives one accepted move of a torus through
-the library's own `TorusConfig._rise`, as `gibbs.metropolis` does, so that
-tests can place tiles where they choose.
+the library's own occurrence keys and terms, as `gibbs.metropolis` does, so
+that tests can place tiles where they choose.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -30,9 +32,16 @@ from groundlab.tiles import BudgetExceeded, InputError
 
 
 def set_cell(config, x, y, t) -> Fraction:
-    """Set cell (x, y) to tile t through the kernel's rise, kept in the
-    config's energy units as an accepted move is; the exact energy change."""
-    delta = config._rise(config.cells.reshape(-1), y * config.side + x, t)
+    """Set cell (x, y) to tile t as an accepted Metropolis move does: the
+    rise sums each covering occurrence's value after the move minus before
+    it, each such key moves by (t - old) times its place value, and the
+    config's energy units take the rise; the exact energy change."""
+    p = y * config.side + x
+    shift, keys, terms = t - int(config.cells[y, x]), config._keys, config._terms[p]
+    delta = sum(get(keys[o] + shift * m, 0) - get(keys[o], 0) for o, m, get in terms)
+    for o, m, _ in terms:
+        keys[o] += shift * m
+    config.cells[y, x] = t
     config._units += delta
     return Fraction(delta, config._denominator)
 
@@ -45,16 +54,16 @@ def boltzmann_exact(tileset, pairs, side, beta, budget):
             f"{count} configurations exceed the enumeration budget {budget}")
     d = pattern_oracle.denominator(pairs)
     y = boltzmann_base(beta, d)
-    energies: Dict[tuple, Fraction] = {}
-    weights: Dict[tuple, Fraction] = {}
-    scratch = TorusConfig(tileset, Potential.from_patterns(pairs),
-                          np.zeros((side, side), np.int64))
-    for assignment in iter_product(range(ntiles), repeat=side * side):
-        scratch.cells = np.array(assignment, np.int64).reshape(side, side)
-        energies[assignment] = e = scratch.recompute_energy()
-        weights[assignment] = y ** int(e * d)  # e is a whole number of 1/D
-    z = sum(weights.values())
-    probabilities = {k: v / z for k, v in weights.items()}
+    assignments = list(iter_product(range(ntiles), repeat=side * side))
+    stack = np.array(assignments, np.int64).reshape(count, side, side)
+    compiled = pattern_oracle.compile_patterns(pairs, tileset)
+    energies = dict(zip(assignments, pattern_oracle.torus_energies(compiled, stack)))
+    # one weight y^n per distinct level n = e * D, a whole number
+    law = Counter(energies.values())
+    weights = {e: y ** int(e * d) for e in law}
+    z = sum(c * weights[e] for e, c in law.items())
+    level = {e: w / z for e, w in weights.items()}
+    probabilities = {k: level[e] for k, e in energies.items()}
     return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
                           energies=energies, probabilities=probabilities)
 

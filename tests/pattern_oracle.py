@@ -5,8 +5,8 @@ pattern match went through the shape-hashed kernel, kept verbatim apart from
 taking its inputs as arguments.  They share nothing with the kernel: every
 pattern is compared cell by cell at every anchor, so they serve as the
 reference in the differential tests.  The one exception is `covering`, which
-reads the kernel's own per-cell plan the way `TorusConfig._rise` and
-`count_admissible` do, so that the tests can check that plan cell by cell.
+reads the kernel's own per-cell plan the way `count_admissible` does, so that
+the tests can check that plan cell by cell.
 """
 
 import math
@@ -105,19 +105,26 @@ def compile_patterns(pairs, tileset) -> list:
 
 def recompute_energy(compiled, cells) -> Fraction:
     """Full from-scratch torus energy (numpy roll per pattern cell)."""
-    cells = np.asarray(cells)
-    side = cells.shape[0]
-    total = Fraction(0)
-    for pat in compiled:
-        if not pat.matchable or pat.weight == 0:
-            continue
-        match = np.ones((side, side), dtype=bool)
+    return torus_energies(compiled, np.asarray(cells)[None])[0]
+
+
+def torus_energies(compiled, stack) -> list:
+    """`recompute_energy` of each torus in a (B, side, side) stack by the same
+    roll and compare, the energy formed once per distinct row of counts."""
+    stack = np.asarray(stack)
+    live = [pat for pat in compiled if pat.matchable and pat.weight != 0]
+    counts = np.zeros((len(stack), len(live)), dtype=np.int64)
+    for n, pat in enumerate(live):
+        match = np.ones(stack.shape, dtype=bool)
         for j, i, code in pat.cells:
-            match &= np.roll(cells, (-j, -i), (0, 1)) == code
-        count = int(match.sum())
-        if count:
-            total += pat.weight * pat.support * count
-    return total
+            match &= np.roll(stack, (-j, -i), (1, 2)) == code
+        counts[:, n] = match.sum(axis=(1, 2))
+    energy = {}
+    for row in map(tuple, counts.tolist()):
+        if row not in energy:
+            energy[row] = sum((pat.weight * pat.support * c for pat, c in zip(live, row)),
+                              Fraction(0))
+    return [energy[row] for row in map(tuple, counts.tolist())]
 
 
 def occurrences_at(compiled, cells, x: int, y: int) -> Fraction:
@@ -164,11 +171,11 @@ def torus_coverage(tileset, cells, markers) -> Fraction:
     return Fraction(int(covered.sum()), s * s)
 
 
-def covering(index, grid, y, x, wrap=False) -> list:
-    """Values of the occurrences of `index` covering cell (y, x), summed from
-    its `cell_plan` terms, once per pattern cell landing there."""
+def covering(index, grid, y, x) -> list:
+    """Values of the occurrences of `index` covering cell (y, x) of an open
+    grid, read from its `cell_plan` terms, once per pattern cell there."""
     codes = grid.ravel()  # numpy ints hash and compare like the table's keys
-    return [v for get, key in index.cell_plan(grid.shape, wrap)[y * grid.shape[1] + x]
+    return [v for get, key in index.cell_plan(grid.shape)[y * grid.shape[1] + x]
             if (v := get(key(codes))) is not None]
 
 

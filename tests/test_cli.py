@@ -381,6 +381,21 @@ def test_gibbs_heavy_weight_chain_finishes(tmp_path):
     assert energies == sorted(energies, reverse=True)  # no rise is accepted
 
 
+def test_gibbs_energy_past_float_range_is_usage_error(tmp_path, capsys):
+    # a weight-10^400 domino: the exact energy has no float for the trace
+    pot = tmp_path / "huge.json"
+    pot.write_text(json.dumps({"patterns": [{"rows": [["A", "B"]],
+                                             "weight": [10 ** 400, 1]}]}))
+    out = tmp_path / "g.csv"
+    assert run("gibbs", "--tileset", "free:2", "--potential", str(pot),
+               "--side", "2", "--beta", "1", "--steps", "10",
+               "--csv", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: gibbs: the energy at step 0 is past the float range of the "
+        "trace CSV\n")
+    assert not out.exists() and not (tmp_path / "g.csv.config").exists()
+
+
 def test_gibbs_usage_errors(tmp_path, capsys):
     assert run("gibbs", "--side", "4", "--beta", "1.0", "--steps", "100",
                "--potential", "missing.json",
@@ -699,14 +714,15 @@ GIBBS_FLAGS = {"--seed": ["0", "7", "-1", str(2 ** 64), "x"],
                "--tileset": ["free:2", "free:3", "robinson"],
                "--potential": ["adjacency", "ab.json", "heavy.json",
                                "zero-den.json", "list-cells.json", "huge-den.json",
-                               "missing.json"],
+                               "huge-weight.json", "missing.json"],
                "--config": ["freq.csv.config", "no-equals.config", "binary.config"]}
 
 
 @pytest.fixture(scope="module")
 def gibbs_inputs(fuzz_dir):
     """Potential files (valid, a weight-10^6 domino, zero denominator, non-id
-    cells, a denominator past the float range) and configs that gibbs must
+    cells, a denominator past the float range, a weight whose energies pass
+    it) and configs that gibbs must
     refuse: one written by freq, one with a line that is not key=value, one
     that is not UTF-8."""
     def potential(weight, rows=(("A", "B"),)):
@@ -717,6 +733,7 @@ def gibbs_inputs(fuzz_dir):
     (fuzz_dir / "zero-den.json").write_text(potential([1, 0]))
     (fuzz_dir / "list-cells.json").write_text(potential([1, 1], [[["A"], "B"]]))
     (fuzz_dir / "huge-den.json").write_text(potential([1, 10 ** 400]))
+    (fuzz_dir / "huge-weight.json").write_text(potential([10 ** 400, 1]))
     (fuzz_dir / "no-equals.config").write_text("command=gibbs\nside\n")
     (fuzz_dir / "binary.config").write_bytes(b"\xff\xfe\x00command=gibbs\n")
     assert main(["freq", "--kmax", "2", "--csv", str(fuzz_dir / "freq.csv")]) == 0

@@ -1,7 +1,9 @@
 """Differential tests: every entry point of the pattern kernel against the
 straight-line loops it replaced (tests/pattern_oracle.py)."""
 
+import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbs_oracle
+import groundlab.gibbs as gibbs
 import pattern_oracle as oracle
 from groundlab.gibbs import (Potential, TorusConfig, adjacency_potential,
                              metropolis, torus_coverage)
@@ -18,7 +21,7 @@ from groundlab.tiles import (EdgeLabel, ForbiddenPattern, InputError, Patch,
                              PatternIndex, Tile, Tileset, check_patch,
                              pattern_tables)
 
-IDS = "ABC"
+IDS = "ABCDE"
 UNKNOWN = "Z"  # an id no generated tileset holds
 WEIGHTS = [0, 1, 2, Fraction(1, 2), Fraction(2, 3)]
 FAST = settings(max_examples=60, deadline=None)
@@ -53,16 +56,51 @@ def torus_case(draw):
     return free_tileset(n), pairs, cells
 
 
-def window_totals(index, grids, ncodes):
+def window_totals(config, grids, ntiles):
     """Each torus's wrapped total as `boltzmann_exact` forms it: the sum over
-    its rows y of the occurrences `row_counts` finds anchored on the first row
-    of the window at rows y .. y + H - 1 (mod side), H the tallest shape."""
-    height = max((dy + 1 for offsets, _ in index._shapes for dy, _ in offsets), default=1)
+    its rows y of the occurrences `_window_limbs` finds anchored on the first
+    row of the window at rows y .. y + H - 1 (mod side), H the tallest shape."""
+    height = max((h for h, _ in config._shapes), default=1)
     side = len(grids[0])
-    windows = [np.roll(g, -y, axis=0)[:height] for g in grids for y in range(side)]
-    values, (counts,) = index.row_counts([np.array(windows)], ncodes)
-    levels = [sum(c * v for c, v in zip(row, values)) for row in counts.tolist()]
+    windows = [np.roll(g, -y, axis=0)[:height].ravel() for g in grids for y in range(side)]
+    (limbs,) = gibbs._window_limbs(config, ntiles, [np.array(windows)], 62, 2)
+    levels = [sum(s << 62 * k for k, s in enumerate(row)) for row in limbs.tolist()]
     return [sum(levels[b:b + side]) for b in range(0, len(levels), side)]
+
+
+def local(config, y, x):
+    """Units of the occurrences covering cell (y, x), read through the
+    config's per-cell terms at its current keys."""
+    return sum(get(config._keys[o], 0) for o, _, get in config._terms[y * config.side + x])
+
+
+def keyed_tables(config, ntiles):
+    """The config's int-keyed tables in `PatternIndex` form: each shape as its
+    offsets, each key decoded by its place values into its codes (one code
+    for a 1-cell shape)."""
+    out = {}
+    for (h, w), (table, place, _) in config._shapes.items():
+        decoded = {tuple(key // m % ntiles for m in place.tolist()): v for key, v in table.items()}
+        out[tuple(iter_product(range(h), range(w)))] = {
+            (codes if len(codes) > 1 else codes[0]): v for codes, v in decoded.items()}
+    return out
+
+
+def expected_keys(config, ntiles):
+    """Each occurrence's key recomputed cell by cell from `config.cells`,
+    shape by shape, anchors row-major: its codes read as one base-ntiles
+    number, first cell most significant."""
+    cells, s = config.cells.tolist(), config.side
+    keys = []
+    for h, w in config._shapes:
+        for y in range(s):
+            for x in range(s):
+                key = 0
+                for j in range(h):
+                    for i in range(w):
+                        key = key * ntiles + cells[(y + j) % s][(x + i) % s]
+                keys.append(key)
+    return keys
 
 
 @given(torus_case(), st.data())
@@ -76,17 +114,18 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
     side = len(cells)
     for y in range(side):
         for x in range(side):
-            assert (Fraction(sum(oracle.covering(config._index, cells, y, x, wrap=True)), d)
-                    == oracle.occurrences_at(compiled, cells, x, y))
-    # an open grid with unassigned (-1) cells, count_admissible's path: the
-    # oracle sees it inside a torus padded with -1 wider than any pattern
+            assert Fraction(local(config, y, x), d) == oracle.occurrences_at(compiled, cells, x, y)
+    # an open grid with unassigned (-1) cells, count_admissible's path, over
+    # the same tables in the pattern-set kernel: the oracle sees it inside a
+    # torus padded with -1 wider than any pattern
+    index = PatternIndex(oracle.potential_tables(pairs, tileset))
     grid = cells.copy()
     grid.flat[data.draw(st.integers(0, side * side)):] = -1
     padded = np.full((2 * side, 2 * side), -1)
     padded[:side, :side] = grid
     for y in range(side):
         for x in range(side):
-            assert (Fraction(sum(oracle.covering(config._index, grid, y, x)), d)
+            assert (Fraction(sum(oracle.covering(index, grid, y, x)), d)
                     == oracle.occurrences_at(compiled, padded, x, y))
     x, y = data.draw(st.integers(0, side - 1)), data.draw(st.integers(0, side - 1))
     t = data.draw(st.integers(0, len(tileset) - 1))
@@ -97,8 +136,84 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
                      - oracle.occurrences_at(compiled, cells, x, y))
     assert config.energy == config.recompute_energy() \
         == oracle.recompute_energy(compiled, after)
-    assert [Fraction(n, d) for n in window_totals(config._index, [cells, after], len(tileset))] \
+    assert config._keys == expected_keys(config, len(tileset))
+    assert [Fraction(n, d) for n in window_totals(config, [cells, after], len(tileset))] \
         == [oracle.recompute_energy(compiled, cells), oracle.recompute_energy(compiled, after)]
+
+
+KEY_SHAPES = [(h, w) for h in (1, 2) for w in (1, 2, 3)] + [(3, 1)]
+
+
+@st.composite
+def key_case(draw):
+    """A tileset of 1-5 tiles, a potential of shapes up to 2 x 3 and 3 x 1
+    with zero weights and ids the tileset lacks, torus cells wide enough for
+    it, moves (x, y, tile) to place, and a chain's beta, steps and seed."""
+    n = draw(st.integers(1, 5))
+    side = draw(st.integers(1, 6))
+    shapes = [shape for shape in KEY_SHAPES if 2 * (max(shape) - 1) <= side]
+    ids = list(IDS[:n]) + [UNKNOWN]
+    pairs = [(draw(id_grid(h, w, ids)), draw(st.sampled_from(WEIGHTS)))
+             for h, w in draw(st.lists(st.sampled_from(shapes), max_size=5))]
+    cells = np.array(draw(id_grid(side, side, list(range(n)))), dtype=np.int64)
+    site = st.integers(0, side - 1)
+    moves = draw(st.lists(st.tuples(site, site, st.integers(0, n - 1)), max_size=12))
+    chain = (draw(st.sampled_from([0.0, 1 / 3, 1.0, 3.0])), draw(st.integers(1, 40)),
+             draw(st.integers(0, 2 ** 32)))
+    return free_tileset(n), pairs, cells, moves, chain
+
+
+@given(key_case())
+@FAST
+def test_occurrence_keys_follow_every_accepted_move(case):
+    tileset, pairs, cells, moves, (beta, steps, seed) = case
+    n, side = len(tileset), len(cells)
+    compiled = oracle.compile_patterns(pairs, tileset)
+    potential = Potential.from_patterns(pairs)
+    config = TorusConfig(tileset, potential, cells)
+    assert config._keys == expected_keys(config, n)
+    assert config.energy == oracle.recompute_energy(compiled, cells)
+    for x, y, t in moves:
+        gibbs_oracle.set_cell(config, x, y, t)
+        assert config._keys == expected_keys(config, n)
+        assert config.energy == config.recompute_energy() \
+            == oracle.recompute_energy(compiled, config.cells)
+    # the chain's own moves: its energy after every step against the cells
+    # sampled there, and its keys at the end
+    res = metropolis(tileset, potential, side, beta, steps, seed, cadence=1, sample_cadence=1)
+    assert [e for _, e, _ in res.trace[1:]] == oracle.torus_energies(
+        compiled, np.reshape(res.samples, (steps, side, side)))
+    assert res.config._keys == expected_keys(res.config, n)
+
+
+LETTERS = [chr(65 + i) for i in range(26)]
+# 4 x 4 shapes over 26 tiles: 26^16 keys pass int64, so the place values
+# are Python ints; Z is the top code.  A random torus holds no 4 x 4 pattern,
+# so the smaller shapes give a chain its energy
+PAST_INT64 = [([["A"] * 4] * 4, 1), ([["A", "A", "A", "Z"]] * 3 + [["Z", "A", "A", "A"]], 2),
+              ([["Z"] * 4] * 4, Fraction(1, 3)), ([["A", "Z"]], 5), ([["B"]], 1),
+              ([["C"], ["D"]], 2)]
+
+
+def test_keys_past_int64_follow_moves_and_a_chain():
+    lab = EdgeLabel()
+    tileset = Tileset([Tile(i, lab, lab, lab, lab) for i in LETTERS])
+    potential = Potential.from_patterns(PAST_INT64)
+    compiled = oracle.compile_patterns(PAST_INT64, tileset)
+    config = TorusConfig(tileset, potential, np.zeros((8, 8), np.int64))
+    assert config._shapes[4, 4][1].dtype == object
+    assert config.energy == oracle.recompute_energy(compiled, config.cells) == 64 * 16
+    rng = random.Random(33)
+    for _ in range(60):
+        gibbs_oracle.set_cell(config, rng.randrange(8), rng.randrange(8), rng.choice([0, 0, 25]))
+        assert config._keys == expected_keys(config, 26)
+        assert config.energy == oracle.recompute_energy(compiled, config.cells)
+    got = metropolis(tileset, potential, 8, 1.0, 300, rng_seed=4, cadence=7, sample_cadence=50)
+    want = gibbs_oracle.metropolis(tileset, PAST_INT64, 8, 1.0, 300, rng_seed=4, cadence=7,
+                                   sample_cadence=50)
+    assert got.trace == want.trace and got.samples == want.samples
+    assert got.accepted == want.accepted
+    assert got.config._keys == expected_keys(got.config, 26)
 
 
 WIDE_SHAPES = [(1, 3), (3, 1), (1, 4), (4, 1), (2, 2)]  # 3 and 4 cells
@@ -123,13 +238,13 @@ def wide_case(draw):
 
 @given(wide_case())
 @FAST
-def test_row_counts_of_wide_shapes_match_oracle(case):
+def test_window_limbs_of_wide_shapes_match_oracle(case):
     pairs, grids = case
     tileset = free_tileset(3)
     compiled = oracle.compile_patterns(pairs, tileset)
     d = oracle.denominator(pairs)
-    index = TorusConfig(tileset, Potential.from_patterns(pairs), grids[0])._index
-    assert [Fraction(n, d) for n in window_totals(index, grids, 3)] \
+    config = TorusConfig(tileset, Potential.from_patterns(pairs), grids[0])
+    assert [Fraction(n, d) for n in window_totals(config, grids, 3)] \
         == [oracle.recompute_energy(compiled, g) for g in grids]
 
 
@@ -153,7 +268,7 @@ def test_direct_compile_matches_cell_list_grouping(case, data):
     for potential in (listed, recoded):
         config = TorusConfig(tileset, potential, cells)
         assert config._denominator == oracle.denominator(pairs)
-        assert dict(config._index._shapes) == want
+        assert keyed_tables(config, len(tileset)) == want
 
 
 def test_adjacency_compile_matches_cell_list_grouping():
@@ -162,7 +277,7 @@ def test_adjacency_compile_matches_cell_list_grouping():
     config = TorusConfig(tileset, adjacency_potential(tileset), np.zeros((2, 2), int))
     want = {offsets: table for offsets, table in oracle.potential_tables(pairs, tileset).items()
             if table}
-    assert dict(config._index._shapes) == want
+    assert keyed_tables(config, len(tileset)) == want
 
 
 @st.composite
@@ -265,7 +380,8 @@ def test_weighted_index_sums_duplicates_and_drops_zero_keys():
     index = PatternIndex(oracle.weighted_tables(
         [[(0, 0, 1)], [(0, 0, 1)], [(0, 0, 0)], [(0, 0, None)]], [2, 3, 0, 7]))
     grid = np.array([[0, 1], [1, -1]])
-    assert index.total(grid) == 10 and index.total(grid, wrap=True) == 10
+    assert index.occurrences(grid) == [(0, 1, 5), (1, 0, 5)]
+    assert np.array_equal(index.covered(grid, wrap=True), [[False, True], [True, False]])
     assert oracle.covering(index, grid, 0, 1) == [5]
     assert oracle.covering(index, grid, 0, 0) == []
     listed = PatternIndex(pattern_tables([[(0, 0, 1)], [(0, 0, 1)]]))
@@ -273,10 +389,11 @@ def test_weighted_index_sums_duplicates_and_drops_zero_keys():
 
 
 def test_shape_wider_than_torus_lands_twice():
+    # on a 1 x 1 torus both cells of the domino are the one cell
     index = PatternIndex({((0, 0), (0, 1)): {(1, 1): 3}})
     grid = np.array([[1]])
-    assert index.total(grid, wrap=True) == 3
-    assert oracle.covering(index, grid, 0, 0, wrap=True) == [3, 3]
+    assert np.array_equal(index.covered(grid, wrap=True), [[True]])
+    assert not index.covered(grid).any()
     assert oracle.covering(index, grid, 0, 0) == []
 
 

@@ -1,7 +1,7 @@
 """groundlab: lattice models with programmable zero-temperature behaviour.
 
 Submodules:
-  tiles        Wang tiles, patches, local rules, pattern kernel, patch counting
+  tiles        Wang tiles, patches, local rules, pattern matching, patch counting
   robinson     hierarchical aperiodic tileset and its macro-tiles
   render       deterministic SVG pictures of patches
   markers      marker sets: non-overlap verification, covering window side

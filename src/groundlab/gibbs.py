@@ -61,8 +61,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .markers import MarkerSet
-from .tiles import (BudgetExceeded, InputError, PatternIndex, Tileset, anchor_cells,
-                    id_rows)
+from .tiles import BudgetExceeded, InputError, Tileset, anchor_cells, id_rows
 
 _Q = Union[int, Fraction]
 
@@ -500,13 +499,10 @@ def _to_float(v: Tuple[int, int]) -> float:
     return m / (1 << -e)
 
 
-def torus_coverage(config: TorusConfig, markers: PatternIndex) -> Fraction:
-    """Fraction of torus cells inside some marker occurrence (wrap-aware).
-
-    `markers` is a marker set's kernel over the config's tile codes,
-    `MarkerSet.index(tileset.index)`, which a chain builds once.
-    """
-    covered = markers.covered(config.cells, wrap=True)
+def torus_coverage(config: TorusConfig, markers: MarkerSet, code) -> Fraction:
+    """Fraction of torus cells inside some marker occurrence (wrap-aware),
+    the markers read in the config's tile codes `code`, `tileset.index`."""
+    covered = markers.covered(config.cells, code, wrap=True)
     return Fraction(int(covered.sum()), config.side ** 2)
 
 
@@ -549,10 +545,10 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     config = TorusConfig(tileset, potential, cells)
     y = boltzmann_base(beta, config._denominator)
     accept: Dict[int, float] = {}  # rise n > 0 -> float(y^n)
-    cover = markers.index(tileset.index) if markers is not None else None
 
     def observe(step):
-        cov = float(torus_coverage(config, cover)) if cover is not None else None
+        cov = (float(torus_coverage(config, markers, tileset.index))
+               if markers is not None else None)
         trace.append((step, config.energy, cov))
 
     trace: List[tuple] = []

@@ -9,7 +9,9 @@ from 2-D prefix sums (Karp-Rabin), and array equality confirms each hash hit,
 so a collision costs one compare and never changes the verdict.
 Covering is not searched: `MarkerSet.m` gives the window side, which
 `verify-markers` reports, and `gibbs.torus_coverage` measures how much of a
-sampled torus the markers cover.
+sampled torus the markers cover through `MarkerSet.covered`, which gathers
+the grid at every anchor's cells and compares the result with all the
+patterns in one array equality.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Iterable
 
 import numpy as np
 
 from .robinson import ORIENTATIONS, build_macro_tile
-from .tiles import InputError, Patch, PatternIndex, pattern_tables
+from .tiles import HOLE, InputError, Patch, anchor_cells
 
 
 class MarkerSet:
@@ -70,13 +73,21 @@ class MarkerSet:
     def __len__(self) -> int:
         return len(self.patterns)
 
-    def index(self, code) -> PatternIndex:
-        """The patterns as a pattern-occurrence kernel over the codes that
-        `code` (a tile id -> code mapping) assigns; unknown ids never match."""
-        lut = [code.get(tid) for tid in self.legend]
-        return PatternIndex(pattern_tables(
-            [[(y, x, lut[c]) for y, row in enumerate(g.tolist()) for x, c in enumerate(row)]
-             for g in self.codes]))
+    def covered(self, grid: np.ndarray, code, wrap: bool = False) -> np.ndarray:
+        """Boolean map of the cells of `grid` inside at least one occurrence,
+        the patterns read in the codes that `code` (a tile id -> code
+        mapping) assigns.  An id the mapping lacks reads HOLE - 1, a code no
+        grid cell holds, so a HOLE never matches.  With `wrap` the grid is a
+        torus; without it an anchor counts only where the whole pattern lies
+        inside the grid."""
+        lut = np.array([code.get(tid, HOLE - 1) for tid in self.legend])
+        want = lut[self.codes].reshape(len(self), -1)
+        offsets = list(product(range(self.height), range(self.width)))
+        at = anchor_cells(offsets, grid.shape, wrap)[2]
+        hit = (grid.ravel()[at][:, None] == want).all(axis=2).any(axis=1)
+        mask = np.zeros(grid.size, dtype=bool)
+        mask[at[hit]] = True
+        return mask.reshape(grid.shape)
 
     @classmethod
     def from_json(cls, text: str) -> "MarkerSet":

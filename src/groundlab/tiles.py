@@ -16,12 +16,19 @@ Edge labels carry up to four independent channels:
 Two abutting edges are compatible when line, pos and arrow agree exactly and
 the parity bits are consistent with adjacent integer coordinates: px flips
 across a vertical edge, py flips across a horizontal edge.
+
+A pattern of cells is matched by array equality: `anchor_cells` gives each
+anchor's flat cells, and an anchor holds an occurrence when the codes there
+equal the pattern's.  `check_patch` reads the extra forbidden patterns so,
+`count_admissible` lists each occurrence at the last cell it covers, and
+`markers.MarkerSet.covered` compares a grid with all its patterns at once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -147,11 +154,6 @@ class Tileset:
         self.extra_forbidden = tuple(extra_forbidden)
         if not all(p.cells for p in self.extra_forbidden):
             raise InputError("forbidden pattern with no cells")
-        # the extra forbidden patterns as one kernel over the tile codes; a
-        # pattern naming an id the tileset lacks never matches
-        self.forbidden_index = PatternIndex(pattern_tables(
-            [[(dy, dx, self.index.get(tid)) for dx, dy, tid in p.cells]
-             for p in self.extra_forbidden]))
         # h_compat[a, b]: a may sit west of b; v_compat[a, b]: a may sit south of b
         self.h_compat = _compat(h_edges_match, [t.east for t in self.tiles],
                                 [t.west for t in self.tiles])
@@ -273,25 +275,6 @@ def id_rows(rows) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def pattern_tables(patterns) -> dict:
-    """Group (dy, dx, code) cell lists by cell-offset shape into `PatternIndex`
-    tables: {offsets: {codes: indices of the patterns}}, the codes read at
-    the sorted offsets (one code for a 1-cell shape).  A pattern holding a
-    None code (a tile the grid cannot hold) is left out."""
-    tables = {}
-    for n, cells in enumerate(patterns):
-        if not cells:
-            raise InputError("empty pattern")
-        if any(code is None for _, _, code in cells):
-            continue
-        offsets, key = zip(*(((dy, dx), code) for dy, dx, code in sorted(cells)))
-        if len(key) == 1:
-            key = key[0]
-        table = tables.setdefault(offsets, {})
-        table[key] = table.get(key, ()) + (n,)
-    return tables
-
-
 def anchor_cells(offsets, shape: tuple, wrap: bool) -> tuple:
     """(anchor ys, anchor xs, flat cell indices per anchor) of the (dy, dx)
     `offsets` of one shape on a grid of `shape`, anchors in row-major order.
@@ -309,80 +292,20 @@ def anchor_cells(offsets, shape: tuple, wrap: bool) -> tuple:
     return ay, ax, cy * w + cx
 
 
-class PatternIndex:
-    """The kernel of pattern sets: patterns hashed by cell-offset shape.
-
-    It serves the marker sets, `check_patch` and `count_admissible`, whose
-    grids hold holes and whose shapes are far too wide for one integer key;
-    a torus potential keys its occurrences by integers instead
-    (`gibbs.TorusConfig`).  `tables` maps each shape (a tuple of (dy, dx)
-    offsets) to a dict from the codes read at those offsets, as a tuple, to a
-    value: an integer weight or the indices of the patterns
-    (`pattern_tables`).  A 1-cell shape is keyed by its one code.  The tables
-    come in this final form, with no falsy value, and are kept as given: an
-    anchor is one dict lookup per shape, however many patterns there are.
-
-    Grids hold integer codes indexed [y, x].  With `wrap` the grid is a
-    torus; without it an anchor counts only where its whole shape lies inside
-    the grid.  Negative codes never match.  Plans are cached per grid shape;
-    the grid is read on every call.
-    """
-
-    def __init__(self, tables: dict):
-        self._shapes = list(tables.items())
-        self._plans = {}
-        self._by_cell = {}
-
-    def _plan(self, shape: tuple, wrap: bool) -> list:
-        """(table, anchor ys, anchor xs, flat cell indices per anchor) per shape."""
-        if (shape, wrap) not in self._plans:
-            self._plans[shape, wrap] = [(table, *anchor_cells(offsets, shape, wrap))
-                                        for offsets, table in self._shapes]
-        return self._plans[shape, wrap]
-
-    @staticmethod
-    def _keys(grid: np.ndarray, cells: np.ndarray) -> list:
-        """Each anchor's key: the codes at its cells (one code per 1-cell shape)."""
-        if cells.shape[1] == 1:
-            return grid.ravel()[cells[:, 0]].tolist()
-        return list(map(tuple, grid.ravel()[cells].tolist()))
-
-    def _lookup(self, grid: np.ndarray, wrap: bool):
-        for table, ay, ax, cells in self._plan(grid.shape, wrap):
-            yield ay, ax, cells, list(map(table.get, self._keys(grid, cells)))
-
-    def cell_plan(self, shape: tuple) -> list:
-        """Per flat cell of an open grid of `shape`: one (lookup, key) pair
-        per pattern cell landing there, so that lookup(key(codes)) is the
-        value of that cell's anchor in the flat code list `codes`, or None."""
-        if shape not in self._by_cell:
-            terms = [[] for _ in range(shape[0] * shape[1])]
-            for table, _, _, cells in self._plan(shape, False):
-                for row in cells.tolist():
-                    term = (table.get, itemgetter(*row))
-                    for p in row:
-                        terms[p].append(term)
-            self._by_cell[shape] = list(map(tuple, terms))
-        return self._by_cell[shape]
-
-    def occurrences(self, grid: np.ndarray) -> list:
-        """(y, x, value) of every occurrence in the open grid, by anchor."""
-        return [(int(y), int(x), v) for ay, ax, _, values in self._lookup(grid, False)
-                for y, x, v in zip(ay, ax, values) if v is not None]
-
-    def covered(self, grid: np.ndarray, wrap: bool = False) -> np.ndarray:
-        """Boolean map of the cells inside at least one occurrence."""
-        mask = np.zeros(grid.size, dtype=bool)
-        for _, _, cells, values in self._lookup(grid, wrap):
-            mask[cells[np.array([v is not None for v in values], dtype=bool)]] = True
-        return mask.reshape(grid.shape)
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str          # 'h', 'v' or 'forbidden'
     position: tuple    # cell coordinate (x, y) of the west/south/anchor cell
     detail: str = ""
+
+
+def _forbidden(tileset: Tileset):
+    """Each extra forbidden pattern as its (dy, dx) offsets and the codes it
+    bans there.  An id the tileset lacks reads HOLE - 1, a code no grid cell
+    holds, so its pattern never matches."""
+    for p in tileset.extra_forbidden:
+        dx, dy, ids = zip(*p.cells)
+        yield list(zip(dy, dx)), [tileset.index.get(tid, HOLE - 1) for tid in ids]
 
 
 def check_patch(tileset: Tileset, patch: Patch) -> list:
@@ -406,8 +329,12 @@ def check_patch(tileset: Tileset, patch: Patch) -> list:
         out.extend(Violation(kind, (x, y),
                              f"{patch.id_at(x, y)} {sep} {patch.id_at(x + dx, y + dy)}")
                    for y, x in zip(ys.tolist(), xs.tolist()))
-    found = sorted((y, x, pi) for y, x, hits in tileset.forbidden_index.occurrences(idx)
-                   for pi in hits)
+    found = []
+    for pi, (offsets, want) in enumerate(_forbidden(tileset)):
+        ay, ax, at = anchor_cells(offsets, idx.shape, False)
+        hit = (idx.ravel()[at] == want).all(axis=1)
+        found.extend(zip(ay[hit].tolist(), ax[hit].tolist(), repeat(pi)))
+    found.sort()
     out.extend(Violation("forbidden", (x, y), f"pattern {pi}") for y, x, pi in found)
     out.sort(key=lambda v: (v.position[1], v.position[0], v.kind))
     return out
@@ -426,8 +353,9 @@ def count_admissible(tileset: Tileset, n: int, budget: int = 10_000_000) -> Coun
     max(n, reach) placed tiles, reach being the widest span of a forbidden
     pattern in row-major cell order, with its number of partial patches (an
     exact Python int).  A candidate must fit the tiles west of it and below
-    it, and is dropped when it completes a forbidden occurrence, found by the
-    forbidden kernel's per-cell plan.  The budget counts one node per (state,
+    it, and is dropped when it completes a forbidden occurrence: each cell
+    lists the occurrences whose last row-major cell it is, each as its cells
+    and the codes banned there.  The budget counts one node per (state,
     candidate) pair; when it runs out the count is abandoned, never
     approximated.
     """
@@ -438,12 +366,15 @@ def count_admissible(tileset: Tileset, n: int, budget: int = 10_000_000) -> Coun
     edge = np.ones((1, len(tileset)), dtype=bool)  # row -1: no neighbour
     h, v = (np.vstack([compat, edge]) for compat in (tileset.h_compat, tileset.v_compat))
     fits = {}
-    # cells past the one being placed stay -1, so a plan term matches only
-    # an occurrence that this cell completes
-    codes = [-1] * (n * n)
+    ends = [[] for _ in range(n * n)]
+    for offsets, want in _forbidden(tileset):
+        want = tuple(want) if len(want) > 1 else want[0]  # as itemgetter reads it
+        for at in anchor_cells(offsets, (n, n), False)[2].tolist():
+            ends[max(at)].append((itemgetter(*at), want))
+    codes = [HOLE] * (n * n)
     states = {(): 1}
     nodes = 0
-    for c, terms in enumerate(tileset.forbidden_index.cell_plan((n, n))):
+    for c, ending in enumerate(ends):
         grown = {}
         for frontier, ways in states.items():
             pair = (frontier[-n] if c >= n else -1, frontier[-1] if c % n else -1)
@@ -455,7 +386,7 @@ def count_admissible(tileset: Tileset, n: int, budget: int = 10_000_000) -> Coun
                 if nodes > budget:
                     return CountResult(None, nodes)
                 codes[c] = t
-                if any(get(key(codes)) is not None for get, key in terms):
+                if any(get(codes) == want for get, want in ending):
                     continue
                 f = (frontier + (t,))[-keep:]
                 grown[f] = grown.get(f, 0) + ways

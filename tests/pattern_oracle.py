@@ -1,12 +1,11 @@
-"""The straight-line pattern matches that `tiles.PatternIndex` replaces.
+"""The straight-line pattern matches that groundlab's occurrence keys and
+array comparisons replace.
 
-Each function below is the loop one library call site ran before every
-pattern match went through the shape-hashed kernel, kept verbatim apart from
-taking its inputs as arguments.  They share nothing with the kernel: every
-pattern is compared cell by cell at every anchor, so they serve as the
-reference in the differential tests.  The one exception is `covering`, which
-reads the kernel's own per-cell plan the way `count_admissible` does, so that
-the tests can check that plan cell by cell.
+Each function below is the loop one library call site ran before its pattern
+matches were vectorised, kept verbatim apart from taking its inputs as
+arguments.  They share nothing with the library: every pattern is compared
+cell by cell at every anchor, so they serve as the reference in the
+differential tests.
 """
 
 import math
@@ -38,10 +37,10 @@ class _CompiledPattern:
 
 
 def weighted_tables(patterns, weights) -> dict:
-    """The former `PatternIndex(patterns, weights)` grouping: (dy, dx, code)
-    cell lists keyed by their sorted offsets, the weights of equal code
-    tuples summed, zero sums dropped and None-code patterns left out; a
-    1-cell shape is keyed by its one code, as the kernel takes it."""
+    """A weighted pattern list grouped by shape: (dy, dx, code) cell lists
+    keyed by their sorted offsets, the weights of equal code tuples summed,
+    zero sums dropped and None-code patterns left out; a 1-cell shape is
+    keyed by its one code."""
     shapes = {}
     for n, cells in enumerate(patterns):
         if any(code is None for _, _, code in cells):
@@ -171,14 +170,6 @@ def torus_coverage(tileset, cells, markers) -> Fraction:
     return Fraction(int(covered.sum()), s * s)
 
 
-def covering(index, grid, y, x) -> list:
-    """Values of the occurrences of `index` covering cell (y, x) of an open
-    grid, read from its `cell_plan` terms, once per pattern cell there."""
-    codes = grid.ravel()  # numpy ints hash and compare like the table's keys
-    return [v for get, key in index.cell_plan(grid.shape)[y * grid.shape[1] + x]
-            if (v := get(key(codes))) is not None]
-
-
 def occurrence_map(config, markers) -> np.ndarray:
     """Boolean cell map: cells lying inside at least one marker occurrence."""
     covered = np.zeros((config.height, config.width), dtype=bool)
@@ -218,27 +209,6 @@ def forbidden_violations(tileset, patch) -> list:
                 if all(patch.id_at(ax + dx, ay + dy) == tid for dx, dy, tid in pat.cells):
                     out.append(((ax, ay), pi))
     return out
-
-
-def forbidden_block_completed(grid, pat_codes, w, h, x, y) -> bool:
-    """Does assigning (x, y) in row-major order complete a marker block?"""
-    # assigning (x, y) in row-major order can only complete blocks whose
-    # top-right... top row ends at y and right column ends at x
-    if x < w - 1 or y < h - 1:
-        return False
-    ax, ay = x - w + 1, y - h + 1
-    for codes in pat_codes:
-        match = True
-        for yy in range(h):
-            for xx in range(w):
-                if grid[ay + yy, ax + xx] != codes[yy][xx]:
-                    match = False
-                    break
-            if not match:
-                break
-        if match:
-            return True
-    return False
 
 
 def edge_violations(tileset, patch) -> list:

@@ -534,24 +534,24 @@ def test_annealing_lowers_energy_in_expectation():
 
 
 def test_torus_coverage_all_and_none():
-    mk = MarkerSet([Patch.from_ids([["A"]])]).index(TS2.index)
+    mk = MarkerSet([Patch.from_ids([["A"]])])
     cfg = TorusConfig(TS2, B_POT, [[0, 0], [0, 0]])
-    assert torus_coverage(cfg, mk) == 1
+    assert torus_coverage(cfg, mk, TS2.index) == 1
     cfg = TorusConfig(TS2, B_POT, [[1, 1], [1, 1]])
-    assert torus_coverage(cfg, mk) == 0
+    assert torus_coverage(cfg, mk, TS2.index) == 0
 
 
 def test_torus_coverage_wraps():
-    mk = MarkerSet([Patch.from_ids([["A", "B"]])]).index(TS2.index)
+    mk = MarkerSet([Patch.from_ids([["A", "B"]])])
     # occurrence spans the seam: A at the right edge, B wrapping to column 0
     cfg = TorusConfig(TS2, AB_POT, [[1, 0], [1, 1]])
-    assert torus_coverage(cfg, mk) == Fraction(2, 4)
+    assert torus_coverage(cfg, mk, TS2.index) == Fraction(2, 4)
 
 
 def test_torus_coverage_unknown_marker_tile():
-    mk = MarkerSet([Patch.from_ids([["Z"]])]).index(TS2.index)
+    mk = MarkerSet([Patch.from_ids([["Z"]])])
     cfg = TorusConfig(TS2, B_POT, [[0, 0], [0, 0]])
-    assert torus_coverage(cfg, mk) == 0
+    assert torus_coverage(cfg, mk, TS2.index) == 0
 
 
 def test_coverage_increases_with_beta_on_toy_model():

@@ -26,10 +26,10 @@ def patch_of(rows):
 
 def covered(config, markers):
     """The cells of `config` inside a marker occurrence, read as
-    `gibbs.torus_coverage` reads a torus: the marker kernel over the codes of
-    one tile id -> code mapping, here the config's own legend."""
+    `gibbs.torus_coverage` reads a torus: the markers and the grid in the
+    codes of one tile id -> code mapping, here the config's own legend."""
     code = {tid: i for i, tid in enumerate(config.legend)}
-    return markers.index(code).covered(config.codes_in(code))
+    return markers.covered(config.codes_in(code), code)
 
 
 # independent double-loop oracle, same scan order as the implementation

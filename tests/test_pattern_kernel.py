@@ -1,25 +1,24 @@
-"""Differential tests: every entry point of the pattern kernel against the
-straight-line loops it replaced (tests/pattern_oracle.py)."""
+"""Differential tests: the torus's occurrence keys and every pattern match
+against the straight-line loops they replaced (tests/pattern_oracle.py)."""
 
 import random
 from fractions import Fraction
 from itertools import product as iter_product
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbs_oracle
 import groundlab.gibbs as gibbs
 import pattern_oracle as oracle
+import tiles_oracle
 from groundlab.gibbs import (Potential, TorusConfig, adjacency_potential,
                              metropolis, torus_coverage)
-from groundlab.markers import MarkerSet
-from groundlab.robinson import build_tileset
-from groundlab.tiles import (EdgeLabel, ForbiddenPattern, InputError, Patch,
-                             PatternIndex, Tile, Tileset, check_patch,
-                             pattern_tables)
+from groundlab.markers import MarkerSet, robinson_marker_set
+from groundlab.robinson import build_macro_tile, build_tileset
+from groundlab.tiles import (EdgeLabel, ForbiddenPattern, Patch, Tile, Tileset,
+                             check_patch, count_admissible)
 
 IDS = "ABCDE"
 UNKNOWN = "Z"  # an id no generated tileset holds
@@ -75,9 +74,9 @@ def local(config, y, x):
 
 
 def keyed_tables(config, ntiles):
-    """The config's int-keyed tables in `PatternIndex` form: each shape as its
-    offsets, each key decoded by its place values into its codes (one code
-    for a 1-cell shape)."""
+    """The config's int-keyed tables in the form `oracle.potential_tables`
+    groups them: each shape as its offsets, each key decoded by its place
+    values into its codes (one code for a 1-cell shape)."""
     out = {}
     for (h, w), (table, place, _) in config._shapes.items():
         decoded = {tuple(key // m % ntiles for m in place.tolist()): v for key, v in table.items()}
@@ -115,18 +114,6 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
     for y in range(side):
         for x in range(side):
             assert Fraction(local(config, y, x), d) == oracle.occurrences_at(compiled, cells, x, y)
-    # an open grid with unassigned (-1) cells, count_admissible's path, over
-    # the same tables in the pattern-set kernel: the oracle sees it inside a
-    # torus padded with -1 wider than any pattern
-    index = PatternIndex(oracle.potential_tables(pairs, tileset))
-    grid = cells.copy()
-    grid.flat[data.draw(st.integers(0, side * side)):] = -1
-    padded = np.full((2 * side, 2 * side), -1)
-    padded[:side, :side] = grid
-    for y in range(side):
-        for x in range(side):
-            assert (Fraction(sum(oracle.covering(index, grid, y, x)), d)
-                    == oracle.occurrences_at(compiled, padded, x, y))
     x, y = data.draw(st.integers(0, side - 1)), data.draw(st.integers(0, side - 1))
     t = data.draw(st.integers(0, len(tileset) - 1))
     after = cells.copy()
@@ -309,8 +296,23 @@ def test_torus_coverage_matches_oracle(data):
     tileset = free_tileset(n)
     cells = np.array([[tileset.index[t] for t in row] for row in fill])
     config = TorusConfig(tileset, Potential.from_patterns([]), cells)
-    assert torus_coverage(config, markers.index(tileset.index)) == \
+    assert torus_coverage(config, markers, tileset.index) == \
         oracle.torus_coverage(tileset, cells, markers)
+
+
+def test_planted_macro_tile_coverage_matches_oracle():
+    # an order-4 macro-tile, 15 x 15, planted across the seams of a random
+    # side-32 Robinson torus: its own cells are covered, and random cells
+    # may add more
+    tileset = build_tileset()
+    markers = robinson_marker_set(4)
+    cells = np.random.default_rng(34).integers(0, len(tileset), size=(32, 32))
+    cells[:15, :15] = build_macro_tile(4, "sw").codes_in(tileset.index)
+    cells = np.roll(cells, (24, 27), (0, 1))
+    config = TorusConfig(tileset, Potential.from_patterns([]), cells)
+    got = torus_coverage(config, markers, tileset.index)
+    assert got == oracle.torus_coverage(tileset, cells, markers)
+    assert got >= Fraction(225, 1024)
 
 
 @given(st.data())
@@ -320,9 +322,9 @@ def test_occurrence_map_matches_oracle(data):
     fill = data.draw(id_grid(h, w, ["A", "B", None]))
     markers = data.draw(marker_case(["A", "B", UNKNOWN], fill))
     patch = Patch.from_ids(fill)
-    # the marker kernel over the patch's own codes, as torus_coverage reads it
+    # the markers over the patch's own codes, as torus_coverage reads a torus
     code = {tid: i for i, tid in enumerate(patch.legend)}
-    assert np.array_equal(markers.index(code).covered(patch.codes_in(code)),
+    assert np.array_equal(markers.covered(patch.codes_in(code), code),
                           oracle.occurrence_map(patch, markers))
 
 
@@ -350,51 +352,39 @@ def test_check_patch_forbidden_matches_oracle(patterns, data):
     assert got == want
 
 
-@given(st.data())
+@st.composite
+def block_case(draw):
+    """Two free tiles, 1-3 forbidden blocks that fill their h x w rectangle
+    (h, w <= 3), sometimes naming an id the tileset lacks, and a side n <= 3."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rows = draw(id_grid(h, w, ["A", "B", "A", "B", UNKNOWN]))
+        blocks.append(ForbiddenPattern(tuple((i, j, tid) for j, row in enumerate(rows)
+                                             for i, tid in enumerate(row))))
+    return free_tileset(2, blocks), draw(st.integers(1, 3))
+
+
+@given(block_case())
 @FAST
-def test_block_lookup_matches_oracle(data):
-    # count_admissible fills cells in row-major order, so every cell after the
-    # one just assigned still holds -1
-    m = data.draw(st.integers(1, 5))
-    fill = data.draw(id_grid(m, m, ["A", "B"]))
-    y, x = divmod(data.draw(st.integers(0, m * m - 1)), m)
-    h, w = data.draw(st.integers(1, m)), data.draw(st.integers(1, m))
-    found = {}
-    if x >= w - 1 and y >= h - 1 and data.draw(st.booleans()):
-        block = [row[x - w + 1:x + 1] for row in fill[y - h + 1:y + 1]]
-        found[str(block)] = block
-    for _ in range(data.draw(st.integers(1, 3))):
-        rows = data.draw(id_grid(h, w, ["A", "B"]))
-        found[str(rows)] = rows
-    markers = MarkerSet([Patch.from_ids(rows) for rows in found.values()])
-    tileset = free_tileset(2)
-    grid = np.array([[tileset.index[t] for t in row] for row in fill])
-    grid.flat[y * m + x + 1:] = -1
-    pat_codes = [[[tileset.index[p.id_at(i, j)] for i in range(w)]
-                  for j in range(h)] for p in markers.patterns]
-    want = oracle.forbidden_block_completed(grid, pat_codes, w, h, x, y)
-    assert bool(oracle.covering(markers.index(tileset.index), grid, y, x)) == want
-
-
-def test_weighted_index_sums_duplicates_and_drops_zero_keys():
-    index = PatternIndex(oracle.weighted_tables(
-        [[(0, 0, 1)], [(0, 0, 1)], [(0, 0, 0)], [(0, 0, None)]], [2, 3, 0, 7]))
-    grid = np.array([[0, 1], [1, -1]])
-    assert index.occurrences(grid) == [(0, 1, 5), (1, 0, 5)]
-    assert np.array_equal(index.covered(grid, wrap=True), [[False, True], [True, False]])
-    assert oracle.covering(index, grid, 0, 1) == [5]
-    assert oracle.covering(index, grid, 0, 0) == []
-    listed = PatternIndex(pattern_tables([[(0, 0, 1)], [(0, 0, 1)]]))
-    assert listed.occurrences(grid) == [(0, 1, (0, 1)), (1, 0, (0, 1))]
+def test_block_count_matches_exhaustive(case):
+    # count_admissible lists each block occurrence at its last row-major
+    # cell; the walk checks every placement of every block in each full patch
+    tileset, n = case
+    want = tiles_oracle.count_exhaustive(tileset, n)
+    assert want.count is not None
+    assert count_admissible(tileset, n).count == want.count
 
 
 def test_shape_wider_than_torus_lands_twice():
     # on a 1 x 1 torus both cells of the domino are the one cell
-    index = PatternIndex({((0, 0), (0, 1)): {(1, 1): 3}})
+    code = {"A": 0, "B": 1}
     grid = np.array([[1]])
-    assert np.array_equal(index.covered(grid, wrap=True), [[True]])
-    assert not index.covered(grid).any()
-    assert oracle.covering(index, grid, 0, 0) == []
+    markers = MarkerSet([Patch.from_ids([["B", "B"]])])
+    assert np.array_equal(markers.covered(grid, code, wrap=True), [[True]])
+    assert not markers.covered(grid, code).any()
+    # the one cell cannot hold both tiles of a mixed domino
+    assert not MarkerSet([Patch.from_ids([["A", "B"]])]).covered(grid, code, wrap=True).any()
 
 
 def test_robinson_chain_matches_oracle_local_energy():
@@ -407,9 +397,4 @@ def test_robinson_chain_matches_oracle_local_energy():
     assert slow.accepted == kernel.accepted
     assert 0 < kernel.accepted < kernel.steps
     assert np.array_equal(slow.config.cells, kernel.config.cells)
-
-
-def test_empty_pattern_is_refused():
-    with pytest.raises(InputError):
-        pattern_tables([[]])
 

@@ -172,6 +172,12 @@ def test_forbidden_pattern_count():
     assert count_admissible(ts, 2).count == 9
 
 
+# B up-left of A: an occurrence is complete at B's cell, the later one in
+# row-major order, not at its anchor A
+UP_LEFT = Tileset([uniform_tile("A"), uniform_tile("B")],
+                  extra_forbidden=[ForbiddenPattern(((0, 0, "A"), (-1, 1, "B")))])
+
+
 @st.composite
 def forbidden_tilesets(draw):
     """1-3 tiles with random arrow labels (uniform tiles often, so that many
@@ -193,11 +199,17 @@ def forbidden_tilesets(draw):
 # of the last n tiles
 @example(Tileset([uniform_tile("A"), uniform_tile("B")],
                  extra_forbidden=[ForbiddenPattern(((0, 0, "A"), (1, 1, "B")))]), 3)
+@example(UP_LEFT, 3)
 def test_dp_matches_exhaustive(ts, n):
     want = tiles_oracle.count_exhaustive(ts, n)
     got = count_admissible(ts, n)
     assert want.count is not None
     assert got.count == want.count
+
+
+def test_pattern_ending_past_its_anchor_nodes():
+    # one node per (state, candidate) pair, as the sweep has always counted
+    assert count_admissible(UP_LEFT, 3).nodes == 94
 
 
 def test_forbidden_toy_sweep_is_fast():

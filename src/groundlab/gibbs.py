@@ -32,16 +32,16 @@ computed once per n by `power_float` without forming y^n.  Acceptance
 probabilities are exact rationals and detailed balance is an identity;
 beta = 0 is simply y = 1.
 
-The enumeration scores rows, not cells: shapes are anchored at their top-left
-cell, so a configuration's level is the sum over its rows y of the level of
-the window of rows y .. y + H - 1 (mod side), H the tallest shape, read from
-a table filled once from the torus's int tables (`_window_limbs`) as int64
-sums of limbs of the pattern values.  Each block's distinct limb sums are
-summed once in Python ints, so levels stay exact for weights of any size.
-The table it returns is one int32 level id per configuration plus one energy
-and one probability per level: `energies` and `probabilities` are read-only
-`LevelView`s over them, where a lookup reads one level and a walk over every
-entry reads the ids once.
+Exact enumeration holds every configuration in one array with an axis of
+length ntiles per cell, so configuration i, which spells i in base ntiles,
+sits at index i.  Each occurrence adds its shape's dense value table along
+its cells' axes, in the smallest unsigned type that holds the largest
+possible level, or in Python ints once that passes 64 bits, so levels stay
+exact for weights of any size.  The distinct levels are sorted ascending,
+the ground level first.  The table it returns is one int32 level id per
+configuration plus one energy and one probability per level: `energies` and
+`probabilities` are read-only `LevelView`s over them, where a lookup reads
+one level and a walk over every entry reads the ids once.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .tiles import BudgetExceeded, InputError, Tileset, anchor_cells, id_rows
 _Q = Union[int, Fraction]
 
 ENUMERATION_BUDGET = 1 << 20
-ENUMERATION_BLOCK = 4096  # configurations per numpy batch: bounds its arrays
 
 
 class Potential:
@@ -292,12 +291,13 @@ class LevelView(Mapping):
     A configuration is a tuple of side * side codes in range(ntiles),
     row-major.  Configuration i spells i in base ntiles, most significant
     code first, so iteration follows `iter_product` and `level_ids[i]` names
-    its level in `levels`.  A key is found exactly when a dict over the
-    configurations would find it: a tuple of side * side entries, each
-    hashing and comparing like a code (numpy ints do); any other key raises
-    KeyError.  One lookup reads one level; `items()` and `values()` walk the
-    level ids once; the level law is `levels` against the bincount of
-    `level_ids`, read without a walk.
+    its level in `levels`.  Level ids follow the energies in ascending
+    order, so id 0 is the ground level.  A key is found exactly when a dict
+    over the configurations would find it: a tuple of side * side entries,
+    each hashing and comparing like a code (numpy ints do); any other key
+    raises KeyError.  One lookup reads one level; `items()` and `values()`
+    walk the level ids once; the level law is `levels` against the bincount
+    of `level_ids`, read without a walk.
     """
 
     def __init__(self, level_ids: np.ndarray, levels: Sequence, ntiles: int, ncells: int):
@@ -342,8 +342,9 @@ class _LevelItems(ItemsView):
 class BoltzmannTable:
     """Exact energy and probability of every configuration of a side x side
     torus, keyed by its tuple of codes.  `boltzmann_exact` fills both maps
-    with `LevelView`s over one level-id array; any two mappings with the
-    same items compare equal, so a table of dicts equals it too."""
+    with `LevelView`s over one level-id array, levels ascending from the
+    ground level; any two mappings with the same items compare equal, so a
+    table of dicts equals it too."""
     side: int
     beta: float
     denominator: int
@@ -365,79 +366,37 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     scratch = TorusConfig(tileset, potential, np.zeros((side, side), np.int64))
     d = scratch._denominator
     y = boltzmann_base(beta, d)
-    # no torus holds more than ncells * len(shapes) occurrences, so its limb sums stay int64
-    height, rowcodes = max((h for h, _ in potential.rows), default=1), ntiles ** side
-    bits = 63 - (ncells * len(potential.rows)).bit_length()
-    top = max((max(u) * h * w for (h, w), (_, u) in potential.rows.items()), default=0)
-    nlimbs = max(1, -(-top.bit_length() // bits))
-    stacks = (windows for _, windows in _row_blocks(ntiles, height * side))
-    table = np.concatenate(list(_window_limbs(scratch, ntiles, stacks, bits, nlimbs)))
-    # configuration i spells i in base ntiles, so its row codes are the
-    # base-rowcodes digits of i; window y codes rows y .. y + height - 1, wrapping
-    level_ids = np.empty(count, dtype=np.int32)
-    position: Dict[int, int] = {}  # distinct level n -> its id
-    for start, rows in _row_blocks(rowcodes, side):
-        windows = sum(np.roll(rows, -j, axis=1) * rowcodes ** (height - 1 - j)
-                      for j in range(height))
-        sums = table[windows].sum(axis=1)
-        group = np.unique(sums[:, 0], return_inverse=True)[1]
-        for column in sums.T[1:]:
-            group = np.unique(group * len(sums) + np.unique(column, return_inverse=True)[1],
-                              return_inverse=True)[1]
-        first = np.empty(int(group.max()) + 1, dtype=np.int64)
-        first[group] = np.arange(len(group))
-        ids = [position.setdefault(sum(s << bits * k for k, s in enumerate(row)), len(position))
-               for row in sums[first].tolist()]
-        level_ids[start:start + len(group)] = np.array(ids)[group]
-    tally = np.bincount(level_ids, minlength=len(position)).tolist()
-    weights = [y ** n for n in position]
-    z = sum(c * w for c, w in zip(tally, weights))
+    # configuration i spells i in base ntiles, so it sits at index i of an
+    # array with one axis of length ntiles per cell; each occurrence adds its
+    # shape's dense value table along its cells' axes, ascending.  The
+    # smallest unsigned type that holds the largest possible level can never
+    # overflow (Python ints past 64 bits)
+    top = sum(max(table.values()) * len(at) for table, _, at in scratch._shapes.values())
+    dtype = np.min_scalar_type(top)
+    if count == 1:  # numpy allows at most 64 axes; the one configuration is the scratch torus
+        total = np.array([scratch._units], dtype)
+    else:
+        total = np.zeros((ntiles,) * ncells, dtype)
+        for table, place, at in scratch._shapes.values():
+            lut = np.zeros(ntiles ** len(place), dtype)
+            lut[list(table)] = list(table.values())
+            lut = lut.reshape((ntiles,) * len(place))
+            for cells in at:
+                shape = np.ones(ncells, np.intp)
+                shape[cells] = ntiles
+                total += lut.transpose(np.argsort(cells)).reshape(shape)
+    total = total.reshape(-1)
+    # return_counts keeps np.unique off its hash path, which imports numpy.ma
+    levels, tally = np.unique(total, return_counts=True)
+    level_ids = np.searchsorted(levels, total).astype(np.int32)
+    levels = levels.tolist()
+    weights = [y ** n for n in levels]
+    z = sum(c * w for c, w in zip(tally.tolist(), weights))
     level_ids.flags.writeable = False  # shared by both views
-    energies = LevelView(level_ids, tuple(Fraction(n, d) for n in position), ntiles, ncells)
+    energies = LevelView(level_ids, tuple(Fraction(n, d) for n in levels), ntiles, ncells)
     probabilities = LevelView(level_ids, tuple(w / z for w in weights), ntiles, ncells)
     return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
                           energies=energies, probabilities=probabilities)
-
-
-def _window_limbs(config: TorusConfig, ntiles: int, stacks: Iterable[np.ndarray],
-                  bits: int, nlimbs: int):
-    """Per (B, H * side) stack of windows, each H rows of the config's torus
-    as row-major codes with H at least every shape's height: the (B, nlimbs)
-    int64 sums, limb by limb, of the values of the occurrences anchored on
-    the window's first row, columns wrapping.  Limb k of a value is its bits
-    k * bits .. (k + 1) * bits - 1.  A k-cell shape looks its keys up in a
-    dense table of ntiles**k rows built once, which suits the small alphabets
-    and shapes of an enumeration.  A stack is summed when it is read."""
-    mask, plans = (1 << bits) - 1, []
-    for table, place, at in config._shapes.values():
-        lut = np.zeros((ntiles ** len(place), nlimbs), dtype=np.int64)
-        lut[list(table)] = [[v >> bits * k & mask for k in range(nlimbs)]
-                            for v in table.values()]
-        # the first row's anchors come first, and their cells lie in rows
-        # below the window's height, so a torus cell index is a window one
-        plans.append((lut, place, at[:config.side]))
-    for windows in stacks:
-        sums = np.zeros((len(windows), nlimbs), dtype=np.int64)
-        for lut, place, at in plans:
-            sums += lut[windows[:, at] @ place].sum(axis=1)
-        yield sums
-
-
-def _row_blocks(base: int, n: int):
-    """(start, rows) per block of at most ENUMERATION_BLOCK consecutive codes
-    from 0 to base**n - 1: rows[b] is code start + b as n base-`base` digits,
-    most significant first, the low ones read from one fixed table."""
-    low = 0
-    while base > 1 and low < n and base ** (low + 1) <= ENUMERATION_BLOCK:
-        low += 1
-    unit, runs, top = base ** low, ENUMERATION_BLOCK // base ** low, base ** (n - low)
-    rows = np.empty((runs, unit, n), dtype=np.int64)
-    rows[:, :, n - low:] = np.indices((base,) * low).reshape(low, unit).T
-    place = base ** np.arange(n - low - 1, -1, -1)
-    for run in range(0, top, runs):
-        high = np.arange(run, min(run + runs, top))[:, None] // place % base
-        rows[:len(high), :, :n - low] = high[:, None]
-        yield run * unit, rows[:len(high)].reshape(-1, n)
 
 
 def acceptance_probability(base: Fraction, denominator: int,

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import gibbs_oracle
 import pattern_oracle
-import groundlab.gibbs as gibbs
 from groundlab.gibbs import (BoltzmannTable, Potential, TorusConfig,
                              acceptance_probability, adjacency_potential,
                              boltzmann_base, boltzmann_exact,
@@ -403,11 +402,11 @@ def test_boltzmann_views_equal_the_oracle_dicts():
     assert got.energies != got.probabilities
 
 
-def test_boltzmann_exact_peak_is_its_level_ids_and_one_block():
-    # the toy at side 4: 65 536 configurations, one int32 level id each; a
-    # block's temporaries are its int64 grid and up to three arrays its size
-    count, cells = 2 ** 16, 16
-    block = 4 * gibbs.ENUMERATION_BLOCK * cells * 8
+def test_boltzmann_exact_peak_is_its_level_ids_and_two_level_arrays():
+    # the toy at side 4: 65 536 configurations, one int32 level id each; the
+    # level of each configuration, at most 8 bytes, and its int64 search
+    # position are the only other arrays that size
+    count = 2 ** 16
     tracemalloc.start()
     try:
         tab = boltzmann_exact(TS2, AB_POT, 4, 1.0)
@@ -415,7 +414,26 @@ def test_boltzmann_exact_peak_is_its_level_ids_and_one_block():
     finally:
         tracemalloc.stop()
     assert len(tab.probabilities) == count
-    assert peak <= 4 * count + block + 2 ** 20
+    assert peak <= 4 * count + 2 * 8 * count + 2 ** 20
+
+
+# the toy's ground configurations have every row constant: 2^side of them;
+# forbidding A above A too leaves no two all-A rows adjacent, and the
+# independent sets of a cycle of side rows number the Lucas numbers; hard
+# squares (no two A adjacent) count the independent sets of the torus grid,
+# none with an all-A first row, so the ground level is not configuration 0's
+@pytest.mark.parametrize("pairs, degeneracy", [
+    (AB_PAIRS, {2: 4, 3: 8, 4: 16}),
+    (AB_PAIRS + [((("A",), ("A",)), 1)], {2: 3, 3: 4, 4: 7}),
+    ([((("A", "A"),), 1), ((("A",), ("A",)), 1)], {2: 7, 3: 34, 4: 743}),
+])
+def test_boltzmann_first_level_is_the_ground_level_and_its_degeneracy(pairs, degeneracy):
+    potential = Potential.from_patterns(pairs)
+    for side, count in degeneracy.items():
+        energies = boltzmann_exact(TS2, potential, side, 1.0).energies
+        assert energies.levels[0] == min(energies.values()) == 0
+        assert list(energies.levels) == sorted(energies.levels)
+        assert np.bincount(energies.level_ids)[0] == count
 
 
 def test_acceptance_probability_values():

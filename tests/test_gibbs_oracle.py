@@ -3,15 +3,13 @@
 (tests/gibbs_oracle.py)."""
 
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbs_oracle as oracle
-import groundlab.gibbs as gibbs
 from groundlab.gibbs import Potential, boltzmann_exact, metropolis
 from groundlab.markers import MarkerSet
 from groundlab.tiles import BudgetExceeded, EdgeLabel, Patch, Tile, Tileset
@@ -21,7 +19,6 @@ BIG = 10 ** 30 + Fraction(1, 7)  # its levels pass any fixed-width integer
 WEIGHTS = [0, 1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6)]
 BETAS = [0.0, 1 / 3, 1.0, 3.0]
 BUDGET = 600  # enumerations past this raise BudgetExceeded on both sides
-BLOCKS = [1, 3, 7, gibbs.ENUMERATION_BLOCK]  # small blocks cross block edges
 
 
 def free_tileset(n):
@@ -53,22 +50,25 @@ def gibbs_case(draw, weights=tuple(WEIGHTS)):
     return free_tileset(n), pairs, side, beta
 
 
-@given(gibbs_case(weights=WEIGHTS + [BIG]), st.sampled_from(BLOCKS))
+@given(gibbs_case(weights=WEIGHTS + [BIG]))
+# the largest possible level, four times the weight, at the edge of uint64:
+# all-A sums to 2^64 - 4, past int64, and one unit more takes Python ints
+@example(case=(free_tileset(2), [([["A"]], 2 ** 62 - 1)], 2, 0.0))
+@example(case=(free_tileset(2), [([["A"]], 2 ** 62)], 2, 0.0))
 @settings(max_examples=100, deadline=None)
-def test_boltzmann_exact_matches_oracle(case, block):
+def test_boltzmann_exact_matches_oracle(case):
     tileset, pairs, side, beta = case
     potential = Potential.from_patterns(pairs)
-    with mock.patch.object(gibbs, "ENUMERATION_BLOCK", block):
-        try:
-            want = oracle.boltzmann_exact(tileset, pairs, side, beta, BUDGET)
-        except BudgetExceeded:
-            with pytest.raises(BudgetExceeded):
-                boltzmann_exact(tileset, potential, side, beta, budget=BUDGET)
-            return
-        assert boltzmann_exact(tileset, potential, side, beta, budget=BUDGET) == want
+    try:
+        want = oracle.boltzmann_exact(tileset, pairs, side, beta, BUDGET)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            boltzmann_exact(tileset, potential, side, beta, budget=BUDGET)
+        return
+    assert boltzmann_exact(tileset, potential, side, beta, budget=BUDGET) == want
 
 
-# side 4, past the drawn cases' budget: a vertical domino, whose windows
+# side 4, past the drawn cases' budget: a vertical domino, whose occurrences
 # wrap from the last row to the first, a 2 x 2 shape and a horizontal domino
 SIDE4 = [([["A"], ["B"]], Fraction(2, 3)), ([["A", "B"], ["B", "A"]], 1),
          ([["B", "B"]], Fraction(1, 2))]
@@ -81,12 +81,10 @@ def side4_table():
     return oracle.boltzmann_exact(free_tileset(2), SIDE4, 4, 1.0, 1 << 16)
 
 
-@pytest.mark.parametrize("block", [7, gibbs.ENUMERATION_BLOCK])
-def test_boltzmann_exact_at_side_4_matches_oracle(side4_table, block):
+def test_boltzmann_exact_at_side_4_matches_oracle(side4_table):
     tileset, big = free_tileset(2), [(rows, weight * BIG) for rows, weight in SIDE4]
-    with mock.patch.object(gibbs, "ENUMERATION_BLOCK", block):
-        got = boltzmann_exact(tileset, Potential.from_patterns(SIDE4), 4, 1.0)
-        scaled = boltzmann_exact(tileset, Potential.from_patterns(big), 4, 0.0)
+    got = boltzmann_exact(tileset, Potential.from_patterns(SIDE4), 4, 1.0)
+    scaled = boltzmann_exact(tileset, Potential.from_patterns(big), 4, 0.0)
     assert got == side4_table
     # every weight times BIG makes every level BIG times larger, past int64
     assert scaled.energies == {key: e * BIG for key, e in side4_table.energies.items()}

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbs_oracle
-import groundlab.gibbs as gibbs
 import pattern_oracle as oracle
 import tiles_oracle
 from groundlab.gibbs import (Potential, TorusConfig, adjacency_potential,
@@ -53,18 +52,6 @@ def torus_case(draw):
         pairs.append((pairs[0][0], draw(st.sampled_from(WEIGHTS))))
     cells = np.array(draw(id_grid(side, side, list(range(n)))), dtype=np.int64)
     return free_tileset(n), pairs, cells
-
-
-def window_totals(config, grids, ntiles):
-    """Each torus's wrapped total as `boltzmann_exact` forms it: the sum over
-    its rows y of the occurrences `_window_limbs` finds anchored on the first
-    row of the window at rows y .. y + H - 1 (mod side), H the tallest shape."""
-    height = max((h for h, _ in config._shapes), default=1)
-    side = len(grids[0])
-    windows = [np.roll(g, -y, axis=0)[:height].ravel() for g in grids for y in range(side)]
-    (limbs,) = gibbs._window_limbs(config, ntiles, [np.array(windows)], 62, 2)
-    levels = [sum(s << 62 * k for k, s in enumerate(row)) for row in limbs.tolist()]
-    return [sum(levels[b:b + side]) for b in range(0, len(levels), side)]
 
 
 def local(config, y, x):
@@ -124,8 +111,6 @@ def test_torus_energy_and_local_lookup_match_oracle(case, data):
     assert config.energy == config.recompute_energy() \
         == oracle.recompute_energy(compiled, after)
     assert config._keys == expected_keys(config, len(tileset))
-    assert [Fraction(n, d) for n in window_totals(config, [cells, after], len(tileset))] \
-        == [oracle.recompute_energy(compiled, cells), oracle.recompute_energy(compiled, after)]
 
 
 KEY_SHAPES = [(h, w) for h in (1, 2) for w in (1, 2, 3)] + [(3, 1)]
@@ -201,38 +186,6 @@ def test_keys_past_int64_follow_moves_and_a_chain():
     assert got.trace == want.trace and got.samples == want.samples
     assert got.accepted == want.accepted
     assert got.config._keys == expected_keys(got.config, 26)
-
-
-WIDE_SHAPES = [(1, 3), (3, 1), (1, 4), (4, 1), (2, 2)]  # 3 and 4 cells
-
-
-@st.composite
-def wide_case(draw):
-    """Patterns of 3 and 4 cells over three tiles, each shape with its all-C
-    pattern (C is the top code, 2), and a stack of side-6 or side-7 tori with
-    mostly high codes, the last all C."""
-    pairs = []
-    for h, w in draw(st.lists(st.sampled_from(WIDE_SHAPES), min_size=1, max_size=3)):
-        pairs.append(([["C"] * w] * h, draw(st.sampled_from(WEIGHTS[1:]))))
-        for _ in range(draw(st.integers(0, 3))):
-            pairs.append((draw(id_grid(h, w, ["A", "B", "C", "C"])),
-                          draw(st.sampled_from(WEIGHTS))))
-    side = draw(st.sampled_from([6, 7]))
-    grids = [draw(id_grid(side, side, [0, 1, 2, 2]))
-             for _ in range(draw(st.integers(0, 4)))]
-    return pairs, np.array(grids + [[[2] * side] * side], dtype=np.int64)
-
-
-@given(wide_case())
-@FAST
-def test_window_limbs_of_wide_shapes_match_oracle(case):
-    pairs, grids = case
-    tileset = free_tileset(3)
-    compiled = oracle.compile_patterns(pairs, tileset)
-    d = oracle.denominator(pairs)
-    config = TorusConfig(tileset, Potential.from_patterns(pairs), grids[0])
-    assert [Fraction(n, d) for n in window_totals(config, grids, 3)] \
-        == [oracle.recompute_energy(compiled, g) for g in grids]
 
 
 @given(torus_case(), st.data())

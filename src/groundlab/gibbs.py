@@ -444,11 +444,12 @@ def power_float(y: Fraction, n: int) -> float:
 
 
 def _mul(a: Tuple[int, int], b: Tuple[int, int], p: int, up: int) -> Tuple[int, int]:
-    """a * b kept to p bits, rounded down (up = 0) or up (up = 1)."""
+    """a * b kept to p bits, rounded down (up = 0) or up (up = 1).
+
+    Each operand holds at least p bits (y's ends are cut to p or more, every
+    product back to p), so m has at least 2p - 1 > p bits and extra > 0."""
     m, e = a[0] * b[0], a[1] + b[1]
     extra = m.bit_length() - p
-    if extra <= 0:
-        return m, e
     return -(-m >> extra) if up else m >> extra, e + extra
 
 

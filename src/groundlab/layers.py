@@ -129,38 +129,16 @@ def schedule_runs(kmax: int, schedule: Optional[OdometerSchedule] = None
         yield t, start, kmax
 
 
-# The float table's rows are worked in blocks of 2^12 rows doubling up to
+# The float table's rows are summed in blocks of 2^12 rows doubling up to
 # 2^16, so that the sum stops soon after an early cut and a table with none
 # takes few numpy calls.
 _LOG_ROWS = (1 << 12, 1 << 16)
 
 
-def _float_t(t: int, j: int) -> float:
-    try:
-        return float(t)
-    except OverflowError:
-        raise InputError(f"schedule value t({j}) is past the float "
-                         "range: use --mode exact") from None
-
-
-def _filled_blocks(x: np.ndarray, runs: Iterator[tuple]) -> Iterator[tuple]:
-    """(start, block) for the blocks of x in order, each yielded once its
-    rows hold their t_j, read from `runs` no further than that block."""
-    a, rows = 0, _LOG_ROWS[0]
-    for t, start, stop in runs:
-        t = _float_t(t, start)
-        while start < stop:
-            end = min(stop, a + rows)
-            x[start:end] = t
-            start = end
-            if end == min(a + rows, len(x)):
-                yield a, x[a:end]
-                a, rows = end, min(2 * rows, _LOG_ROWS[1])
-
-
 def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> np.ndarray:
     """freq_frozen(k) for k = 0..kmax as float64, worked in place on rows
-    1..kmax, a block at a time: the block's rows first hold t_j, then the
+    1..kmax.  First every row takes its t_j, so a t_j past the float range
+    raises wherever it falls.  Then, a block at a time, the rows become the
     terms log1p(-1/(4 t_j)), summed by np.cumsum with the running sum carried
     into the block's first term, which adds in the order of one cumsum over
     all rows; each row then becomes 1 - exp(s).
@@ -168,8 +146,7 @@ def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> 
     The sum stops at its first row with s <= -40 and every later row is 1.0,
     exactly: each term is <= 0, so the sequential float sum never rises; and
     e^-40 < 2^-54 / 13, so 1 - exp(s) rounds to 1.0 for any exp within a few
-    ulps.  The t_j after the cut are still read, so one past the float range
-    raises wherever it falls.
+    ulps.
     """
     try:
         out = np.empty(kmax + 1, dtype=np.float64)
@@ -177,25 +154,27 @@ def freq_table_float(kmax: int, schedule: Optional[OdometerSchedule] = None) -> 
         raise MemoryError(str(exc)) from None
     out[0] = 0.0
     x = out[1:]
-    runs = schedule_runs(kmax, schedule)
-    carry = 0.0
-    for a, s in _filled_blocks(x, runs):
+    for t, start, stop in schedule_runs(kmax, schedule):
+        try:
+            x[start:stop] = float(t)
+        except OverflowError:
+            raise InputError(f"schedule value t({start}) is past the float "
+                             "range: use --mode exact") from None
+    a, rows, carry = 0, _LOG_ROWS[0], 0.0
+    while a < kmax and carry > -40.0:
+        s = x[a:a + rows]
         np.divide(-0.25, s, out=s)
         np.log1p(s, out=s)
         s[0] += carry
         np.cumsum(s, out=s)
         carry = s[-1]
-        cut = carry <= -40.0
-        if cut:
+        if carry <= -40.0:
             n = int(np.argmax(s <= -40.0)) + 1
             x[a + n:] = 1.0
             s = s[:n]
         np.exp(s, out=s)
         np.subtract(1.0, s, out=s)
-        if cut:
-            break
-    for t, j, _ in runs:  # the runs after a cut: read, not written
-        _float_t(t, j)
+        a, rows = a + rows, min(2 * rows, _LOG_ROWS[1])
     return out
 
 
@@ -222,8 +201,10 @@ class FreqScan:
     final_hi: Fraction
 
 
-def freq_bounds_scan(kmax: int, schedule: Optional[OdometerSchedule] = None,
-                     scale_bits: int = 96) -> FreqScan:
+_SCALE_BITS = 96  # B, the binary places of the interval scan below
+
+
+def freq_bounds_scan(kmax: int, schedule: Optional[OdometerSchedule] = None) -> FreqScan:
     """Directed-rounding interval scan of freq_frozen for k = 0..kmax.
 
     The residual 1 - freq is tracked as an integer interval [lo, hi] / 2^B
@@ -233,7 +214,7 @@ def freq_bounds_scan(kmax: int, schedule: Optional[OdometerSchedule] = None,
     (lo, hi) unchanged every later step of the same run of t does too, and
     the scan moves to the next run.
     """
-    one = 1 << scale_bits
+    one = 1 << _SCALE_BITS
     lo = hi = one
     monotone = True
     bounded = True

@@ -371,6 +371,7 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
         raise InputError("scale k must be >= 1")
     if depth is None:
         depth = b_read(k)
+    _check_depth(depth)
     if budget is None:
         budget = seed_budget(k)
     table = None
@@ -378,7 +379,6 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
         table = _swept(machine).measure(k, depth, budget)
     if table is None:
         table = _seed_by_seed(machine, k, depth, budget)
-    _check_depth(depth)
     nums, g = [0] * 2 ** depth, math.gcd(2 ** k, *table.values())
     for word, seeds in table.items():
         if len(word) != depth:

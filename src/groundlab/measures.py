@@ -276,21 +276,14 @@ def constant_flow(m: WordMeasure) -> Callable[[int], WordMeasure]:
 
 def greedy_net(points: Sequence, radius: Fraction,
                metric=weak_star_distance) -> tuple:
-    """First-wins epsilon-net: (representative indices, assignment, max distance)."""
+    """First-wins epsilon-net: (representative indices, largest distance
+    from another point to its nearest representative)."""
     reps = []
-    assignment = []
     worst = Fraction(0)
     for i, p in enumerate(points):
-        best = None
-        best_d = None
-        for r in reps:
-            d = metric(points[r], p)
-            if best_d is None or d < best_d:
-                best, best_d = r, d
-        if best is None or best_d > radius:
+        d = min((metric(points[r], p) for r in reps), default=None)
+        if d is None or d > radius:
             reps.append(i)
-            assignment.append(i)
         else:
-            assignment.append(best)
-            worst = max(worst, best_d)
-    return reps, assignment, worst
+            worst = max(worst, d)
+    return reps, worst

@@ -190,7 +190,7 @@ def tail_net(term: Callable[[int], WordMeasure], indices: Sequence[int],
     if resolution <= 0:
         raise InputError("resolution must be > 0")
     points = [term(n) for n in indices]
-    reps, _, worst = greedy_net(points, resolution)
+    reps, worst = greedy_net(points, resolution)
     return AccumulationSet(indices[0], indices[-1], resolution,
                            [points[i] for i in reps],
                            [indices[i] for i in reps], worst)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from groundlab.machines import (Machine, NonConformingError, NonWordOutput,
                                 b_read, run, seed_budget)
-from groundlab.measures import WordMeasure
+from groundlab.measures import DEPTH_CAP, WordMeasure
 from groundlab.tiles import InputError
 
 
@@ -22,6 +22,8 @@ def word_measure(machine, k, depth=None, budget=None):
         raise InputError("scale k must be >= 1")
     if depth is None:
         depth = b_read(k)
+    if not 1 <= depth <= DEPTH_CAP:
+        raise InputError(f"depth must be in 1..{DEPTH_CAP}")
     if budget is None:
         budget = seed_budget(k)
     counts = {}

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from decimal import Decimal, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,8 +229,9 @@ def test_freq_bounds_scan_matches_stepwise_oracle(data):
     # small widths reach their fixed point within a few dozen steps, so most
     # of the range is skipped and a random shorter scan ends inside it
     bits = data.draw(st.sampled_from([4, 8, 16, 64, 96]), "scale_bits")
-    for k in [kmax, *data.draw(st.lists(st.integers(0, kmax), max_size=3), "shorter")]:
-        assert freq_bounds_scan(k, schedule, bits) == oracle.freq_bounds_scan(k, schedule, bits)
+    with mock.patch.object(layers, "_SCALE_BITS", bits):
+        for k in [kmax, *data.draw(st.lists(st.integers(0, kmax), max_size=3), "shorter")]:
+            assert freq_bounds_scan(k, schedule) == oracle.freq_bounds_scan(k, schedule, bits)
 
 
 def test_custom_schedule_named_default_keeps_its_values():

@@ -41,6 +41,11 @@ def test_log2_of_int_contains_true_value():
         assert float(iv.lo) <= v + 1e-9
         assert float(iv.hi) >= v - 1e-9
         assert iv.hi - iv.lo <= Fraction(1, 1 << 40)
+    # the squared mantissa interval straddles 2 at the first digit, so the
+    # enclosure stops there: wider than 2^-40, still rigorous
+    n = math.isqrt(2 << 400)
+    iv = log2_of_int(n)
+    assert float(iv.lo) <= math.log2(n) <= float(iv.hi)
 
 
 def test_log2_of_int_orders_nearby_integers():

@@ -301,6 +301,15 @@ def test_word_measure_non_word_output():
     assert isinstance(info.value, InputError) and info.value.seed == "00"
     assert str(info.value) == ("machine incrementer left a non-word output '0' "
                                "at seed 00")
+    # the blank past the written cells is no letter, so the sweep cannot
+    # pad the word with it and the error is that of the lone seed
+    tape = ("0", "1", "#", "u")
+    left = Machine(("s", "h"), "s", frozenset(["h"]), ("0", "1"), tape, "#",
+                   {("s", a): ("h", "u", -1) for a in tape}, name="left")
+    for measure in (word_measure, oracle.word_measure):
+        with pytest.raises(NonWordOutput) as info:
+            measure(left, 1, 2)
+        assert str(info.value) == "machine left left a non-word output 'u#' at seed 0"
 
 
 def _writer(*cells, spoil=None):
@@ -330,7 +339,7 @@ def _writer(*cells, spoil=None):
     (_writer("", "du"), 3, 2, None),
     (_writer("", "d", "du"), 3, 3, None),
     # a failing seed is reported before a word of another length, even one
-    # of a lower seed, and before a bad depth
+    # of a lower seed; a bad depth is refused before any seed runs
     (_writer("uu", "d", spoil="x"), 3, 2, None),
     (_writer("u", "d"), 3, 0, 3),
     (_writer("u", "d"), 3, DEPTH_CAP + 1, 3),

@@ -190,6 +190,8 @@ def test_depth_above_scale_cap_refused():
                        1, ENUM)
     with pytest.raises(InputError, match=f"depth must be in 1..{DEPTH_CAP}"):
         selector_flow(parity_machine(), depth)
+    with pytest.raises(InputError, match=f"depth must be in 1..{DEPTH_CAP}"):
+        word_measure(parity_machine(), 5, depth=depth)
     with pytest.raises(InputError):
         mixture_flow(constant_writer("u"), ENUM, 0)
     assert selector_flow(parity_machine(), DEPTH_CAP)(DEPTH_CAP).as_dict() == {

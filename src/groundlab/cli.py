@@ -9,9 +9,9 @@ Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 budget exceeded.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import re
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -132,7 +132,7 @@ def _resolve(command: str, params: List[Param], cli_values: dict,
              config_values: dict) -> dict:
     resolved = {}
     for p in params:
-        raw_cli = cli_values.get(p.name.replace("-", "_"))
+        raw_cli = cli_values.get(p.name)
         if raw_cli is not None:
             resolved[p.name] = p.convert(raw_cli, command)
         elif p.name in config_values:
@@ -472,36 +472,128 @@ def _run_acc(cfg):
 
 # ------------------------------------------------------------------ main ---
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argparse parser of every subcommand, built on first use."""
-    parser = argparse.ArgumentParser(
-        prog="groundlab",
-        description="tiling, measure-flow and Gibbs experiment runner")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (params, _) in COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None,
-                       help="key=value config file (flags override)")
-        for param in params:
-            p.add_argument(f"--{param.name}", default=None, help=param.help)
-    return parser
+# argparse's test for a negative number, which is a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_OPTION = object()  # an unknown option, or "--": never a value, never taken
+
+
+def _usage(command: Optional[str]) -> str:
+    """The --help text: the commands, or one command's options."""
+    if command is None:
+        return ("usage: groundlab COMMAND --OPTION VALUE ...\n"
+                "tiling, measure-flow and Gibbs experiment runner\n"
+                f"commands: {', '.join(COMMANDS)}\n"
+                "groundlab COMMAND --help lists its options\n")
+    rows = [("config", "key=value config file (flags override)")]
+    for p in COMMANDS[command][0]:
+        given = "required" if p.required else f"default: {_serialize(p.default) or 'none'}"
+        rows.append((p.name, f"{p.help} ({given})"))
+    width = max(len(name) for name, _ in rows) + 2
+    return (f"usage: groundlab {command} --OPTION VALUE ...\n"
+            "--OPTION=VALUE works too, and so does a unique prefix of a name\n"
+            + "".join(f"  --{name:<{width}}{text}\n" for name, text in rows))
+
+
+def _token(token: str, names, where: str):
+    """How argparse reads one token: None for a value, `_OPTION` for an
+    unknown option, else (name, text after "=" or None) of an option in
+    `names`; help is "help", "-h" and "-hh..." included.  An exact name wins
+    over a prefix, and a prefix of two names is a usage error."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[:2] == "--":
+        name, eq, text = token[2:].partition("=")
+        explicit = text if eq else None
+        if name in names:
+            return name, explicit
+        hits = [n for n in names if n.startswith(name)]
+        if len(hits) > 1:
+            raise UsageError(f"{where}: ambiguous option --{name}: could match "
+                             + ", ".join(f"--{n}" for n in hits))
+        if hits:
+            return hits[0], explicit
+    elif token[:2] == "-h":
+        # argparse reads "-hX" as -h, then -X: only more h's leave it help
+        rest = token[3:] if token[:3] == "-h=" else token[2:]
+        return "help", None if token == "-h" or rest and not rest.strip("h") else rest
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return _OPTION
+
+
+def _options(tokens: List[str], names, where: str) -> Optional[dict]:
+    """{name: raw value} of the tokens, the last repeat winning, or None
+    when help comes first.  A value is the token after its option unless
+    that token looks like an option; a token that no option takes is a
+    usage error."""
+    kinds = []
+    for i, token in enumerate(tokens):
+        if token == "--":    # argparse ends options here; no option takes it
+            kinds += [_OPTION] + [None] * (len(tokens) - i - 1)
+            break
+        kinds.append(_token(token, names, where))
+    values, stray, i = {}, [], 0
+    while i < len(tokens):
+        kind = kinds[i]
+        if kind is None or kind is _OPTION:
+            stray.append(tokens[i])
+        elif kind[0] == "help":
+            if kind[1] is not None:
+                raise UsageError(f"{where}: {tokens[i]}: help takes no value")
+            return None
+        elif kind[1] is not None:
+            values[kind[0]] = kind[1]
+        elif i + 1 < len(tokens) and kinds[i + 1] is None:
+            i += 1
+            values[kind[0]] = tokens[i]
+        else:
+            raise UsageError(f"{where}: --{kind[0]} expects a value")
+        i += 1
+    if stray:
+        raise UsageError(f"{where}: unrecognized arguments: {' '.join(stray)}")
+    return values
+
+
+def _parse_argv(argv: List[str]) -> tuple:
+    """(command, {name: raw value}) of the argv, read with argparse's token
+    rules against the command's `Param` list; (command or None, None) when
+    it asks for help."""
+    stray = []
+    for i, token in enumerate(argv):
+        kind = None if token == "--" else _token(token, ("help",), "groundlab")
+        if kind is None:
+            break
+        if kind is _OPTION:
+            stray.append(token)
+        elif kind[1] is None:
+            return None, None
+        else:
+            raise UsageError(f"groundlab: {token}: help takes no value")
+    else:
+        raise UsageError(f"groundlab: missing command: use one of "
+                         f"{', '.join(COMMANDS)}")
+    command = argv[i]
+    if command not in COMMANDS:
+        raise UsageError(f"groundlab: unknown command {command!r}: use one of "
+                         f"{', '.join(COMMANDS)}")
+    names = ["help", "config", *(p.name for p in COMMANDS[command][0])]
+    values = _options(argv[i + 1:], names, command)
+    if values is not None and stray:
+        raise UsageError(f"{command}: unrecognized arguments: {' '.join(stray)}")
+    return command, values
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _parser()
+    command = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    params, runner = COMMANDS[args.command]
-    try:
-        config_values = (_load_config(args.config, args.command, params)
-                         if args.config else {})
-        resolved = _resolve(args.command, params, vars(args), config_values)
+        command, cli_values = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if cli_values is None:
+            print(_usage(command), end="")
+            return 0
+        params, runner = COMMANDS[command]
+        config = cli_values.pop("config", None)
+        config_values = _load_config(config, command, params) if config else {}
+        resolved = _resolve(command, params, cli_values, config_values)
         # exact results can pass Python's int-to-str digit limit; parsing
         # above keeps it
         limit = sys.get_int_max_str_digits()
@@ -514,17 +606,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        print(f"error: {command}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: {args.command}: cannot access {exc.filename!r}: "
+        print(f"error: {command}: cannot access {exc.filename!r}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, NonConformingError) as exc:
-        print(f"budget exceeded: {args.command}: {exc}", file=sys.stderr)
+        print(f"budget exceeded: {command}: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        print(f"budget exceeded: {args.command}: out of memory "
+        print(f"budget exceeded: {command}: out of memory "
               f"({exc or 'allocation failed'})", file=sys.stderr)
         return 3
 

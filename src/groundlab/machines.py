@@ -189,7 +189,8 @@ class _Sweep:
     so a scale is exact once its finished chains count all 2^k seeds.
     Nodes over the seed are shared by every scale of one (depth, budget)
     pass; scale k closes its nodes over blank cells, cached by (R, cells
-    still needed)."""
+    still needed).  One cell's replays are kept by (crossings, symbol), as
+    the same crossing sequences recur at every boundary."""
 
     def __init__(self, machine: Machine):
         self.delta, self.finals = machine.delta, machine.finals
@@ -200,6 +201,9 @@ class _Sweep:
         self.letters = {a for a in machine.tape_alphabet if set(a) <= {"u", "d"}}
         self.room = len(machine.states) * len(machine.tape_alphabet)
         self.passes = {}
+        # (crossings, symbol) -> (ways, most steps the search reached,
+        # guesses it spent) of each replay that met neither bound
+        self.replays = {}
 
     def measure(self, k: int, depth: int, budget: int) -> Optional[dict]:
         """Word -> seed count over all 2^k seeds, or None if the sweep
@@ -276,14 +280,22 @@ class _Sweep:
         right, final symbol, steps made in it), given the crossings on its
         left; None stands for cell 0, where the head starts and a left move
         keeps it in place.  At most `allowance` steps and `left` guesses:
-        returns (ways, guesses left), or (None, 0) past them."""
+        returns (ways, guesses left), or (None, 0) past them.  A kept replay
+        answers any allowance past the most steps it reached: the search
+        would repeat itself, spending the same guesses."""
         if crossings == ():          # the head never comes here
             return [((), sym, 0)], left
+        key = crossings, sym
+        if key in self.replays:
+            ways, reached, spent = self.replays[key]
+            if allowance > reached:
+                left -= spent
+                return (ways, left) if left >= 0 else (None, 0)
         delta, finals, returns = self.delta, self.finals, self.returns
         zero = crossings is None
         stack = [(self.initial, sym, 0, (), 0) if zero else (crossings[0], sym, 1, (), 0)]
         crossings = crossings or ()
-        end, out = len(crossings), []
+        end, out, start, reached, capped = len(crossings), [], left, 0, False
         while stack:
             q, a, i, right, steps = stack.pop()
             stay = 0
@@ -293,6 +305,7 @@ class _Sweep:
                         out.append((right, a, steps))
                     break
                 if steps >= allowance:
+                    capped = True
                     break
                 q, a, move = delta[q, a]
                 steps += 1
@@ -322,6 +335,9 @@ class _Sweep:
                     return None, 0
                 stack.extend((s, a, i, right + (s,), steps) for s in returns)
                 break
+            reached = max(reached, steps)
+        if not capped:
+            self.replays[key] = out, reached, start - left
         return out, left
 
 
@@ -496,11 +512,10 @@ def machine_enumeration() -> tuple:
     """
     word_machines = [constant_writer("u"), constant_writer("d"), copier(),
                      parity_machine()]
-    keyed = sorted(word_machines, key=lambda m: (len(machine_to_json(m)),
-                                                 machine_to_json(m)))
-    digest = hashlib.sha256(
-        "\n".join(machine_to_json(m) for m in keyed).encode()).hexdigest()
-    return tuple(keyed), f"sha256:{digest}"
+    keyed = sorted(((machine_to_json(m), m) for m in word_machines),
+                   key=lambda pair: (len(pair[0]), pair[0]))
+    digest = hashlib.sha256("\n".join(text for text, _ in keyed).encode()).hexdigest()
+    return tuple(m for _, m in keyed), f"sha256:{digest}"
 
 
 # ------------------------------------------------------- universal runner ---

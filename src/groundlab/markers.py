@@ -58,6 +58,8 @@ class MarkerSet:
         # a set of byte strings, not np.unique(axis=0): that imports numpy.ma
         if len({g.tobytes() for g in self.codes}) < len(self.codes):
             raise InputError("duplicate marker pattern")
+        # (grid shape, wrap) -> each anchor's flat cell indices, for `covered`
+        self._anchors = {}
 
     @property
     def ell(self) -> int:
@@ -82,8 +84,12 @@ class MarkerSet:
         inside the grid."""
         lut = np.array([code.get(tid, HOLE - 1) for tid in self.legend])
         want = lut[self.codes].reshape(len(self), -1)
-        offsets = list(product(range(self.height), range(self.width)))
-        at = anchor_cells(offsets, grid.shape, wrap)[2]
+        key = grid.shape, wrap
+        if key not in self._anchors:
+            offsets = list(product(range(self.height), range(self.width)))
+            self._anchors[key] = anchor_cells(offsets, grid.shape, wrap)[2]
+            self._anchors[key].setflags(write=False)
+        at = self._anchors[key]
         hit = (grid.ravel()[at][:, None] == want).all(axis=2).any(axis=1)
         mask = np.zeros(grid.size, dtype=bool)
         mask[at[hit]] = True

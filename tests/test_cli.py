@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_oracle
 import layers_oracle
 import markers_oracle
 import render_oracle
@@ -26,7 +27,161 @@ def run(*argv):
 
 def test_no_command_is_usage_error(capsys):
     assert run() == 2
+    assert capsys.readouterr().err.startswith("error: groundlab: missing command")
     assert run("nosuch") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: groundlab: unknown command 'nosuch'")
+    assert err.count("\n") == 1
+
+
+def freq_rows(path):
+    return path.read_text().splitlines()[1:]
+
+
+def test_option_equals_form(tmp_path):
+    csv = tmp_path / "f.csv"
+    assert run("freq", "--kmax=3", f"--csv={csv}") == 0
+    assert len(freq_rows(csv)) == 4
+    # the text after the first "=" is the value, whatever it holds
+    assert run("freq", "--kmax=2", "--schedule=const:2", f"--csv={csv}") == 0
+    assert "schedule=const:2\n" in (tmp_path / "f.csv.config").read_text()
+
+
+def test_option_unique_prefix(tmp_path):
+    csv = tmp_path / "f.csv"
+    assert run("freq", "--km", "3", "--cs", str(csv), "--mo", "exact") == 0
+    assert len(freq_rows(csv)) == 4
+    # thermo has --c, --C and --Cprime: an exact name wins over a prefix
+    out = tmp_path / "t.csv"
+    assert run("thermo", "--kmax", "2", "--c", "1/3", "--C", "1/2", "--Cp", "2",
+               "--cs", str(out)) in (0, 1)
+    config = (tmp_path / "t.csv.config").read_text()
+    assert "c=1/3\n" in config and "C=1/2\n" in config and "Cprime=2/1\n" in config
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["freq", "--c", "x.csv", "--kmax", "1"],
+     "error: freq: ambiguous option --c: could match --config, --csv\n"),
+    (["thermo", "--k", "3"],
+     "error: thermo: ambiguous option --k: could match --kmin, --kmax\n"),
+    # a prefix of a name and of help
+    (["perturb", "--h", "3"],
+     "error: perturb: ambiguous option --h: could match --help, --horizon\n"),
+])
+def test_option_ambiguous_prefix(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["freq", "--kmax", "--csv", "x.csv"],
+    ["freq", "--csv", "x.csv", "--kmax"],
+    # "-1e5" is not a negative number to argparse's rule, so it is an option
+    ["freq", "--kmax", "-1e5", "--csv", "x.csv"],
+    ["thermo", "--C", "-1/2", "--csv", "x.csv"],
+    ["freq", "--kmax", "--", "3", "--csv", "x.csv"],
+])
+def test_option_missing_value(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("expects a value\n") and err.count("\n") == 1
+
+
+def test_option_negative_number_value(tmp_path, capsys):
+    # a negative number is a value: the command's own check refuses it
+    csv = tmp_path / "f.csv"
+    assert run("freq", "--kmax", "-1", "--csv", str(csv)) == 2
+    assert capsys.readouterr().err == "error: freq: kmax must be >= 0\n"
+    assert run("freq", "--kmax", "-.5", "--csv", str(csv)) == 2
+    assert "invalid value for kmax: '-.5'" in capsys.readouterr().err
+    # ... and -0.0 passes every check
+    assert run("gibbs", "--tileset", "free:2", "--side", "2", "--beta", "-0.0",
+               "--steps", "10", "--csv", str(csv)) == 0
+    assert "beta=-0.0\n" in (tmp_path / "f.csv.config").read_text()
+
+
+@pytest.mark.parametrize("argv, stray", [
+    (["freq", "--kmax", "3", "--csv", "CSV", "stray"], "stray"),
+    (["freq", "stray", "--kmax", "3", "--csv", "CSV"], "stray"),
+    (["freq", "--kmax", "3", "--no-such", "1", "--csv", "CSV"], "--no-such 1"),
+    # no option follows "--", as in argparse, nor takes it as its value
+    (["freq", "--kmax", "3", "--csv", "CSV", "--"], "--"),
+    (["freq", "--kmax", "3", "--", "--csv", "CSV"], "-- --csv CSV"),
+    (["--no-such", "freq", "--kmax", "3", "--csv", "CSV"], "--no-such"),
+])
+def test_option_stray_token(tmp_path, capsys, argv, stray):
+    csv = str(tmp_path / "f.csv")
+    assert main([csv if a == "CSV" else a for a in argv]) == 2
+    stray = stray.replace("CSV", csv)
+    err = capsys.readouterr().err
+    assert err.endswith(f"unrecognized arguments: {stray}\n") and err.count("\n") == 1
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_option_repeated_last_wins(tmp_path):
+    csv = tmp_path / "f.csv"
+    assert run("freq", "--kmax", "7", "--csv", "elsewhere.csv", "--kmax=3",
+               "--csv", str(csv)) == 0
+    assert len(freq_rows(csv)) == 4
+    assert "kmax=3\n" in (tmp_path / "f.csv.config").read_text()
+
+
+def test_option_value_of_two_dashes_is_usage_error(capsys):
+    # argparse strips "--" from "--kmax=--", leaving an empty list int()
+    # could not read: a traceback, now a usage error
+    assert run("freq", "--kmax=--", "--csv", "x.csv") == 2
+    assert capsys.readouterr().err.startswith("error: freq: invalid value for kmax: '--'")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+def test_command_help_lists_every_param(capsys, command, flag):
+    # help wins over a stray token or an unknown option before it
+    assert run(command, "stray", "--no-such", flag, "--kmax") == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"usage: groundlab {command} ")
+    for param in cli.COMMANDS[command][0]:
+        assert f"  --{param.name} " in out and param.help in out
+    assert run(flag) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and all(name in out for name in cli.COMMANDS)
+
+
+def _read_argv(argv):
+    """What `cli` makes of an argv, in `cli_oracle.read`'s terms."""
+    try:
+        command, values = cli._parse_argv(argv)
+    except cli.UsageError:
+        return "error"
+    return "help" if values is None else (command, values)
+
+
+_NAMES = sorted({"help", "config", *(p.name for params, _ in cli.COMMANDS.values()
+                                      for p in params)})
+_PREFIXES = sorted({name[:n] for name in _NAMES for n in range(len(name) + 1)})
+_VALUES = ["", "v", "3", "-1", "-.5", "-1.", "-1e5", "a b", "-a b", "--", "-",
+           "-h", "x=y", "-1\n"]
+ARGV_TOKENS = (sorted(cli.COMMANDS) + ["nosuch"] + [f"--{p}" for p in _PREFIXES]
+               + [f"--{p}={v}" for p in _PREFIXES[::4] for v in _VALUES[::3]]
+               + ["-h", "-hh", "-hx", "-h=", "-h=h", "-h x", "--help=", "--he=x",
+                  "---x", "-x", "-x=1", "--=x", "--a b", "--o=a b"] + _VALUES)
+
+
+# an option or a prefix of one with a value, or any one token
+ARGV_PARTS = st.one_of(
+    st.tuples(st.sampled_from([f"--{p}" for p in _PREFIXES]),
+              st.sampled_from(["3", "v"] * 4 + _VALUES)).map(list),
+    st.sampled_from(ARGV_TOKENS).map(lambda token: [token]))
+
+
+@given(st.lists(ARGV_PARTS, max_size=5), st.sampled_from(sorted(cli.COMMANDS)),
+       st.sampled_from([None, 0, 0, 0, 1]))
+@settings(max_examples=400, deadline=None)
+def test_argv_is_read_as_argparse_reads_it(parts, command, at):
+    # help, a usage error or the same raw values, token for token
+    tokens = [token for part in parts for token in part]
+    argv = tokens if at is None else [*tokens[:at], command, *tokens[at:]]
+    assert _read_argv(argv) == cli_oracle.read(argv)
 
 
 def test_render_writes_svg_and_config(tmp_path):

@@ -252,6 +252,38 @@ def test_word_measure_matches_serial_oracle(machine, data):
     assert _outcome(word_measure, machine, k, depth, budget) == want
 
 
+@given(total_machines(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_word_measure_warm_replays_match_oracle(machine, data):
+    # one machine keeps one sweep, and so one store of cell replays, across
+    # calls: large budgets fill it first; budgets one step either side of
+    # the longest run, and half the scale, which stops runs inside the seed,
+    # read it; then a large budget again.  Both sweep and seed-by-seed
+    # answers are exact, so a wrong replay mostly shows as the sweep going
+    # on or declining where a cold sweep would not: the warm sweep's
+    # boundaries must be a cold one's too
+    scales = data.draw(st.lists(st.tuples(st.integers(1, 8), st.sampled_from([None, 1, 2, 3])),
+                                min_size=1, max_size=3), "scales")
+    calls = [(k, depth, budget) for budget in (64, 40) for k, depth in scales]
+    for slack in (1, 0, -1):
+        calls += [(k, depth, longest + slack) for k, depth in scales
+                  if (longest := _longest_run(machine, k)) is not None]
+    calls += [(k, depth, k // 2) for k, depth in scales]
+    calls += [(k, depth, 48) for k, depth in scales]
+    bound = data.draw(st.sampled_from([None, 1, 3, 8]), "bound")
+    with mock.patch.object(machines._Sweep, "_bound",
+                           machines._Sweep._bound if bound is None else lambda self, b: bound):
+        for k, depth, budget in calls:
+            want = _outcome(oracle.word_measure, machine, k, depth, budget)
+            assert _outcome(word_measure, machine, k, depth, budget) == want
+            if {"0", "1"} <= set(machine.input_alphabet):
+                key = (depth or b_read(k), budget)
+                cold = machines._Sweep(machine)
+                cold.measure(k, *key)
+                warm, cold = machines._swept(machine).passes[key][0], cold.passes[key][0]
+                assert warm[:len(cold)] == cold[:len(warm)]
+
+
 def test_word_measure_clamps_at_cell_zero():
     # parity stops on the letter it reads at cell 0 after its head clamped
     # there; its longest run, to the step, is the budget

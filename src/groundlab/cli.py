@@ -94,11 +94,11 @@ def _command(name, params):
 
 
 def _read_text(path) -> str:
-    """A user-named file's text; bytes that are not UTF-8 are a usage error."""
+    """A user-named file's text; bytes that are not UTF-8 are an input error."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{str(path)!r} is not UTF-8 text ({exc.reason} "
+        raise InputError(f"{str(path)!r} is not UTF-8 text ({exc.reason} "
                          f"at byte {exc.start})") from None
 
 
@@ -168,7 +168,7 @@ def _spec_int(field: str, spec: str) -> int:
     try:
         return int(spec.partition(":")[2])
     except ValueError:
-        raise UsageError(f"invalid value for {field}: {spec!r}") from None
+        raise InputError(f"invalid value for {field}: {spec!r}") from None
 
 
 def _resolve_machine(name: str):
@@ -178,7 +178,7 @@ def _resolve_machine(name: str):
     path = Path(name)
     if path.exists():
         return machine_from_json(_read_text(path), name=path.stem)
-    raise UsageError(f"unknown machine {name!r}: not a corpus name "
+    raise InputError(f"unknown machine {name!r}: not a corpus name "
                      f"({', '.join(sorted(table))}) or a file")
 
 
@@ -188,14 +188,14 @@ def _resolve_tileset(name: str) -> Tileset:
     if name.startswith("free:"):
         count = _spec_int("tileset", name)
         if not 1 <= count <= 26:
-            raise UsageError("free tilesets support 1..26 tiles")
+            raise InputError("free tilesets support 1..26 tiles")
         lab = EdgeLabel(None, None, None, None, None)
         return Tileset([Tile(chr(65 + i), lab, lab, lab, lab)
                         for i in range(count)])
     path = Path(name)
     if path.exists():
         return Tileset.from_json(_read_text(path))
-    raise UsageError(f"unknown tileset {name!r}: use robinson, free:K, "
+    raise InputError(f"unknown tileset {name!r}: use robinson, free:K, "
                      f"or a file")
 
 
@@ -204,7 +204,7 @@ def _resolve_schedule(name):
         return default_schedule()
     if name.startswith("const:"):
         return constant_schedule(_spec_int("schedule", name))
-    raise UsageError(f"unknown schedule {name!r}: use default or const:C")
+    raise InputError(f"unknown schedule {name!r}: use default or const:C")
 
 
 # ------------------------------------------------------------ subcommands ---
@@ -418,7 +418,7 @@ def _run_gibbs(cfg):
         if missing:
             raise InputError(f"potential names tile id {missing[0]!r} that the tileset lacks")
     else:
-        raise UsageError(f"unknown potential {cfg['potential']!r}")
+        raise InputError(f"unknown potential {cfg['potential']!r}")
     markers = robinson_marker_set(cfg["markers"]) if cfg["markers"] else None
     cadence = cfg["cadence"] or max(1, cfg["steps"] // 10)
     result = metropolis(tileset, potential, cfg["side"], cfg["beta"],

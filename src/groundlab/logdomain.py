@@ -75,11 +75,13 @@ class Dyadic:
 
 
 def log2_of_int(n: int) -> LogInterval:
-    """Enclose log2(n) by extracting binary digits from a mantissa interval.
+    """Enclose log2(n), 2^-_LOG2_BITS wide, by extracting binary digits from
+    a mantissa interval.
 
-    The mantissa is tracked as an integer interval with floor/ceil rounding
-    through repeated squaring; when the interval straddles a digit boundary
-    the enclosure returned is still rigorous, just wider than 2^-_LOG2_BITS.
+    The mantissa is tracked as a w-bit integer interval with floor/ceil
+    rounding through repeated squaring.  When the interval straddles a digit
+    boundary, the extraction starts over at twice the width w; log2(n) is
+    irrational, so some width decides every digit.
     """
     if n <= 0:
         raise InputError("log2 of a non-positive integer")
@@ -87,29 +89,28 @@ def log2_of_int(n: int) -> LogInterval:
     if n == 1 << e:
         return LogInterval.exact(e)
     w = _LOG2_BITS + 32
-    if e <= w:
-        a = b = n << (w - e)
-    else:
-        a = n >> (e - w)
-        b = a + 1
-    two = 2 << w
-    acc = 0
-    for i in range(1, _LOG2_BITS + 1):
-        a = (a * a) >> w
-        b = ((b * b) + (1 << w) - 1) >> w
-        bit_lo = a >= two
-        bit_hi = b >= two
-        if bit_lo != bit_hi:
-            # digit uncertain: everything past the previous digit is slack
-            return LogInterval(e + Fraction(acc, 1 << (i - 1)),
-                               e + Fraction(acc + 1, 1 << (i - 1)))
-        acc <<= 1
-        if bit_lo:
-            acc += 1
-            a >>= 1
-            b = (b + 1) >> 1
-    return LogInterval(e + Fraction(acc, 1 << _LOG2_BITS),
-                       e + Fraction(acc + 1, 1 << _LOG2_BITS))
+    while True:
+        if e <= w:
+            a = b = n << (w - e)
+        else:
+            a = n >> (e - w)
+            b = a + 1
+        two = 2 << w
+        acc = 0
+        for _ in range(_LOG2_BITS):
+            a = (a * a) >> w
+            b = ((b * b) + (1 << w) - 1) >> w
+            bit = a >= two
+            if bit != (b >= two):
+                break
+            acc = acc << 1 | bit
+            if bit:
+                a >>= 1
+                b = (b + 1) >> 1
+        else:
+            return LogInterval(e + Fraction(acc, 1 << _LOG2_BITS),
+                               e + Fraction(acc + 1, 1 << _LOG2_BITS))
+        w *= 2
 
 
 def log2_of_fraction(q: Fraction) -> LogInterval:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -395,12 +394,12 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
         table = _swept(machine).measure(k, depth, budget)
     if table is None:
         table = _seed_by_seed(machine, k, depth, budget)
-    nums, g = [0] * 2 ** depth, math.gcd(2 ** k, *table.values())
+    nums = [0] * 2 ** depth
     for word, seeds in table.items():
         if len(word) != depth:
             raise InputError("word depth mismatch")
-        nums[word_index(word)] += seeds // g
-    return WordMeasure.from_nums(depth, nums, 2 ** k // g)
+        nums[word_index(word)] += seeds
+    return WordMeasure.from_nums(depth, nums, 2 ** k)
 
 
 # ---------------------------------------------------------------- corpus ---

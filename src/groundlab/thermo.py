@@ -125,30 +125,32 @@ def entropy_criterion(k: int, bounds: Mapping[int, CardinalityBound],
     return "indeterminate"
 
 
-@dataclass(frozen=True)
-class TemperatureWindow:
-    k: int
-    log2_beta_lo: LogInterval
-    log2_beta_hi: LogInterval
-
-
-def _window_ladder(k_min: int, k_max: int, C: _Q, C_prime: _Q,
-                   r: int) -> List[TemperatureWindow]:
-    """Inverse-temperature windows for the scales k_min..k_max, in order.
+def thermo_table(k_min: int, k_max: int, C: _Q = 1, C_prime: _Q = 1,
+                 r: int = 2, c: _Q = 1,
+                 schedule: Optional[OdometerSchedule] = None) -> List[dict]:
+    """Per-scale summary rows, the one view of the window ladder: row k holds
+    the scale-k window as `log2_beta_lo` and `log2_beta_hi`, its overlap
+    with the next window as `overlap_log_ratio` = log2(beta_hi(k)) -
+    log2(beta_lo(k+1)) (positive means they overlap), and the entropy
+    verdict.
 
     With eps(k) = l(k)^(-1/2):
       beta_lo = (C / eps) * area(k)
       beta_hi = C' * eps * area(k+2) / boundary(k+2, r)
     where boundary(N, r) = |I_N| - |I_(N-2r)| = 4r(N - r) is the mass a range-r
     interaction can place near the rim of the side-N square.  The logs of C,
-    C' and 4r are formed once, the side log of each scale once.
-    """
+    C' and 4r are formed once, the side log of each scale once."""
+    # row k reads the cardinality bounds at k + 2, which stop at
+    # PRECISION_MAX_K: past that row the CSV's log2 beta_hi would overflow
+    if k_max > PRECISION_MAX_K - 2:
+        raise InputError(f"kmax must be <= {PRECISION_MAX_K - 2}")
+    if k_min < 0 or k_max < k_min:
+        raise InputError("need 0 <= k_min <= k_max")
     C, Cp = Fraction(C), Fraction(C_prime)
     if C <= 0 or Cp <= 0:
         raise InputError("constants C, C' must be positive")
     if not isinstance(r, int) or r < 1:
         raise InputError("interaction range r must be an integer >= 1")
-    sides = [window_side_log2(j) for j in range(k_min, k_max + 3)]
     # side at scale k+2 is 2^n - 1, so side - r = 2^n - (1 + r), whose log
     # bound needs 1 + r < 2^(n - 1); n grows with k, so k_min decides
     n2 = scale_index(k_min + 2)
@@ -157,41 +159,25 @@ def _window_ladder(k_min: int, k_max: int, C: _Q, C_prime: _Q,
                          f"at scale {k_min}")
     log_C, log_Cp, log_4r = (log2_of_fraction(C), log2_of_fraction(Cp),
                              log2_of_int(4 * r))
-    windows = []
-    for k, side, side2 in zip(range(k_min, k_max + 1), sides, sides[2:]):
-        # area(k) / eps = l(k)^(5/2); eps * area(k+2) = l(k)^(-1/2) l(k+2)^2
-        beta_lo = log_C + side.scale(Fraction(5, 2))
-        boundary = log_4r + log2_pow2_minus(scale_index(k + 2), 1 + r)
-        beta_hi = log_Cp + side.scale(Fraction(-1, 2)) + side2.scale(2) \
-            - boundary
-        windows.append(TemperatureWindow(k, beta_lo, beta_hi))
-    return windows
-
-
-def thermo_table(k_min: int, k_max: int, C: _Q = 1, C_prime: _Q = 1,
-                 r: int = 2, c: _Q = 1,
-                 schedule: Optional[OdometerSchedule] = None) -> List[dict]:
-    """Per-scale summary rows, the one view of the window ladder: row k holds
-    the scale-k window as `log2_beta_lo` and `log2_beta_hi`, its overlap
-    with the next window as `overlap_log_ratio` = log2(beta_hi(k)) -
-    log2(beta_lo(k+1)) (positive means they overlap), and the entropy
-    verdict."""
-    # row k reads the cardinality bounds at k + 2, which stop at
-    # PRECISION_MAX_K: past that row the CSV's log2 beta_hi would overflow
-    if k_max > PRECISION_MAX_K - 2:
-        raise InputError(f"kmax must be <= {PRECISION_MAX_K - 2}")
-    if k_min < 0 or k_max < k_min:
-        raise InputError("need 0 <= k_min <= k_max")
     bounds = {k: cardinality_bounds(k) for k in range(k_min, k_max + 3)}
-    windows = _window_ladder(k_min, k_max + 1, C, C_prime, r)
-    return [{
-        "k": w.k,
-        "log2_beta_lo": w.log2_beta_lo,
-        "log2_beta_hi": w.log2_beta_hi,
-        "overlap_log_ratio": w.log2_beta_hi - nxt.log2_beta_lo,
-        "entropy_pass": entropy_criterion(w.k, bounds,
-                                          kappa_for(w.k, schedule, c)),
-    } for w, nxt in zip(windows, windows[1:])]
+    sides = [window_side_log2(j) for j in range(k_min, k_max + 3)]
+    # area(k) / eps = l(k)^(5/2), for scales k_min..k_max + 1
+    beta_lo = [log_C + side.scale(Fraction(5, 2)) for side in sides[:-1]]
+    rows = []
+    for i, k in enumerate(range(k_min, k_max + 1)):
+        # eps * area(k+2) = l(k)^(-1/2) l(k+2)^2
+        boundary = log_4r + log2_pow2_minus(scale_index(k + 2), 1 + r)
+        beta_hi = log_Cp + sides[i].scale(Fraction(-1, 2)) \
+            + sides[i + 2].scale(2) - boundary
+        rows.append({
+            "k": k,
+            "log2_beta_lo": beta_lo[i],
+            "log2_beta_hi": beta_hi,
+            "overlap_log_ratio": beta_hi - beta_lo[i + 1],
+            "entropy_pass": entropy_criterion(k, bounds,
+                                              kappa_for(k, schedule, c)),
+        })
+    return rows
 
 
 def thermo_csv(rows: List[dict]) -> str:

@@ -681,6 +681,23 @@ def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    _gibbs_toy(tileset="free:0"),
+    _gibbs_toy(tileset="free:x"),
+    _gibbs_toy(tileset="nope"),
+    (*_gibbs_toy(), "--potential", "nope"),
+    ("measure-flow", "--machine", "nope.json", "--csv", "{tmp}/f.csv"),
+    ("measure-flow", "--machine", "{tmp}/latin1.json", "--csv", "{tmp}/f.csv"),
+    ("freq", "--kmax", "2", "--schedule", "const:x", "--csv", "{tmp}/f.csv"),
+    ("thermo", "--schedule", "weekly", "--csv", "{tmp}/t.csv"),
+])
+def test_every_usage_error_names_its_command(tmp_path, capsys, argv):
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')
+    assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
+
+
 def test_perturb_epsilon_independent_bodies(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     base = ["perturb", "--base", "constant-u", "--target", "fair-coin",

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -41,11 +42,25 @@ def test_log2_of_int_contains_true_value():
         assert float(iv.lo) <= v + 1e-9
         assert float(iv.hi) >= v - 1e-9
         assert iv.hi - iv.lo <= Fraction(1, 1 << 40)
-    # the squared mantissa interval straddles 2 at the first digit, so the
-    # enclosure stops there: wider than 2^-40, still rigorous
+    # the squared mantissa interval straddles 2 at the first digit of the
+    # first working width
     n = math.isqrt(2 << 400)
     iv = log2_of_int(n)
     assert float(iv.lo) <= math.log2(n) <= float(iv.hi)
+
+
+@pytest.mark.parametrize("m", [2, 40, 100, 200, 300])
+def test_log2_of_int_is_narrow_where_the_mantissa_squares_near_two(m):
+    # n = isqrt(2^(2m + 1)) lies just below 2^(m + 1/2): each first digit is
+    # undecided at the first working width, which has to grow
+    n = math.isqrt(2 << 2 * m)
+    iv = log2_of_int(n)
+    assert iv.hi - iv.lo <= Fraction(1, 1 << 48)
+    with decimal.localcontext(decimal.Context(prec=200)):
+        true = decimal.Decimal(n).ln() / decimal.Decimal(2).ln()
+        lo, hi = (decimal.Decimal(q.numerator) / q.denominator
+                  for q in (iv.lo, iv.hi))
+    assert lo <= true <= hi
 
 
 def test_log2_of_int_orders_nearby_integers():

@@ -244,6 +244,27 @@ def test_temperature_window_validation():
         thermo_table(1, 1, r=2 ** 54 - 1)
 
 
+_KMAX, _KRANGE = r"^kmax must be <= 643$", r"^need 0 <= k_min <= k_max$"
+_CONSTANTS, _RANGE = r"^constants C, C' must be positive$", r"integer >= 1$"
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1, 644), dict(C=0), _KMAX),
+    ((-1, 644), dict(r=0), _KMAX),
+    ((3, 1), dict(C=0), _KRANGE),
+    ((-1, 1), dict(C_prime=-1, r=0), _KRANGE),
+    ((1, 1), dict(C=0, r=0), _CONSTANTS),
+    ((1, 1), dict(C_prime=-2, r=2 ** 54 - 1), _CONSTANTS),
+    ((1, 1), dict(r=0), _RANGE),
+    ((0, 1), dict(r=2 ** 54 - 1), r"<= 2\^18 - 2 at scale 0$"),
+])
+def test_thermo_table_validation_order(args, kwargs, message):
+    # several inputs bad at once: the first check in the order kmax cap,
+    # scale range, constants, range r, rim bound names the error
+    with pytest.raises(InputError, match=message):
+        thermo_table(*args, **kwargs)
+
+
 def test_scaling_C_shifts_beta_lo_exactly():
     base = _window(3)
     scaled = _window(3, C=10)

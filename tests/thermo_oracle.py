@@ -7,8 +7,8 @@ dyadics exactly, by bit lengths and exponents, where the version here
 prefilters with log enclosures; the tests check their endpoints and
 verdicts against these versions.  `temperature_window` here builds one
 window from scratch, every log formed anew, and the tests check the windows
-and overlap ratios of `thermo.thermo_table`'s rows, read from one shared
-per-scale ladder, against it.
+and overlap ratios of `thermo.thermo_table`'s rows, built in one pass over
+the ladder of scales, against it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Mapping, Union
 
 from groundlab.logdomain import (LogInterval, log2_of_fraction, log2_of_int,
                                  log2_pow2_minus)
-from groundlab.thermo import TemperatureWindow, scale_index, window_side_log2
+from groundlab.thermo import scale_index, window_side_log2
 from groundlab.tiles import InputError
 
 _Q = Union[int, Fraction]
@@ -28,6 +28,15 @@ _Q = Union[int, Fraction]
 # supporting bigints pass 20M bits and the caller must be told, not given
 # saturated garbage
 PRECISION_MAX_K = 14
+
+
+@dataclass(frozen=True)
+class TemperatureWindow:
+    """log2 beta_lo and log2 beta_hi of the scale-k window."""
+
+    k: int
+    log2_beta_lo: LogInterval
+    log2_beta_hi: LogInterval
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ import numpy as np
 from .gibbs import (Potential, adjacency_potential, metropolis, trace_csv)
 from .layers import (constant_schedule, default_schedule, freq_rows_decimal,
                      freq_table_float)
-from .machines import (NonConformingError, corpus, machine_enumeration,
-                       machine_from_json)
+from .machines import corpus, machine_enumeration, machine_from_json
 from .markers import MarkerSet, robinson_marker_set, verify_nonoverlap
 from .measures import conditional_rows, weak_star_distance
 from .perturbation import perturbed_flow, selector_flow
@@ -67,12 +66,11 @@ class Param:
         self.required = required
         self.help = help
 
-    def convert(self, raw: str, command: str):
+    def convert(self, raw: str):
         try:
             return self.parse(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(
-                f"{command}: invalid value for {self.name}: {raw!r} ({exc})")
+            raise InputError(f"invalid value for {self.name}: {raw!r} ({exc})")
 
 
 def _serialize(value) -> str:
@@ -111,34 +109,33 @@ def _load_config(path: str, command: str, params: List[Param]) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{command}: config line {ln} is not key=value: "
-                             f"{line!r}")
+            raise InputError(f"config line {ln} is not key=value: {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key == "command":
             if raw != command:
-                raise UsageError(f"{command}: config was written for "
-                                 f"{raw!r}")
+                raise InputError(f"config was written for {raw!r}")
             continue
         if key == "format":
+            if raw != FORMAT_VERSION:
+                raise InputError(f"config has format {raw!r}, not {FORMAT_VERSION!r}")
             continue
         if key not in known:
-            raise UsageError(f"{command}: unknown config key {key!r}")
+            raise InputError(f"unknown config key {key!r}")
         found[key] = raw
     return found
 
 
-def _resolve(command: str, params: List[Param], cli_values: dict,
-             config_values: dict) -> dict:
+def _resolve(params: List[Param], cli_values: dict, config_values: dict) -> dict:
     resolved = {}
     for p in params:
         raw_cli = cli_values.get(p.name)
         if raw_cli is not None:
-            resolved[p.name] = p.convert(raw_cli, command)
+            resolved[p.name] = p.convert(raw_cli)
         elif p.name in config_values:
-            resolved[p.name] = p.convert(config_values[p.name], command)
+            resolved[p.name] = p.convert(config_values[p.name])
         elif p.required:
-            raise UsageError(f"{command}: missing required option --{p.name}")
+            raise InputError(f"missing required option --{p.name}")
         else:
             resolved[p.name] = p.default
     return resolved
@@ -263,12 +260,12 @@ def _run_verify_markers(cfg):
 def _run_freq(cfg):
     kmax = cfg["kmax"]
     if kmax < 0:
-        raise UsageError("freq: kmax must be >= 0")
+        raise InputError("kmax must be >= 0")
     mode = cfg["mode"]
     if mode == "auto":
         mode = "exact" if kmax <= 1024 else "float"
     if mode not in ("exact", "float"):
-        raise UsageError(f"freq: unknown mode {cfg['mode']!r}")
+        raise InputError(f"unknown mode {cfg['mode']!r}")
     schedule = _resolve_schedule(cfg["schedule"])
     if mode == "exact":
         chunks = (f"{k},{num}/{den}\n".encode()
@@ -356,7 +353,7 @@ def _run_measure_flow(cfg):
     machine = _resolve_machine(cfg["machine"])
     depth, kmax = cfg["depth"], cfg["kmax"]
     if kmax < depth:
-        raise UsageError("measure-flow: kmax must be >= depth")
+        raise InputError("kmax must be >= depth")
     schedule = _resolve_schedule(cfg["schedule"])
     flow = selector_flow(machine, depth)
     target = flow(kmax)
@@ -593,7 +590,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         params, runner = COMMANDS[command]
         config = cli_values.pop("config", None)
         config_values = _load_config(config, command, params) if config else {}
-        resolved = _resolve(command, params, cli_values, config_values)
+        resolved = _resolve(params, cli_values, config_values)
         # exact results can pass Python's int-to-str digit limit; parsing
         # above keeps it
         limit = sys.get_int_max_str_digits()
@@ -612,7 +609,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {command}: cannot access {exc.filename!r}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, NonConformingError) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {command}: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -61,7 +61,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .markers import MarkerSet
-from .tiles import BudgetExceeded, InputError, Tileset, anchor_cells, id_rows
+from .tiles import BudgetExceeded, InputError, Tileset, _json_fraction, anchor_cells, id_rows
 
 _Q = Union[int, Fraction]
 
@@ -169,7 +169,7 @@ class Potential:
         try:  # InputError is a ValueError
             doc = json.loads(text)
             return cls.from_patterns(
-                [(entry["rows"], Fraction(entry["weight"][0], entry["weight"][1]))
+                [(entry["rows"], _json_fraction(entry["weight"]))
                  for entry in doc["patterns"]])
         except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
             raise InputError(f"malformed potential json: {exc}") from exc

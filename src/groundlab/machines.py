@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .measures import WordMeasure, _check_depth, word_index
 from .tiles import BudgetExceeded, InputError
@@ -22,7 +24,7 @@ from .tiles import BudgetExceeded, InputError
 DESK_BUDGET_CAP = 10_000_000
 
 
-class NonConformingError(RuntimeError):
+class NonConformingError(BudgetExceeded):
     """A machine breached its step budget on `seed`."""
 
     def __init__(self, message: str, seed: Optional[str] = None):
@@ -43,11 +45,13 @@ class Machine:
     input_alphabet: tuple
     tape_alphabet: tuple
     blank: str
-    delta: dict = field(hash=False)
+    delta: Mapping = field(hash=False)
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        # order of declaration is irrelevant; normalize so equality is semantic
+        # order of declaration is irrelevant; normalize so equality is semantic.
+        # The rules are read-only, so the sweep built on them never goes stale
+        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
         object.__setattr__(self, "states", tuple(sorted(set(self.states))))
         object.__setattr__(self, "input_alphabet",
                            tuple(sorted(set(self.input_alphabet))))
@@ -68,7 +72,7 @@ class Machine:
                 raise InputError(f"rule ({q},{a}) uses unknown state")
             if a not in tape or b not in tape:
                 raise InputError(f"rule ({q},{a}) uses unknown symbol")
-            if mv not in (-1, 1):
+            if type(mv) is not int or mv not in (-1, 1):
                 raise InputError("moves are -1 or +1")
         for q in self.states:
             if q in self.finals:
@@ -76,6 +80,11 @@ class Machine:
             for a in self.tape_alphabet:
                 if (q, a) not in self.delta:
                     raise InputError(f"missing rule for ({q}, {a})")
+
+    @cached_property
+    def _sweep(self) -> _Sweep:
+        """The machine's word-measure sweep, built once per instance."""
+        return _Sweep(self)
 
 
 def machine_to_json(m: Machine) -> str:
@@ -136,15 +145,11 @@ class RunResult:
         return max(self.tape) + 1 if self.tape else 0
 
 
-def _check_input(machine: Machine, word: str):
+def run(machine: Machine, word: str, budget: int = DESK_BUDGET_CAP) -> RunResult:
+    """Execute until halt or budget; the head clamps at the left edge."""
     for ch in word:
         if ch not in machine.input_alphabet:
             raise InputError(f"input symbol {ch!r} outside the input alphabet")
-
-
-def run(machine: Machine, word: str, budget: int = DESK_BUDGET_CAP) -> RunResult:
-    """Execute until halt or budget; the head clamps at the left edge."""
-    _check_input(machine, word)
     finals, delta, blank = machine.finals, machine.delta, machine.blank
     state, head, tape, steps = machine.initial, 0, dict(enumerate(word)), 0
     while state not in finals:
@@ -340,18 +345,6 @@ class _Sweep:
         return out, left
 
 
-def _swept(machine: Machine) -> _Sweep:
-    """The machine's `_Sweep`, built once per instance and again only when a
-    field it reads no longer matches (the delta dict can be mutated)."""
-    source = (machine.states, machine.initial, machine.finals,
-              machine.tape_alphabet, machine.blank, machine.delta)
-    cached = machine.__dict__.get("_sweep")
-    if cached is None or cached[0] != source:
-        cached = (source[:-1] + (dict(machine.delta),), _Sweep(machine))
-        object.__setattr__(machine, "_sweep", cached)
-    return cached[1]
-
-
 def _seed_by_seed(machine: Machine, k: int, depth: int, budget: int) -> dict:
     """Word -> seed count, each seed run through `run` in order, raising at
     the lowest failing one; BudgetExceeded past FALLBACK_SEEDS seeds."""
@@ -391,7 +384,7 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
         budget = seed_budget(k)
     table = None
     if {"0", "1"} <= set(machine.input_alphabet):
-        table = _swept(machine).measure(k, depth, budget)
+        table = machine._sweep.measure(k, depth, budget)
     if table is None:
         table = _seed_by_seed(machine, k, depth, budget)
     nums = [0] * 2 ** depth
@@ -493,9 +486,7 @@ def parity_machine() -> Machine:
 
 def fair_coin() -> Machine:
     """Alias wiring: the copier already flips a fair coin on its first bit."""
-    m = copier()
-    return Machine(m.states, m.initial, m.finals, m.input_alphabet,
-                   m.tape_alphabet, m.blank, m.delta, name="fair-coin")
+    return replace(copier(), name="fair-coin")
 
 
 def corpus() -> dict:

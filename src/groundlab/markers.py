@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .robinson import ORIENTATIONS, build_macro_tile
-from .tiles import HOLE, InputError, Patch, anchor_cells
+from .tiles import HOLE, InputError, Patch, _json_fraction, anchor_cells
 
 
 class MarkerSet:
@@ -99,7 +99,7 @@ class MarkerSet:
     def from_json(cls, text: str) -> "MarkerSet":
         try:
             doc = json.loads(text)
-            tau = Fraction(doc["tau"][0], doc["tau"][1])
+            tau = _json_fraction(doc["tau"])
             patterns = [Patch.from_ids(p["rows"]) for p in doc["patterns"]]
         except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
             raise InputError(f"malformed marker json: {exc}") from exc

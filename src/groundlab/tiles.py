@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -41,6 +42,14 @@ class InputError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """An exact search or count ran out of its node budget."""
+
+
+def _json_fraction(pair) -> Fraction:
+    """The Fraction of a JSON [numerator, denominator] pair; a boolean or a
+    float in it is a TypeError, where `Fraction` would read true as 1."""
+    if type(pair[0]) is not int or type(pair[1]) is not int:
+        raise TypeError(f"expected two integers, got {pair!r}")
+    return Fraction(pair[0], pair[1])
 
 
 _CCW = {"n": "w", "w": "s", "s": "e", "e": "n"}

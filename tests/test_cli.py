@@ -18,6 +18,7 @@ import groundlab.cli as cli
 import groundlab.thermo as thermo
 from groundlab.cli import _BLOCK_ROWS, _TEXT_ROWS, _float_chunks, main
 from groundlab.layers import constant_schedule, default_schedule
+from groundlab.machines import constant_writer, machine_to_json
 from groundlab.measures import DEPTH_CAP
 
 
@@ -389,6 +390,11 @@ def test_config_diagnostics(tmp_path, capsys):
     bad.write_text("command=render\n")
     assert run("freq", "--config", str(bad), "--kmax", "2",
                "--csv", str(tmp_path / "f.csv")) == 2
+    assert "'render'" in capsys.readouterr().err
+    # a config of another format is not replayed as this one
+    bad.write_text("command=freq\nformat=9\nkmax=2\n")
+    assert run("freq", "--config", str(bad), "--csv", str(tmp_path / "f.csv")) == 2
+    assert capsys.readouterr().err == "error: freq: config has format '9', not '1'\n"
     assert run("freq", "--config", str(tmp_path / "missing.cfg"),
                "--kmax", "2", "--csv", str(tmp_path / "f.csv")) == 2
 
@@ -681,6 +687,45 @@ def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+# argvs whose whole stderr is pinned: the checks made once argv is read, and
+# files whose numbers are booleans or floats, which JSON readers take as ints
+PINNED_ERRORS = {
+    ("freq", "--kmax", "-1", "--csv", "{tmp}/f.csv"): "kmax must be >= 0",
+    ("freq", "--kmax", "2", "--mode", "nope", "--csv", "{tmp}/f.csv"):
+        "unknown mode 'nope'",
+    ("freq", "--kmax", "x", "--csv", "{tmp}/f.csv"):
+        "invalid value for kmax: 'x' (invalid literal for int() with base 10: 'x')",
+    ("freq", "--csv", "{tmp}/f.csv"): "missing required option --kmax",
+    ("measure-flow", "--machine", "parity", "--depth", "3", "--kmax", "2",
+     "--csv", "{tmp}/f.csv"): "kmax must be >= depth",
+    ("freq", "--config", "{tmp}/render.cfg", "--kmax", "2", "--csv", "{tmp}/f.csv"):
+        "config was written for 'render'",
+    ("measure-flow", "--machine", "{tmp}/move-true.json", "--csv", "{tmp}/f.csv"):
+        "moves are -1 or +1",
+    ("measure-flow", "--machine", "{tmp}/move-float.json", "--csv", "{tmp}/f.csv"):
+        "moves are -1 or +1",
+    (*_gibbs_toy(), "--potential", "{tmp}/weight-true.json"):
+        "malformed potential json: expected two integers, got [True, 1]",
+    ("verify-markers", "--markers", "{tmp}/tau-true.json", "--out", "{tmp}/v.json"):
+        "malformed marker json: expected two integers, got [True, 1]",
+}
+
+
+def _write_number_files(tmp_path):
+    """The constant-u writer with its first rule's move given as true or as
+    1.0, a potential and a marker file whose first number is true, and a
+    config written for render."""
+    doc = json.loads(machine_to_json(constant_writer("u")))
+    for name, move in (("move-true.json", True), ("move-float.json", 1.0)):
+        doc["delta"][0]["move"] = move
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "weight-true.json").write_text(json.dumps(
+        {"patterns": [{"rows": [["A", "B"]], "weight": [True, 1]}]}))
+    (tmp_path / "tau-true.json").write_text(json.dumps(
+        {"tau": [True, 1], "patterns": [{"rows": [["A"]]}]}))
+    (tmp_path / "render.cfg").write_text("command=render\n")
+
+
 @pytest.mark.parametrize("argv", [
     _gibbs_toy(tileset="free:0"),
     _gibbs_toy(tileset="free:x"),
@@ -690,12 +735,16 @@ def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     ("measure-flow", "--machine", "{tmp}/latin1.json", "--csv", "{tmp}/f.csv"),
     ("freq", "--kmax", "2", "--schedule", "const:x", "--csv", "{tmp}/f.csv"),
     ("thermo", "--schedule", "weekly", "--csv", "{tmp}/t.csv"),
+    *PINNED_ERRORS,
 ])
 def test_every_usage_error_names_its_command(tmp_path, capsys, argv):
     (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')
+    _write_number_files(tmp_path)
     assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
+    if argv in PINNED_ERRORS:
+        assert err == f"error: {argv[0]}: {PINNED_ERRORS[argv]}\n"
 
 
 def test_perturb_epsilon_independent_bodies(tmp_path):

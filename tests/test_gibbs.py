@@ -108,7 +108,8 @@ def test_potential_json_roundtrip():
     assert again.ids == want.ids and again.denominator == want.denominator == 3
     with pytest.raises(InputError):
         Potential.from_json("{}")
-    for bad in ([1, 0], [1.5, 1]):
+    # a boolean or a float is not an integer, though Fraction reads true as 1
+    for bad in ([1, 0], [1.5, 1], [True, 1], [1, 1.0]):
         doc = {"patterns": [{"rows": [["A", "B"]], "weight": bad}]}
         with pytest.raises(InputError, match="malformed potential json"):
             Potential.from_json(json.dumps(doc))

@@ -79,6 +79,10 @@ def test_markerset_validation():
         doc = {"tau": [0, 1], "patterns": [{"rows": rows}]}
         with pytest.raises(InputError, match="malformed marker json.*not strings"):
             MarkerSet.from_json(json.dumps(doc))
+    for tau in ([True, 1], [1, 1.0]):  # Fraction would read true as 1
+        doc = {"tau": tau, "patterns": [{"rows": [["A"]]}]}
+        with pytest.raises(InputError, match="malformed marker json: expected two integers"):
+            MarkerSet.from_json(json.dumps(doc))
 
 
 def test_window_side_rounds_up():

@@ -345,8 +345,6 @@ class BoltzmannTable:
     with `LevelView`s over one level-id array, levels ascending from the
     ground level; any two mappings with the same items compare equal, so a
     table of dicts equals it too."""
-    side: int
-    beta: float
     denominator: int
     base: Fraction
     energies: Mapping[tuple, Fraction]
@@ -395,8 +393,8 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     level_ids.flags.writeable = False  # shared by both views
     energies = LevelView(level_ids, tuple(Fraction(n, d) for n in levels), ntiles, ncells)
     probabilities = LevelView(level_ids, tuple(w / z for w in weights), ntiles, ncells)
-    return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
-                          energies=energies, probabilities=probabilities)
+    return BoltzmannTable(denominator=d, base=y, energies=energies,
+                          probabilities=probabilities)
 
 
 def acceptance_probability(base: Fraction, denominator: int,
@@ -468,8 +466,6 @@ def torus_coverage(config: TorusConfig, markers: MarkerSet, code) -> Fraction:
 
 @dataclass
 class MetropolisResult:
-    seed: int
-    beta: float
     steps: int
     accepted: int
     trace: List[tuple]  # (step, energy, coverage or None)
@@ -563,9 +559,8 @@ def metropolis(tileset: Tileset, potential: Potential, side: int, beta: float,
     flat[:], config._units = codes, units
     if not cadence or steps % cadence != 0:
         observe(steps)
-    return MetropolisResult(seed=rng_seed, beta=beta, steps=steps,
-                            accepted=accepted, trace=trace, samples=samples,
-                            config=config)
+    return MetropolisResult(steps=steps, accepted=accepted, trace=trace,
+                            samples=samples, config=config)
 
 
 def coverage_sweep(tileset: Tileset, potential: Potential, markers: MarkerSet,

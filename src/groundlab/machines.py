@@ -24,17 +24,21 @@ from .tiles import BudgetExceeded, InputError
 DESK_BUDGET_CAP = 10_000_000
 
 
-class NonConformingError(BudgetExceeded):
-    """A machine breached its step budget on `seed`."""
+class _AtSeed(Exception):
+    """A machine failed on the k-bit seed `seed`."""
 
     def __init__(self, message: str, seed: Optional[str] = None):
         super().__init__(message)
         self.seed = seed
 
 
-class NonWordOutput(NonConformingError, InputError):
+class NonConformingError(_AtSeed, BudgetExceeded):
+    """A machine breached its step budget on `seed`."""
+
+
+class NonWordOutput(_AtSeed, InputError):
     """A machine halted on `seed` with a depth-prefix that is not a word: an
-    input error, as the machine is not a word machine."""
+    input error, not a budget breach, as the machine is not a word machine."""
 
 
 @dataclass(frozen=True)
@@ -397,10 +401,8 @@ def word_measure(machine: Machine, k: int, depth: Optional[int] = None,
 
 # ---------------------------------------------------------------- corpus ---
 
-def _total(delta, states, finals, tape):
+def _total(delta, states, tape):
     for q in states:
-        if q in finals:
-            continue
         for a in tape:
             delta.setdefault((q, a), (q, a, 1))
     return delta
@@ -456,7 +458,7 @@ def copier() -> Machine:
         delta[("b", a)] = ("b", "d", 1)
     delta[("a", "#")] = ("h", "#", 1)
     delta[("b", "#")] = ("h", "#", 1)
-    _total(delta, ("s",), set(), ("u", "d", "#"))
+    _total(delta, ("s",), ("u", "d", "#"))
     return Machine(("s", "a", "b", "h"), "s", frozenset(["h"]), ("0", "1"),
                    tape, "#", delta, name="copier")
 
@@ -479,7 +481,7 @@ def parity_machine() -> Machine:
         ("l0", "u"): ("h", "u", 1),
         ("l1", "d"): ("h", "d", 1),
     }
-    _total(delta, ("p0", "p1", "l0", "l1"), set(), tape)
+    _total(delta, ("p0", "p1", "l0", "l1"), tape)
     return Machine(("p0", "p1", "l0", "l1", "h"), "p0", frozenset(["h"]),
                    ("0", "1"), tape, "#", delta, name="parity")
 

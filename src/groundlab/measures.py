@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .tiles import InputError
@@ -62,7 +61,7 @@ class WordMeasure:
     `den`, in lowest terms, so `==` and `hash` compare values.  `weights`
     and `as_dict` read them as exact Fractions."""
 
-    __slots__ = ("depth", "den", "nums", "_weights")
+    __slots__ = ("depth", "den", "nums")
 
     def __init__(self, depth: int, weights: Sequence[Fraction]):
         _check_depth(depth)
@@ -94,13 +93,10 @@ class WordMeasure:
         self.depth = depth
         self.den = den // g
         self.nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
-        self._weights = None
 
     @property
     def weights(self) -> tuple:
-        if self._weights is None:
-            self._weights = tuple(Fraction(n, self.den) for n in self.nums)
-        return self._weights
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @classmethod
     def uniform(cls, depth: int) -> "WordMeasure":
@@ -196,7 +192,7 @@ class ConditionalGridMeasure:
     den: int
     k: int
 
-    @cached_property
+    @property
     def raw(self) -> tuple:
         return tuple(Fraction(n, self.den) for n in self.nums)
 

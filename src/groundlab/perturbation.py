@@ -35,14 +35,12 @@ ACCUMULATION_RADIUS = Fraction(1, 256)
 
 @dataclass(frozen=True)
 class SelectorRule:
-    """Local rule forcing the routing word to 1^index #^*.
-
-    patterns lists the forbidden (offset, symbol) cells on the routing word;
-    the diameter they span is what a temperature-window analysis needs.
+    """Local rule forcing the routing word to 1^index #^*: it forbids 0 and #
+    in routing cells 0..index-1 and 0 and 1 in cell index, so the diameter
+    it spans, index + 1, is what a temperature-window analysis needs.
     """
 
     index: int
-    patterns: Tuple[Tuple[int, str], ...]
 
     def __post_init__(self):
         if self.index < 1:
@@ -50,7 +48,7 @@ class SelectorRule:
 
     @property
     def diameter(self) -> int:
-        return max(o for o, _ in self.patterns) + 1
+        return self.index + 1
 
     @property
     def threshold(self) -> int:
@@ -68,11 +66,7 @@ def make_selector(i: int, enumeration: Sequence[Machine]) -> SelectorRule:
     if not 1 <= i <= len(enumeration):
         raise InputError(f"selector index {i} outside enumeration of "
                          f"{len(enumeration)}")
-    cells = []
-    for j in range(i):
-        cells += [(j, "0"), (j, "#")]   # routing cells 0..i-1 must hold 1
-    cells += [(i, "0"), (i, "1")]       # cell i must hold #
-    return SelectorRule(i, tuple(cells))
+    return SelectorRule(i)
 
 
 # ------------------------------------------------------------ flow report ---

@@ -39,10 +39,6 @@ class DyadicMeasure(WordMeasure):
             w = next(w for w in self.weights if not is_dyadic(w))
             raise InputError(f"non-dyadic weight {w}")
 
-    @classmethod
-    def from_word_measure(cls, m: WordMeasure) -> "DyadicMeasure":
-        return cls.from_nums(m.depth, m.nums, m.den)
-
 
 def bernoulli(p, depth: int = 1) -> DyadicMeasure:
     """Product measure with per-letter chance p of 'd'; p must be dyadic."""
@@ -61,7 +57,6 @@ class ComputableSequence:
 
     generator: Callable[[int], DyadicMeasure]
     depth: int
-    name: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
     def term(self, n: int) -> DyadicMeasure:
@@ -69,8 +64,6 @@ class ComputableSequence:
             raise InputError("sequence index must be >= 0")
         if n not in self._cache:
             m = self.generator(n)
-            if not isinstance(m, DyadicMeasure):
-                m = DyadicMeasure.from_word_measure(m)
             if m.depth != self.depth:
                 raise InputError(f"term {n} has depth {m.depth}, "
                                  f"declared {self.depth}")
@@ -78,15 +71,14 @@ class ComputableSequence:
         return self._cache[n]
 
 
-def constant_sequence(m: DyadicMeasure, name: str = "constant") -> ComputableSequence:
-    return ComputableSequence(lambda n: m, m.depth, name)
+def constant_sequence(m: DyadicMeasure) -> ComputableSequence:
+    return ComputableSequence(lambda n: m, m.depth)
 
 
 def alternating_sequence(a: DyadicMeasure, b: DyadicMeasure) -> ComputableSequence:
     if a.depth != b.depth:
         raise InputError("alternating terms need equal depth")
-    return ComputableSequence(lambda n: a if n % 2 == 0 else b, a.depth,
-                              "alternating")
+    return ComputableSequence(lambda n: a if n % 2 == 0 else b, a.depth)
 
 
 def sweep_fraction(n: int) -> Fraction:
@@ -100,8 +92,7 @@ def sweep_fraction(n: int) -> Fraction:
 
 def dyadic_sweep(depth: int = 1) -> ComputableSequence:
     """Sequence dense in the Bernoulli segment between the two point masses."""
-    return ComputableSequence(lambda n: bernoulli(sweep_fraction(n), depth),
-                              depth, "sweep")
+    return ComputableSequence(lambda n: bernoulli(sweep_fraction(n), depth), depth)
 
 
 # ---------------------------------------------------------- connectify ----
@@ -139,7 +130,7 @@ def connectify(seq: ComputableSequence) -> ComputableSequence:
         return DyadicMeasure.from_nums(
             seq.depth, [fa * x + fb * y for x, y in zip(a.nums, b.nums)], size * den)
 
-    return ComputableSequence(gen, seq.depth, f"connectify({seq.name})")
+    return ComputableSequence(gen, seq.depth)
 
 
 # ------------------------------------------------- finite accumulation ----
@@ -203,10 +194,9 @@ def named_sequence(name: str, depth: int = 1) -> ComputableSequence:
     du = bernoulli(0, depth)
     dd = bernoulli(1, depth)
     table = {
-        "constant-u": lambda: constant_sequence(du, "constant-u"),
-        "constant-d": lambda: constant_sequence(dd, "constant-d"),
-        "uniform": lambda: constant_sequence(bernoulli(Fraction(1, 2), depth),
-                                             "uniform"),
+        "constant-u": lambda: constant_sequence(du),
+        "constant-d": lambda: constant_sequence(dd),
+        "uniform": lambda: constant_sequence(bernoulli(Fraction(1, 2), depth)),
         "alternating": lambda: alternating_sequence(du, dd),
         "sweep": lambda: dyadic_sweep(depth),
     }

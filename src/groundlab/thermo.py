@@ -169,13 +169,16 @@ def thermo_table(k_min: int, k_max: int, C: _Q = 1, C_prime: _Q = 1,
         boundary = log_4r + log2_pow2_minus(scale_index(k + 2), 1 + r)
         beta_hi = log_Cp + sides[i].scale(Fraction(-1, 2)) \
             + sides[i + 2].scale(2) - boundary
+        kappa = kappa_for(k, schedule, c)
+        if not 0 <= kappa <= 1:  # named by c, the value the caller set
+            raise InputError(f"c = {Fraction(c)} gives kappa = c / t_k = {kappa} "
+                             f"at k = {k}, outside [0, 1]")
         rows.append({
             "k": k,
             "log2_beta_lo": beta_lo[i],
             "log2_beta_hi": beta_hi,
             "overlap_log_ratio": beta_hi - beta_lo[i + 1],
-            "entropy_pass": entropy_criterion(k, bounds,
-                                              kappa_for(k, schedule, c)),
+            "entropy_pass": entropy_criterion(k, bounds, kappa),
         })
     return rows
 

@@ -64,8 +64,8 @@ def boltzmann_exact(tileset, pairs, side, beta, budget):
     z = sum(c * weights[e] for e, c in law.items())
     level = {e: w / z for e, w in weights.items()}
     probabilities = {k: level[e] for k, e in energies.items()}
-    return BoltzmannTable(side=side, beta=beta, denominator=d, base=y,
-                          energies=energies, probabilities=probabilities)
+    return BoltzmannTable(denominator=d, base=y, energies=energies,
+                          probabilities=probabilities)
 
 
 def metropolis(tileset, pairs, side, beta, steps, rng_seed, markers=None,
@@ -128,6 +128,5 @@ def metropolis(tileset, pairs, side, beta, steps, rng_seed, markers=None,
         rescan()
     if not cadence or steps % cadence != 0:
         observe(steps)
-    return MetropolisResult(seed=rng_seed, beta=beta, steps=steps,
-                            accepted=accepted, trace=trace, samples=samples,
-                            config=config)
+    return MetropolisResult(steps=steps, accepted=accepted, trace=trace,
+                            samples=samples, config=config)

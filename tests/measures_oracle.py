@@ -72,8 +72,8 @@ def marginal(measure, depth):
         return measure
     if not (1 <= depth < measure.depth):
         raise InputError("marginal depth out of range")
-    block = 2 ** (measure.depth - depth)
-    ws = [sum(measure.weights[i * block:(i + 1) * block], Fraction(0))
+    block, weights = 2 ** (measure.depth - depth), measure.weights
+    ws = [sum(weights[i * block:(i + 1) * block], Fraction(0))
           for i in range(2 ** depth)]
     return WordMeasure(depth, ws)
 

@@ -377,6 +377,16 @@ def test_config_file_and_flag_override(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 5
 
 
+def test_config_comments_and_blank_lines_are_skipped(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("freq", "--kmax", "5", "--mode", "float", "--csv", str(a)) == 0
+    lines = (tmp_path / "a.csv.config").read_text().splitlines()
+    cfg = tmp_path / "commented.cfg"
+    cfg.write_text("\n".join(["# replayed by hand", lines[0], "", *lines[1:]]) + "\n")
+    assert run("freq", "--config", str(cfg), "--csv", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_config_diagnostics(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense-line\n")
@@ -708,6 +718,11 @@ PINNED_ERRORS = {
         "malformed potential json: expected two integers, got [True, 1]",
     ("verify-markers", "--markers", "{tmp}/tau-true.json", "--out", "{tmp}/v.json"):
         "malformed marker json: expected two integers, got [True, 1]",
+    # kappa = c / t_k, named by the c the user set; t_1 = 2
+    ("thermo", "--c", "5", "--csv", "{tmp}/t.csv"):
+        "c = 5 gives kappa = c / t_k = 5/2 at k = 1, outside [0, 1]",
+    ("thermo", "--c", "-1", "--csv", "{tmp}/t.csv"):
+        "c = -1 gives kappa = c / t_k = -1/2 at k = 1, outside [0, 1]",
 }
 
 

@@ -1,6 +1,9 @@
 """Every name a groundlab module imports is used in that module, and every
-public name it defines, and every public method or property of its
-classes, has a reader other than its own unit tests.
+public name it defines, and every public member of its classes, has a
+reader other than its own unit tests.  A member is a method or property, an
+annotated name in the class body (a dataclass field) or a `self.name = ...`
+target in `__init__`; a field that only echoes an input back needs a reader
+as much as a method does.
 
 No linter ships with the toolchain, so this walks each module's syntax tree.
 For imports, the package `__init__` is exempt (its imports are re-exports),
@@ -130,18 +133,38 @@ def test_every_public_name_has_a_reader():
 UNREAD_MEMBERS = {
     "perturbation.SelectorRule.admits":
         "the routing-word rule a selector pins, kept with its selector",
+    "tiles.Tile.rotation":
+        "the tileset JSON key, which the rotation tests read",
+    "tiles.Violation.detail": "the pair of ids a violation names",
+    "tiles.CountResult.nodes": "the budget a count used, which CI prints",
+    "machines.RunResult.state":
+        "the final state, compared by the universal-interpreter tests",
+    "gibbs.MetropolisResult.config":
+        "the final torus, which the identity tests rescan",
 }
 
 
 def public_members(tree):
-    """(class name, member name, node) of each public method or property of
-    a top-level class."""
+    """(class name, member name, node) of each public member of a top-level
+    class: a method or property, an annotated name in the class body (a
+    dataclass field), or a `self.name = ...` target in `__init__`."""
     for cls in tree.body:
-        if isinstance(cls, ast.ClassDef):
-            for node in cls.body:
-                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not node.name.startswith("_")):
-                    yield cls.name, node.name, node
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        members = []
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.append((node.name, node))
+                if node.name == "__init__":
+                    members += [(sub.attr, sub) for sub in ast.walk(node)
+                                if isinstance(sub, ast.Attribute)
+                                and isinstance(sub.ctx, ast.Store)
+                                and isinstance(sub.value, ast.Name)
+                                and sub.value.id == "self"]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members.append((node.target.id, node.target))
+        yield from ((cls.name, name, node) for name, node in members
+                    if not name.startswith("_"))
 
 
 def member_reads(node):

@@ -313,6 +313,20 @@ def test_word_measure_heads_run_past_the_seed():
         assert word_measure(m, k) == oracle.word_measure(m, k)
 
 
+def test_word_measure_halts_before_reading_its_seed():
+    # the head writes one letter on cell 0 and halts: from k = 3 the sweep
+    # replays cells the head never comes to, and past depth 1 the unread
+    # seed bits are a non-word
+    tape = ("0", "1", "#", "u", "d")
+    m = Machine(("s", "h"), "s", frozenset(["h"]), ("0", "1"), tape, "#",
+                {("s", a): ("h", "d" if a == "1" else "u", 1) for a in tape},
+                name="halt-at-once")
+    for k in range(1, 8):
+        for depth in (1, 2, 3):
+            assert (_outcome(word_measure, m, k, depth, None)
+                    == _outcome(oracle.word_measure, m, k, depth, None))
+
+
 def test_word_measure_fails_in_a_later_block():
     # the lowest failing seed is 2^12: the sweep leaves the scale open, and
     # the runs seed by seed report that seed
@@ -323,7 +337,7 @@ def test_word_measure_fails_in_a_later_block():
                   ("w", "#"): ("h", "#", 1)})
     m = Machine(("s", "w", "h"), "s", frozenset(["h"]), ("0", "1"), tape, "#",
                 delta, name="first-bit")
-    with pytest.raises(NonConformingError) as info:
+    with pytest.raises(NonWordOutput) as info:
         word_measure(m, 13, depth=2)
     assert info.value.seed == "1" + "0" * 12
     assert str(info.value) == ("machine first-bit left a non-word output 'xu' "
@@ -335,6 +349,7 @@ def test_word_measure_non_word_output():
     with pytest.raises(NonWordOutput) as info:
         word_measure(incrementer(), 2)
     assert isinstance(info.value, InputError) and info.value.seed == "00"
+    assert not isinstance(info.value, BudgetExceeded)
     assert str(info.value) == ("machine incrementer left a non-word output '0' "
                                "at seed 00")
     # the blank past the written cells is no letter, so the sweep cannot

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from flow_oracle import closed_form_row
 from machines_oracle import alternator
 from perturbation_oracle import report_json
-from groundlab.machines import (NonConformingError, constant_writer, copier,
+from groundlab.machines import (NonWordOutput, constant_writer, copier,
                                 fair_coin, incrementer, machine_enumeration,
                                 parity_machine, selector_weights, word_measure)
 from groundlab.measures import (DEPTH_CAP, ConditionalGridMeasure, WordMeasure,
@@ -274,7 +274,8 @@ def test_index_outside_enumeration_refused():
 
 
 def test_nonconforming_machine_refused():
-    with pytest.raises(NonConformingError):
+    # the incrementer leaves 0s and 1s, so it is no word machine
+    with pytest.raises(NonWordOutput):
         perturbed_flow(constant_writer("u"), incrementer(), 1, 1, 6,
                        index=1, enumeration=ENUM)
 

@@ -23,7 +23,7 @@ def test_dyadic_validation():
 
 def test_dyadic_from_word_measure():
     m = WordMeasure(1, [Fraction(1, 4), Fraction(3, 4)])
-    d = DyadicMeasure.from_word_measure(m)
+    d = DyadicMeasure.from_nums(m.depth, m.nums, m.den)
     assert d == m and isinstance(d, DyadicMeasure)
 
 

@@ -391,6 +391,13 @@ def _run_thermo(cfg):
     return 1
 
 
+def _check_ids(what: str, ids, tileset: Tileset) -> None:
+    """Refuse `ids` naming a tile id the tileset lacks, the first one named."""
+    for tid in ids:
+        if tid not in tileset.index:
+            raise InputError(f"{what} names tile id {tid!r} that the tileset lacks")
+
+
 @_command("gibbs", [
     Param("tileset", str, default="robinson", help="robinson, free:K, or file"),
     Param("potential", str, default="adjacency",
@@ -411,12 +418,13 @@ def _run_gibbs(cfg):
         potential = Potential.from_json(_read_text(cfg["potential"]))
         # the library drops a pattern naming an id the tileset lacks; a chain
         # whose file names one would run another potential than asked for
-        missing = [i for i in potential.ids if i not in tileset.index]
-        if missing:
-            raise InputError(f"potential names tile id {missing[0]!r} that the tileset lacks")
+        _check_ids("potential", potential.ids, tileset)
     else:
         raise InputError(f"unknown potential {cfg['potential']!r}")
     markers = robinson_marker_set(cfg["markers"]) if cfg["markers"] else None
+    if markers is not None:
+        # a marker with an id the tileset lacks never matches: zero coverage
+        _check_ids("marker set", markers.legend, tileset)
     cadence = cfg["cadence"] or max(1, cfg["steps"] // 10)
     result = metropolis(tileset, potential, cfg["side"], cfg["beta"],
                         cfg["steps"], rng_seed=cfg["seed"], markers=markers,

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -491,19 +491,25 @@ def fair_coin() -> Machine:
     return replace(copier(), name="fair-coin")
 
 
-def corpus() -> dict:
+@cache
+def corpus() -> Mapping[str, Machine]:
+    """The corpus machines by name, built once per process and handed out
+    read-only: a machine is read-only too, so its sweep serves every caller."""
     ms = [immediate_halt(), left_mover(), incrementer(), constant_writer("u"),
           constant_writer("d"), copier(), parity_machine(), fair_coin()]
-    return {m.name: m for m in ms}
+    return MappingProxyType({m.name: m for m in ms})
 
 
+@cache
 def machine_enumeration() -> tuple:
-    """Word machines in length-lexicographic order of canonical serialization.
+    """The corpus word machines in length-lexicographic order of canonical
+    serialization, once per process.
 
     Returns (machines, version) where version fingerprints the artifact.
     """
-    word_machines = [constant_writer("u"), constant_writer("d"), copier(),
-                     parity_machine()]
+    table = corpus()
+    word_machines = [table[name] for name in ("constant-u", "constant-d",
+                                              "copier", "parity")]
     keyed = sorted(((machine_to_json(m), m) for m in word_machines),
                    key=lambda pair: (len(pair[0]), pair[0]))
     digest = hashlib.sha256("\n".join(text for text, _ in keyed).encode()).hexdigest()

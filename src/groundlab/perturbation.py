@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
@@ -125,8 +124,9 @@ class PerturbationReport:
             return q.numerator, q.denominator
 
         def fracs(m):                # each m.nums[i] / m.den in lowest terms
-            return [(n // g, m.den // g)
-                    for n, g in zip(m.nums, map(math.gcd, m.nums, repeat(m.den)))]
+            den = m.den
+            return [(n // (g := math.gcd(n, den)), den // g) if n else _ZERO
+                    for n in m.nums]
 
         doc = {
             "mode": self.mode,
@@ -155,19 +155,26 @@ class PerturbationReport:
         return _indent1(doc)
 
 
+# a zero weight's lowest terms, shared so that its text is formatted once
+_ZERO = (0, 1)
+
+
 def _indent1(value, level: int = 0) -> str:
     """`value` as `json.dumps(value, indent=1)` writes it, `level` deep; a
     tuple is written as a list, and a list of (a, b) int pairs through one
-    format string, not item by item."""
+    format string, not item by item, `_ZERO` formatted once.  Keys are field
+    names and words over u and d, which need no escapes."""
+    if type(value) is int:
+        return str(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
     inner = "\n" + " " * (level + 1)
     if isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_indent1(v, level + 1)}"
-                 for k, v in value.items()]
+        items = [f'"{k}": {_indent1(v, level + 1)}' for k, v in value.items()]
     elif isinstance(value[0], tuple):
         pair = f"[{inner} %d,{inner} %d{inner}]"
-        items = [pair % p for p in value]
+        zero = pair % _ZERO
+        items = [zero if p is _ZERO else pair % p for p in value]
     else:
         items = [_indent1(v, level + 1) for v in value]
     start, end = "{}" if isinstance(value, dict) else "[]"

@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ import groundlab.cli as cli
 import groundlab.thermo as thermo
 from groundlab.cli import _BLOCK_ROWS, _TEXT_ROWS, _float_chunks, main
 from groundlab.layers import constant_schedule, default_schedule
-from groundlab.machines import constant_writer, machine_to_json
+from groundlab.machines import (constant_writer, corpus, machine_enumeration,
+                                machine_to_json)
 from groundlab.measures import DEPTH_CAP
 
 
@@ -723,6 +727,9 @@ PINNED_ERRORS = {
         "c = 5 gives kappa = c / t_k = 5/2 at k = 1, outside [0, 1]",
     ("thermo", "--c", "-1", "--csv", "{tmp}/t.csv"):
         "c = -1 gives kappa = c / t_k = -1/2 at k = 1, outside [0, 1]",
+    # Robinson markers on free tiles would never match: coverage 0 throughout
+    (*_gibbs_toy(side="3"), "--markers", "1"):
+        "marker set names tile id 'a.e.p0' that the tileset lacks",
 }
 
 
@@ -760,6 +767,38 @@ def test_every_usage_error_names_its_command(tmp_path, capsys, argv):
     assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
     if argv in PINNED_ERRORS:
         assert err == f"error: {argv[0]}: {PINNED_ERRORS[argv]}\n"
+
+
+# the benchmark's flow commands by artifact name, each without its path
+_PERTURB = ("perturb", "--base", "constant-u", "--target", "parity", "--depth",
+            "2", "--horizon", "16", "--epsilon")
+FLOW_COMMANDS = {
+    "flow.csv": ("measure-flow", "--machine", "parity", "--depth", "2",
+                 "--kmax", "32", "--csv"),
+    "mixture.json": (*_PERTURB, "0", "--out"),
+    "selector.json": (*_PERTURB, "1/2", "--out"),
+}
+
+
+def test_flow_commands_in_one_process_write_what_fresh_ones_do(tmp_path):
+    # the corpus machines, and so their sweeps, serve every command of a
+    # process: no order of the commands may show in their artifacts
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    (tmp_path / "fresh").mkdir()
+    for name, argv in FLOW_COMMANDS.items():
+        subprocess.run([sys.executable, "-m", "groundlab.cli", *argv,
+                        str(tmp_path / "fresh" / name)], env=env, check=True)
+    for order in (list(FLOW_COMMANDS), list(reversed(FLOW_COMMANDS))):
+        corpus.cache_clear()
+        machine_enumeration.cache_clear()
+        here = tmp_path / f"from-{order[0]}"
+        here.mkdir()
+        for name in order:
+            assert run(*FLOW_COMMANDS[name], str(here / name)) == 0
+        for name in order:
+            assert (here / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_perturb_epsilon_independent_bodies(tmp_path):
@@ -948,6 +987,7 @@ GIBBS_FLAGS = {"--seed": ["0", "7", "-1", str(2 ** 64), "x"],
                "--steps": ["0", "1", "40", "-5"],
                "--beta": ["0", "1.5", "nan", "-1", "inf"],
                "--tileset": ["free:2", "free:3", "robinson"],
+               "--markers": ["0", "1", "2", "-1", "11", "x"],
                "--potential": ["adjacency", "ab.json", "heavy.json",
                                "zero-den.json", "list-cells.json", "huge-den.json",
                                "huge-weight.json", "missing.json"],

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -481,7 +482,10 @@ def test_word_measure_staged_edges_match_oracle(machine, k, depth, budget,
 
 
 def test_one_compiled_delta_per_machine(tmp_path):
-    # measure-flow runs the parity machine at 31 scales: one sweep for them
+    # measure-flow runs the parity machine at 31 scales: one sweep for them,
+    # built on the corpus instance from a fresh corpus
+    corpus.cache_clear()
+    machine_enumeration.cache_clear()
     built, calls = [], []
     real_sweep, real_measure = machines._Sweep, perturbation.word_measure
 
@@ -493,13 +497,32 @@ def test_one_compiled_delta_per_machine(tmp_path):
         calls.append(machine)
         return real_measure(machine, *args)
 
-    argv = ["measure-flow", "--machine", "parity", "--depth", "2", "--kmax",
-            "32", "--csv", str(tmp_path / "flow.csv")]
+    def flow(out):
+        return ["measure-flow", "--machine", "parity", "--depth", "2", "--kmax",
+                "32", "--csv", str(tmp_path / out)]
+
     with mock.patch.object(machines, "_Sweep", sweep), \
             mock.patch.object(perturbation, "word_measure", measure):
-        assert cli_main(argv) == 0
-    assert len(calls) == 31
-    assert len(built) == len({id(m) for m in calls}) == 1
+        assert cli_main(flow("flow.csv")) == 0
+        assert len(calls) == 31
+        assert len(built) == len({id(m) for m in calls}) == 1
+        assert built[0] is corpus()["parity"]
+        # a later command in the same process reads the same sweep
+        assert cli_main(flow("again.csv")) == 0
+        assert cli_main(["perturb", "--base", "parity", "--target", "parity",
+                         "--depth", "2", "--horizon", "16", "--epsilon", "1/2",
+                         "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 31 + 31 + 15
+    assert len(built) == 1 and {id(m) for m in calls} == {id(built[0])}
+    # one read-only corpus per process, and the enumeration holds its machines
+    table = corpus()
+    assert [id(m) for m in corpus().values()] == [id(m) for m in table.values()]
+    with pytest.raises(TypeError):
+        table["parity"] = constant_writer("u")
+    enumeration, version = machine_enumeration()
+    assert all(m is table[m.name] for m in enumeration)
+    assert version == ("sha256:20fcc7c48a4c43c96b6193f67d201de1"
+                       "dbcf75a74597e33e595671771e13d697")
 
 
 def test_machine_rules_are_read_only():
@@ -520,7 +543,7 @@ def test_machine_rules_are_read_only():
 @pytest.mark.parametrize("name", ["constant-u", "constant-d", "copier",
                                   "parity", "fair-coin"])
 def test_corpus_word_machines_never_run_seed_by_seed(name):
-    m = corpus()[name]
+    m = replace(corpus()[name])      # an equal machine with a cold sweep
     letters = {"constant-u": "u", "constant-d": "d"}.get(name, "ud")
     with mock.patch.object(machines, "_seed_by_seed", side_effect=AssertionError):
         for k in range(16, 1, -1):   # one sweep, its largest scale first

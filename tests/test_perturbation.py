@@ -115,10 +115,15 @@ def test_report_json_matches_json_dumps(report):
     (constant_writer("u"), parity_machine(), Fraction(1, 3), 2, 9),
     (copier(), fair_coin(), 0, 3, 8),
     (constant_writer("u"), fair_coin(), 1, 1, 6),
+    # 256 words a row, at most 2 of them non-zero: the zeros written as one text
+    (constant_writer("u"), parity_machine(), 0, 8, 10),
+    (constant_writer("u"), parity_machine(), Fraction(1, 2), 8, 10),
 ])
 def test_flow_report_json_matches_json_dumps(base, target, epsilon, depth, horizon):
     report = perturbed_flow(base, target, epsilon, depth, horizon, 1, [target])
-    assert report.to_json() == report_json(report)
+    text = report.to_json()
+    assert text == report_json(report)
+    assert text == json.dumps(json.loads(text), indent=1)
 
 
 def test_report_has_no_epsilon_field():

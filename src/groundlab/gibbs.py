@@ -15,14 +15,20 @@ integers in units of 1/D and read out as exact rationals.
 
 A torus keys each occurrence of a k-cell shape by one integer, the base-ntiles
 number sum code_i * ntiles^(k - 1 - i) of the codes at its cells: one numpy
-product with these place values keys a shape's pattern rows into an int-keyed
-dict, and the torus's cells into every occurrence's current key (Python ints
-once ntiles^k passes int64).  The full scan looks every key up; a Metropolis
-proposal (site p, tile t) reads only the occurrences covering p, each through
-one (occurrence, place value m, lookup) term, and its rise n is the sum of
-lookup(key + (t - a) * m) - lookup(key), a the tile at p.  An accepted move
-adds (t - a) * m to each covering key, so no key is read off the cells again.
-A proposal that keeps the tile is a zero rise.
+product with these place values keys a shape's pattern rows, and the torus's
+cells into every occurrence's current key (Python ints once ntiles^k passes
+int64).  A shape's value at a key is its baseline plus the key's entry in an
+int-keyed dict, 0 when absent.  The baseline is 0 unless the patterns cover
+more than half of the ntiles^k keys; then it is the value most keys carry,
+and the dict holds only the keys whose value differs from it, so Robinson's
+adjacency potential keeps its 228 allowed dominoes per axis, not its 7 516
+forbidden ones.  The full scan adds baseline times occurrences to the dict
+lookups; a Metropolis proposal (site p, tile t) reads only the occurrences
+covering p, each through one (occurrence, place value m, lookup) term, and
+its rise n is the sum of lookup(key + (t - a) * m) - lookup(key), a the tile
+at p, in which the baseline cancels.  An accepted move adds (t - a) * m to
+each covering key, so no key is read off the cells again.  A proposal that
+keeps the tile is a zero rise.
 
 Weights are formed per integer level n (energy n/D).  With
 y = Fraction(exp(-beta/D)) a level weighs y^n: exact Boltzmann enumeration on
@@ -34,10 +40,11 @@ beta = 0 is simply y = 1.
 
 Exact enumeration holds every configuration in one array with an axis of
 length ntiles per cell, so configuration i, which spells i in base ntiles,
-sits at index i.  Each occurrence adds its shape's dense value table along
-its cells' axes, in the smallest unsigned type that holds the largest
-possible level, or in Python ints once that passes 64 bits, so levels stay
-exact for weights of any size.  The distinct levels are sorted ascending,
+sits at index i.  Each occurrence adds its shape's dense value table (the
+baseline at every key, plus the dict's entries) along its cells' axes, in
+the smallest unsigned type that holds the largest possible level, or in
+Python ints once that passes 64 bits, so levels stay exact for weights of
+any size.  The distinct levels are sorted ascending,
 the ground level first.  The table it returns is one int32 level id per
 configuration plus one energy and one probability per level: `energies` and
 `probabilities` are read-only `LevelView`s over them, where a lookup reads
@@ -194,10 +201,14 @@ class TorusConfig:
     An occurrence, one shape at one anchor, is keyed by one integer: the
     base-ntiles number of the codes at its cells in row-major order,
     sum code_i * ntiles^(k - 1 - i) over its k cells.  `_shapes` maps each
-    (h, w) shape to (table, place, cells): the int-keyed dict of its pattern
-    values in units of 1/D, its place values ntiles^(k - 1 - i) (int64, or
-    Python ints once ntiles^k passes int64) and the flat cell indices of each
-    anchor, row-major.  `_keys` holds every occurrence's current key, shape by
+    (h, w) shape to (table, place, cells, base): the int-keyed dict of its
+    values in units of 1/D less the baseline `base`, a key it lacks worth
+    the baseline; its place values ntiles^(k - 1 - i) (int64, or Python ints
+    once ntiles^k passes int64) and the flat cell indices of each anchor,
+    row-major.  The baseline is the value most of the ntiles^k keys carry
+    (the least such on a tie), so it is 0 unless the patterns cover more than
+    half of the keys; the dict then holds only the keys that differ from it.
+    `_keys` holds every occurrence's current key, shape by
     shape, and `_terms[p]` one (occurrence, place value, lookup) per
     occurrence covering flat cell p: when p changes from tile a to tile t,
     that occurrence's key moves by (t - a) * place value.
@@ -227,7 +238,8 @@ class TorusConfig:
         # one take maps each shape's legend codes to tile codes (-1: an id
         # the tileset lacks); rows holding such an id, and zero units, are
         # dropped, the units are scaled by the support h * w, and one product
-        # with the place values keys each row
+        # with the place values keys each row.  A shape whose rows cover most
+        # of its keys is spread over all of them to find its baseline
         code = np.array([tileset.index.get(i, -1) for i in potential.ids], dtype=np.int64)
         lacks = code.min(initial=0) < 0
         self._shapes = {}
@@ -238,22 +250,32 @@ class TorusConfig:
                 rows, units = rows[keep], list(compress(units, keep.tolist()))
             if not units:
                 continue
-            k = h * w
+            k, size = h * w, ntiles ** (h * w)
             place = np.array([ntiles ** e for e in range(k - 1, -1, -1)],
-                             dtype=np.int64 if ntiles ** k <= 1 << 63 else object)
-            keys = (rows @ place).tolist()
-            if units.count(units[0]) == len(units):  # one weight, scaled once
-                table = dict.fromkeys(keys, units[0] * k)
-            else:
-                table = dict(zip(keys, map(mul, units, repeat(k))))
+                             dtype=np.int64 if size <= 1 << 63 else object)
+            keys = rows @ place
+            same = units.count(units[0]) == len(units)  # one weight, scaled once
+            values = units[0] * k if same else list(map(mul, units, repeat(k)))
+            base = 0
+            if 2 * len(units) > size:
+                top = values if same else max(values)
+                dense = np.zeros(size, np.int64 if top < 1 << 63 else object)
+                dense[keys] = values
+                levels, counts = np.unique(dense, return_counts=True)
+                base = int(levels[counts.argmax()])  # the least on a tie
+                keys = np.flatnonzero(dense != base)
+                values, same = (dense[keys] - base).tolist(), False
+            keys = keys.tolist()
+            table = dict.fromkeys(keys, values) if same else dict(zip(keys, values))
             offsets = tuple(iter_product(range(h), range(w)))
-            self._shapes[h, w] = (table, place, anchor_cells(offsets, cells.shape, True)[2])
+            self._shapes[h, w] = (table, place, anchor_cells(offsets, cells.shape, True)[2],
+                                  base)
         flat = cells.ravel()
         self._keys = list(chain.from_iterable(
-            (flat[at] @ place).tolist() for _, place, at in self._shapes.values()))
+            (flat[at] @ place).tolist() for _, place, at, _ in self._shapes.values()))
         terms = [[] for _ in range(side * side)]
         first = 0  # the shape's first occurrence
-        for table, place, at in self._shapes.values():
+        for table, place, at, _ in self._shapes.values():
             get = table.get
             for m, column in zip(place.tolist(), at.T.tolist()):
                 for o, p in enumerate(column, first):
@@ -269,8 +291,9 @@ class TorusConfig:
     def recompute_energy(self) -> Fraction:
         """Full from-scratch scan of the current cells."""
         flat = self.cells.ravel()
-        return Fraction(sum(sum(map(table.get, (flat[at] @ place).tolist(), repeat(0)))
-                            for table, place, at in self._shapes.values()),
+        return Fraction(sum(base * len(at) + sum(map(table.get, (flat[at] @ place).tolist(),
+                                                     repeat(0)))
+                            for table, place, at, base in self._shapes.values()),
                         self._denominator)
 
 
@@ -369,15 +392,16 @@ def boltzmann_exact(tileset: Tileset, potential: Potential, side: int,
     # shape's dense value table along its cells' axes, ascending.  The
     # smallest unsigned type that holds the largest possible level can never
     # overflow (Python ints past 64 bits)
-    top = sum(max(table.values()) * len(at) for table, _, at in scratch._shapes.values())
+    top = sum((base + max(0, max(table.values(), default=0))) * len(at)
+              for table, _, at, base in scratch._shapes.values())
     dtype = np.min_scalar_type(top)
     if count == 1:  # numpy allows at most 64 axes; the one configuration is the scratch torus
         total = np.array([scratch._units], dtype)
     else:
         total = np.zeros((ntiles,) * ncells, dtype)
-        for table, place, at in scratch._shapes.values():
-            lut = np.zeros(ntiles ** len(place), dtype)
-            lut[list(table)] = list(table.values())
+        for table, place, at, base in scratch._shapes.values():
+            lut = np.full(ntiles ** len(place), base, dtype)
+            lut[list(table)] = [base + v for v in table.values()]
             lut = lut.reshape((ntiles,) * len(place))
             for cells in at:
                 shape = np.ones(ncells, np.intp)

@@ -87,7 +87,8 @@ class WordMeasure:
         return m
 
     def _keep(self, depth: int, nums: Sequence[int], den: int):
-        if den < 1 or sum(nums) != den:
+        # zeros skipped: each one added to a big running total copies it
+        if den < 1 or sum(filter(None, nums)) != den:
             raise InputError("weights must sum to 1 exactly")
         g = math.gcd(*nums)          # divides den too: den is their sum
         self.depth = depth
@@ -198,13 +199,13 @@ class ConditionalGridMeasure:
 
     @property
     def residual(self) -> Fraction:
-        return Fraction(self.den - sum(self.nums), self.den)
+        return Fraction(self.den - sum(filter(None, self.nums)), self.den)
 
     def blocked_mass(self) -> Fraction:
-        return Fraction(sum(self.nums), self.den)
+        return Fraction(sum(filter(None, self.nums)), self.den)
 
     def renormalized(self) -> WordMeasure:
-        mass = sum(self.nums)
+        mass = sum(filter(None, self.nums))
         if mass == 0:
             raise InputError("no blocked mass to renormalize")
         return WordMeasure.from_nums(self.depth, self.nums, mass)

@@ -114,6 +114,12 @@ def _line_pos(edge: str, side_dir: str) -> int:
     return 1 if side_dir == "n" else 0
 
 
+@lru_cache(maxsize=None)
+def _label(line, pos, arrow, px, py) -> EdgeLabel:
+    """One shared EdgeLabel per distinct value: the 88 tiles use 64."""
+    return EdgeLabel(line, pos, arrow, px, py)
+
+
 def tile_from_state(state) -> Tile:
     if isinstance(state, CrossState):
         par = 0 if state.bumpy else 1
@@ -121,10 +127,9 @@ def tile_from_state(state) -> Tile:
         for d in "nesw":
             if d in state.q:
                 other = state.q[0] if state.q[1] == d else state.q[1]
-                labels[d] = EdgeLabel(line=state.colour, pos=_line_pos(d, other),
-                                      arrow=d, px=par, py=par)
+                labels[d] = _label(state.colour, _line_pos(d, other), d, par, par)
             else:
-                labels[d] = EdgeLabel(arrow=d, px=par, py=par)
+                labels[d] = _label(None, None, d, par, par)
     else:
         vertical = state.away in "ns"
         px = 1 if vertical else state.par
@@ -139,13 +144,12 @@ def tile_from_state(state) -> Tile:
                     side_dir = rotate_direction(state.away) if left \
                         else opposite_direction(rotate_direction(state.away))
                     line, pos = colour, _line_pos(d, side_dir)
-                labels[d] = EdgeLabel(line=line, pos=pos, arrow=state.away, px=px, py=py)
+                labels[d] = _label(line, pos, state.away, px, py)
             else:
                 line = pos = None
                 if state.crossing is not None:
                     line, pos = state.crossing, _line_pos(d, opposite_direction(state.away))
-                labels[d] = EdgeLabel(line=line, pos=pos,
-                                      arrow=opposite_direction(d), px=px, py=py)
+                labels[d] = _label(line, pos, opposite_direction(d), px, py)
     return Tile(
         id=state_tile_id(state),
         north=labels["n"], east=labels["e"], south=labels["s"], west=labels["w"],

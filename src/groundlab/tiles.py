@@ -6,7 +6,7 @@ compatibility relation is generated programmatically from the labels and kept
 as two explicit adjacency matrices (horizontal and vertical), so tests can diff
 the full table.  Patches are finite rectangular fragments with optional holes.
 
-Edge labels carry up to four independent channels:
+Edge labels carry five independent channels:
   line   colour of a decoration line crossing the edge ('r'/'b'), or None
   pos    where the line crosses the edge: 0 = nearer the low-coordinate end,
          1 = nearer the high-coordinate end (None when there is no line)
@@ -15,7 +15,10 @@ Edge labels carry up to four independent channels:
 
 Two abutting edges are compatible when line, pos and arrow agree exactly and
 the parity bits are consistent with adjacent integer coordinates: px flips
-across a vertical edge, py flips across a horizontal edge.
+across a vertical edge, py flips across a horizontal edge.  A tileset reads
+each edge label as five small ints and builds each matrix with one array
+comparison of every tile's edge against every tile's facing edge, channel by
+channel.
 
 A pattern of cells is matched by array equality: `anchor_cells` gives each
 anchor's flat cells, and an anchor holds an occurrence when the codes there
@@ -52,6 +55,15 @@ def _json_fraction(pair) -> Fraction:
     return Fraction(pair[0], pair[1])
 
 
+def _json_typed(row: dict, key: str, kind: type, default):
+    """row[key], or default when absent.  A value of another type is a
+    TypeError: true, 1.9 and "2" are no int here, though int() takes them."""
+    value = row.get(key, default)
+    if type(value) is not kind:
+        raise TypeError(f"tile {key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 _CCW = {"n": "w", "w": "s", "s": "e", "e": "n"}
 _OPP = {"n": "s", "s": "n", "e": "w", "w": "e"}
 
@@ -75,7 +87,7 @@ class EdgeLabel:
     def __post_init__(self):
         if self.line is not None and self.line not in ("r", "b"):
             raise InputError(f"bad line colour {self.line!r}")
-        if self.arrow is not None and self.arrow not in "nesw":
+        if self.arrow is not None and self.arrow not in ("n", "e", "s", "w"):
             raise InputError(f"bad arrow {self.arrow!r}")
         for v in (self.pos, self.px, self.py):
             if v is not None and v not in (0, 1):
@@ -93,26 +105,6 @@ class EdgeLabel:
             px=bit(s[3]),
             py=bit(s[4]),
         )
-
-
-def _edges_match(a: EdgeLabel, b: EdgeLabel, fx: int, fy: int) -> bool:
-    """May edge a abut edge b?  Line, pos and arrow agree, and a parity bit
-    set on both sides flips across the edge when its flag (fx for px, fy for
-    py) is 1 and agrees when it is 0; an unset bit matches anything."""
-    return (a.line, a.pos, a.arrow, a.px, a.py) == (
-        b.line, b.pos, b.arrow,
-        a.px if a.px is None or b.px is None else b.px ^ fx,
-        a.py if a.py is None or b.py is None else b.py ^ fy)
-
-
-def h_edges_match(east_of_a: EdgeLabel, west_of_b: EdgeLabel) -> bool:
-    """May tile A sit immediately west of tile B?  px flips across the edge."""
-    return _edges_match(east_of_a, west_of_b, 1, 0)
-
-
-def v_edges_match(north_of_a: EdgeLabel, south_of_b: EdgeLabel) -> bool:
-    """May tile A sit immediately south of tile B?  py flips across the edge."""
-    return _edges_match(north_of_a, south_of_b, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -136,20 +128,25 @@ class ForbiddenPattern:
     cells: tuple
 
 
-def _compat(match, first: list, second: list) -> np.ndarray:
-    """[i, j] = match(first[i], second[j]), matched once per distinct label pair."""
-    (a, ia), (b, ib) = _distinct(first), _distinct(second)
-    small = np.array([[match(x, y) for y in b] for x in a], dtype=bool)
-    compat = small.reshape(len(a), len(b))[np.ix_(ia, ib)]
+# each channel value as a small int, an unset channel as -1
+_CHANNEL = {None: -1, "r": 0, "b": 1, "n": 0, "e": 1, "s": 2, "w": 3, 0: 0, 1: 1}
+
+
+def _compat(first: list, second: list, fx: int, fy: int) -> np.ndarray:
+    """[i, j]: may edge first[i] abut edge second[j]?  One comparison over
+    the five channels: line, pos and arrow agree, and a parity bit set on
+    both sides flips across the edge when its flag (fx for px, fy for py) is
+    1 and agrees when it is 0; an unset bit matches anything."""
+    # channel-first and contiguous, so each channel compares as one block
+    a, b = (np.array([[_CHANNEL[v] for v in (x.line, x.pos, x.arrow, x.px, x.py)]
+                      for x in labels], dtype=np.int8).reshape(-1, 5).T.copy()
+            for labels in (first, second))
+    a, b = a[:, :, None], b[:, None]
+    flip = np.array([0, 0, 0, fx, fy], dtype=np.int8)[:, None, None]
+    parity = np.array([False, False, False, True, True])[:, None, None]
+    compat = ((a == b ^ flip) | parity & ((a < 0) | (b < 0))).all(axis=0)
     compat.flags.writeable = False  # a tileset may be shared
     return compat
-
-
-def _distinct(labels: list) -> tuple:
-    """The distinct labels in first-seen order, and each label's position there."""
-    seen: dict = {}
-    positions = np.array([seen.setdefault(x, len(seen)) for x in labels], dtype=np.intp)
-    return list(seen), positions
 
 
 class Tileset:
@@ -164,10 +161,11 @@ class Tileset:
         if not all(p.cells for p in self.extra_forbidden):
             raise InputError("forbidden pattern with no cells")
         # h_compat[a, b]: a may sit west of b; v_compat[a, b]: a may sit south of b
-        self.h_compat = _compat(h_edges_match, [t.east for t in self.tiles],
-                                [t.west for t in self.tiles])
-        self.v_compat = _compat(v_edges_match, [t.north for t in self.tiles],
-                                [t.south for t in self.tiles])
+        # px flips across a vertical edge, py across a horizontal one
+        self.h_compat = _compat([t.east for t in self.tiles],
+                                [t.west for t in self.tiles], 1, 0)
+        self.v_compat = _compat([t.north for t in self.tiles],
+                                [t.south for t in self.tiles], 0, 1)
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -189,8 +187,8 @@ class Tileset:
                     east=EdgeLabel.decode(row["east"]),
                     south=EdgeLabel.decode(row["south"]),
                     west=EdgeLabel.decode(row["west"]),
-                    template=row.get("template", ""),
-                    rotation=int(row.get("rotation", 0)),
+                    template=_json_typed(row, "template", str, ""),
+                    rotation=_json_typed(row, "rotation", int, 0),
                 )
                 for row in doc["tiles"]
             ]

@@ -608,12 +608,17 @@ def test_gibbs_refuses_potential_naming_missing_tiles(tmp_path, capsys):
 _BLANK = "....."
 _TILE_A = {"id": "A", "north": _BLANK, "east": _BLANK, "south": _BLANK,
            "west": _BLANK}
-# a tile id that is a list; forbidden cells whose tile is a list or whose
-# offset is a string; a forbidden pattern, which no torus potential can
-# carry; a forbidden pattern with no cells; and the acceptance-7 toy
-# potential, to pair with the forbidden pattern
+# a tile id that is a list; a rotation that is a float, a bool or a string,
+# each of which int() would take; a template that is a list; forbidden cells
+# whose tile is a list or whose offset is a string; a forbidden pattern,
+# which no torus potential can carry; a forbidden pattern with no cells; and
+# the acceptance-7 toy potential, to pair with the forbidden pattern
 BAD_TILESETS = {
     "list-id.json": {"tiles": [{**_TILE_A, "id": ["A"]}]},
+    "rotation-float.json": {"tiles": [{**_TILE_A, "rotation": 1.9}]},
+    "rotation-true.json": {"tiles": [{**_TILE_A, "rotation": True}]},
+    "rotation-text.json": {"tiles": [{**_TILE_A, "rotation": "2"}]},
+    "template-list.json": {"tiles": [{**_TILE_A, "template": ["cross"]}]},
     "list-cell.json": {"tiles": [_TILE_A],
                        "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": ["A"]}]}]},
     "text-dx.json": {"tiles": [_TILE_A],
@@ -682,6 +687,11 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     (("thermo", "--r", "100000000000000000000", "--csv", "{tmp}/t.csv"),
      "interaction range r must be <= 2^54 - 2 at scale 1"),
     (_gibbs_toy(tileset="{tmp}/no-tiles.json"), "tileset has no tiles"),
+    *[(_gibbs_toy(tileset="{tmp}/" + name), field)
+      for name, field in [("rotation-float.json", "tile rotation must be int, got 1.9"),
+                          ("rotation-true.json", "tile rotation must be int, got True"),
+                          ("rotation-text.json", "tile rotation must be int, got '2'"),
+                          ("template-list.json", "tile template must be str, got ['cross']")]],
     *[(("verify-markers", "--markers", "{tmp}/" + name, "--out", "{tmp}/v.json"), field)
       for name, field in [("tau-over-zero.json", "malformed marker json"),
                           ("negative-tau.json", "tau must be >= 0"),

@@ -3,6 +3,7 @@
 (tests/gibbs_oracle.py)."""
 
 from fractions import Fraction
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbs_oracle as oracle
-from groundlab.gibbs import Potential, boltzmann_exact, metropolis
+import pattern_oracle
+from groundlab.gibbs import Potential, TorusConfig, boltzmann_exact, metropolis, trace_csv
 from groundlab.markers import MarkerSet
 from groundlab.tiles import BudgetExceeded, EdgeLabel, Patch, Tile, Tileset
 
@@ -21,9 +23,9 @@ BETAS = [0.0, 1 / 3, 1.0, 3.0]
 BUDGET = 600  # enumerations past this raise BudgetExceeded on both sides
 
 
-def free_tileset(n):
+def free_tileset(n, ids=IDS):
     lab = EdgeLabel()
-    return Tileset([Tile(i, lab, lab, lab, lab) for i in IDS[:n]])
+    return Tileset([Tile(i, lab, lab, lab, lab) for i in ids[:n]])
 
 
 @st.composite
@@ -113,3 +115,65 @@ def test_metropolis_matches_oracle(case, data):
     assert got.accepted == want.accepted
     assert np.array_equal(got.config.cells, want.config.cells)
     assert got.config.energy == got.config.recompute_energy()
+
+
+DENSE_IDS = "ABCD"
+
+
+@st.composite
+def dense_case(draw):
+    """free:2 to free:4, a side 2-3 torus, the (rows, weight) list of a
+    potential whose shapes each give one common non-zero weight to at least
+    half (rounded down) of their ntiles^k keys, the other keys taking mixed
+    weights, zero included, or none, and a chain's beta, steps and seed.
+    Shapes: 1 x 1, 1 x 2, 2 x 1, and 2 x 2 on free:2."""
+    n, side = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    ids = DENSE_IDS[:n]
+    shapes = [(1, 1), (1, 2), (2, 1)] + ([(2, 2)] if n == 2 else [])
+    pairs = []
+    for h, w in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=3, unique=True)):
+        keys = draw(st.permutations(list(iter_product(ids, repeat=h * w))))
+        common = draw(st.sampled_from(WEIGHTS[1:]))
+        held = draw(st.integers(len(keys) // 2, len(keys)))
+        for i, key in enumerate(keys[:draw(st.integers(held, len(keys)))]):
+            weight = common if i < held else draw(st.sampled_from(WEIGHTS))
+            pairs.append(([list(key[j * w:(j + 1) * w]) for j in range(h)], weight))
+    cells = np.array(draw(id_rows(side, side, list(range(n)))), dtype=np.int64)
+    chain = (draw(st.sampled_from(BETAS)), draw(st.integers(1, 200)),
+             draw(st.integers(0, 2 ** 32)))
+    return free_tileset(n, DENSE_IDS), pairs, cells, chain
+
+
+@given(dense_case())
+# every domino but A A forbidden, Robinson's case in small: the baseline is
+# the forbidden weight and the table keeps the one allowed key
+@example(case=(free_tileset(2), [(rows, 1) for rows in ([["A", "B"]], [["B", "A"]],
+                                                         [["B", "B"]])],
+               np.array([[0, 1], [1, 1]]), (1.0, 200, 7)))
+@settings(max_examples=60, deadline=None)
+def test_dense_potentials_match_oracle(case):
+    tileset, pairs, cells, (beta, steps, seed) = case
+    potential = Potential.from_patterns(pairs)
+    compiled = pattern_oracle.compile_patterns(pairs, tileset)
+    config = TorusConfig(tileset, potential, cells)
+    assert config.energy == config.recompute_energy() \
+        == pattern_oracle.recompute_energy(compiled, cells)
+    # every local rise, each move made and taken back
+    side = len(cells)
+    for y, x, t in iter_product(range(side), range(side), range(len(tileset))):
+        old, after = int(cells[y, x]), cells.copy()
+        after[y, x] = t
+        assert oracle.set_cell(config, x, y, t) == (
+            pattern_oracle.occurrences_at(compiled, after, x, y)
+            - pattern_oracle.occurrences_at(compiled, cells, x, y))
+        oracle.set_cell(config, x, y, old)
+    assert config.energy == pattern_oracle.recompute_energy(compiled, cells)
+    got = metropolis(tileset, potential, side, beta, steps, seed, cadence=7)
+    want = oracle.metropolis(tileset, pairs, side, beta, steps, seed, cadence=7)
+    assert trace_csv(got) == trace_csv(want)
+    assert got.accepted == want.accepted
+    try:
+        table = oracle.boltzmann_exact(tileset, pairs, side, beta, BUDGET)
+    except BudgetExceeded:
+        return
+    assert boltzmann_exact(tileset, potential, side, beta, budget=BUDGET) == table

@@ -56,17 +56,23 @@ def torus_case(draw):
 
 def local(config, y, x):
     """Units of the occurrences covering cell (y, x), read through the
-    config's per-cell terms at its current keys."""
-    return sum(get(config._keys[o], 0) for o, _, get in config._terms[y * config.side + x])
+    config's per-cell terms at its current keys, plus each shape's baseline
+    once per cell of the shape: every shape covers each cell that often."""
+    return (sum(get(config._keys[o], 0) for o, _, get in config._terms[y * config.side + x])
+            + sum(base * len(place) for _, place, _, base in config._shapes.values()))
 
 
 def keyed_tables(config, ntiles):
     """The config's int-keyed tables in the form `oracle.potential_tables`
-    groups them: each shape as its offsets, each key decoded by its place
-    values into its codes (one code for a 1-cell shape)."""
+    groups them: each shape as its offsets, each key of non-zero value (its
+    baseline plus its table entry) decoded by its place values into its
+    codes (one code for a 1-cell shape)."""
     out = {}
-    for (h, w), (table, place, _) in config._shapes.items():
-        decoded = {tuple(key // m % ntiles for m in place.tolist()): v for key, v in table.items()}
+    for (h, w), (table, place, _, base) in config._shapes.items():
+        values = {key: base + table.get(key, 0)
+                  for key in (range(ntiles ** len(place)) if base else table)}
+        decoded = {tuple(key // m % ntiles for m in place.tolist()): v
+                   for key, v in values.items() if v}
         out[tuple(iter_product(range(h), range(w)))] = {
             (codes if len(codes) > 1 else codes[0]): v for codes, v in decoded.items()}
     return out

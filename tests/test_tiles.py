@@ -20,8 +20,6 @@ from groundlab.tiles import (
     Tileset,
     check_patch,
     count_admissible,
-    h_edges_match,
-    v_edges_match,
 )
 
 
@@ -54,32 +52,47 @@ def test_edge_label_validation():
         EdgeLabel(line="g")
     with pytest.raises(InputError):
         EdgeLabel(arrow="x")
+    for arrow in ("ne", ""):  # substrings of "nesw", no arrows
+        with pytest.raises(InputError):
+            EdgeLabel(arrow=arrow)
     with pytest.raises(InputError):
         EdgeLabel(px=2)
     with pytest.raises(InputError):
         EdgeLabel.decode("abc")
 
 
+def h_fits(a, b) -> bool:
+    """May an edge labelled a sit west of one labelled b?  Read off the
+    horizontal matrix of two tiles whose every edge carries a, and b."""
+    return bool(Tileset([Tile("a", a, a, a, a), Tile("b", b, b, b, b)]).h_compat[0, 1])
+
+
+def v_fits(a, b) -> bool:
+    """May an edge labelled a sit south of one labelled b?  Read off the
+    vertical matrix of the same two tiles."""
+    return bool(Tileset([Tile("a", a, a, a, a), Tile("b", b, b, b, b)]).v_compat[0, 1])
+
+
 def test_parity_semantics():
     # px flips across a vertical edge, py flips across a horizontal edge,
     # None is unconstrained on either side
     a = plain(px=0, py=1)
-    assert h_edges_match(a, plain(px=1, py=1))
-    assert not h_edges_match(a, plain(px=0, py=1))
-    assert not h_edges_match(a, plain(px=1, py=0))
-    assert h_edges_match(a, plain(px=None, py=None))
-    assert h_edges_match(plain(), plain(px=0, py=0))
-    assert v_edges_match(a, plain(px=0, py=0))
-    assert not v_edges_match(a, plain(px=0, py=1))
+    assert h_fits(a, plain(px=1, py=1))
+    assert not h_fits(a, plain(px=0, py=1))
+    assert not h_fits(a, plain(px=1, py=0))
+    assert h_fits(a, plain(px=None, py=None))
+    assert h_fits(plain(), plain(px=0, py=0))
+    assert v_fits(a, plain(px=0, py=0))
+    assert not v_fits(a, plain(px=0, py=1))
 
 
 def test_line_and_arrow_must_agree_exactly():
-    assert not h_edges_match(plain(line="r", pos=0), plain(line="b", pos=0))
-    assert not h_edges_match(plain(line="r", pos=0), plain(line="r", pos=1))
-    assert not h_edges_match(plain(line="r", pos=0), plain())
-    assert not v_edges_match(plain(arrow="n"), plain(arrow="s"))
-    assert v_edges_match(plain(line="b", pos=1, arrow="n"),
-                         plain(line="b", pos=1, arrow="n"))
+    assert not h_fits(plain(line="r", pos=0), plain(line="b", pos=0))
+    assert not h_fits(plain(line="r", pos=0), plain(line="r", pos=1))
+    assert not h_fits(plain(line="r", pos=0), plain())
+    assert not v_fits(plain(arrow="n"), plain(arrow="s"))
+    assert v_fits(plain(line="b", pos=1, arrow="n"),
+                  plain(line="b", pos=1, arrow="n"))
 
 
 def test_tile_rotation_returns_to_start():
@@ -123,9 +136,9 @@ def test_rotation_preserves_adjacency():
 
     for _ in range(300):
         a, b = rand_tile("a"), rand_tile("b")
-        ra, rb = tiles_oracle.rotated(a), tiles_oracle.rotated(b)
-        assert h_edges_match(a.east, b.west) == v_edges_match(ra.north, rb.south)
-        assert v_edges_match(a.north, b.south) == h_edges_match(rb.east, ra.west)
+        ts, turned = Tileset([a, b]), Tileset(map(tiles_oracle.rotated, (a, b)))
+        assert ts.h_compat[0, 1] == turned.v_compat[0, 1]
+        assert ts.v_compat[0, 1] == turned.h_compat[1, 0]
 
 
 def parity_tileset():
@@ -321,6 +334,15 @@ def test_tileset_rejects_bad_input():
         Tileset.from_json(json.dumps({"tiles": [{"id": "a"}]}))
     with pytest.raises(InputError, match="forbidden"):
         Tileset([uniform_tile("A")], extra_forbidden=[ForbiddenPattern(())])
+    # int() would read each of these rotations as an int, and a template
+    # may be any JSON value; all are refused
+    tile = {"id": "a", "north": ".....", "east": ".....", "south": ".....", "west": "....."}
+    for key, value in (("rotation", True), ("rotation", 1.9), ("rotation", "2"),
+                       ("template", 5), ("template", ["arm"]), ("template", None)):
+        with pytest.raises(InputError, match=f"tile {key} must be"):
+            Tileset.from_json(json.dumps({"tiles": [{**tile, key: value}]}))
+    back = Tileset.from_json(json.dumps({"tiles": [{**tile, "rotation": -3}]}))
+    assert back.tiles[0].rotation == -3
 
 
 # few values per channel, so that labels repeat and pairs of them match
@@ -331,6 +353,7 @@ edge_labels = st.builds(EdgeLabel, line=st.sampled_from([None, "r"]),
 
 
 @given(st.lists(st.tuples(edge_labels, edge_labels, edge_labels, edge_labels), max_size=12))
+@example(edges=[])  # no tiles: two 0 x 0 matrices
 @settings(max_examples=80, deadline=None)
 def test_compat_matches_pair_by_pair_loop(edges):
     tiles = [Tile(f"t{i}", *e) for i, e in enumerate(edges)]
@@ -357,8 +380,9 @@ any_edge_labels = st.builds(EdgeLabel, line=st.sampled_from([None, "r", "b"]),
 @given(st.one_of(edge_labels, any_edge_labels), st.one_of(edge_labels, any_edge_labels))
 @settings(max_examples=300, deadline=None)
 def test_edge_predicate_matches_per_axis_copies(a, b):
-    assert h_edges_match(a, b) == tiles_oracle.h_edges_match(a, b)
-    assert v_edges_match(a, b) == tiles_oracle.v_edges_match(a, b)
+    # the matrices of a two-tile set against the per-axis predicates
+    assert h_fits(a, b) == tiles_oracle.h_edges_match(a, b)
+    assert v_fits(a, b) == tiles_oracle.v_edges_match(a, b)
 
 
 @given(st.lists(st.tuples(edge_labels, edge_labels, edge_labels, edge_labels),

@@ -1,10 +1,10 @@
 """Straight-line references for `groundlab.tiles`.
 
-`h_edges_match` and `v_edges_match` are the two edge predicates that the
-library's one parity-flag predicate replaced, a copy per axis.
-`compat_matrices` is the pair-by-pair compatibility loop that `Tileset`
-replaced: every ordered tile pair is matched on its own with those two
-predicates, east against west and north against south, with no sharing
+`h_edges_match` and `v_edges_match` are the edge predicates, a copy per
+axis, that the library's one array comparison over the five label channels
+replaced.  `compat_matrices` is the pair-by-pair compatibility loop that
+`Tileset` replaced: every ordered tile pair is matched on its own with those
+two predicates, east against west and north against south, with no sharing
 between pairs of equal labels.  `same_cells` is the id-by-id comparison that
 `Patch.same_cells` replaced.  `count_exhaustive` is the leaf-checking walk
 that `count_admissible`'s one sweep replaced.

@@ -687,11 +687,6 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
     (("thermo", "--r", "100000000000000000000", "--csv", "{tmp}/t.csv"),
      "interaction range r must be <= 2^54 - 2 at scale 1"),
     (_gibbs_toy(tileset="{tmp}/no-tiles.json"), "tileset has no tiles"),
-    *[(_gibbs_toy(tileset="{tmp}/" + name), field)
-      for name, field in [("rotation-float.json", "tile rotation must be int, got 1.9"),
-                          ("rotation-true.json", "tile rotation must be int, got True"),
-                          ("rotation-text.json", "tile rotation must be int, got '2'"),
-                          ("template-list.json", "tile template must be str, got ['cross']")]],
     *[(("verify-markers", "--markers", "{tmp}/" + name, "--out", "{tmp}/v.json"), field)
       for name, field in [("tau-over-zero.json", "malformed marker json"),
                           ("negative-tau.json", "tau must be >= 0"),
@@ -701,6 +696,11 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
                           ("row-strings.json", "not strings")]],
     *[((*_gibbs_toy(), "--potential", "{tmp}/" + name), "not strings")
       for name in BAD_POTENTIALS],
+    *[(_gibbs_toy(tileset="{tmp}/" + name), field)
+      for name, field in [("rotation-float.json", "tile rotation must be int, got 1.9"),
+                          ("rotation-true.json", "tile rotation must be int, got True"),
+                          ("rotation-text.json", "tile rotation must be int, got '2'"),
+                          ("template-list.json", "tile template must be str, got ['cross']")]],
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
     for name, doc in {**BAD_TILESETS, **BAD_MARKERS, **BAD_POTENTIALS}.items():

@@ -229,12 +229,12 @@ def _run_render(cfg):
     Param("out", str, required=True, help="output JSON path"),
 ])
 def _run_verify_markers(cfg):
-    if cfg["markers"]:
-        markers = MarkerSet.from_json(_read_text(cfg["markers"]))
+    if cfg["markers"]:  # a marker file builds no scale, so none is reported
+        markers, doc = MarkerSet.from_json(_read_text(cfg["markers"])), {}
     else:
-        markers = robinson_marker_set(cfg["scale"])
+        markers, doc = robinson_marker_set(cfg["scale"]), {"scale": cfg["scale"]}
     bad = verify_nonoverlap(markers)
-    doc = {"scale": cfg["scale"], "patterns": len(markers.patterns)}
+    doc["patterns"] = len(markers.patterns)
     if markers.width == markers.height:  # side and window need square markers
         doc["side"] = markers.ell
         doc["window"] = markers.m

@@ -53,7 +53,6 @@ one level and a walk over every entry reads the ids once.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -68,7 +67,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .markers import MarkerSet
-from .tiles import BudgetExceeded, InputError, Tileset, _json_fraction, anchor_cells, id_rows
+from .tiles import (BudgetExceeded, InputError, Tileset, _json_field, _json_fraction, _read_json,
+                    anchor_cells, id_rows)
 
 _Q = Union[int, Fraction]
 
@@ -173,13 +173,10 @@ class Potential:
 
     @classmethod
     def from_json(cls, text: str) -> "Potential":
-        try:  # InputError is a ValueError
-            doc = json.loads(text)
-            return cls.from_patterns(
-                [(entry["rows"], _json_fraction(entry["weight"]))
-                 for entry in doc["patterns"]])
-        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed potential json: {exc}") from exc
+        # from_patterns checks inside the read: its refusals name the file
+        return _read_json("potential", text, lambda doc: cls.from_patterns(
+            [(_json_field(entry, "rows", list, of=list), _json_fraction(entry, "weight"))
+             for entry in _json_field(doc, "patterns", list)]))
 
 
 def adjacency_potential(tileset: Tileset) -> Potential:

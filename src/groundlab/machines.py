@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .measures import WordMeasure, _check_depth, word_index
-from .tiles import BudgetExceeded, InputError
+from .tiles import BudgetExceeded, InputError, _json_field, _read_json
 
 DESK_BUDGET_CAP = 10_000_000
 
@@ -109,28 +109,22 @@ def machine_to_json(m: Machine) -> str:
 
 
 def machine_from_json(text: str, name: str = "") -> Machine:
-    try:
-        doc = json.loads(text)
+    """The machine of a `machine_to_json` document.  A move is read as given:
+    `Machine` refuses any but the ints -1 and +1."""
+    def read(doc):
         delta = {}
-        for row in doc["delta"]:
-            key = (row["state"], row["read"])
+        for row in _json_field(doc, "delta", list):
+            key = _json_field(row, "state", str), _json_field(row, "read", str)
             if key in delta:
                 raise InputError(f"duplicate rule for {key}")
-            delta[key] = (row["next"], row["write"], row["move"])
-        return Machine(
-            states=tuple(doc["states"]),
-            initial=doc["initial"],
-            finals=frozenset(doc["final"]),
-            input_alphabet=tuple(doc["input_alphabet"]),
-            tape_alphabet=tuple(doc["tape_alphabet"]),
-            blank=doc["blank"],
-            delta=delta,
-            name=name,
-        )
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed machine json: {exc}") from exc
+            delta[key] = (_json_field(row, "next", str), _json_field(row, "write", str),
+                          row["move"])
+        strings = lambda key: _json_field(doc, key, list, of=str)
+        return dict(states=strings("states"), initial=_json_field(doc, "initial", str),
+                    finals=frozenset(strings("final")), input_alphabet=strings("input_alphabet"),
+                    tape_alphabet=strings("tape_alphabet"), blank=_json_field(doc, "blank", str),
+                    delta=delta)
+    return Machine(**_read_json("machine", text, read), name=name)
 
 
 @dataclass

@@ -16,7 +16,6 @@ patterns in one array equality.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -25,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .robinson import ORIENTATIONS, build_macro_tile
-from .tiles import HOLE, InputError, Patch, _json_fraction, anchor_cells
+from .tiles import HOLE, InputError, Patch, _json_field, _json_fraction, _read_json, anchor_cells
 
 
 class MarkerSet:
@@ -97,12 +96,10 @@ class MarkerSet:
 
     @classmethod
     def from_json(cls, text: str) -> "MarkerSet":
-        try:
-            doc = json.loads(text)
-            tau = _json_fraction(doc["tau"])
-            patterns = [Patch.from_ids(p["rows"]) for p in doc["patterns"]]
-        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed marker json: {exc}") from exc
+        tau, patterns = _read_json("marker", text, lambda doc: (
+            _json_fraction(doc, "tau"),
+            [Patch.from_ids(_json_field(p, "rows", list, of=list))
+             for p in _json_field(doc, "patterns", list)]))
         return cls(patterns, tau)
 
 

@@ -19,25 +19,20 @@ the opposite colour crosses them halfway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import List, Optional
 
 import numpy as np
 
-from .tiles import (
-    EdgeLabel,
-    InputError,
-    Patch,
-    Tile,
-    Tileset,
-    opposite_direction,
-    rotate_direction,
-)
+from .tiles import EdgeLabel, InputError, Patch, Tile, Tileset
 
 ORIENTATIONS = ("ne", "nw", "sw", "se")
 ARM_DIRECTIONS = ("s", "e", "n", "w")  # rotation 0..3 of the base south arm
 
 _STEP = {"n": (0, 1), "e": (1, 0), "s": (0, -1), "w": (-1, 0)}
+# each direction a quarter turn counterclockwise, and turned around
+_CCW = {"n": "w", "w": "s", "s": "e", "e": "n"}
+_OPP = {"n": "s", "s": "n", "e": "w", "w": "e"}
 
 
 def colour_of_scale(s: int) -> str:
@@ -114,7 +109,7 @@ def _line_pos(edge: str, side_dir: str) -> int:
     return 1 if side_dir == "n" else 0
 
 
-@lru_cache(maxsize=None)
+@cache
 def _label(line, pos, arrow, px, py) -> EdgeLabel:
     """One shared EdgeLabel per distinct value: the 88 tiles use 64."""
     return EdgeLabel(line, pos, arrow, px, py)
@@ -141,15 +136,14 @@ def tile_from_state(state) -> Tile:
                 line = pos = None
                 if state.principal is not None:
                     colour, left = state.principal
-                    side_dir = rotate_direction(state.away) if left \
-                        else opposite_direction(rotate_direction(state.away))
+                    side_dir = _CCW[state.away] if left else _OPP[_CCW[state.away]]
                     line, pos = colour, _line_pos(d, side_dir)
                 labels[d] = _label(line, pos, state.away, px, py)
             else:
                 line = pos = None
                 if state.crossing is not None:
-                    line, pos = state.crossing, _line_pos(d, opposite_direction(state.away))
-                labels[d] = _label(line, pos, opposite_direction(d), px, py)
+                    line, pos = state.crossing, _line_pos(d, _OPP[state.away])
+                labels[d] = _label(line, pos, _OPP[d], px, py)
     return Tile(
         id=state_tile_id(state),
         north=labels["n"], east=labels["e"], south=labels["s"], west=labels["w"],
@@ -179,7 +173,7 @@ def _centre_cells(n: int, q: str):
         principal = None
         if d in q:
             other = q[0] if q[1] == d else q[1]
-            principal = (colour, rotate_direction(d) == other)
+            principal = (colour, _CCW[d] == other)
         # the arm cell at distance j has parity (j + 1) % 2
         yield dx, dy, range(cross_at, cross_at + 1), ArmState(
             d, (cross_at + 1) % 2, principal, colour_of_scale(n - 1))
@@ -218,7 +212,7 @@ def build_state_grid(n: int, q: str = "ne") -> np.ndarray:
     return _state_grid(n, q)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _state_grid(n: int, q: str) -> np.ndarray:
     if n == 1:
         grid = np.array([[_CODE[CrossState(q, "b", True)]]], dtype=np.int32)

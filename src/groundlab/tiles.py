@@ -25,6 +25,12 @@ anchor's flat cells, and an anchor holds an occurrence when the codes there
 equal the pattern's.  `check_patch` reads the extra forbidden patterns so,
 `count_admissible` lists each occurrence at the last cell it covers, and
 `markers.MarkerSet.covered` compares a grid with all its patterns at once.
+
+Every input file, a tileset, potential, marker or machine file, is parsed by
+`_read_json`, which turns a wrongly shaped document into one InputError
+"malformed {kind} json: ...".  A reader takes each field by `_json_field`,
+only when its JSON type is exactly the one asked for, and each pair by
+`_json_fraction`, only as two integers.
 """
 
 from __future__ import annotations
@@ -47,33 +53,51 @@ class BudgetExceeded(RuntimeError):
     """An exact search or count ran out of its node budget."""
 
 
-def _json_fraction(pair) -> Fraction:
-    """The Fraction of a JSON [numerator, denominator] pair; a boolean or a
-    float in it is a TypeError, where `Fraction` would read true as 1."""
-    if type(pair[0]) is not int or type(pair[1]) is not int:
-        raise TypeError(f"expected two integers, got {pair!r}")
-    return Fraction(pair[0], pair[1])
+def _read_json(kind: str, text: str, build):
+    """build(doc) of the JSON document `text`, the one parse of every input
+    file.  An error a wrongly shaped document raises in build, a missing key,
+    a mistyped field or a refused value, is one InputError "malformed {kind}
+    json: ..."; a check made after the read, such as `Machine`'s, keeps its
+    own message."""
+    try:
+        return build(json.loads(text))
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed {kind} json: {exc}") from exc
 
 
-def _json_typed(row: dict, key: str, kind: type, default):
-    """row[key], or default when absent.  A value of another type is a
-    TypeError: true, 1.9 and "2" are no int here, though int() takes them."""
-    value = row.get(key, default)
+_REQUIRED = object()
+# each JSON type in the plural, for the messages of `_json_field`
+_JSON_TYPES = {dict: "objects", list: "lists", str: "strings", int: "integers",
+               float: "floats", bool: "booleans", type(None): "nulls"}
+
+
+def _json_field(obj: dict, key: str, kind: type, default=_REQUIRED, of: type = None):
+    """obj[key], or default when absent and given, if its JSON type is exactly
+    `kind`, and with `of` each entry's is `of`.  Anything else is a TypeError
+    naming key: true, 1.9 and "2" are no int, a string is no list and a list
+    no string, though int(), tuple() and str() take them."""
+    if type(obj) is not dict:
+        raise TypeError(f"expected an object holding {key}, not {_JSON_TYPES[type(obj)]}")
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
     if type(value) is not kind:
-        raise TypeError(f"tile {key} must be {kind.__name__}, got {value!r}")
+        raise TypeError(f"{key} takes {_JSON_TYPES[kind]}, not "
+                        f"{_JSON_TYPES[type(value)]}: {value!r}")
+    wrong = [type(entry) for entry in value if type(entry) is not of] if of else []
+    if wrong:
+        raise TypeError(f"{key} takes lists of {_JSON_TYPES[of]}, not "
+                        f"{_JSON_TYPES[wrong[0]]}: {value!r}")
     return value
 
 
-_CCW = {"n": "w", "w": "s", "s": "e", "e": "n"}
-_OPP = {"n": "s", "s": "n", "e": "w", "w": "e"}
-
-
-def rotate_direction(d: str) -> str:
-    return _CCW[d]
-
-
-def opposite_direction(d: str) -> str:
-    return _OPP[d]
+def _json_fraction(obj: dict, key: str) -> Fraction:
+    """The Fraction of the [numerator, denominator] pair obj[key]: exactly
+    two integers, where `Fraction` would read true as 1."""
+    pair = _json_field(obj, key, list)
+    if len(pair) != 2:
+        raise TypeError(f"{key} takes a [numerator, denominator] pair, got {pair!r}")
+    if type(pair[0]) is not int or type(pair[1]) is not int:
+        raise TypeError(f"expected two integers, got {pair!r}")
+    return Fraction(*pair)
 
 
 @dataclass(frozen=True)
@@ -178,33 +202,19 @@ class Tileset:
 
     @classmethod
     def from_json(cls, text: str) -> "Tileset":
-        try:
-            doc = json.loads(text)
-            tiles = [
-                Tile(
-                    id=row["id"],
-                    north=EdgeLabel.decode(row["north"]),
-                    east=EdgeLabel.decode(row["east"]),
-                    south=EdgeLabel.decode(row["south"]),
-                    west=EdgeLabel.decode(row["west"]),
-                    template=_json_typed(row, "template", str, ""),
-                    rotation=_json_typed(row, "rotation", int, 0),
-                )
-                for row in doc["tiles"]
-            ]
-            forbidden = [
-                ForbiddenPattern(tuple((c["dx"], c["dy"], c["tile"]) for c in row["cells"]))
-                for row in doc.get("forbidden", [])
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed tileset json: {exc}") from exc
-        if not all(isinstance(t.id, str) for t in tiles):
-            raise InputError("malformed tileset json: tile ids must be strings")
-        if not all(isinstance(tid, str) and type(dx) is int and type(dy) is int
-                   for p in forbidden for dx, dy, tid in p.cells):
-            raise InputError("malformed tileset json: forbidden cells need "
-                             "integer dx, dy and a tile id string")
-        return cls(tiles, forbidden)
+        def read(doc):
+            tiles = [Tile(_json_field(row, "id", str),
+                          *(EdgeLabel.decode(_json_field(row, side, str))
+                            for side in ("north", "east", "south", "west")),
+                          template=_json_field(row, "template", str, ""),
+                          rotation=_json_field(row, "rotation", int, 0))
+                     for row in _json_field(doc, "tiles", list)]
+            forbidden = [ForbiddenPattern(tuple(
+                (_json_field(c, "dx", int), _json_field(c, "dy", int), _json_field(c, "tile", str))
+                for c in _json_field(row, "cells", list)))
+                for row in _json_field(doc, "forbidden", list, [])]
+            return tiles, forbidden
+        return cls(*_read_json("tileset", text, read))
 
 HOLE = -1
 

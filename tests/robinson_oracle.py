@@ -8,12 +8,13 @@ a state turns its tile as `tiles_oracle.rotated` does.
 """
 
 from groundlab.robinson import ArmState, CrossState
-from groundlab.tiles import InputError, rotate_direction
+from groundlab.tiles import InputError
+from tiles_oracle import QUARTER_TURN
 
 
 def _turn(d: str, quarter_turns: int) -> str:
     for _ in range(quarter_turns % 4):
-        d = rotate_direction(d)
+        d = QUARTER_TURN[d]
     return d
 
 

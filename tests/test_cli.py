@@ -416,7 +416,9 @@ def test_config_diagnostics(tmp_path, capsys):
 def test_verify_markers_ok_and_violation(tmp_path, capsys):
     out = tmp_path / "v.json"
     assert run("verify-markers", "--scale", "1", "--out", str(out)) == 0
-    assert json.loads(out.read_text())["nonoverlap"] == "ok"
+    doc = json.loads(out.read_text())
+    assert doc["nonoverlap"] == "ok"
+    assert list(doc) == ["scale", "patterns", "side", "window", "nonoverlap"]
     # two identical 2x2 patterns overlap under a shift: invariant failure
     bad = tmp_path / "bad-markers.json"
     bad.write_text(markers_oracle.marker_json([[["A", "A"], ["A", "A"]]]))
@@ -424,7 +426,7 @@ def test_verify_markers_ok_and_violation(tmp_path, capsys):
     assert run("verify-markers", "--markers", str(bad),
                "--out", str(out)) == 1
     doc = json.loads(out.read_text())
-    assert doc["nonoverlap"] == "violation"
+    assert doc["nonoverlap"] == "violation" and "scale" not in doc
     assert len(doc["violation"]) == 3
     assert capsys.readouterr().err == (
         "violation: verify-markers: pattern 0 shifted by (-1, -1) overlaps pattern 0\n")
@@ -436,17 +438,20 @@ def test_verify_markers_ok_and_violation(tmp_path, capsys):
     ([[["A"], ["B"]], [["B"], ["C"]]], 1),
 ])
 def test_verify_markers_non_square(tmp_path, capsys, rows, code):
-    # a non-square set has no side or window, but its verdict still decides
+    # a non-square set has no side or window, but its verdict still decides;
+    # a marker file builds no scale, so none is reported, even one given
     path = tmp_path / "markers.json"
     path.write_text(markers_oracle.marker_json(rows))
     out = tmp_path / "v.json"
-    assert run("verify-markers", "--markers", str(path), "--out", str(out)) == code
-    doc = json.loads(out.read_text())
-    assert "side" not in doc and "window" not in doc
-    assert doc["nonoverlap"] == ("ok" if code == 0 else "violation")
-    err = capsys.readouterr().err
-    assert (err == "") == (code == 0)
-    assert "Traceback" not in err
+    for scale in ((), ("--scale", "3")):
+        assert run("verify-markers", *scale, "--markers", str(path),
+                   "--out", str(out)) == code
+        doc = json.loads(out.read_text())
+        assert "scale" not in doc and "side" not in doc and "window" not in doc
+        assert doc["nonoverlap"] == ("ok" if code == 0 else "violation")
+        err = capsys.readouterr().err
+        assert (err == "") == (code == 0)
+        assert "Traceback" not in err
 
 
 def test_measure_flow_columns(tmp_path):
@@ -609,16 +614,18 @@ _BLANK = "....."
 _TILE_A = {"id": "A", "north": _BLANK, "east": _BLANK, "south": _BLANK,
            "west": _BLANK}
 # a tile id that is a list; a rotation that is a float, a bool or a string,
-# each of which int() would take; a template that is a list; forbidden cells
-# whose tile is a list or whose offset is a string; a forbidden pattern,
-# which no torus potential can carry; a forbidden pattern with no cells; and
-# the acceptance-7 toy potential, to pair with the forbidden pattern
+# each of which int() would take; a template that is a list; a label that is
+# a list of its five characters; forbidden cells whose tile is a list or
+# whose offset is a string; a forbidden pattern, which no torus potential can
+# carry; a forbidden pattern with no cells; and the acceptance-7 toy
+# potential, to pair with the forbidden pattern
 BAD_TILESETS = {
     "list-id.json": {"tiles": [{**_TILE_A, "id": ["A"]}]},
     "rotation-float.json": {"tiles": [{**_TILE_A, "rotation": 1.9}]},
     "rotation-true.json": {"tiles": [{**_TILE_A, "rotation": True}]},
     "rotation-text.json": {"tiles": [{**_TILE_A, "rotation": "2"}]},
     "template-list.json": {"tiles": [{**_TILE_A, "template": ["cross"]}]},
+    "label-list.json": {"tiles": [{**_TILE_A, "north": list("r0n01")}]},
     "list-cell.json": {"tiles": [_TILE_A],
                        "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": ["A"]}]}]},
     "text-dx.json": {"tiles": [_TILE_A],
@@ -630,8 +637,8 @@ BAD_TILESETS = {
     "no-tiles.json": {"tiles": []},
 }
 # marker files `MarkerSet` refuses: a zero tau denominator, a negative tau,
-# patterns with no cells, and rows given as strings, which would read as
-# one-letter ids
+# patterns with no cells, rows given as strings, which would read as
+# one-letter ids, and a tau of three integers
 BAD_MARKERS = {
     "tau-over-zero.json": {"tau": [1, 0], "patterns": [{"rows": [["A"]]}]},
     "negative-tau.json": {"tau": [-5, 1], "patterns": [{"rows": [["A"]]}]},
@@ -639,11 +646,20 @@ BAD_MARKERS = {
     "empty-row.json": {"tau": [0, 1], "patterns": [{"rows": [[]]}]},
     "rows-string.json": {"tau": [0, 1], "patterns": [{"rows": "AB"}]},
     "row-strings.json": {"tau": [0, 1], "patterns": [{"rows": ["AB", "CD"]}]},
+    "tau-triple.json": {"tau": [0, 1, 7], "patterns": [{"rows": [["A"]]}]},
 }
-# potential files whose rows, or one row, are strings
+# potential files whose rows, or one row, are strings, whose weight has three
+# integers, or whose patterns are an object
 BAD_POTENTIALS = {
     "potential-row-string.json": {"patterns": [{"rows": ["AB"], "weight": [1, 1]}]},
     "potential-rows-string.json": {"patterns": [{"rows": "AB", "weight": [1, 1]}]},
+    "weight-triple.json": {"patterns": [{"rows": [["A", "B"]], "weight": [1, 2, 99]}]},
+    "patterns-object.json": {"patterns": {}},
+}
+# the copier, whose states a, b, h and s are given as one string
+BAD_MACHINES = {
+    "states-string.json": {**json.loads(machine_to_json(corpus()["copier"])),
+                           "states": "abhs"},
 }
 
 
@@ -695,15 +711,27 @@ def _gibbs_toy(side="2", beta="1", tileset="free:2"):
                           ("rows-string.json", "not strings"),
                           ("row-strings.json", "not strings")]],
     *[((*_gibbs_toy(), "--potential", "{tmp}/" + name), "not strings")
-      for name in BAD_POTENTIALS],
+      for name in ("potential-row-string.json", "potential-rows-string.json")],
     *[(_gibbs_toy(tileset="{tmp}/" + name), field)
-      for name, field in [("rotation-float.json", "tile rotation must be int, got 1.9"),
-                          ("rotation-true.json", "tile rotation must be int, got True"),
-                          ("rotation-text.json", "tile rotation must be int, got '2'"),
-                          ("template-list.json", "tile template must be str, got ['cross']")]],
+      for name, field in [("rotation-float.json", "rotation takes integers, not floats: 1.9"),
+                          ("rotation-true.json", "rotation takes integers, not booleans: True"),
+                          ("rotation-text.json", "rotation takes integers, not strings: '2'"),
+                          ("template-list.json", "template takes strings, not lists: ['cross']")]],
+    # files that loaded as something else: four one-letter states, a label
+    # read as its list, a pair's third entry dropped, a chain at energy 0
+    (("measure-flow", "--machine", "{tmp}/states-string.json", "--csv", "{tmp}/f.csv"),
+     "malformed machine json: states takes lists, not strings: 'abhs'"),
+    (_gibbs_toy(tileset="{tmp}/label-list.json"),
+     "malformed tileset json: north takes strings, not lists"),
+    ((*_gibbs_toy(), "--potential", "{tmp}/weight-triple.json"),
+     "malformed potential json: weight takes a [numerator, denominator] pair, got [1, 2, 99]"),
+    ((*_gibbs_toy(), "--potential", "{tmp}/patterns-object.json"),
+     "malformed potential json: patterns takes lists, not objects: {}"),
+    (("verify-markers", "--markers", "{tmp}/tau-triple.json", "--out", "{tmp}/v.json"),
+     "malformed marker json: tau takes a [numerator, denominator] pair, got [0, 1, 7]"),
 ])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, field):
-    for name, doc in {**BAD_TILESETS, **BAD_MARKERS, **BAD_POTENTIALS}.items():
+    for name, doc in {**BAD_TILESETS, **BAD_MARKERS, **BAD_POTENTIALS, **BAD_MACHINES}.items():
         (tmp_path / name).write_text(json.dumps(doc))
     assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err

@@ -204,12 +204,51 @@ def test_every_public_member_has_a_reader():
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
-def test_ci_snippets_import_existing_names():
-    # the workflow's informational steps end in `|| true`, which would hide
-    # an ImportError of a name a later change deletes
-    found = re.findall(r"^\s*from groundlab\.(\w+) import (.+)$", WORKFLOW.read_text(), re.M)
-    assert found
+def ci_snippet_names(text):
+    """(the `from groundlab.X import` lines, the modules `from groundlab
+    import` names, the names groundlab lacks) of a workflow text.  A `from
+    groundlab import a, b` line must name modules, and each `a.Name`,
+    `a.Name.attr` and `mock.patch.object(a.Name, "attr", ...)` in the text
+    must then resolve.  The text is read, never run."""
+    found = re.findall(r"^\s*from groundlab\.(\w+) import (.+)$", text, re.M)
     missing = [f"{module}.{name}" for module, names in found
                for name in map(str.strip, names.split(","))
                if not hasattr(importlib.import_module(f"groundlab.{module}"), name)]
-    assert not missing, f"{WORKFLOW.name} imports names groundlab lacks: {missing}"
+    modules = {}
+    for names in re.findall(r"^\s*from groundlab import (.+)$", text, re.M):
+        for alias in map(str.strip, names.split(",")):
+            try:
+                modules[alias] = importlib.import_module(f"groundlab.{alias}")
+            except ImportError:
+                missing.append(f"groundlab.{alias}")
+    if modules:
+        alt = "|".join(map(re.escape, modules))
+        chains = (re.findall(rf"(?<![\w.])({alt})\.(\w+)(?:\.(\w+))?", text)
+                  + re.findall(rf'mock\.patch\.object\(({alt})\.(\w+),\s*"(\w+)"', text))
+        for alias, *attrs in chains:
+            obj, path = modules[alias], [alias]
+            for attr in filter(None, attrs):
+                path.append(attr)
+                if not hasattr(obj, attr):
+                    missing.append(".".join(path))
+                    break
+                obj = getattr(obj, attr)
+    return found, modules, missing
+
+
+def test_ci_snippets_import_existing_names():
+    # the workflow's informational steps end in `|| true`, which would hide
+    # an ImportError or AttributeError of a name a later change deletes
+    found, modules, missing = ci_snippet_names(WORKFLOW.read_text())
+    assert found and modules
+    assert not missing, f"{WORKFLOW.name} reads names groundlab lacks: {missing}"
+
+
+def test_ci_snippet_guard_sees_module_qualified_names():
+    text = ("from groundlab import cli, machines, nosuch\n"
+            "machines._Sweep = cli.main\n"
+            "machines._Sweep._gone.append\n"
+            'mock.patch.object(machines._Sweep, "_nope", 1)\n'
+            "python -m groundlab.cli.absent\n")
+    assert ci_snippet_names(text)[2] == ["groundlab.nosuch", "machines._Sweep._gone",
+                                         "machines._Sweep._nope"]

@@ -1,6 +1,10 @@
+import copy
 import json
 import random
 import time
+from fractions import Fraction
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -9,6 +13,9 @@ from hypothesis import strategies as st
 
 import pattern_oracle
 import tiles_oracle
+from groundlab.gibbs import Potential
+from groundlab.machines import corpus, machine_from_json, machine_to_json
+from groundlab.markers import MarkerSet
 from groundlab.robinson import build_tileset
 from groundlab.tiles import (
     HOLE,
@@ -299,8 +306,21 @@ def test_check_patch_unknown_id():
     assert check_patch(ts, Patch(grid[:, 1:], ("A", "A", "ww"))) == []
 
 
-def test_tileset_serialization_roundtrip():
-    ts = Tileset(
+# a tileset document and the tileset it reads as
+ROUNDTRIP_DOC = {
+    "tiles": [
+        {"id": "one", "north": "r0n..", "east": "...1.", "south": ".....",
+         "west": "....0", "template": "alpha", "rotation": 2},
+        {"id": "two", "north": "..s..", "east": "..s..", "south": "..s..",
+         "west": "..s.."},
+    ],
+    "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": "one"},
+                             {"dx": 1, "dy": 1, "tile": "two"}]}],
+}
+
+
+def roundtrip_tileset():
+    return Tileset(
         [
             Tile("one", plain(line="r", pos=0, arrow="n"), plain(px=1), plain(), plain(py=0),
                  template="alpha", rotation=2),
@@ -308,17 +328,11 @@ def test_tileset_serialization_roundtrip():
         ],
         extra_forbidden=[ForbiddenPattern(((0, 0, "one"), (1, 1, "two")))],
     )
-    doc = {
-        "tiles": [
-            {"id": "one", "north": "r0n..", "east": "...1.", "south": ".....",
-             "west": "....0", "template": "alpha", "rotation": 2},
-            {"id": "two", "north": "..s..", "east": "..s..", "south": "..s..",
-             "west": "..s.."},
-        ],
-        "forbidden": [{"cells": [{"dx": 0, "dy": 0, "tile": "one"},
-                                 {"dx": 1, "dy": 1, "tile": "two"}]}],
-    }
-    back = Tileset.from_json(json.dumps(doc))
+
+
+def test_tileset_serialization_roundtrip():
+    ts = roundtrip_tileset()
+    back = Tileset.from_json(json.dumps(ROUNDTRIP_DOC))
     assert back.tiles == ts.tiles
     assert back.extra_forbidden == ts.extra_forbidden
     assert np.array_equal(back.h_compat, ts.h_compat)
@@ -339,10 +353,82 @@ def test_tileset_rejects_bad_input():
     tile = {"id": "a", "north": ".....", "east": ".....", "south": ".....", "west": "....."}
     for key, value in (("rotation", True), ("rotation", 1.9), ("rotation", "2"),
                        ("template", 5), ("template", ["arm"]), ("template", None)):
-        with pytest.raises(InputError, match=f"tile {key} must be"):
+        with pytest.raises(InputError, match=f"malformed tileset json: {key} takes "):
             Tileset.from_json(json.dumps({"tiles": [{**tile, key: value}]}))
     back = Tileset.from_json(json.dumps({"tiles": [{**tile, "rotation": -3}]}))
     assert back.tiles[0].rotation == -3
+
+
+# each JSON reader: its one valid document and the object that reads as,
+# then the paths of the document's list fields, string fields,
+# [numerator, denominator] pairs and lists whose entries are typed
+READERS = {
+    "machine": (machine_from_json, json.loads(machine_to_json(corpus()["copier"])),
+                corpus()["copier"],
+                [("states",), ("final",), ("input_alphabet",), ("tape_alphabet",), ("delta",)],
+                [("initial",), ("blank",),
+                 *(("delta", 0, key) for key in ("state", "read", "next", "write"))], [],
+                [("states",), ("final",), ("input_alphabet",), ("tape_alphabet",)]),
+    "tileset": (Tileset.from_json, ROUNDTRIP_DOC, roundtrip_tileset(),
+                [("tiles",), ("forbidden",), ("forbidden", 0, "cells")],
+                [("tiles", 0, key) for key in ("id", "north", "east", "south", "west",
+                                               "template")], [], []),
+    # the acceptance-7 toy potential
+    "potential": (Potential.from_json,
+                  {"patterns": [{"rows": [["A", "B"]], "weight": [1, 1]}]},
+                  Potential.from_patterns([([["A", "B"]], 1)]),
+                  [("patterns",), ("patterns", 0, "rows"), ("patterns", 0, "weight")], [],
+                  [("patterns", 0, "weight")], [("patterns", 0, "rows")]),
+    "marker": (MarkerSet.from_json,
+               {"tau": [1, 2], "patterns": [{"rows": [["A", "B"], ["C", "D"]]}]},
+               MarkerSet([Patch.from_ids([["A", "B"], ["C", "D"]])], Fraction(1, 2)),
+               [("patterns",), ("patterns", 0, "rows"), ("tau",)], [], [("tau",)],
+               [("patterns", 0, "rows")]),
+}
+# each refused value, made from the valid one; an object entry keyed on the
+# last entry would read as that entry's ids
+MISTYPED = {"a string": lambda v: "AB", "an empty string": lambda v: "",
+            "an object": lambda v: {}, "a one-element list": lambda v: [v],
+            "one entry": lambda v: v[:1], "three entries": lambda v: [*v, 7],
+            "an object entry": lambda v: [*v[:-1], dict.fromkeys(v[-1], 0)]}
+
+
+def read_fields(obj):
+    """What makes two read objects equal: a machine compares as itself."""
+    if isinstance(obj, Tileset):
+        return obj.tiles, obj.extra_forbidden
+    if isinstance(obj, Potential):
+        return obj.ids, obj.denominator, pattern_oracle.keyed(obj)
+    if isinstance(obj, MarkerSet):
+        return obj.legend, obj.codes.tolist(), obj.tau
+    return obj
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_json_readers_load_their_valid_document(kind):
+    read, doc, want, *_ = READERS[kind]
+    assert read_fields(read(json.dumps(doc))) == read_fields(want)
+
+
+@pytest.mark.parametrize("kind, path, mistyped", [
+    pytest.param(kind, path, mistyped, id=f"{kind}-{'.'.join(map(str, path))}-{mistyped}")
+    for kind, (*_, lists, strings, pairs, entries) in READERS.items()
+    for paths, refused in ((lists, ("a string", "an empty string", "an object")),
+                           (strings, ("a one-element list",)),
+                           (pairs, ("one entry", "three entries")),
+                           (entries, ("an object entry",)))
+    for path in paths for mistyped in refused])
+def test_json_readers_refuse_each_mistyped_field(kind, path, mistyped):
+    # types are exact: a string is no list, a list no string, an object no
+    # list entry, and a pair is exactly two integers; the refusal names the
+    # field
+    read, doc = READERS[kind][:2]
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    holder = reduce(getitem, parents, doc)
+    holder[key] = MISTYPED[mistyped](holder[key])
+    with pytest.raises(InputError, match=rf"^malformed {kind} json: {key} takes "):
+        read(json.dumps(doc))
 
 
 # few values per channel, so that labels repeat and pairs of them match

@@ -10,12 +10,16 @@ between pairs of equal labels.  `same_cells` is the id-by-id comparison that
 that `count_admissible`'s one sweep replaced.
 
 `rotated` is the quarter-turn reference of the rotation identity tests,
-`label_text` the five-character form `EdgeLabel.decode` reads, and `cells`
-the filled cells of a patch, read off its grid."""
+its arrows turned by `QUARTER_TURN`, `label_text` the five-character form
+`EdgeLabel.decode` reads, and `cells` the filled cells of a patch, read off
+its grid."""
 
 import numpy as np
 
-from groundlab.tiles import HOLE, CountResult, EdgeLabel, Tile, rotate_direction
+from groundlab.tiles import HOLE, CountResult, EdgeLabel, Tile
+
+# each compass direction a quarter turn counterclockwise
+QUARTER_TURN = {"n": "w", "w": "s", "s": "e", "e": "n"}
 
 
 def _rot1(lab, flip_pos: bool):
@@ -26,7 +30,7 @@ def _rot1(lab, flip_pos: bool):
     if flip_pos and pos is not None:
         pos = 1 - pos
     return EdgeLabel(line=lab.line, pos=pos,
-                     arrow=rotate_direction(lab.arrow) if lab.arrow else None,
+                     arrow=QUARTER_TURN[lab.arrow] if lab.arrow else None,
                      px=lab.py, py=lab.px)
 
 
